@@ -8,11 +8,14 @@ production model serving:
 
 * :mod:`repro.cluster.router` — :class:`ConsistentHashRouter`: deterministic
   tenant → shard placement with minimal movement on scale out/in.
-* :mod:`repro.cluster.shard` — :class:`ShardWorker`: one thread owning a
-  private engine cache + micro-batching scheduler, draining a bounded queue
-  on a deadline-or-max-batch trigger.
-* :mod:`repro.cluster.procworker` — :class:`ProcessShardWorker`: the same
-  contract in a ``multiprocessing`` child, serving zero-copy from
+* :mod:`repro.cluster.loop` — :class:`~repro.cluster.loop.ShardLoop`: what
+  one shard does — a private engine cache + micro-batching scheduler serving
+  ops on a deadline-or-max-batch trigger, with window bracketing for bursts —
+  written once for both worker kinds.
+* :mod:`repro.cluster.shard` — :class:`ShardWorker`: the loop on a thread,
+  fed from a queue (plus what both kinds share: admission, errors).
+* :mod:`repro.cluster.procworker` — :class:`ProcessShardWorker`: the loop in
+  a ``multiprocessing`` child, fed over a pipe and serving zero-copy from
   :mod:`repro.shm` shared-memory weight segments — shards that truly run on
   separate cores (``ClusterConfig(workers="process")``).
 * :mod:`repro.cluster.frontend` — :class:`ClusterService`: the facade with

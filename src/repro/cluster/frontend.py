@@ -3,7 +3,9 @@
 :class:`ClusterService` exposes the same ``personalize`` / ``predict`` /
 ``predict_batch`` surface as the single-process
 :class:`~repro.serve.service.PersonalizationService`, but answers inference
-traffic through a fleet of :class:`~repro.cluster.shard.ShardWorker` threads:
+traffic through a fleet of shard workers (one
+:class:`~repro.cluster.loop.ShardLoop` each, on a thread or in a child
+process — :data:`WORKER_KINDS`):
 
 * registered tenants are placed on shards by bounded-load consistent hashing
   (:meth:`~repro.cluster.router.ConsistentHashRouter.balanced_assignments`),
@@ -29,8 +31,9 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,12 +51,10 @@ from ..trace import trace_block
 
 __all__ = ["ClusterConfig", "ClusterService", "RejectedResponse", "WORKER_KINDS"]
 
-#: Worker execution models the cluster knows how to run.  ``threaded`` shards
-#: are in-process :class:`~repro.cluster.shard.ShardWorker` threads;
-#: ``process`` shards are
+#: The two transports of the shard loop.  ``threaded``: in-process
+#: :class:`~repro.cluster.shard.ShardWorker` threads; ``process``:
 #: :class:`~repro.cluster.procworker.ProcessShardWorker` children serving
-#: from zero-copy shared-memory weights — same queue/telemetry contract,
-#: real multi-core isolation.
+#: from zero-copy shared-memory weights — same loop, real multi-core isolation.
 WORKER_KINDS = ("threaded", "process")
 
 
@@ -198,38 +199,30 @@ class ClusterService:
     # -- shard membership -------------------------------------------------------
     def _add_worker(self) -> int:
         with self._scale_lock:
-            return self._add_worker_locked()
-
-    def _add_worker_locked(self) -> int:
-        shard_id = self._next_shard_id
-        self._next_shard_id += 1
-        if self._store is not None:
-            worker = ProcessShardWorker(
+            shard_id = self._next_shard_id
+            self._next_shard_id += 1
+            # The one place the worker kind matters: which transport carries
+            # the shard loop, and where its engines come from.
+            if self._store is None:
+                kind, source = ShardWorker, self.registry
+            else:
+                kind, source = ProcessShardWorker, self._store
+            worker = kind(
                 shard_id,
-                self._store,
+                source,
                 cache_capacity=self.cluster.cache_capacity,
                 max_batch_size=self.cluster.max_batch_size,
                 max_pending=self.cluster.max_pending,
                 flush_interval_s=self.cluster.flush_interval_s,
                 poll_interval_s=self.cluster.poll_interval_s,
             )
-        else:
-            worker = ShardWorker(
-                shard_id,
-                self.registry,
-                cache_capacity=self.cluster.cache_capacity,
-                max_batch_size=self.cluster.max_batch_size,
-                max_pending=self.cluster.max_pending,
-                flush_interval_s=self.cluster.flush_interval_s,
-                poll_interval_s=self.cluster.poll_interval_s,
-            )
-        self._workers[shard_id] = worker
-        self.router.add_shard(shard_id)
-        if self._started:
-            worker.start()
-        emit("shard_add", shard=shard_id, workers=self.cluster.workers,
-             shards=len(self._workers))
-        return shard_id
+            self._workers[shard_id] = worker
+            self.router.add_shard(shard_id)
+            if self._started:
+                worker.start()
+            emit("shard_add", shard=shard_id, workers=self.cluster.workers,
+                 shards=len(self._workers))
+            return shard_id
 
     def add_shard(self) -> int:
         """Scale out by one shard; only rerouted tenants change owner.
@@ -243,7 +236,7 @@ class ClusterService:
         return self._add_worker()
 
     def remove_shard(self, shard_id: int) -> None:
-        """Scale in: reroute the shard's tenants, drain it, stop its thread.
+        """Scale in: reroute the shard's tenants, drain it, stop its worker.
 
         Holds the scale lock across the whole sequence — ring removal *and*
         the graceful drain — so a concurrent ``add_shard`` (an autoscaler
@@ -323,7 +316,7 @@ class ClusterService:
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "ClusterService":
-        """Start every shard's drain thread / worker process (idempotent).
+        """Start every shard's worker thread / process (idempotent).
 
         Process mode publishes every registered model's weights into shared
         memory up front: the encode happens once, outside the serving path,
@@ -413,23 +406,13 @@ class ClusterService:
         worker = self.worker_for(request.model_id)
         if worker.pending() >= self.cluster.high_water:
             worker.telemetry.record_reject()
-            emit("admission_reject", source="cluster", shard=worker.shard_id,
-                 model_id=request.model_id, reason="high_water")
-            future.set_result(
-                RejectedResponse(request_id=request.request_id, model_id=request.model_id)
-            )
-            return future
+            return self._rejected(worker, request, "high_water")
         try:
             return worker.submit(request)
         except ShardOverloadError:
-            # Lost the race between the depth check and the bounded put.
-            worker.telemetry.record_reject()
-            emit("admission_reject", source="cluster", shard=worker.shard_id,
-                 model_id=request.model_id, reason="queue_full")
-            future.set_result(
-                RejectedResponse(request_id=request.request_id, model_id=request.model_id)
-            )
-            return future
+            # Lost the race between the depth check and the shard's own
+            # bound, which has already counted the refusal.
+            return self._rejected(worker, request, "queue_full")
         except RuntimeError as exc:
             # The owning shard is down (killed or shut down mid-flight).
             # Fail the future cleanly instead of raising into the caller —
@@ -442,6 +425,16 @@ class ClusterService:
             future.set_exception(exc)
             return future
 
+    @staticmethod
+    def _rejected(worker, request: PredictRequest, reason: str) -> Future:
+        emit("admission_reject", source="cluster", shard=worker.shard_id,
+             model_id=request.model_id, reason=reason)
+        future: Future = Future()
+        future.set_result(
+            RejectedResponse(request_id=request.request_id, model_id=request.model_id)
+        )
+        return future
+
     def predict(
         self,
         model_id: str,
@@ -452,29 +445,38 @@ class ClusterService:
         """Answer one request synchronously (submit + wait)."""
         return self.submit(PredictRequest(model_id, batch, request_id)).result(timeout)
 
+    @contextmanager
+    def window(self) -> Iterator[None]:
+        """Bracket a burst: every shard holds the predicts submitted inside
+        the ``with`` block and dispatches them as one flush when it exits.
+
+        The begin/end ops ride the same FIFO channel as the predicts between
+        them, so whole-burst fusion is structural (independent of host
+        scheduling) on both worker kinds — the property behind bit-exact
+        parity with the single-process service.  Unbracketed :meth:`submit`
+        streams fuse by the shard's flush deadline, i.e. by timing: same
+        predictions to ~1e-6, not to the bit.
+        """
+        workers = list(self._workers.values())
+        for worker in workers:
+            worker.begin_window()
+        try:
+            yield
+        finally:
+            for worker in workers:
+                worker.end_window()
+
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
     ) -> List[Union[PredictResponse, RejectedResponse]]:
         """Answer a mixed-tenant burst; responses come back in request order.
 
-        All requests are submitted before any wait, so co-tenant requests
-        land in their shard's queue together and fuse into one dispatch.
-        Process-mode shards additionally get the burst bracketed in window
-        begin/end frames, which makes that whole-window fusion structural
-        (independent of host scheduling) — the property behind bit-exact
-        parity with the threaded and single-process deployments.
+        The burst is submitted inside one :meth:`window` before any wait, so
+        each shard answers its share with a single fused dispatch.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        windowed = self._store is not None and self._started
-        if windowed:
-            for worker in self._workers.values():
-                worker.begin_window()
-        try:
+        with self.window():
             futures = [self.submit(request) for request in requests]
-        finally:
-            if windowed:
-                for worker in self._workers.values():
-                    worker.end_window()
         results = []
         for future in futures:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -495,6 +497,15 @@ class ClusterService:
     def model_ids(self) -> List[str]:
         return self.registry.ids()
 
+    def _look(self):
+        """``(per-shard stats in shard-id order, merged latency histogram)``
+        from one look — one ``stats`` frame, for a process shard — per shard."""
+        reports = [self._workers[shard_id].report() for shard_id in sorted(self._workers)]
+        return (
+            [stats for stats, _ in reports],
+            LatencyHistogram.merged(latency for _, latency in reports),
+        )
+
     def merged_latency(self) -> LatencyHistogram:
         """The cluster-level latency histogram: every shard's reservoir, merged.
 
@@ -504,10 +515,7 @@ class ClusterService:
         single service recording all completions would report.  This is the
         histogram behind ``stats()["totals"]["latency"]``.
         """
-        return LatencyHistogram.merged(
-            self._workers[shard_id].telemetry.merged_latency()
-            for shard_id in sorted(self._workers)
-        )
+        return self._look()[1]
 
     def stats(self) -> Dict[str, object]:
         """Cluster report: totals + router + uniform per-shard schema.
@@ -515,8 +523,8 @@ class ClusterService:
         Per-shard ``cache`` and ``scheduler`` blocks carry exactly the same
         keys as ``PersonalizationService.stats()``, so dashboards built for
         the single-process path read shard telemetry unchanged.  The
-        ``totals["latency"]`` percentiles come from :meth:`merged_latency`,
-        i.e. from the merged per-shard reservoirs, not from any attempt to
+        ``totals["latency"]`` percentiles come from the merged per-shard
+        reservoirs (see :meth:`merged_latency`), not from any attempt to
         combine per-shard percentile summaries.
 
         The top-level ``latency`` / ``cache`` / ``queue`` / ``errors`` blocks
@@ -524,9 +532,9 @@ class ClusterService:
         (:func:`~repro.cluster.telemetry.assert_stats_schema`) shared with
         ``PersonalizationService.stats()`` and ``Gateway.stats()``.
         """
-        per_shard = [self._workers[sid].stats() for sid in sorted(self._workers)]
+        per_shard, latency = self._look()
         totals = merge_snapshots([shard["telemetry"] for shard in per_shard])
-        totals["latency"] = self.merged_latency().summary()
+        totals["latency"] = latency.summary()
         cache_totals = {
             key: sum(shard["cache"][key] for shard in per_shard)
             for key in ("resident", "hits", "misses", "evictions")

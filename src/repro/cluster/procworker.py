@@ -1,34 +1,32 @@
-"""Process shard worker: the GIL-escaping twin of :class:`ShardWorker`.
+"""Process shard worker: a :class:`~repro.cluster.loop.ShardLoop` in a child.
 
-A :class:`ProcessShardWorker` satisfies the same contract as the threaded
-worker — ``submit`` → future, ``kill`` / ``drain`` / ``stop``, telemetry
-snapshots, the chaos seams — but runs its cache/scheduler/engine loop in a
+A :class:`ProcessShardWorker` is the out-of-process transport of the shard
+loop: the loop (documented in :mod:`repro.cluster.loop`) runs in a
 ``multiprocessing`` child, so shards on a multi-core host truly compute in
-parallel instead of interleaving under one interpreter lock.
-
-The split is deliberate about what crosses the process boundary:
+parallel instead of interleaving under one interpreter lock.  This module is
+only what crosses the process boundary, and how:
 
 * **Weights never do.**  The parent's
   :class:`~repro.shm.SharedWeightStore` publishes each model's encoded
   formats into named shared-memory segments; the child maps them zero-copy
   through a :class:`~repro.shm.SharedModelSource` plugged in where the
-  threaded worker's cache holds the registry.  The control channel carries
+  thread worker's loop holds the registry.  The control channel carries
   only manifest entries (names + array layouts).
-* **Control rides the gateway's wire envelopes.**  Every parent→child frame
-  is an :class:`~repro.gateway.wire.ApiRequest` and every reply an
+* **Ops ride the gateway's wire envelopes.**  Every parent→child frame is an
+  :class:`~repro.gateway.wire.ApiRequest` the child turns into an
+  :class:`~repro.cluster.loop.Op`, and every answer an
   :class:`~repro.gateway.wire.ApiResponse` over a duplex pipe — the same
   byte-stable JSON the cluster already speaks externally, reused as its
   internal RPC, with typed :class:`~repro.errors.ApiError`\\ s surviving the
   hop.  A per-worker reply-pump thread matches replies to frame ids and
   resolves the caller's futures.
 
-Ordering is the correctness backbone: the pipe is FIFO and the child
-handles frames in order, so an ``install`` sent before a ``predict`` is
-visible to it, a ``drain`` reply proves every earlier predict was answered,
-and the ``stop`` acknowledgement doubles as the final telemetry snapshot.
-A SIGKILLed child drops the pipe; the pump thread sees EOF and fails every
-in-flight future with :class:`~repro.cluster.shard.ShardKilledError` — no
-hangs, same failure surface as the threaded crash simulation.
+The pipe is FIFO and the loop serves ops in order, so an ``install`` sent
+before a ``predict`` is visible to it, a ``drain`` reply proves every earlier
+predict was answered, and the ``stop`` acknowledgement doubles as the final
+stats.  A SIGKILLed child drops the pipe; the pump thread sees EOF and fails
+every in-flight future with :class:`~repro.cluster.shard.ShardKilledError` —
+no hangs, same failure surface as a killed thread worker.
 """
 
 from __future__ import annotations
@@ -38,27 +36,24 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Dict, Optional
+from multiprocessing import resource_tracker
+from typing import Deque, Dict, Optional, Tuple
 
-from ..errors import error_from_exception
+from ..errors import UnavailableError, error_from_exception
 from ..gateway.wire import ApiRequest, ApiResponse
 from ..serve.types import PredictRequest, PredictResponse
 from ..trace import Trace
-from ..shm import SharedWeightStore
-from .shard import ShardKilledError, ShardOverloadError
+from ..shm import SharedModelSource, SharedWeightStore
+from .loop import Op, ShardLoop
+from .shard import RPC_TIMEOUT_S, ShardFront
 from .telemetry import LatencyHistogram, ShardTelemetry
 
 __all__ = ["ProcessShardWorker", "start_method", "mp_context"]
 
 #: Environment override for the multiprocessing start method.
 _START_ENV = "REPRO_MP_START"
-
-#: Default RPC timeout (seconds) for synchronous control calls.  Generous —
-#: a loaded shard answers control frames only between dispatch batches.
-_RPC_TIMEOUT_S = 30.0
 
 
 def start_method() -> str:
@@ -85,243 +80,92 @@ def mp_context():
 # Child process
 # ---------------------------------------------------------------------------
 
-def _child_stats(source, cache, scheduler, telemetry, backlog) -> Dict:
-    """The stats payload a child marshals back (schema of ShardWorker.stats).
+def _wire_stats(loop: ShardLoop, stats: Dict) -> Dict:
+    """``loop.stats()`` plus the raw latency reservoir, as the child ships it.
 
-    Also ships the raw latency reservoir: percentiles cannot be merged from
-    summaries, and the parent's :meth:`ShardTelemetry.merged_latency`
-    contract needs the samples themselves.
+    Percentiles cannot be merged from summaries; the parent's lossless
+    cluster merge needs the samples themselves.
     """
-    latency = telemetry.latency
-    return {
-        "pending": len(backlog),
-        "installed": source.model_ids(),
-        "cache": cache.stats(),
-        "scheduler": scheduler.stats(),
-        "telemetry": telemetry.snapshot(),
-        "latency_reservoir": {
-            "samples": list(latency.samples()),
-            "count": latency.count,
-            "total": latency.total,
-            "max": latency.max,
-            "max_samples": latency.max_samples,
-        },
-    }
+    return dict(stats, latency_reservoir=loop.telemetry.latency.to_wire())
 
 
-def _worker_main(conn, shard_id, cfg: Dict) -> None:
-    """Child entry point: drain wire envelopes, serve from shared weights.
+class _PipeInbox:
+    """The child's inbox: wire frames off the pipe, decoded into ops whose
+    answers go back as frames."""
 
-    Module-level (not a closure) so every start method can import it.  The
-    loop mirrors the threaded worker's deadline-or-max-batch trigger: one
-    predict is taken, further predicts are collected until the flush
-    deadline passes, the batch limit is hit, or a control frame arrives
-    (control frames never overtake the predicts sent before them).
-    """
-    # Late imports keep the module importable without triggering the full
-    # serving stack at parent import time (spawn re-imports this module).
-    from ..serve.cache import EngineCache
-    from ..serve.scheduler import BatchScheduler
-    from ..shm import SharedModelSource
+    def __init__(self, conn, loop: ShardLoop) -> None:
+        self.conn = conn
+        self.loop = loop
+        self._ready: Deque[Op] = deque()
 
-    source = SharedModelSource(untrack=bool(cfg.get("untrack")))
-    cache = EngineCache(source, capacity=int(cfg["cache_capacity"]))
-    scheduler = BatchScheduler(cache, max_batch_size=cfg["max_batch_size"])
-    telemetry = ShardTelemetry(shard_id)
-    flush_interval_s = float(cfg["flush_interval_s"])
-    max_batch_requests = int(cfg["max_batch_requests"])
-    chaos_delay_s = 0.0
-    backlog: "deque[ApiRequest]" = deque()
-    # Window bracketing: while depth > 0 predicts are held, not dispatched.
-    # The frontend brackets every burst with window begin/end frames, which
-    # ride the same FIFO pipe as the predicts between them — so the burst
-    # fuses as one flush *structurally*, independent of host scheduling.
-    window_depth = 0
-    held: "deque[ApiRequest]" = deque()
+    def get(self, timeout: Optional[float]) -> Optional[Op]:
+        if not self._ready and self.conn.poll(timeout):
+            self._read()
+        return self._ready.popleft() if self._ready else None
 
-    def recv() -> Optional[ApiRequest]:
+    def depth(self) -> int:
+        while self.conn.poll(0) and self._read():
+            pass
+        return len(self._ready)
+
+    def _read(self) -> bool:
         try:
-            return ApiRequest.from_json(conn.recv_bytes().decode("utf-8"))
+            frame = ApiRequest.from_json(self.conn.recv_bytes().decode("utf-8"))
         except (EOFError, OSError):
-            return None
-
-    def reply(request: ApiRequest, payload: Dict) -> None:
-        send(ApiResponse.success(request, payload))
-
-    def reply_error(request: ApiRequest, exc: BaseException) -> None:
-        send(ApiResponse.failure(request, error_from_exception(exc)))
-
-    def send(response: ApiResponse) -> None:
+            self.loop.kill(UnavailableError("parent process is gone"))
+            return False
         try:
-            conn.send_bytes(response.to_json().encode("utf-8"))
+            self._ready.append(self._op(frame))
+        except Exception as exc:  # undecodable payload: answer, keep serving
+            self._send(ApiResponse.failure(frame, error_from_exception(exc)))
+        return True
+
+    def _send(self, response: ApiResponse) -> None:
+        try:
+            self.conn.send_bytes(response.to_json().encode("utf-8"))
         except (BrokenPipeError, OSError):  # parent gone; nothing to answer
             pass
 
-    def dispatch(batch) -> None:
-        """Mirror of ``ShardWorker._dispatch`` answering over the pipe."""
-        if chaos_delay_s > 0:
-            time.sleep(chaos_delay_s)
-        depth_after = len(backlog)
-        accepted = []
-        for frame in batch:
-            request = PredictRequest.from_dict(frame.payload["request"])
-            if frame.payload.get("trace"):
-                # The parent flagged this frame as traced: give the request a
-                # child-local Trace so the scheduler records the engine span;
-                # the spans ride back inside the reply payload.
-                request.trace = Trace()
-            try:
-                scheduler.submit(request)
-            except Exception as exc:  # e.g. duplicate request id
-                reply_error(frame, exc)
-                telemetry.record_failure()
-            else:
-                accepted.append((frame, request))
-        try:
-            responses = scheduler.flush()
-        except Exception as exc:  # e.g. missing manifest for a batched id
-            for frame, _ in accepted:
-                reply_error(frame, exc)
-            telemetry.record_failure(len(accepted))
-            return
-        now = time.monotonic()
-        for (frame, request), response in zip(accepted, responses):
-            payload = response.to_dict()
-            if request.trace is not None:
-                # CLOCK_MONOTONIC is system-wide, so the parent's enqueue
-                # stamp is comparable here: the shard span covers pipe
-                # transit + child queueing + batch collection + dispatch.
-                request.trace.add("shard", now - frame.payload["enqueued_monotonic"])
-                payload["trace"] = request.trace.to_wire()
-            reply(frame, payload)
-            telemetry.record_completion(now - frame.payload["enqueued_monotonic"])
-        telemetry.record_dispatch(len(batch), depth_after)
+    def _op(self, frame: ApiRequest) -> Op:
+        def fail(exc: BaseException) -> None:
+            self._send(ApiResponse.failure(frame, error_from_exception(exc)))
 
-    def flush_held() -> None:
-        """Dispatch every held predict (window end, drain, or stop)."""
-        while held:
-            batch = []
-            while held and len(batch) < max_batch_requests:
-                batch.append(held.popleft())
-            dispatch(batch)
-
-    def handle_install(frame: ApiRequest) -> None:
-        try:
-            entry = frame.payload["entry"]
-            replaced = source.install(entry)
-            if replaced:
-                # A fresh weight version supersedes the cached engine.
-                cache.evict(entry["model_id"])
-            reply(frame, {"version": entry["version"], "replaced": replaced})
-        except Exception as exc:
-            reply_error(frame, exc)
-
-    def collect(first: ApiRequest):
-        """Quiescence-or-max-batch: grow ``first`` into a dispatch batch.
-
-        The threaded worker's whole-window fusion falls out of the GIL: the
-        frontend queues an entire burst before the worker thread wakes, so
-        co-tenant requests always fuse — which is also what makes its
-        predictions bit-identical to the single service's (fusion changes
-        BLAS summation order, grouping does not).  A child process races
-        the parent's frame serialization instead, so a fixed deadline from
-        the first frame would fuse partial windows on a loaded host.  The
-        quiescence trigger — collect until ``flush_interval_s`` passes with
-        *no* new frame — restores the whole-window property: a parent
-        mid-burst keeps the window open, and an idle pipe closes it after
-        one flush interval, same as the threaded deadline.
-        """
-        batch = [first]
-        deadline = time.monotonic() + flush_interval_s
-        while len(batch) < max_batch_requests:
-            # Installs interleave with the predicts that need them (the
-            # parent sends install-then-predict per first use); applying one
-            # mid-collection is safe — it only adds a manifest — and must
-            # not chop the batch, or first-wave fusion would differ from
-            # the threaded path's.  Any other control frame ends collection.
-            while backlog and len(batch) < max_batch_requests:
-                if backlog[0].method == "predict":
-                    batch.append(backlog.popleft())
-                    deadline = time.monotonic() + flush_interval_s
-                elif backlog[0].method == "install":
-                    handle_install(backlog.popleft())
-                else:
-                    break
-            if backlog or len(batch) >= max_batch_requests:
-                break  # a barrier control frame is next, or the batch is full
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
-                break
-            frame = recv()
-            if frame is None:
-                break
-            if frame.method == "predict":
-                telemetry.record_submit()
-                batch.append(frame)
-                deadline = time.monotonic() + flush_interval_s
-            elif frame.method == "install":
-                handle_install(frame)
-            else:
-                backlog.append(frame)
-                break
-        return batch
-
-    while True:
-        if backlog:
-            frame = backlog.popleft()
-        else:
-            frame = recv()
-            if frame is None:
-                break  # parent vanished
-            while conn.poll(0):
-                queued = recv()
-                if queued is None:
-                    break
-                backlog.append(queued)
-        method = frame.method
-
+        method, payload = frame.method, frame.payload
         if method == "predict":
-            telemetry.record_submit()
-            if window_depth > 0:
-                held.append(frame)
-            else:
-                dispatch(collect(frame))
-        elif method == "window":
-            if frame.payload.get("action") == "begin":
-                window_depth += 1
-            else:
-                window_depth = max(0, window_depth - 1)
-                if window_depth == 0:
-                    flush_held()
-            reply(frame, {"depth": window_depth})
-        elif method == "install":
-            handle_install(frame)
-        elif method == "evict":
-            reply(frame, {"evicted": cache.evict(frame.payload["model_id"])})
-        elif method == "put_engine":
-            try:
-                engine = pickle.loads(base64.b64decode(frame.payload["engine"]))
-                cache.put(frame.payload["model_id"], engine)
-                reply(frame, {})
-            except Exception as exc:
-                reply_error(frame, exc)
-        elif method == "chaos":
-            chaos_delay_s = float(frame.payload["delay_s"])
-            reply(frame, {"delay_s": chaos_delay_s})
-        elif method == "stats":
-            reply(frame, _child_stats(source, cache, scheduler, telemetry, backlog))
-        elif method == "drain":
-            # FIFO: every predict sent before this frame has been answered
-            # (an unbalanced window must not strand held work past a drain).
-            flush_held()
-            reply(frame, {"drained": True})
-        elif method == "stop":
-            flush_held()
-            reply(frame, _child_stats(source, cache, scheduler, telemetry, backlog))
-            break
-        else:
-            reply_error(frame, ValueError(f"unknown worker op {method!r}"))
+            request = PredictRequest.from_dict(payload["request"])
+            if payload.get("trace"):
+                # The parent flagged this frame as traced: a child-local
+                # Trace collects the shard and engine spans, which ride back
+                # inside the reply payload.
+                request.trace = Trace()
 
+            def answer(response: PredictResponse) -> None:
+                reply = response.to_dict()
+                if request.trace is not None:
+                    reply["trace"] = request.trace.to_wire()
+                self._send(ApiResponse.success(frame, reply))
+
+            return Op(method, None, answer, fail, request, payload["enqueued_monotonic"])
+
+        if method == "put_engine":
+            payload = dict(payload, engine=pickle.loads(base64.b64decode(payload["engine"])))
+
+        def reply(result: Dict) -> None:
+            if method in ("stats", "stop"):
+                result = _wire_stats(self.loop, result)
+            self._send(ApiResponse.success(frame, result))
+
+        return Op(method, payload, reply, fail)
+
+
+def _worker_main(conn, shard_id, cfg: Dict) -> None:
+    """Child entry point: run a shard loop over the pipe, from shared weights.
+
+    Module-level (not a closure) so every start method can import it.
+    """
+    source = SharedModelSource(untrack=cfg.pop("untrack"))
+    loop = ShardLoop(shard_id, source, **cfg)
+    loop.run(_PipeInbox(conn, loop))
     source.close()
     conn.close()
 
@@ -330,39 +174,25 @@ def _worker_main(conn, shard_id, cfg: Dict) -> None:
 # Parent side
 # ---------------------------------------------------------------------------
 
-class _TelemetryProxy(ShardTelemetry):
-    """The parent-side face of a child's telemetry.
-
-    The frontend's contract with ``worker.telemetry`` is narrow: record
-    admission rejections, take snapshots, merge latency.  Rejections happen
-    in the parent (an over-high-water submit never reaches the child), so
-    they are recorded here; everything else is fetched from the child and
-    overlaid.
-    """
-
-    def __init__(self, worker: "ProcessShardWorker") -> None:
-        super().__init__(worker.shard_id)
-        self._worker = worker
-
-    def snapshot(self) -> Dict[str, object]:
-        child = self._worker._child_telemetry()
-        snapshot = dict(child)
-        with self._lock:
-            snapshot["rejected"] = int(child.get("rejected", 0)) + self.rejected
-        return snapshot
-
-    def merged_latency(self) -> LatencyHistogram:
-        return self._worker._child_latency()
+def _payload(op: Op) -> Dict:
+    """The wire payload of one op (what :meth:`_PipeInbox._op` decodes)."""
+    if op.kind != "predict":
+        return op.args or {}
+    payload = {"request": op.request.to_dict(), "enqueued_monotonic": op.enqueued_at}
+    if op.request.trace is not None:
+        payload["trace"] = True
+    return payload
 
 
-class ProcessShardWorker:
+class ProcessShardWorker(ShardFront):
     """One serving shard in its own process, driven over wire envelopes.
 
     Drop-in for :class:`~repro.cluster.shard.ShardWorker` from the
     frontend's point of view; constructed against a
     :class:`~repro.shm.SharedWeightStore` instead of the registry (the
     registry stays authoritative in the parent — the child only ever sees
-    published manifests).
+    published manifests).  Unlike the thread worker it cannot stage work
+    before :meth:`start`: there is no child to send it to.
     """
 
     def __init__(
@@ -376,55 +206,33 @@ class ProcessShardWorker:
         poll_interval_s: float = 0.05,
         telemetry: Optional[ShardTelemetry] = None,
     ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if flush_interval_s < 0 or poll_interval_s <= 0:
-            raise ValueError("flush_interval_s must be >= 0 and poll_interval_s > 0")
-        self.shard_id = shard_id
+        super().__init__(
+            shard_id, max_pending, poll_interval_s, telemetry or ShardTelemetry(shard_id)
+        )
         self.store = store
-        self.cache_capacity = cache_capacity
-        self.max_pending = max_pending
-        self.max_batch_size = max_batch_size
-        self.max_batch_requests = max_batch_size or max_pending
-        self.flush_interval_s = flush_interval_s
-        self.poll_interval_s = poll_interval_s
-        self.telemetry = telemetry or _TelemetryProxy(self)
+        #: What the child builds its loop from.  A loop built from the same
+        #: arguments here stands in for a child that never ran, so the
+        #: fallback stats cannot drift from the live shape.
+        self._loop_args = {
+            "cache_capacity": cache_capacity,
+            "max_batch_size": max_batch_size,
+            "max_batch_requests": max_batch_size or max_pending,
+            "flush_interval_s": flush_interval_s,
+        }
+        unborn = ShardLoop(shard_id, None, **self._loop_args)
+        #: The last stats the child reported (the stop acknowledgement
+        #: carries the final ones), kept for a child that is gone.
+        self._last_child_stats: Dict = _wire_stats(unborn, unborn.stats())
 
-        self._ctx = mp_context()
         self._process = None
         self._pump: Optional[threading.Thread] = None
         self._conn = None  # parent end of the duplex pipe
         self._lock = threading.Lock()  # inflight table + frame ids + send
-        self._inflight: Dict[str, dict] = {}
-        self._pending_predicts = 0
+        self._inflight: Dict[str, Op] = {}
         self._next_frame = 0
         self._installed: Dict[str, int] = {}
         self._engines: Dict[str, object] = {}  # parent-side engine() cache
-        self._chaos_delay_s = 0.0
-        self._stopping = threading.Event()
-        self._killed = threading.Event()
         self._released = True  # no store ref held until start()
-        # Fallback telemetry for a child that is gone: the last stats the
-        # child reported (the stop acknowledgement carries the final ones).
-        empty = ShardTelemetry(shard_id)
-        self._last_child_stats: Dict = {
-            "pending": 0,
-            "installed": [],
-            "cache": {
-                "capacity": cache_capacity, "resident": 0, "hits": 0,
-                "misses": 0, "evictions": 0, "hit_rate": 0.0,
-            },
-            "scheduler": {
-                "pending": 0, "requests_served": 0, "dispatches": 0,
-                "largest_group": 0, "max_batch_size": max_batch_size,
-                "depth_max": 0,
-            },
-            "telemetry": empty.snapshot(),
-            "latency_reservoir": {
-                "samples": [], "count": 0, "total": 0.0, "max": 0.0,
-                "max_samples": empty.latency.max_samples,
-            },
-        }
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -437,18 +245,11 @@ class ProcessShardWorker:
         # then inherit it, so their segment attachments register into the
         # parent's (deduplicating) tracker instead of spawning per-child
         # trackers that would unlink live segments when the child exits.
-        from multiprocessing import resource_tracker
-
         resource_tracker.ensure_running()
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        cfg = {
-            "cache_capacity": self.cache_capacity,
-            "max_batch_size": self.max_batch_size,
-            "max_batch_requests": self.max_batch_requests,
-            "flush_interval_s": self.flush_interval_s,
-            "untrack": start_method() == "spawn",
-        }
-        self._process = self._ctx.Process(
+        ctx = mp_context()
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        cfg = dict(self._loop_args, untrack=start_method() == "spawn")
+        self._process = ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shard_id, cfg),
             name=f"repro-shard-{self.shard_id}",
@@ -467,51 +268,53 @@ class ProcessShardWorker:
     def is_alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 
-    # -- wire plumbing ---------------------------------------------------------
-    def _send(self, method: str, payload: Dict, kind: str, trace: Optional[Trace] = None) -> Future:
-        """Register a frame in the inflight table and put it on the pipe.
+    def _serving(self) -> bool:
+        return self.is_alive() and not self._stopping.is_set()
 
-        Raises the shard's down-error if the worker is not accepting frames.
-        Callers that need the answer wait on the returned future; fire-and-
-        forget callers just drop it (the pump still resolves it).  ``trace``
-        is the caller's span collector; the pump merges the child's spans
-        into it before resolving the future.
+    # -- the transport: frames out, a reply pump in -------------------------------
+    def _post(self, op: Op) -> None:
+        """Register ``op`` in the inflight table and put its frame on the pipe.
+
+        Raises the shard's down-error if the worker is not accepting frames;
+        otherwise the pump answers or fails the op when the reply arrives.
         """
-        future: Future = Future()
         with self._lock:
             if self._conn is None or self._killed.is_set():
                 raise self._down_error()
             frame_id = f"f-{self._next_frame:08d}"
             self._next_frame += 1
-            self._inflight[frame_id] = {
-                "kind": kind,
-                "future": future,
-                "enqueued_at": time.monotonic(),
-                "trace": trace,
-            }
-            if kind == "predict":
-                self._pending_predicts += 1
-            envelope = ApiRequest(method=method, payload=payload, request_id=frame_id)
+            self._inflight[frame_id] = op
+            envelope = ApiRequest(method=op.kind, payload=_payload(op), request_id=frame_id)
             try:
                 self._conn.send_bytes(envelope.to_json().encode("utf-8"))
             except (BrokenPipeError, OSError):
-                self._drop_frame(frame_id)
+                del self._inflight[frame_id]
                 raise self._down_error() from None
-        return future
 
-    def _drop_frame(self, frame_id: str) -> Optional[dict]:
-        """Remove one inflight entry (lock must be held by the caller)."""
-        item = self._inflight.pop(frame_id, None)
-        if item is not None and item["kind"] == "predict":
-            self._pending_predicts -= 1
-        return item
-
-    def _call(self, method: str, payload: Dict, timeout: float = _RPC_TIMEOUT_S) -> Dict:
-        """Synchronous RPC: send one control frame and wait for its payload."""
-        return self._send(method, payload, kind="raw").result(timeout)
+    def _resolve(self, op: Op, response: Optional[ApiResponse]) -> None:
+        """Settle one inflight op; ``None`` means the shard went down."""
+        if response is None:
+            op.fail(self._down_error())
+        elif not response.ok:
+            op.fail(response.to_error())
+        elif op.kind != "predict":
+            if op.kind in ("stats", "stop"):
+                self._last_child_stats = response.payload
+            op.answer(response.payload)
+        else:
+            spans = response.payload.pop("trace", None)
+            result = PredictResponse.from_dict(response.payload)
+            trace = op.request.trace
+            if trace is not None:
+                # Merge child spans BEFORE resolving: set_result wakes the
+                # waiting caller first, and it reads the trace immediately
+                # after future.result() returns.
+                trace.extend_wire(spans or ())
+                result.trace = trace
+            op.answer(result)
 
     def _pump_replies(self) -> None:
-        """Reply pump: decode envelopes off the pipe and resolve futures.
+        """Reply pump: decode envelopes off the pipe and settle their ops.
 
         Exits on EOF (child stopped or SIGKILLed) and fails everything still
         in flight — the no-hangs guarantee of the process path.
@@ -527,69 +330,29 @@ class ProcessShardWorker:
             except Exception:  # pragma: no cover - malformed child frame
                 continue
             with self._lock:
-                item = self._drop_frame(response.request_id)
-            if item is None:
-                continue
-            future = item["future"]
-            if not response.ok:
-                future.set_exception(response.to_error())
-            elif item["kind"] == "predict":
-                payload = response.payload
-                spans = payload.pop("trace", None) if isinstance(payload, dict) else None
-                if spans and item.get("trace") is not None:
-                    # Merge child spans BEFORE resolving: set_result wakes
-                    # the waiting caller first, and it reads the trace
-                    # immediately after future.result() returns.
-                    item["trace"].extend_wire(spans)
-                result = PredictResponse.from_dict(payload)
-                if item.get("trace") is not None:
-                    result.trace = item["trace"]
-                future.set_result(result)
-            else:
-                future.set_result(response.payload)
+                op = self._inflight.pop(response.request_id, None)
+            if op is not None:
+                self._resolve(op, response)
         self._fail_inflight()
 
     def _fail_inflight(self) -> None:
-        """Answer every outstanding future with the shard's down-error."""
+        """Fail every outstanding op with the shard's down-error."""
         with self._lock:
-            stranded = list(self._inflight)
-            items = [self._drop_frame(frame_id) for frame_id in stranded]
-        error = self._down_error()
-        for item in items:
-            if item is not None and not item["future"].done():
-                item["future"].set_exception(error)
-
-    def _down_error(self):
-        if self._killed.is_set():
-            return ShardKilledError(f"shard {self.shard_id!r} was killed")
-        from ..errors import UnavailableError
-
-        return UnavailableError(f"shard {self.shard_id!r} is shut down")
+            stranded, self._inflight = list(self._inflight.values()), {}
+        for op in stranded:
+            self._resolve(op, None)
 
     # -- submission (frontend threads) -----------------------------------------
     def submit(self, request: PredictRequest) -> Future:
-        """Enqueue one request with the shard's child; returns its future.
+        """:meth:`ShardFront.submit`, after making sure the child has the model.
 
-        Same error surface as the threaded worker: a full inflight window
-        raises :class:`ShardOverloadError`, a dead shard raises
-        :class:`ShardKilledError` / ``UnavailableError``.  The model's
-        weights are published/installed on first use (and re-installed when
-        re-personalization bumped the published version) *before* the
+        The weights are published/installed on first use (and re-installed
+        when re-personalization bumped the published version) *before* the
         predict frame — FIFO makes the order a guarantee.
         """
-        if self._stopping.is_set() or not self.is_alive():
-            raise self._down_error()
-        self._ensure_installed(request.model_id)
-        with self._lock:
-            if self._pending_predicts >= self.max_pending:
-                self.telemetry.record_reject()
-                raise ShardOverloadError(
-                    f"shard {self.shard_id!r} queue full ({self.max_pending} pending)"
-                )
-        payload = {"request": request.to_dict(), "enqueued_monotonic": time.monotonic()}
-        if request.trace is not None:
-            payload["trace"] = True
-        return self._send("predict", payload, kind="predict", trace=request.trace)
+        if self._serving():
+            self._ensure_installed(request.model_id)
+        return super().submit(request)
 
     def _ensure_installed(self, model_id: str) -> None:
         """Publish + install the model's current weights if the child lacks them."""
@@ -599,47 +362,13 @@ class ProcessShardWorker:
                 return
             self._installed[model_id] = version
             self._engines.pop(model_id, None)  # parent view refreshes too
-        # Fire-and-forget: the reply resolves through the pump, and FIFO
-        # ordering guarantees the child installs before the next predict.
-        self._send("install", {"entry": entry}, kind="raw")
-
-    def pending(self) -> int:
-        """Predict frames currently in flight with the child."""
-        with self._lock:
-            return self._pending_predicts
-
-    # -- window bracketing ------------------------------------------------------
-    # The threaded worker fuses a whole burst because the frontend stages it
-    # under the GIL before the shard thread wakes; a child process instead
-    # races the parent's frame serialization, and partial fusion changes BLAS
-    # summation order (breaking cross-deployment bit-exactness).  Bracketing a
-    # burst makes fusion structural: ``begin`` tells the child to hold
-    # predicts, ``end`` flushes them as one batch — FIFO pipe ordering
-    # guarantees every predict sent in between is inside the window.
-    def begin_window(self) -> None:
-        """Start holding predicts child-side until the matching end_window."""
-        self._window_frame("begin")
-
-    def end_window(self) -> None:
-        """Close the bracket: the child dispatches the held burst as one flush."""
-        self._window_frame("end")
-
-    def _window_frame(self, action: str) -> None:
-        if not self.is_alive() or self._stopping.is_set():
-            return
-        try:
-            # Fire-and-forget (the child acknowledges so the inflight entry
-            # clears, but nothing waits on it): a window around zero accepted
-            # requests must not add a round trip per shard.
-            self._send("window", {"action": action}, kind="raw")
-        except RuntimeError:
-            pass  # racing a kill/stop; held work is failed by the pump
+        self._post(Op("install", {"entry": entry}))
 
     # -- frontend-side accessors ----------------------------------------------
     def engine(self, model_id: str):
         """A parent-side engine over the same shared bytes the child serves.
 
-        The threaded worker hands out its cache's engine; a child process's
+        The thread worker hands out its cache's engine; a child process's
         object cannot cross the pipe, so this maps the published segments in
         the parent — byte-identical weights, same formats, usable for
         hardware-model workload extraction.
@@ -676,128 +405,35 @@ class ProcessShardWorker:
         encoded = base64.b64encode(pickle.dumps(engine)).decode("ascii")
         self._call("put_engine", {"model_id": model_id, "engine": encoded})
 
-    @property
-    def chaos_delay_s(self) -> float:
-        """Fault-injection knob: seconds the child sleeps before dispatches.
-
-        Assignment mirrors the threaded worker's plain attribute (the fault
-        injector sets it directly); the setter forwards the value over the
-        control channel.
-        """
-        return self._chaos_delay_s
-
-    @chaos_delay_s.setter
-    def chaos_delay_s(self, delay_s: float) -> None:
-        self._chaos_delay_s = float(delay_s)
-        if self.is_alive():
-            try:
-                self._send("chaos", {"delay_s": float(delay_s)}, kind="raw")
-            except RuntimeError:  # racing a kill; the knob no longer matters
-                pass
-
-    # -- telemetry -------------------------------------------------------------
-    def _refresh_child_stats(self) -> Dict:
-        if self.is_alive() and not self._stopping.is_set():
-            try:
-                self._last_child_stats = self._call("stats", {})
-            except (RuntimeError, TimeoutError):
-                pass  # keep the cached snapshot
-        return self._last_child_stats
-
-    def _child_telemetry(self) -> Dict:
-        return dict(self._refresh_child_stats()["telemetry"])
-
-    def _child_latency(self) -> LatencyHistogram:
-        """Rebuild the child's latency reservoir for lossless cluster merges."""
-        reservoir = self._refresh_child_stats()["latency_reservoir"]
-        histogram = LatencyHistogram(max_samples=int(reservoir["max_samples"]))
-        for sample in reservoir["samples"]:
-            histogram._samples.append(float(sample))
-        histogram.count = int(reservoir["count"])
-        histogram.total = float(reservoir["total"])
-        histogram.max = float(reservoir["max"])
-        return histogram
-
     # -- lifecycle -------------------------------------------------------------
-    def drain(self) -> None:
-        """Block until every submitted request has been answered.
+    def _sever(self) -> None:
+        # SIGKILL: the dropped pipe EOFs the reply pump, which fails every
+        # outstanding future with ShardKilledError.
+        if self._process is not None:
+            self._process.kill()
 
-        A ``drain`` frame queues behind all outstanding predicts; its reply
-        is the proof they were dispatched and answered.
-        """
-        if not self.is_alive():
-            return
-        try:
-            self._call("drain", {}, timeout=None)
-        except RuntimeError:
-            pass  # raced a kill/stop; inflight futures are failed by the pump
-
-    def kill(self, timeout: Optional[float] = None) -> None:
-        """Abrupt chaos stop: SIGKILL the child, fail everything in flight.
-
-        The crash simulation of the process path — no drain, no final
-        flush, no goodbye frame.  The dropped pipe EOFs the reply pump,
-        which answers every outstanding future with
-        :class:`ShardKilledError`; late submissions fail fast the same way.
-        Idempotent; safe on a never-started worker.
-        """
-        self._killed.set()
-        self._stopping.set()
+    def _reap(self, timeout: Optional[float]) -> None:
+        """Join child and pump, fail what is left in flight, drop the store ref."""
         process = self._process
         if process is not None:
-            process.kill()
-            process.join(timeout if timeout is not None else 10.0)
-        if self._pump is not None:
-            self._pump.join(timeout=5.0)
-        self._fail_inflight()
-        self._release_store()
-
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful stop: finish queued work, collect final telemetry, join.
-
-        The ``stop`` frame queues behind every outstanding predict (FIFO),
-        so queued work is answered before the acknowledgement regardless of
-        ``drain``; the acknowledgement payload is the child's final stats,
-        cached for post-mortem ``stats()`` calls.  Idempotent; safe on a
-        never-started worker.
-        """
-        if self._stopping.is_set():
-            self._fail_inflight()
-            return
-        self._stopping.set()
-        if self.is_alive():
-            try:
-                final = self._send("stop", {"drain": drain}, kind="raw").result(
-                    timeout if timeout is not None else _RPC_TIMEOUT_S
-                )
-                self._last_child_stats = final
-            except (RuntimeError, TimeoutError):
-                pass  # the child died mid-shutdown; the pump fails the rest
-        process = self._process
-        if process is not None:
-            process.join(timeout if timeout is not None else _RPC_TIMEOUT_S)
+            process.join(timeout if timeout is not None else RPC_TIMEOUT_S)
             if process.is_alive():  # pragma: no cover - unresponsive child
                 process.kill()
                 process.join(5.0)
         if self._pump is not None:
             self._pump.join(timeout=5.0)
         self._fail_inflight()
-        self._release_store()
-
-    def _release_store(self) -> None:
         if not self._released:
             self._released = True
             self.store.release()
 
-    # -- reporting -------------------------------------------------------------
-    def stats(self) -> dict:
-        """This shard's full report, same schema as the threaded worker's."""
-        child = self._refresh_child_stats()
-        return {
-            "shard": self.shard_id,
-            "pending": self.pending(),
-            "max_pending": self.max_pending,
-            "cache": child["cache"],
-            "scheduler": child["scheduler"],
-            "telemetry": self.telemetry.snapshot(),
-        }
+    def _look(self) -> Tuple[Dict, LatencyHistogram]:
+        """The child's stats from ONE ``stats`` frame; a child that is gone
+        reports the last ones it sent (the stop acknowledgement, normally)."""
+        if self._serving():
+            try:
+                self._call("stats")  # the pump keeps the reply
+            except (RuntimeError, TimeoutError):
+                pass
+        body = dict(self._last_child_stats)
+        return body, LatencyHistogram.from_wire(body.pop("latency_reservoir"))

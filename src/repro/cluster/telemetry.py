@@ -1,9 +1,9 @@
 """Per-shard serving telemetry: counters, latency percentiles, distributions.
 
-Every :class:`~repro.cluster.shard.ShardWorker` owns one
-:class:`ShardTelemetry` and records into it from the worker thread while the
-frontend records admission rejections from caller threads — all mutation goes
-through one lock per telemetry object.  Snapshots are plain JSON-compatible
+Every :class:`~repro.cluster.loop.ShardLoop` owns one
+:class:`ShardTelemetry` and records into it from the thread that runs it while
+the frontend records admission rejections from caller threads — all mutation
+goes through one lock per telemetry object.  Snapshots are plain JSON-compatible
 dicts with a *stable schema* shared by every shard, so
 :meth:`~repro.cluster.frontend.ClusterService.stats` can both report shards
 side by side and merge them into cluster totals
@@ -118,9 +118,12 @@ class LatencyHistogram:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile ``q`` (0-100) over the reservoir."""
-        if not self._samples:
+        return self._percentile(sorted(self._samples), q)
+
+    @staticmethod
+    def _percentile(ordered: List[float], q: float) -> float:
+        if not ordered:
             return 0.0
-        ordered = sorted(self._samples)
         if len(ordered) == 1:
             return ordered[0]
         rank = (q / 100.0) * (len(ordered) - 1)
@@ -167,25 +170,39 @@ class LatencyHistogram:
         report needs.
         """
         histograms = list(histograms)
-        capacity = max(1, sum(len(h._samples) for h in histograms))
-        out = cls(max_samples=capacity)
+        out = cls(max_samples=max(1, sum(len(h._samples) for h in histograms)))
         for histogram in histograms:
-            out._samples.extend(histogram._samples)
-            out.count += histogram.count
-            out.total += histogram.total
-            out.max = max(out.max, histogram.max)
+            out.merge(histogram)
         return out
 
     def summary(self) -> Dict[str, float]:
         """The stable latency schema (milliseconds)."""
+        ordered = sorted(self._samples)  # one sort serves all three percentiles
         return {
             "count": self.count,
             "mean_ms": self.mean * 1e3,
-            "p50_ms": self.percentile(50) * 1e3,
-            "p95_ms": self.percentile(95) * 1e3,
-            "p99_ms": self.percentile(99) * 1e3,
+            "p50_ms": self._percentile(ordered, 50) * 1e3,
+            "p95_ms": self._percentile(ordered, 95) * 1e3,
+            "p99_ms": self._percentile(ordered, 99) * 1e3,
             "max_ms": self.max * 1e3,
         }
+
+    def to_wire(self) -> Dict[str, object]:
+        """JSON form carrying the reservoir itself, for a lossless merge in
+        another process (see :meth:`samples` for why summaries will not do)."""
+        return {
+            "samples": list(self._samples),
+            "count": self.count,
+            "total": self.total,
+            "max": self.max,
+        }
+
+    @classmethod
+    def from_wire(cls, wire: Dict[str, object]) -> "LatencyHistogram":
+        histogram = cls(max_samples=max(1, len(wire["samples"])))
+        histogram._samples.extend(wire["samples"])
+        histogram.count, histogram.total, histogram.max = wire["count"], wire["total"], wire["max"]
+        return histogram
 
 
 class ShardTelemetry:
@@ -284,9 +301,7 @@ class ShardTelemetry:
     def merged_latency(self) -> LatencyHistogram:
         """A copy of the latency histogram, safe to fold into a cluster total."""
         with self._lock:
-            copy = LatencyHistogram(max_samples=self.latency.max_samples)
-            copy.merge(self.latency)
-            return copy
+            return LatencyHistogram.merged([self.latency])
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]:

@@ -204,12 +204,13 @@ class ClusterBackend(ServingAPI):
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
     ) -> List[BatchResult]:
-        # Submit everything before waiting (co-tenant requests fuse), then
-        # gather per item so one bad request — unknown id, dead shard —
-        # costs exactly its own slot, not the batch.
+        # Submit everything inside one window before waiting (each shard
+        # fuses its share into a single dispatch), then gather per item so
+        # one bad request — unknown id, dead shard — costs exactly its own
+        # slot, not the batch.
         deadline = None if timeout is None else time.monotonic() + timeout
         start = time.perf_counter()
-        with _translated():
+        with _translated(), self.cluster.window():
             futures = [self.cluster.submit(request) for request in requests]
         results: List[BatchResult] = []
         for request, future in zip(requests, futures):

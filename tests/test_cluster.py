@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from repro.cluster import (
+    WORKER_KINDS,
     ClusterConfig,
     ClusterService,
     ConsistentHashRouter,
     LatencyHistogram,
+    ProcessShardWorker,
     RejectedResponse,
+    ShardKilledError,
     ShardOverloadError,
     ShardTelemetry,
     ShardWorker,
     merge_snapshots,
 )
+from repro.cluster.telemetry import assert_stats_schema
+from repro.errors import UnavailableError
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.serve import (
@@ -25,6 +30,7 @@ from repro.serve import (
     PredictRequest,
     ServiceConfig,
 )
+from repro.shm import SharedWeightStore
 
 SPEC = EngineSpec(backend="fast", weight_format="csr")
 
@@ -192,13 +198,78 @@ class TestShardWorker:
             future.result(timeout=1)
         assert worker.telemetry.snapshot()["failed"] == 1
 
-    def test_submit_after_stop_raises(self):
+
+
+class TestBothWorkerKinds:
+    """What thread and process workers promise alike, asserted once per kind."""
+
+    @staticmethod
+    def _cluster(registry, workers, shards=2, **config):
+        config.setdefault("cache_capacity", 4)
+        return ClusterService(
+            ClusterConfig(shards=shards, workers=workers, **config), registry=registry
+        )
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_submit_after_stop_raises(self, workers):
         registry, model_ids = _fleet(tenants=1)
-        worker = ShardWorker(0, registry)
+        store = SharedWeightStore(registry)
+        worker = (
+            ShardWorker(0, registry) if workers == "threaded" else ProcessShardWorker(0, store)
+        )
         worker.start()
         worker.stop()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(UnavailableError):  # still a RuntimeError
             worker.submit(_stream(model_ids, requests=1)[0])
+        store.close()
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_stats_satisfy_the_unified_serving_schema(self, workers):
+        registry, model_ids = _fleet(tenants=2)
+        with self._cluster(registry, workers) as cluster:
+            cluster.predict_batch(_stream(model_ids, requests=8), timeout=60)
+            stats = cluster.stats()
+        assert_stats_schema(stats)
+        assert stats["workers"] == workers
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_kill_fails_inflight_futures_without_hanging(self, workers):
+        registry, model_ids = _fleet(tenants=2)
+        with self._cluster(registry, workers, shards=1) as cluster:
+            worker = cluster.worker(cluster.shard_ids()[0])
+            worker.chaos_delay_s = 0.5  # guarantee work is in flight
+            futures = [cluster.submit(r) for r in _stream(model_ids, requests=6)]
+            cluster.kill_shard(worker.shard_id)
+            for future in futures:
+                with pytest.raises((ShardKilledError, UnavailableError)):
+                    response = future.result(timeout=10)
+                    raise AssertionError(f"future resolved: {response!r}")
+            assert not worker.is_alive()
+            # Late traffic fails fast with the same surface, never hangs.
+            with pytest.raises((ShardKilledError, UnavailableError)):
+                cluster.submit(_stream(model_ids, requests=1)[0]).result(timeout=10)
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_a_refused_request_is_counted_once(self, workers):
+        """Regression: on the queue-full race path (the frontend's depth check
+        passes, the shard's own bound refuses) both the worker and the
+        frontend used to count the refusal."""
+        registry, model_ids = _fleet(tenants=1)
+        requests = _stream(model_ids, requests=3)
+        with self._cluster(registry, workers, shards=1, max_pending=2) as cluster:
+            worker = cluster.worker(cluster.shard_ids()[0])
+            worker.begin_window()  # held predicts stay pending, on both kinds
+            staged = [cluster.submit(r) for r in requests[:2]]
+            assert worker.pending() == 2
+            worker.pending = lambda: 0  # the depth check loses the race
+            refused = cluster.submit(requests[2]).result(timeout=1)
+            del worker.pending
+            assert isinstance(refused, RejectedResponse) and refused.status == 503
+            worker.end_window()
+            assert all(f.result(timeout=30).status == 200 for f in staged)
+            stats = cluster.stats()
+        assert stats["per_shard"][0]["telemetry"]["rejected"] == 1
+        assert stats["errors"]["rejected"] == 1
 
 
 class TestClusterService:
