@@ -8,7 +8,8 @@ Run under pytest-benchmark for the tracked numbers::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py --benchmark-only
 
-or as a script for a quick reference-vs-fast speedup report (the CI smoke
+or as a script for a quick reference-vs-fast speedup report plus the
+``crisp_encode`` row, loop oracle vs ``CRISPFormat.from_dense`` (the CI smoke
 run)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke --json BENCH_kernels.json
@@ -167,8 +168,14 @@ def test_engine_predict_kernel(benchmark, rng):
 
 def main(argv=None) -> int:
     import argparse
+    import os
+    import sys
 
     from benchlib import best_of, write_records
+
+    # The loop encoder lives with the tests, as the oracle of from_dense.
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+    from crisp_loop_oracle import assert_same_encoding, crisp_from_dense_loop
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -225,6 +232,22 @@ def main(argv=None) -> int:
         )
         if name in ("csr", "blocked-ellpack") and speedup < 5.0:
             failures.append(f"{name}: {speedup:.1f}x < 5x target")
+
+    # The cold-build cost of serving: one encode of the bench operand, loop
+    # oracle vs CRISPFormat.from_dense.  Tracked, not gated by --check.
+    encode_args = (sparse, BENCH_N, BENCH_M, BENCH_BLOCK)
+    assert_same_encoding(CRISPFormat.from_dense(*encode_args), crisp_from_dense_loop(*encode_args))
+    t_loop = best_of(crisp_from_dense_loop, *encode_args, repeat=repeat)
+    t_encode = best_of(CRISPFormat.from_dense, *encode_args, repeat=repeat)
+    speedup = t_loop / t_encode
+    print(
+        f"{'crisp encode':>16} | {t_loop * 1e3:9.2f}ms | {t_encode * 1e3:9.2f}ms | "
+        f"{speedup:6.1f}x  (loop oracle vs from_dense)"
+    )
+    records.append(
+        {"name": "crisp_encode", "unit": "s", "reference": t_loop, "fast": t_encode,
+         "value": t_encode, "speedup": speedup, "backend": "fast"}
+    )
 
     if args.json:
         write_records(

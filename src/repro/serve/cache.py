@@ -1,12 +1,15 @@
 """Multi-tenant engine cache: LRU over lazily materialized engines.
 
-Materializing an :class:`~repro.backend.engine.Engine` is the expensive part
-of serving a tenant — the module is rebuilt from the registry and every
-prunable layer's weight re-encoded into its compressed format.  The cache
-amortises that cost across requests: the first request for a model id pays
-the build, subsequent requests reuse the attached engine, and a bounded
-capacity keeps memory proportional to the number of *hot* tenants rather
-than the number of registered ones (the paper's millions-of-users setting).
+Materializing an :class:`~repro.backend.engine.Engine` is the per-tenant
+fixed cost of serving — the module is rebuilt from the registry and every
+prunable layer's weight re-encoded into its compressed format: about 4 ms
+for a CRISP-encoded ``resnet_tiny`` (1 ms module rebuild + 2.5-3 ms for the
+14 layer encodes), the same order as one single-image forward (3.5-5 ms).
+The cache amortises that cost across requests: the first request for a
+model id pays the build, subsequent requests reuse the attached engine, and
+a bounded capacity keeps memory proportional to the number of *hot* tenants
+rather than the number of registered ones (the paper's millions-of-users
+setting).
 """
 
 from __future__ import annotations

@@ -234,6 +234,22 @@ class ELLPACKFormat:
         )
 
 
+def _retained_tile_slots(tiles: np.ndarray):
+    """Where each non-zero tile of a ``(block_rows, block_cols, B, B)`` grid is stored.
+
+    Returns ``(br_idx, bc_idx, slot_idx, blocks_per_row)``: the grid
+    coordinates of every retained tile in row-major order, its slot (its rank
+    within its block-row) and the per-block-row retained count.
+    """
+    block_rows, block_cols = tiles.shape[:2]
+    nonzero = tiles.reshape(block_rows, block_cols, -1).any(axis=2)
+    blocks_per_row = nonzero.sum(axis=1).astype(np.int64)
+    br_idx, bc_idx = np.nonzero(nonzero)
+    row_starts = np.cumsum(blocks_per_row) - blocks_per_row
+    slot_idx = np.arange(br_idx.size) - np.repeat(row_starts, blocks_per_row)
+    return br_idx, bc_idx, slot_idx, blocks_per_row
+
+
 class BlockedEllpackFormat:
     """Blocked-Ellpack: dense ``B x B`` blocks indexed per block-row.
 
@@ -270,15 +286,10 @@ class BlockedEllpackFormat:
     ) -> "BlockedEllpackFormat":
         matrix = np.asarray(matrix, dtype=np.float64)
         tiles, grid = partition_into_blocks(matrix, block_size)
-        nonzero = tiles.reshape(grid.block_rows, grid.block_cols, -1).any(axis=2)
-        blocks_per_row = nonzero.sum(axis=1).astype(np.int64)
+        br_idx, bc_idx, slot_idx, blocks_per_row = _retained_tile_slots(tiles)
         slots = max(1, int(blocks_per_row.max()))
         blocks = np.zeros((grid.block_rows, slots, block_size, block_size))
         block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
-        br_idx, bc_idx = np.nonzero(nonzero)
-        # Slot of each retained block = its rank within its block-row.
-        row_starts = np.concatenate([[0], np.cumsum(blocks_per_row)[:-1]])
-        slot_idx = np.arange(br_idx.size) - np.repeat(row_starts, blocks_per_row)
         blocks[br_idx, slot_idx] = tiles[br_idx, bc_idx]
         block_cols[br_idx, slot_idx] = bc_idx
         return cls(matrix.shape, block_size, blocks, block_cols, blocks_per_row, value_bits)
@@ -301,11 +312,12 @@ class BlockedEllpackFormat:
         index_bits = _ceil_log2(grid.block_cols)
         data_bits = stored_blocks * self.block_size * self.block_size * self.value_bits
         metadata_bits = stored_blocks * index_bits
-        nnz = int(np.count_nonzero(self.to_dense()))
         return FormatSummary(
             format_name=self.name,
             shape=self.shape,
-            nnz=nnz,
+            # Slot and edge padding is zero by construction, so the stored
+            # array has exactly the matrix's non-zeros; no decode needed.
+            nnz=int(np.count_nonzero(self.blocks)),
             data_bits=data_bits,
             metadata_bits=metadata_bits,
         )
@@ -325,7 +337,15 @@ class CRISPFormat:
     The round trip is exact when the matrix satisfies the hybrid pattern
     (uniform blocks per row, N:M compliant inside retained blocks); matrices
     that violate N:M are encoded lossily by keeping the N largest-magnitude
-    values per group (a warning is available via ``is_lossless``).
+    values per group (a warning is available via ``is_lossless``).  Among
+    equal magnitudes the *later* row of the group survives: ``[1, -1, 1, -1]``
+    at 2:4 stores offsets ``[2, 3]``.
+
+    Stored layout, which ``to_dense`` and the matmul kernels rely on:
+    ``slots = max(1, widest block-row)``, so an all-zero matrix still
+    encodes; a group's kept values fill positions ``k = 0, 1, ...`` in row
+    order, so stored offsets ascend; every unused slot and unfilled position
+    holds value 0 **and** offset 0.
     """
 
     name = "crisp"
@@ -372,35 +392,38 @@ class CRISPFormat:
                 f"block_size ({block_size}) must be a multiple of M ({m}) so groups do not straddle blocks"
             )
         tiles, grid = partition_into_blocks(matrix, block_size)
-        nonzero = tiles.reshape(grid.block_rows, grid.block_cols, -1).any(axis=2)
-        blocks_per_row = nonzero.sum(axis=1).astype(np.int64)
+        br_idx, bc_idx, slot_idx, blocks_per_row = _retained_tile_slots(tiles)
         slots = max(1, int(blocks_per_row.max()))
         groups_per_block = block_size // m
+        stored_shape = (grid.block_rows, slots, groups_per_block, block_size, n)
 
         block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
-        group_values = np.zeros((grid.block_rows, slots, groups_per_block, block_size, n))
-        group_offsets = np.zeros(
-            (grid.block_rows, slots, groups_per_block, block_size, n), dtype=np.int64
-        )
-        lossless = True
+        block_cols[br_idx, slot_idx] = bc_idx
+        group_values = np.zeros(stored_shape)
+        group_offsets = np.zeros(stored_shape, dtype=np.int64)
 
-        for br in range(grid.block_rows):
-            cols = np.nonzero(nonzero[br])[0]
-            for slot, bc in enumerate(cols):
-                block = tiles[br, bc]  # (B, B): rows x cols within block
-                block_cols[br, slot] = bc
-                for g in range(groups_per_block):
-                    group = block[g * m : (g + 1) * m, :]  # (m, B) rows-within-group x block cols
-                    for col in range(block_size):
-                        column = group[:, col]
-                        nz = np.nonzero(column)[0]
-                        if len(nz) > n:
-                            lossless = False
-                            order = np.argsort(np.abs(column[nz]))[::-1]
-                            nz = np.sort(nz[order[:n]])
-                        for k, offset in enumerate(nz):
-                            group_values[br, slot, g, col, k] = column[offset]
-                            group_offsets[br, slot, g, col, k] = offset
+        # Every retained tile at once, as (tile, group, block col, row-in-group):
+        # the last axis holds the M candidates one stored group chooses from.
+        groups = (
+            tiles[br_idx, bc_idx]
+            .reshape(-1, groups_per_block, m, block_size)
+            .transpose(0, 1, 3, 2)
+        )
+        present = groups != 0
+        # Survivors are the N largest |w|; the stable ascending sort puts the
+        # later row last among equals, so the later row is the one kept.
+        ascending = np.argsort(np.abs(groups), axis=-1, kind="stable")
+        rank = np.argsort(ascending, axis=-1)  # inverse permutation
+        keep = (rank >= m - n) & present
+        lossless = bool(np.count_nonzero(keep) == np.count_nonzero(present))
+
+        # A survivor's position k is its rank among the group's survivors in
+        # row order, so offsets ascend and unfilled positions stay 0 / 0.
+        tile, g, col, offset = np.nonzero(keep)
+        k = (np.cumsum(keep, axis=-1) - 1)[tile, g, col, offset]
+        stored = (br_idx[tile], slot_idx[tile], g, col, k)
+        group_values[stored] = groups[tile, g, col, offset]
+        group_offsets[stored] = offset
 
         return cls(
             shape=matrix.shape,
@@ -441,11 +464,12 @@ class CRISPFormat:
             stored_blocks * block_index_bits
             + stored_blocks * values_per_block * offset_bits
         )
-        nnz = int(np.count_nonzero(self.to_dense()))
         return FormatSummary(
             format_name=self.name,
             shape=self.shape,
-            nnz=nnz,
+            # Unused slots and unfilled positions hold value 0 (see the class
+            # docstring), so the stored array has exactly the kept non-zeros.
+            nnz=int(np.count_nonzero(self.group_values)),
             data_bits=data_bits,
             metadata_bits=metadata_bits,
         )

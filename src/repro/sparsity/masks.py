@@ -115,7 +115,11 @@ def pad_to_multiple(matrix: np.ndarray, multiple: int, value: float = 0.0) -> np
     pad_cols = (-cols) % multiple
     if pad_rows == 0 and pad_cols == 0:
         return matrix
-    return np.pad(matrix, ((0, pad_rows), (0, pad_cols)), constant_values=value)
+    # Same result as np.pad(..., constant_values=value) without its per-call
+    # Python overhead, which every block partition of an unaligned layer pays.
+    padded = np.full((rows + pad_rows, cols + pad_cols), value, dtype=matrix.dtype)
+    padded[:rows, :cols] = matrix
+    return padded
 
 
 def crop_to_shape(matrix: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:

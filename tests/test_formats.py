@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crisp_loop_oracle import assert_same_encoding, crisp_from_dense_loop
+from repro.backend.fast import crisp_matmul_fast
 from repro.sparsity.formats import (
     BlockedEllpackFormat,
     CRISPFormat,
@@ -16,6 +18,7 @@ from repro.sparsity.formats import (
     paper_nm_metadata_bits,
 )
 from repro.sparsity.hybrid import HybridSparsityConfig, hybrid_mask
+from repro.sparsity.masks import check_nm_compliance
 from repro.sparsity.nm import nm_mask
 
 
@@ -24,6 +27,50 @@ def make_hybrid_matrix(rng, rows=32, cols=32, n=2, m=4, block_size=8, keep=2):
     weight = rng.normal(size=(rows, cols))
     mask, _ = hybrid_mask(np.abs(weight), HybridSparsityConfig(n, m, block_size), keep_blocks_per_row=keep)
     return weight * mask
+
+
+def make_ragged_matrix(rng, rows=21, cols=30, block_size=8):
+    """An unaligned matrix with an empty block-row and 2 / 0 / 1 retained tiles per row."""
+    matrix = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.6)
+    matrix[:block_size, 2 * block_size :] = 0.0  # block-row 0 keeps tiles 0 and 1
+    matrix[block_size : 2 * block_size] = 0.0  # block-row 1 is empty
+    matrix[2 * block_size :, : 3 * block_size] = 0.0  # block-row 2 keeps the ragged last tile
+    return matrix
+
+
+@st.composite
+def crisp_encode_cases(draw):
+    """``(matrix, n, block_size)`` over everything the encoder branches on.
+
+    Shapes 1-70 either side (aligned and not), n in {1, 2, 3} of m = 4, three
+    block sizes; values that are all zero, N:M compliant, violating, or
+    violating with many equal magnitudes (small integers, so the tie-break
+    decides); tiles dropped at random so blocks-per-row is ragged, optionally
+    with a whole block-row emptied; C or Fortran order (the engine hands in a
+    transposed view).
+    """
+    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    n = draw(st.sampled_from([1, 2, 3]))
+    block_size = draw(st.sampled_from([4, 8, 16]))
+    values = draw(st.sampled_from(["zero", "compliant", "violating", "ties"]))
+    tile_keep = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    empty_block_row = draw(st.booleans())
+    fortran = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    matrix = rng.normal(size=(rows, cols))
+    if values == "zero":
+        matrix[:] = 0.0
+    elif values == "compliant":
+        matrix *= nm_mask(rng.random((rows, cols)), n, 4, axis=0)
+    elif values == "ties":
+        matrix = np.round(matrix)
+    block_rows, block_cols = -(-rows // block_size), -(-cols // block_size)
+    tile_on = rng.random((block_rows, block_cols)) < tile_keep
+    if empty_block_row:
+        tile_on[rng.integers(block_rows)] = False
+    matrix *= np.kron(tile_on, np.ones((block_size, block_size)))[:rows, :cols]
+    return (np.asfortranarray(matrix) if fortran else matrix), n, block_size
 
 
 class TestDenseFormat:
@@ -110,6 +157,21 @@ class TestBlockedEllpackFormat:
         assert stored_blocks == 4 * 2  # 4 block-rows, 2 kept each
         assert summary.metadata_bits == stored_blocks * 2  # ceil(log2(4 block cols)) = 2
 
+    def test_summary_counts_stored_blocks(self, rng):
+        """``nnz`` comes from the stored blocks, with no decode, and is the matrix's."""
+        for matrix, block_size in (
+            (make_hybrid_matrix(rng), 8),
+            (make_ragged_matrix(rng), 8),
+            (np.zeros((5, 9)), 4),
+        ):
+            fmt = BlockedEllpackFormat.from_dense(matrix, block_size=block_size)
+            summary = fmt.summary()
+            stored_blocks = int(fmt.blocks_per_row.sum())
+            assert summary.nnz == np.count_nonzero(matrix) == np.count_nonzero(fmt.to_dense())
+            assert summary.data_bits == stored_blocks * block_size * block_size * 8
+            index_bits = max(1, int(np.ceil(np.log2(-(-matrix.shape[1] // block_size)))))
+            assert summary.metadata_bits == stored_blocks * index_bits
+
 
 class TestCRISPFormat:
     def test_roundtrip_on_hybrid_matrix(self, rng):
@@ -156,6 +218,64 @@ class TestCRISPFormat:
         assert summary.data_bits == values * 8
         # 2-bit offsets per value + 1-bit-minimum block index per block.
         assert summary.metadata_bits == values * 2 + stored_blocks * 1
+
+    def test_summary_counts_stored_values(self, rng):
+        """``nnz`` comes from ``group_values``, with no decode: the matrix's own
+        count when lossless, the decode's when a violating matrix lost values."""
+        for matrix, lossless in (
+            (make_hybrid_matrix(rng), True),
+            (make_ragged_matrix(rng) * nm_mask(rng.random((21, 30)), 2, 4, axis=0), True),
+            (make_ragged_matrix(rng), False),
+            (np.zeros((5, 9)), True),
+        ):
+            fmt = CRISPFormat.from_dense(matrix, n=2, m=4, block_size=8)
+            summary = fmt.summary()
+            assert fmt.is_lossless == lossless
+            assert summary.nnz == np.count_nonzero(fmt.to_dense())
+            if lossless:
+                assert summary.nnz == np.count_nonzero(matrix)
+            stored_blocks = int(fmt.blocks_per_row.sum())
+            values = stored_blocks * (8 // 4) * 8 * 2
+            index_bits = max(1, int(np.ceil(np.log2(-(-matrix.shape[1] // 8)))))
+            assert summary.data_bits == values * 8
+            assert summary.metadata_bits == values * 2 + stored_blocks * index_bits
+
+    @pytest.mark.parametrize(
+        "column, offsets, values",
+        [
+            ([1.0, -1.0, 1.0, -1.0], [2, 3], [1.0, -1.0]),
+            ([2.0, 1.0, 1.0, 1.0], [0, 3], [2.0, 1.0]),
+        ],
+    )
+    def test_lossy_tie_break_keeps_the_later_row(self, column, offsets, values):
+        matrix = np.zeros((4, 4))
+        matrix[:, 1] = column
+        fmt = CRISPFormat.from_dense(matrix, n=2, m=4, block_size=4)
+        assert fmt.is_lossless is False
+        np.testing.assert_array_equal(fmt.group_offsets[0, 0, 0, 1], offsets)
+        np.testing.assert_array_equal(fmt.group_values[0, 0, 0, 1], values)
+        assert check_nm_compliance((fmt.to_dense() != 0).astype(float), 2, 4, axis=0)
+
+    @given(crisp_encode_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_property_encoder_matches_loop_oracle(self, case):
+        matrix, n, block_size = case
+        fmt = CRISPFormat.from_dense(matrix, n=n, m=4, block_size=block_size)
+        assert_same_encoding(fmt, crisp_from_dense_loop(matrix, n, 4, block_size))
+
+        # What to_dense and the kernels read without checking: padding is
+        # value 0 *and* offset 0; a group's kept values are a prefix of its n
+        # positions, with strictly ascending offsets.
+        stored = fmt.group_values != 0
+        assert not fmt.group_offsets[~stored].any()
+        assert not (stored[..., 1:] & ~stored[..., :-1]).any()
+        assert (np.diff(fmt.group_offsets, axis=-1)[stored[..., 1:]] > 0).all()
+        assert fmt.group_values.shape[1] == max(1, int(fmt.blocks_per_row.max()))
+
+        activations = np.random.default_rng(0).normal(size=(matrix.shape[0], 3))
+        np.testing.assert_allclose(
+            crisp_matmul_fast(fmt, activations), fmt.to_dense().T @ activations, atol=1e-10
+        )
 
 
 class TestCompareFormats:

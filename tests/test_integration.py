@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from crisp_loop_oracle import assert_same_encoding, crisp_from_dense_loop
 from repro.data import build_user_loaders, make_dataset, sample_user_profile
 from repro.hw import CrispSTC, DenseAccelerator, compare_accelerators, workloads_from_model
 from repro.nn.models import resnet_tiny, vgg_tiny
 from repro.nn.models.base import prunable_layers
 from repro.nn.trainer import TrainConfig, Trainer, evaluate
 from repro.pruning import CRISPConfig, CRISPPruner, collect_model_stats, model_storage_bits
+from repro.serve import EngineSpec, ModelRegistry
 from repro.sparsity.formats import CRISPFormat
 from repro.sparsity.sparse_ops import crisp_matmul, masked_matmul
 
@@ -89,6 +91,31 @@ class TestPrunedModelInference:
             )
             checked += 1
         assert checked >= 3
+
+
+class TestServedEncoding:
+    """The cold path of serving: ``registry.build_engine`` re-encodes all layers."""
+
+    def test_cold_build_matches_loop_oracle_and_rebuilds_to_the_same_bytes(
+        self, personalization_run
+    ):
+        registry = ModelRegistry()
+        spec = EngineSpec(backend="fast", weight_format="crisp", n=2, m=4, block_size=8)
+        model_id = registry.register(personalization_run["model"], spec=spec)
+
+        engine = registry.build_engine(model_id)
+        layers = prunable_layers(engine.module)
+        assert list(engine._formats) == list(layers)
+        assert engine.is_lossless
+        for name, layer in layers.items():
+            w_eff = layer.weight.effective()
+            weight2d = w_eff.reshape(w_eff.shape[0], -1).T  # the engine's (K, S) operand
+            assert_same_encoding(engine._formats[name], crisp_from_dense_loop(weight2d, 2, 4, 8))
+
+        batch, _ = next(iter(personalization_run["val_loader"]))
+        first = engine.predict(batch)
+        rebuilt = registry.build_engine(model_id)  # what a cache miss after eviction does
+        assert rebuilt.predict(batch).tobytes() == first.tobytes()
 
 
 class TestHardwareEstimationOfPrunedModel:
