@@ -26,9 +26,9 @@ from repro.sparsity import (
     CRISPFormat,
     CSRFormat,
     HybridSparsityConfig,
-    crisp_matmul,
     hybrid_mask,
     nm_mask,
+    sparse_matmul,
     uniform_block_mask,
 )
 
@@ -114,7 +114,7 @@ def test_crisp_matmul_kernel(benchmark, rng):
     sparse = weight * mask
     fmt = CRISPFormat.from_dense(sparse, 2, 4, 16)
     activations = rng.normal(size=(128, 8))
-    out = benchmark(crisp_matmul, fmt, activations)
+    out = benchmark(sparse_matmul, fmt, activations)
     np.testing.assert_allclose(out, sparse.T @ activations, atol=1e-8)
 
 
@@ -128,7 +128,7 @@ def test_csr_matmul_backend(benchmark, rng, backend):
     sparse, acts = _bench_operands(rng)
     fmt = CSRFormat.from_dense(sparse)
     be = get_backend(backend)
-    out = benchmark(be.csr_matmul, fmt, acts)
+    out = benchmark(be.sparse_matmul, fmt, acts)
     np.testing.assert_allclose(out, sparse.T @ acts, atol=1e-8)
 
 
@@ -138,7 +138,7 @@ def test_blocked_ellpack_matmul_backend(benchmark, rng, backend):
     sparse, acts = _bench_operands(rng)
     fmt = BlockedEllpackFormat.from_dense(sparse, BENCH_BLOCK)
     be = get_backend(backend)
-    out = benchmark(be.blocked_ellpack_matmul, fmt, acts)
+    out = benchmark(be.sparse_matmul, fmt, acts)
     np.testing.assert_allclose(out, sparse.T @ acts, atol=1e-8)
 
 
@@ -148,7 +148,7 @@ def test_crisp_matmul_backend(benchmark, rng, backend):
     sparse, acts = _bench_operands(rng)
     fmt = CRISPFormat.from_dense(sparse, BENCH_N, BENCH_M, BENCH_BLOCK)
     be = get_backend(backend)
-    out = benchmark(be.crisp_matmul, fmt, acts)
+    out = benchmark(be.sparse_matmul, fmt, acts)
     np.testing.assert_allclose(out, sparse.T @ acts, atol=1e-8)
 
 
@@ -204,9 +204,9 @@ def main(argv=None) -> int:
     fast = get_backend("fast")
 
     cases = [
-        ("csr", CSRFormat.from_dense(sparse), "csr_matmul"),
-        ("blocked-ellpack", BlockedEllpackFormat.from_dense(sparse, BENCH_BLOCK), "blocked_ellpack_matmul"),
-        ("crisp", CRISPFormat.from_dense(sparse, BENCH_N, BENCH_M, BENCH_BLOCK), "crisp_matmul"),
+        ("csr", CSRFormat.from_dense(sparse)),
+        ("blocked-ellpack", BlockedEllpackFormat.from_dense(sparse, BENCH_BLOCK)),
+        ("crisp", CRISPFormat.from_dense(sparse, BENCH_N, BENCH_M, BENCH_BLOCK)),
     ]
 
     print(
@@ -216,9 +216,9 @@ def main(argv=None) -> int:
     print(f"{'format':>16} | {'reference':>11} | {'fast':>11} | speedup")
     failures = []
     records = []
-    for name, fmt, method in cases:
-        ref_fn = getattr(reference, method)
-        fast_fn = getattr(fast, method)
+    for name, fmt in cases:
+        ref_fn = reference.sparse_matmul
+        fast_fn = fast.sparse_matmul
         np.testing.assert_allclose(fast_fn(fmt, acts), ref_fn(fmt, acts), atol=1e-8)
         t_ref = best_of(ref_fn, fmt, acts, repeat=repeat)
         t_fast = best_of(fast_fn, fmt, acts, repeat=repeat)

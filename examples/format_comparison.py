@@ -20,11 +20,11 @@ from repro.sparsity import (
     CRISPFormat,
     HybridSparsityConfig,
     compare_formats,
-    crisp_matmul,
     hybrid_mask,
     masked_matmul,
     paper_block_metadata_bits,
     paper_nm_metadata_bits,
+    sparse_matmul,
 )
 
 
@@ -68,7 +68,7 @@ def main() -> None:
     fmt = CRISPFormat.from_dense(sparse_weight, n=2, m=4, block_size=16)
     activations = rng.normal(size=(rows, 8))
     reference = masked_matmul(weight, mask, activations)
-    pipeline = crisp_matmul(fmt, activations)
+    pipeline = sparse_matmul(fmt, activations)
     error = np.max(np.abs(reference - pipeline))
     print(f"\nCRISP-format GEMM vs dense reference: max abs error = {error:.2e} "
           f"(lossless encoding: {fmt.is_lossless})")

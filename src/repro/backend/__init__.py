@@ -1,6 +1,7 @@
 """Pluggable compute backends for the CRISP reproduction.
 
-* :mod:`repro.backend.base` — the :class:`Backend` interface and registry.
+* :mod:`repro.backend.base` — the :class:`Backend` interface (the conv path
+  plus a format-name -> kernel table) and registry.
 * :mod:`repro.backend.reference` — the original kernels (bit-exact oracle).
 * :mod:`repro.backend.fast` — vectorized sparse kernels + workspace reuse.
 * :mod:`repro.backend.engine` — the inference :class:`Engine` tying a pruned
@@ -21,6 +22,7 @@ from .base import (
     resolve_backend,
     set_backend,
     use_backend,
+    weight_formats,
 )
 from .reference import ReferenceBackend
 from .fast import (
@@ -42,6 +44,7 @@ __all__ = [
     "resolve_backend",
     "set_backend",
     "use_backend",
+    "weight_formats",
     "ReferenceBackend",
     "FastBackend",
     "WorkspaceCache",

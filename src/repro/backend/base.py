@@ -1,9 +1,12 @@
 """The compute-backend interface and registry.
 
-A :class:`Backend` bundles every numerical kernel the reproduction executes:
-the dense layer primitives (conv2d, linear, pooling, batch normalisation)
-and the sparse matmul family keyed by storage format.  Two implementations
-ship with the repo:
+A :class:`Backend` is what differs between two ways of running the same
+model: the convolution path (``im2col`` and the conv / depthwise-conv
+kernels, which may reuse workspace at inference) and a ``kernels`` table
+mapping a weight format's ``name`` to the function that multiplies it.
+Linear, pooling and batch-norm have one implementation
+(:mod:`repro.nn.functional`) and are not part of the interface.  Two
+implementations ship with the repo:
 
 * ``reference`` — the original kernels, kept bit-exact so they can serve as
   the correctness oracle for everything else;
@@ -20,12 +23,15 @@ from __future__ import annotations
 
 import contextlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from ..sparsity.formats import FORMATS
+
 __all__ = [
     "Backend",
+    "weight_formats",
     "register_backend",
     "available_backends",
     "get_backend",
@@ -41,17 +47,21 @@ DEFAULT_BACKEND = "reference"
 
 
 class Backend(ABC):
-    """Abstract compute backend: one method per numerical kernel.
+    """Abstract compute backend: the conv path plus a table of sparse kernels.
 
-    The dense-layer methods mirror the cache-returning signatures of
+    The conv methods mirror the cache-returning signatures of
     :mod:`repro.nn.functional` so layers can swap backends without changing
-    their own forward/backward plumbing.  The sparse matmul family computes
-    ``weight.T @ activations`` from a compressed weight, exactly like the
-    reference kernels in :mod:`repro.sparsity.sparse_ops`.
+    their own forward/backward plumbing.  Every entry of ``kernels``
+    computes ``weight.T @ activations`` from a compressed weight, exactly
+    like the reference kernels in :mod:`repro.sparsity.sparse_ops`.
     """
 
     #: Registry name, set on subclasses.
     name: str = "abstract"
+
+    #: ``WeightFormat.name`` -> ``kernel(fmt, activations)``.  A format with
+    #: no entry cannot be multiplied (or served) on this backend.
+    kernels: Dict[str, Callable[[object, np.ndarray], np.ndarray]] = {}
 
     # -- im2col ---------------------------------------------------------------
     @abstractmethod
@@ -71,7 +81,7 @@ class Backend(ABC):
         after a subsequent forward call).
         """
 
-    # -- dense layer kernels --------------------------------------------------
+    # -- conv kernels ---------------------------------------------------------
     @abstractmethod
     def conv2d_forward(
         self,
@@ -108,113 +118,15 @@ class Backend(ABC):
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         ...
 
-    @abstractmethod
-    def linear_forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, dict]:
-        ...
-
-    @abstractmethod
-    def linear_backward(
-        self, grad_out: np.ndarray, weight: np.ndarray, cache: dict
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        ...
-
-    @abstractmethod
-    def max_pool2d_forward(
-        self, x: np.ndarray, kernel: int, stride: Optional[int] = None, padding: int = 0
-    ) -> Tuple[np.ndarray, dict]:
-        ...
-
-    @abstractmethod
-    def max_pool2d_backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def avg_pool2d_forward(
-        self, x: np.ndarray, kernel: int, stride: Optional[int] = None, padding: int = 0
-    ) -> Tuple[np.ndarray, dict]:
-        ...
-
-    @abstractmethod
-    def avg_pool2d_backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def global_avg_pool_forward(self, x: np.ndarray) -> Tuple[np.ndarray, dict]:
-        ...
-
-    @abstractmethod
-    def global_avg_pool_backward(self, grad_out: np.ndarray, cache: dict) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def batchnorm_forward(
-        self,
-        x: np.ndarray,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        running_mean: np.ndarray,
-        running_var: np.ndarray,
-        training: bool,
-        momentum: float = 0.1,
-        eps: float = 1e-5,
-    ) -> Tuple[np.ndarray, dict]:
-        ...
-
-    @abstractmethod
-    def batchnorm_backward(
-        self, grad_out: np.ndarray, cache: dict
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ...
-
-    # -- sparse matmul family -------------------------------------------------
-    @abstractmethod
-    def dense_matmul(self, weight: np.ndarray, activations: np.ndarray) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def masked_matmul(
-        self, weight: np.ndarray, mask: np.ndarray, activations: np.ndarray
-    ) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def csr_matmul(self, fmt, activations: np.ndarray) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def blocked_ellpack_matmul(self, fmt, activations: np.ndarray) -> np.ndarray:
-        ...
-
-    @abstractmethod
-    def crisp_matmul(self, fmt, activations: np.ndarray) -> np.ndarray:
-        ...
-
+    # -- sparse matmul --------------------------------------------------------
     def sparse_matmul(self, fmt, activations: np.ndarray) -> np.ndarray:
-        """Dispatch a compressed-weight GEMM on the format type.
-
-        Accepts any of the :mod:`repro.sparsity.formats` encodings or a raw
-        dense weight array, and returns ``weight.T @ activations``.
-        """
-        from ..sparsity.formats import (
-            BlockedEllpackFormat,
-            CRISPFormat,
-            CSRFormat,
-            DenseFormat,
-        )
-
-        if isinstance(fmt, CSRFormat):
-            return self.csr_matmul(fmt, activations)
-        if isinstance(fmt, BlockedEllpackFormat):
-            return self.blocked_ellpack_matmul(fmt, activations)
-        if isinstance(fmt, CRISPFormat):
-            return self.crisp_matmul(fmt, activations)
-        if isinstance(fmt, DenseFormat):
-            return self.dense_matmul(fmt.matrix, activations)
-        if isinstance(fmt, np.ndarray):
-            return self.dense_matmul(fmt, activations)
-        raise TypeError(f"Unsupported weight format for sparse_matmul: {type(fmt)!r}")
+        """``weight.T @ activations`` from an encoded weight, by its format's kernel."""
+        kernel = self.kernels.get(getattr(fmt, "name", None))
+        if kernel is None:
+            raise TypeError(
+                f"The {self.name!r} backend has no sparse_matmul kernel for {type(fmt)!r}"
+            )
+        return kernel(fmt, activations)
 
     # -- workspace management -------------------------------------------------
     def clear_workspace(self) -> None:
@@ -270,6 +182,16 @@ def resolve_backend(backend: Union[str, Backend, None]) -> Backend:
     if isinstance(backend, Backend):
         return backend
     return get_backend(backend)
+
+
+def weight_formats(backend: Union[str, Backend, None] = DEFAULT_BACKEND) -> Tuple[str, ...]:
+    """Names an engine on ``backend`` can serve: the :data:`FORMATS` it has a kernel for.
+
+    Read from both tables on every call.  The default is the oracle backend,
+    whose table every other backend extends.
+    """
+    kernels = resolve_backend(backend).kernels
+    return tuple(name for name in FORMATS if name in kernels)
 
 
 def active_backend() -> Backend:

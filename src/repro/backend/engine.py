@@ -2,9 +2,9 @@
 
 :class:`Engine` is the one API experiments and the hardware workload model
 consume for inference.  It encodes every prunable layer's (masked) weight
-into a chosen storage format (dense / CSR / Blocked-Ellpack / CRISP),
-re-routes those layers' forward passes through the backend's sparse matmul
-family, and exposes ``predict`` plus batched multi-input dispatch.
+into a chosen storage format (any of :data:`WEIGHT_FORMATS`), re-routes
+those layers' forward passes through the backend's ``sparse_matmul``, and
+exposes ``predict`` plus batched multi-input dispatch.
 
 Typical use::
 
@@ -23,7 +23,8 @@ manager that detaches on exit).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,18 +32,14 @@ from ..nn import functional as F
 from ..nn.layers import Conv2d, Linear
 from ..nn.models.base import prunable_layers
 from ..nn.module import Module
-from ..sparsity.formats import (
-    BlockedEllpackFormat,
-    CRISPFormat,
-    CSRFormat,
-    FormatSummary,
-)
-from .base import Backend, resolve_backend
+from ..sparsity.formats import FormatSummary, WeightFormat, encode
+from .base import Backend, resolve_backend, weight_formats
 
 __all__ = ["Engine", "WEIGHT_FORMATS"]
 
-#: Weight-format names accepted by :class:`Engine`.
-WEIGHT_FORMATS = ("dense", "csr", "blocked-ellpack", "crisp")
+#: Weight-format names accepted by :class:`Engine`: every entry of
+#: ``sparsity.formats.FORMATS`` that the backends have a kernel for.
+WEIGHT_FORMATS = weight_formats()
 
 
 class Engine:
@@ -57,19 +54,20 @@ class Engine:
         m: int = 4,
         block_size: int = 16,
         attach: bool = True,
-        formats: Optional[Dict[str, object]] = None,
+        formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> None:
-        if weight_format not in WEIGHT_FORMATS:
-            raise ValueError(
-                f"Unknown weight_format {weight_format!r}; available: {WEIGHT_FORMATS}"
-            )
         self.module = module
         self.backend = resolve_backend(backend)
+        if weight_format not in weight_formats(self.backend):
+            raise ValueError(
+                f"Unknown weight_format {weight_format!r}; "
+                f"available: {weight_formats(self.backend)}"
+            )
         self.weight_format = weight_format
         self.n = n
         self.m = m
         self.block_size = block_size
-        self._formats: "OrderedDict[str, object]" = OrderedDict()
+        self._formats: "OrderedDict[str, WeightFormat]" = OrderedDict()
         self._original_forward: Dict[str, object] = {}
         if formats is None:
             self.refresh_formats()
@@ -84,7 +82,7 @@ class Engine:
         module: Module,
         spec,
         attach: bool = True,
-        formats: Optional[Dict[str, object]] = None,
+        formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> "Engine":
         """Build an engine from an :class:`~repro.serve.types.EngineSpec`.
 
@@ -118,15 +116,6 @@ class Engine:
         )
 
     # -- weight compression ---------------------------------------------------
-    def _encode(self, weight2d: np.ndarray):
-        if self.weight_format == "dense":
-            return np.asarray(weight2d, dtype=np.float64)
-        if self.weight_format == "csr":
-            return CSRFormat.from_dense(weight2d)
-        if self.weight_format == "blocked-ellpack":
-            return BlockedEllpackFormat.from_dense(weight2d, self.block_size)
-        return CRISPFormat.from_dense(weight2d, self.n, self.m, self.block_size)
-
     def refresh_formats(self) -> None:
         """(Re-)encode every prunable layer's effective weight.
 
@@ -141,39 +130,54 @@ class Engine:
                 weight2d = w_eff.reshape(layer.out_channels, -1).T
             else:  # Linear
                 weight2d = w_eff.T
-            self._formats[name] = self._encode(weight2d)
+            self._formats[name] = encode(
+                self.weight_format, weight2d, self.n, self.m, self.block_size
+            )
 
-    def install_formats(self, formats: Dict[str, object]) -> None:
+    def install_formats(self, formats: Dict[str, WeightFormat]) -> None:
         """Install precomputed encodings instead of re-encoding the module.
 
         The seam for shared-memory serving: a worker process maps another
         process's encoded arrays and hands them in here, so the encoded
         bytes exist once per host and the worker skips the per-layer encode
         (2.5-3 ms for a CRISP ``resnet_tiny``'s 14 layers).  ``formats``
-        must cover exactly this module's prunable layers; entries are kept
-        in layer order.
+        must cover exactly this module's prunable layers, each encoding the
+        ``(reduction, out_channels)`` matrix of its layer — a mismatch fails
+        here, not inside a kernel at the first predict; entries are kept in
+        layer order.
         """
-        expected = list(prunable_layers(self.module))
-        if sorted(formats) != sorted(expected):
+        layers = prunable_layers(self.module)
+        if sorted(formats) != sorted(layers):
             raise ValueError(
-                f"formats must cover exactly the prunable layers {sorted(expected)}; "
+                f"formats must cover exactly the prunable layers {sorted(layers)}; "
                 f"got {sorted(formats)}"
             )
+        for name, layer in layers.items():
+            out_channels = layer.weight.data.shape[0]
+            expected = (layer.weight.data.size // out_channels, out_channels)
+            if formats[name].shape != expected:
+                raise ValueError(
+                    f"format for layer {name!r} encodes a {formats[name].shape} "
+                    f"matrix; the layer's weight is {expected}"
+                )
         self._formats.clear()
-        for name in expected:
+        for name in layers:
             self._formats[name] = formats[name]
+
+    @property
+    def formats(self) -> Mapping[str, WeightFormat]:
+        """Read-only view of the installed encodings, by layer name, in layer order."""
+        return MappingProxyType(self._formats)
 
     @property
     def is_lossless(self) -> bool:
         """Whether every encoded weight round-trips exactly.
 
-        Always true for dense/CSR/Blocked-Ellpack; for CRISP it requires the
-        weights to satisfy the hybrid N:M + block pattern (i.e. the model was
-        pruned with a compatible configuration).
+        Only a format that can drop values ever says no: CRISP, when the
+        weights violate the hybrid N:M + block pattern the engine was
+        configured with (i.e. the model was pruned with another one).
         """
-        return all(
-            getattr(fmt, "is_lossless", True) for fmt in self._formats.values()
-        )
+        return all(fmt.is_lossless for fmt in self._formats.values())
 
     # -- layer re-routing -----------------------------------------------------
     # Forward closures look the format up by *name* on every call (instead of
@@ -277,12 +281,8 @@ class Engine:
 
     # -- reporting ------------------------------------------------------------
     def format_summaries(self) -> Dict[str, FormatSummary]:
-        """Per-layer storage summaries of the encoded weights (dense excluded)."""
-        return {
-            name: fmt.summary()
-            for name, fmt in self._formats.items()
-            if hasattr(fmt, "summary")
-        }
+        """Per-layer storage summaries of the encoded weights."""
+        return {name: fmt.summary() for name, fmt in self._formats.items()}
 
     def total_weight_bits(self) -> int:
         """Total bits (data + metadata) of all compressed prunable weights."""

@@ -8,7 +8,7 @@ Three things distinguish this backend from ``reference``:
 * inference-time ``im2col`` writes into a shape-keyed workspace buffer that
   is reused across calls, so steady-state convolution stops paying a fresh
   column-matrix allocation per layer per batch;
-* dense layer kernels are inherited from the reference backend unchanged, so
+* training-mode convolutions fall through to the reference functions, so
   training numerics stay bit-identical.
 
 All kernels produce outputs within floating-point round-off of the reference
@@ -92,21 +92,6 @@ class WorkspaceCache:
 # Vectorized sparse kernels
 # ---------------------------------------------------------------------------
 
-def _format_cache(fmt) -> dict:
-    """Per-format memo of derived index arrays.
-
-    Format objects are immutable encodings, so gather/scatter indices that
-    depend only on the stored structure are computed once and reused across
-    matmul calls.  (Mutating a format's arrays in place invalidates the memo;
-    re-encode instead.)
-    """
-    cache = getattr(fmt, "_fast_cache", None)
-    if cache is None:
-        cache = {}
-        fmt._fast_cache = cache
-    return cache
-
-
 def _tile_scatter_index(fmt, block: int, batch: int) -> np.ndarray:
     """Flat ``bincount`` indices scattering per-tile GEMM results by block column.
 
@@ -114,7 +99,7 @@ def _tile_scatter_index(fmt, block: int, batch: int) -> np.ndarray:
     lands at flat position ``block_cols[tile] * block * batch + c * batch + b``
     of the ``(out_block_cols * block, batch)`` output.
     """
-    cache = _format_cache(fmt)
+    cache = fmt.derived
     key = ("scatter", batch)
     idx = cache.get(key)
     if idx is None:
@@ -135,7 +120,7 @@ def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
     """
     check_activation_rows(fmt, activations)
     activations = np.asarray(activations, dtype=np.float64)
-    cache = _format_cache(fmt)
+    cache = fmt.derived
     dense_t = cache.get("dense_t")
     if dense_t is None:
         dense_t = np.ascontiguousarray(fmt.to_dense().T)
@@ -163,7 +148,7 @@ def blocked_ellpack_matmul_fast(
     block_rows, slots = fmt.block_cols.shape
     out_block_cols = -(-cols // block)
 
-    cache = _format_cache(fmt)
+    cache = fmt.derived
     row_tiles = cache.get("row_tiles")
     if row_tiles is None:
         # (block_rows, slots * B, B): tile c-axis first so each block-row's
@@ -232,8 +217,9 @@ class FastBackend(ReferenceBackend):
     """Vectorized backend with inference-time workspace reuse.
 
     Training-path numerics are inherited from :class:`ReferenceBackend`;
-    only inference ``im2col`` (workspace-cached) and the sparse matmul
-    family (vectorized) are overridden.
+    only inference ``im2col`` / conv (workspace-cached) and the CSR,
+    Blocked-Ellpack and CRISP entries of the kernel table (vectorized) are
+    overridden.
     """
 
     name = "fast"
@@ -359,15 +345,13 @@ class FastBackend(ReferenceBackend):
             cache["cols_g"] = cols.reshape(-1, c, kh * kw)
         return F.depthwise_conv2d_backward(grad_out, weight, cache)
 
-    # -- sparse matmul family -------------------------------------------------
-    def csr_matmul(self, fmt, activations):
-        return csr_matmul_fast(fmt, activations)
-
-    def blocked_ellpack_matmul(self, fmt, activations):
-        return blocked_ellpack_matmul_fast(fmt, activations)
-
-    def crisp_matmul(self, fmt, activations):
-        return crisp_matmul_fast(fmt, activations)
+    # -- sparse kernels -------------------------------------------------------
+    kernels = {
+        **ReferenceBackend.kernels,
+        "csr": csr_matmul_fast,
+        "blocked-ellpack": blocked_ellpack_matmul_fast,
+        "crisp": crisp_matmul_fast,
+    }
 
     # -- workspace management -------------------------------------------------
     def clear_workspace(self) -> None:

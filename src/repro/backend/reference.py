@@ -1,7 +1,8 @@
 """The ``reference`` backend: the repo's original kernels, unchanged.
 
-Every method delegates to the pure functions in :mod:`repro.nn.functional`
-and the loop-based sparse kernels in :mod:`repro.sparsity.sparse_ops`.
+The conv path is the pure functions of :mod:`repro.nn.functional` (which
+take no ``training`` flag: there is no workspace to reuse) and the kernel
+table is the loop-based sparse kernels of :mod:`repro.sparsity.sparse_ops`.
 This backend is kept bit-exact with the pre-backend code so parity tests can
 use it as the correctness oracle for any other backend.
 """
@@ -37,7 +38,7 @@ class ReferenceBackend(Backend):
     ) -> np.ndarray:
         return F.im2col(x, kernel_h, kernel_w, stride, padding)
 
-    # -- dense layer kernels --------------------------------------------------
+    # -- conv kernels ---------------------------------------------------------
     def conv2d_forward(
         self,
         x: np.ndarray,
@@ -49,8 +50,7 @@ class ReferenceBackend(Backend):
     ) -> Tuple[np.ndarray, dict]:
         return F.conv2d_forward(x, weight, bias, stride, padding)
 
-    def conv2d_backward(self, grad_out, weight, cache):
-        return F.conv2d_backward(grad_out, weight, cache)
+    conv2d_backward = staticmethod(F.conv2d_backward)
 
     def depthwise_conv2d_forward(
         self,
@@ -63,63 +63,12 @@ class ReferenceBackend(Backend):
     ) -> Tuple[np.ndarray, dict]:
         return F.depthwise_conv2d_forward(x, weight, bias, stride, padding)
 
-    def depthwise_conv2d_backward(self, grad_out, weight, cache):
-        return F.depthwise_conv2d_backward(grad_out, weight, cache)
+    depthwise_conv2d_backward = staticmethod(F.depthwise_conv2d_backward)
 
-    def linear_forward(self, x, weight, bias):
-        return F.linear_forward(x, weight, bias)
-
-    def linear_backward(self, grad_out, weight, cache):
-        return F.linear_backward(grad_out, weight, cache)
-
-    def max_pool2d_forward(self, x, kernel, stride=None, padding=0):
-        return F.max_pool2d_forward(x, kernel, stride, padding)
-
-    def max_pool2d_backward(self, grad_out, cache):
-        return F.max_pool2d_backward(grad_out, cache)
-
-    def avg_pool2d_forward(self, x, kernel, stride=None, padding=0):
-        return F.avg_pool2d_forward(x, kernel, stride, padding)
-
-    def avg_pool2d_backward(self, grad_out, cache):
-        return F.avg_pool2d_backward(grad_out, cache)
-
-    def global_avg_pool_forward(self, x):
-        return F.global_avg_pool_forward(x)
-
-    def global_avg_pool_backward(self, grad_out, cache):
-        return F.global_avg_pool_backward(grad_out, cache)
-
-    def batchnorm_forward(
-        self,
-        x,
-        gamma,
-        beta,
-        running_mean,
-        running_var,
-        training,
-        momentum=0.1,
-        eps=1e-5,
-    ):
-        return F.batchnorm_forward(
-            x, gamma, beta, running_mean, running_var, training, momentum, eps
-        )
-
-    def batchnorm_backward(self, grad_out, cache):
-        return F.batchnorm_backward(grad_out, cache)
-
-    # -- sparse matmul family -------------------------------------------------
-    def dense_matmul(self, weight, activations):
-        return sparse_ops.dense_matmul(weight, activations)
-
-    def masked_matmul(self, weight, mask, activations):
-        return sparse_ops.masked_matmul(weight, mask, activations)
-
-    def csr_matmul(self, fmt, activations):
-        return sparse_ops.csr_matmul_reference(fmt, activations)
-
-    def blocked_ellpack_matmul(self, fmt, activations):
-        return sparse_ops.blocked_ellpack_matmul_reference(fmt, activations)
-
-    def crisp_matmul(self, fmt, activations):
-        return sparse_ops.crisp_matmul_reference(fmt, activations)
+    # -- sparse kernels -------------------------------------------------------
+    kernels = {
+        "dense": sparse_ops.dense_format_matmul,
+        "csr": sparse_ops.csr_matmul_reference,
+        "blocked-ellpack": sparse_ops.blocked_ellpack_matmul_reference,
+        "crisp": sparse_ops.crisp_matmul_reference,
+    }

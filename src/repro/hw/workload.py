@@ -19,6 +19,7 @@ from ..nn import functional as F
 from ..nn.layers import Conv2d, Linear
 from ..nn.models.base import prunable_layers
 from ..nn.module import Module
+from ..sparsity.formats import FORMATS
 
 __all__ = [
     "LayerWorkload",
@@ -252,12 +253,13 @@ def workloads_from_engine(
     engine from one object.
     """
     spec = engine.spec
-    blocked = spec.weight_format in ("blocked-ellpack", "crisp")
-    # Only the CRISP format guarantees the fine-grained N:M structure; for
-    # dense/CSR/blocked-ELLPACK engines the spec's n:m is incidental, and
-    # crediting it would let the accelerator models assume a speedup the
-    # weights do not satisfy.
-    nm_structured = spec.weight_format == "crisp"
+    stored = FORMATS[spec.weight_format].param_names
+    blocked = "block_size" in stored
+    # Only a format that stores N:M groups guarantees the fine-grained
+    # structure; for the others the spec's n:m is incidental, and crediting
+    # it would let the accelerator models assume a speedup the weights do
+    # not satisfy.
+    nm_structured = "n" in stored
     return workloads_from_model(
         engine.module,
         batch=batch,

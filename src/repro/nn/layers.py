@@ -6,11 +6,12 @@ layers expose ``reshaped_weight()`` / ``set_reshaped_weight()`` which view
 the weight in the ``(H*W*R, S)`` layout used by the CRISP pruning framework
 (kernel-position x input-channel rows, output-channel columns).
 
-Numerical kernels are not called directly: every forward routes through the
-active :class:`repro.backend.Backend` (``reference`` by default, selectable
-via :func:`repro.backend.set_backend`), and the backward pass reuses the
-backend recorded at forward time so a mid-step backend switch cannot pair a
-forward cache with a mismatched backward kernel.
+Convolutions route through the active :class:`repro.backend.Backend`
+(``reference`` by default, selectable via :func:`repro.backend.set_backend`)
+— the one place backends differ — and their backward pass reuses the backend
+recorded at forward time so a mid-step backend switch cannot pair a forward
+cache with a mismatched backward kernel.  Every other layer has a single
+implementation and calls :mod:`repro.nn.functional` directly.
 """
 
 from __future__ import annotations
@@ -231,14 +232,12 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         weight = self.weight.effective()
         bias = self.bias.data if self.bias is not None else None
-        backend = _backend()
-        out, self._cache = backend.linear_forward(x, weight, bias)
+        out, self._cache = F.linear_forward(x, weight, bias)
         self._cache["effective_weight"] = weight
-        self._cache["backend"] = backend
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = self._cache["backend"].linear_backward(
+        grad_x, grad_w, grad_b = F.linear_backward(
             grad_out, self._cache["effective_weight"], self._cache
         )
         self.weight.accumulate_grad(grad_w)
@@ -286,8 +285,7 @@ class BatchNorm2d(Module):
         self._cache: dict = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        backend = _backend()
-        out, self._cache = backend.batchnorm_forward(
+        out, self._cache = F.batchnorm_forward(
             x,
             self.gamma.data,
             self.beta.data,
@@ -297,13 +295,10 @@ class BatchNorm2d(Module):
             momentum=self.momentum,
             eps=self.eps,
         )
-        self._cache["backend"] = backend
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_x, grad_gamma, grad_beta = self._cache["backend"].batchnorm_backward(
-            grad_out, self._cache
-        )
+        grad_x, grad_gamma, grad_beta = F.batchnorm_backward(grad_out, self._cache)
         self.gamma.accumulate_grad(grad_gamma)
         self.beta.accumulate_grad(grad_beta)
         return grad_x
@@ -363,13 +358,11 @@ class MaxPool2d(Module):
         self._cache: dict = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        backend = _backend()
-        out, self._cache = backend.max_pool2d_forward(x, self.kernel, self.stride, self.padding)
-        self._cache["backend"] = backend
+        out, self._cache = F.max_pool2d_forward(x, self.kernel, self.stride, self.padding)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self._cache["backend"].max_pool2d_backward(grad_out, self._cache)
+        return F.max_pool2d_backward(grad_out, self._cache)
 
 
 class AvgPool2d(Module):
@@ -385,13 +378,11 @@ class AvgPool2d(Module):
         self._cache: dict = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        backend = _backend()
-        out, self._cache = backend.avg_pool2d_forward(x, self.kernel, self.stride, self.padding)
-        self._cache["backend"] = backend
+        out, self._cache = F.avg_pool2d_forward(x, self.kernel, self.stride, self.padding)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self._cache["backend"].avg_pool2d_backward(grad_out, self._cache)
+        return F.avg_pool2d_backward(grad_out, self._cache)
 
 
 class GlobalAvgPool2d(Module):
@@ -404,13 +395,11 @@ class GlobalAvgPool2d(Module):
         self._cache: dict = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        backend = _backend()
-        out, self._cache = backend.global_avg_pool_forward(x)
-        self._cache["backend"] = backend
+        out, self._cache = F.global_avg_pool_forward(x)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self._cache["backend"].global_avg_pool_backward(grad_out, self._cache)
+        return F.global_avg_pool_backward(grad_out, self._cache)
 
 
 class Flatten(Module):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..backend.engine import WEIGHT_FORMATS
+from ..backend.base import weight_formats
 
 __all__ = [
     "EngineSpec",
@@ -71,9 +71,9 @@ class EngineSpec(_JsonMessage):
     block_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.weight_format not in WEIGHT_FORMATS:
+        if self.weight_format not in weight_formats():
             raise ValueError(
-                f"Unknown weight_format {self.weight_format!r}; available: {WEIGHT_FORMATS}"
+                f"Unknown weight_format {self.weight_format!r}; available: {weight_formats()}"
             )
         if not 0 < self.n <= self.m:
             raise ValueError(f"Invalid N:M ratio {self.n}:{self.m}")

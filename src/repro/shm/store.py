@@ -7,10 +7,12 @@ serve that model:
 
 * the module state dict (parameter data, pruning masks, batch-norm
   buffers) — small, dense, copied into the rebuilt module once per worker;
-* the *encoded* compressed formats of every prunable layer (CSR values /
-  column indices / row pointers, blocked-ELLPACK block tables, CRISP group
-  values + offsets, dense fallbacks) — the hot inference payload, consumed
-  in place as read-only ``np.ndarray`` views.
+* the *encoded* weight of every prunable layer, whatever its format: the
+  store packs ``fmt.arrays()`` next to ``fmt.params()`` and rebuilds through
+  ``FORMATS[kind].from_parts`` (the :class:`~repro.sparsity.formats.WeightFormat`
+  contract), so it names no format and a format's stored fields are listed
+  in one place — the hot inference payload, consumed in place as read-only
+  ``np.ndarray`` views.
 
 The manifest entry describing a segment is a plain JSON-compatible dict
 (segment name + per-array dtype/shape/offset), so it rides the gateway's
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import InternalError, NotFoundError
-from ..sparsity.formats import BlockedEllpackFormat, CRISPFormat, CSRFormat
+from ..sparsity.formats import FORMATS
 
 __all__ = ["SegmentLayout", "SharedWeightStore", "SharedModelSource", "attach_segment"]
 
@@ -156,91 +158,26 @@ class SegmentLayout:
 
 def _describe_format(fmt, layout: SegmentLayout) -> Dict:
     """Manifest block for one encoded layer: kind + params + array descriptors."""
-    if isinstance(fmt, np.ndarray):  # the engine's dense fallback
-        return {"kind": "dense", "params": {}, "arrays": {"matrix": layout.add(fmt)}}
-    if isinstance(fmt, CSRFormat):
-        return {
-            "kind": "csr",
-            "params": {"shape": list(fmt.shape), "value_bits": fmt.value_bits},
-            "arrays": {
-                "values": layout.add(fmt.values),
-                "col_indices": layout.add(fmt.col_indices),
-                "row_ptr": layout.add(fmt.row_ptr),
-            },
-        }
-    if isinstance(fmt, BlockedEllpackFormat):
-        return {
-            "kind": "blocked-ellpack",
-            "params": {
-                "shape": list(fmt.shape),
-                "block_size": fmt.block_size,
-                "value_bits": fmt.value_bits,
-            },
-            "arrays": {
-                "blocks": layout.add(fmt.blocks),
-                "block_cols": layout.add(fmt.block_cols),
-                "blocks_per_row": layout.add(fmt.blocks_per_row),
-            },
-        }
-    if isinstance(fmt, CRISPFormat):
-        return {
-            "kind": "crisp",
-            "params": {
-                "shape": list(fmt.shape),
-                "n": fmt.n,
-                "m": fmt.m,
-                "block_size": fmt.block_size,
-                "is_lossless": bool(fmt.is_lossless),
-                "value_bits": fmt.value_bits,
-            },
-            "arrays": {
-                "block_cols": layout.add(fmt.block_cols),
-                "blocks_per_row": layout.add(fmt.blocks_per_row),
-                "group_values": layout.add(fmt.group_values),
-                "group_offsets": layout.add(fmt.group_offsets),
-            },
-        }
-    raise InternalError(f"cannot share unknown weight format {type(fmt).__name__}")
+    if getattr(fmt, "name", None) not in FORMATS:  # a worker could not rebuild it
+        raise InternalError(f"cannot share unknown weight format {type(fmt).__name__}")
+    return {
+        "kind": fmt.name,
+        "params": fmt.params(),
+        "arrays": {name: layout.add(array) for name, array in fmt.arrays().items()},
+    }
 
 
 def _rebuild_format(block: Dict, segment: shared_memory.SharedMemory):
-    """Reconstruct one encoded layer over shared-buffer views (no copies)."""
-    kind = block["kind"]
-    params = block["params"]
+    """Reconstruct one encoded layer over shared-buffer views (no copies).
+
+    ``ValueError`` when the block's param / array names are not the ones its
+    format declares.
+    """
+    cls = FORMATS.get(block["kind"])
+    if cls is None:
+        raise InternalError(f"unknown shared format kind {block['kind']!r}")
     arrays = {name: _view(segment, desc) for name, desc in block["arrays"].items()}
-    if kind == "dense":
-        return arrays["matrix"]
-    if kind == "csr":
-        return CSRFormat(
-            shape=tuple(params["shape"]),
-            values=arrays["values"],
-            col_indices=arrays["col_indices"],
-            row_ptr=arrays["row_ptr"],
-            value_bits=int(params["value_bits"]),
-        )
-    if kind == "blocked-ellpack":
-        return BlockedEllpackFormat(
-            shape=tuple(params["shape"]),
-            block_size=int(params["block_size"]),
-            blocks=arrays["blocks"],
-            block_cols=arrays["block_cols"],
-            blocks_per_row=arrays["blocks_per_row"],
-            value_bits=int(params["value_bits"]),
-        )
-    if kind == "crisp":
-        return CRISPFormat(
-            shape=tuple(params["shape"]),
-            n=int(params["n"]),
-            m=int(params["m"]),
-            block_size=int(params["block_size"]),
-            block_cols=arrays["block_cols"],
-            blocks_per_row=arrays["blocks_per_row"],
-            group_values=arrays["group_values"],
-            group_offsets=arrays["group_offsets"],
-            is_lossless=bool(params["is_lossless"]),
-            value_bits=int(params["value_bits"]),
-        )
-    raise InternalError(f"unknown shared format kind {kind!r}")
+    return cls.from_parts(block["params"], arrays)
 
 
 def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
@@ -253,24 +190,31 @@ def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
     backend's sparse matmuls actually stream are the shared bytes.
     """
     from ..backend.engine import Engine
-    from ..nn.models import build_model
+    from ..serve.registry import ModelRecord
     from ..serve.types import EngineSpec
 
-    record = entry["record"]
-    module = build_model(
-        record["arch"],
-        num_classes=int(record["num_classes"]),
-        input_size=int(record["input_size"]),
-        seed=0,
+    fields = entry["record"]
+    record = ModelRecord(
+        model_id=entry["model_id"],
+        arch=fields["arch"],
+        num_classes=int(fields["num_classes"]),
+        input_size=int(fields["input_size"]),
+        spec=EngineSpec.from_dict(fields["spec"]),
+        state={key: _view(segment, desc) for key, desc in entry["state"].items()},
     )
-    state = {key: _view(segment, desc) for key, desc in entry["state"].items()}
-    module.load_state_dict(state)
-    formats = {
-        name: _rebuild_format(block, segment)
-        for name, block in entry["formats"].items()
-    }
-    spec = EngineSpec.from_dict(record["spec"])
-    return Engine.from_spec(module, spec, attach=True, formats=formats)
+    module = record.build_module()
+    try:
+        formats = {
+            name: _rebuild_format(block, segment)
+            for name, block in entry["formats"].items()
+        }
+        return Engine.from_spec(module, record.spec, formats=formats)
+    except ValueError as exc:
+        # The manifest is this fleet's own: a block that does not match its
+        # format, or its layer, is a server fault, not a bad request.
+        raise InternalError(
+            f"shared manifest of {entry['model_id']!r} is malformed: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +286,7 @@ class SharedWeightStore:
         }
         formats_desc = {
             name: _describe_format(fmt, layout)
-            for name, fmt in engine._formats.items()
+            for name, fmt in engine.formats.items()
         }
 
         self._version += 1

@@ -6,12 +6,18 @@ paper: the CRISP hybrid format needs only block column-indices
 N:M values, which is several times cheaper than general-purpose CSR or
 ELLPACK encodings of the same matrix.
 
-Every format implements ``from_dense`` / ``to_dense`` (a lossless round trip
-for matrices that satisfy the format's structural assumptions) and reports
-
-* ``data_bits`` — bits spent on the retained values,
-* ``metadata_bits`` — bits spent on indices/pointers/padding bookkeeping,
-* ``total_bits`` — their sum.
+This module is the only place that knows what a storage format *is*.  Every
+format subclasses :class:`WeightFormat` and declares one contract: a ``name``
+(its key in :data:`FORMATS` and in a backend's kernel table), the ``shape``
+of the matrix it encodes, ``array_names`` / ``param_names`` (the stored
+arrays and scalars that together *are* the encoding), ``from_dense`` /
+``to_dense`` (a lossless round trip for matrices that satisfy the format's
+structural assumptions) and ``summary`` (``data_bits`` for the retained
+values, ``metadata_bits`` for indices / pointers / padding bookkeeping).
+Everything else is generic over that contract — :func:`encode` by name,
+``arrays()`` / ``params()`` / ``from_parts`` to ship an encoding between
+processes (:mod:`repro.shm`) — so changing what a format stores, or adding
+one, is an edit here plus one kernel per backend.
 
 The paper's closed-form metadata estimates are available as
 :func:`paper_block_metadata_bits` and :func:`paper_nm_metadata_bits`.
@@ -20,8 +26,9 @@ The paper's closed-form metadata estimates are available as
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Tuple, Type
 
 import numpy as np
 
@@ -30,6 +37,9 @@ from .masks import pad_to_multiple
 
 __all__ = [
     "FormatSummary",
+    "WeightFormat",
+    "FORMATS",
+    "encode",
     "DenseFormat",
     "CSRFormat",
     "ELLPACKFormat",
@@ -80,14 +90,98 @@ class FormatSummary:
         return self.metadata_bits / other.metadata_bits
 
 
-class DenseFormat:
-    """Baseline dense storage: every element stored, no metadata."""
+@dataclass(eq=False, repr=False)
+class WeightFormat(ABC):
+    """One encoded weight matrix: the contract every storage format declares.
+
+    Subclasses are dataclasses whose fields are exactly ``array_names`` plus
+    ``param_names``, so ``from_parts(fmt.params(), fmt.arrays())`` is the same
+    encoding over the same buffers.
+    """
+
+    #: Key in :data:`FORMATS` and in every backend's kernel table.
+    name: ClassVar[str]
+    #: Stored ``ndarray`` attributes, in the order a serializer lays them out.
+    array_names: ClassVar[Tuple[str, ...]]
+    #: Scalar attributes (ints, bools, the ``shape`` tuple) stored next to them.
+    param_names: ClassVar[Tuple[str, ...]]
+    #: Whether ``to_dense`` returns exactly the matrix that was encoded.  A
+    #: format that can drop values stores this per encoding instead.
+    is_lossless = True
+
+    #: Memo of what a kernel derives from the stored arrays alone (the fast
+    #: backend's gather/scatter indices).  Never serialized, so a rebuilt
+    #: encoding starts empty; stale if arrays are mutated in place — re-encode.
+    derived: dict = field(default_factory=dict, init=False)
+
+    @classmethod
+    @abstractmethod
+    def from_dense(cls, matrix: np.ndarray, **params) -> "WeightFormat":
+        """Encode a 2-D matrix (each format names the parameters it takes)."""
+
+    @abstractmethod
+    def to_dense(self) -> np.ndarray:
+        """Decode back to the ``shape`` matrix."""
+
+    @abstractmethod
+    def summary(self) -> FormatSummary:
+        """Bit cost of this encoding."""
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The stored arrays by name (the objects themselves, not copies)."""
+        return {name: getattr(self, name) for name in self.array_names}
+
+    def params(self) -> Dict[str, object]:
+        """The scalar parameters by name, JSON-compatible (``shape`` as a list)."""
+        params = {}
+        for name in self.param_names:
+            value = getattr(self, name)
+            params[name] = list(value) if isinstance(value, tuple) else value
+        return params
+
+    @classmethod
+    def from_parts(
+        cls, params: Mapping[str, object], arrays: Mapping[str, np.ndarray]
+    ) -> "WeightFormat":
+        """Rebuild an encoding from ``params()`` and ``arrays()``.
+
+        Arrays are adopted as they are (read-only views stay views); names
+        other than the declared ones raise ``ValueError``.
+        """
+        if set(params) != set(cls.param_names) or set(arrays) != set(cls.array_names):
+            raise ValueError(
+                f"{cls.name} format stores params {sorted(cls.param_names)} and arrays "
+                f"{sorted(cls.array_names)}; got {sorted(params)} and {sorted(arrays)}"
+            )
+        scalars = {
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in params.items()
+        }
+        return cls(**scalars, **arrays)
+
+
+@dataclass(eq=False, repr=False)
+class DenseFormat(WeightFormat):
+    """Baseline dense storage: every element stored, no metadata.
+
+    ``matrix`` keeps the memory order it is given in (an engine hands in an
+    F-contiguous transposed view; BLAS sums in a different order over a
+    repacked copy).
+    """
 
     name = "dense"
+    array_names = ("matrix",)
+    param_names = ("value_bits",)
 
-    def __init__(self, matrix: np.ndarray, value_bits: int = DEFAULT_VALUE_BITS) -> None:
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.value_bits = value_bits
+    matrix: np.ndarray
+    value_bits: int = DEFAULT_VALUE_BITS
+
+    def __post_init__(self) -> None:
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.matrix.shape
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, value_bits: int = DEFAULT_VALUE_BITS) -> "DenseFormat":
@@ -106,7 +200,8 @@ class DenseFormat:
         )
 
 
-class CSRFormat:
+@dataclass(eq=False, repr=False)
+class CSRFormat(WeightFormat):
     """Compressed sparse row format.
 
     Stores the non-zero values row by row, with per-value column indices and
@@ -115,20 +210,14 @@ class CSRFormat:
     """
 
     name = "csr"
+    array_names = ("values", "col_indices", "row_ptr")
+    param_names = ("shape", "value_bits")
 
-    def __init__(
-        self,
-        shape: Tuple[int, int],
-        values: np.ndarray,
-        col_indices: np.ndarray,
-        row_ptr: np.ndarray,
-        value_bits: int = DEFAULT_VALUE_BITS,
-    ) -> None:
-        self.shape = shape
-        self.values = values
-        self.col_indices = col_indices
-        self.row_ptr = row_ptr
-        self.value_bits = value_bits
+    shape: Tuple[int, int]
+    values: np.ndarray
+    col_indices: np.ndarray
+    row_ptr: np.ndarray
+    value_bits: int = DEFAULT_VALUE_BITS
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, value_bits: int = DEFAULT_VALUE_BITS) -> "CSRFormat":
@@ -169,29 +258,25 @@ class CSRFormat:
         )
 
 
-class ELLPACKFormat:
+@dataclass(eq=False, repr=False)
+class ELLPACKFormat(WeightFormat):
     """ELLPACK format: fixed number of slots per row (the max row population).
 
     Rows shorter than the widest row are zero-padded, and every slot —
     including padding — carries a column index, which is why ELLPACK has the
-    largest metadata overhead in Fig. 4 for irregular sparsity.
+    largest metadata overhead in Fig. 4 for irregular sparsity.  It is here
+    for that storage comparison; no backend has a kernel for it.
     """
 
     name = "ellpack"
+    array_names = ("values", "col_indices", "row_lengths")
+    param_names = ("shape", "value_bits")
 
-    def __init__(
-        self,
-        shape: Tuple[int, int],
-        values: np.ndarray,
-        col_indices: np.ndarray,
-        row_lengths: np.ndarray,
-        value_bits: int = DEFAULT_VALUE_BITS,
-    ) -> None:
-        self.shape = shape
-        self.values = values  # (rows, slots)
-        self.col_indices = col_indices  # (rows, slots)
-        self.row_lengths = row_lengths
-        self.value_bits = value_bits
+    shape: Tuple[int, int]
+    values: np.ndarray  # (rows, slots)
+    col_indices: np.ndarray  # (rows, slots)
+    row_lengths: np.ndarray
+    value_bits: int = DEFAULT_VALUE_BITS
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, value_bits: int = DEFAULT_VALUE_BITS) -> "ELLPACKFormat":
@@ -250,7 +335,8 @@ def _retained_tile_slots(tiles: np.ndarray):
     return br_idx, bc_idx, slot_idx, blocks_per_row
 
 
-class BlockedEllpackFormat:
+@dataclass(eq=False, repr=False)
+class BlockedEllpackFormat(WeightFormat):
     """Blocked-Ellpack: dense ``B x B`` blocks indexed per block-row.
 
     Retained blocks are stored densely; metadata is one block-column index
@@ -260,22 +346,15 @@ class BlockedEllpackFormat:
     """
 
     name = "blocked-ellpack"
+    array_names = ("blocks", "block_cols", "blocks_per_row")
+    param_names = ("shape", "block_size", "value_bits")
 
-    def __init__(
-        self,
-        shape: Tuple[int, int],
-        block_size: int,
-        blocks: np.ndarray,
-        block_cols: np.ndarray,
-        blocks_per_row: np.ndarray,
-        value_bits: int = DEFAULT_VALUE_BITS,
-    ) -> None:
-        self.shape = shape
-        self.block_size = block_size
-        self.blocks = blocks  # (block_rows, slots, B, B)
-        self.block_cols = block_cols  # (block_rows, slots)
-        self.blocks_per_row = blocks_per_row
-        self.value_bits = value_bits
+    shape: Tuple[int, int]
+    block_size: int
+    blocks: np.ndarray  # (block_rows, slots, B, B)
+    block_cols: np.ndarray  # (block_rows, slots)
+    blocks_per_row: np.ndarray
+    value_bits: int = DEFAULT_VALUE_BITS
 
     @classmethod
     def from_dense(
@@ -323,7 +402,8 @@ class BlockedEllpackFormat:
         )
 
 
-class CRISPFormat:
+@dataclass(eq=False, repr=False)
+class CRISPFormat(WeightFormat):
     """The CRISP hybrid format: Blocked-Ellpack block indices + N:M intra-group offsets.
 
     Encoding (Fig. 4 / Fig. 5, step 5 of the paper):
@@ -349,31 +429,20 @@ class CRISPFormat:
     """
 
     name = "crisp"
+    array_names = ("block_cols", "blocks_per_row", "group_values", "group_offsets")
+    param_names = ("shape", "n", "m", "block_size", "is_lossless", "value_bits")
 
-    def __init__(
-        self,
-        shape: Tuple[int, int],
-        n: int,
-        m: int,
-        block_size: int,
-        block_cols: np.ndarray,
-        blocks_per_row: np.ndarray,
-        group_values: np.ndarray,
-        group_offsets: np.ndarray,
-        is_lossless: bool,
-        value_bits: int = DEFAULT_VALUE_BITS,
-    ) -> None:
-        self.shape = shape
-        self.n = n
-        self.m = m
-        self.block_size = block_size
-        self.block_cols = block_cols  # (block_rows, slots)
-        self.blocks_per_row = blocks_per_row  # (block_rows,)
-        # group_values / group_offsets: (block_rows, slots, groups_per_block, B, n)
-        self.group_values = group_values
-        self.group_offsets = group_offsets
-        self.is_lossless = is_lossless
-        self.value_bits = value_bits
+    shape: Tuple[int, int]
+    n: int
+    m: int
+    block_size: int
+    block_cols: np.ndarray  # (block_rows, slots)
+    blocks_per_row: np.ndarray  # (block_rows,)
+    # group_values / group_offsets: (block_rows, slots, groups_per_block, B, n)
+    group_values: np.ndarray
+    group_offsets: np.ndarray
+    is_lossless: bool = True
+    value_bits: int = DEFAULT_VALUE_BITS
 
     @classmethod
     def from_dense(
@@ -475,6 +544,33 @@ class CRISPFormat:
         )
 
 
+#: Every storage format, by ``name``.  The one list of formats in ``src/``.
+FORMATS: Dict[str, Type[WeightFormat]] = {
+    cls.name: cls
+    for cls in (DenseFormat, CSRFormat, ELLPACKFormat, BlockedEllpackFormat, CRISPFormat)
+}
+
+
+def encode(
+    name: str,
+    matrix: np.ndarray,
+    n: int,
+    m: int,
+    block_size: int,
+    value_bits: int = DEFAULT_VALUE_BITS,
+) -> WeightFormat:
+    """Encode ``matrix`` in the format registered as ``name``.
+
+    Of the hybrid pattern ``n`` / ``m`` / ``block_size`` a format is handed
+    what it stores (``param_names``).  ``from_dense`` is looked up per call,
+    so a profiler that wraps it on the class sees every encode.
+    """
+    cls = FORMATS[name]
+    pattern = {"n": n, "m": m, "block_size": block_size}
+    stored = {key: value for key, value in pattern.items() if key in cls.param_names}
+    return cls.from_dense(matrix, value_bits=value_bits, **stored)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form estimates from the paper (Sec. III-A)
 # ---------------------------------------------------------------------------
@@ -512,11 +608,7 @@ def compare_formats(
 
     This is the primitive behind the Fig. 4 (right) metadata comparison.
     """
-    formats = {
-        "dense": DenseFormat.from_dense(matrix, value_bits),
-        "csr": CSRFormat.from_dense(matrix, value_bits),
-        "ellpack": ELLPACKFormat.from_dense(matrix, value_bits),
-        "blocked-ellpack": BlockedEllpackFormat.from_dense(matrix, block_size, value_bits),
-        "crisp": CRISPFormat.from_dense(matrix, n, m, block_size, value_bits),
+    return {
+        name: encode(name, matrix, n, m, block_size, value_bits).summary()
+        for name in FORMATS
     }
-    return {name: fmt.summary() for name, fmt in formats.items()}

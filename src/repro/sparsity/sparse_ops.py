@@ -7,32 +7,29 @@ multiplexing, the two stages of Fig. 6) produces the same result as a dense
 GEMM with the masked weight matrix.  The hardware performance model itself
 lives in :mod:`repro.hw`.
 
-The public ``csr_matmul`` / ``blocked_ellpack_matmul`` / ``crisp_matmul``
-names dispatch through the active compute backend (:mod:`repro.backend`):
-the default ``reference`` backend runs the loop kernels below unchanged,
-while the ``fast`` backend substitutes the vectorized equivalents from
-:mod:`repro.backend.fast`.
+:func:`sparse_matmul` is the one public entry point: it hands any encoded
+weight to the active (or named) compute backend (:mod:`repro.backend`),
+whose kernel table picks the kernel — the loop kernels below on
+``reference``, the vectorized equivalents of :mod:`repro.backend.fast` on
+``fast``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .block import partition_into_blocks
-from .formats import BlockedEllpackFormat, CRISPFormat, CSRFormat
-from .masks import pad_to_multiple
+from .formats import BlockedEllpackFormat, CRISPFormat, CSRFormat, DenseFormat, WeightFormat
 
 __all__ = [
     "dense_matmul",
     "masked_matmul",
-    "csr_matmul",
+    "dense_format_matmul",
     "csr_matmul_reference",
-    "blocked_ellpack_matmul",
     "blocked_ellpack_matmul_reference",
-    "crisp_matmul",
     "crisp_matmul_reference",
+    "sparse_matmul",
     "check_activation_rows",
     "effective_macs",
 ]
@@ -49,12 +46,6 @@ def check_activation_rows(fmt, activations: np.ndarray) -> None:
         raise ValueError(
             f"Activation rows {activations.shape[0]} != weight rows {rows}"
         )
-
-
-def _dispatch(backend):
-    from ..backend import resolve_backend
-
-    return resolve_backend(backend)
 
 
 def dense_matmul(weight: np.ndarray, activations: np.ndarray) -> np.ndarray:
@@ -76,6 +67,12 @@ def dense_matmul(weight: np.ndarray, activations: np.ndarray) -> np.ndarray:
 def masked_matmul(weight: np.ndarray, mask: np.ndarray, activations: np.ndarray) -> np.ndarray:
     """Dense GEMM with an element-wise weight mask (the software reference)."""
     return dense_matmul(weight * mask, activations)
+
+
+def dense_format_matmul(fmt: DenseFormat, activations: np.ndarray) -> np.ndarray:
+    """GEMM using a dense-stored weight (the kernel both backends share)."""
+    check_activation_rows(fmt, activations)
+    return dense_matmul(fmt.matrix, activations)
 
 
 def csr_matmul_reference(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
@@ -140,29 +137,13 @@ def crisp_matmul_reference(fmt: CRISPFormat, activations: np.ndarray) -> np.ndar
     return out_padded[:cols]
 
 
-# ---------------------------------------------------------------------------
-# Backend dispatchers
-# ---------------------------------------------------------------------------
-
-def csr_matmul(
-    fmt: CSRFormat, activations: np.ndarray, backend: Union[str, None] = None
+def sparse_matmul(
+    fmt: WeightFormat, activations: np.ndarray, backend: Union[str, None] = None
 ) -> np.ndarray:
-    """GEMM using a CSR-encoded weight, via the active (or named) backend."""
-    return _dispatch(backend).csr_matmul(fmt, activations)
+    """``weight.T @ activations`` from any encoded weight, via the active (or named) backend."""
+    from ..backend import resolve_backend
 
-
-def blocked_ellpack_matmul(
-    fmt: BlockedEllpackFormat, activations: np.ndarray, backend: Union[str, None] = None
-) -> np.ndarray:
-    """GEMM using a Blocked-Ellpack weight, via the active (or named) backend."""
-    return _dispatch(backend).blocked_ellpack_matmul(fmt, activations)
-
-
-def crisp_matmul(
-    fmt: CRISPFormat, activations: np.ndarray, backend: Union[str, None] = None
-) -> np.ndarray:
-    """GEMM using the CRISP hybrid format, via the active (or named) backend."""
-    return _dispatch(backend).crisp_matmul(fmt, activations)
+    return resolve_backend(backend).sparse_matmul(fmt, activations)
 
 
 def effective_macs(mask: np.ndarray, batch: int = 1) -> int:

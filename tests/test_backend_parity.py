@@ -32,11 +32,9 @@ from repro.sparsity import (
     CRISPFormat,
     CSRFormat,
     HybridSparsityConfig,
-    blocked_ellpack_matmul,
-    crisp_matmul,
-    csr_matmul,
     hybrid_mask,
     masked_matmul,
+    sparse_matmul,
 )
 
 BACKENDS = ["reference", "fast"]
@@ -108,7 +106,7 @@ class TestSparseKernelParity:
         weight = random_sparse(rng, rows, cols)
         acts = rng.normal(size=(rows, 6))
         fmt = CSRFormat.from_dense(weight)
-        out = csr_matmul(fmt, acts, backend=backend)
+        out = sparse_matmul(fmt, acts, backend=backend)
         expected = masked_matmul(weight, (weight != 0).astype(float), acts)
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
@@ -120,7 +118,7 @@ class TestSparseKernelParity:
         weight = random_sparse(rng, rows, cols)
         acts = rng.normal(size=(rows, 5))
         fmt = BlockedEllpackFormat.from_dense(weight, block_size)
-        out = blocked_ellpack_matmul(fmt, acts, backend=backend)
+        out = sparse_matmul(fmt, acts, backend=backend)
         expected = masked_matmul(weight, (weight != 0).astype(float), acts)
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
@@ -133,37 +131,13 @@ class TestSparseKernelParity:
         acts = rng.normal(size=(64, 4))
         fmt = CRISPFormat.from_dense(weight, n, m, block_size)
         assert fmt.is_lossless
-        out = crisp_matmul(fmt, acts, backend=backend)
+        out = sparse_matmul(fmt, acts, backend=backend)
         np.testing.assert_allclose(out, masked_matmul(weight, mask, acts), atol=1e-8)
-
-    @pytest.mark.parametrize("kernel", ["csr", "blocked-ellpack", "crisp"])
-    def test_fast_within_1e8_of_reference(self, rng, kernel):
-        weight, _ = hybrid_weight(rng, 96, 48, 2, 4, 8)
-        acts = rng.normal(size=(96, 7))
-        if kernel == "csr":
-            fmt = CSRFormat.from_dense(weight)
-            ref = csr_matmul(fmt, acts, backend="reference")
-            fast = csr_matmul(fmt, acts, backend="fast")
-        elif kernel == "blocked-ellpack":
-            fmt = BlockedEllpackFormat.from_dense(weight, 8)
-            ref = blocked_ellpack_matmul(fmt, acts, backend="reference")
-            fast = blocked_ellpack_matmul(fmt, acts, backend="fast")
-        else:
-            fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
-            ref = crisp_matmul(fmt, acts, backend="reference")
-            fast = crisp_matmul(fmt, acts, backend="fast")
-        np.testing.assert_allclose(fast, ref, atol=1e-8)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_activation_mismatch_raises_on_both_backends(self, rng, backend):
-        fmt = CSRFormat.from_dense(random_sparse(rng, 8, 4))
-        with pytest.raises(ValueError):
-            csr_matmul(fmt, rng.normal(size=(9, 2)), backend=backend)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_weight(self, backend, rng):
         fmt = CSRFormat.from_dense(np.zeros((6, 4)))
-        out = csr_matmul(fmt, rng.normal(size=(6, 3)), backend=backend)
+        out = sparse_matmul(fmt, rng.normal(size=(6, 3)), backend=backend)
         np.testing.assert_allclose(out, np.zeros((4, 3)))
 
     @given(
@@ -374,6 +348,13 @@ class TestEngine:
             assert set(summaries) == set(prunable_layers(model))
         finally:
             engine.detach()
+        # Dense is a format like any other: every element at 8 bits, no metadata.
+        with Engine(model, backend="fast", weight_format="dense") as dense:
+            summaries = dense.format_summaries()
+            assert set(summaries) == set(prunable_layers(model))
+            assert all(s.metadata_bits == 0 for s in summaries.values())
+            elements = sum(l.weight.data.size for l in prunable_layers(model).values())
+            assert dense.total_weight_bits() == dense.stats()["total_weight_bits"] == elements * 8
 
     def test_refresh_formats_tracks_weight_updates(self, rng):
         model = _pruned_model(rng)

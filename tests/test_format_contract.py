@@ -1,0 +1,256 @@
+"""The weight-format contract, stated once for every entry of ``FORMATS``.
+
+``repro.sparsity.formats`` is the only module that knows what a format
+stores; everything else (the engine, the shared-memory store, the backends'
+kernel tables) is generic over ``WeightFormat``.  These tests pin that
+contract per registered format instead of per hand-written branch, and the
+last one is its executable form: a format defined *here*, patched into the
+two tables, is encoded, published to shared memory, attached and served
+without ``src/`` ever having heard of it.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, fields
+from typing import Tuple
+
+import numpy as np
+import pytest
+
+from repro.backend import Engine, get_backend, weight_formats
+from repro.errors import InternalError
+from repro.nn.models.base import prunable_layers
+from repro.serve import EngineSpec, ModelRegistry
+from repro.shm import SharedModelSource, SharedWeightStore
+from repro.sparsity import HybridSparsityConfig, hybrid_mask
+from repro.sparsity.formats import (
+    DEFAULT_VALUE_BITS,
+    FORMATS,
+    FormatSummary,
+    WeightFormat,
+    encode,
+)
+from repro.sparsity.sparse_ops import check_activation_rows, sparse_matmul
+from test_shm import _sparsified_model as sparsified_model
+
+N, M, BLOCK = 2, 4, 8
+
+
+def hybrid_matrix(rng, rows=40, cols=24):
+    """A block-unaligned matrix every format encodes losslessly at 2:4 / B=8."""
+    weight = rng.normal(size=(rows, cols))
+    mask, _ = hybrid_mask(
+        np.abs(weight), HybridSparsityConfig(N, M, BLOCK), keep_blocks_per_row=2
+    )
+    return weight * mask
+
+
+def read_only(arrays):
+    frozen = {name: array.copy() for name, array in arrays.items()}
+    for array in frozen.values():
+        array.flags.writeable = False
+    return frozen
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+class TestEveryFormat:
+    def test_declares_exactly_what_it_stores(self, name):
+        """A field left out of ``array_names`` / ``param_names`` would be
+        dropped, silently, on the way to a process worker."""
+        cls = FORMATS[name]
+        assert cls.name == name and issubclass(cls, WeightFormat)
+        declared = set(cls.array_names) | set(cls.param_names)
+        assert len(declared) == len(cls.array_names) + len(cls.param_names)
+        assert declared == {f.name for f in fields(cls)} - {"derived"}
+        # ``shape`` is a stored param or is read off the stored arrays.
+        assert "shape" in declared or isinstance(cls.shape, property)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_parts_round_trip(self, name, order, rng):
+        matrix = np.asarray(hybrid_matrix(rng), order=order)
+        fmt = encode(name, matrix, N, M, BLOCK)
+        assert tuple(fmt.shape) == matrix.shape and fmt.is_lossless is True
+        np.testing.assert_array_equal(fmt.to_dense(), matrix)
+        assert isinstance(fmt.summary(), FormatSummary)
+
+        params, arrays = fmt.params(), fmt.arrays()
+        assert list(arrays) == list(fmt.array_names)
+        assert json.loads(json.dumps(params)) == params  # rides the manifest as is
+        fmt.derived["memo"] = object()
+        rebuilt = FORMATS[name].from_parts(json.loads(json.dumps(params)), read_only(arrays))
+        assert rebuilt.derived == {}  # derived state is never shipped
+        assert rebuilt.params() == params and tuple(rebuilt.shape) == matrix.shape
+        np.testing.assert_array_equal(rebuilt.to_dense(), matrix)
+        for key, array in rebuilt.arrays().items():
+            assert array.dtype == arrays[key].dtype and not array.flags.writeable
+
+    def test_from_parts_rejects_names_it_does_not_declare(self, name, rng):
+        fmt = encode(name, hybrid_matrix(rng), N, M, BLOCK)
+        cls = FORMATS[name]
+        arrays = fmt.arrays()
+        renamed = {f"{key}_v2": value for key, value in arrays.items()}
+        with pytest.raises(ValueError, match=name):
+            cls.from_parts(fmt.params(), renamed)
+        with pytest.raises(ValueError, match=name):
+            cls.from_parts({**fmt.params(), "extra": 1}, arrays)
+
+    def test_backends_agree_or_both_refuse(self, name, rng):
+        matrix = hybrid_matrix(rng)
+        acts = rng.normal(size=(matrix.shape[0], 5))
+        fmt = encode(name, matrix, N, M, BLOCK)
+        shared = FORMATS[name].from_parts(fmt.params(), read_only(fmt.arrays()))
+        if name not in weight_formats():
+            for backend in ("reference", "fast"):
+                with pytest.raises(TypeError):
+                    sparse_matmul(fmt, acts, backend=backend)
+            return
+        assert name in weight_formats("fast")
+        reference = sparse_matmul(fmt, acts, backend="reference")
+        np.testing.assert_allclose(reference, matrix.T @ acts, atol=1e-10)
+        for operand in (fmt, shared):  # fresh arrays, then read-only views
+            fast = sparse_matmul(operand, acts, backend="fast")
+            np.testing.assert_allclose(fast, reference, atol=1e-8)
+        refusals = []
+        for backend in ("reference", "fast"):
+            with pytest.raises(ValueError) as caught:
+                sparse_matmul(fmt, acts[:-1], backend=backend)
+            refusals.append(str(caught.value))
+        assert refusals[0] == refusals[1]
+
+
+# ---------------------------------------------------------------------------
+# Engine.install_formats: an encoding that does not fit its layer fails there
+# ---------------------------------------------------------------------------
+
+class TestInstallFormats:
+    def test_swapped_layers_fail_at_install_naming_the_layer(self):
+        model = sparsified_model()
+        formats = dict(Engine(model, weight_format="csr", attach=False).formats)
+        first, last = list(formats)[0], list(formats)[-1]
+        assert formats[first].shape != formats[last].shape
+        formats[first], formats[last] = formats[last], formats[first]
+        with pytest.raises(ValueError, match=repr(first)):
+            Engine(model, weight_format="csr", formats=formats)
+
+    def test_formats_is_a_read_only_view(self):
+        engine = Engine(sparsified_model(), weight_format="csr", attach=False)
+        assert list(engine.formats) == list(prunable_layers(engine.module))
+        with pytest.raises(TypeError):
+            engine.formats["stem"] = None
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            ("swap-layers", "malformed"),
+            ("rename-array", "malformed"),
+            ("unknown-kind", "unknown shared format kind 'coo'"),
+        ],
+    )
+    def test_tampered_manifest_fails_typed_at_build(self, tamper, message):
+        registry = ModelRegistry()
+        model_id = registry.register(
+            sparsified_model(), spec=EngineSpec(weight_format="crisp", block_size=8), model_id="t"
+        )
+        with SharedWeightStore(registry) as store:
+            entry, _ = store.ensure(model_id)
+            blocks = dict(entry["formats"])
+            first, last = list(blocks)[0], list(blocks)[-1]
+            if tamper == "swap-layers":
+                blocks[first], blocks[last] = blocks[last], blocks[first]
+            elif tamper == "unknown-kind":
+                blocks[first] = {**blocks[first], "kind": "coo"}
+            else:
+                arrays = dict(blocks[first]["arrays"])
+                arrays["group_vals"] = arrays.pop("group_values")
+                blocks[first] = {**blocks[first], "arrays": arrays}
+            source = SharedModelSource()
+            try:
+                source.install({**entry, "formats": blocks})
+                with pytest.raises(InternalError, match=message):
+                    source.build_engine(model_id)
+            finally:
+                source.close()
+
+
+# ---------------------------------------------------------------------------
+# "One module knows": a format src/ has never heard of, served end to end
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False, repr=False)
+class TransposedFormat(WeightFormat):
+    """Toy format: the ``(cols, rows)`` transpose, C-contiguous, plus a sign flip."""
+
+    name = "transposed"
+    array_names = ("rows_t",)
+    param_names = ("shape", "negated", "value_bits")
+
+    shape: Tuple[int, int]
+    rows_t: np.ndarray
+    negated: bool
+    value_bits: int = DEFAULT_VALUE_BITS
+
+    @classmethod
+    def from_dense(cls, matrix, value_bits=DEFAULT_VALUE_BITS):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        return cls(matrix.shape, np.ascontiguousarray(-matrix.T), True, value_bits)
+
+    def to_dense(self):
+        return (-self.rows_t if self.negated else self.rows_t).T.copy()
+
+    def summary(self):
+        return FormatSummary(self.name, self.shape, int(np.count_nonzero(self.rows_t)),
+                             self.rows_t.size * self.value_bits, 1)
+
+
+def transposed_matmul_loop(fmt, activations):
+    check_activation_rows(fmt, activations)
+    sign = -1.0 if fmt.negated else 1.0
+    return np.stack([sign * (row @ activations) for row in fmt.rows_t])
+
+
+def transposed_matmul_gemm(fmt, activations):
+    check_activation_rows(fmt, activations)
+    out = fmt.rows_t @ activations
+    return -out if fmt.negated else out
+
+
+@pytest.fixture
+def transposed_format(monkeypatch):
+    monkeypatch.setitem(FORMATS, "transposed", TransposedFormat)
+    monkeypatch.setitem(get_backend("reference").kernels, "transposed", transposed_matmul_loop)
+    monkeypatch.setitem(get_backend("fast").kernels, "transposed", transposed_matmul_gemm)
+
+
+def test_a_format_defined_outside_src_is_served_end_to_end(transposed_format, rng):
+    batch = rng.normal(size=(2, 3, 12, 12))
+    dense = Engine(sparsified_model(), backend="fast", weight_format="dense").predict(batch)
+
+    assert "transposed" in weight_formats() and "transposed" in weight_formats("fast")
+    spec = EngineSpec(backend="fast", weight_format="transposed")
+    assert EngineSpec.from_json(spec.to_json()) == spec
+    registry = ModelRegistry()
+    model_id = registry.register(sparsified_model(), spec=spec, model_id="toy")
+
+    local = registry.build_engine(model_id)
+    assert {type(fmt) for fmt in local.formats.values()} == {TransposedFormat}
+    assert local.total_weight_bits() == sum(
+        fmt.rows_t.size * DEFAULT_VALUE_BITS + 1 for fmt in local.formats.values()
+    )
+    np.testing.assert_allclose(local.predict(batch), dense, atol=1e-10)
+    with Engine(sparsified_model(), backend="reference", weight_format="transposed") as oracle:
+        np.testing.assert_allclose(oracle.predict(batch), dense, atol=1e-8)
+
+    with SharedWeightStore(registry) as store:
+        entry, _ = store.ensure(model_id)
+        entry = json.loads(json.dumps(entry))  # as it crosses the control pipe
+        assert {block["kind"] for block in entry["formats"].values()} == {"transposed"}
+        source = SharedModelSource()
+        try:
+            source.install(entry)
+            attached = source.build_engine(model_id)
+            for fmt in attached.formats.values():
+                assert isinstance(fmt, TransposedFormat) and not fmt.rows_t.flags.writeable
+            np.testing.assert_array_equal(attached.predict(batch), local.predict(batch))
+        finally:
+            source.close()

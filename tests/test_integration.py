@@ -12,7 +12,7 @@ from repro.nn.trainer import TrainConfig, Trainer, evaluate
 from repro.pruning import CRISPConfig, CRISPPruner, collect_model_stats, model_storage_bits
 from repro.serve import EngineSpec, ModelRegistry
 from repro.sparsity.formats import CRISPFormat
-from repro.sparsity.sparse_ops import crisp_matmul, masked_matmul
+from repro.sparsity.sparse_ops import masked_matmul, sparse_matmul
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestPrunedModelInference:
             assert fmt.is_lossless, name
             activations = rng.normal(size=(weight2d.shape[0], 2))
             np.testing.assert_allclose(
-                crisp_matmul(fmt, activations),
+                sparse_matmul(fmt, activations),
                 masked_matmul(weight2d, mask2d, activations),
                 atol=1e-8,
                 err_msg=name,
@@ -105,12 +105,12 @@ class TestServedEncoding:
 
         engine = registry.build_engine(model_id)
         layers = prunable_layers(engine.module)
-        assert list(engine._formats) == list(layers)
+        assert list(engine.formats) == list(layers)
         assert engine.is_lossless
         for name, layer in layers.items():
             w_eff = layer.weight.effective()
             weight2d = w_eff.reshape(w_eff.shape[0], -1).T  # the engine's (K, S) operand
-            assert_same_encoding(engine._formats[name], crisp_from_dense_loop(weight2d, 2, 4, 8))
+            assert_same_encoding(engine.formats[name], crisp_from_dense_loop(weight2d, 2, 4, 8))
 
         batch, _ = next(iter(personalization_run["val_loader"]))
         first = engine.predict(batch)

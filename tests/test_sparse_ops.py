@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from repro.sparsity.formats import BlockedEllpackFormat, CRISPFormat, CSRFormat
 from repro.sparsity.hybrid import HybridSparsityConfig, hybrid_mask
 from repro.sparsity.sparse_ops import (
-    blocked_ellpack_matmul,
-    crisp_matmul,
-    csr_matmul,
     dense_matmul,
     effective_macs,
     masked_matmul,
+    sparse_matmul,
 )
 
 
@@ -47,36 +45,36 @@ class TestFormatMatmuls:
         w = rng.normal(size=(10, 6)) * (rng.random((10, 6)) < 0.4)
         a = rng.normal(size=(10, 5))
         fmt = CSRFormat.from_dense(w)
-        np.testing.assert_allclose(csr_matmul(fmt, a), w.T @ a, atol=1e-10)
+        np.testing.assert_allclose(sparse_matmul(fmt, a), w.T @ a, atol=1e-10)
 
     def test_csr_activation_mismatch(self, rng):
         fmt = CSRFormat.from_dense(rng.normal(size=(4, 4)))
         with pytest.raises(ValueError):
-            csr_matmul(fmt, rng.normal(size=(5, 2)))
+            sparse_matmul(fmt, rng.normal(size=(5, 2)))
 
     def test_blocked_ellpack_matches_dense(self, rng):
         w, _ = hybrid_weight(rng)
         a = rng.normal(size=(32, 4))
         fmt = BlockedEllpackFormat.from_dense(w, block_size=8)
-        np.testing.assert_allclose(blocked_ellpack_matmul(fmt, a), w.T @ a, atol=1e-10)
+        np.testing.assert_allclose(sparse_matmul(fmt, a), w.T @ a, atol=1e-10)
 
     def test_blocked_ellpack_unaligned(self, rng):
         w = rng.normal(size=(10, 6)) * (rng.random((10, 6)) < 0.5)
         a = rng.normal(size=(10, 3))
         fmt = BlockedEllpackFormat.from_dense(w, block_size=4)
-        np.testing.assert_allclose(blocked_ellpack_matmul(fmt, a), w.T @ a, atol=1e-10)
+        np.testing.assert_allclose(sparse_matmul(fmt, a), w.T @ a, atol=1e-10)
 
     def test_crisp_matches_dense(self, rng):
         w, _ = hybrid_weight(rng)
         a = rng.normal(size=(32, 4))
         fmt = CRISPFormat.from_dense(w, n=2, m=4, block_size=8)
-        np.testing.assert_allclose(crisp_matmul(fmt, a), w.T @ a, atol=1e-10)
+        np.testing.assert_allclose(sparse_matmul(fmt, a), w.T @ a, atol=1e-10)
 
     def test_crisp_activation_mismatch(self, rng):
         w, _ = hybrid_weight(rng)
         fmt = CRISPFormat.from_dense(w, n=2, m=4, block_size=8)
         with pytest.raises(ValueError):
-            crisp_matmul(fmt, rng.normal(size=(16, 2)))
+            sparse_matmul(fmt, rng.normal(size=(16, 2)))
 
     @given(st.sampled_from([(1, 4), (2, 4), (3, 4)]), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
@@ -88,7 +86,7 @@ class TestFormatMatmuls:
         w, mask = hybrid_weight(rng, rows=24, cols=16, n=n, m=m, block_size=8, keep=min(keep, 2))
         a = rng.normal(size=(24, 3))
         fmt = CRISPFormat.from_dense(w, n=n, m=m, block_size=8)
-        np.testing.assert_allclose(crisp_matmul(fmt, a), masked_matmul(w, mask, a), atol=1e-10)
+        np.testing.assert_allclose(sparse_matmul(fmt, a), masked_matmul(w, mask, a), atol=1e-10)
 
 
 class TestEffectiveMacs:
