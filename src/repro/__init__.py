@@ -11,6 +11,7 @@ Package layout
 * :mod:`repro.serve` — multi-tenant serving: model registry, engine cache,
   micro-batching scheduler and the :class:`~repro.serve.PersonalizationService`.
 * :mod:`repro.errors` — the serving error taxonomy (stable ``ApiError`` codes).
+* :mod:`repro.records` — the record / JSON-line / log format every layer shares.
 * :mod:`repro.gateway` — Serving API v2: one versioned gateway (middleware,
   typed clients, loopback/HTTP transports) over every serving backend.
 * :mod:`repro.autoscale` — closed-loop autoscaling over the cluster's scaling

@@ -36,9 +36,9 @@ Two driving modes, mirroring the poller's:
   function of the script, byte for byte (the deterministic test suite and
   the CI determinism diff both drive this mode).
 
-The debounce is the :class:`~repro.metrics.slo.SLOMonitor` pattern
-transplanted: per-rule consecutive-tick streaks, an explicit cooldown window
-after every applied action, and min/max clamps — with the twist that
+The debounce is one :class:`~repro.metrics.slo.Debounce`: per-rule
+consecutive-tick streaks, an explicit cooldown window after every applied
+action (one fleet-wide rest), and min/max clamps — with the twist that
 *suppressed and clamped firings are recorded too*, as first-class
 :class:`~repro.autoscale.policy.ScalingDecision` rows, because "the loop
 wanted to move and the rails held it" is exactly what an operator debugging
@@ -55,6 +55,9 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.events import emit
+from ..metrics.poller import burn_rate
+from ..metrics.slo import Debounce
+from ..records import RecordLog
 from .policy import (
     ACTIONS,
     ScalingDecision,
@@ -63,6 +66,9 @@ from .policy import (
 )
 
 __all__ = ["Autoscaler", "SIGNALS"]
+
+#: The :class:`Debounce` key of the one fleet-wide cooldown.
+_FLEET = "fleet"
 
 #: The control-signal vocabulary :meth:`Autoscaler.signals` derives from a
 #: unified-schema stats snapshot (rules may also name custom keys when the
@@ -106,9 +112,8 @@ class Autoscaler:
         self.policy = policy if policy is not None else default_policy()
         self.clock = clock
         self.ticks = 0
-        self.decisions: List[ScalingDecision] = []
-        self._streaks: Dict[str, int] = {r.name: 0 for r in self.policy.rules}
-        self._cooldown_until = 0  #: tick index the cooldown holds through
+        self._log: RecordLog[ScalingDecision] = RecordLog()
+        self._debounce = Debounce()  #: streaks by rule name, one fleet rest
         self._fleet_log: List[Tuple[float, int]] = []  #: (t, shards) steps
         self._prev_outcomes: Optional[Tuple[float, float, float]] = None
         self._lock = threading.RLock()
@@ -137,13 +142,11 @@ class Autoscaler:
             prev = self._prev_outcomes if self._prev_outcomes else totals
             self._prev_outcomes = totals
         deltas = [max(0.0, cur - old) for cur, old in zip(totals, prev)]
-        interval = sum(deltas)
-        burn = (deltas[1] + deltas[2]) / interval if interval else 0.0
         return {
             "queue_pending": pending,
             "queue_per_shard": pending / max(shards, 1.0),
             "p99_ms": float(latency.get("p99_ms", 0.0) or 0.0),
-            "error_burn_rate": burn,
+            "error_burn_rate": burn_rate(*deltas),
             "shards": shards,
         }
 
@@ -175,11 +178,9 @@ class Autoscaler:
             fired = None
             for rule in self.policy.rules:
                 value = signals.get(rule.signal)
-                if value is None or not rule.condition(float(value)):
-                    self._streaks[rule.name] = 0
-                    continue
-                self._streaks[rule.name] += 1
-                if fired is None and self._streaks[rule.name] >= rule.for_samples:
+                holding = value is not None and rule.condition(float(value))
+                streak = self._debounce.observe(rule.name, holding)
+                if fired is None and streak >= rule.for_samples:
                     fired = (rule, float(value))
             if fired is None:
                 return []
@@ -196,12 +197,11 @@ class Autoscaler:
             if decision.action in ACTIONS:
                 # The fleet changed: every rule's evidence described the old
                 # one.  Start all streaks over.
-                for name in self._streaks:
-                    self._streaks[name] = 0
+                self._debounce.clear()
             else:
                 # Suppressed/clamped: re-arm just the rule that fired so the
                 # log records one verdict per held window, not one per tick.
-                self._streaks[rule.name] = 0
+                self._debounce.clear(rule.name)
             return [decision]
 
     def on_alert(self, alert) -> Optional[ScalingDecision]:
@@ -231,8 +231,7 @@ class Autoscaler:
                 honor_cooldown=False,
             )
             if decision.action in ACTIONS:
-                for name in self._streaks:
-                    self._streaks[name] = 0
+                self._debounce.clear()
             return decision
 
     def _apply(
@@ -250,12 +249,12 @@ class Autoscaler:
         before = int(self.target.shards)
         if not self._fleet_log:
             self._fleet_log.append((at, before))
-        if honor_cooldown and self.ticks <= self._cooldown_until:
+        if honor_cooldown and self._debounce.resting(_FLEET, self.ticks):
             decision = ScalingDecision(
                 tick=self.ticks, at=at, action="suppress", rule=rule,
                 signal=signal, value=value, threshold=threshold,
                 shards_before=before, shards_after=before,
-                reason=f"cooldown until tick {self._cooldown_until}",
+                reason=f"cooldown until tick {self._debounce.rest_until(_FLEET) - 1}",
             )
         else:
             delta = step if action == "scale_out" else -step
@@ -277,14 +276,18 @@ class Autoscaler:
                     victims = sorted(self.target.shard_ids(), reverse=True)
                     for shard_id in victims[: before - after]:
                         self.target.remove_shard(shard_id)
-                self._cooldown_until = self.ticks + self.policy.cooldown_ticks
+                # The cooldown holds *through* its last tick, the rest is
+                # exclusive of its end: hence the + 1.
+                self._debounce.rest(
+                    _FLEET, self.ticks + self.policy.cooldown_ticks + 1
+                )
                 self._fleet_log.append((at, after))
                 decision = ScalingDecision(
                     tick=self.ticks, at=at, action=action, rule=rule,
                     signal=signal, value=value, threshold=threshold,
                     shards_before=before, shards_after=after,
                 )
-        self.decisions.append(decision)
+        self._log.append(lambda seq: decision)
         emit(
             "autoscale",
             tick=decision.tick,
@@ -331,28 +334,25 @@ class Autoscaler:
         total += log[-1][1] * max(0.0, end - log[-1][0])
         return total
 
+    @property
+    def decisions(self) -> List[ScalingDecision]:
+        """Every verdict so far, in order."""
+        return self._log.records()
+
     def action_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        with self._lock:
-            for decision in self.decisions:
-                counts[decision.action] = counts.get(decision.action, 0) + 1
-        return dict(sorted(counts.items()))
+        return self._log.counts("action")
 
     def decision_log_jsonl(self) -> str:
         """The decision log as JSONL — the CI-diffable determinism artifact."""
-        with self._lock:
-            decisions = list(self.decisions)
-        return "".join(decision.to_json() + "\n" for decision in decisions)
+        return "".join(line + "\n" for line in self._log.lines())
 
     def to_dict(self) -> Dict[str, object]:
-        with self._lock:
-            decisions = list(self.decisions)
-            fleet_log = list(self._fleet_log)
+        fleet_log = self.fleet_log
         return {
             "ticks": self.ticks,
             "shards": int(self.target.shards),
             "policy": self.policy.to_dict(),
-            "decisions": [decision.to_dict() for decision in decisions],
+            "decisions": [decision.to_dict() for decision in self.decisions],
             "actions": self.action_counts(),
             "fleet_log": [[t, n] for t, n in fleet_log],
             "peak_shards": max((n for _, n in fleet_log), default=0),

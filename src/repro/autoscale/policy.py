@@ -24,15 +24,18 @@ every production control loop needs:
   per alert episode.
 
 Every verdict — applied, suppressed, or clamped — is recorded as an
-immutable :class:`ScalingDecision` whose JSON face has sorted keys, so a
-decision log replayed under an injected clock is byte-stable across runs.
+immutable :class:`ScalingDecision`; the controller keeps them in a
+:class:`~repro.records.RecordLog` of decisions, so a decision log replayed
+under an injected clock is byte-stable across runs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Mapping, Tuple
+
+from ..metrics.slo import check_rule, holds
+from ..records import Record
 
 __all__ = [
     "ACTIONS",
@@ -50,16 +53,8 @@ ACTIONS = ("scale_out", "scale_in")
 #: What a decision may record: an applied action, or why nothing moved.
 VERDICTS = ACTIONS + ("suppress", "clamp")
 
-_OPS: Dict[str, Callable[[float, float], bool]] = {
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-}
-
-
 @dataclass(frozen=True)
-class ScalingRule:
+class ScalingRule(Record):
     """One declarative condition over one control signal, with its verdict."""
 
     name: str
@@ -72,35 +67,20 @@ class ScalingRule:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"unknown op {self.op!r}; known: {sorted(_OPS)}")
+        check_rule(self.op, self.for_samples)
         if self.action not in ACTIONS:
             raise ValueError(
                 f"unknown action {self.action!r}; known: {ACTIONS}"
             )
-        if self.for_samples < 1:
-            raise ValueError(f"for_samples must be >= 1, got {self.for_samples}")
         if self.step < 1:
             raise ValueError(f"step must be >= 1, got {self.step}")
 
     def condition(self, value: float) -> bool:
-        return _OPS[self.op](value, self.threshold)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "signal": self.signal,
-            "op": self.op,
-            "threshold": self.threshold,
-            "action": self.action,
-            "for_samples": self.for_samples,
-            "step": self.step,
-            "description": self.description,
-        }
+        return holds(self.op, value, self.threshold)
 
 
 @dataclass(frozen=True)
-class ScalingPolicy:
+class ScalingPolicy(Record):
     """An ordered rule set plus the clamps/cooldown safety rails."""
 
     rules: Tuple[ScalingRule, ...] = ()
@@ -138,18 +118,16 @@ class ScalingPolicy:
     def clamp(self, shards: int) -> int:
         return min(max(shards, self.min_shards), self.max_shards)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rules": [rule.to_dict() for rule in self.rules],
-            "min_shards": self.min_shards,
-            "max_shards": self.max_shards,
-            "cooldown_ticks": self.cooldown_ticks,
-            "alert_actions": dict(sorted(self.alert_actions.items())),
-        }
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "ScalingPolicy":
+        policy = dict(payload)
+        if "rules" in policy:
+            policy["rules"] = tuple(map(ScalingRule.from_dict, policy["rules"]))
+        return super().from_dict(policy)
 
 
 @dataclass(frozen=True)
-class ScalingDecision:
+class ScalingDecision(Record):
     """One immutable controller verdict: what fired, and what (if anything) moved.
 
     ``action`` is an applied ``scale_out``/``scale_in``, or ``suppress``
@@ -168,24 +146,6 @@ class ScalingDecision:
     shards_before: int
     shards_after: int
     reason: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tick": self.tick,
-            "at": self.at,
-            "action": self.action,
-            "rule": self.rule,
-            "signal": self.signal,
-            "value": self.value,
-            "threshold": self.threshold,
-            "shards_before": self.shards_before,
-            "shards_after": self.shards_after,
-            "reason": self.reason,
-        }
-
-    def to_json(self) -> str:
-        """One JSONL line (sorted keys: identical decisions render identically)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def default_policy(

@@ -384,20 +384,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
+    # What `loadgen` and `monitor` both read from the flags: the scenario run.
+    scenario_run = dict(
+        scenario=args.scenario,
+        shards=args.shards,
+        workers=args.workers,
+        tenants=args.loadgen_tenants,
+        requests=args.loadgen_requests,
+        seed=args.seed,
+        cache_capacity=args.serve_capacity,
+        time_scale=args.time_scale,
+        backend=args.backend or "fast",
+        transport=args.transport,
+        smoke=args.smoke,
+        poll_interval_s=args.poll_interval,
+        alert_p99_ms=args.alert_p99_ms,
+        alert_burn_rate=args.alert_burn_rate,
+        alert_queue_depth=args.alert_queue_depth,
+    )
+
     if "loadgen" in requested:
         try:
             loadgen_config = LoadgenConfig(
-                scenario=args.scenario,
-                shards=args.shards,
-                workers=args.workers,
-                tenants=args.loadgen_tenants,
-                requests=args.loadgen_requests,
-                seed=args.seed,
-                cache_capacity=args.serve_capacity,
-                time_scale=args.time_scale,
-                backend=args.backend or "fast",
-                transport=args.transport,
-                smoke=args.smoke,
+                **scenario_run,
                 trace=args.trace,
                 # The dump flags only make sense on a monitored run, so they
                 # imply --monitor rather than silently writing nothing.
@@ -406,10 +415,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 ),
                 autoscale=bool(args.autoscale or args.decisions_jsonl),
                 max_shards=args.max_shards,
-                poll_interval_s=args.poll_interval,
-                alert_p99_ms=args.alert_p99_ms,
-                alert_burn_rate=args.alert_burn_rate,
-                alert_queue_depth=args.alert_queue_depth,
             )
         except ValueError as exc:
             parser.error(str(exc))
@@ -417,24 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if "monitor" in requested:
         try:
             monitor_config = MonitorConfig(
-                scenario=args.scenario,
-                shards=args.shards,
-                workers=args.workers,
-                tenants=args.loadgen_tenants,
-                requests=args.loadgen_requests,
-                seed=args.seed,
-                cache_capacity=args.serve_capacity,
-                time_scale=args.time_scale,
-                backend=args.backend or "fast",
-                transport=args.transport,
-                smoke=args.smoke,
-                poll_interval_s=args.poll_interval,
-                alert_p99_ms=args.alert_p99_ms,
-                alert_burn_rate=args.alert_burn_rate,
-                alert_queue_depth=args.alert_queue_depth,
-                url=args.url,
-                ticks=args.ticks,
-                watch=args.watch,
+                **scenario_run, url=args.url, ticks=args.ticks, watch=args.watch
             )
         except ValueError as exc:
             parser.error(str(exc))

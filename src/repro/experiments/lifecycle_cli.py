@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from ..lifecycle import run_lifecycle_compare, run_lifecycle_replay
 from ..loadgen import SCENARIOS, build_scenario
 from ..loadgen.popularity import ClassDriftPopularity
+from ..records import write_jsonl
 
 __all__ = ["LifecycleCliConfig", "run_lifecycle_cli", "print_lifecycle"]
 
@@ -84,14 +85,6 @@ def _managed_arm(payload: Dict[str, object]) -> Dict[str, object]:
     return payload["managed"] if "managed" in payload else payload
 
 
-def _dump(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-        if text and not text.endswith("\n"):
-            fh.write("\n")
-    print(f"wrote {path}", file=sys.stderr)
-
-
 def print_lifecycle(
     config: LifecycleCliConfig,
     json_target: Optional[str] = None,
@@ -106,10 +99,10 @@ def print_lifecycle(
     payload = run_lifecycle_cli(config)
     managed = _managed_arm(payload)
 
-    if audit_jsonl:
-        _dump(audit_jsonl, managed["audit_jsonl"])
-    if decisions_jsonl:
-        _dump(decisions_jsonl, managed["decisions_jsonl"])
+    for path, key in ((audit_jsonl, "audit_jsonl"), (decisions_jsonl, "decisions_jsonl")):
+        if path:
+            write_jsonl(path, managed[key].splitlines())
+            print(f"wrote {path}", file=sys.stderr)
 
     if json_target == "-":
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)

@@ -50,6 +50,7 @@ from ..metrics import (
     default_rules,
     set_event_log,
 )
+from ..records import json_line, write_jsonl
 
 __all__ = ["LoadgenConfig", "run_loadgen", "print_loadgen", "TRANSPORTS"]
 
@@ -333,16 +334,12 @@ def print_loadgen(
         if json_target != "-":
             print(f"wrote {metrics_json}")
     if events_jsonl is not None and artifacts is not None:
-        with open(events_jsonl, "w") as fh:
-            for event in artifacts["events"]:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        write_jsonl(events_jsonl, map(json_line, artifacts["events"]))
         if json_target != "-":
             print(f"wrote {events_jsonl}")
     summary = getattr(report, "autoscale_summary", None)
     if decisions_jsonl is not None and summary is not None:
-        with open(decisions_jsonl, "w") as fh:
-            for decision in summary["decisions"]:
-                fh.write(json.dumps(decision, sort_keys=True) + "\n")
+        write_jsonl(decisions_jsonl, map(json_line, summary["decisions"]))
         if json_target != "-":
             print(f"wrote {decisions_jsonl}")
     return report

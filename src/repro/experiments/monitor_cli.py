@@ -37,6 +37,7 @@ from ..metrics import (
     get_event_log,
     record_sample,
 )
+from .loadgen_cli import LoadgenConfig, run_loadgen
 
 __all__ = ["MonitorConfig", "run_monitor", "print_monitor", "render_dashboard"]
 
@@ -45,36 +46,18 @@ _SPARKS = " ▁▂▃▄▅▆▇█"
 
 
 @dataclass
-class MonitorConfig:
-    """Knobs of one ``monitor`` invocation."""
+class MonitorConfig(LoadgenConfig):
+    """Knobs of one ``monitor`` invocation: the (always monitored) loadgen
+    run to observe in process, plus the remote-scrape mode's own three."""
 
-    # In-process mode: the loadgen scenario to observe.
-    scenario: str = "steady-uniform"
     shards: int = 2
-    workers: str = "threaded"
-    tenants: int = 8
-    requests: Optional[int] = None
-    seed: int = 0
-    cache_capacity: int = 2
-    time_scale: float = 1.0
-    backend: str = "fast"
-    transport: str = "local"
-    smoke: bool = False
-    # Shared observability knobs.
-    poll_interval_s: float = 0.05
-    alert_p99_ms: float = 250.0
-    alert_burn_rate: float = 0.05
-    alert_queue_depth: float = 64.0
-    # Remote-scrape mode.
     url: Optional[str] = None  #: gateway base URL; switches to scrape mode
     ticks: int = 5  #: statsz scrapes per remote-scrape run
     watch: bool = False  #: stream events / redraw per tick
 
     def __post_init__(self) -> None:
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be > 0, got {self.poll_interval_s}"
-            )
+        self.monitor = True
+        super().__post_init__()
         if self.ticks < 1:
             raise ValueError(f"ticks must be >= 1, got {self.ticks}")
 
@@ -178,28 +161,8 @@ def _run_scrape(config: MonitorConfig, stream) -> Dict[str, object]:
 
 def _run_scenario(config: MonitorConfig, stream) -> Dict[str, object]:
     """In-process mode: a monitored loadgen run (optionally streamed live)."""
-    from .loadgen_cli import LoadgenConfig, run_loadgen
-
-    loadgen_config = LoadgenConfig(
-        scenario=config.scenario,
-        shards=config.shards,
-        workers=config.workers,
-        tenants=config.tenants,
-        requests=config.requests,
-        seed=config.seed,
-        cache_capacity=config.cache_capacity,
-        time_scale=config.time_scale,
-        backend=config.backend,
-        transport=config.transport,
-        smoke=config.smoke,
-        monitor=True,
-        poll_interval_s=config.poll_interval_s,
-        alert_p99_ms=config.alert_p99_ms,
-        alert_burn_rate=config.alert_burn_rate,
-        alert_queue_depth=config.alert_queue_depth,
-    )
     if not config.watch or stream is None:
-        report, _ = run_loadgen(loadgen_config)
+        report, _ = run_loadgen(config)
     else:
         # Live tail: run the scenario on a worker thread and stream the
         # process-wide event log (installed by run_loadgen) as it grows.
@@ -208,7 +171,7 @@ def _run_scenario(config: MonitorConfig, stream) -> Dict[str, object]:
 
         def _target() -> None:
             try:
-                results.append(run_loadgen(loadgen_config))
+                results.append(run_loadgen(config))
             except BaseException as exc:  # surfaced after the join
                 errors.append(exc)
 

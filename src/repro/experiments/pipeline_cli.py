@@ -14,11 +14,11 @@ each pipeline's shrunken variant for CI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..pipeline import Pipeline, PipelineStore, RunSummary, build_pipeline, pipeline_names
+from ..records import json_line
 
 __all__ = ["PipelineCliConfig", "build_cli_pipeline", "print_pipeline"]
 
@@ -61,7 +61,7 @@ def list_pipeline_steps(config: PipelineCliConfig) -> None:
     for name in pipeline.order:
         step = pipeline.steps[name]
         deps = ", ".join(step.deps) if step.deps else "-"
-        params = json.dumps(step.params, sort_keys=True)
+        params = json_line(step.params)
         print(f"  {name:<28} deps: {deps:<40} params: {params}")
 
 

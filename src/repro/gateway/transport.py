@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import abc
 import http.client
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -32,6 +31,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from ..errors import ApiError, InvalidArgumentError, UnavailableError
 from ..metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..metrics import MetricsRegistry, TelemetryPoller
+from ..records import json_line
 from .gateway import Gateway
 from .wire import ApiRequest, ApiResponse
 
@@ -293,7 +293,7 @@ class GatewayHTTPServer(ThreadingHTTPServer):
         return self.gateway.handle(ApiRequest("health"))
 
     def _route_statsz(self) -> GetRouteResult:
-        body = json.dumps(self.gateway.stats(), sort_keys=True).encode("utf-8")
+        body = json_line(self.gateway.stats()).encode("utf-8")
         return (200, "application/json", body)
 
     def _route_metrics(self) -> GetRouteResult:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..errors import ApiError, InvalidArgumentError, error_from_dict
+from ..records import canonical_json as dumps  #: the one encoder for every envelope
 
 __all__ = ["API_VERSION", "METHODS", "ApiRequest", "ApiResponse", "dumps"]
 
@@ -31,15 +32,6 @@ API_VERSION = "v2"
 
 #: Every routable API v2 method.
 METHODS = ("personalize", "predict", "predict_batch", "stats", "health", "drain")
-
-
-def dumps(payload: Dict) -> str:
-    """Canonical JSON encoding: sorted keys, fixed separators, no NaN.
-
-    One encoder for every envelope and artifact keeps the byte-stability
-    contract in a single place.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass

@@ -33,7 +33,7 @@ tenant lifecycle an explicit, audited state machine::
 from .audit import STATES, TRANSITIONS, AuditLog, LifecycleTransition
 from .detector import DriftDetector
 from .fleet import drift_fleet, synthetic_repersonalizer
-from .harness import run_lifecycle_compare, run_lifecycle_replay
+from .harness import run_lifecycle_compare, run_lifecycle_replay, score_lifecycle
 from .manager import LifecycleManager, LifecyclePolicy
 from .rollout import (
     ROLLOUT_MODES,
@@ -65,4 +65,5 @@ __all__ = [
     "synthetic_repersonalizer",
     "run_lifecycle_replay",
     "run_lifecycle_compare",
+    "score_lifecycle",
 ]

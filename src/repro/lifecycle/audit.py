@@ -8,11 +8,11 @@ The tenant lifecycle is an explicit state machine::
 
 and this module is its flight recorder.  Each edge the
 :class:`~repro.lifecycle.manager.LifecycleManager` takes becomes one frozen
-:class:`LifecycleTransition` appended to an :class:`AuditLog` — the same
-construction as the autoscaler's :class:`~repro.autoscale.ScalingDecision`
-log: monotonically sequenced, JSON with sorted keys, one line per record, so
-two same-seed runs can be diffed byte for byte and a log can be replayed
-back into typed records with :meth:`AuditLog.replay`.
+:class:`LifecycleTransition` appended to an :class:`AuditLog` — a
+:class:`~repro.records.RecordLog` of transitions, like the autoscaler's
+decision log: monotonically sequenced, one line per record, so two
+same-seed runs can be diffed byte for byte and a log can be replayed back
+into typed records with :meth:`AuditLog.replay`.
 
 Every transition is also emitted on the structured event log (kind
 ``lifecycle``), so "tail the event log" shows drift detections interleaved
@@ -21,11 +21,11 @@ with the alerts and cache evictions they caused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..metrics.events import emit
+from ..records import Record, RecordLog
 
 __all__ = ["STATES", "TRANSITIONS", "LifecycleTransition", "AuditLog"]
 
@@ -53,7 +53,7 @@ TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
-class LifecycleTransition:
+class LifecycleTransition(Record):
     """One audited edge of a tenant's lifecycle state machine."""
 
     seq: int  #: monotonic per-log sequence number
@@ -73,26 +73,12 @@ class LifecycleTransition:
                 f"legal: {TRANSITIONS[self.from_state]}"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "tenant": self.tenant,
-            "from_state": self.from_state,
-            "to_state": self.to_state,
-            "reason": self.reason,
-            "details": dict(self.details),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 class AuditLog:
     """Append-only, replayable record of every lifecycle transition."""
 
     def __init__(self) -> None:
-        self.transitions: List[LifecycleTransition] = []
+        self._log: RecordLog[LifecycleTransition] = RecordLog()
 
     def append(
         self,
@@ -104,28 +90,33 @@ class AuditLog:
         details: Optional[Dict[str, object]] = None,
     ) -> LifecycleTransition:
         """Record one edge (validating it) and mirror it to the event log."""
-        transition = LifecycleTransition(
-            seq=len(self.transitions),
-            at=float(at),
-            tenant=tenant,
-            from_state=from_state,
-            to_state=to_state,
-            reason=reason,
-            details=dict(details or {}),
+        transition = self._log.append(
+            lambda seq: LifecycleTransition(
+                seq=seq,
+                at=float(at),
+                tenant=tenant,
+                from_state=from_state,
+                to_state=to_state,
+                reason=reason,
+                details=dict(details or {}),
+            )
         )
-        self.transitions.append(transition)
         emit("lifecycle", ts=transition.at, **{
             k: v for k, v in transition.to_dict().items() if k != "at"
         })
         return transition
 
+    @property
+    def transitions(self) -> List[LifecycleTransition]:
+        return self._log.records()
+
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self._log)
 
     def entries(self, tenant: Optional[str] = None) -> List[LifecycleTransition]:
         """All transitions, optionally filtered to one tenant."""
         if tenant is None:
-            return list(self.transitions)
+            return self.transitions
         return [t for t in self.transitions if t.tenant == tenant]
 
     def states_seen(self, tenant: Optional[str] = None) -> List[str]:
@@ -133,35 +124,17 @@ class AuditLog:
         return [t.to_state for t in self.entries(tenant)]
 
     def to_jsonl(self) -> str:
-        """The whole log as JSONL (sorted keys: byte-stable per seed)."""
-        return "\n".join(t.to_json() for t in self.transitions)
+        """The whole log as newline-separated JSONL (byte-stable per seed)."""
+        return self._log.jsonl()
 
     def dump_jsonl(self, path) -> int:
         """Write the JSONL log to ``path``; returns the transition count."""
-        from pathlib import Path
-
-        text = self.to_jsonl()
-        Path(path).write_text(text + "\n" if text else "")
-        return len(self.transitions)
+        return self._log.dump(path)
 
     @classmethod
     def replay(cls, lines: Iterable[str]) -> "AuditLog":
-        """Rebuild a typed log from JSONL lines (validating every edge)."""
-        log = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            log.transitions.append(
-                LifecycleTransition(
-                    seq=int(payload["seq"]),
-                    at=float(payload["at"]),
-                    tenant=payload["tenant"],
-                    from_state=payload["from_state"],
-                    to_state=payload["to_state"],
-                    reason=payload["reason"],
-                    details=payload.get("details", {}),
-                )
-            )
-        return log
+        """Rebuild a typed log from JSONL lines; ``ValueError`` naming the
+        line on bad JSON, a wrong field set, an illegal edge or a ``seq`` gap."""
+        audit = cls()
+        audit._log = RecordLog.replay(lines, LifecycleTransition)
+        return audit

@@ -10,8 +10,9 @@ rule, for deployments that want the monitor's debounce to be the trigger.
 A tick reads the ``tenants`` stats block (what
 :class:`~repro.lifecycle.telemetry.LifecycleStatsSource` splices in) and
 keeps, per tenant, a consecutive-breach streak with a minimum-sample floor
-and a post-detection cooldown — the same debounce shape as the autoscaler's
-per-rule streaks.  When a streak matures it hands the tenant to the
+and a post-detection cooldown — the :class:`~repro.metrics.slo.Debounce`
+the autoscaler keys by rule, keyed here by tenant.  When a streak matures
+it hands the tenant to the
 :class:`~repro.lifecycle.manager.LifecycleManager` (``on_drift``); tenants
 mid-canary get their verdict evaluated instead.  The detector holds no
 policy of its own: thresholds come from the manager's
@@ -24,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..metrics.slo import Debounce
 from .manager import LifecycleManager
 
 __all__ = ["DriftDetector"]
@@ -43,8 +45,7 @@ class DriftDetector:
         self.ticks = 0
         self.detections = 0  #: drift signals the manager accepted
         self.verdicts = 0  #: canary promotions + rollbacks triggered here
-        self._streaks: Dict[str, int] = {}
-        self._cooldown_until: Dict[str, int] = {}
+        self._debounce = Debounce()  #: streak and cooldown per tenant
 
     # -- wiring (mirrors Autoscaler.attach / .wire) ---------------------------
     def attach(self, poller) -> "DriftDetector":
@@ -83,22 +84,19 @@ class DriftDetector:
                 requests, (int, float)
             ):
                 continue
-            if requests < self.policy.min_requests:
-                self._streaks[tenant] = 0
+            streak = self._debounce.observe(
+                tenant,
+                requests >= self.policy.min_requests
+                and accuracy < self.policy.min_accuracy,
+            )
+            if streak < self.policy.for_samples:
                 continue
-            if accuracy < self.policy.min_accuracy:
-                self._streaks[tenant] = self._streaks.get(tenant, 0) + 1
-            else:
-                self._streaks[tenant] = 0
-                continue
-            if self._streaks[tenant] < self.policy.for_samples:
-                continue
-            if self.ticks < self._cooldown_until.get(tenant, 0):
+            if self._debounce.resting(tenant, self.ticks):
                 continue
             evidence = {
                 "accuracy": round(float(accuracy), 6),
                 "requests": int(requests),
-                "streak": self._streaks[tenant],
+                "streak": streak,
                 "threshold": self.policy.min_accuracy,
                 "tick": self.ticks,
             }
@@ -109,8 +107,8 @@ class DriftDetector:
                 # cooldown; a deferred one (manager waiting for fresher
                 # labels) keeps the matured streak so the next tick retries.
                 self.detections += 1
-                self._streaks[tenant] = 0
-                self._cooldown_until[tenant] = self.ticks + self.policy.cooldown_ticks
+                self._debounce.clear(tenant)
+                self._debounce.rest(tenant, self.ticks + self.policy.cooldown_ticks)
 
     # -- the alert path -------------------------------------------------------
     def on_alert(self, alert) -> None:
@@ -143,5 +141,5 @@ class DriftDetector:
             "ticks": self.ticks,
             "detections": self.detections,
             "verdicts": self.verdicts,
-            "streaks": {t: s for t, s in sorted(self._streaks.items()) if s},
+            "streaks": self._debounce.streaks(),
         }

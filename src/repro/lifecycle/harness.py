@@ -46,7 +46,7 @@ from .manager import LifecycleManager, LifecyclePolicy
 from .rollout import RolloutMiddleware, RolloutTable
 from .telemetry import AccuracyTracker, LifecycleStatsSource
 
-__all__ = ["run_lifecycle_replay", "run_lifecycle_compare"]
+__all__ = ["run_lifecycle_replay", "run_lifecycle_compare", "score_lifecycle"]
 
 
 def _round6(value: float) -> float:
@@ -199,6 +199,28 @@ def run_lifecycle_replay(
     }
 
 
+def score_lifecycle(
+    static: Dict[str, object], managed: Dict[str, object]
+) -> Dict[str, object]:
+    """Score a static and a managed replay of one workload: accuracy
+    recovered at held SLO (the ``lifecycle-compare`` experiment's verdict)."""
+    static_final = static["accuracy"]["final_window"] or 0.0
+    managed_final = managed["accuracy"]["final_window"] or 0.0
+    slo_held = (
+        managed["outcomes"]["failed"] == 0
+        and managed["outcomes"]["completed"] == managed["requests"]
+    )
+    return {
+        "static_final_accuracy": _round6(static_final),
+        "managed_final_accuracy": _round6(managed_final),
+        "accuracy_delta": _round6(managed_final - static_final),
+        "promoted": managed["manager"]["promoted"],
+        "rolled_back": managed["manager"]["rolled_back"],
+        "slo_held": slo_held,
+        "lifecycle_wins": bool(managed_final > static_final and slo_held),
+    }
+
+
 def run_lifecycle_compare(
     scenario: str = "drift-step",
     tenants: int = 4,
@@ -216,12 +238,6 @@ def run_lifecycle_compare(
         scenario, tenants=tenants, requests=requests, seed=seed,
         lifecycle=True, policy=policy, **kwargs,
     )
-    static_final = static["accuracy"]["final_window"] or 0.0
-    managed_final = managed["accuracy"]["final_window"] or 0.0
-    slo_held = (
-        managed["outcomes"]["failed"] == 0
-        and managed["outcomes"]["completed"] == managed["requests"]
-    )
     return {
         "scenario": scenario,
         "requests": requests,
@@ -229,13 +245,5 @@ def run_lifecycle_compare(
         "seed": seed,
         "static": static,
         "managed": managed,
-        "compare": {
-            "static_final_accuracy": _round6(static_final),
-            "managed_final_accuracy": _round6(managed_final),
-            "accuracy_delta": _round6(managed_final - static_final),
-            "promoted": managed["manager"]["promoted"],
-            "rolled_back": managed["manager"]["rolled_back"],
-            "slo_held": slo_held,
-            "lifecycle_wins": bool(managed_final > static_final and slo_held),
-        },
+        "compare": score_lifecycle(static, managed),
     }

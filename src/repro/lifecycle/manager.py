@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..records import Record
 from ..serve.registry import ModelRegistry
 from .audit import AuditLog
 from .rollout import ROLLOUT_MODES, RolloutTable, split_arm
@@ -39,7 +40,7 @@ __all__ = ["LifecyclePolicy", "LifecycleManager"]
 
 
 @dataclass(frozen=True)
-class LifecyclePolicy:
+class LifecyclePolicy(Record):
     """The knobs of one lifecycle control loop (all deterministic)."""
 
     min_accuracy: float = 0.75  #: served-head accuracy floor
@@ -71,20 +72,6 @@ class LifecyclePolicy:
             raise ValueError(f"cooldown_ticks must be >= 0, got {self.cooldown_ticks}")
         if self.max_versions < 2:
             raise ValueError(f"max_versions must be >= 2, got {self.max_versions}")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "min_accuracy": self.min_accuracy,
-            "for_samples": self.for_samples,
-            "min_requests": self.min_requests,
-            "cooldown_ticks": self.cooldown_ticks,
-            "canary_fraction": self.canary_fraction,
-            "canary_min_requests": self.canary_min_requests,
-            "promote_margin": self.promote_margin,
-            "rollout_mode": self.rollout_mode,
-            "rollout_seed": self.rollout_seed,
-            "max_versions": self.max_versions,
-        }
 
 
 class LifecycleManager:

@@ -24,13 +24,13 @@ mutations and decisions share one lock: once :meth:`RolloutTable.clear`
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..gateway.middleware import Middleware
 from ..metrics.events import emit
+from ..records import Record, RecordLog
 
 __all__ = [
     "ROLLOUT_MODES",
@@ -55,7 +55,7 @@ def split_arm(seed: int, tenant: str, request_id: Optional[str], fraction: float
 
 
 @dataclass(frozen=True)
-class RolloutEntry:
+class RolloutEntry(Record):
     """One in-flight rollout: which versions, how much traffic, which mode."""
 
     tenant: str
@@ -71,19 +71,9 @@ class RolloutEntry:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "stable": self.stable,
-            "canary": self.canary,
-            "fraction": self.fraction,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
-class RolloutDecision:
+class RolloutDecision(Record):
     """One routed request: the audit record of a single split decision."""
 
     seq: int
@@ -95,24 +85,10 @@ class RolloutDecision:
     mode: str
     fraction: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "tenant": self.tenant,
-            "request_id": self.request_id,
-            "arm": self.arm,
-            "serve": self.serve,
-            "shadow": self.shadow,
-            "mode": self.mode,
-            "fraction": self.fraction,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 class RolloutTable:
-    """Thread-safe per-tenant rollout state + the decision log.
+    """Thread-safe per-tenant rollout state + a
+    :class:`~repro.records.RecordLog` of decisions.
 
     One lock covers entry mutation *and* decision making, which is what
     makes :meth:`clear` (rollback) atomic under concurrent requests: a
@@ -125,8 +101,10 @@ class RolloutTable:
         self._entries: Dict[str, RolloutEntry] = {}
         self._lock = threading.Lock()
         self.log_decisions = log_decisions
-        self.decisions: List[RolloutDecision] = []
-        self._seq = 0
+        # Unlogged tables still number their decisions: a zero-capacity log.
+        self._log: RecordLog[RolloutDecision] = RecordLog(
+            capacity=None if log_decisions else 0
+        )
 
     # -- table mutation -------------------------------------------------------
     def start(
@@ -174,8 +152,12 @@ class RolloutTable:
 
     @property
     def seq(self) -> int:
-        with self._lock:
-            return self._seq
+        """Decisions made so far (the next decision's sequence number)."""
+        return self._log.appended
+
+    @property
+    def decisions(self) -> List[RolloutDecision]:
+        return self._log.records()
 
     # -- decisions ------------------------------------------------------------
     def decide(self, tenant: str, request_id: Optional[str]) -> Optional[RolloutDecision]:
@@ -193,33 +175,30 @@ class RolloutTable:
             else:
                 serve = entry.canary if arm == "canary" else entry.stable
                 shadow = None
-            decision = RolloutDecision(
-                seq=self._seq,
-                tenant=tenant,
-                request_id=request_id,
-                arm=arm,
-                serve=serve,
-                shadow=shadow,
-                mode=entry.mode,
-                fraction=entry.fraction,
+            return self._log.append(
+                lambda seq: RolloutDecision(
+                    seq=seq,
+                    tenant=tenant,
+                    request_id=request_id,
+                    arm=arm,
+                    serve=serve,
+                    shadow=shadow,
+                    mode=entry.mode,
+                    fraction=entry.fraction,
+                )
             )
-            self._seq += 1
-            if self.log_decisions:
-                self.decisions.append(decision)
-            return decision
 
     def decision_log_jsonl(self) -> str:
-        """Every decision as JSONL (sorted keys: byte-stable per seed)."""
-        return "\n".join(d.to_json() for d in self.decisions)
+        """Every decision as newline-separated JSONL (byte-stable per seed)."""
+        return self._log.jsonl()
 
     def counts(self) -> Dict[str, int]:
         """Decision totals by serving arm plus shadow duplicates."""
         by_arm = {"stable": 0, "canary": 0, "shadow": 0}
-        with self._lock:
-            for decision in self.decisions:
-                by_arm[decision.arm] += 1
-                if decision.shadow is not None:
-                    by_arm["shadow"] += 1
+        for decision in self.decisions:
+            by_arm[decision.arm] += 1
+            if decision.shadow is not None:
+                by_arm["shadow"] += 1
         return by_arm
 
 

@@ -9,10 +9,10 @@ retries, alerts firing and resolving.  Producers call the module-level
 :func:`set_event_log` — so the serving hot paths pay nothing when nobody is
 watching.
 
-An :class:`EventLog` is a thread-safe bounded ring plus an optional JSONL
-file sink (one ``json.dumps`` per line, append-only, flushed per event so a
-crashed run keeps its history).  Subscribers get every event synchronously;
-the :class:`~repro.metrics.slo.SLOMonitor` publishes its alerts through the
+An :class:`EventLog` is a :class:`~repro.records.RecordLog` of
+:class:`Event` records — bounded ring, optional JSONL sink, synchronous
+subscribers all come from there — plus a clock and the kind vocabulary.
+The :class:`~repro.metrics.slo.SLOMonitor` publishes its alerts through the
 same channel, so "tail the event log" is the one debugging story.
 
 Events are per-process: process-mode shard children run with no log
@@ -22,12 +22,11 @@ cluster-level lifecycle (add/kill/drain, admission, frontend failures).
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
+
+from ..records import Record, RecordLog
 
 __all__ = [
     "Event",
@@ -60,7 +59,7 @@ EVENT_KINDS = (
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(Record):
     """One immutable lifecycle event: timestamp, kind, free-form fields."""
 
     ts: float
@@ -70,13 +69,16 @@ class Event:
     def to_dict(self) -> Dict[str, object]:
         return {"ts": self.ts, "kind": self.kind, **self.fields}
 
-    def to_json(self) -> str:
-        """One JSONL line (sorted keys, so identical events render identically)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "Event":
+        if not {"ts", "kind"} <= set(payload):
+            raise ValueError(f"Event: needs ts and kind, got {sorted(payload)}")
+        rest = dict(payload)
+        return cls(ts=rest.pop("ts"), kind=rest.pop("kind"), fields=rest)
 
 
-class EventLog:
-    """Bounded in-memory event ring with optional JSONL sink + subscribers."""
+class EventLog(RecordLog[Event]):
+    """A bounded :class:`~repro.records.RecordLog` of :class:`Event` records."""
 
     def __init__(
         self,
@@ -86,66 +88,33 @@ class EventLog:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__(capacity, path)
         self.clock = clock
-        self._lock = threading.Lock()
-        self._events: Deque[Event] = deque(maxlen=capacity)
-        self._subscribers: List[Callable[[Event], None]] = []
-        self._sink = open(path, "a") if path is not None else None
-        self.emitted = 0
 
     def emit(self, kind: str, ts: Optional[float] = None, **fields: object) -> Event:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}; known: {EVENT_KINDS}")
         event = Event(ts=self.clock() if ts is None else float(ts), kind=kind,
                       fields=fields)
-        with self._lock:
-            self._events.append(event)
-            self.emitted += 1
-            subscribers = list(self._subscribers)
-            if self._sink is not None:
-                self._sink.write(event.to_json() + "\n")
-                self._sink.flush()
-        for subscriber in subscribers:
-            subscriber(event)
-        return event
+        return self.append(lambda seq: event)
 
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        """Register a synchronous observer of every future event."""
-        with self._lock:
-            self._subscribers.append(callback)
+    @property
+    def emitted(self) -> int:
+        """Events ever emitted (the ring may hold fewer)."""
+        return self.appended
 
     def events(self, kind: Optional[str] = None) -> List[Event]:
         """The resident events (oldest first), optionally filtered by kind."""
-        with self._lock:
-            resident = list(self._events)
+        resident = self.records()
         if kind is None:
             return resident
         return [e for e in resident if e.kind == kind]
 
-    def counts(self) -> Dict[str, int]:
+    def counts(self, key: str = "kind") -> Dict[str, int]:
         """Resident events per kind (sorted), for dashboards and summaries."""
-        out: Dict[str, int] = {}
-        for event in self.events():
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return dict(sorted(out.items()))
+        return super().counts(key)
 
-    def dump_jsonl(self, path: str) -> int:
-        """Write the resident ring to ``path`` as JSONL; returns line count."""
-        resident = self.events()
-        with open(path, "w") as fh:
-            for event in resident:
-                fh.write(event.to_json() + "\n")
-        return len(resident)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sink is not None:
-                self._sink.close()
-                self._sink = None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+    dump_jsonl = RecordLog.dump
 
 
 # -- the module-level producer seam (mirrors repro.trace's off switch) --------

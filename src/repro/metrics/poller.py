@@ -28,12 +28,18 @@ from typing import Callable, Dict, Optional
 from .registry import MetricsRegistry
 from .slo import SLOMonitor
 
-__all__ = ["TelemetryPoller", "record_sample"]
+__all__ = ["TelemetryPoller", "record_sample", "burn_rate"]
 
 
 def _num(block: Dict[str, object], key: str, default: float = 0.0) -> float:
     value = block.get(key, default)
     return float(value) if isinstance(value, (int, float)) else default
+
+
+def burn_rate(d_completed: float, d_failed: float, d_rejected: float) -> float:
+    """The bad-outcome fraction of one interval's outcome deltas (0 when idle)."""
+    interval_total = d_completed + d_failed + d_rejected
+    return (d_failed + d_rejected) / interval_total if interval_total else 0.0
 
 
 def record_sample(
@@ -160,12 +166,10 @@ def record_sample(
         tenant_accuracy.set(_num(row, "accuracy"), t=now, tenant=tenant)
         tenant_staleness.set(_num(row, "staleness_s"), t=now, tenant=tenant)
 
-    interval_total = d_completed + d_failed + d_rejected
-    burn = (d_failed + d_rejected) / interval_total if interval_total else 0.0
     registry.gauge(
         "error_burn_rate",
         "Fraction of this interval's outcomes that failed or were rejected",
-    ).set(burn, t=now)
+    ).set(burn_rate(d_completed, d_failed, d_rejected), t=now)
 
 
 class TelemetryPoller:

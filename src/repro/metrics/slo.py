@@ -30,13 +30,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .events import EventLog
+from ..records import Record
+from .events import EventLog, emit
 from .registry import MetricsRegistry
 
 __all__ = [
     "AlertRule",
     "Alert",
+    "Debounce",
     "SLOMonitor",
+    "check_rule",
+    "holds",
     "p99_over",
     "rejection_burn_rate",
     "queue_depth_sustained",
@@ -52,8 +56,60 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
 }
 
 
+def check_rule(op: str, for_samples: int) -> None:
+    """Validate the comparison and hold count every threshold rule carries."""
+    if op not in _OPS:
+        raise ValueError(f"unknown op {op!r}; known: {sorted(_OPS)}")
+    if for_samples < 1:
+        raise ValueError(f"for_samples must be >= 1, got {for_samples}")
+
+
+def holds(op: str, value: float, threshold: float) -> bool:
+    """Whether ``value <op> threshold``, for the ops :func:`check_rule` admits."""
+    return _OPS[op](value, threshold)
+
+
+class Debounce:
+    """Per key: "held for N consecutive ticks, then leave it alone until tick K".
+
+    The streak and cooldown tables of the tick-driven controllers (the
+    :class:`~repro.autoscale.Autoscaler` keys them by rule name, the
+    :class:`~repro.lifecycle.DriftDetector` by tenant), owned here so the
+    callers hold neither.  A rest is *exclusive* of its end: ``resting(key,
+    tick)`` is ``tick < until``, so a cooldown that also covers the tick it
+    expires on is ``rest(key, until + 1)``.
+    """
+
+    def __init__(self) -> None:
+        self._streaks: Dict[str, int] = {}
+        self._rest_until: Dict[str, int] = {}
+
+    def observe(self, key: str, holding: bool) -> int:
+        """Grow ``key``'s streak if ``holding`` else reset it; returns the streak."""
+        self._streaks[key] = self._streaks.get(key, 0) + 1 if holding else 0
+        return self._streaks[key]
+
+    def clear(self, key: Optional[str] = None) -> None:
+        """Reset one key's streak, or with no key every streak."""
+        for name in self._streaks if key is None else (key,):
+            self._streaks[name] = 0
+
+    def streaks(self) -> Dict[str, int]:
+        """The live (non-zero) streaks, sorted by key."""
+        return {key: n for key, n in sorted(self._streaks.items()) if n}
+
+    def rest(self, key: str, until_tick: int) -> None:
+        self._rest_until[key] = until_tick
+
+    def rest_until(self, key: str) -> int:
+        return self._rest_until.get(key, 0)
+
+    def resting(self, key: str, tick: int) -> bool:
+        return tick < self.rest_until(key)
+
+
 @dataclass(frozen=True)
-class AlertRule:
+class AlertRule(Record):
     """One declarative SLO condition over one metric's series."""
 
     name: str
@@ -65,29 +121,15 @@ class AlertRule:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"unknown op {self.op!r}; known: {sorted(_OPS)}")
-        if self.for_samples < 1:
-            raise ValueError(f"for_samples must be >= 1, got {self.for_samples}")
+        check_rule(self.op, self.for_samples)
 
     def condition(self, value: float) -> bool:
-        return _OPS[self.op](value, self.threshold)
+        return holds(self.op, value, self.threshold)
 
     def matches(self, labels: Tuple[Tuple[str, str], ...]) -> bool:
         """Whether a series' label set satisfies the rule's label filter."""
         series = dict(labels)
         return all(series.get(k) == str(v) for k, v in self.labels.items())
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "op": self.op,
-            "threshold": self.threshold,
-            "for_samples": self.for_samples,
-            "labels": dict(self.labels),
-            "description": self.description,
-        }
 
 
 @dataclass(frozen=True)
@@ -138,8 +180,10 @@ class SLOMonitor:
 
     def _emit(self, alert: Alert) -> None:
         self.alerts.append(alert)
-        if self.event_log is not None:
-            self.event_log.emit("alert", ts=alert.at, **alert.to_dict())
+        # An injected log is used alone; otherwise the process-wide seam (a
+        # no-op unless a log is installed), like every other producer.
+        publish = self.event_log.emit if self.event_log is not None else emit
+        publish("alert", ts=alert.at, **alert.to_dict())
         for subscriber in self._subscribers:
             subscriber(alert)
 

@@ -12,20 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import json
 from typing import Callable
 
+from ..records import canonical_json as canonical_dumps  #: same bytes as the wire
+
 __all__ = ["canonical_dumps", "canonical_bytes", "content_key", "code_fingerprint"]
-
-
-def canonical_dumps(payload) -> str:
-    """Canonical JSON: sorted keys, fixed separators, no NaN.
-
-    The same encoding contract as the gateway wire envelopes
-    (:func:`repro.gateway.wire.dumps`), restated here so the pipeline layer
-    does not import the serving stack just to hash a dict.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def canonical_bytes(payload) -> bytes:

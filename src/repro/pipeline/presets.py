@@ -441,25 +441,14 @@ def lifecycle_replay(ctx: StepContext) -> Dict[str, object]:
 
 def lifecycle_compare_step(ctx: StepContext) -> Dict[str, object]:
     """Score the arms: accuracy recovered at held SLO, plus the audit trail."""
-    static = ctx.inputs["static"]
+    from ..lifecycle import score_lifecycle
+
     managed = ctx.inputs["managed"]
-    static_final = static["accuracy"]["final_window"] or 0.0
-    managed_final = managed["accuracy"]["final_window"] or 0.0
-    slo_held = (
-        managed["outcomes"]["failed"] == 0
-        and managed["outcomes"]["completed"] == managed["requests"]
-    )
     return {
         "scenario": managed["scenario"],
         "requests": managed["requests"],
-        "static_final_accuracy": _round6(static_final),
-        "managed_final_accuracy": _round6(managed_final),
-        "accuracy_delta": _round6(managed_final - static_final),
-        "promoted": managed["manager"]["promoted"],
-        "rolled_back": managed["manager"]["rolled_back"],
+        **score_lifecycle(ctx.inputs["static"], managed),
         "states_seen": sorted({t["to_state"] for t in managed["audit"]}),
-        "slo_held": slo_held,
-        "lifecycle_wins": bool(managed_final > static_final and slo_held),
     }
 
 

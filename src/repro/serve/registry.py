@@ -39,6 +39,7 @@ import numpy as np
 from ..data.loader import UserProfile
 from ..nn.models import build_model
 from ..nn.module import Module
+from ..records import json_line
 from .types import EngineSpec
 
 __all__ = ["ModelRecord", "ModelRegistry"]
@@ -91,7 +92,7 @@ def _stable_model_id(arch: str, spec: EngineSpec, profile: Optional[UserProfile]
             "user_id": profile.user_id,
             "preferred_classes": list(profile.preferred_classes),
         }
-    digest = hashlib.sha1(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:8]
+    digest = hashlib.sha1(json_line(payload).encode()).hexdigest()[:8]
     user = f"u{profile.user_id}-" if profile is not None else ""
     return f"{arch}-{user}{digest}"
 

@@ -243,6 +243,30 @@ class TestAuditLog:
         ]
         assert [json.loads(line)["seq"] for line in text.splitlines()] == [0, 1, 2]
 
+    def test_replay_rejects_a_corrupted_log_naming_the_line(self):
+        audit = AuditLog()
+        audit.append(0.5, "t", "SERVING", "DRIFTING", "accuracy_drop")
+        audit.append(0.5, "t", "DRIFTING", "REPRUNING", "repersonalize")
+        first, second = audit.to_jsonl().splitlines()
+
+        def edited(line, drop=(), **changes):
+            payload = {**json.loads(line), **changes}
+            return json.dumps({k: v for k, v in payload.items() if k not in drop})
+
+        cases = {
+            "line 1: seq 1 is not the next one": [second, first],  # reordered
+            "line 3: seq 0 is not the next one": [first, second, first, second],
+            "line 2: Unterminated string": [first, second[:-5]],  # truncated
+            r"line 2: .*missing fields \['tenant'\]": [first, edited(second, drop=("tenant",))],
+            r"line 1: .*unexpected fields \['shard'\]": [edited(first, shard=3)],
+            "line 2: illegal transition DRIFTING -> PROMOTED": [
+                first, edited(second, to_state="PROMOTED"),
+            ],
+        }
+        for message, lines in cases.items():
+            with pytest.raises(ValueError, match=message):
+                AuditLog.replay(lines)
+
 
 class TestAccuracyTracker:
     def test_windowed_accuracy_per_arm(self):

@@ -281,6 +281,20 @@ class TestSLOMonitor:
         assert event.fields["rule"] == "rejection-burn-rate"
         assert event.fields["state"] == "firing"
 
+    def test_alerts_reach_the_process_wide_seam_without_an_injected_log(self):
+        registry = MetricsRegistry()
+        registry.gauge("error_burn_rate").set(0.5, t=0.0)
+        with event_log() as installed:
+            SLOMonitor(registry, (rejection_burn_rate(0.05),)).evaluate(now=0.0)
+            injected = EventLog()
+            SLOMonitor(
+                registry, (rejection_burn_rate(0.05),), event_log=injected
+            ).evaluate(now=1.0)
+        # The bare monitor emitted through the seam; the injected log was
+        # used alone, so nothing is double-counted.
+        assert [e.ts for e in installed.events("alert")] == [0.0]
+        assert [e.ts for e in injected.events("alert")] == [1.0]
+
     def test_rule_validation(self):
         with pytest.raises(ValueError, match="unknown op"):
             p99_over(1.0).__class__(name="x", metric="m", op="!", threshold=1.0)
