@@ -140,7 +140,10 @@ class Engine:
         The seam for shared-memory serving: a worker process maps another
         process's encoded arrays and hands them in here, so the encoded
         bytes exist once per host and the worker skips the per-layer encode
-        (2.5-3 ms for a CRISP ``resnet_tiny``'s 14 layers).  ``formats``
+        (2.5-3 ms for a CRISP ``resnet_tiny``'s 14 layers).  That is true of
+        storage only: the ``fast`` kernels decode each format into a private
+        GEMM operand on first use (``fmt.derived``, ~250 KiB for that
+        ``resnet_tiny``), one copy per process per resident engine.  ``formats``
         must cover exactly this module's prunable layers, each encoding the
         ``(reduction, out_channels)`` matrix of its layer — a mismatch fails
         here, not inside a kernel at the first predict; entries are kept in

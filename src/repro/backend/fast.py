@@ -1,19 +1,31 @@
-"""The ``fast`` backend: vectorized sparse kernels + im2col workspace reuse.
+"""The ``fast`` backend: decode-once sparse kernels + inference workspace reuse.
 
 Three things distinguish this backend from ``reference``:
 
-* the CSR / Blocked-Ellpack / CRISP matmuls are fully vectorized — a single
-  gather + ``einsum``/``bincount`` pass replaces the per-row (and per-nnz)
-  Python loops of :mod:`repro.sparsity.sparse_ops`;
-* inference-time ``im2col`` writes into a shape-keyed workspace buffer that
-  is reused across calls, so steady-state convolution stops paying a fresh
-  column-matrix allocation per layer per batch;
+* a compressed weight is decoded **once**, on its first matmul, into a BLAS
+  operand memoized on the format (``fmt.derived``, never serialized): CSR
+  into a dense transposed matrix, Blocked-Ellpack and CRISP into the same
+  per-block-row tile stack, which one shared function (:func:`_tile_matmul`)
+  multiplies — a batched tile GEMM, then a GEMM with a 0/1 matrix that sums
+  the tile contributions into their output block columns.  CRISP's N:M
+  offsets are weight-side metadata, so resolving them is part of that
+  decode, not of every call.  The per-row / per-value Python loops of
+  :mod:`repro.sparsity.sparse_ops` stay the oracle;
+* inference-time ``im2col`` writes into shape-keyed workspace buffers that
+  are reused across calls, so steady-state convolution pays neither a fresh
+  column-matrix allocation nor an ``np.pad`` per layer per batch;
 * training-mode convolutions fall through to the reference functions, so
   training numerics stay bit-identical.
 
+What is decoded is private to the process and lives as long as the format
+object (for a served tenant: until its engine leaves the cache).  It is a
+function of the stored arrays alone — its size does not depend on the batch
+widths a weight has been multiplied with.  Storage, ``arrays()`` and the
+shared-memory segments are untouched by it.
+
 All kernels produce outputs within floating-point round-off of the reference
 backend (the parity suite pins this to 1e-8); they are *not* guaranteed to
-be bit-exact because vectorized reductions may re-associate sums.
+be bit-exact because BLAS reductions may re-associate sums.
 """
 
 from __future__ import annotations
@@ -40,21 +52,14 @@ __all__ = [
 ]
 
 
-def _pad_rows(activations: np.ndarray, block: int) -> np.ndarray:
-    """Zero-pad activation rows up to a block multiple (no copy when aligned)."""
-    short = (-activations.shape[0]) % block
-    if short == 0:
-        return activations
-    return np.pad(activations, ((0, short), (0, 0)))
-
-
 class WorkspaceCache:
     """Shape-keyed cache of reusable scratch buffers.
 
     ``get`` returns a buffer for ``key`` if one with a matching shape/dtype
-    is already cached, otherwise allocates (evicting FIFO beyond
-    ``max_buffers``).  Buffer contents are *not* preserved between calls —
-    callers must overwrite them fully.
+    is already cached, otherwise allocates a zero-filled one (evicting FIFO
+    beyond ``max_buffers``).  A buffer comes back as its last user left it:
+    callers overwrite what they read, and a caller that only ever writes the
+    interior keeps the zero border it was allocated with.
     """
 
     def __init__(self, max_buffers: int = 64) -> None:
@@ -76,7 +81,7 @@ class WorkspaceCache:
             self.misses += 1
             while len(self._buffers) >= self.max_buffers:
                 self._buffers.popitem(last=False)
-            buf = np.empty(shape, dtype=dtype)
+            buf = np.zeros(shape, dtype=dtype)
             self._buffers[key] = buf
             return buf
 
@@ -91,23 +96,6 @@ class WorkspaceCache:
 # ---------------------------------------------------------------------------
 # Vectorized sparse kernels
 # ---------------------------------------------------------------------------
-
-def _tile_scatter_index(fmt, block: int, batch: int) -> np.ndarray:
-    """Flat ``bincount`` indices scattering per-tile GEMM results by block column.
-
-    Element ``(tile, c, b)`` of a ``(tiles, block, batch)`` contribution array
-    lands at flat position ``block_cols[tile] * block * batch + c * batch + b``
-    of the ``(out_block_cols * block, batch)`` output.
-    """
-    cache = fmt.derived
-    key = ("scatter", batch)
-    idx = cache.get(key)
-    if idx is None:
-        base = fmt.block_cols.reshape(-1) * (block * batch)
-        idx = (base[:, None] + np.arange(block * batch)[None, :]).ravel()
-        cache[key] = idx
-    return idx
-
 
 def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
     """Vectorized CSR GEMM: one gather-scatter decode, then a BLAS GEMM.
@@ -128,17 +116,52 @@ def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
     return dense_t @ activations
 
 
-def blocked_ellpack_matmul_fast(
-    fmt: BlockedEllpackFormat, activations: np.ndarray
-) -> np.ndarray:
-    """Vectorized Blocked-Ellpack GEMM: block-row-batched matmul + bincount scatter.
+def _ellpack_row_tiles(fmt: BlockedEllpackFormat) -> np.ndarray:
+    """The stored ``(B, B)`` tiles, transposed and stacked per block-row."""
+    block_rows, slots = fmt.block_cols.shape
+    block = fmt.block_size
+    return np.ascontiguousarray(
+        fmt.blocks.transpose(0, 1, 3, 2).reshape(block_rows, slots * block, block)
+    )
 
-    The retained tiles of each block-row are viewed as one
-    ``(slots * B, B)`` operand (cached on the format), so the whole compute
-    is a single batched matmul over block-rows; results are scattered to
-    their output block columns with one ``bincount``.  Padded (unused) slots
-    hold all-zero tiles, so their contributions vanish without a validity
-    mask.
+
+def _crisp_row_tiles(fmt: CRISPFormat) -> np.ndarray:
+    """Resolve the N:M MUX: every stored value goes to the row its offset names.
+
+    Only non-zero stored values are placed (the rule :meth:`CRISPFormat.to_dense`
+    follows), so a padding entry — value 0 **and** offset 0 — never lands on
+    the real weight a group keeps at offset 0.
+    """
+    block_rows, slots = fmt.block_cols.shape
+    block, m = fmt.block_size, fmt.m
+    tiles = np.zeros((block_rows, slots, block, block // m, m))
+    br, slot, g, col, k = np.nonzero(fmt.group_values)
+    tiles[br, slot, col, g, fmt.group_offsets[br, slot, g, col, k]] = fmt.group_values[
+        br, slot, g, col, k
+    ]
+    return tiles.reshape(block_rows, slots * block, block)
+
+
+def _tile_matmul(fmt, activations: np.ndarray, build_row_tiles) -> np.ndarray:
+    """``weight.T @ activations`` for a format that keeps ``(B, B)`` tiles per block-row.
+
+    Two GEMMs over operands derived from the weights alone and memoized as
+    ``fmt.derived["tile_gemm"]`` on first use:
+
+    * ``row_tiles`` ``(block_rows, slots * B, B)`` — each block-row's retained
+      tiles, transposed and stacked, so one batched matmul against the
+      block-row's ``(B, batch)`` activation tile yields every tile's
+      contribution.  ``build_row_tiles(fmt)`` is the only thing that differs
+      between formats.  Unused slots hold all-zero tiles and contribute
+      nothing, so there is no validity mask.
+    * ``scatter`` ``(out_block_cols, block_rows * slots)`` — 0/1, row ``c``
+      selecting the tiles stored at block column ``c`` — so summing the
+      contributions into their output blocks is one more GEMM.  It costs
+      ``out_block_cols / B`` of the first GEMM's multiplies and
+      ``out_block_cols / B**2`` of its bytes.
+
+    Neither depends on the batch width, so what a served weight holds in
+    ``derived`` is fixed after its first call.
     """
     rows, cols = fmt.shape
     check_activation_rows(fmt, activations)
@@ -146,66 +169,44 @@ def blocked_ellpack_matmul_fast(
     block = fmt.block_size
     batch = activations.shape[1]
     block_rows, slots = fmt.block_cols.shape
-    out_block_cols = -(-cols // block)
 
-    cache = fmt.derived
-    row_tiles = cache.get("row_tiles")
-    if row_tiles is None:
-        # (block_rows, slots * B, B): tile c-axis first so each block-row's
-        # retained tiles stack into one GEMM operand.
-        row_tiles = np.ascontiguousarray(
-            fmt.blocks.transpose(0, 1, 3, 2).reshape(block_rows, slots * block, block)
-        )
-        cache["row_tiles"] = row_tiles
+    operands = fmt.derived.get("tile_gemm")
+    if operands is None:
+        scatter = np.zeros((-(-cols // block), block_rows * slots))
+        scatter[fmt.block_cols.reshape(-1), np.arange(block_rows * slots)] = 1.0
+        # One assignment, so a concurrent first call never sees half of it.
+        operands = fmt.derived["tile_gemm"] = (build_row_tiles(fmt), scatter)
+    row_tiles, scatter = operands
 
-    act_tiles = _pad_rows(activations, block).reshape(block_rows, block, batch)
+    if rows != block_rows * block:
+        # Rows short of a block multiple meet zero weights; np.pad costs
+        # more than the GEMM on serving-sized layers.
+        padded = np.zeros((block_rows * block, batch))
+        padded[:rows] = activations
+        activations = padded
 
-    # contrib[r, s*B + c, b] = sum_i blocks[r, s, i, c] * act_tiles[r, i, b]
-    contrib = np.matmul(row_tiles, act_tiles)
+    # contrib[r, s * B + c, b] = sum_i tile[r, s][i, c] * activations[r * B + i, b]
+    contrib = np.matmul(row_tiles, activations.reshape(block_rows, block, batch))
+    out = scatter @ contrib.reshape(block_rows * slots, block * batch)
+    return out.reshape(scatter.shape[0] * block, batch)[:cols]
 
-    flat_idx = _tile_scatter_index(fmt, block, batch)
-    out = np.bincount(
-        flat_idx, weights=contrib.ravel(), minlength=out_block_cols * block * batch
-    )
-    return out.reshape(out_block_cols * block, batch)[:cols]
+
+def blocked_ellpack_matmul_fast(
+    fmt: BlockedEllpackFormat, activations: np.ndarray
+) -> np.ndarray:
+    """Vectorized Blocked-Ellpack GEMM: :func:`_tile_matmul` over the stored tiles."""
+    return _tile_matmul(fmt, activations, _ellpack_row_tiles)
 
 
 def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
-    """Vectorized CRISP GEMM: offset gather (the N:M MUX) + einsum reduction.
+    """Vectorized CRISP GEMM: decode the N:M offsets once, then :func:`_tile_matmul`.
 
-    The stored intra-group offsets index directly into the activation groups
-    — one fancy-indexing gather materialises the activation operand of every
-    retained weight, and an einsum folds the N and group axes.  Zero-valued
-    padding entries carry offset 0, so they gather a valid activation but
-    contribute nothing; the block-column scatter is the same cached-index
-    ``bincount`` as the Blocked-Ellpack kernel.
+    The offsets are weight-side metadata, so the MUX of Fig. 6 is resolved
+    on the first call (:func:`_crisp_row_tiles`) into the operand the
+    Blocked-Ellpack kernel uses; every later call is the same two GEMMs.
+    What is stored and shipped stays the CRISP encoding.
     """
-    rows, cols = fmt.shape
-    check_activation_rows(fmt, activations)
-    activations = np.asarray(activations, dtype=np.float64)
-    block, m = fmt.block_size, fmt.m
-    batch = activations.shape[1]
-    block_rows, slots = fmt.block_cols.shape
-    groups = block // m
-    out_block_cols = -(-cols // block)
-
-    act_groups = _pad_rows(activations, block).reshape(block_rows, groups, m, batch)
-
-    br = np.arange(block_rows)[:, None, None, None, None]
-    g = np.arange(groups)[None, None, :, None, None]
-    # gathered[r, s, g, c, k, b] = act_groups[r, g, offsets[r, s, g, c, k], b]
-    gathered = act_groups[br, g, fmt.group_offsets]
-
-    # tile_contrib[r, s, c, b] = sum_{g, k} values[r, s, g, c, k] * gathered[...]
-    tile_contrib = np.einsum("rsgck,rsgckb->rscb", fmt.group_values, gathered)
-
-    flat_idx = _tile_scatter_index(fmt, block, batch)
-    out = np.bincount(
-        flat_idx,
-        weights=tile_contrib.ravel(),
-        minlength=out_block_cols * block * batch,
-    )
-    return out.reshape(out_block_cols * block, batch)[:cols]
+    return _tile_matmul(fmt, activations, _crisp_row_tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +242,21 @@ class FastBackend(ReferenceBackend):
             # A backward pass may hold onto the columns; never hand out a
             # shared buffer that a later forward would overwrite.
             return F.im2col(x, kernel_h, kernel_w, stride, padding)
-        windows, (n, c, out_h, out_w) = F.im2col_windows(
-            x, kernel_h, kernel_w, stride, padding
-        )
         # The workspace is keyed by thread identity as well as shape: concurrent
         # serving shards (repro.cluster) run same-shaped convolutions in
         # parallel, and a shared buffer would let one thread overwrite another's
         # columns between the copy and the GEMM that consumes them.
-        key = ("im2col", threading.get_ident(), x.shape, kernel_h, kernel_w, stride, padding)
+        thread = threading.get_ident()
+        if padding > 0:
+            # Same zero border np.pad builds, without its per-call overhead.
+            n, c, h, w = x.shape
+            padded = self._workspace.get(
+                ("pad", thread, x.shape, padding), (n, c, h + 2 * padding, w + 2 * padding), x.dtype
+            )
+            padded[:, :, padding:-padding, padding:-padding] = x
+            x = padded
+        windows, (n, c, out_h, out_w) = F.im2col_windows(x, kernel_h, kernel_w, stride, 0)
+        key = ("im2col", thread, x.shape, kernel_h, kernel_w, stride)
         buf = self._workspace.get(key, (n, out_h, out_w, c, kernel_h, kernel_w), x.dtype)
         np.copyto(buf, windows.transpose(0, 4, 5, 1, 2, 3))
         return buf.reshape(n * out_h * out_w, c * kernel_h * kernel_w)

@@ -110,7 +110,7 @@ class WeightFormat(ABC):
     is_lossless = True
 
     #: Memo of what a kernel derives from the stored arrays alone (the fast
-    #: backend's gather/scatter indices).  Never serialized, so a rebuilt
+    #: backend's decoded GEMM operands).  Never serialized, so a rebuilt
     #: encoding starts empty; stale if arrays are mutated in place — re-encode.
     derived: dict = field(default_factory=dict, init=False)
 

@@ -23,8 +23,10 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
+from repro.backend.fast import blocked_ellpack_matmul_fast, crisp_matmul_fast
 from repro.experiments import configure_backend
 from repro.hw import workloads_from_engine, workloads_from_model
+from repro.nn import functional as F
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.sparsity import (
@@ -36,6 +38,7 @@ from repro.sparsity import (
     masked_matmul,
     sparse_matmul,
 )
+from repro.sparsity.sparse_ops import crisp_matmul_reference
 
 BACKENDS = ["reference", "fast"]
 
@@ -172,6 +175,103 @@ class TestSparseKernelParity:
                 )
 
 
+def reassembled(fmt):
+    """The matrix the fast kernel's decoded ``row_tiles`` operand stands for."""
+    row_tiles, _ = fmt.derived["tile_gemm"]
+    block = fmt.block_size
+    block_rows, slots = fmt.block_cols.shape
+    tiles = row_tiles.reshape(block_rows, slots, block, block)  # [r, s, col, row]
+    padded = np.zeros((block_rows * block, -(-fmt.shape[1] // block) * block))
+    for r in range(block_rows):
+        for s in range(slots):
+            if s < fmt.blocks_per_row[r]:
+                c = fmt.block_cols[r, s]
+                padded[r * block : (r + 1) * block, c * block : (c + 1) * block] = tiles[r, s].T
+            else:
+                assert not tiles[r, s].any()  # slot padding decodes to nothing
+    return padded[: fmt.shape[0], : fmt.shape[1]]
+
+
+class TestTileGemmDecode:
+    """CRISP's N:M offsets are resolved once, into the operand Blocked-Ellpack
+    uses; what that operand holds must be exactly what the encoding holds."""
+
+    @given(
+        nm=st.sampled_from([(1, 4), (2, 4), (3, 4), (2, 8)]),
+        block_size=st.sampled_from([8, 16]),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        density=st.sampled_from([0.08, 0.4, 0.95]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decoded_row_tiles_are_to_dense_bit_for_bit(
+        self, nm, block_size, rows, cols, density, seed
+    ):
+        """Any shape, any pattern: sparse groups leave padding beside a weight
+        at offset 0, dense ones violate N:M (a lossy encode), dropped tiles
+        leave block-rows of different widths (slot padding)."""
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        weight = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        grid = (-(-rows // block_size), -(-cols // block_size))
+        kept = np.kron(rng.random(grid) < 0.6, np.ones((block_size, block_size)))
+        weight = weight * kept[:rows, :cols]
+        fmt = CRISPFormat.from_dense(weight, n, m, block_size)
+        acts = rng.normal(size=(rows, 1))
+
+        out = crisp_matmul_fast(fmt, acts)  # batch width 1; builds the operand
+        dense = fmt.to_dense()
+        assert fmt.is_lossless == np.array_equal(dense, weight)
+        assert reassembled(fmt).tobytes() == dense.tobytes()
+        np.testing.assert_allclose(out, crisp_matmul_reference(fmt, acts), atol=1e-8)
+        np.testing.assert_allclose(out, dense.T @ acts, atol=1e-8)
+
+    def test_offset_zero_weight_survives_the_padding_beside_it(self):
+        weight = np.zeros((8, 8))
+        weight[0, 3], weight[4, 3], weight[6, 3] = 5.0, -2.0, 7.0
+        fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
+        # Group 0 of column 3 keeps one weight, at offset 0; its second
+        # position is padding, which also says offset 0.
+        assert fmt.group_values[0, 0, 0, 3].tolist() == [5.0, 0.0]
+        assert fmt.group_offsets[0, 0, 0, 3].tolist() == [0, 0]
+        np.testing.assert_array_equal(crisp_matmul_fast(fmt, np.eye(8)), weight.T)
+        assert reassembled(fmt).tobytes() == weight.tobytes()
+
+    def test_lossy_encode_decodes_to_what_was_kept(self, rng):
+        weight = rng.normal(size=(20, 12))  # fully dense: violates 2:4 everywhere
+        fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
+        assert not fmt.is_lossless
+        acts = rng.normal(size=(20, 3))
+        out = crisp_matmul_fast(fmt, acts)
+        assert reassembled(fmt).tobytes() == fmt.to_dense().tobytes()
+        np.testing.assert_allclose(out, crisp_matmul_reference(fmt, acts), atol=1e-8)
+
+    def test_one_format_object_serves_every_fused_width(self, rng):
+        """Fast vs reference at widths 1..16, and what the first call memoized
+        is what every later call uses: nothing is added per width."""
+        weight = random_sparse(rng, 40, 23)
+        kernels = [
+            (crisp_matmul_fast, CRISPFormat.from_dense(weight, 2, 4, 8)),
+            (blocked_ellpack_matmul_fast, BlockedEllpackFormat.from_dense(weight, 8)),
+        ]
+        reference = get_backend("reference")
+        for kernel, fmt in kernels:
+            assert get_backend("fast").kernels[fmt.name] is kernel
+            operands = None
+            for width in range(1, 17):
+                acts = rng.normal(size=(40, width))
+                np.testing.assert_allclose(
+                    kernel(fmt, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
+                )
+                operands = operands or fmt.derived["tile_gemm"]
+                assert list(fmt.derived) == ["tile_gemm"]
+                assert fmt.derived["tile_gemm"] is operands
+            row_tiles, scatter = operands
+            assert row_tiles.shape == (5, fmt.block_cols.shape[1] * 8, 8)
+            assert scatter.shape == (3, fmt.block_cols.size)
+
+
 class TestDenseLayerParity:
     def test_model_forward_matches_across_backends(self, rng, tiny_resnet):
         x = rng.normal(size=(2, 3, 16, 16))
@@ -250,8 +350,9 @@ class TestDenseLayerParity:
         first = backend.im2col(x, 3, 3, 1, 1, training=False)
         second = backend.im2col(x, 3, 3, 1, 1, training=False)
         assert first.base is second.base  # same underlying workspace buffer
-        stats = backend.workspace_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
+        np.testing.assert_array_equal(second, F.im2col(x, 3, 3, 1, 1))
+        # Two buffers per padded call: the zero-bordered image and the columns.
+        assert backend.workspace_stats() == {"hits": 2, "misses": 2, "buffers": 2}
         backend.clear_workspace()
         assert backend.workspace_stats()["buffers"] == 0
 

@@ -3,7 +3,9 @@
 Covers the two serving-critical lifecycle properties: a detached engine must
 leave the module exactly as it found it (context-manager protocol), and an
 engine that outlives a re-pruning must not serve stale compressed weights
-(``refresh_formats`` regression).
+(``refresh_formats`` regression).  A third belongs to the fast kernels: what
+they memoize on an engine's formats is a function of the weights, not of the
+traffic the engine has seen.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 from repro.backend import Engine
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
-from repro.sparsity import nm_mask
+from repro.sparsity import HybridSparsityConfig, hybrid_mask, nm_mask
 
 
 @pytest.fixture
@@ -33,6 +35,30 @@ def _forward_table(model):
         name: layer.__dict__.get("forward")
         for name, layer in prunable_layers(model).items()
     }
+
+
+def _hybrid_prune(model, block_size, target_sparsity=0.8):
+    """2:4 inside uniform blocks on every prunable layer, by weight magnitude."""
+    for layer in prunable_layers(model).values():
+        mask, _ = hybrid_mask(
+            np.abs(layer.reshaped_weight()),
+            HybridSparsityConfig(2, 4, block_size),
+            target_sparsity=target_sparsity,
+        )
+        layer.set_reshaped_mask(mask)
+    return model
+
+
+def _derived_nbytes(engine):
+    """Bytes of every array the kernels have memoized on the engine's formats."""
+
+    def nbytes(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        assert isinstance(value, tuple), f"unsized derived state {type(value)}"
+        return sum(nbytes(item) for item in value)
+
+    return sum(nbytes(v) for fmt in engine.formats.values() for v in fmt.derived.values())
 
 
 class TestDetachRestoresForwards:
@@ -114,3 +140,65 @@ class TestRefreshFormats:
         fresh = Engine(model, backend="fast", weight_format="csr")
         np.testing.assert_allclose(fresh.predict(batch), masked_pred, atol=1e-10)
         fresh.detach()
+
+
+class TestDerivedState:
+    #: A ``resnet_tiny`` tenant (16x16 inputs, 2:4 in 16x16 blocks at 80 %
+    #: sparsity, the crispbench fleet's shape) decodes to ~240 KiB of tile
+    #: stacks plus ~5 KiB of scatter matrices.
+    RESNET_TINY_CEILING = 260 * 1024
+
+    @pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack"])
+    def test_derived_bytes_do_not_depend_on_the_widths_served(self, weight_format, rng):
+        """Regression: a per-batch-width scatter index grew a 20 KiB-stored
+        tenant to 1 MiB after one predict and 144 MiB after widths 1..16."""
+        model = _hybrid_prune(
+            build_model("resnet_tiny", num_classes=8, input_size=16, seed=0), block_size=16
+        )
+        engine = Engine(model, backend="fast", weight_format=weight_format)
+        try:
+            engine.predict(rng.normal(size=(1, 3, 16, 16)))
+            held = _derived_nbytes(engine)
+            assert 0 < held <= self.RESNET_TINY_CEILING
+            for width in range(1, 17):
+                engine.predict(rng.normal(size=(width, 3, 16, 16)))
+            assert _derived_nbytes(engine) == held
+        finally:
+            engine.detach()
+
+    def test_new_formats_on_a_live_engine_start_with_nothing_derived(self, model, batch):
+        """``refresh_formats`` / ``install_formats`` swap in fresh format
+        objects, so no operand decoded from the old weights is ever used."""
+        _hybrid_prune(model, block_size=8)
+        engine = Engine(model, backend="fast", weight_format="crisp", block_size=8)
+        head = list(prunable_layers(model).values())[-1]
+
+        def served_directly():
+            engine.detach()
+            model.eval()
+            try:
+                return model(batch)
+            finally:
+                engine.attach()
+
+        try:
+            before = engine.predict(batch)
+            assert all(fmt.derived for fmt in engine.formats.values())
+
+            head.weight.data *= 2.0
+            engine.refresh_formats()
+            assert not any(fmt.derived for fmt in engine.formats.values())
+            refreshed = engine.predict(batch)
+            assert not np.allclose(refreshed, before)
+            np.testing.assert_allclose(refreshed, served_directly(), atol=1e-8)
+
+            head.weight.data *= -0.5
+            fresh = Engine(model, weight_format="crisp", block_size=8, attach=False)
+            engine.install_formats(dict(fresh.formats))
+            assert all(engine.formats[name] is fmt for name, fmt in fresh.formats.items())
+            assert not any(fmt.derived for fmt in engine.formats.values())
+            installed = engine.predict(batch)
+            assert not np.allclose(installed, refreshed)
+            np.testing.assert_allclose(installed, served_directly(), atol=1e-8)
+        finally:
+            engine.detach()

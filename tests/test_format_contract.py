@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -22,7 +23,8 @@ from repro.backend import Engine, get_backend, weight_formats
 from repro.errors import InternalError
 from repro.nn.models.base import prunable_layers
 from repro.serve import EngineSpec, ModelRegistry
-from repro.shm import SharedModelSource, SharedWeightStore
+from repro.shm import SegmentLayout, SharedModelSource, SharedWeightStore
+from repro.shm.store import _describe_format
 from repro.sparsity import HybridSparsityConfig, hybrid_mask
 from repro.sparsity.formats import (
     DEFAULT_VALUE_BITS,
@@ -51,6 +53,21 @@ def read_only(arrays):
     for array in frozen.values():
         array.flags.writeable = False
     return frozen
+
+
+def shipped(fmt):
+    """Everything of an encoding that leaves the process, as comparable bytes."""
+    layout = SegmentLayout()
+    manifest = _describe_format(fmt, layout)
+    image = SimpleNamespace(buf=bytearray(layout.size))
+    layout.write_into(image)
+    return (
+        json.dumps(fmt.params(), sort_keys=True),
+        {key: (array.dtype.str, array.shape, array.tobytes()) for key, array in fmt.arrays().items()},
+        fmt.summary(),
+        json.dumps(manifest, sort_keys=True),
+        bytes(image.buf),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
@@ -84,6 +101,19 @@ class TestEveryFormat:
         np.testing.assert_array_equal(rebuilt.to_dense(), matrix)
         for key, array in rebuilt.arrays().items():
             assert array.dtype == arrays[key].dtype and not array.flags.writeable
+
+    def test_a_matmul_changes_nothing_that_ships(self, name, rng):
+        """Kernels memoize decoded operands in ``derived``; the arrays, params,
+        bit cost and shared-memory image stay the encoding's own."""
+        if name not in weight_formats("fast"):
+            return  # no kernel, so nothing is ever derived
+        matrix = hybrid_matrix(rng)
+        fmt = encode(name, matrix, N, M, BLOCK)
+        before = shipped(fmt)
+        for width in (1, 7):
+            sparse_matmul(fmt, rng.normal(size=(matrix.shape[0], width)), backend="fast")
+        assert shipped(fmt) == before
+        assert name == "dense" or fmt.derived  # the memo the kernel did keep
 
     def test_from_parts_rejects_names_it_does_not_declare(self, name, rng):
         fmt = encode(name, hybrid_matrix(rng), N, M, BLOCK)
