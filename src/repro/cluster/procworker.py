@@ -18,8 +18,12 @@ only what crosses the process boundary, and how:
   :class:`~repro.gateway.wire.ApiResponse` over a duplex pipe — the same
   byte-stable JSON the cluster already speaks externally, reused as its
   internal RPC, with typed :class:`~repro.errors.ApiError`\\ s surviving the
-  hop.  A per-worker reply-pump thread matches replies to frame ids and
-  resolves the caller's futures.
+  hop.  Inputs down, logits up and the ``stats`` frame's latency reservoir
+  all cross as packed arrays (:func:`repro.records.pack`: base64 of the raw
+  little-endian buffer, bit-exact), re-encoded at this hop by the same
+  ``to_dict`` / ``to_wire`` seams the gateway uses — nothing is passed
+  through pre-encoded.  A per-worker reply-pump thread matches replies to
+  frame ids and resolves the caller's futures.
 
 The pipe is FIFO and the loop serves ops in order, so an ``install`` sent
 before a ``predict`` is visible to it, a ``drain`` reply proves every earlier

@@ -20,6 +20,8 @@ import threading
 from collections import Counter, deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from ..records import pack, unpack
+
 __all__ = [
     "LatencyHistogram",
     "ShardTelemetry",
@@ -188,10 +190,11 @@ class LatencyHistogram:
         }
 
     def to_wire(self) -> Dict[str, object]:
-        """JSON form carrying the reservoir itself, for a lossless merge in
-        another process (see :meth:`samples` for why summaries will not do)."""
+        """JSON form carrying the reservoir itself (packed, see
+        :func:`repro.records.pack`), for a lossless merge in another process
+        (see :meth:`samples` for why summaries will not do)."""
         return {
-            "samples": list(self._samples),
+            "samples": pack(list(self._samples), "<f8"),
             "count": self.count,
             "total": self.total,
             "max": self.max,
@@ -199,8 +202,9 @@ class LatencyHistogram:
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object]) -> "LatencyHistogram":
-        histogram = cls(max_samples=max(1, len(wire["samples"])))
-        histogram._samples.extend(wire["samples"])
+        samples = unpack(wire["samples"], "<f8").tolist()  # packed, or the old list
+        histogram = cls(max_samples=max(1, len(samples)))
+        histogram._samples.extend(samples)
         histogram.count, histogram.total, histogram.max = wire["count"], wire["total"], wire["max"]
         return histogram
 

@@ -64,7 +64,7 @@ class Gateway:
     -------
     >>> gateway = Gateway(ClusterBackend(cluster))
     >>> response = gateway.handle(ApiRequest("predict", request.to_dict()))
-    >>> response.ok, response.payload["response"]["classes"]
+    >>> response.ok, PredictResponse.from_dict(response.payload["response"]).classes
     """
 
     def __init__(

@@ -13,7 +13,11 @@ The HTTP side is stdlib-only (:class:`http.server.ThreadingHTTPServer` +
 :class:`http.client.HTTPConnection`): POST the request envelope to ``/v2``;
 the HTTP status code mirrors the taxonomy code's projection (200 / 400 /
 404 / 429 / 503 / 504 / 500) while the body always carries the full
-envelope.  GET routes go through a registration table
+envelope.  Every reply — POST or GET — leaves as **one write**, header block
+and body together, on a socket with ``TCP_NODELAY`` set (``http.client``
+sets it on its side): two small writes with Nagle on is the shape the
+client's delayed ACK holds back for ~40 ms, which used to be most of an HTTP
+round trip here.  GET routes go through a registration table
 (:meth:`GatewayHTTPServer.add_get_route`): ``/healthz`` answers the health
 route for probes, ``/statsz`` the full unified stats schema as JSON, and
 ``/metrics`` the Prometheus text exposition of the gateway's telemetry
@@ -167,51 +171,60 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-gateway/2"
     protocol_version = "HTTP/1.1"  # keep-alive, so HttpTransport can reuse
+    #: TCP_NODELAY on every accepted socket: a small segment is never held
+    #: back for the peer's (delayed, ~40 ms) ACK, however a reply is written.
+    disable_nagle_algorithm = True
 
     def _reply(self, response: ApiResponse) -> None:
-        body = response.to_json().encode("utf-8")
-        self.send_response(response.http_status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._reply_raw(
+            response.http_status, "application/json", response.to_json().encode("utf-8")
+        )
 
     def _reply_raw(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """The one reply writer: header block and body leave in ONE write
+        (``end_headers()`` then ``wfile.write(body)`` is two small segments on
+        an unbuffered socket — the shape Nagle + delayed ACK stalls)."""
+        phrase = self.responses.get(status, ("",))[0]
+        head = (
+            f"{self.protocol_version} {status} {phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+        )
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+
+    def _refuse(self, message: str) -> None:
+        self._reply(ApiResponse.failure(None, InvalidArgumentError(message)))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         # Always drain the body first: an unread body would be parsed as the
         # next request line on this keep-alive connection.
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            # The body's end is unknown, so this connection cannot be reused.
+            self.close_connection = True
+            self._refuse(
+                "Content-Length must be a non-negative integer, got "
+                f"{self.headers.get('Content-Length')!r}"
+            )
+            return
         raw = self.rfile.read(length)
         if self.path != WIRE_PATH:
-            self._reply(
-                ApiResponse.failure(
-                    None,
-                    InvalidArgumentError(
-                        f"unknown path {self.path!r}; the API lives at {WIRE_PATH}"
-                    ),
-                )
-            )
+            self._refuse(f"unknown path {self.path!r}; the API lives at {WIRE_PATH}")
             return
         self._reply(self.server.gateway.handle_envelope(raw))
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         handler = self.server.get_route(self.path)
         if handler is None:
-            self._reply(
-                ApiResponse.failure(
-                    None,
-                    InvalidArgumentError(
-                        f"unknown path {self.path!r}; POST envelopes to "
-                        f"{WIRE_PATH} or GET one of "
-                        f"{self.server.get_route_paths()}"
-                    ),
-                )
+            self._refuse(
+                f"unknown path {self.path!r}; POST envelopes to {WIRE_PATH} "
+                f"or GET one of {self.server.get_route_paths()}"
             )
             return
         try:

@@ -5,7 +5,9 @@ two shapes:
 
 * :class:`ApiRequest` — ``(version, method, payload, ...)``: which API v2
   method to invoke and its JSON-compatible payload (the existing
-  :mod:`repro.serve.types` dicts ride inside unchanged).
+  :mod:`repro.serve.types` dicts ride inside unchanged; their arrays are the
+  packed ``{"dtype", "shape", "b64"}`` objects of :func:`repro.records.pack`,
+  and a nested list in their place still decodes).
 * :class:`ApiResponse` — ``(version, ok, payload, error, ...)``: the answer,
   carrying either a result payload, a structured
   :class:`~repro.errors.ApiError` wire dict, or *both* (an error plus the

@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..gateway.api import LocalBackend
 from ..gateway.gateway import Gateway, GatewayConfig
 from ..gateway.wire import ApiRequest
@@ -39,6 +37,7 @@ from ..metrics.poller import TelemetryPoller
 from ..metrics.registry import MetricsRegistry
 from ..metrics.slo import SLOMonitor, accuracy_drop
 from ..serve.service import PersonalizationService, ServiceConfig
+from ..serve.types import PredictResponse
 from .audit import AuditLog
 from .detector import DriftDetector
 from .fleet import drift_fleet, synthetic_repersonalizer
@@ -151,10 +150,10 @@ def run_lifecycle_replay(
                 failed += 1
                 continue
             completed += 1
-            body = response.payload["response"]
-            served_id = body["model_id"]
+            body = PredictResponse.from_dict(response.payload["response"])
+            served_id = body.model_id
             digest.update(f"{item.request.request_id}|{served_id}|".encode())
-            digest.update(np.asarray(body["logits"], dtype=np.float64).round(6).tobytes())
+            digest.update(body.logits.round(6).tobytes())
             hit = manager.observe_prediction(
                 item.request.model_id, item.request.request_id, served_id, item.label
             )

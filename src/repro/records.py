@@ -4,17 +4,22 @@ A *record* is a frozen dataclass mixing in :class:`Record`: its dict face is
 its fields, its JSON face one line.  Two encodings, each owned here:
 :func:`canonical_json` (compact, NaN-free — the gateway wire and every
 content hash) and :func:`json_line` (sorted keys, default separators — the
-JSONL line CI ``cmp`` compares across same-seed runs).  :class:`RecordLog`
-is the one log: thread-safe append under an atomically assigned sequence
-number, optional ring bound, optional per-record-flushed JSONL sink,
-synchronous subscribers; ``jsonl()`` is newline-*separated* text, ``dump()``
-a newline-*terminated* file, ``replay()`` the typed way back in.
+JSONL line CI ``cmp`` compares across same-seed runs).  Arrays cross every
+seam — client, gateway, worker pipe, stats frame — through the one
+:func:`pack` / :func:`unpack` pair: dtype + shape + base64 of the
+little-endian buffer, bit-exact and a tenth of the cost of decimal text.
+:class:`RecordLog` is the one log: thread-safe append under an atomically
+assigned sequence number, optional ring bound, optional per-record-flushed
+JSONL sink, synchronous subscribers; ``jsonl()`` is newline-*separated* text,
+``dump()`` a newline-*terminated* file, ``replay()`` the typed way back in.
 
-Stdlib only and imports nothing from the package, so any layer may use it.
+Imports NumPy and the error-taxonomy leaf (:mod:`repro.errors`), nothing else
+from the package, so any layer may use it.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 from collections import Counter, deque
@@ -22,7 +27,11 @@ from dataclasses import fields
 from typing import Callable, Deque, Dict, Generic, Iterable, List, Mapping
 from typing import Optional, Tuple, Type, TypeVar
 
-__all__ = ["canonical_json", "json_line", "write_jsonl", "Record", "RecordLog"]
+import numpy as np
+
+from .errors import InvalidArgumentError
+
+__all__ = ["canonical_json", "json_line", "write_jsonl", "pack", "unpack", "Record", "RecordLog"]
 
 
 def canonical_json(payload) -> str:
@@ -42,6 +51,48 @@ def write_jsonl(path, lines: Iterable[str]) -> int:
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in lines)
     return len(lines)
+
+
+def pack(array, dtype: str) -> Dict[str, object]:
+    """``array`` as its wire object ``{"dtype", "shape", "b64"}``; ``dtype`` is
+    ``"<f8"`` or ``"<i8"``.  A non-finite value is refused here with the
+    ``ValueError`` :func:`canonical_json` would have raised for its decimal
+    form: the wire stays NaN-free."""
+    array = np.asarray(array, dtype=dtype, order="C")
+    if not np.isfinite(array).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return {
+        "dtype": dtype,
+        "shape": list(array.shape),
+        "b64": base64.b64encode(array).decode("ascii"),
+    }
+
+
+def unpack(field, dtype: str) -> np.ndarray:
+    """The array a wire field carries.  A JSON object is the :func:`pack`
+    form; anything else is the nested list every encoder emitted before it,
+    which recorded streams and hand-written bodies still send.  The field is
+    outside input: a packed object that is not exactly a ``dtype`` array of
+    its declared shape raises :class:`~repro.errors.InvalidArgumentError`.
+    Returns a writable C-contiguous native-order copy (``frombuffer`` alone is
+    a read-only view that pins the decoded bytes)."""
+    native = np.dtype(dtype).newbyteorder("=")
+    if not isinstance(field, dict):
+        return np.asarray(field, dtype=native)
+    shape = field.get("shape")
+    if field.get("dtype") != dtype:
+        raise InvalidArgumentError(
+            f"packed array dtype must be {dtype!r}, got {field.get('dtype')!r}"
+        )
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise InvalidArgumentError(
+            f"packed array shape must be a list of non-negative ints, got {shape!r}"
+        )
+    try:
+        raw = base64.b64decode(field.get("b64"), validate=True)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
+    except (TypeError, ValueError) as exc:  # bad base64, or bytes != prod(shape) * 8
+        raise InvalidArgumentError(f"packed array does not decode: {exc}") from None
 
 
 def _plain(value):

@@ -5,7 +5,11 @@ caller exchanges with the :class:`~repro.serve.service.PersonalizationService`
 is one of these, and every one of them round-trips through plain
 JSON-compatible dicts (``to_dict`` / ``from_dict``) and JSON strings
 (``to_json`` / ``from_json``) so request streams can be recorded, replayed
-and shipped across process boundaries.
+and shipped across process boundaries.  Arrays (``inputs``, ``logits``,
+``classes``) are emitted in the packed form of :func:`repro.records.pack` —
+``{"dtype": "<f8", "shape": [...], "b64": ...}``, bit-exact — and never as
+nested lists; ``from_dict`` reads either, so streams recorded before the
+packed form and hand-written bodies still decode.
 
 * :class:`EngineSpec` — how to materialize an inference
   :class:`~repro.backend.engine.Engine` for a stored model (backend, weight
@@ -25,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..backend.base import weight_formats
+from ..records import pack, unpack
 
 __all__ = [
     "EngineSpec",
@@ -45,7 +50,7 @@ class _JsonMessage:
         raise NotImplementedError
 
     def to_json(self) -> str:
-        """Serialize to a JSON string (arrays become nested lists)."""
+        """Serialize to a JSON string (arrays in their packed form)."""
         return json.dumps(self.to_dict())
 
     @classmethod
@@ -197,7 +202,7 @@ class PredictRequest(_JsonMessage):
     def to_dict(self) -> Dict:
         return {
             "model_id": self.model_id,
-            "inputs": self.inputs.tolist(),
+            "inputs": pack(self.inputs, "<f8"),
             "request_id": self.request_id,
         }
 
@@ -205,7 +210,7 @@ class PredictRequest(_JsonMessage):
     def from_dict(cls, payload: Dict) -> "PredictRequest":
         return cls(
             model_id=payload["model_id"],
-            inputs=np.asarray(payload["inputs"], dtype=np.float64),
+            inputs=unpack(payload["inputs"], "<f8"),
             request_id=payload.get("request_id"),
         )
 
@@ -244,8 +249,8 @@ class PredictResponse(_JsonMessage):
         return {
             "request_id": self.request_id,
             "model_id": self.model_id,
-            "logits": self.logits.tolist(),
-            "classes": self.classes.tolist(),
+            "logits": pack(self.logits, "<f8"),
+            "classes": pack(self.classes, "<i8"),
             "batched_with": self.batched_with,
             "status": self.status,
         }
@@ -255,8 +260,8 @@ class PredictResponse(_JsonMessage):
         return cls(
             request_id=payload["request_id"],
             model_id=payload["model_id"],
-            logits=np.asarray(payload["logits"], dtype=np.float64),
-            classes=np.asarray(payload["classes"], dtype=np.int64),
+            logits=unpack(payload["logits"], "<f8"),
+            classes=unpack(payload["classes"], "<i8"),
             batched_with=int(payload.get("batched_with", 1)),
             status=int(payload.get("status", 200)),
         )

@@ -10,6 +10,13 @@ The headline invariants:
   latency/cache/queue/errors stats schema.
 """
 
+import http.client
+import io
+import json
+import socket
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -25,6 +32,7 @@ from repro.errors import (
 )
 from repro.gateway import (
     ApiRequest,
+    ApiResponse,
     ClusterBackend,
     Gateway,
     GatewayClient,
@@ -43,8 +51,10 @@ from repro.loadgen import (
     synthetic_fleet,
     FLEET_INPUT_SHAPE,
 )
+from repro.gateway.transport import _GatewayRequestHandler
+from repro.metrics import MetricsRegistry
 from repro.serve import PersonalizationService, ServiceConfig
-from repro.serve.types import PredictRequest
+from repro.serve.types import PredictRequest, PredictResponse
 
 TENANTS = 3
 
@@ -183,6 +193,201 @@ class TestTransportParity:
         client = GatewayClient(server.transport(timeout_s=1.0))
         with pytest.raises(UnavailableError):
             client.health()
+
+
+class _StubGateway:
+    """The least a transport needs behind it: every envelope answers at once,
+    so a round trip through it times the socket and nothing else."""
+
+    def handle(self, request):
+        return ApiResponse.success(request, {"status": "ok"})
+
+    handle_envelope = Gateway.handle_envelope  # the real decode, refusals included
+
+
+@pytest.fixture(scope="module")
+def stub_server():
+    """One started server over the stub for the socket tests (stopping a
+    server waits out its half-second poll, so they share it)."""
+    with serve_http(_StubGateway(), metrics=MetricsRegistry()) as server:
+        yield server
+
+
+def _nodelay(sock) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def _median_ms(call, repeats=20):
+    call()  # connect + first reply, off the clock
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1e3
+
+
+class _RecordingSocket:
+    """A socket-shaped recorder: what the handler reads, every ``sendall`` it
+    makes (the unbuffered ``wfile`` turns each ``write`` into one) and every
+    option it sets."""
+
+    def __init__(self, request: bytes) -> None:
+        self._request = io.BytesIO(request)
+        self.sent = []
+        self.options = []
+
+    def makefile(self, mode, bufsize):
+        return self._request
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+
+class TestNoStallOnReplies:
+    """A small reply must not wait out the client's delayed ACK (~40 ms): the
+    parent wrote headers and body as two small segments with Nagle on, and
+    every HTTP round trip — predicts, ``stats``, scrapes — paid 44 ms."""
+
+    #: 44 ms at the parent, 0.25 ms measured with the fix: far from both.
+    STALL_MS = 15.0
+
+    def test_both_ends_of_the_connection_disable_nagle(self, stub_server, monkeypatch):
+        accepted = []
+        accept = stub_server.get_request
+
+        def recording_accept():
+            conn, address = accept()
+            accepted.append(conn)
+            return conn, address
+
+        monkeypatch.setattr(stub_server, "get_request", recording_accept)
+        with stub_server.transport() as transport:
+            assert transport.send(ApiRequest("health")).ok
+            assert _nodelay(transport._connection.sock)  # http.client's side
+            assert len(accepted) == 1 and _nodelay(accepted[0])
+
+    def test_small_round_trips_do_not_stall(self, stub_server):
+        server = stub_server
+        with server.transport() as transport:
+            post = _median_ms(lambda: transport.send(ApiRequest("health")))
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            try:
+                def get(path):
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+
+                gets = {path: _median_ms(lambda: get(path)) for path in ("/metrics", "/healthz")}
+            finally:
+                conn.close()
+        assert post < self.STALL_MS, f"POST /v2 median {post:.1f} ms"
+        for path, median in gets.items():
+            assert median < self.STALL_MS, f"GET {path} median {median:.1f} ms"
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b'POST /v2 HTTP/1.1\r\nContent-Length: 19\r\n\r\n{"method":"health"}', 200),
+            (b"POST /v1 HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 400),
+            (b"GET /healthz HTTP/1.1\r\n\r\n", 200),
+            (b"GET /metrics HTTP/1.1\r\n\r\n", 200),
+            (b"GET /nope HTTP/1.1\r\n\r\n", 400),
+        ],
+        ids=["post", "post-bad-path", "get-healthz", "get-metrics", "get-bad-path"],
+    )
+    def test_every_reply_is_one_write(self, stub_server, request_bytes, status):
+        """Headers and body in one ``sendall``, on every route — so no reply
+        depends on ``TCP_NODELAY`` alone."""
+        sock = _RecordingSocket(request_bytes)
+        _GatewayRequestHandler(sock, ("127.0.0.1", 0), stub_server)  # handles, then returns
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) in sock.options
+        assert len(sock.sent) == 1
+        head, _, body = sock.sent[0].partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+
+    def test_loopback_and_http_answer_the_same_bytes(self, fleet, batch):
+        """One envelope, both transports, byte for byte — and the old
+        nested-list array form decodes to the logits the packed form does."""
+        registry, model_ids = fleet
+        gateway = Gateway(LocalBackend(PersonalizationService(ServiceConfig(), registry=registry)))
+        requests = [PredictRequest(m, batch, request_id=f"r{i}") for i, m in enumerate(model_ids)]
+        packed = [r.to_dict() for r in requests]
+        nested = [dict(p, inputs=batch.tolist()) for p in packed]
+        logits = {}
+        with serve_http(gateway) as server:
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+            for form, payloads in (("packed", packed), ("nested", nested)):
+                envelopes = [
+                    ApiRequest("predict", payloads[0], request_id="one"),
+                    ApiRequest("predict_batch", {"requests": payloads}, request_id="many"),
+                ]
+                for envelope in envelopes:
+                    raw = envelope.to_json().encode("utf-8")
+                    conn.request("POST", "/v2", body=raw)
+                    over_http = conn.getresponse().read()
+                    assert over_http == gateway.handle_json(raw).encode("utf-8")
+                    payload = ApiResponse.from_json(over_http.decode("utf-8")).payload
+                    items = payload.get("results") or [payload]
+                    logits[form, envelope.method] = [
+                        PredictResponse.from_dict(item["response"]).logits.tobytes()
+                        for item in items
+                    ]
+            conn.close()
+        assert "b64" not in json.dumps(nested) and "b64" in json.dumps(packed)
+        for method in ("predict", "predict_batch"):
+            assert logits["packed", method] == logits["nested", method]
+        assert len(logits["packed", "predict_batch"]) == TENANTS
+
+
+class TestMalformedContentLength:
+    """A bad ``Content-Length`` is outside input: one 400 envelope, then the
+    connection closes (the body's end is unknown).  At the parent ``-1`` hung
+    the handler in ``read(-1)`` and ``abc`` killed it without a reply."""
+
+    @staticmethod
+    def _exchange(server, content_length: str) -> bytes:
+        """Everything the server says until it closes; 2 s per socket call."""
+        with socket.create_connection((server.host, server.port), timeout=2.0) as sock:
+            sock.sendall(
+                b"POST /v2 HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                + content_length.encode("ascii")
+                + b'\r\n\r\n{"method":"health"}'
+            )
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    @pytest.mark.parametrize("content_length", ["-1", "abc"])
+    def test_answers_invalid_argument_and_closes(self, stub_server, content_length):
+        reply = self._exchange(stub_server, content_length)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        envelope = ApiResponse.from_json(body.decode("utf-8"))
+        assert not envelope.ok and envelope.error["code"] == "INVALID_ARGUMENT"
+        assert repr(content_length) in envelope.error["message"]
+        # A well-formed request on a fresh connection is served afterwards.
+        with stub_server.transport(timeout_s=2.0) as transport:
+            assert transport.send(ApiRequest("health")).ok
+
+    def test_missing_header_is_an_empty_body(self, stub_server):
+        conn = http.client.HTTPConnection(stub_server.host, stub_server.port, timeout=2.0)
+        conn.putrequest("POST", "/v2")
+        conn.endheaders()
+        response = conn.getresponse()
+        envelope = ApiResponse.from_json(response.read().decode("utf-8"))
+        conn.close()
+        assert response.status == 400 and envelope.error["code"] == "INVALID_ARGUMENT"
+        assert "not valid JSON" in envelope.error["message"]
 
 
 class TestMiddleware:

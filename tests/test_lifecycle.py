@@ -44,6 +44,7 @@ from repro.pipeline.presets import PIPELINES
 from repro.serve.cache import EngineCache
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import PersonalizationService, ServiceConfig
+from repro.serve.types import PredictResponse
 
 
 def tiny_registry(tenants=1, num_classes=6):
@@ -508,9 +509,8 @@ class TestGatewayRollback:
             )
         )
         assert response.ok, response.error
-        body = response.payload["response"]
-        logits = np.asarray(body["logits"], dtype=np.float64).tobytes()
-        return logits, body["model_id"]
+        body = PredictResponse.from_dict(response.payload["response"])
+        return body.logits.tobytes(), body.model_id
 
     def test_rollback_restores_bit_exact_stable_responses(self):
         pop, registry, tenant, table, manager, gateway = self.build_stack()

@@ -24,6 +24,7 @@ from repro.lifecycle import RolloutMiddleware, RolloutTable, split_arm
 from repro.loadgen.popularity import ClassDriftPopularity
 from repro.lifecycle.fleet import drift_fleet
 from repro.serve.service import PersonalizationService, ServiceConfig
+from repro.serve.types import PredictResponse
 
 TRIALS = list(range(50))
 
@@ -117,11 +118,8 @@ class TestShadowIsolation:
                 )
             )
             assert response.ok, response.error
-            body = response.payload["response"]
-            return (
-                np.asarray(body["logits"], dtype=np.float64).tobytes(),
-                body["model_id"],
-            )
+            body = PredictResponse.from_dict(response.payload["response"])
+            return body.logits.tobytes(), body.model_id
 
         ids = [f"req-{i}" for i in range(16)]
         baseline = [predict(rid) for rid in ids]

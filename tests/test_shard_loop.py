@@ -19,7 +19,8 @@ from repro.cluster.loop import Op, ShardLoop
 from repro.cluster.procworker import _PipeInbox, _payload
 from repro.errors import InvalidArgumentError, UnavailableError
 from repro.gateway.wire import ApiRequest, ApiResponse
-from repro.serve import PredictRequest
+from repro.cluster.telemetry import LatencyHistogram
+from repro.serve import PredictRequest, PredictResponse
 
 from test_cluster import _fleet, _stream
 
@@ -338,13 +339,14 @@ def test_same_ops_same_telemetry_whichever_sink_is_attached(fleet, monkeypatch):
     assert all(r.ok for r in replies)
     # Same answers, bit for bit, through the codec...
     answers = [
-        (reply.payload["logits"], result.logits)
+        (PredictResponse.from_dict(reply.payload).logits, result.logits)
         for reply, (_, _, result) in zip(replies, rec.events)
         if "logits" in reply.payload
     ]
     assert len(answers) == 7
     for wire_logits, logits in answers:
-        np.testing.assert_array_equal(np.asarray(wire_logits), logits)
+        assert wire_logits.tobytes() == logits.tobytes()
     # ...and the stats/stop replies carry the reservoir the parent merges.
     assert replies[-1].payload["telemetry"] == direct.telemetry.snapshot()
-    assert len(replies[-1].payload["latency_reservoir"]["samples"]) == 7
+    reservoir = LatencyHistogram.from_wire(replies[-1].payload["latency_reservoir"])
+    assert len(reservoir.samples()) == 7
