@@ -10,8 +10,8 @@ production model serving:
   tenant → shard placement with minimal movement on scale out/in.
 * :mod:`repro.cluster.loop` — :class:`~repro.cluster.loop.ShardLoop`: what
   one shard does — a private engine cache + micro-batching scheduler serving
-  ops on a deadline-or-max-batch trigger, with window bracketing for bursts —
-  written once for both worker kinds.
+  ops on a complete-, deadline- or max-batch trigger, with window bracketing
+  for bursts — written once for both worker kinds.
 * :mod:`repro.cluster.shard` — :class:`ShardWorker`: the loop on a thread,
   fed from a queue (plus what both kinds share: admission, errors).
 * :mod:`repro.cluster.procworker` — :class:`ProcessShardWorker`: the loop in

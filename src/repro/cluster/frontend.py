@@ -100,7 +100,10 @@ class ClusterConfig:
     max_batch_size: Optional[int] = None
     max_pending: int = 256  #: bounded queue length per shard
     high_water: Optional[int] = None  #: admission threshold (default: max_pending)
-    flush_interval_s: float = 0.002  #: micro-batching deadline per shard
+    #: Micro-batching bound per shard: the longest a batch waits for requests
+    #: the front has admitted but the loop does not hold yet (a batch that
+    #: holds them all, e.g. a lone request, is dispatched at once).
+    flush_interval_s: float = 0.002
     poll_interval_s: float = 0.05
     replicas: int = 64  #: hash-ring virtual nodes per shard
 
@@ -454,8 +457,8 @@ class ClusterService:
         them, so whole-burst fusion is structural (independent of host
         scheduling) on both worker kinds — the property behind bit-exact
         parity with the single-process service.  Unbracketed :meth:`submit`
-        streams fuse by the shard's flush deadline, i.e. by timing: same
-        predictions to ~1e-6, not to the bit.
+        streams fuse by the shard loop's batching trigger, i.e. by timing:
+        same predictions to ~1e-6, not to the bit.
         """
         workers = list(self._workers.values())
         for worker in workers:

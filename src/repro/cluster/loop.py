@@ -13,15 +13,27 @@ it from a pipe and answers with wire frames.  Batching, window bracketing,
 drain/stop flushing, the chaos delay, every telemetry record and the stats
 payload exist here and nowhere else, so the two kinds cannot drift apart.
 
-Batching trigger — *deadline or max batch*: the loop takes one predict, then
-keeps collecting until ``flush_interval_s`` has passed since that first
-request or ``max_batch_requests`` are in hand, and dispatches the slice
-through its scheduler so co-tenant requests fuse into one
-:meth:`~repro.backend.engine.Engine.predict_many` call.  An ``install``
-arriving mid-collection is applied without cutting the batch (it only adds a
-manifest the following predicts need); any other control op is a barrier:
-the batch in hand is dispatched first, then the op is served — ops never
-overtake the predicts sent before them.
+Batching trigger — *complete, deadline or max batch*: the loop takes one
+predict, then keeps collecting until the batch is complete,
+``flush_interval_s`` has passed since that first request or
+``max_batch_requests`` are in hand, and dispatches the slice through its
+scheduler so co-tenant requests fuse into one
+:meth:`~repro.backend.engine.Engine.predict_many` call.  The deadline exists
+to wait for company, and a *stamp* says how much is coming: the front stamps
+every predict with the number of predicts it had admitted and not yet seen
+answered at that moment, the new one included (:attr:`Op.admitted`).  A
+batch that holds as many predicts as the largest stamp among them holds
+everyone the front knew of, so it takes only what has already arrived and
+goes — a lone caller never waits; while some of them are still on their way
+(or computing their next request: closed-loop callers come back) it collects
+to the deadline as before.  A stamp can only err high — a process parent
+un-counts after the child answered, a caller may die between admission and
+post — and then costs one ``flush_interval_s``, never a wrong answer; a
+predict without a stamp is of unknown company and waits out the deadline.
+An ``install`` arriving mid-collection is applied without cutting the batch
+(it only adds a manifest the following predicts need); any other control op
+is a barrier: the batch in hand is dispatched first, then the op is served —
+ops never overtake the predicts sent before them.
 
 Window bracketing — between a ``window begin`` and its matching ``end`` the
 loop holds predicts instead of dispatching them, and the ``end`` flushes the
@@ -29,7 +41,7 @@ whole burst at once.  The inbox is FIFO, so every predict sent inside the
 bracket is inside the window: whole-burst fusion is structural, independent
 of host scheduling, which is what makes predictions bit-identical across
 deployments (fusion changes BLAS summation order, grouping does not).
-Unbracketed predicts fuse by the deadline alone, i.e. by timing.
+Unbracketed predicts fuse by the trigger above, i.e. by timing.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ class Op(NamedTuple):
     with its arguments in ``args``.  ``answer(result)`` and ``fail(exc)`` are
     the whole difference between transports on the way out: a predict's
     result is its :class:`~repro.serve.types.PredictResponse`, a control
-    op's a JSON-compatible dict.
+    op's a JSON-compatible dict.  ``admitted`` is a predict's stamp (module
+    docstring): what the loop needs in hand before it stops waiting.
     """
 
     kind: str
@@ -70,6 +83,9 @@ class Op(NamedTuple):
     #: ``time.monotonic()`` at submission (system-wide, so a parent
     #: process's stamp is comparable in its child).
     enqueued_at: float = 0.0
+    #: Predicts the front had admitted and not yet seen answered when it
+    #: admitted this one, itself included; 0 = unknown (wait the deadline).
+    admitted: int = 0
 
 
 class ShardLoop:
@@ -222,11 +238,14 @@ class ShardLoop:
         raise ValueError(f"unknown worker op {kind!r}")
 
     def _collect(self, first: Op, inbox) -> List[Op]:
-        """Deadline-or-max-batch: grow ``first`` into a dispatch batch."""
-        batch = [first]
+        """Complete, deadline or max batch: grow ``first`` into a dispatch batch."""
+        batch, company = [first], 0  # company: the largest stamp in the batch
         deadline = time.monotonic() + self.flush_interval_s
         while len(batch) < self.max_batch_requests:
-            op = self._next(inbox, max(0.0, deadline - time.monotonic()))
+            # Unknown company counts as a full batch's worth: never complete.
+            company = max(company, batch[-1].admitted or self.max_batch_requests)
+            complete = len(batch) >= company
+            op = self._next(inbox, 0.0 if complete else max(0.0, deadline - time.monotonic()))
             if op is None:
                 break
             if op.kind == "predict":
@@ -266,16 +285,17 @@ class ShardLoop:
                 self.fail(accepted, exc)
                 return
         now = time.monotonic()
-        for op, response in zip(accepted, responses):
-            latency = now - op.enqueued_at
-            if op.request.trace is not None:
-                # Transit + queue wait + batch + dispatch, recorded BEFORE
-                # the answer: resolving a future wakes the waiting caller,
-                # which reads the trace at once.
-                op.request.trace.add("shard", latency)
-            op.answer(response)
-            self.telemetry.record_completion(latency)
+        # Every span and count is recorded BEFORE the first answer: resolving
+        # a future wakes the waiting caller, which reads its trace and may
+        # read stats() at once — its own dispatch must already be in both.
         self.telemetry.record_dispatch(len(batch), depth_after)
+        for op in accepted:
+            latency = now - op.enqueued_at  # transit + queue wait + batch + dispatch
+            if op.request.trace is not None:
+                op.request.trace.add("shard", latency)
+            self.telemetry.record_completion(latency)
+        for op, response in zip(accepted, responses):
+            op.answer(response)
 
     # -- reporting --------------------------------------------------------------
     def stats(self) -> Dict:

@@ -149,7 +149,8 @@ class _PipeInbox:
                     reply["trace"] = request.trace.to_wire()
                 self._send(ApiResponse.success(frame, reply))
 
-            return Op(method, None, answer, fail, request, payload["enqueued_monotonic"])
+            return Op(method, None, answer, fail, request, payload["enqueued_monotonic"],
+                      payload.get("admitted", 0))  # a frame without it: unknown
 
         if method == "put_engine":
             payload = dict(payload, engine=pickle.loads(base64.b64decode(payload["engine"])))
@@ -179,10 +180,17 @@ def _worker_main(conn, shard_id, cfg: Dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _payload(op: Op) -> Dict:
-    """The wire payload of one op (what :meth:`_PipeInbox._op` decodes)."""
+    """The wire payload of one op (what :meth:`_PipeInbox._op` decodes).
+
+    A predict is its request plus what the child's loop needs of the
+    parent's :class:`~repro.cluster.loop.Op`: ``enqueued_monotonic`` (when it
+    was submitted) and ``admitted`` (its stamp, so the child batches by the
+    same number a thread worker's loop would see).
+    """
     if op.kind != "predict":
         return op.args or {}
-    payload = {"request": op.request.to_dict(), "enqueued_monotonic": op.enqueued_at}
+    payload = {"request": op.request.to_dict(), "enqueued_monotonic": op.enqueued_at,
+               "admitted": op.admitted}
     if op.request.trace is not None:
         payload["trace"] = True
     return payload

@@ -101,6 +101,12 @@ class ShardFront:
         frontend turns it into a 503 rejection) and counts the refusal, here
         and nowhere else.  A killed / shut-down shard raises
         :class:`ShardKilledError` / ``UnavailableError``.
+
+        The same count, read as this request joins it, is the request's
+        stamp (:attr:`Op.admitted <repro.cluster.loop.Op.admitted>`): how
+        many predicts the loop may expect before it stops waiting for more.
+        Posting happens outside the lock, so stamps can reach the loop out
+        of order; the loop goes by the largest it holds.
         """
         if not self._serving():
             raise self._down_error()
@@ -108,6 +114,7 @@ class ShardFront:
             full = self._pending >= self.max_pending
             if not full:
                 self._pending += 1
+            admitted = self._pending
         if full:
             self.telemetry.record_reject()
             raise ShardOverloadError(
@@ -117,7 +124,7 @@ class ShardFront:
         answer = partial(self._settle, future.set_result)
         fail = partial(self._settle, future.set_exception)
         try:
-            self._post(Op("predict", None, answer, fail, request, time.monotonic()))
+            self._post(Op("predict", None, answer, fail, request, time.monotonic(), admitted))
         except RuntimeError as exc:
             fail(exc)  # un-counts it
             raise

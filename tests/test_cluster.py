@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.cluster import (
 )
 from repro.cluster.telemetry import assert_stats_schema
 from repro.errors import UnavailableError
+from repro.gateway import ClusterBackend, Gateway, GatewayClient, LoopbackTransport
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.serve import (
@@ -33,6 +36,10 @@ from repro.serve import (
 from repro.shm import SharedWeightStore
 
 SPEC = EngineSpec(backend="fast", weight_format="csr")
+
+#: A flush interval long enough that "waited it out" and "did not" cannot be
+#: confused on a loaded runner.
+LONG_FLUSH_S = 0.25
 
 
 def _sparsified_model(seed=0, num_classes=6, input_size=12):
@@ -198,6 +205,19 @@ class TestShardWorker:
             future.result(timeout=1)
         assert worker.telemetry.snapshot()["failed"] == 1
 
+    def test_staged_pair_goes_as_one_batch_without_waiting_for_more(self):
+        """Stamps 1 and 2, both already in the queue: the batch is complete
+        the moment the second is read, long before the flush interval ends."""
+        registry, model_ids = _fleet(tenants=1)
+        worker = ShardWorker(0, registry, flush_interval_s=LONG_FLUSH_S)
+        futures = [worker.submit(r) for r in _stream(model_ids, requests=2)]
+        start = time.monotonic()
+        worker.start()
+        assert all(f.result(timeout=10).batched_with == 2 for f in futures)
+        elapsed = time.monotonic() - start
+        worker.stop()
+        assert worker.telemetry.snapshot()["batch_size"]["histogram"] == {"2": 1}
+        assert elapsed < LONG_FLUSH_S - 0.05
 
 
 class TestBothWorkerKinds:
@@ -270,6 +290,44 @@ class TestBothWorkerKinds:
             stats = cluster.stats()
         assert stats["per_shard"][0]["telemetry"]["rejected"] == 1
         assert stats["errors"]["rejected"] == 1
+
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_a_lone_request_does_not_wait_out_the_flush_interval(self, workers):
+        """Regression: a caller alone on its shard used to wait the whole
+        ``flush_interval_s`` to be fused with nobody (2.5x margin here)."""
+        registry, model_ids = _fleet(tenants=1)
+        model_id, batch = model_ids[0], _stream(model_ids, requests=1)[0].inputs
+        with self._cluster(registry, workers, shards=1, flush_interval_s=LONG_FLUSH_S) as cluster:
+            client = GatewayClient(LoopbackTransport(Gateway(ClusterBackend(cluster))))
+            for predict in (cluster.predict, client.predict):
+                predict(model_id, batch)  # warm: engine built, weights installed
+                start = time.monotonic()
+                assert predict(model_id, batch).status == 200
+                assert time.monotonic() - start < 0.1, predict
+            assert cluster.stats()["totals"]["batch_size"]["max"] == 1
+
+    @pytest.mark.parametrize("workers", WORKER_KINDS)
+    def test_company_the_front_admitted_is_waited_for(self, workers):
+        """The first-admitted predict (stamp 1) reaches the inbox 50 ms after
+        the second (stamp 2): the loop, holding a 2, waits for it, and goes
+        the moment it has both — one dispatch of 2, not two of 1."""
+        registry, model_ids = _fleet(tenants=1)
+        warm, first, second = _stream(model_ids, requests=3)
+        with self._cluster(registry, workers, shards=1, flush_interval_s=LONG_FLUSH_S) as cluster:
+            assert cluster.submit(warm).result(timeout=30).status == 200
+            worker = cluster.worker(cluster.shard_ids()[0])
+            post, late = worker._post, []
+            worker._post = lambda op: (late.append if op.admitted == 1 else post)(op)
+            futures = [cluster.submit(first), cluster.submit(second)]
+            del worker._post
+            time.sleep(0.05)
+            start = time.monotonic()
+            post(*late)
+            assert all(f.result(timeout=30).batched_with == 2 for f in futures)
+            assert time.monotonic() - start < 0.1
+            histogram = cluster.stats()["per_shard"][0]["telemetry"]["batch_size"]["histogram"]
+        assert histogram == {"1": 1, "2": 1}
 
 
 class TestClusterService:

@@ -178,3 +178,50 @@ def test_concurrent_scale_out_in_under_load_never_drops_a_future():
         resolved += 1
     assert resolved == len(futures)
     assert clean_errors <= 3  # at most one straggler per removal race
+
+
+@pytest.mark.stress
+def test_closed_loop_callers_on_one_shard_still_fuse():
+    """A lone request no longer waits for company, but company is still
+    waited for: eight callers that each send their next request the moment
+    the last one is answered must keep sharing dispatches.  (A rule that
+    dispatches whenever the inbox is momentarily empty reads about 2.1
+    requests per dispatch at eight callers on two shards; waiting for the
+    callers the front knows of reads about 3.5, like the plain deadline.)"""
+    registry, model_ids = synthetic_fleet(tenants=4, seed=0)
+    cluster = ClusterService(ClusterConfig(shards=1, cache_capacity=4), registry=registry)
+    stop = threading.Event()
+    answered = [0] * THREADS
+    errors = []
+
+    def caller(thread_id: int) -> None:
+        rng = np.random.default_rng(thread_id)
+        batch = rng.normal(size=(1, 3, 12, 12))
+        try:
+            while not stop.is_set():
+                tenant = model_ids[int(rng.integers(0, len(model_ids)))]
+                assert cluster.predict(tenant, batch, timeout=30).status == 200
+                answered[thread_id] += 1
+        except Exception as exc:  # pragma: no cover - the failure being hunted
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=caller, args=(i,), name=f"caller-{i}") for i in range(THREADS)
+    ]
+    with cluster:
+        for thread in threads:
+            thread.start()
+        stop.wait(1.0)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT_S)
+        stuck = [t.name for t in threads if t.is_alive()]
+        assert not stuck, f"deadlock: callers never finished: {stuck}"
+        assert not errors, f"callers raised: {errors!r}"
+        worker = cluster.worker(cluster.shard_ids()[0])
+        assert worker.pending() == 0
+        totals = cluster.stats()["totals"]
+    assert min(answered) > 0
+    assert totals["completed"] == totals["submitted"] == sum(answered)
+    assert totals["failed"] == 0 and totals["rejected"] == 0
+    assert totals["batch_size"]["mean"] >= 1.5

@@ -13,6 +13,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import loop as loop_module
 from repro.cluster.loop import Op, ShardLoop
@@ -26,12 +28,15 @@ from test_cluster import _fleet, _stream
 
 
 class ListInbox:
-    """FIFO of prepared ops; 'nothing arrived in time' once it runs dry."""
+    """FIFO of prepared ops; 'nothing arrived in time' at a ``None`` in the
+    script and once it runs dry.  Keeps the ``timeout`` each ``get`` was given."""
 
     def __init__(self, ops):
         self.ops = deque(ops)
+        self.timeouts = []
 
     def get(self, timeout):
+        self.timeouts.append(timeout)
         return self.ops.popleft() if self.ops else None
 
     def depth(self):
@@ -77,8 +82,9 @@ class Recorder:
             lambda exc: self.events.append((label, "err", exc)),
         )
 
-    def predict(self, request, enqueued_at=99.0):
-        return Op("predict", None, *self._sinks(request.request_id), request, enqueued_at)
+    def predict(self, request, enqueued_at=99.0, admitted=0):
+        sinks = self._sinks(request.request_id)
+        return Op("predict", None, *sinks, request, enqueued_at, admitted)
 
     def control(self, kind, **args):
         return Op(kind, args, *self._sinks(kind))
@@ -350,3 +356,232 @@ def test_same_ops_same_telemetry_whichever_sink_is_attached(fleet, monkeypatch):
     assert replies[-1].payload["telemetry"] == direct.telemetry.snapshot()
     reservoir = LatencyHistogram.from_wire(replies[-1].payload["latency_reservoir"])
     assert len(reservoir.samples()) == 7
+
+
+# -- the third arm of the trigger: a complete batch goes at once -------------------
+#
+# ``timeouts`` reads: None = the loop was idle, 0.0 = it only looked for what
+# had already arrived, positive = it waited for company.
+
+INTERVAL = 0.25  # far above FakeClock's 1 ms tick, so "remaining" is readable
+
+
+def _collect_run(registry, script, **loop_args):
+    loop = ShardLoop(0, _ManifestSource(registry), flush_interval_s=INTERVAL, **loop_args)
+    inbox = ListInbox([*script, None, Op("stop")])
+    loop.run(inbox)
+    return loop, inbox.timeouts
+
+
+def test_a_lone_stamped_predict_is_dispatched_at_once(fleet, clock):
+    registry, model_ids = fleet
+    rec = Recorder()
+    request = _stream(model_ids, requests=1)[0]
+    loop, timeouts = _collect_run(registry, [rec.predict(request, admitted=1)])
+    assert timeouts == [None, 0.0, None]  # one look at the inbox, never a wait
+    assert _batch_sizes(loop) == {"1": 1}
+    assert rec.result(request.request_id).status == 200
+
+
+def test_company_the_front_admitted_is_waited_for_until_it_is_in_hand(fleet, clock):
+    registry, model_ids = fleet
+    rec = Recorder()
+    a, b, c = _stream(model_ids, requests=3)
+    script = [rec.predict(a, admitted=3), rec.predict(b, admitted=1), rec.predict(c, admitted=2)]
+    loop, timeouts = _collect_run(registry, script)
+    # Two waits, each for what is left of the one deadline, then — all three in
+    # hand — a look for stragglers and off it goes.
+    idle, first_wait, second_wait, look, _ = timeouts
+    assert (idle, look) == (None, 0.0)
+    assert 0.0 < second_wait < first_wait <= INTERVAL
+    assert first_wait == pytest.approx(INTERVAL - 0.001)
+    assert _batch_sizes(loop) == {"3": 1}
+
+    # Company that never shows up costs the deadline, as it always did: the
+    # loop goes with what it has when a wait comes back empty.
+    loop, timeouts = _collect_run(registry, script[:2])
+    assert timeouts[0] is None and all(0.0 < t <= INTERVAL for t in timeouts[1:3])
+    assert _batch_sizes(loop) == {"2": 1}
+
+
+def test_stamps_posted_out_of_order_still_end_in_one_batch(fleet, clock):
+    """Admission is counted under the front's lock, posting is not: the
+    second-admitted predict can reach the inbox first."""
+    registry, model_ids = fleet
+    rec = Recorder()
+    first, second = _stream(model_ids, requests=2)
+    script = [rec.predict(second, admitted=2), rec.predict(first, admitted=1)]
+    loop, timeouts = _collect_run(registry, script)
+    assert timeouts[0] is None and 0.0 < timeouts[1] <= INTERVAL
+    assert timeouts[2:] == [0.0, None]
+    assert _batch_sizes(loop) == {"2": 1}
+    assert rec.labels("ok") == [second.request_id, first.request_id]  # inbox order
+
+
+def test_a_latecomer_with_a_larger_stamp_reopens_a_complete_batch(fleet, clock):
+    registry, model_ids = fleet
+    rec = Recorder()
+    a, b, c = _stream(model_ids, requests=3)
+    # a alone is complete; the look finds b, whose stamp says a third is about.
+    script = [rec.predict(a, admitted=1), rec.predict(b, admitted=3), rec.predict(c, admitted=3)]
+    loop, timeouts = _collect_run(registry, script)
+    assert timeouts[:2] == [None, 0.0] and 0.0 < timeouts[2] <= INTERVAL
+    assert timeouts[3:] == [0.0, None]
+    assert _batch_sizes(loop) == {"3": 1}
+
+
+@pytest.mark.parametrize("stamps", [(2, 1), (1, 2)], ids=["waiting", "complete"])
+def test_stamped_or_not_install_does_not_cut_and_other_ops_are_barriers(fleet, clock, stamps):
+    registry, model_ids = fleet
+    first, second = _stream(model_ids, requests=2)
+
+    def run_with_between(kind, **args):
+        rec = Recorder()
+        script = [rec.predict(first, admitted=stamps[0]), rec.control(kind, **args),
+                  rec.predict(second, admitted=stamps[1])]
+        loop, timeouts = _collect_run(registry, script)
+        return rec.labels(), _batch_sizes(loop), timeouts
+
+    labels, sizes, timeouts = run_with_between(
+        "install", entry={"model_id": model_ids[1], "version": 1}
+    )
+    assert labels == ["install", first.request_id, second.request_id]
+    assert sizes == {"2": 1}
+    assert timeouts[-2:] == [0.0, None]  # complete with the second in hand
+
+    labels, sizes, _ = run_with_between("evict", model_id="nobody")
+    assert labels == [first.request_id, "evict", second.request_id]
+    assert sizes == {"1": 2}
+
+
+def test_an_unstamped_predict_waits_out_the_deadline_as_before(fleet, clock):
+    registry, model_ids = fleet
+    rec = Recorder()
+    a, b = _stream(model_ids, requests=2)
+    loop, timeouts = _collect_run(registry, [rec.predict(a)])
+    assert timeouts == [None, pytest.approx(INTERVAL - 0.001), None]
+    # One unknown in the batch keeps the whole batch waiting: it cannot be
+    # called complete by the stamps of the others.
+    loop, timeouts = _collect_run(registry, [rec.predict(b), rec.predict(a, admitted=1)])
+    assert timeouts[0] is None and all(0.0 < t <= INTERVAL for t in timeouts[1:3])
+    assert _batch_sizes(loop) == {"2": 1}
+
+
+def test_max_batch_still_cuts_a_batch_that_waits_for_more(fleet, clock):
+    registry, model_ids = fleet
+    rec = Recorder()
+    script = [rec.predict(r, admitted=5) for r in _stream(model_ids, requests=4)]
+    loop, timeouts = _collect_run(registry, script, max_batch_requests=2)
+    assert _batch_sizes(loop) == {"2": 2}
+    assert 0.0 not in timeouts  # never complete: cut by size both times
+
+
+def test_the_stamp_crosses_the_pipe_and_a_frame_without_one_is_unknown(fleet):
+    registry, model_ids = fleet
+    op = Recorder().predict(_stream(model_ids, requests=1)[0], admitted=3)
+    inbox = _PipeInbox(FakeConn([]), ShardLoop(0, registry))
+    payload = _payload(op)
+    assert inbox._op(ApiRequest("predict", payload, request_id="f-0")).admitted == 3
+    del payload["admitted"]
+    assert inbox._op(ApiRequest("predict", payload, request_id="f-1")).admitted == 0
+
+
+def test_a_dispatch_is_on_the_books_before_its_first_answer(fleet, clock):
+    """Answering wakes the caller, who may ask for stats() at once (a thread
+    worker's report reads these counters directly): its own completion and its
+    own dispatch must already be counted."""
+    registry, model_ids = fleet
+    loop, seen = ShardLoop(0, registry), []
+
+    def answer(_response):
+        snapshot = loop.telemetry.snapshot()
+        seen.append((snapshot["completed"], snapshot["batch_size"]["dispatches"]))
+
+    _run(loop, [Op("predict", None, answer, request=r) for r in _stream(model_ids, requests=3)])
+    assert seen == [(3, 1)] * 3
+
+
+class ArrivalInbox:
+    """An inbox on the fake clock: ops arrive at scripted times and ``get``
+    blocks like a real one (the clock jumps to the arrival, or by the timeout).
+
+    It also audits the loop from outside.  It hands out every predict, so it
+    knows the batch being collected (a ``get(None)`` means the loop is idle:
+    whatever was in hand has been dispatched or is held in a window) and the
+    deadline that batch runs to, and checks every timeout against both.
+    """
+
+    def __init__(self, clock, arrivals, interval):
+        self.clock, self.arrivals, self.interval = clock, deque(arrivals), interval
+        self.batch, self.deadline = [], None
+
+    def get(self, timeout):
+        now = self.clock.now
+        if timeout is None:
+            self.batch = []
+        else:
+            assert self.batch, "a timed get with no batch in hand"
+            stamps = [op.admitted for op in self.batch]
+            complete = all(stamps) and len(stamps) >= max(stamps)
+            remaining = max(0.0, self.deadline - now)
+            assert timeout == (0.0 if complete else pytest.approx(remaining, abs=1e-9))
+        if not self.arrivals or (timeout is not None and self.arrivals[0][0] > now + timeout):
+            self.clock.now = now + timeout
+            return None
+        at, op = self.arrivals.popleft()
+        self.clock.now = max(now, at)
+        if op.kind == "predict":
+            if not self.batch:  # the loop reads the clock once, then adds the interval
+                self.deadline = self.clock.now + 0.001 + self.interval
+            self.batch.append(op)
+        return op
+
+    def depth(self):
+        return sum(at <= self.clock.now for at, _ in self.arrivals)
+
+
+_ARRIVAL = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.0004, 0.003, 0.02, 0.3]),  # gap since the arrival before
+    st.sampled_from(["predict"] * 6 + ["install", "evict", "stats", "drain", "begin", "end"]),
+    st.integers(0, 4),  # a predict's stamp; 0 = none
+)
+
+
+def test_any_arrival_script_answers_every_predict_once_in_order(fleet, clock):
+    """Random stamps, gaps and control ops: FIFO answers, exactly once; a
+    batch short of its largest stamp waits for exactly what is left of the
+    deadline, a complete one not at all."""
+    registry, model_ids = fleet
+    engines = {model_id: registry.build_engine(model_id) for model_id in model_ids}
+
+    @given(st.lists(_ARRIVAL, max_size=12), st.sampled_from([0.0, 0.002, 0.05]),
+           st.sampled_from([1, 2, 3, 256]))
+    @settings(max_examples=60, deadline=None)
+    def check(script, interval, max_batch_requests):
+        clock.now = 100.0
+        loop = ShardLoop(0, _ManifestSource(registry), flush_interval_s=interval,
+                         max_batch_requests=max_batch_requests)
+        for model_id, engine in engines.items():
+            loop.put_engine(model_id, engine)
+        rec = Recorder()
+        requests = iter(_stream(model_ids, requests=len(script)))
+        at, arrivals, expected = clock.now, [], []
+        for gap, kind, stamp in script:
+            at += gap
+            if kind == "predict":
+                request = next(requests)
+                expected.append(request.request_id)
+                arrivals.append((at, rec.predict(request, admitted=stamp)))
+            elif kind in ("begin", "end"):
+                arrivals.append((at, rec.control("window", action=kind)))
+            else:
+                args = {"install": {"entry": {"model_id": model_ids[0], "version": 1}},
+                        "evict": {"model_id": "nobody"}}.get(kind, {})
+                arrivals.append((at, rec.control(kind, **args)))
+        arrivals.append((at + 1.0, Op("stop")))  # flushes a window left open
+        loop.run(ArrivalInbox(clock, arrivals, interval))
+        assert not rec.labels("err")
+        assert [label for label in rec.labels("ok") if label in expected] == expected
+        assert loop.telemetry.snapshot()["completed"] == len(expected)
+
+    check()
