@@ -4,8 +4,10 @@
   plus a format-name -> kernel table) and registry.
 * :mod:`repro.backend.reference` — the original kernels (bit-exact oracle).
 * :mod:`repro.backend.fast` — vectorized sparse kernels + workspace reuse.
-* :mod:`repro.backend.engine` — the inference :class:`Engine` tying a pruned
-  model to a backend and compressed weight formats.
+* :mod:`repro.backend.engine` — the inference :class:`Engine`: a pruned model
+  compiled for one backend and one compressed weight format.
+* :mod:`repro.backend.plan` — what an engine compiles to: a flat op list with
+  batch-norm folded into the encoded weights.
 
 Select a backend globally with :func:`set_backend` (the experiments CLI
 exposes this as ``--backend {reference,fast}``) or locally with

@@ -90,7 +90,6 @@ class Backend(ABC):
         bias: Optional[np.ndarray],
         stride: int = 1,
         padding: int = 0,
-        training: bool = True,
     ) -> Tuple[np.ndarray, dict]:
         ...
 
@@ -108,7 +107,6 @@ class Backend(ABC):
         bias: Optional[np.ndarray],
         stride: int = 1,
         padding: int = 0,
-        training: bool = True,
     ) -> Tuple[np.ndarray, dict]:
         ...
 

@@ -1,10 +1,13 @@
 """Inference engine: a pruned model + a compute backend + compressed weights.
 
 :class:`Engine` is the one API experiments and the hardware workload model
-consume for inference.  It encodes every prunable layer's (masked) weight
-into a chosen storage format (any of :data:`WEIGHT_FORMATS`), re-routes
-those layers' forward passes through the backend's ``sparse_matmul``, and
-exposes ``predict`` plus batched multi-input dispatch.
+consume for inference.  Building one *compiles* the model
+(:mod:`repro.backend.plan`): a single walk emits a flat list of ops — conv /
+depthwise / linear / add / pool / flatten — with every ``BatchNorm`` folded
+into the conv or linear before it and every ReLU fused onto the op it
+follows, and ``predict`` runs that list.  No ``Module`` is called, and
+nothing on the module is written: the engine never touches the model it was
+built from, and any number of threads may predict on one engine.
 
 Typical use::
 
@@ -14,26 +17,41 @@ Typical use::
     classes = engine.predict_classes(batch)
     all_logits = engine.predict_many([b0, b1, b2])   # one fused dispatch
 
-The engine only touches inference: attaching it swaps the ``forward`` of
-Conv2d/Linear layers for compressed-format equivalents and leaves training
-untouched (``detach`` restores the originals; the engine is also a context
-manager that detaches on exit).
+Two contracts follow from compiling:
+
+* **Snapshot.**  An engine holds the weights, masks *and batch-norm
+  statistics* the module had when it was built.  Training or re-pruning the
+  module afterwards changes nothing an engine serves until
+  :meth:`Engine.refresh_formats`, which recompiles.
+* **Folded encodings.**  What is encoded — and what :attr:`Engine.formats`,
+  :meth:`Engine.format_summaries`, :meth:`Engine.total_weight_bits` and a
+  shared-memory segment report — is each layer's mask-applied weight with its
+  batch-norm scale multiplied into the output channels, i.e. into columns of
+  the ``(reduction, out)`` matrix.  A zero stays a zero, so ``nnz``, the bit
+  counts and ``is_lossless`` are those of the unfolded weight (a channel
+  whose ``gamma`` is exactly 0 can only lose non-zeros).  Folding reorders
+  float operations: an engine agrees with ``module.eval()``'s forward to
+  round-off (<= 1e-9), and engines built from one model agree with each
+  other bit for bit, whichever process built them.
+
+``Engine.detach()`` and the ``attach=`` keyword are left from the time an
+engine patched ``forward`` closures onto the module.  Both do nothing; they
+are accepted only because ``benchmarks/crispbench`` (frozen for gain PRs)
+still spells them, and the next ``benchmark`` PR removes those callers.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..nn import functional as F
-from ..nn.layers import Conv2d, Linear
 from ..nn.models.base import prunable_layers
 from ..nn.module import Module
 from ..sparsity.formats import FormatSummary, WeightFormat, encode
 from .base import Backend, resolve_backend, weight_formats
+from .plan import compile_plan, run_plan
 
 __all__ = ["Engine", "WEIGHT_FORMATS"]
 
@@ -43,7 +61,7 @@ WEIGHT_FORMATS = weight_formats()
 
 
 class Engine:
-    """Wrap a (pruned) module with a backend and compressed weight formats."""
+    """A (pruned) module compiled for one backend and one compressed weight format."""
 
     def __init__(
         self,
@@ -53,7 +71,7 @@ class Engine:
         n: int = 2,
         m: int = 4,
         block_size: int = 16,
-        attach: bool = True,
+        attach: bool = True,  # ignored; the next benchmark PR removes crispbench's callers
         formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> None:
         self.module = module
@@ -67,21 +85,17 @@ class Engine:
         self.n = n
         self.m = m
         self.block_size = block_size
-        self._formats: "OrderedDict[str, WeightFormat]" = OrderedDict()
-        self._original_forward: Dict[str, object] = {}
         if formats is None:
             self.refresh_formats()
         else:
             self.install_formats(formats)
-        if attach:
-            self.attach()
 
     @classmethod
     def from_spec(
         cls,
         module: Module,
         spec,
-        attach: bool = True,
+        attach: bool = True,  # ignored; the next benchmark PR removes crispbench's callers
         formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> "Engine":
         """Build an engine from an :class:`~repro.serve.types.EngineSpec`.
@@ -92,13 +106,7 @@ class Engine:
         importing :mod:`repro.serve`.
         """
         return cls(
-            module,
-            backend=spec.backend,
-            weight_format=spec.weight_format,
-            n=spec.n,
-            m=spec.m,
-            block_size=spec.block_size,
-            attach=attach,
+            module, spec.backend, spec.weight_format, spec.n, spec.m, spec.block_size,
             formats=formats,
         )
 
@@ -107,32 +115,42 @@ class Engine:
         """This engine's configuration as a serializable ``EngineSpec``."""
         from ..serve.types import EngineSpec
 
-        return EngineSpec(
-            backend=self.backend.name,
-            weight_format=self.weight_format,
-            n=self.n,
-            m=self.m,
-            block_size=self.block_size,
-        )
+        return EngineSpec(self.backend.name, self.weight_format, self.n, self.m, self.block_size)
 
-    # -- weight compression ---------------------------------------------------
-    def refresh_formats(self) -> None:
-        """(Re-)encode every prunable layer's effective weight.
+    # -- compilation ----------------------------------------------------------
+    def _compile(self, formats: Optional[Mapping[str, WeightFormat]]) -> None:
+        """Walk the module, encode (or adopt) the folded weights, swap the plan in.
 
-        Call after pruning masks or weights change while an engine is alive.
-        The *effective* (mask-applied) weight is encoded, so STE-style dense
-        shadow weights never leak into inference.
+        The folded matrix is the only thing encoded.  Plan and formats are
+        replaced by assignment, so a predict running on another thread
+        finishes on the plan it started with.
         """
-        self._formats.clear()
+        plan, folded = compile_plan(self.module, self.backend)
+        encoded: Dict[str, WeightFormat] = {}
         for name, layer in prunable_layers(self.module).items():
-            w_eff = layer.weight.effective()
-            if isinstance(layer, Conv2d):
-                weight2d = w_eff.reshape(layer.out_channels, -1).T
-            else:  # Linear
-                weight2d = w_eff.T
-            self._formats[name] = encode(
-                self.weight_format, weight2d, self.n, self.m, self.block_size
-            )
+            if formats is not None:
+                encoded[name] = formats[name]
+                continue
+            # A prunable layer the forward never calls is still stored and reported.
+            weight = folded[name] if name in folded else layer.weight.effective()
+            weight2d = weight.reshape(weight.shape[0], -1).T  # (reduction, out)
+            encoded[name] = encode(self.weight_format, weight2d, self.n, self.m, self.block_size)
+        for op in plan:
+            if op.name in encoded:
+                op.fmt = encoded[op.name]
+        self._formats, self._plan = encoded, plan
+
+    def refresh_formats(self) -> None:
+        """Recompile: re-read the module, fold, re-encode every prunable layer.
+
+        Call after weights, pruning masks or batch-norm statistics change
+        while an engine is alive; until then the engine serves the snapshot
+        it was built from.  The *effective* (mask-applied) weight is folded
+        and encoded, so STE-style dense shadow weights never leak into
+        inference.  A layer the plan cannot express raises ``ValueError``
+        naming it — from here and from the constructor, never from a predict.
+        """
+        self._compile(None)
 
     def install_formats(self, formats: Dict[str, WeightFormat]) -> None:
         """Install precomputed encodings instead of re-encoding the module.
@@ -143,11 +161,15 @@ class Engine:
         (2.5-3 ms for a CRISP ``resnet_tiny``'s 14 layers).  That is true of
         storage only: the ``fast`` kernels decode each format into a private
         GEMM operand on first use (``fmt.derived``, ~250 KiB for that
-        ``resnet_tiny``), one copy per process per resident engine.  ``formats``
-        must cover exactly this module's prunable layers, each encoding the
-        ``(reduction, out_channels)`` matrix of its layer — a mismatch fails
-        here, not inside a kernel at the first predict; entries are kept in
-        layer order.
+        ``resnet_tiny``), one copy per process per resident engine.
+
+        ``formats`` must be *folded* encodings — another engine's
+        :attr:`formats` over the same model state — because the plan is
+        recompiled around them with the folded biases this module's
+        batch-norm statistics give.  They must cover exactly this module's
+        prunable layers, each encoding the ``(reduction, out_channels)``
+        matrix of its layer — a mismatch fails here, not inside a kernel at
+        the first predict; entries are kept in layer order.
         """
         layers = prunable_layers(self.module)
         if sorted(formats) != sorted(layers):
@@ -163,9 +185,7 @@ class Engine:
                     f"format for layer {name!r} encodes a {formats[name].shape} "
                     f"matrix; the layer's weight is {expected}"
                 )
-        self._formats.clear()
-        for name in layers:
-            self._formats[name] = formats[name]
+        self._compile(formats)
 
     @property
     def formats(self) -> Mapping[str, WeightFormat]:
@@ -182,84 +202,14 @@ class Engine:
         """
         return all(fmt.is_lossless for fmt in self._formats.values())
 
-    # -- layer re-routing -----------------------------------------------------
-    # Forward closures look the format up by *name* on every call (instead of
-    # capturing the format object at attach time), so refresh_formats() on a
-    # live engine takes effect immediately — re-pruned tenants are never
-    # served a stale encoding.
-    def _conv_forward(self, layer: Conv2d, name: str):
-        kernel = layer.kernel_size
-
-        def forward(x: np.ndarray) -> np.ndarray:
-            n = x.shape[0]
-            out_h = F.conv_output_size(x.shape[2], kernel, layer.stride, layer.padding)
-            out_w = F.conv_output_size(x.shape[3], kernel, layer.stride, layer.padding)
-            cols = self.backend.im2col(
-                x, kernel, kernel, layer.stride, layer.padding, training=False
-            )
-            out = self.backend.sparse_matmul(self._formats[name], cols.T).T  # (N*oh*ow, S)
-            if layer.bias is not None:
-                out = out + layer.bias.data
-            layer._cache = {"x_shape": x.shape}
-            return out.reshape(n, out_h, out_w, layer.out_channels).transpose(0, 3, 1, 2)
-
-        return forward
-
-    def _linear_forward(self, layer: Linear, name: str):
-        def forward(x: np.ndarray) -> np.ndarray:
-            out = self.backend.sparse_matmul(self._formats[name], x.T).T  # (batch, out_features)
-            if layer.bias is not None:
-                out = out + layer.bias.data
-            layer._cache = {"x_shape": x.shape}
-            return out
-
-        return forward
-
-    def attach(self) -> "Engine":
-        """Swap prunable layers' forward passes for compressed-format compute."""
-        if self._original_forward:
-            return self
-        for name, layer in prunable_layers(self.module).items():
-            self._original_forward[name] = layer.__dict__.get("forward")
-            if isinstance(layer, Conv2d):
-                layer.forward = self._conv_forward(layer, name)
-            else:
-                layer.forward = self._linear_forward(layer, name)
-        return self
-
-    def detach(self) -> "Engine":
-        """Restore the original layer forward passes."""
-        for name, layer in prunable_layers(self.module).items():
-            if name not in self._original_forward:
-                continue
-            original = self._original_forward[name]
-            if original is None:
-                layer.__dict__.pop("forward", None)
-            else:  # pragma: no cover - nested engines
-                layer.forward = original
-        self._original_forward.clear()
-        return self
-
-    @property
-    def attached(self) -> bool:
-        return bool(self._original_forward)
-
-    def __enter__(self) -> "Engine":
-        return self.attach()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.detach()
-
     # -- inference ------------------------------------------------------------
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Run one inference batch ``(N, C, H, W)`` and return the logits."""
-        batch = np.asarray(batch, dtype=np.float64)
-        was_training = self.module.training
-        self.module.eval()
-        try:
-            return self.module(batch)
-        finally:
-            self.module.train(was_training)
+        """Run one inference batch ``(N, C, H, W)`` and return the logits.
+
+        Executes the compiled plan: nothing on the module is read or written,
+        so any number of threads may predict on one engine at once.
+        """
+        return run_plan(self._plan, np.asarray(batch, dtype=np.float64))
 
     def predict_classes(self, batch: np.ndarray) -> np.ndarray:
         """Argmax class predictions for one batch."""
@@ -302,8 +252,12 @@ class Engine:
             "workspace": self.backend.workspace_stats(),
         }
 
+    def detach(self) -> "Engine":
+        """Does nothing (see the module docstring); kept for crispbench's ``check.py``."""
+        return self
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"Engine(backend={self.backend.name!r}, format={self.weight_format!r}, "
-            f"layers={len(self._formats)}, attached={self.attached})"
+            f"layers={len(self._formats)}, ops={len(self._plan)})"
         )

@@ -11,11 +11,12 @@ Three things distinguish this backend from ``reference``:
   offsets are weight-side metadata, so resolving them is part of that
   decode, not of every call.  The per-row / per-value Python loops of
   :mod:`repro.sparsity.sparse_ops` stay the oracle;
-* inference-time ``im2col`` writes into shape-keyed workspace buffers that
-  are reused across calls, so steady-state convolution pays neither a fresh
+* inference-time ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s
+  plan calls) writes into shape-keyed workspace buffers that are reused
+  across calls, so a steady-state convolution pays neither a fresh
   column-matrix allocation nor an ``np.pad`` per layer per batch;
-* training-mode convolutions fall through to the reference functions, so
-  training numerics stay bit-identical.
+* the ``Module`` conv path — training, and ``eval()`` forwards alike — is the
+  reference backend's, so its numerics stay bit-identical.
 
 What is decoded is private to the process and lives as long as the format
 object (for a served tenant: until its engine leaves the cache).  It is a
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -217,10 +218,9 @@ def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
 class FastBackend(ReferenceBackend):
     """Vectorized backend with inference-time workspace reuse.
 
-    Training-path numerics are inherited from :class:`ReferenceBackend`;
-    only inference ``im2col`` / conv (workspace-cached) and the CSR,
-    Blocked-Ellpack and CRISP entries of the kernel table (vectorized) are
-    overridden.
+    The conv kernels layers call are inherited from :class:`ReferenceBackend`;
+    only inference ``im2col`` (workspace-cached) and the CSR, Blocked-Ellpack
+    and CRISP entries of the kernel table (vectorized) are overridden.
     """
 
     name = "fast"
@@ -260,98 +260,6 @@ class FastBackend(ReferenceBackend):
         buf = self._workspace.get(key, (n, out_h, out_w, c, kernel_h, kernel_w), x.dtype)
         np.copyto(buf, windows.transpose(0, 4, 5, 1, 2, 3))
         return buf.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
-
-    # -- conv kernels (workspace-backed at inference) -------------------------
-    def conv2d_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int = 1,
-        padding: int = 0,
-        training: bool = True,
-    ) -> Tuple[np.ndarray, dict]:
-        if training:
-            return F.conv2d_forward(x, weight, bias, stride, padding)
-
-        n, c_in, h, w = x.shape
-        c_out, c_in_w, kh, kw = weight.shape
-        if c_in != c_in_w:
-            raise ValueError(f"Channel mismatch: input has {c_in}, weight expects {c_in_w}")
-        out_h = F.conv_output_size(h, kh, stride, padding)
-        out_w = F.conv_output_size(w, kw, stride, padding)
-
-        cols = self.im2col(x, kh, kw, stride, padding, training=False)
-        out = cols @ weight.reshape(c_out, -1).T
-        if bias is not None:
-            out = out + bias
-        out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-        # `cols` aliases the shared workspace buffer and may be overwritten by
-        # the next same-shaped forward, so the cache keeps the input instead;
-        # conv2d_backward rebuilds fresh columns on the rare eval-mode
-        # backward (e.g. saliency estimation).
-        cache = {
-            "x": x,
-            "x_shape": x.shape,
-            "weight_shape": weight.shape,
-            "stride": stride,
-            "padding": padding,
-            "has_bias": bias is not None,
-        }
-        return out, cache
-
-    def conv2d_backward(self, grad_out, weight, cache):
-        if "cols" not in cache:
-            _, _, kh, kw = weight.shape
-            cache = dict(cache)
-            cache["cols"] = F.im2col(cache["x"], kh, kw, cache["stride"], cache["padding"])
-        return F.conv2d_backward(grad_out, weight, cache)
-
-    def depthwise_conv2d_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int = 1,
-        padding: int = 0,
-        training: bool = True,
-    ) -> Tuple[np.ndarray, dict]:
-        if training:
-            return F.depthwise_conv2d_forward(x, weight, bias, stride, padding)
-
-        n, c, h, w = x.shape
-        c_w, one, kh, kw = weight.shape
-        if c_w != c or one != 1:
-            raise ValueError(
-                f"Depthwise weight shape {weight.shape} incompatible with input channels {c}"
-            )
-        out_h = F.conv_output_size(h, kh, stride, padding)
-        out_w = F.conv_output_size(w, kw, stride, padding)
-
-        cols = self.im2col(x, kh, kw, stride, padding, training=False)
-        cols_g = cols.reshape(-1, c, kh * kw)
-        out = np.einsum("bck,ck->bc", cols_g, weight.reshape(c, kh * kw))
-        if bias is not None:
-            out = out + bias
-        out = out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-        # Same workspace-aliasing rule as conv2d_forward: never cache the
-        # shared buffer for a potential backward.
-        cache = {
-            "x": x,
-            "x_shape": x.shape,
-            "stride": stride,
-            "padding": padding,
-            "has_bias": bias is not None,
-        }
-        return out, cache
-
-    def depthwise_conv2d_backward(self, grad_out, weight, cache):
-        if "cols_g" not in cache:
-            c, _, kh, kw = weight.shape
-            cache = dict(cache)
-            cols = F.im2col(cache["x"], kh, kw, cache["stride"], cache["padding"])
-            cache["cols_g"] = cols.reshape(-1, c, kh * kw)
-        return F.depthwise_conv2d_backward(grad_out, weight, cache)
 
     # -- sparse kernels -------------------------------------------------------
     kernels = {

@@ -1,15 +1,12 @@
 """The ``reference`` backend: the repo's original kernels, unchanged.
 
-The conv path is the pure functions of :mod:`repro.nn.functional` (which
-take no ``training`` flag: there is no workspace to reuse) and the kernel
-table is the loop-based sparse kernels of :mod:`repro.sparsity.sparse_ops`.
+The conv path is the pure functions of :mod:`repro.nn.functional` and the
+kernel table is the loop-based sparse kernels of :mod:`repro.sparsity.sparse_ops`.
 This backend is kept bit-exact with the pre-backend code so parity tests can
 use it as the correctness oracle for any other backend.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,30 +36,9 @@ class ReferenceBackend(Backend):
         return F.im2col(x, kernel_h, kernel_w, stride, padding)
 
     # -- conv kernels ---------------------------------------------------------
-    def conv2d_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int = 1,
-        padding: int = 0,
-        training: bool = True,
-    ) -> Tuple[np.ndarray, dict]:
-        return F.conv2d_forward(x, weight, bias, stride, padding)
-
+    conv2d_forward = staticmethod(F.conv2d_forward)
     conv2d_backward = staticmethod(F.conv2d_backward)
-
-    def depthwise_conv2d_forward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        stride: int = 1,
-        padding: int = 0,
-        training: bool = True,
-    ) -> Tuple[np.ndarray, dict]:
-        return F.depthwise_conv2d_forward(x, weight, bias, stride, padding)
-
+    depthwise_conv2d_forward = staticmethod(F.depthwise_conv2d_forward)
     depthwise_conv2d_backward = staticmethod(F.depthwise_conv2d_backward)
 
     # -- sparse kernels -------------------------------------------------------

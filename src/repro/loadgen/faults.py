@@ -32,7 +32,7 @@ class PoisonedEngine:
     """A stand-in engine that fails every prediction (cache-poison fault).
 
     Mimics the :class:`~repro.backend.engine.Engine` surface the serving
-    path touches (``predict`` / ``predict_many`` / ``detach``) so it can sit
+    path touches (``predict`` / ``predict_many``) so it can sit
     in an :class:`~repro.serve.cache.EngineCache` slot undetected until the
     scheduler dispatches to it.
     """
@@ -47,9 +47,6 @@ class PoisonedEngine:
 
     predict = _raise
     predict_many = _raise
-
-    def detach(self) -> None:  # eviction must succeed so the cache can heal
-        pass
 
 
 class FaultInjector:

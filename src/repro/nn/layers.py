@@ -99,9 +99,7 @@ class Conv2d(Module):
         weight = self.weight.effective()
         bias = self.bias.data if self.bias is not None else None
         backend = _backend()
-        out, self._cache = backend.conv2d_forward(
-            x, weight, bias, self.stride, self.padding, training=self.training
-        )
+        out, self._cache = backend.conv2d_forward(x, weight, bias, self.stride, self.padding)
         self._cache["effective_weight"] = weight
         self._cache["backend"] = backend
         return out
@@ -189,7 +187,7 @@ class DepthwiseConv2d(Module):
         bias = self.bias.data if self.bias is not None else None
         backend = _backend()
         out, self._cache = backend.depthwise_conv2d_forward(
-            x, self.weight.data, bias, self.stride, self.padding, training=self.training
+            x, self.weight.data, bias, self.stride, self.padding
         )
         self._cache["backend"] = backend
         return out

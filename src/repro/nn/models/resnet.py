@@ -66,9 +66,7 @@ class Bottleneck(Module):
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.relu2(self.bn2(self.conv2(out)))
         out = self.bn3(self.conv3(out))
-        out = out + identity
-        self._pre_relu = out
-        return self.relu3(out)
+        return self.relu3(out + identity)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad = self.relu3.backward(grad_out)

@@ -241,7 +241,9 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
+        # An inference engine compiling its plan passes a recording placeholder.
+        record = getattr(x, "record_module", None)
+        return self.forward(x) if record is None else record(self)
 
 
 class Sequential(Module):

@@ -2,11 +2,12 @@
 
 Materializing an :class:`~repro.backend.engine.Engine` is the per-tenant
 fixed cost of serving — the module is rebuilt from the registry and every
-prunable layer's weight re-encoded into its compressed format: about 4 ms
-for a CRISP-encoded ``resnet_tiny`` (1 ms module rebuild + 2.5-3 ms for the
-14 layer encodes), the same order as one single-image forward (3.5-5 ms).
+prunable layer's batch-norm-folded weight re-encoded into its compressed
+format: about 4 ms for a CRISP-encoded ``resnet_tiny`` (1 ms module rebuild
++ 2.5-3 ms for the 14 layer encodes; compiling the plan is ~0.1 ms), five
+single-image forwards (~0.75 ms each).
 The cache amortises that cost across requests: the first request for a
-model id pays the build, subsequent requests reuse the attached engine, and
+model id pays the build, subsequent requests reuse the compiled engine, and
 a bounded capacity keeps memory proportional to the number of *hot* tenants
 rather than the number of registered ones (the paper's millions-of-users
 setting).
@@ -50,7 +51,9 @@ class EngineCache:
         """Return the engine for ``model_id``, building it on first use.
 
         Touching an entry makes it most-recently-used; inserting beyond
-        capacity evicts (and detaches) the least-recently-used engine.
+        capacity evicts the least-recently-used engine.  Nothing but the
+        cache refers to an engine and an engine is acyclic, so a dropped one
+        — formats and decoded kernel operands with it — is freed at once.
         """
         if model_id in self._engines:
             self.hits += 1
@@ -63,10 +66,9 @@ class EngineCache:
         return engine
 
     def _evict_overflow(self) -> None:
-        """Detach-and-drop from the LRU end until capacity is respected."""
+        """Drop from the LRU end until capacity is respected."""
         while len(self._engines) > self.capacity:
-            model_id, evicted = self._engines.popitem(last=False)
-            evicted.detach()
+            model_id, _ = self._engines.popitem(last=False)
             self.evictions += 1
             emit("cache_evict", model_id=model_id, reason="capacity")
 
@@ -76,27 +78,23 @@ class EngineCache:
         The normal path is :meth:`get` building engines lazily; ``put`` is
         the seam for callers that need to plant a specific engine under an
         id — fault injection poisoning a live entry, or tests staging a
-        pre-built engine.  A replaced engine is detached; inserting beyond
-        capacity evicts from the LRU end as usual.
+        pre-built engine.  Inserting beyond capacity evicts from the LRU end
+        as usual.
         """
-        old = self._engines.pop(model_id, None)
-        if old is not None and old is not engine:
-            old.detach()
+        self._engines.pop(model_id, None)
         self._engines[model_id] = engine
         self._evict_overflow()
 
     def evict(self, model_id: str, reason: str = "explicit") -> bool:
-        """Drop one entry (detaching its engine); returns whether it existed."""
-        engine = self._engines.pop(model_id, None)
-        if engine is None:
+        """Drop one entry; returns whether it existed."""
+        if self._engines.pop(model_id, None) is None:
             return False
-        engine.detach()
         self.evictions += 1
         emit("cache_evict", model_id=model_id, reason=reason)
         return True
 
     def clear(self) -> None:
-        """Detach and drop every cached engine (counted as evictions)."""
+        """Drop every cached engine (counted as evictions)."""
         for model_id in list(self._engines):
             self.evict(model_id)
 

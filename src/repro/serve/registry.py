@@ -254,9 +254,12 @@ class ModelRegistry:
         return self.get(model_id).build_module()
 
     def build_engine(self, model_id: str, attach: bool = True):
-        """Materialize the module and wrap it in an engine per its spec."""
+        """Materialize the module and compile it into an engine per its spec.
+
+        ``attach`` is ignored; the next ``benchmark`` PR removes crispbench's callers.
+        """
         record = self.get(model_id)
-        return record.spec.build(record.build_module(), attach=attach)
+        return record.spec.build(record.build_module())
 
     # -- persistence ----------------------------------------------------------
     def save(self, root) -> Path:

@@ -12,7 +12,13 @@ serve that model:
   ``FORMATS[kind].from_parts`` (the :class:`~repro.sparsity.formats.WeightFormat`
   contract), so it names no format and a format's stored fields are listed
   in one place — the hot inference payload, consumed in place as read-only
-  ``np.ndarray`` views.
+  ``np.ndarray`` views.  These are the publishing engine's ``formats``, i.e.
+  the *folded* encodings (:mod:`repro.backend.engine`): each layer's
+  mask-applied weight with its batch-norm scale already multiplied into the
+  output channels.  The folded biases are not stored: a worker's engine
+  derives them from the batch-norm parameters and buffers in the state dict
+  above, with the arithmetic the publisher used, so the layout of a segment
+  is what it was before engines folded anything.
 
 The manifest entry describing a segment is a plain JSON-compatible dict
 (segment name + per-array dtype/shape/offset), so it rides the gateway's
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import os
 import secrets
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
@@ -181,13 +188,14 @@ def _rebuild_format(block: Dict, segment: shared_memory.SharedMemory):
 
 
 def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
-    """Materialize an attached engine from one installed manifest entry.
+    """Materialize an engine from one installed manifest entry.
 
-    The module (biases, batch-norm buffers, non-prunable layers) is rebuilt
-    from the zoo and its state *copied* out of the shared segment — it is
-    tiny next to the encoded weights, and modules mutate their buffers in
-    eval bookkeeping.  The compressed formats stay views: the arrays the
-    backend's sparse matmuls actually stream are the shared bytes.
+    The module (biases, batch-norm parameters and buffers, non-prunable
+    layers) is rebuilt from the zoo and its state *copied* out of the shared
+    segment — it is tiny next to the encoded weights — and the engine
+    compiles its plan, folded biases included, from that copy.  The
+    compressed formats stay views: the arrays the backend's sparse matmuls
+    actually stream are the shared bytes.
     """
     from ..backend.engine import Engine
     from ..serve.registry import ModelRecord
@@ -233,7 +241,7 @@ class _Published:
         self.segment = segment
 
 
-class SharedWeightStore:
+class SharedWeightStore(AbstractContextManager):
     """Parent-side publisher of per-model shared-memory weight segments.
 
     Wraps a :class:`~repro.serve.registry.ModelRegistry` and publishes
@@ -278,7 +286,7 @@ class SharedWeightStore:
         """Encode and publish one model into a fresh segment."""
         self._ensure_open()
         record = self.registry.get(model_id)
-        engine = record.spec.build(record.build_module(), attach=False)
+        engine = record.spec.build(record.build_module())
 
         layout = SegmentLayout()
         state_desc = {
@@ -392,9 +400,6 @@ class SharedWeightStore:
         if self._closed:
             raise InternalError("SharedWeightStore is closed")
 
-    def __enter__(self) -> "SharedWeightStore":
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
@@ -449,7 +454,7 @@ class SharedModelSource:
         return False
 
     def build_engine(self, model_id: str):
-        """Materialize an attached engine for one installed model."""
+        """Materialize an engine for one installed model."""
         attached = self._models.get(model_id)
         if attached is None:
             raise NotFoundError(

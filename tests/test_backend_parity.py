@@ -390,36 +390,32 @@ class TestEngine:
         engine = Engine(
             model, backend=backend, weight_format=weight_format, n=2, m=4, block_size=8
         )
-        try:
-            assert engine.is_lossless
-            np.testing.assert_allclose(engine.predict(x), expected, atol=1e-8)
-        finally:
-            engine.detach()
-        # Detaching restores the original forward exactly.
+        assert engine.is_lossless
+        np.testing.assert_allclose(engine.predict(x), expected, atol=1e-8)
+        # The engine never touched the module: its own forward is what it was.
         np.testing.assert_array_equal(model(x), expected)
 
     def test_predict_many_matches_single_dispatch(self, rng):
         model = _pruned_model(rng)
         engine = Engine(model, backend="fast", weight_format="crisp", n=2, m=4, block_size=8)
-        try:
-            batches = [rng.normal(size=(s, 3, 16, 16)) for s in (1, 3, 2)]
-            fused = engine.predict_many(batches)
-            assert [o.shape[0] for o in fused] == [1, 3, 2]
-            for batch, logits in zip(batches, fused):
-                np.testing.assert_allclose(logits, engine.predict(batch), atol=1e-8)
-        finally:
-            engine.detach()
+        batches = [rng.normal(size=(s, 3, 16, 16)) for s in (1, 3, 2)]
+        fused = engine.predict_many(batches)
+        assert [o.shape[0] for o in fused] == [1, 3, 2]
+        for batch, logits in zip(batches, fused):
+            np.testing.assert_allclose(logits, engine.predict(batch), atol=1e-8)
 
     def test_predict_many_empty(self, rng):
         model = _pruned_model(rng)
-        with Engine(model, backend="fast", weight_format="dense") as engine:
-            assert engine.predict_many([]) == []
+        assert Engine(model, backend="fast", weight_format="dense").predict_many([]) == []
 
-    def test_engine_context_manager_detaches(self, rng):
+    def test_detach_and_attach_keyword_are_accepted_and_do_nothing(self, rng):
+        """The two spellings crispbench (frozen for gain PRs) still uses."""
         model = _pruned_model(rng)
-        with Engine(model, weight_format="dense", attach=False) as engine:
-            assert engine.attached
-        assert not engine.attached
+        x = rng.normal(size=(1, 3, 16, 16))
+        engine = Engine(model, weight_format="dense", attach=False)
+        expected = engine.predict(x)
+        assert engine.detach() is engine
+        np.testing.assert_array_equal(engine.predict(x), expected)
 
     def test_engine_rejects_unknown_format(self, rng):
         model = _pruned_model(rng)
@@ -429,60 +425,46 @@ class TestEngine:
     def test_engine_preserves_eval_training_flag(self, rng):
         model = _pruned_model(rng)
         engine = Engine(model, weight_format="dense")
-        try:
-            model.train(True)
-            engine.predict(rng.normal(size=(1, 3, 16, 16)))
-            assert model.training
-        finally:
-            engine.detach()
+        model.train(True)
+        engine.predict(rng.normal(size=(1, 3, 16, 16)))
+        assert model.training
 
     def test_engine_stats_and_storage(self, rng):
         model = _pruned_model(rng)
         engine = Engine(model, backend="fast", weight_format="crisp", n=2, m=4, block_size=8)
-        try:
-            stats = engine.stats()
-            assert stats["backend"] == "fast"
-            assert stats["weight_format"] == "crisp"
-            assert stats["layers"] == len(prunable_layers(model))
-            assert stats["total_weight_bits"] > 0
-            summaries = engine.format_summaries()
-            assert set(summaries) == set(prunable_layers(model))
-        finally:
-            engine.detach()
+        stats = engine.stats()
+        assert stats["backend"] == "fast"
+        assert stats["weight_format"] == "crisp"
+        assert stats["layers"] == len(prunable_layers(model))
+        assert stats["total_weight_bits"] > 0
+        summaries = engine.format_summaries()
+        assert set(summaries) == set(prunable_layers(model))
         # Dense is a format like any other: every element at 8 bits, no metadata.
-        with Engine(model, backend="fast", weight_format="dense") as dense:
-            summaries = dense.format_summaries()
-            assert set(summaries) == set(prunable_layers(model))
-            assert all(s.metadata_bits == 0 for s in summaries.values())
-            elements = sum(l.weight.data.size for l in prunable_layers(model).values())
-            assert dense.total_weight_bits() == dense.stats()["total_weight_bits"] == elements * 8
+        dense = Engine(model, backend="fast", weight_format="dense")
+        summaries = dense.format_summaries()
+        assert set(summaries) == set(prunable_layers(model))
+        assert all(s.metadata_bits == 0 for s in summaries.values())
+        elements = sum(l.weight.data.size for l in prunable_layers(model).values())
+        assert dense.total_weight_bits() == dense.stats()["total_weight_bits"] == elements * 8
 
     def test_refresh_formats_tracks_weight_updates(self, rng):
         model = _pruned_model(rng)
         engine = Engine(model, backend="fast", weight_format="dense")
-        try:
-            x = rng.normal(size=(2, 3, 16, 16))
-            before = engine.predict(x)
-            head = list(prunable_layers(model).values())[-1]
-            head.weight.data *= 2.0
-            head.weight.apply_mask()
-            engine.refresh_formats()
-            engine.detach()
-            engine.attach()
-            after = engine.predict(x)
-            assert not np.allclose(before, after)
-            model.eval()
-            np.testing.assert_allclose(after, model(x), atol=1e-8)
-        finally:
-            engine.detach()
+        x = rng.normal(size=(2, 3, 16, 16))
+        before = engine.predict(x)
+        head = list(prunable_layers(model).values())[-1]
+        head.weight.data *= 2.0
+        head.weight.apply_mask()
+        engine.refresh_formats()
+        after = engine.predict(x)
+        assert not np.allclose(before, after)
+        model.eval()
+        np.testing.assert_allclose(after, model(x), atol=1e-8)
 
     def test_workloads_from_engine(self, rng):
         model = _pruned_model(rng)
         engine = Engine(model, backend="fast", weight_format="crisp", n=2, m=4, block_size=8)
-        try:
-            workloads = workloads_from_engine(engine, batch=2)
-        finally:
-            engine.detach()
+        workloads = workloads_from_engine(engine, batch=2)
         expected = workloads_from_model(model, batch=2, n=2, m=4, block_size=8)
         assert [w.name for w in workloads] == [w.name for w in expected]
         for got, want in zip(workloads, expected):

@@ -1,11 +1,12 @@
-"""Engine lifecycle tests: attach/detach restoration and format refresh.
+"""Engine lifecycle tests: snapshot semantics and what the kernels memoize.
 
-Covers the two serving-critical lifecycle properties: a detached engine must
-leave the module exactly as it found it (context-manager protocol), and an
-engine that outlives a re-pruning must not serve stale compressed weights
-(``refresh_formats`` regression).  A third belongs to the fast kernels: what
-they memoize on an engine's formats is a function of the weights, not of the
-traffic the engine has seen.
+An engine is a snapshot of the module it was compiled from: one that outlives
+a re-pruning serves the old weights until ``refresh_formats`` recompiles it,
+and then serves exactly what a fresh engine would.  The second property
+belongs to the fast kernels: what they memoize on an engine's formats is a
+function of the weights, not of the traffic the engine has seen.  (That the
+engine leaves the module untouched, and the plan's parity with the module,
+live in ``tests/test_engine_plan.py``.)
 """
 
 from __future__ import annotations
@@ -27,14 +28,6 @@ def model():
 @pytest.fixture
 def batch(rng):
     return rng.normal(size=(3, 3, 12, 12))
-
-
-def _forward_table(model):
-    """Each prunable layer's instance-level forward override (None = class forward)."""
-    return {
-        name: layer.__dict__.get("forward")
-        for name, layer in prunable_layers(model).items()
-    }
 
 
 def _hybrid_prune(model, block_size, target_sparsity=0.8):
@@ -61,43 +54,9 @@ def _derived_nbytes(engine):
     return sum(nbytes(v) for fmt in engine.formats.values() for v in fmt.derived.values())
 
 
-class TestDetachRestoresForwards:
-    def test_context_manager_restores_original_forwards(self, model, batch):
-        model.eval()
-        baseline = model(batch)
-        before = _forward_table(model)
-
-        with Engine(model, backend="fast", weight_format="csr") as engine:
-            assert engine.attached
-            during = _forward_table(model)
-            # Every prunable layer's forward is rerouted while attached.
-            assert all(during[name] is not before[name] for name in before)
-            np.testing.assert_allclose(engine.predict(batch), baseline, atol=1e-8)
-
-        assert not engine.attached
-        after = _forward_table(model)
-        assert after == before  # original (absent) overrides restored exactly
-        np.testing.assert_allclose(model(batch), baseline, atol=1e-12)
-
-    def test_detach_is_idempotent(self, model, batch):
-        engine = Engine(model, backend="fast", weight_format="dense")
-        engine.detach()
-        engine.detach()
-        model.eval()
-        assert model(batch).shape == (3, 4)
-
-    def test_reattach_after_detach(self, model, batch):
-        engine = Engine(model, backend="fast", weight_format="csr")
-        expected = engine.predict(batch)
-        engine.detach()
-        engine.attach()
-        np.testing.assert_allclose(engine.predict(batch), expected, atol=1e-12)
-        engine.detach()
-
-
 class TestRefreshFormats:
     def test_stale_formats_after_repruning(self, model, batch):
-        """Re-pruning while an engine is attached must require refresh_formats:
+        """Re-pruning while an engine is alive must require refresh_formats:
         the engine serves the old encoding until then (the stale-format
         hazard), and refresh brings it back in sync."""
         engine = Engine(model, backend="fast", weight_format="csr")
@@ -115,16 +74,27 @@ class TestRefreshFormats:
         refreshed = engine.predict(batch)
         assert not np.allclose(refreshed, stale)
 
-        # The refreshed engine matches a fresh engine over the pruned module.
-        engine.detach()
+        # The refreshed engine is a fresh engine over the pruned module.
         fresh = Engine(model, backend="fast", weight_format="csr")
-        np.testing.assert_allclose(fresh.predict(batch), refreshed, atol=1e-10)
-        fresh.detach()
+        np.testing.assert_array_equal(fresh.predict(batch), refreshed)
+
+    def test_batchnorm_statistics_are_part_of_the_snapshot(self, model, batch):
+        """BN is folded into the encoded weights at build: moving the running
+        statistics changes nothing served until refresh_formats."""
+        engine = Engine(model, backend="fast", weight_format="csr")
+        stale = engine.predict(batch)
+        for _, buffer in model.named_buffers():
+            buffer += 0.5
+        np.testing.assert_array_equal(engine.predict(batch), stale)
+        engine.refresh_formats()
+        assert not np.allclose(engine.predict(batch), stale)
+        model.eval()
+        np.testing.assert_allclose(engine.predict(batch), model(batch), atol=1e-9)
 
     def test_refresh_encodes_effective_weight(self, model, batch):
         """STE-style dense shadow weights must never leak into inference:
         the encoding uses data * mask, not data."""
-        engine = Engine(model, backend="fast", weight_format="csr", attach=False)
+        engine = Engine(model, backend="fast", weight_format="csr")
         for layer in prunable_layers(model).values():
             scores = np.abs(layer.reshaped_weight())
             layer.set_reshaped_mask(nm_mask(scores, 2, 4, axis=0))
@@ -132,14 +102,11 @@ class TestRefreshFormats:
         for layer in prunable_layers(model).values():
             layer.weight.data = layer.weight.data + (1.0 - layer.weight.mask) * 7.0
         engine.refresh_formats()
-        engine.attach()
         masked_pred = engine.predict(batch)
-        engine.detach()
 
         model.apply_masks()  # hard-zero the shadow entries
         fresh = Engine(model, backend="fast", weight_format="csr")
         np.testing.assert_allclose(fresh.predict(batch), masked_pred, atol=1e-10)
-        fresh.detach()
 
 
 class TestDerivedState:
@@ -156,15 +123,12 @@ class TestDerivedState:
             build_model("resnet_tiny", num_classes=8, input_size=16, seed=0), block_size=16
         )
         engine = Engine(model, backend="fast", weight_format=weight_format)
-        try:
-            engine.predict(rng.normal(size=(1, 3, 16, 16)))
-            held = _derived_nbytes(engine)
-            assert 0 < held <= self.RESNET_TINY_CEILING
-            for width in range(1, 17):
-                engine.predict(rng.normal(size=(width, 3, 16, 16)))
-            assert _derived_nbytes(engine) == held
-        finally:
-            engine.detach()
+        engine.predict(rng.normal(size=(1, 3, 16, 16)))
+        held = _derived_nbytes(engine)
+        assert 0 < held <= self.RESNET_TINY_CEILING
+        for width in range(1, 17):
+            engine.predict(rng.normal(size=(width, 3, 16, 16)))
+        assert _derived_nbytes(engine) == held
 
     def test_new_formats_on_a_live_engine_start_with_nothing_derived(self, model, batch):
         """``refresh_formats`` / ``install_formats`` swap in fresh format
@@ -174,31 +138,24 @@ class TestDerivedState:
         head = list(prunable_layers(model).values())[-1]
 
         def served_directly():
-            engine.detach()
             model.eval()
-            try:
-                return model(batch)
-            finally:
-                engine.attach()
+            return model(batch)
 
-        try:
-            before = engine.predict(batch)
-            assert all(fmt.derived for fmt in engine.formats.values())
+        before = engine.predict(batch)
+        assert all(fmt.derived for fmt in engine.formats.values())
 
-            head.weight.data *= 2.0
-            engine.refresh_formats()
-            assert not any(fmt.derived for fmt in engine.formats.values())
-            refreshed = engine.predict(batch)
-            assert not np.allclose(refreshed, before)
-            np.testing.assert_allclose(refreshed, served_directly(), atol=1e-8)
+        head.weight.data *= 2.0
+        engine.refresh_formats()
+        assert not any(fmt.derived for fmt in engine.formats.values())
+        refreshed = engine.predict(batch)
+        assert not np.allclose(refreshed, before)
+        np.testing.assert_allclose(refreshed, served_directly(), atol=1e-8)
 
-            head.weight.data *= -0.5
-            fresh = Engine(model, weight_format="crisp", block_size=8, attach=False)
-            engine.install_formats(dict(fresh.formats))
-            assert all(engine.formats[name] is fmt for name, fmt in fresh.formats.items())
-            assert not any(fmt.derived for fmt in engine.formats.values())
-            installed = engine.predict(batch)
-            assert not np.allclose(installed, refreshed)
-            np.testing.assert_allclose(installed, served_directly(), atol=1e-8)
-        finally:
-            engine.detach()
+        head.weight.data *= -0.5
+        fresh = Engine(model, weight_format="crisp", block_size=8)
+        engine.install_formats(dict(fresh.formats))
+        assert all(engine.formats[name] is fmt for name, fmt in fresh.formats.items())
+        assert not any(fmt.derived for fmt in engine.formats.values())
+        installed = engine.predict(batch)
+        assert not np.allclose(installed, refreshed)
+        np.testing.assert_allclose(installed, served_directly(), atol=1e-8)

@@ -156,7 +156,7 @@ class TestEveryFormat:
 class TestInstallFormats:
     def test_swapped_layers_fail_at_install_naming_the_layer(self):
         model = sparsified_model()
-        formats = dict(Engine(model, weight_format="csr", attach=False).formats)
+        formats = dict(Engine(model, weight_format="csr").formats)
         first, last = list(formats)[0], list(formats)[-1]
         assert formats[first].shape != formats[last].shape
         formats[first], formats[last] = formats[last], formats[first]
@@ -164,7 +164,7 @@ class TestInstallFormats:
             Engine(model, weight_format="csr", formats=formats)
 
     def test_formats_is_a_read_only_view(self):
-        engine = Engine(sparsified_model(), weight_format="csr", attach=False)
+        engine = Engine(sparsified_model(), weight_format="csr")
         assert list(engine.formats) == list(prunable_layers(engine.module))
         with pytest.raises(TypeError):
             engine.formats["stem"] = None
@@ -268,8 +268,8 @@ def test_a_format_defined_outside_src_is_served_end_to_end(transposed_format, rn
         fmt.rows_t.size * DEFAULT_VALUE_BITS + 1 for fmt in local.formats.values()
     )
     np.testing.assert_allclose(local.predict(batch), dense, atol=1e-10)
-    with Engine(sparsified_model(), backend="reference", weight_format="transposed") as oracle:
-        np.testing.assert_allclose(oracle.predict(batch), dense, atol=1e-8)
+    oracle = Engine(sparsified_model(), backend="reference", weight_format="transposed")
+    np.testing.assert_allclose(oracle.predict(batch), dense, atol=1e-8)
 
     with SharedWeightStore(registry) as store:
         entry, _ = store.ensure(model_id)

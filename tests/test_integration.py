@@ -108,9 +108,12 @@ class TestServedEncoding:
         assert list(engine.formats) == list(layers)
         assert engine.is_lossless
         for name, layer in layers.items():
+            # The engine encodes its (K, S) operand with the layer's batch-norm
+            # scale folded into the columns: same zeros, same encoder.
             w_eff = layer.weight.effective()
-            weight2d = w_eff.reshape(w_eff.shape[0], -1).T  # the engine's (K, S) operand
-            assert_same_encoding(engine.formats[name], crisp_from_dense_loop(weight2d, 2, 4, 8))
+            folded = engine.formats[name].to_dense()
+            assert np.array_equal(folded != 0, w_eff.reshape(w_eff.shape[0], -1).T != 0)
+            assert_same_encoding(engine.formats[name], crisp_from_dense_loop(folded, 2, 4, 8))
 
         batch, _ = next(iter(personalization_run["val_loader"]))
         first = engine.predict(batch)

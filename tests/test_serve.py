@@ -90,8 +90,7 @@ class TestTypes:
         model = _sparsified_model()
         engine = SPEC.build(model)
         assert engine.spec == SPEC
-        engine.detach()
-        assert Engine.from_spec(model, SPEC, attach=False).spec == SPEC
+        assert Engine.from_spec(model, SPEC).spec == SPEC
 
 
 class TestModelRegistry:
@@ -152,7 +151,6 @@ class TestEngineCache:
         assert cache.get(id_a) is engine_a  # hit reuses the instance
         cache.get(id_b)  # evicts id_a
         assert id_a not in cache and id_b in cache
-        assert not engine_a.attached  # evicted engines are detached
         assert cache.get(id_a) is not engine_a  # rebuilt on return
         assert cache.stats() == {
             "capacity": 1, "resident": 1, "hits": 1, "misses": 3, "evictions": 2,
@@ -241,7 +239,6 @@ class TestBatchScheduler:
             np.testing.assert_allclose(
                 response.logits, engine.predict(request.inputs), atol=1e-10
             )
-            engine.detach()
 
     def test_generated_ids_skip_reserved_and_counter_advances_only_on_generate(self, rng):
         registry, (id_a,) = _registry_with(0)
@@ -355,7 +352,6 @@ class TestPersonalizationService:
                 np.testing.assert_allclose(
                     response.logits, engine.predict(request.inputs), atol=1e-10
                 )
-            engine.detach()
 
         # Capacity-1 cache: serving two tenants must have evicted the LRU one.
         stats = service.stats()
