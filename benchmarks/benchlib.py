@@ -53,25 +53,20 @@ def best_of(fn, *args, repeat=3):
 def _record_metadata(config):
     """Deployment metadata stamped into every record: backend, shards, workers.
 
-    The active compute backend, the shard count and the worker execution
-    model (threaded shards vs process shards on shared-memory weights) are
-    the knobs that change what a number means across PRs, so each record
-    carries them even when the producing script didn't think to include
-    them.  Single-process benchmarks are shard count 1 with threaded
+    The backend the script's engines were built for, the shard count and the
+    worker execution model (threaded shards vs process shards on
+    shared-memory weights) are the knobs that change what a number means
+    across PRs, so each record carries them.  All three are read from the
+    script's ``config``; a script that builds no engine stamps ``backend``
+    ``None``.  Single-process benchmarks are shard count 1 with threaded
     (in-process) execution.
     """
-    try:
-        from repro.backend import active_backend
-
-        backend = active_backend().name
-    except Exception:  # pragma: no cover - repro not importable
-        backend = None
-    shards, workers = 1, "threaded"
-    if isinstance(config, dict):
-        backend = config.get("backend", backend)
-        shards = config.get("shards", 1)
-        workers = config.get("workers", workers)
-    return {"backend": backend, "shards": shards, "workers": workers}
+    config = config if isinstance(config, dict) else {}
+    return {
+        "backend": config.get("backend"),
+        "shards": config.get("shards", 1),
+        "workers": config.get("workers", "threaded"),
+    }
 
 
 def write_records(path, benchmark, config, records):

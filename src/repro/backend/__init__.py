@@ -1,7 +1,7 @@
 """Pluggable compute backends for the CRISP reproduction.
 
-* :mod:`repro.backend.base` — the :class:`Backend` interface (the conv path
-  plus a format-name -> kernel table) and registry.
+* :mod:`repro.backend.base` — the :class:`Backend` interface (an inference
+  ``im2col`` plus a format-name -> kernel table) and registry.
 * :mod:`repro.backend.reference` — the original kernels (bit-exact oracle).
 * :mod:`repro.backend.fast` — vectorized sparse kernels + workspace reuse.
 * :mod:`repro.backend.engine` — the inference :class:`Engine`: a pruned model
@@ -9,21 +9,17 @@
 * :mod:`repro.backend.plan` — what an engine compiles to: a flat op list with
   batch-norm folded into the encoded weights.
 
-Select a backend globally with :func:`set_backend` (the experiments CLI
-exposes this as ``--backend {reference,fast}``) or locally with
-:func:`use_backend`.
+A backend is chosen per engine — ``Engine(model, backend="fast")``,
+``EngineSpec.backend`` — never per process: what a ``Module`` runs (training
+and ``eval()`` forwards) is :mod:`repro.nn.functional` whatever engines exist.
 """
 
 from .base import (
-    DEFAULT_BACKEND,
     Backend,
-    active_backend,
     available_backends,
     get_backend,
     register_backend,
     resolve_backend,
-    set_backend,
-    use_backend,
     weight_formats,
 )
 from .reference import ReferenceBackend
@@ -37,15 +33,11 @@ from .fast import (
 from .engine import WEIGHT_FORMATS, Engine
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "Backend",
-    "active_backend",
     "available_backends",
     "get_backend",
     "register_backend",
     "resolve_backend",
-    "set_backend",
-    "use_backend",
     "weight_formats",
     "ReferenceBackend",
     "FastBackend",

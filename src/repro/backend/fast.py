@@ -1,6 +1,6 @@
 """The ``fast`` backend: decode-once sparse kernels + inference workspace reuse.
 
-Three things distinguish this backend from ``reference``:
+Two things distinguish this backend from ``reference``:
 
 * a compressed weight is decoded **once**, on its first matmul, into a BLAS
   operand memoized on the format (``fmt.derived``, never serialized): CSR
@@ -11,12 +11,13 @@ Three things distinguish this backend from ``reference``:
   offsets are weight-side metadata, so resolving them is part of that
   decode, not of every call.  The per-row / per-value Python loops of
   :mod:`repro.sparsity.sparse_ops` stay the oracle;
-* inference-time ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s
-  plan calls) writes into shape-keyed workspace buffers that are reused
+* ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s plan calls)
+  writes into shape-keyed, per-thread workspace buffers that are reused
   across calls, so a steady-state convolution pays neither a fresh
-  column-matrix allocation nor an ``np.pad`` per layer per batch;
-* the ``Module`` conv path — training, and ``eval()`` forwards alike — is the
-  reference backend's, so its numerics stay bit-identical.
+  column-matrix allocation nor an ``np.pad`` per layer per batch.
+
+Nothing here is on a ``Module``'s path: training and ``eval()`` forwards run
+:mod:`repro.nn.functional`, whichever backend an engine was compiled for.
 
 What is decoded is private to the process and lives as long as the format
 object (for a served tenant: until its engine leaves the cache).  It is a
@@ -216,11 +217,11 @@ def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
 
 @register_backend
 class FastBackend(ReferenceBackend):
-    """Vectorized backend with inference-time workspace reuse.
+    """Vectorized backend with workspace reuse.
 
-    The conv kernels layers call are inherited from :class:`ReferenceBackend`;
-    only inference ``im2col`` (workspace-cached) and the CSR, Blocked-Ellpack
-    and CRISP entries of the kernel table (vectorized) are overridden.
+    Overrides ``im2col`` (workspace-cached) and the CSR, Blocked-Ellpack and
+    CRISP entries of the kernel table (vectorized); the dense kernel is the
+    reference backend's.
     """
 
     name = "fast"
@@ -236,12 +237,7 @@ class FastBackend(ReferenceBackend):
         kernel_w: int,
         stride: int = 1,
         padding: int = 0,
-        training: bool = True,
     ) -> np.ndarray:
-        if training:
-            # A backward pass may hold onto the columns; never hand out a
-            # shared buffer that a later forward would overwrite.
-            return F.im2col(x, kernel_h, kernel_w, stride, padding)
         # The workspace is keyed by thread identity as well as shape: concurrent
         # serving shards (repro.cluster) run same-shaped convolutions in
         # parallel, and a shared buffer would let one thread overwrite another's

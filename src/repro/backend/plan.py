@@ -84,7 +84,7 @@ class _Conv(_Op):
             return x.reshape(x.shape[0], -1), x.shape[2:]
         size = tuple(F.conv_output_size(extent, kernel, stride, padding) for extent in x.shape[2:])
         nchw = x.transpose(1, 0, 2, 3)
-        return self.backend.im2col(nchw, kernel, kernel, stride, padding, training=False).T, size
+        return self.backend.im2col(nchw, kernel, kernel, stride, padding).T, size
 
     def __call__(self, values: List[np.ndarray]) -> np.ndarray:
         operand, size = self.operand(values[self.src])

@@ -1,9 +1,9 @@
 """The ``reference`` backend: the repo's original kernels, unchanged.
 
-The conv path is the pure functions of :mod:`repro.nn.functional` and the
-kernel table is the loop-based sparse kernels of :mod:`repro.sparsity.sparse_ops`.
-This backend is kept bit-exact with the pre-backend code so parity tests can
-use it as the correctness oracle for any other backend.
+``im2col`` is :func:`repro.nn.functional.im2col` and the kernel table is the
+loop-based sparse kernels of :mod:`repro.sparsity.sparse_ops`.  This backend
+is kept bit-exact with the pre-backend code so parity tests can use it as
+the correctness oracle for any other backend.
 """
 
 from __future__ import annotations
@@ -31,15 +31,8 @@ class ReferenceBackend(Backend):
         kernel_w: int,
         stride: int = 1,
         padding: int = 0,
-        training: bool = True,
     ) -> np.ndarray:
         return F.im2col(x, kernel_h, kernel_w, stride, padding)
-
-    # -- conv kernels ---------------------------------------------------------
-    conv2d_forward = staticmethod(F.conv2d_forward)
-    conv2d_backward = staticmethod(F.conv2d_backward)
-    depthwise_conv2d_forward = staticmethod(F.depthwise_conv2d_forward)
-    depthwise_conv2d_backward = staticmethod(F.depthwise_conv2d_backward)
 
     # -- sparse kernels -------------------------------------------------------
     kernels = {

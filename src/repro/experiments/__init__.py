@@ -7,7 +7,6 @@ from .common import (
     TINY_SCALE,
     clear_model_cache,
     clone_model,
-    configure_backend,
     format_table,
     make_personalization_setup,
     make_service,
@@ -29,7 +28,6 @@ __all__ = [
     "TINY_SCALE",
     "clear_model_cache",
     "clone_model",
-    "configure_backend",
     "format_table",
     "make_personalization_setup",
     "make_service",

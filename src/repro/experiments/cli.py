@@ -7,13 +7,14 @@ Installed as the ``repro-experiments`` console script; also runnable as
     python -m repro.experiments fig4 fig8     # several figures in one go
     python -m repro.experiments all           # every figure
     python -m repro.experiments --list        # available experiment names
-    python -m repro.experiments --backend fast fig1   # vectorized backend
     python -m repro.experiments serve         # multi-tenant serving replay
     python -m repro.experiments serve --serve-users 3 --serve-requests 24
     python -m repro.experiments serve --shards 4 --workers threaded \
         --stats-json serve_stats.json         # sharded cluster replay
     python -m repro.experiments loadgen --scenario zipf-burst --shards 4 \
         --seed 0 --json                       # deterministic scenario replay
+    python -m repro.experiments --backend reference loadgen --smoke
+                                              # tenant engines' backend (figures ignore it)
     python -m repro.experiments loadgen --scenario shard-failure --shards 3 \
         --measure --json slo.json             # chaos run + measured SLOReport
     python -m repro.experiments loadgen --scenario steady-uniform --shards 2 \
@@ -45,7 +46,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable, Dict, List, Sequence
 
-from .common import configure_backend, format_table
+from .common import format_table
 from .fig1_nm_ratios import run_fig1
 from .fig2_layerwise import run_fig2
 from .fig3_crisp_vs_block import run_fig3
@@ -152,10 +153,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         choices=("reference", "fast"),
-        default=None,
-        help="compute backend every kernel routes through (default: reference "
-        "for the figure experiments; loadgen tenant engines default to fast, "
-        "matching EngineSpec)",
+        default="fast",
+        help="EngineSpec.backend of the tenant engines loadgen / monitor build "
+        "(default: fast).  Figure commands accept and ignore it: training and "
+        "pruning have one implementation",
     )
     serve_group = parser.add_argument_group("serve options")
     serve_group.add_argument(
@@ -338,8 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    configure_backend(args.backend or "reference")
-
     if args.list:
         for name in ALL_COMMANDS:
             print(name)
@@ -394,7 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         cache_capacity=args.serve_capacity,
         time_scale=args.time_scale,
-        backend=args.backend or "fast",
+        backend=args.backend,
         transport=args.transport,
         smoke=args.smoke,
         poll_interval_s=args.poll_interval,

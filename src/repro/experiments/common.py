@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentScale",
     "TINY_SCALE",
     "SMALL_SCALE",
-    "configure_backend",
     "pretrained_universal_model",
     "make_personalization_setup",
     "make_service",
@@ -44,17 +43,6 @@ __all__ = [
     "format_table",
     "clear_model_cache",
 ]
-
-
-def configure_backend(name: str) -> str:
-    """Select the compute backend every experiment kernel routes through.
-
-    Called by the CLI's ``--backend`` flag before any experiment runs.
-    Returns the resolved backend name.
-    """
-    from ..backend import set_backend
-
-    return set_backend(name).name
 
 
 @dataclass(frozen=True)
@@ -127,8 +115,8 @@ def pretrained_universal_model(
 ) -> Tuple[ClassifierModel, float]:
     """Train (or fetch from cache) a universal model over ``num_classes`` classes.
 
-    Returns ``(model, validation_accuracy)``.  The cached model is never
-    handed out directly — callers receive a deep copy so they can prune it.
+    Returns ``(model, validation_accuracy)``; every call hands out a model of
+    its own, so callers can prune it.
     The cache itself lives in the serving layer
     (:func:`repro.serve.universal_model`) and is keyed by the full training
     protocol, so experiments and a :class:`~repro.serve.PersonalizationService`

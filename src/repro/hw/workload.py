@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..nn import functional as F
 from ..nn.layers import Conv2d, Linear
-from ..nn.models.base import prunable_layers
+from ..nn.models.base import conv_input_sizes, prunable_layers
 from ..nn.module import Module
 from ..sparsity.formats import FORMATS
 
@@ -180,17 +178,12 @@ def workloads_from_model(
     models can exploit it.  Without them, all measured sparsity is attributed
     to the coarse (block) component, which is the structure CRISP produces.
     """
-    size = input_size or getattr(model, "input_size", 16)
-    dummy = np.zeros((1, 3, size, size))
-    was_training = model.training
-    model.eval()
-    model(dummy)
-    model.train(was_training)
+    sizes = conv_input_sizes(model, input_size)
 
     workloads: List[LayerWorkload] = []
     for name, layer in prunable_layers(model).items():
         if isinstance(layer, Conv2d):
-            _, _, h, w = layer._cache["x_shape"]
+            h, w = sizes[name]
             out_h = F.conv_output_size(h, layer.kernel_size, layer.stride, layer.padding)
             out_w = F.conv_output_size(w, layer.kernel_size, layer.stride, layer.padding)
             positions = out_h * out_w * batch

@@ -1,4 +1,4 @@
-"""Layer implementations built on the pluggable compute backends.
+"""Layer implementations built on :mod:`repro.nn.functional`.
 
 Each layer caches whatever the backward pass needs during ``forward`` and
 accumulates parameter gradients in ``backward``.  Convolution and linear
@@ -6,12 +6,10 @@ layers expose ``reshaped_weight()`` / ``set_reshaped_weight()`` which view
 the weight in the ``(H*W*R, S)`` layout used by the CRISP pruning framework
 (kernel-position x input-channel rows, output-channel columns).
 
-Convolutions route through the active :class:`repro.backend.Backend`
-(``reference`` by default, selectable via :func:`repro.backend.set_backend`)
-— the one place backends differ — and their backward pass reuses the backend
-recorded at forward time so a mid-step backend switch cannot pair a forward
-cache with a mismatched backward kernel.  Every other layer has a single
-implementation and calls :mod:`repro.nn.functional` directly.
+Every layer has a single implementation, the kernels of
+:mod:`repro.nn.functional`, and a layer's ``_cache`` holds data only (arrays,
+shapes, scalars) so a model deep-copies and pickles.  Compute backends
+(:mod:`repro.backend`) belong to inference engines, not to layers.
 """
 
 from __future__ import annotations
@@ -41,13 +39,6 @@ __all__ = [
     "Add",
     "PRUNABLE_LAYER_TYPES",
 ]
-
-
-def _backend():
-    """The active compute backend (imported lazily to avoid an import cycle)."""
-    from ..backend import active_backend
-
-    return active_backend()
 
 
 def _kaiming_uniform(shape: Tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,14 +89,12 @@ class Conv2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         weight = self.weight.effective()
         bias = self.bias.data if self.bias is not None else None
-        backend = _backend()
-        out, self._cache = backend.conv2d_forward(x, weight, bias, self.stride, self.padding)
+        out, self._cache = F.conv2d_forward(x, weight, bias, self.stride, self.padding)
         self._cache["effective_weight"] = weight
-        self._cache["backend"] = backend
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = self._cache["backend"].conv2d_backward(
+        grad_x, grad_w, grad_b = F.conv2d_backward(
             grad_out, self._cache["effective_weight"], self._cache
         )
         self.weight.accumulate_grad(grad_w)
@@ -185,15 +174,13 @@ class DepthwiseConv2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         bias = self.bias.data if self.bias is not None else None
-        backend = _backend()
-        out, self._cache = backend.depthwise_conv2d_forward(
+        out, self._cache = F.depthwise_conv2d_forward(
             x, self.weight.data, bias, self.stride, self.padding
         )
-        self._cache["backend"] = backend
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = self._cache["backend"].depthwise_conv2d_backward(
+        grad_x, grad_w, grad_b = F.depthwise_conv2d_backward(
             grad_out, self.weight.data, self._cache
         )
         self.weight.accumulate_grad(grad_w)

@@ -1,16 +1,16 @@
-"""Shared model utilities: the classifier base class and prunable-layer lookup."""
+"""Shared model utilities: the classifier base class, prunable-layer lookup and shape tracing."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..module import Module
 from ..layers import PRUNABLE_LAYER_TYPES, Conv2d, Linear
 
-__all__ = ["ClassifierModel", "prunable_layers", "layer_weight_shapes"]
+__all__ = ["ClassifierModel", "prunable_layers", "conv_input_sizes", "layer_weight_shapes"]
 
 
 class ClassifierModel(Module):
@@ -59,6 +59,25 @@ def prunable_layers(model: Module) -> "OrderedDict[str, Module]":
         if isinstance(module, PRUNABLE_LAYER_TYPES) and getattr(module, "prunable", False):
             layers[name] = module
     return layers
+
+
+def conv_input_sizes(model: Module, input_size: Optional[int] = None) -> Dict[str, Tuple[int, int]]:
+    """Input ``(h, w)`` of every prunable convolution, by qualified name.
+
+    Read from one ``eval()`` forward of a single zero image (the model's mode
+    is restored), so it holds for arbitrary topologies.  This is the only
+    reader of a conv layer's ``_cache`` outside the layer itself.
+    """
+    size = input_size or getattr(model, "input_size", 16)
+    was_training = model.training
+    model.eval()
+    model(np.zeros((1, 3, size, size)))
+    model.train(was_training)
+    return {
+        name: layer._cache["x_shape"][2:]
+        for name, layer in prunable_layers(model).items()
+        if isinstance(layer, Conv2d)
+    }
 
 
 def layer_weight_shapes(model: Module) -> Dict[str, Tuple[int, ...]]:

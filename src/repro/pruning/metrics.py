@@ -14,8 +14,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..nn.layers import Conv2d, DepthwiseConv2d, Linear
-from ..nn.models.base import prunable_layers
+from ..nn.layers import Conv2d, Linear
+from ..nn.models.base import conv_input_sizes, prunable_layers
 from ..nn.module import Module
 from ..nn import functional as F
 from ..sparsity.formats import CRISPFormat, DEFAULT_VALUE_BITS
@@ -95,39 +95,19 @@ def _effective_nonzero(layer) -> int:
     return int(np.count_nonzero(weight.data))
 
 
-def _trace_spatial_outputs(model: Module, input_size: Optional[int]) -> Dict[int, int]:
-    """Run one dummy forward and map ``id(layer) -> output spatial positions``.
-
-    Convolution FLOPs scale with the number of output positions; a forward
-    trace with a single image captures them for arbitrary topologies.
-    """
-    size = input_size or getattr(model, "input_size", 16)
-    channels = 3
-    dummy = np.zeros((1, channels, size, size))
-    was_training = model.training
-    model.eval()
-    model(dummy)
-    model.train(was_training)
-
-    positions: Dict[int, int] = {}
-    for _, module in model.named_modules():
-        if isinstance(module, (Conv2d, DepthwiseConv2d)) and module._cache:
-            _, _, h, w = module._cache["x_shape"]
-            out_h = F.conv_output_size(h, module.kernel_size, module.stride, module.padding)
-            out_w = F.conv_output_size(w, module.kernel_size, module.stride, module.padding)
-            positions[id(module)] = out_h * out_w
-    return positions
-
-
 def collect_model_stats(model: Module, input_size: Optional[int] = None) -> ModelStats:
     """Collect :class:`LayerStats` for every prunable layer of ``model``."""
-    positions = _trace_spatial_outputs(model, input_size)
+    sizes = conv_input_sizes(model, input_size)
     stats = ModelStats()
     for name, layer in prunable_layers(model).items():
         total = layer.weight.size
         nonzero = _effective_nonzero(layer)
         if isinstance(layer, Conv2d):
-            out_positions = positions.get(id(layer), 1)
+            out_h, out_w = (
+                F.conv_output_size(extent, layer.kernel_size, layer.stride, layer.padding)
+                for extent in sizes[name]
+            )
+            out_positions = out_h * out_w
             dense_flops = 2 * total * out_positions
             sparse_flops = 2 * nonzero * out_positions
             shape = layer.weight.shape

@@ -16,7 +16,6 @@ same functions.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,8 +53,8 @@ __all__ = [
 # Universal model provider (shared backbone pre-training, cached per config)
 # ---------------------------------------------------------------------------
 
-#: Content key (sha256 of the training closure) -> (model, accuracy).
-_UNIVERSAL_CACHE: Dict[str, Tuple[ClassifierModel, float]] = {}
+#: Content key (sha256 of the training closure) -> (state_dict, accuracy).
+_UNIVERSAL_CACHE: Dict[str, Tuple[Dict[str, np.ndarray], float]] = {}
 
 #: Optional on-disk tier: a :class:`repro.pipeline.store.PipelineStore`
 #: under which trained backbones persist across processes.
@@ -139,20 +138,16 @@ def universal_model(
 ) -> Tuple[ClassifierModel, float]:
     """Train (or fetch from cache) the universal model personalization starts from.
 
-    Returns ``(model, validation_accuracy)``.  The cached instance is never
-    handed out directly — callers receive a deep copy they can prune.  The
-    cache is keyed by a content hash of the full training closure (protocol
-    spec, seed and a fingerprint of the training code), so experiments and
-    services with the same protocol share one pre-trained backbone — and a
-    *changed* protocol or trainer can never be served a stale entry.  With
-    :func:`set_universal_model_store` configured, trained backbones also
-    persist on disk under the same keys.
+    Returns ``(model, validation_accuracy)``.  What is cached is the trained
+    ``state_dict``; every call hands out a freshly built model loaded from it
+    (in ``train()`` mode, no forward caches, no gradients) that the caller can
+    prune.  The cache is keyed by a content hash of the full training closure
+    (protocol spec, seed and a fingerprint of the training code), so
+    experiments and services with the same protocol share one pre-trained
+    backbone — and a *changed* protocol or trainer can never be served a
+    stale entry.  With :func:`set_universal_model_store` configured, trained
+    backbones also persist on disk under the same keys.
     """
-    from ..backend import active_backend
-
-    # The backend participates in the key: different backends may accumulate
-    # different floating-point round-off during training, and a cached model
-    # must be reproducible for the backend that trained it.
     spec = {
         "model_name": model_name,
         "dataset_preset": dataset_preset,
@@ -160,7 +155,6 @@ def universal_model(
         "num_classes": num_classes,
         "input_size": input_size,
         "batch_size": batch_size,
-        "backend": active_backend().name,
     }
     key = _universal_model_key(spec, seed)
     if key not in _UNIVERSAL_CACHE:
@@ -170,14 +164,11 @@ def universal_model(
             else None
         )
         if entry is not None:
-            model = build_model(
-                model_name, num_classes=num_classes, input_size=input_size, seed=seed
-            )
             with np.load(entry.artifact_dir / "state.npz") as npz:
-                model.load_state_dict({name: npz[name].copy() for name in npz.files})
+                state = {name: npz[name] for name in npz.files}
             accuracy = float(entry.output["accuracy"])
         else:
-            model, accuracy = _train_universal(
+            trained, accuracy = _train_universal(
                 model_name,
                 dataset_preset,
                 pretrain_epochs,
@@ -187,19 +178,22 @@ def universal_model(
                 seed,
                 dataset=dataset,
             )
+            state = trained.state_dict()
             if _UNIVERSAL_STORE is not None:
                 staging = _UNIVERSAL_STORE.staging_dir(_UNIVERSAL_STEP, key)
-                np.savez(staging / "artifacts" / "state.npz", **model.state_dict())
+                np.savez(staging / "artifacts" / "state.npz", **state)
                 _UNIVERSAL_STORE.commit(
                     _UNIVERSAL_STEP,
                     key,
                     {"accuracy": accuracy, "seed": seed, "spec": spec},
                     staging=staging,
                 )
-        _UNIVERSAL_CACHE[key] = (model, accuracy)
+        _UNIVERSAL_CACHE[key] = (state, accuracy)
 
-    cached_model, accuracy = _UNIVERSAL_CACHE[key]
-    return copy.deepcopy(cached_model), accuracy
+    state, accuracy = _UNIVERSAL_CACHE[key]
+    model = build_model(model_name, num_classes=num_classes, input_size=input_size, seed=seed)
+    model.load_state_dict(state)
+    return model, accuracy
 
 
 def restrict_head_to_classes(

@@ -8,15 +8,13 @@ GEMM with the masked weight matrix.  The hardware performance model itself
 lives in :mod:`repro.hw`.
 
 :func:`sparse_matmul` is the one public entry point: it hands any encoded
-weight to the active (or named) compute backend (:mod:`repro.backend`),
-whose kernel table picks the kernel — the loop kernels below on
-``reference``, the vectorized equivalents of :mod:`repro.backend.fast` on
+weight to the named compute backend (:mod:`repro.backend`), whose kernel
+table picks the kernel — the loop kernels below on ``reference`` (the
+default), the vectorized equivalents of :mod:`repro.backend.fast` on
 ``fast``.
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 import numpy as np
 
@@ -138,9 +136,9 @@ def crisp_matmul_reference(fmt: CRISPFormat, activations: np.ndarray) -> np.ndar
 
 
 def sparse_matmul(
-    fmt: WeightFormat, activations: np.ndarray, backend: Union[str, None] = None
+    fmt: WeightFormat, activations: np.ndarray, backend: str = "reference"
 ) -> np.ndarray:
-    """``weight.T @ activations`` from any encoded weight, via the active (or named) backend."""
+    """``weight.T @ activations`` from any encoded weight, via the named backend."""
     from ..backend import resolve_backend
 
     return resolve_backend(backend).sparse_matmul(fmt, activations)

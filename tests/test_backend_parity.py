@@ -4,7 +4,8 @@ The ``reference`` backend is the correctness oracle (bit-exact with the
 pre-backend code); the ``fast`` backend must agree with both the oracle and
 the dense ``masked_matmul`` reference to 1e-8 across randomized shapes, N:M
 ratios and block sizes.  The suite also pins the engine, the backend
-registry, the workspace cache and the dense-layer routing.
+registry, the workspace cache and the backend interface (a ``Module``'s
+own forward/backward is ``nn.functional`` and has no backend to compare).
 """
 
 from __future__ import annotations
@@ -14,17 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import (
-    Engine,
-    FastBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.backend import Backend, Engine, FastBackend, available_backends, get_backend
 from repro.backend.fast import blocked_ellpack_matmul_fast, crisp_matmul_fast
-from repro.experiments import configure_backend
 from repro.hw import workloads_from_engine, workloads_from_model
 from repro.nn import functional as F
 from repro.nn.models import build_model
@@ -44,14 +36,6 @@ BACKENDS = ["reference", "fast"]
 
 #: Randomized (rows, cols) weight shapes, including block-unaligned ones.
 SHAPES = [(32, 16), (24, 40), (64, 64), (17, 9), (40, 23), (128, 48)]
-
-
-@pytest.fixture(autouse=True)
-def _reference_backend_default():
-    """Keep the global backend selection clean across tests."""
-    previous = active_backend()
-    yield
-    set_backend(previous)
 
 
 def random_sparse(rng, rows, cols, density=0.35):
@@ -80,21 +64,6 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError):
             get_backend("turbo")
-
-    def test_use_backend_scopes_selection(self):
-        before = active_backend().name
-        with use_backend("fast") as be:
-            assert be.name == "fast"
-            assert active_backend().name == "fast"
-        assert active_backend().name == before
-
-    def test_configure_backend_threads_through_experiments(self):
-        previous = active_backend()
-        try:
-            assert configure_backend("fast") == "fast"
-            assert active_backend().name == "fast"
-        finally:
-            set_backend(previous)
 
     def test_sparse_matmul_rejects_unknown_format(self):
         with pytest.raises(TypeError):
@@ -272,96 +241,28 @@ class TestTileGemmDecode:
             assert scatter.shape == (3, fmt.block_cols.size)
 
 
-class TestDenseLayerParity:
-    def test_model_forward_matches_across_backends(self, rng, tiny_resnet):
-        x = rng.normal(size=(2, 3, 16, 16))
-        tiny_resnet.eval()
-        ref = tiny_resnet(x)
-        with use_backend("fast"):
-            fast = tiny_resnet(x)
-        np.testing.assert_allclose(fast, ref, atol=1e-8)
+class TestBackendInterface:
+    def test_abstract_surface_is_im2col(self):
+        """What a backend must implement: everything else (``sparse_matmul``
+        over the ``kernels`` table, the workspace counters) has a default."""
+        assert Backend.__abstractmethods__ == frozenset({"im2col"})
 
-    def test_training_step_matches_across_backends(self, rng, tiny_resnet):
-        """Forward + backward in train mode is bit-identical on both backends
-        (the fast backend only diverges on inference-only paths)."""
-        x = rng.normal(size=(2, 3, 16, 16))
-        tiny_resnet.train()
-        ref = tiny_resnet(x)
-        grads_ref = {}
-        tiny_resnet.backward(np.ones_like(ref))
-        for name, p in tiny_resnet.named_parameters():
-            if p.grad is not None:
-                grads_ref[name] = p.grad.copy()
-        tiny_resnet.zero_grad()
-
-        with use_backend("fast"):
-            fast = tiny_resnet(x)
-            tiny_resnet.backward(np.ones_like(fast))
-        np.testing.assert_array_equal(fast, ref)
-        for name, p in tiny_resnet.named_parameters():
-            if name in grads_ref:
-                np.testing.assert_array_equal(p.grad, grads_ref[name])
-
-    def test_eval_mode_gradients_match_across_backends(self, rng, tiny_resnet):
-        """Saliency estimation runs forward+backward in eval mode; convs that
-        share an im2col shape key (any ResNet stage) must not alias the fast
-        backend's workspace buffer in their backward caches."""
-        x = rng.normal(size=(2, 3, 16, 16))
-        tiny_resnet.eval()
-        out = tiny_resnet(x)
-        tiny_resnet.backward(np.ones_like(out))
-        grads_ref = {
-            name: p.grad.copy()
-            for name, p in tiny_resnet.named_parameters()
-            if p.grad is not None
-        }
-        tiny_resnet.zero_grad()
-
-        with use_backend("fast"):
-            out_fast = tiny_resnet(x)
-            tiny_resnet.backward(np.ones_like(out_fast))
-        np.testing.assert_allclose(out_fast, out, atol=1e-8)
-        for name, p in tiny_resnet.named_parameters():
-            if name in grads_ref:
-                np.testing.assert_allclose(p.grad, grads_ref[name], atol=1e-8, err_msg=name)
-
-    def test_eval_mode_depthwise_gradients_match_across_backends(self, rng, tiny_mobilenet):
-        x = rng.normal(size=(2, 3, 16, 16))
-        tiny_mobilenet.eval()
-        out = tiny_mobilenet(x)
-        tiny_mobilenet.backward(np.ones_like(out))
-        grads_ref = {
-            name: p.grad.copy()
-            for name, p in tiny_mobilenet.named_parameters()
-            if p.grad is not None
-        }
-        tiny_mobilenet.zero_grad()
-
-        with use_backend("fast"):
-            out_fast = tiny_mobilenet(x)
-            tiny_mobilenet.backward(np.ones_like(out_fast))
-        for name, p in tiny_mobilenet.named_parameters():
-            if name in grads_ref:
-                np.testing.assert_allclose(p.grad, grads_ref[name], atol=1e-8, err_msg=name)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_im2col_agrees_with_functional(self, rng, backend):
+        x = rng.normal(size=(2, 3, 9, 7))
+        columns = get_backend(backend).im2col(x, 3, 3, stride=2, padding=1)
+        np.testing.assert_array_equal(columns, F.im2col(x, 3, 3, 2, 1))
 
     def test_workspace_cache_reuses_buffers(self, rng):
         backend = FastBackend()
         x = rng.normal(size=(2, 3, 8, 8))
-        first = backend.im2col(x, 3, 3, 1, 1, training=False)
-        second = backend.im2col(x, 3, 3, 1, 1, training=False)
+        first = backend.im2col(x, 3, 3, 1, 1)
+        second = backend.im2col(x, 3, 3, 1, 1)
         assert first.base is second.base  # same underlying workspace buffer
         np.testing.assert_array_equal(second, F.im2col(x, 3, 3, 1, 1))
         # Two buffers per padded call: the zero-bordered image and the columns.
         assert backend.workspace_stats() == {"hits": 2, "misses": 2, "buffers": 2}
         backend.clear_workspace()
-        assert backend.workspace_stats()["buffers"] == 0
-
-    def test_training_im2col_never_shares_workspace(self, rng):
-        backend = FastBackend()
-        x = rng.normal(size=(2, 3, 8, 8))
-        first = backend.im2col(x, 3, 3, 1, 1, training=True)
-        second = backend.im2col(x, 3, 3, 1, 1, training=True)
-        assert first.base is not second.base
         assert backend.workspace_stats()["buffers"] == 0
 
 

@@ -41,6 +41,25 @@ class TestCLI:
         assert "crisp-stc-b64" in out
         assert "speedup_vs_dense" in out
 
+    def test_backend_flag_is_accepted_and_ignored_by_figures(self, capsys):
+        """``--backend`` names the backend of loadgen/monitor tenant engines.
+        A figure trains and prunes ``Module``s, which have one implementation:
+        same output, and the same cached backbone (one pre-train for the pair).
+        ``--backend fast fig2`` raised ``TypeError`` from PR 3 to PR 21."""
+        from repro.experiments.common import clear_model_cache
+        from repro.serve import service
+
+        clear_model_cache()
+        try:
+            assert main(["fig2"]) == 0
+            plain = capsys.readouterr().out
+            assert main(["--backend", "fast", "fig2"]) == 0
+            assert capsys.readouterr().out == plain
+            assert "layer" in plain
+            assert len(service._UNIVERSAL_CACHE) == 1
+        finally:
+            clear_model_cache()
+
     def test_run_serve_via_cli(self, capsys):
         from repro.experiments.common import clear_model_cache
 

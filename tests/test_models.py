@@ -1,5 +1,8 @@
 """Tests for the model zoo (topology, forward/backward, registry)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,14 @@ from repro.nn.models import (
     vgg16,
     vgg_tiny,
 )
-from repro.nn.models.base import layer_weight_shapes, prunable_layers
+from repro.nn.models.base import conv_input_sizes, layer_weight_shapes, prunable_layers
+
+
+def _is_data(value):
+    """An array, a plain scalar (or ``None``), or a tuple of ints — nothing that holds a lock."""
+    if isinstance(value, tuple):
+        return all(isinstance(item, (int, np.integer)) for item in value)
+    return value is None or isinstance(value, (np.ndarray, bool, int, float, np.number))
 
 
 class TestRegistry:
@@ -59,6 +69,29 @@ class TestTinyModels:
         # Every prunable layer must receive a weight gradient.
         for name, layer in prunable_layers(model).items():
             assert layer.weight.grad is not None, f"{name} got no gradient"
+
+    def test_layer_caches_hold_data_only_so_a_used_model_copies(self, factory, rng):
+        """A layer cache that held the backend object (whose workspace owns a
+        ``threading.Lock``) made ``copy.deepcopy`` of any model that had run a
+        forward raise ``TypeError`` — which is what every figure command does."""
+        model = factory(num_classes=4, input_size=12, seed=0)
+        out = model(rng.normal(size=(2, 3, 12, 12)))
+        model.backward(np.ones_like(out))
+        caches = {
+            name: module._cache
+            for name, module in model.named_modules()
+            if getattr(module, "_cache", None)
+        }
+        assert caches
+        for name, cache in caches.items():
+            for key, value in cache.items():
+                assert _is_data(value), f"{name}._cache[{key!r}] holds a {type(value).__name__}"
+        state = model.state_dict()
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            cloned = clone.state_dict()
+            assert set(cloned) == set(state)
+            for key in state:
+                np.testing.assert_array_equal(cloned[key], state[key])
 
     def test_predict(self, factory, rng):
         model = factory(num_classes=4, input_size=12, seed=0)
@@ -121,3 +154,17 @@ class TestPrunableLayerHelpers:
         assert set(shapes) == set(layers)
         for name, (rows, cols) in shapes.items():
             assert rows * cols == layers[name].weight.size
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_conv_input_sizes(self, training):
+        """One ``eval()`` dummy forward: input ``(h, w)`` per prunable conv, mode restored."""
+        model = resnet_tiny(num_classes=4, input_size=12, seed=0)
+        model.train(training)
+        sizes = conv_input_sizes(model)
+        assert model.training is training
+        convs = {n for n, l in prunable_layers(model).items() if isinstance(l, Conv2d)}
+        assert set(sizes) == convs
+        first = next(iter(sizes))
+        assert sizes[first] == (12, 12)
+        assert conv_input_sizes(model, input_size=16)[first] == (16, 16)
+        assert all(isinstance(h, int) and isinstance(w, int) for h, w in sizes.values())

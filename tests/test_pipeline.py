@@ -197,6 +197,11 @@ class TestStandardChain:
 
 class TestUniversalModelStore:
     def test_universal_model_cached_on_disk_by_content_key(self, tmp_path):
+        """Trained once, persisted under its content key, and handed out the
+        same way from the memory tier and the disk tier: a fresh ``build_model``
+        loaded from the cached state — same weights, same mode, no forward
+        caches or gradients left from training, and nothing a caller does to
+        its copy reaches the cache."""
         from repro.serve import service as serve_service
         from repro.serve import set_universal_model_store
 
@@ -214,14 +219,27 @@ class TestUniversalModelStore:
         try:
             model, accuracy = serve_service.universal_model(**spec)
             assert store.keys("universal-model"), "trained model not persisted"
+            state = model.state_dict()
+            for param in model.parameters():  # a caller pruning its copy, in place
+                param.data *= 0.0
+            for _, buf in model.named_buffers():
+                buf += 1.0
+            from_memory, accuracy1 = serve_service.universal_model(**spec)
             # Drop the in-memory tier: the next call must rebuild from disk.
             serve_service.clear_universal_model_cache()
-            again, accuracy2 = serve_service.universal_model(**spec)
+            from_store, accuracy2 = serve_service.universal_model(**spec)
+            assert accuracy1 == accuracy
             assert accuracy2 == pytest.approx(accuracy)
-            state, state2 = model.state_dict(), again.state_dict()
-            assert set(state) == set(state2)
-            for key in state:
-                np.testing.assert_array_equal(state[key], state2[key])
+            assert len(serve_service._UNIVERSAL_CACHE) == 1
+            for again in (from_memory, from_store):
+                assert again.training is True
+                state2 = again.state_dict()
+                assert set(state) == set(state2)
+                for key in state:
+                    np.testing.assert_array_equal(state[key], state2[key])
+                for name, module in again.named_modules():
+                    assert not getattr(module, "_cache", None), f"{name} kept a forward cache"
+                assert all(p.grad is None for p in again.parameters())
         finally:
             set_universal_model_store(None)
             serve_service.clear_universal_model_cache()
