@@ -1,39 +1,14 @@
-"""Shared configuration for the benchmark harness.
-
-Every benchmark regenerates one of the paper's tables/figures at a reduced
-("tiny") scale and, when run with ``-s``, prints the reproduced rows so the
-output can be compared with the paper's qualitative shape (see
-EXPERIMENTS.md for the recorded comparison).
-"""
+"""Shared configuration for what pytest collects under ``benchmarks/``: the
+kernel benchmarks, the paper's ablations and crispbench's own tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentScale, clear_model_cache
-
-#: Scale used by all accuracy benchmarks: small enough that a full figure
-#: sweep completes in seconds, large enough that the qualitative orderings
-#: (who wins, where the crossovers are) are visible.
-BENCH_SCALE = ExperimentScale(
-    name="bench",
-    dataset_preset="synthetic-tiny",
-    model_name="resnet_tiny",
-    pretrain_epochs=2,
-    finetune_epochs=1,
-    prune_iterations=2,
-)
+from repro.experiments import clear_model_cache
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _clear_cache_at_end():
     yield
     clear_model_cache()
-
-
-def print_rows(title, rows, columns=None):
-    """Print a reproduced table under ``-s`` for manual shape comparison."""
-    from repro.experiments import format_table
-
-    print(f"\n=== {title} ===")
-    print(format_table(rows, columns=columns))

@@ -186,9 +186,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     loadgen_group = parser.add_argument_group("loadgen options")
     loadgen_group.add_argument(
-        "--scenario", default="steady-uniform",
+        "--scenario", default=None,
         help="named traffic scenario preset (see `loadgen --list-scenarios`; "
-        "default: steady-uniform)",
+        "default: steady-uniform, for lifecycle drift-step)",
     )
     loadgen_group.add_argument(
         "--list-scenarios", action="store_true",
@@ -200,8 +200,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bit for bit (default: 0)",
     )
     loadgen_group.add_argument(
-        "--loadgen-tenants", type=int, default=8, metavar="N",
-        help="synthetic tenant fleet size (default: 8)",
+        "--loadgen-tenants", type=int, default=None, metavar="N",
+        help="synthetic tenant fleet size (default: 8, for lifecycle 4)",
     )
     loadgen_group.add_argument(
         "--loadgen-requests", type=int, default=None, metavar="N",
@@ -383,12 +383,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
+    # Flags with no default of their own: left off, each command's config
+    # dataclass supplies its default (loadgen and lifecycle differ).
+    given = {
+        key: value
+        for key, value in (("scenario", args.scenario), ("tenants", args.loadgen_tenants))
+        if value is not None
+    }
+
     # What `loadgen` and `monitor` both read from the flags: the scenario run.
     scenario_run = dict(
-        scenario=args.scenario,
+        **given,
         shards=args.shards,
         workers=args.workers,
-        tenants=args.loadgen_tenants,
         requests=args.loadgen_requests,
         seed=args.seed,
         cache_capacity=args.serve_capacity,
@@ -429,9 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if "lifecycle" in requested:
         try:
             lifecycle_config = LifecycleCliConfig(
-                scenario=args.scenario if args.scenario != "steady-uniform"
-                else "drift-step",
-                tenants=args.loadgen_tenants if args.loadgen_tenants != 8 else 4,
+                **given,
                 requests=args.loadgen_requests,
                 seed=args.seed,
                 compare=not args.managed_only,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..pruning.baselines import dense_finetune, nm_prune
-from .common import ExperimentScale, TINY_SCALE, clone_model, format_table, make_personalization_setup
+from .common import ExperimentScale, TINY_SCALE, clone_model, make_personalization_setup
 
 __all__ = ["Fig1Config", "run_fig1", "DEFAULT_MODELS"]
 
@@ -95,12 +95,3 @@ def run_fig1(config: Fig1Config | None = None) -> List[Dict]:
                 }
             )
     return rows
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig1()
-    print(format_table(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

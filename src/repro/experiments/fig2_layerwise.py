@@ -16,7 +16,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..pruning import CRISPConfig, CRISPPruner
-from .common import ExperimentScale, TINY_SCALE, format_table, make_personalization_setup
+from .common import ExperimentScale, TINY_SCALE, make_personalization_setup
 
 __all__ = ["Fig2Config", "run_fig2"]
 
@@ -85,12 +85,3 @@ def run_fig2(config: Fig2Config | None = None) -> List[Dict]:
         }
     )
     return rows
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig2()
-    print(format_table(rows, columns=["layer", "weights", "sparsity", "global_sparsity"]))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

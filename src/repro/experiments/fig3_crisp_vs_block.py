@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..pruning import CRISPConfig, CRISPPruner
 from ..pruning.baselines import block_prune, dense_finetune
-from .common import ExperimentScale, TINY_SCALE, clone_model, format_table, make_personalization_setup
+from .common import ExperimentScale, TINY_SCALE, clone_model, make_personalization_setup
 
 __all__ = ["Fig3Config", "run_fig3"]
 
@@ -102,12 +102,3 @@ def run_fig3(config: Fig3Config | None = None) -> List[Dict]:
                     }
                 )
     return rows
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig3()
-    print(format_table(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..sparsity import HybridSparsityConfig, compare_formats, hybrid_mask
-from .common import format_table
 
 __all__ = ["Fig4Config", "run_fig4", "DEFAULT_LAYER_SHAPES"]
 
@@ -90,15 +89,3 @@ def aggregate_overheads(rows: List[Dict]) -> Dict[str, float]:
     for row in rows:
         totals.setdefault(row["format"], []).append(row["metadata_vs_crisp"])
     return {fmt: float(np.mean(vals)) for fmt, vals in totals.items()}
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig4()
-    print(format_table(rows))
-    print()
-    for fmt, ratio in aggregate_overheads(rows).items():
-        print(f"{fmt:>16}: {ratio:5.1f}x metadata vs CRISP")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

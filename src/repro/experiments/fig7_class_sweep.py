@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 
 from ..pruning import CRISPConfig, CRISPPruner, flops_ratio
 from ..pruning.baselines import channel_prune, dense_finetune
-from .common import ExperimentScale, TINY_SCALE, clone_model, format_table, make_personalization_setup
+from .common import ExperimentScale, TINY_SCALE, clone_model, make_personalization_setup
 
 __all__ = ["Fig7Config", "run_fig7", "sparsity_for_class_count"]
 
@@ -159,12 +159,3 @@ def run_fig7(config: Fig7Config | None = None) -> List[Dict]:
                     }
                 )
     return rows
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig7()
-    print(format_table(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..hw import CrispSTC, DenseAccelerator, DualSideSTC, NvidiaSTC, compare_accelerators, resnet50_reference_layers
-from .common import format_table
 
 __all__ = ["Fig8Config", "run_fig8", "aggregate_fig8"]
 
@@ -93,12 +92,3 @@ def aggregate_fig8(rows: List[Dict]) -> List[Dict]:
         )
     aggregated.sort(key=lambda r: (r["pattern"], r["global_sparsity"], r["accelerator"]))
     return aggregated
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    rows = run_fig8()
-    print(format_table(aggregate_fig8(rows)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

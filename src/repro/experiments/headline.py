@@ -65,12 +65,3 @@ def run_headline(config: HeadlineConfig | None = None) -> Dict[str, float]:
         "dstc_max_speedup": max(r["speedup_vs_dense"] for r in dstc_hw),
     }
     return summary
-
-
-def main() -> None:  # pragma: no cover - CLI helper
-    for key, value in run_headline().items():
-        print(f"{key:>24}: {value:.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -21,28 +21,11 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, List, Tuple
 
-import numpy as np
-
-from ..loadgen.fleet import synthetic_fleet
+from ..loadgen.fleet import magnitude_masked_model, synthetic_fleet
 from ..loadgen.popularity import ClassDriftPopularity
-from ..nn.models import build_model
-from ..nn.models.base import prunable_layers
 from ..serve.registry import ModelRegistry
 
 __all__ = ["drift_fleet", "synthetic_repersonalizer"]
-
-
-def _magnitude_masked(model_name: str, num_classes: int, input_size: int,
-                      sparsity: float, seed: int):
-    """One magnitude-sparsified model (the synthetic_fleet construction)."""
-    model = build_model(
-        model_name, num_classes=num_classes, input_size=input_size, seed=seed
-    )
-    for layer in prunable_layers(model).values():
-        w = layer.weight.data
-        keep = (np.abs(w) >= np.quantile(np.abs(w), sparsity)).astype(np.float64)
-        layer.weight.set_mask(keep)
-    return model
 
 
 def drift_fleet(
@@ -98,12 +81,12 @@ def synthetic_repersonalizer(
                 hashlib.sha256(tenant.encode()).digest()[:4], "big"
             ) % 7919
         )
-        module = _magnitude_masked(
+        module = magnitude_masked_model(
             model_name,
-            num_classes=record.num_classes,
-            input_size=record.input_size,
-            sparsity=sparsity,
-            seed=seed + 7919 * version + tenant_index,
+            record.num_classes,
+            record.input_size,
+            sparsity,
+            seed + 7919 * version + tenant_index,
         )
         return module, {"classes": sorted(int(c) for c in target_classes)}
 

@@ -19,7 +19,9 @@ stays the deployment story.
 :func:`run_lifecycle_compare` replays the same workload twice — lifecycle
 disabled (static: v1 serves forever) and enabled — and reports the
 served-head accuracy delta, which is the experiment the ``lifecycle-compare``
-pipeline preset and ``bench_loadgen.py --lifecycle`` package.
+pipeline preset packages; ``tests/test_lifecycle.py::TestLifecycleHarness``
+holds it to the claim (managed beats static and promotes, same-seed replays
+byte-identical).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from ..metrics.events import EventLog, event_log
 from ..metrics.poller import TelemetryPoller
 from ..metrics.registry import MetricsRegistry
 from ..metrics.slo import SLOMonitor, accuracy_drop
+from ..records import round6
 from ..serve.service import PersonalizationService, ServiceConfig
 from ..serve.types import PredictResponse
 from .audit import AuditLog
@@ -48,15 +51,11 @@ from .telemetry import AccuracyTracker, LifecycleStatsSource
 __all__ = ["run_lifecycle_replay", "run_lifecycle_compare", "score_lifecycle"]
 
 
-def _round6(value: float) -> float:
-    return round(float(value), 6)
-
-
 def _window_accuracy(hits: List[bool], window: int) -> Optional[float]:
     tail = hits[-window:] if window else hits
     if not tail:
         return None
-    return _round6(sum(tail) / len(tail))
+    return round6(sum(tail) / len(tail))
 
 
 def run_lifecycle_replay(
@@ -163,12 +162,12 @@ def run_lifecycle_replay(
             if completed % tick_every == 0:
                 poller.sample(now=item.at)
                 if segment:
-                    trajectory.append(_round6(sum(segment) / len(segment)))
+                    trajectory.append(round6(sum(segment) / len(segment)))
                     segment = []
         # Tail flush: one final sample so short runs land their last window.
         poller.sample(now=now["t"])
         if segment:
-            trajectory.append(_round6(sum(segment) / len(segment)))
+            trajectory.append(round6(sum(segment) / len(segment)))
 
     return {
         "scenario": scenario,
@@ -210,9 +209,9 @@ def score_lifecycle(
         and managed["outcomes"]["completed"] == managed["requests"]
     )
     return {
-        "static_final_accuracy": _round6(static_final),
-        "managed_final_accuracy": _round6(managed_final),
-        "accuracy_delta": _round6(managed_final - static_final),
+        "static_final_accuracy": round6(static_final),
+        "managed_final_accuracy": round6(managed_final),
+        "accuracy_delta": round6(managed_final - static_final),
         "promoted": managed["manager"]["promoted"],
         "rolled_back": managed["manager"]["rolled_back"],
         "slo_held": slo_held,

@@ -25,10 +25,25 @@ from ..nn.models.base import prunable_layers
 from ..serve.registry import ModelRegistry
 from ..serve.types import EngineSpec
 
-__all__ = ["synthetic_fleet", "FLEET_INPUT_SHAPE"]
+__all__ = ["magnitude_masked_model", "synthetic_fleet", "FLEET_INPUT_SHAPE"]
 
 #: (C, H, W) of the requests a default fleet serves.
 FLEET_INPUT_SHAPE = (3, 12, 12)
+
+
+def magnitude_masked_model(
+    model_name: str, num_classes: int, input_size: int, sparsity: float, seed: int
+):
+    """One tenant: a seeded model with every prunable layer's smallest
+    ``sparsity`` share of weights masked out."""
+    model = build_model(
+        model_name, num_classes=num_classes, input_size=input_size, seed=seed
+    )
+    for layer in prunable_layers(model).values():
+        w = layer.weight.data
+        keep = (np.abs(w) >= np.quantile(np.abs(w), sparsity)).astype(np.float64)
+        layer.weight.set_mask(keep)
+    return model
 
 
 def synthetic_fleet(
@@ -55,13 +70,9 @@ def synthetic_fleet(
     registry = ModelRegistry()
     model_ids = []
     for i in range(tenants):
-        model = build_model(
-            model_name, num_classes=num_classes, input_size=input_size, seed=seed + i
+        model = magnitude_masked_model(
+            model_name, num_classes, input_size, sparsity, seed + i
         )
-        for layer in prunable_layers(model).values():
-            w = layer.weight.data
-            keep = (np.abs(w) >= np.quantile(np.abs(w), sparsity)).astype(np.float64)
-            layer.weight.set_mask(keep)
         model_ids.append(
             registry.register(model, spec=spec, model_id=f"tenant-{i}")
         )

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from ..records import round6
 from .step import Pipeline, Step, StepContext
 from .steps import standard_chain
 from .store import PipelineStore
 
 __all__ = ["PIPELINES", "build_pipeline", "pipeline_names"]
-
-
-def _round6(value) -> float:
-    return round(float(value), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +85,8 @@ def fig1_setup(ctx: StepContext) -> Dict[str, object]:
         "samples_per_class": p["samples_per_class"],
         "seed": int(p["seed"]),
         "finetune_epochs": int(p["finetune_epochs"]),
-        "universal_accuracy": _round6(setup.universal_accuracy),
-        "dense_accuracy": _round6(dense_result.final_accuracy or 0.0),
+        "universal_accuracy": round6(setup.universal_accuracy),
+        "dense_accuracy": round6(dense_result.final_accuracy or 0.0),
     }
 
 
@@ -131,10 +128,10 @@ def fig1_nm_point(ctx: StepContext) -> Dict[str, object]:
     return {
         "model": setup["model_name"],
         "pattern": f"{int(p['n'])}:{int(p['m'])}",
-        "sparsity": _round6(result.achieved_sparsity),
-        "accuracy": _round6(result.final_accuracy or 0.0),
+        "sparsity": round6(result.achieved_sparsity),
+        "accuracy": round6(result.final_accuracy or 0.0),
         "dense_accuracy": setup["dense_accuracy"],
-        "accuracy_drop": _round6(
+        "accuracy_drop": round6(
             (setup["dense_accuracy"] or 0.0) - (result.final_accuracy or 0.0)
         ),
     }
@@ -347,8 +344,8 @@ def autoscale_compare(ctx: StepContext) -> Dict[str, object]:
             "peak_p99_ms": static["peak_p99_ms"],
             "drained": static["drained"],
         },
-        "shard_seconds_saved": _round6(saved),
-        "savings_ratio": _round6(ratio),
+        "shard_seconds_saved": round6(saved),
+        "savings_ratio": round6(ratio),
         "autoscaler_wins": bool(
             auto["drained"]
             and static["drained"]

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..records import round6
 from .step import Step, StepContext
 
 __all__ = [
@@ -30,11 +31,6 @@ __all__ = [
     "score_replay",
     "standard_chain",
 ]
-
-
-def _round6(value: float) -> float:
-    """Quantize reported floats (same grain the SLO report uses)."""
-    return round(float(value), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +44,7 @@ def prune_fleet(ctx: StepContext) -> Dict[str, object]:
     loadgen fleet uses — and its full state dict (weights, masks, buffers)
     is saved as ``tenant-<i>.npz`` for the downstream encode/register steps.
     """
-    from ..nn.models import build_model
+    from ..loadgen.fleet import magnitude_masked_model
     from ..nn.models.base import prunable_layers
 
     p = ctx.params
@@ -57,19 +53,12 @@ def prune_fleet(ctx: StepContext) -> Dict[str, object]:
     sparsity = float(p["sparsity"])
     per_tenant: List[Dict[str, object]] = []
     for i in range(tenants):
-        model = build_model(
-            p["model_name"],
-            num_classes=int(p["num_classes"]),
-            input_size=int(p["input_size"]),
-            seed=seed + i,
+        model = magnitude_masked_model(
+            p["model_name"], int(p["num_classes"]), int(p["input_size"]), sparsity, seed + i
         )
-        kept = total = 0
-        for layer in prunable_layers(model).values():
-            w = layer.weight.data
-            keep = (np.abs(w) >= np.quantile(np.abs(w), sparsity)).astype(np.float64)
-            layer.weight.set_mask(keep)
-            kept += int(keep.sum())
-            total += keep.size
+        masks = [layer.weight.mask for layer in prunable_layers(model).values()]
+        kept = int(sum(mask.sum() for mask in masks))
+        total = sum(mask.size for mask in masks)
         state = model.state_dict()
         ctx.save_arrays(f"tenant-{i}", **state)
         per_tenant.append(
@@ -78,7 +67,7 @@ def prune_fleet(ctx: StepContext) -> Dict[str, object]:
                 "seed": seed + i,
                 "kept_weights": kept,
                 "total_weights": total,
-                "density": _round6(kept / total),
+                "density": round6(kept / total),
             }
         )
     return {
@@ -298,14 +287,14 @@ def score_replay(ctx: StepContext) -> Dict[str, object]:
             ]
             precision_sums[k] += float(np.sum(overlap))
         curve = [
-            _round6(float(np.mean([labels[i] in served_rank[i, :k] for i in range(n)])))
+            round6(float(np.mean([labels[i] in served_rank[i, :k] for i in range(n)])))
             for k in range(1, num_classes + 1)
         ]
         per_tenant[mid] = {"samples": n, "accuracy_curve": curve}
     return {
         "samples": samples,
         "precision_at_k": {
-            str(k): _round6(precision_sums[k] / samples) for k in ks
+            str(k): round6(precision_sums[k] / samples) for k in ks
         },
         "tenants": per_tenant,
     }

@@ -31,13 +31,20 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["canonical_json", "json_line", "write_jsonl", "pack", "unpack", "Record", "RecordLog"]
+__all__ = [
+    "canonical_json", "json_line", "round6", "write_jsonl", "pack", "unpack", "Record", "RecordLog",
+]
 
 
 def canonical_json(payload) -> str:
     """The one encoder of every wire envelope, pipeline artifact and content
     key: sorted keys, fixed separators, no NaN."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def round6(value) -> float:
+    """The grain every reported ratio is quantized to before it is hashed."""
+    return round(float(value), 6)
 
 
 def json_line(payload) -> str:

@@ -19,8 +19,9 @@ This module provides the span plumbing those seams record into:
 
 Tracing is **off by default** and the off path is one module-level boolean
 check — no allocation, no clock reads — so the serving path's latency is
-unchanged when disabled (bench_gateway enforces < 5% p99 drift).  Spans
-record *durations only*, never absolute timeline positions: hops cross
+unchanged when disabled (``tests/test_trace.py`` pins the pass-through;
+crispbench's ``trace.overhead_ratio`` measures what switching it on costs).
+Spans record *durations only*, never absolute timeline positions: hops cross
 process boundaries (the process shard workers) where monotonic clocks are
 not meaningfully comparable, but a duration measured on either side is.
 

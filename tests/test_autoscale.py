@@ -269,16 +269,21 @@ class TestSimulator:
         second = json.dumps(simulate_autoscaler(**kwargs), sort_keys=True)
         assert first == second
 
-    def test_diurnal_ramp_scales_out_and_beats_static_fleet(self):
+    @pytest.mark.parametrize("scenario", ["diurnal-ramp", "shard-failure"])
+    def test_scales_out_and_beats_static_fleet(self, scenario):
+        """The rate sweep the autoscaler exists to ride and the chaos run it
+        must not fall over in: SLO proxy held on strictly fewer shard-seconds
+        than a static fleet provisioned at the autoscaler's ceiling."""
         auto = simulate_autoscaler(
-            "diurnal-ramp", requests=160, seed=0,
+            scenario, requests=160, seed=0,
             policy=default_policy(min_shards=2, max_shards=4),
         )
         static = simulate_autoscaler(
-            "diurnal-ramp", requests=160, seed=0, policy=static_policy(4)
+            scenario, requests=160, seed=0, policy=static_policy(4)
         )
         assert auto["actions"].get("scale_out", 0) >= 1
         assert auto["drained"] and static["drained"]
+        assert auto["peak_p99_ms"] <= 250.0  # the stock p99-pressure threshold
         assert auto["shard_seconds"] < static["shard_seconds"]
         assert auto["peak_shards"] <= 4
 

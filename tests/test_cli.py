@@ -1,5 +1,7 @@
 """Tests for the experiment command-line interface."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, main, run_experiment
@@ -69,3 +71,38 @@ class TestCLI:
         assert "tenants:" in out
         assert "micro-batched" in out
         assert "identical predictions" in out
+
+    def test_lifecycle_honours_an_explicit_tenant_count(self, capsys):
+        """``--loadgen-tenants 8`` is loadgen's default; lifecycle compared the
+        flag against it as a sentinel and replayed 4 tenants instead."""
+        assert main(["lifecycle", "--smoke", "--managed-only",
+                     "--loadgen-tenants", "8", "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out)["tenants"] == 8
+
+    def test_lifecycle_rejects_an_explicit_non_drift_scenario(self, capsys):
+        """``--scenario steady-uniform`` (loadgen's default, same sentinel)
+        silently replayed drift-step."""
+        with pytest.raises(SystemExit):
+            main(["lifecycle", "--scenario", "steady-uniform"])
+        assert "no class-drift schedule" in capsys.readouterr().err
+
+    def test_run_lifecycle_via_cli(self, tmp_path, capsys):
+        """Defaults are the command's own (drift-step, 4 tenants) and the
+        audit file the CLI writes is one ``AuditLog.replay`` accepts."""
+        from repro.lifecycle import AuditLog
+
+        out, audit = tmp_path / "lifecycle.json", tmp_path / "audit.jsonl"
+        assert main(["lifecycle", "--smoke", "--managed-only",
+                     "--json", str(out), "--audit-jsonl", str(audit)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["scenario"], payload["tenants"]) == ("drift-step", 4)
+        assert "audit:" in capsys.readouterr().out
+        lines = audit.read_text().splitlines()
+        assert len(AuditLog.replay(lines)) == len(payload["audit"]) > 0
+
+    def test_pipeline_second_run_executes_nothing(self, tmp_path, capsys):
+        argv = ["pipeline", "--smoke", "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert "0 hit(s), 5 ran" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "5 hit(s), 0 ran" in capsys.readouterr().out

@@ -547,6 +547,7 @@ class TestLifecycleHarness:
         cmp_block = payload["compare"]
         assert cmp_block["lifecycle_wins"]
         assert cmp_block["managed_final_accuracy"] > cmp_block["static_final_accuracy"]
+        assert cmp_block["managed_final_accuracy"] >= 0.75  # recovered, not merely ahead
         assert cmp_block["promoted"] >= 1
         assert cmp_block["slo_held"]
         # The static arm never transitions; the managed arm's audit shows a
@@ -561,6 +562,7 @@ class TestLifecycleHarness:
         assert promoted_tenants
         tenant = sorted(promoted_tenants)[0]
         seen = managed_audit.states_seen(tenant)
+        assert {"DRIFTING", "REPRUNING", "CANARYING", "PROMOTED"} <= set(seen)
         assert seen.index("DRIFTING") < seen.index("PROMOTED")
 
     def test_same_seed_replays_are_byte_identical(self):

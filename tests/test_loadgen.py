@@ -250,12 +250,13 @@ class TestLoadDriver:
             registry=registry,
         )
 
-    def test_cluster_run_is_deterministic(self):
+    @pytest.mark.parametrize("scenario", ["zipf-burst", "hot-churn"])
+    def test_cluster_run_is_deterministic(self, scenario):
         """Acceptance criterion: same scenario + seed -> same bytes."""
         payloads = []
         for _ in range(2):
             registry, ids = synthetic_fleet(tenants=4, seed=0)
-            workload = build_scenario("zipf-burst", requests=24).synthesize(ids, seed=0)
+            workload = build_scenario(scenario, requests=24).synthesize(ids, seed=0)
             with self._cluster(registry) as cluster:
                 report = LoadDriver(cluster).run(workload)
             assert report.hung == 0 and report.completed == 24

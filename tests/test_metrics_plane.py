@@ -620,6 +620,8 @@ class TestLoadgenMonitorIntegration:
         report = self.run("steady-uniform")
         assert report.metrics_summary["alerts_fired"] == 0
         assert report.failed == 0 and report.rejected == 0
+        # A sampling poller degrades nothing: every request still answered.
+        assert report.hung == 0 and report.completed == report.requests
 
     def test_unmonitored_run_keeps_the_pre_metrics_shape(self):
         from repro.experiments.loadgen_cli import LoadgenConfig, run_loadgen

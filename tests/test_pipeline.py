@@ -69,19 +69,30 @@ class TestFingerprint:
 
 
 class TestPipeline:
-    def test_rerun_is_all_verified_hits_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("name", ["counting", *pipeline_names()])
+    def test_rerun_is_all_verified_hits_byte_identical(self, tmp_path, name):
+        """The toy chain (whose bodies count their calls) and every named
+        pipeline at smoke size: run 1 executes each step, run 2 over the same
+        store executes none and reproduces every output hash."""
         calls = []
-        store = PipelineStore(tmp_path / "store")
-        first = Pipeline(counting_steps(calls), store).run()
-        assert first.ran == 3 and first.hits == 0
-        assert calls == ["produce", "double", "summarize"]
 
-        second = Pipeline(counting_steps(calls), store).run()
+        def build():
+            store = PipelineStore(tmp_path / "store")
+            if name == "counting":
+                return Pipeline(counting_steps(calls), store)
+            return build_pipeline(name, store, smoke=True)
+
+        first = build().run()
+        assert first.ran == len(first.results) and first.hits == 0
+        executed = list(calls)
+
+        second = build().run()
         assert second.all_hits and second.ran == 0
-        assert len(calls) == 3  # nothing executed again
-        for name in ("produce", "double", "summarize"):
-            assert second[name].output_sha256 == first[name].output_sha256
-            assert second[name].output == first[name].output
+        assert calls == executed  # nothing executed again
+        for before, after in zip(first.results, second.results):
+            assert after.name == before.name
+            assert after.output_sha256 == before.output_sha256
+            assert after.output == before.output
 
     def test_param_edit_invalidates_step_and_downstream_only(self, tmp_path):
         calls = []
@@ -184,15 +195,6 @@ class TestStandardChain:
         second = Pipeline(standard_chain(tenants=2, rounds=1, batch=1), store).run()
         assert second.all_hits
         assert second["replay"].output["logits_sha256"] == first["replay"].output["logits_sha256"]
-
-    def test_smoke_pipelines_build(self, tmp_path):
-        for name in pipeline_names():
-            pipeline = build_pipeline(
-                name, PipelineStore(tmp_path / name), smoke=True
-            )
-            assert pipeline.order  # non-empty, acyclic, resolvable keys
-            for step in pipeline.order:
-                assert pipeline.key_of(step)
 
 
 class TestUniversalModelStore:
