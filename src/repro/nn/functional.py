@@ -12,6 +12,15 @@ Array layout conventions
 * Convolution weights: ``(C_out, C_in, KH, KW)``.
 * Linear weights: ``(out_features, in_features)``.
 
+Those are *logical* shapes, and the only contract between layers.  In memory
+a convolution's GEMM produces ``(N * out_h * out_w, C_out)``, i.e. a
+channel-last array, and ``conv2d_*``, ``batchnorm_*`` and ``relu_*`` compute
+on that memory as it is: they accept an input of any strides (one copy when
+it is not already channel-last: the image, a pooling output) and return
+``(N, C, H, W)`` views of C-contiguous ``(N, H, W, C)`` arrays.  The depthwise
+and pooling kernels still work in NCHW order inside.  The old NCHW bodies of
+the rewritten kernels are the oracle in ``tests/nchw_kernels_oracle.py``.
+
 The im2col transformation reshapes each convolution into a single GEMM so
 that the weight matrix seen by the pruning framework matches the paper's
 ``(H * W * R, S)`` reshaped layout (Sec. III of the CRISP paper).
@@ -168,6 +177,34 @@ def col2im(
 
 
 # ---------------------------------------------------------------------------
+# Channel-last views
+# ---------------------------------------------------------------------------
+
+def _channel_last(x: np.ndarray) -> np.ndarray:
+    """``x`` of logical shape ``(N, C, H, W)`` as a C-contiguous ``(N, H, W, C)`` array.
+
+    Free when ``x`` came out of a convolution, batch-norm or ReLU (their
+    outputs are views of exactly that memory); one copy otherwise.
+    """
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def _channel_matrix(x: np.ndarray) -> np.ndarray:
+    """``(N, C, H, W)`` or ``(N, C)`` activations as a C-contiguous ``(M, C)`` matrix."""
+    if x.ndim == 4:
+        return _channel_last(x).reshape(-1, x.shape[1])
+    return np.ascontiguousarray(x)
+
+
+def _from_channel_matrix(mat: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_channel_matrix`: a view of ``mat`` with logical ``shape``."""
+    if len(shape) == 4:
+        n, c, h, w = shape
+        return mat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return mat
+
+
+# ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
 
@@ -178,10 +215,15 @@ def conv2d_forward(
     stride: int = 1,
     padding: int = 0,
 ) -> Tuple[np.ndarray, dict]:
-    """2-D convolution via im2col + GEMM.
+    """2-D convolution as one GEMM over channel-last receptive fields.
 
-    Returns the output of shape ``(N, C_out, out_h, out_w)`` and a cache
-    dict consumed by :func:`conv2d_backward`.
+    The column matrix ``(N * out_h * out_w, KH * KW * C_in)`` is one gather of
+    windows whose ``C_in`` runs are contiguous (for a 1x1 stride-1 convolution
+    the windows tile the input, so the reshape below is a view of it and
+    nothing is copied), multiplied by the weight transposed to
+    ``(C_out, KH, KW, C_in)``.  Returns the output of shape
+    ``(N, C_out, out_h, out_w)`` and a cache dict consumed by
+    :func:`conv2d_backward`.
     """
     n, c_in, h, w = x.shape
     c_out, c_in_w, kh, kw = weight.shape
@@ -191,17 +233,27 @@ def conv2d_forward(
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x, kh, kw, stride, padding)
-    w_mat = weight.reshape(c_out, -1)
-    out = cols @ w_mat.T
+    x_last = _channel_last(x)
+    if padding > 0:
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=x_last.dtype)
+        padded[:, padding:padding + h, padding:padding + w] = x_last
+        x_last = padded
+    stride_n, stride_h, stride_w, stride_c = x_last.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x_last,
+        shape=(n, out_h, out_w, kh, kw, c_in),
+        strides=(stride_n, stride_h * stride, stride_w * stride, stride_h, stride_w, stride_c),
+        writeable=False,
+    )
+    cols = windows.reshape(n * out_h * out_w, kh * kw * c_in)
+    out = cols @ _channel_last(weight).reshape(c_out, -1).T
     if bias is not None:
-        out = out + bias
-    out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        out += bias
+    out = _from_channel_matrix(out, (n, c_out, out_h, out_w))
 
     cache = {
         "cols": cols,
         "x_shape": x.shape,
-        "weight_shape": weight.shape,
         "stride": stride,
         "padding": padding,
         "has_bias": bias is not None,
@@ -214,23 +266,37 @@ def conv2d_backward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Backward pass of :func:`conv2d_forward`.
 
-    Returns ``(grad_x, grad_weight, grad_bias)``.
+    Returns ``(grad_x, grad_weight, grad_bias)``.  The ``(C_out, KH, KW, C_in)``
+    weight matrix is rebuilt here rather than cached: a layer's cache outlives
+    the backward pass, and a second copy of every weight would with it.
     """
     cols = cache["cols"]
-    x_shape = cache["x_shape"]
+    n, c_in, h, w = cache["x_shape"]
     stride = cache["stride"]
     padding = cache["padding"]
-    c_out, c_in, kh, kw = weight.shape
+    c_out, _, kh, kw = weight.shape
 
-    n, _, out_h, out_w = grad_out.shape
-    grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, c_out)
+    _, _, out_h, out_w = grad_out.shape
+    grad_mat = _channel_matrix(grad_out)
 
-    grad_weight = (grad_mat.T @ cols).reshape(weight.shape)
+    grad_weight = (grad_mat.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
     grad_bias = grad_mat.sum(axis=0) if cache["has_bias"] else None
 
-    grad_cols = grad_mat @ weight.reshape(c_out, -1)
-    grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding)
-    return grad_x, grad_weight, grad_bias
+    grad_cols = grad_mat @ _channel_last(weight).reshape(c_out, -1)
+    if kh == kw == stride == 1 and padding == 0:
+        # The windows tile the input: the column gradient is the input gradient.
+        return _from_channel_matrix(grad_cols, cache["x_shape"]), grad_weight, grad_bias
+
+    # Scatter through the slices the forward pass gathered its windows from.
+    grad_windows = grad_cols.reshape(n, out_h, out_w, kh, kw, c_in)
+    grad_x = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=grad_cols.dtype)
+    for i in range(kh):
+        i_max = i + stride * out_h
+        for j in range(kw):
+            j_max = j + stride * out_w
+            grad_x[:, i:i_max:stride, j:j_max:stride] += grad_windows[:, :, :, i, j]
+    grad_x = grad_x[:, padding:padding + h, padding:padding + w]
+    return grad_x.transpose(0, 3, 1, 2), grad_weight, grad_bias
 
 
 def depthwise_conv2d_forward(
@@ -432,43 +498,42 @@ def batchnorm_forward(
 ) -> Tuple[np.ndarray, dict]:
     """Batch normalisation over the channel axis of ``(N, C, H, W)`` or ``(N, C)``.
 
-    ``running_mean`` / ``running_var`` are updated in place when ``training``.
+    Every statistic is a reduction over axis 0 of the ``(M, C)`` channel
+    matrix.  ``running_mean`` / ``running_var`` are updated in place when
+    ``training``; in evaluation mode the output is ``x * scale + shift`` and
+    the cache keeps the input itself, no normalised copy.
     """
-    is_conv = x.ndim == 4
-    axes = (0, 2, 3) if is_conv else (0,)
+    mat = _channel_matrix(x)
 
-    if training:
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean = running_mean
-        var = running_var
+    if not training:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma * inv_std
+        out = mat * scale
+        out += beta - running_mean * scale
+        cache = {
+            "x": mat,
+            "mean": running_mean,
+            "inv_std": inv_std,
+            "gamma": gamma,
+            "training": False,
+        }
+        return _from_channel_matrix(out, x.shape), cache
 
-    if is_conv:
-        mean_b = mean[None, :, None, None]
-        var_b = var[None, :, None, None]
-        gamma_b = gamma[None, :, None, None]
-        beta_b = beta[None, :, None, None]
-    else:
-        mean_b, var_b, gamma_b, beta_b = mean, var, gamma, beta
+    mean = mat.mean(axis=0)
+    x_hat = mat - mean
+    var = np.einsum("mc,mc->c", x_hat, x_hat) / mat.shape[0]
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
 
-    inv_std = 1.0 / np.sqrt(var_b + eps)
-    x_hat = (x - mean_b) * inv_std
-    out = gamma_b * x_hat + beta_b
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat *= inv_std
+    out = x_hat * gamma
+    out += beta
 
-    cache = {
-        "x_hat": x_hat,
-        "inv_std": inv_std,
-        "gamma": gamma,
-        "axes": axes,
-        "is_conv": is_conv,
-        "training": training,
-    }
-    return out, cache
+    cache = {"x_hat": x_hat, "inv_std": inv_std, "gamma": gamma, "training": True}
+    return _from_channel_matrix(out, x.shape), cache
 
 
 def batchnorm_backward(
@@ -479,30 +544,28 @@ def batchnorm_backward(
     Returns ``(grad_x, grad_gamma, grad_beta)``.  In evaluation mode the
     mean/var are treated as constants (the standard inference behaviour).
     """
-    x_hat = cache["x_hat"]
     inv_std = cache["inv_std"]
     gamma = cache["gamma"]
-    axes = cache["axes"]
-    is_conv = cache["is_conv"]
-
-    grad_gamma = (grad_out * x_hat).sum(axis=axes)
-    grad_beta = grad_out.sum(axis=axes)
-
-    gamma_b = gamma[None, :, None, None] if is_conv else gamma
+    grad_mat = _channel_matrix(grad_out)
+    grad_beta = grad_mat.sum(axis=0)
 
     if not cache["training"]:
-        grad_x = grad_out * gamma_b * inv_std
-        return grad_x, grad_gamma, grad_beta
+        # sum(g * x_hat) with x_hat = (x - mean) * inv_std, from the saved input.
+        grad_gamma = (
+            np.einsum("mc,mc->c", grad_mat, cache["x"]) - cache["mean"] * grad_beta
+        ) * inv_std
+        grad_x = grad_mat * (gamma * inv_std)
+        return _from_channel_matrix(grad_x, grad_out.shape), grad_gamma, grad_beta
 
-    # Count of elements that contributed to each channel statistic.
-    m = grad_out.size / grad_out.shape[1]
-    grad_xhat = grad_out * gamma_b
-    mean_grad_xhat = grad_xhat.mean(axis=axes, keepdims=True)
-    mean_grad_xhat_xhat = (grad_xhat * x_hat).mean(axis=axes, keepdims=True)
-    grad_x = inv_std * (grad_xhat - mean_grad_xhat - x_hat * mean_grad_xhat_xhat)
-    # The keepdims means above already divide by m; no further scaling needed.
-    _ = m
-    return grad_x, grad_gamma, grad_beta
+    x_hat = cache["x_hat"]
+    grad_gamma = np.einsum("mc,mc->c", grad_mat, x_hat)
+    # inv_std * (g*gamma - mean(g*gamma) - x_hat * mean(g*gamma*x_hat)), gamma factored out.
+    m = grad_mat.shape[0]
+    grad_x = x_hat * (grad_gamma / -m)
+    grad_x += grad_mat
+    grad_x -= grad_beta / m
+    grad_x *= gamma * inv_std
+    return _from_channel_matrix(grad_x, grad_out.shape), grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +574,7 @@ def batchnorm_backward(
 
 def relu_forward(x: np.ndarray) -> Tuple[np.ndarray, dict]:
     """Rectified linear unit."""
-    mask = x > 0
-    return x * mask, {"mask": mask}
+    return np.maximum(x, 0.0), {"mask": x > 0}
 
 
 def relu_backward(grad_out: np.ndarray, cache: dict) -> np.ndarray:

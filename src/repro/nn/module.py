@@ -36,7 +36,9 @@ class Parameter:
         first backward pass.
     mask:
         Optional binary mask applied multiplicatively by the pruning
-        framework.  ``None`` means dense.
+        framework, stored as a ``bool`` array of ``data``'s shape (one byte
+        per weight wherever it travels: state dicts, registry records,
+        shared-memory segments).  ``None`` means dense.
     requires_grad:
         When ``False`` the optimiser skips this parameter.
     """
@@ -88,11 +90,16 @@ class Parameter:
         return self.data * self.mask
 
     def set_mask(self, mask: Optional[np.ndarray]) -> None:
-        """Install (or clear) a binary pruning mask and apply it immediately."""
+        """Install (or clear) a binary pruning mask and apply it immediately.
+
+        Any array whose non-zero entries mark the kept weights is accepted
+        (0/1 floats from the mask builders, ``float64`` masks saved by older
+        registries); it is stored as ``bool``.
+        """
         if mask is None:
             self.mask = None
             return
-        mask = np.asarray(mask, dtype=np.float64)
+        mask = np.asarray(mask) != 0
         if mask.shape != self.data.shape:
             raise ValueError(
                 f"Mask shape {mask.shape} does not match parameter shape {self.data.shape}"

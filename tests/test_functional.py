@@ -297,3 +297,127 @@ class TestSoftmaxCrossEntropy:
         plain, _ = F.cross_entropy_forward(logits, targets)
         smoothed, _ = F.cross_entropy_forward(logits, targets, label_smoothing=0.2)
         assert smoothed > plain
+
+
+# ---------------------------------------------------------------------------
+# Channel-last training kernels vs the NCHW bodies they replaced
+# ---------------------------------------------------------------------------
+
+def _resnet_tiny_conv_shapes():
+    """Distinct ``(c_in, size, c_out, kernel, stride, padding)`` of ``resnet_tiny``'s convs."""
+    from repro.nn.layers import Conv2d
+    from repro.nn.models import resnet_tiny
+    from repro.nn.models.base import conv_input_sizes
+
+    model = resnet_tiny(num_classes=3, input_size=12, seed=0)
+    sizes = conv_input_sizes(model)
+    return list(dict.fromkeys(
+        (m.in_channels, sizes[name][0], m.out_channels, m.kernel_size, m.stride, m.padding)
+        for name, m in model.named_modules()
+        if isinstance(m, Conv2d)
+    ))
+
+
+#: Every resnet_tiny conv, plus the stride x padding corners it does not use.
+CONV_SHAPES = _resnet_tiny_conv_shapes() + [
+    (5, 9, 7, 3, 1, 0),
+    (5, 9, 7, 3, 2, 0),
+    (5, 9, 7, 1, 1, 1),
+    (5, 9, 7, 1, 2, 1),
+    (4, 8, 6, 2, 2, 1),
+]
+BN_SHAPES = sorted({(c_out, size) for _, size, c_out, *_ in CONV_SHAPES}) + [(10, None)]
+PARITY_CASES = (
+    [("conv", shape) for shape in CONV_SHAPES]
+    + [("batchnorm", shape) for shape in BN_SHAPES]
+    + [("relu", (48, 12))]
+)
+
+
+def _laid_out(rng, shape, layout):
+    """Random values of logical ``shape`` in one memory layout a kernel can be handed.
+
+    ``channel_last`` is what a conv / batch-norm / ReLU returns, ``nchw`` is
+    C-contiguous (the image, a pooling output), ``sliced`` is an arbitrary
+    non-contiguous window of a larger array.
+    """
+    if layout == "sliced":
+        n, c, *spatial = shape
+        big = rng.normal(size=(n + 1, 2 * c + 1, *(s + 2 for s in spatial)))
+        return big[(slice(1, None), slice(1, None, 2), *(slice(1, -1) for _ in spatial))]
+    if layout == "channel_last" and len(shape) == 4:
+        n, c, h, w = shape
+        return rng.normal(size=(n, h, w, c)).transpose(0, 3, 1, 2)
+    return rng.normal(size=shape)
+
+
+def _assert_parity(new, old):
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        if want is None:
+            assert got is None
+            continue
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("layout", ["channel_last", "nchw", "sliced"])
+@pytest.mark.parametrize("case", PARITY_CASES, ids=lambda case: f"{case[0]}{case[1]}")
+def test_matches_nchw_oracle(case, layout):
+    """New kernel vs old body, <= 1e-10 on every output, gradient and running statistic."""
+    import nchw_kernels_oracle as oracle
+
+    kind, shape = case
+    rng = np.random.default_rng(PARITY_CASES.index(case))
+    for batch in (2, 4, 16):
+        if kind == "conv":
+            c_in, size, c_out, kernel, stride, padding = shape
+            x = _laid_out(rng, (batch, c_in, size, size), layout)
+            weight = rng.normal(size=(c_out, c_in, kernel, kernel))
+            for bias in (rng.normal(size=c_out), None):
+                new_out, new_cache = F.conv2d_forward(x, weight, bias, stride, padding)
+                old_out, old_cache = oracle.conv2d_forward(x, weight, bias, stride, padding)
+                grad_out = _laid_out(rng, old_out.shape, layout)
+                _assert_parity(
+                    (new_out, *F.conv2d_backward(grad_out, weight, new_cache)),
+                    (old_out, *oracle.conv2d_backward(grad_out, weight, old_cache)),
+                )
+        elif kind == "batchnorm":
+            channels, size = shape
+            full = (batch, channels) if size is None else (batch, channels, size, size)
+            x = _laid_out(rng, full, layout)
+            grad_out = _laid_out(rng, full, layout)
+            gamma, beta = rng.normal(size=channels), rng.normal(size=channels)
+            for training in (True, False):
+                results = []
+                for kernels in (F, oracle):
+                    mean, var = np.linspace(-1, 1, channels), np.linspace(0.5, 2, channels)
+                    out, cache = kernels.batchnorm_forward(
+                        x, gamma, beta, mean, var, training, momentum=0.3
+                    )
+                    results.append((out, *kernels.batchnorm_backward(grad_out, cache), mean, var))
+                _assert_parity(*results)
+        else:
+            channels, size = shape
+            x = _laid_out(rng, (batch, channels, size, size), layout)
+            grad_out = _laid_out(rng, x.shape, layout)
+            results = []
+            for kernels in (F, oracle):
+                out, cache = kernels.relu_forward(x)
+                results.append((out, kernels.relu_backward(grad_out, cache)))
+            _assert_parity(*results)
+
+
+def test_pointwise_conv_on_channel_last_input_copies_nothing(rng):
+    """A 1x1 stride-1 conv's column matrix is its input's memory, and so on down a chain."""
+    x = rng.normal(size=(4, 6, 6, 8)).transpose(0, 3, 1, 2)
+    weight = rng.normal(size=(5, 8, 1, 1))
+    out, cache = F.conv2d_forward(x, weight, None)
+    assert np.shares_memory(cache["cols"], x)
+    for kernel_out in (
+        out,
+        F.relu_forward(out)[0],
+        F.batchnorm_forward(out, np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), True)[0],
+        F.conv2d_backward(out, weight, cache)[0],
+    ):
+        assert kernel_out.transpose(0, 2, 3, 1).flags.c_contiguous

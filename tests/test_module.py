@@ -32,6 +32,7 @@ class TestParameter:
         p = Parameter(np.full((2, 2), 3.0))
         mask = np.array([[1.0, 0.0], [0.0, 1.0]])
         p.set_mask(mask)
+        assert p.mask.dtype == bool  # one byte per weight, whatever dtype came in
         np.testing.assert_allclose(p.data, [[3, 0], [0, 3]])
         assert p.density() == 0.5
         assert p.sparsity() == 0.5
@@ -104,6 +105,7 @@ class TestModule:
         toy = self._toy_module()
         toy.fc1.weight.set_mask(np.ones_like(toy.fc1.weight.data))
         state = toy.state_dict()
+        assert state["fc1.weight::mask"].dtype == bool
 
         other = self._toy_module()
         other.fc1.weight.data += 5.0

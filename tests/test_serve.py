@@ -141,6 +141,29 @@ class TestModelRegistry:
         masked = [l for l in prunable_layers(module).values() if l.weight.mask is not None]
         assert masked, "pruning masks must survive the save/load round trip"
 
+    def test_masks_are_one_byte_and_float64_masks_on_disk_still_load(self, tmp_path, batch):
+        """Masks travel as ``bool``; a registry written with ``float64`` masks still loads."""
+        registry, (model_id,) = _registry_with(0)
+        state = registry.get(model_id).state
+        mask_keys = [key for key in state if key.endswith("::mask")]
+        assert mask_keys and all(state[key].dtype == bool for key in mask_keys)
+        expected = registry.build_engine(model_id).predict(batch)
+
+        registry.save(tmp_path / "models")
+        state_path = tmp_path / "models" / model_id / "state.npz"
+        old_style = {
+            key: value.astype(np.float64) if key in mask_keys else value
+            for key, value in state.items()
+        }
+        np.savez(state_path, **old_style)
+
+        reloaded = ModelRegistry.load(tmp_path / "models")
+        rebuilt = reloaded.materialize(model_id).state_dict()
+        for key in mask_keys:
+            assert rebuilt[key].dtype == bool
+            np.testing.assert_array_equal(rebuilt[key], state[key])
+        np.testing.assert_array_equal(reloaded.build_engine(model_id).predict(batch), expected)
+
 
 class TestEngineCache:
     def test_lru_eviction_capacity_one(self, batch):
@@ -383,6 +406,40 @@ class TestPersonalizationService:
         finally:
             service.registry.unregister(model_id)
 
+    def test_personalize_evaluates_once_and_registers_that_accuracy(
+        self, service, model_ids, monkeypatch
+    ):
+        """One ``evaluate`` per personalize (the pruner's four are not asked for)."""
+        import repro.pruning.crisp as crisp
+        import repro.serve.service as service_module
+        from repro.data import build_user_loaders
+        from repro.nn.trainer import evaluate
+
+        calls = []
+
+        def counting(model, batches):
+            calls.append(model)
+            return evaluate(model, batches)
+
+        monkeypatch.setattr(crisp, "evaluate", counting)
+        monkeypatch.setattr(service_module, "evaluate", counting)
+        request = PersonalizeRequest(user_id=11, num_classes=3, target_sparsity=0.7)
+        model_id = service.personalize(request)  # the universal model is cached by now
+        try:
+            assert len(calls) == 1
+            record = service.registry.get(model_id)
+            _, val_loader = build_user_loaders(
+                service.dataset(request.seed),
+                record.profile,
+                batch_size=service.config.batch_size,
+                samples_per_class=service.config.samples_per_class,
+                seed=request.seed,
+            )
+            fresh = evaluate(service.registry.materialize(model_id), iter(val_loader))
+            assert record.metadata["accuracy"] == fresh
+        finally:
+            service.registry.unregister(model_id)
+
     def test_profile_personalize_shorthand(self, service, model_ids):
         from repro.data import UserProfile
 
@@ -412,6 +469,85 @@ class TestPersonalizationService:
         assert workloads
         assert all(w.output_positions > 0 for w in workloads)
         assert any(w.weight_density < 1.0 for w in workloads)
+
+
+class TestWritePathAgainstNCHWOracle:
+    """The channel-last training kernels change no decision the write path makes.
+
+    ``tests/nchw_kernels_oracle.py`` holds the NCHW bodies the kernels in
+    ``repro.nn.functional`` replaced; layers look their kernels up on that
+    module per call, so patching the old bodies in reruns the same code path
+    the old way.
+    """
+
+    @staticmethod
+    def _install_oracle(monkeypatch):
+        import nchw_kernels_oracle as oracle
+        from repro.nn import functional as F
+
+        for name in oracle.ORACLE_KERNELS:
+            monkeypatch.setattr(F, name, getattr(oracle, name))
+
+    @staticmethod
+    def _personalize_one():
+        """Pre-train, personalize and serve one tenant from a cold model cache."""
+        from repro.serve import clear_universal_model_cache
+
+        clear_universal_model_cache()
+        try:
+            service = PersonalizationService(
+                ServiceConfig(pretrain_epochs=1, engine=EngineSpec(weight_format="crisp"))
+            )
+            model_id = service.personalize(
+                PersonalizeRequest(user_id=0, preferred_classes=[1, 4, 6], target_sparsity=0.8)
+            )
+            batch = np.random.default_rng(3).normal(size=(4, 3, 12, 12))
+            return service.registry.get(model_id), service.predict(model_id, batch).logits
+        finally:
+            # Never leave a model one side trained for the other, or a later test.
+            clear_universal_model_cache()
+
+    def test_personalize_is_identical_under_both_kernel_sets(self, monkeypatch):
+        new_record, new_logits = self._personalize_one()
+        self._install_oracle(monkeypatch)
+        old_record, old_logits = self._personalize_one()
+
+        prunable = prunable_layers(new_record.build_module())
+        for name in prunable:
+            key = f"{name}.weight::mask"
+            assert new_record.state[key].dtype == bool
+            np.testing.assert_array_equal(new_record.state[key], old_record.state[key])
+        for key in ("achieved_sparsity", "accuracy", "universal_accuracy"):
+            assert new_record.metadata[key] == old_record.metadata[key]
+        np.testing.assert_allclose(new_logits, old_logits, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("arch", ["mobilenet_tiny", "vgg_tiny"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_untouched_kernels_take_channel_last_inputs(self, arch, training, monkeypatch):
+        """Depthwise, ReLU6, max-pool and flatten now sit behind channel-last producers."""
+        rng = np.random.default_rng(1)
+        images = rng.normal(size=(4, 3, 12, 12))
+
+        def run():
+            model = build_model(arch, num_classes=5, input_size=12, seed=2)
+            model.train(training)
+            logits = model(images)
+            grad_in = model.backward(np.cos(logits))
+            grads = {name: p.grad for name, p in model.named_parameters()}
+            return logits, grad_in, grads, model.state_dict()
+
+        new_logits, new_grad_in, new_grads, new_state = run()
+        self._install_oracle(monkeypatch)
+        old_logits, old_grad_in, old_grads, old_state = run()
+
+        np.testing.assert_allclose(new_logits, old_logits, rtol=0, atol=1e-10)
+        assert new_grad_in.shape == old_grad_in.shape == images.shape
+        np.testing.assert_allclose(new_grad_in, old_grad_in, rtol=0, atol=1e-10)
+        assert new_grads.keys() == old_grads.keys()
+        for name, grad in new_grads.items():
+            np.testing.assert_allclose(grad, old_grads[name], rtol=0, atol=1e-10, err_msg=name)
+        for name, value in new_state.items():  # batch-norm running statistics included
+            np.testing.assert_allclose(value, old_state[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 class TestServeDemo:
