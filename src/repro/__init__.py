@@ -17,9 +17,15 @@ Package layout
 * :mod:`repro.autoscale` — closed-loop autoscaling over the cluster's scaling
   seams, plus federated multi-cluster serving with tenant affinity.
 * :mod:`repro.experiments` — one runner per paper figure/table.
+* :mod:`repro.blas` — one BLAS thread per process, set here before anything
+  else is imported.
 """
 
 __version__ = "1.4.0"
+
+from . import blas
+
+blas.apply()
 
 from . import nn
 from . import data
@@ -34,6 +40,7 @@ from . import autoscale
 from . import experiments
 
 __all__ = [
+    "blas",
     "nn",
     "data",
     "sparsity",

@@ -47,6 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import blas
 from ..nn.models.base import prunable_layers
 from ..nn.module import Module
 from ..sparsity.formats import FormatSummary, WeightFormat, encode
@@ -242,7 +243,8 @@ class Engine:
         return sum(s.total_bits for s in self.format_summaries().values())
 
     def stats(self) -> Dict[str, object]:
-        """Engine-level report: backend, format, storage and workspace counters."""
+        """Engine-level report: backend, format, storage, workspace counters and
+        the process's BLAS (:func:`repro.blas.state`)."""
         return {
             "backend": self.backend.name,
             "weight_format": self.weight_format,
@@ -250,6 +252,7 @@ class Engine:
             "lossless": self.is_lossless,
             "total_weight_bits": self.total_weight_bits(),
             "workspace": self.backend.workspace_stats(),
+            "blas": blas.state(),
         }
 
     def detach(self) -> "Engine":

@@ -275,7 +275,7 @@ class CRISPPruner:
         self._keep_blocks = dict(keep_blocks)
 
     # --------------------------------------------------------------- finetune
-    def _finetune(self, train_loader, val_loader) -> float:
+    def _finetune(self, train_loader) -> float:
         if self.config.use_ste:
             ste_config = STEConfig(
                 epochs=self.config.finetune_epochs,
@@ -296,7 +296,6 @@ class CRISPPruner:
             ),
         )
         result = trainer.fit(train_loader, val_loader=None)
-        _ = val_loader
         return result.train_loss[-1] if result.train_loss else float("nan")
 
     # ------------------------------------------------------------------ prune
@@ -323,7 +322,7 @@ class CRISPPruner:
             keep_blocks = self._select_keep_blocks(rank_scores, target)
             self._apply_block_step(saliency, fine_masks, keep_blocks)
 
-            loss = self._finetune(train_loader, val_loader)
+            loss = self._finetune(train_loader)
 
             achieved = model_sparsity(self.model)
             val_acc = evaluate(self.model, iter(val_loader)) if val_loader is not None else None
