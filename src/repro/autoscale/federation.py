@@ -152,7 +152,7 @@ class FederatedBackend(ServingAPI):
         except ResourceExhaustedError as exc:
             return self._spillover(request, home, timeout, exc)
         except NotFoundError as exc:
-            return self._rehome(request, home, timeout, exc)
+            return self._rehome(request.model_id, home, exc).predict(request, timeout)
 
     def _spillover(
         self,
@@ -186,23 +186,17 @@ class FederatedBackend(ServingAPI):
             return response
         raise cause  # the whole federation is out of capacity
 
-    def _rehome(
-        self,
-        request: PredictRequest,
-        home: str,
-        timeout: Optional[float],
-        cause: NotFoundError,
-    ) -> PredictResponse:
+    def _rehome(self, model_id: str, home: str, cause: NotFoundError) -> ServingAPI:
         """Separate-registry support: the ring guessed a member that has never
-        heard of this tenant.  Scan for the member that has, move the home
-        there permanently (this IS migration, unlike spillover), retry once."""
+        heard of this tenant.  Move the home to the member that has (this IS
+        migration, unlike spillover) and return it for one retry; ``cause``
+        is raised when no member has the tenant."""
         for member_name, backend in self._spill_order(home):
-            if request.model_id not in backend.model_ids():
-                continue
-            with self._lock:
-                self._homes[request.model_id] = member_name
-                self.rehomes += 1
-            return backend.predict(request, timeout)
+            if model_id in backend.model_ids():
+                with self._lock:
+                    self._homes[model_id] = member_name
+                    self.rehomes += 1
+                return backend
         raise cause
 
     def predict_batch(
@@ -293,14 +287,8 @@ class FederatedBackend(ServingAPI):
         home = self._home_for(model_id)
         try:
             return self._member(home).engine(model_id)
-        except NotFoundError:
-            for member_name, backend in self._spill_order(home):
-                if model_id in backend.model_ids():
-                    with self._lock:
-                        self._homes[model_id] = member_name
-                        self.rehomes += 1
-                    return backend.engine(model_id)
-            raise
+        except NotFoundError as exc:
+            return self._rehome(model_id, home, exc).engine(model_id)
 
     def model_ids(self) -> List[str]:
         with self._lock:

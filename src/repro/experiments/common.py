@@ -17,11 +17,14 @@ reuse the same backbone do not retrain it for every point.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import json
+import sys
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..data import DataLoader, SyntheticImageDataset, UserProfile, build_user_loaders, make_dataset, sample_user_profile
 from ..nn.models.base import ClassifierModel
+from ..records import json_line
 from ..serve import (
     EngineSpec,
     PersonalizationService,
@@ -42,6 +45,8 @@ __all__ = [
     "clone_model",
     "format_table",
     "clear_model_cache",
+    "flag",
+    "emit_json",
 ]
 
 
@@ -232,3 +237,39 @@ def format_table(rows: Sequence[Dict], columns: Optional[Sequence[str]] = None) 
     for row in rows:
         lines.append(" | ".join(fmt(row.get(col, "")).ljust(widths[col]) for col in columns))
     return "\n".join(lines)
+
+
+def flag(option: str, default=None, **argparse_kwargs):
+    """A config field that is also the CLI option ``option``.
+
+    The field's default and type are the option's.  ``argparse_kwargs``
+    (``help``, ``metavar``, ``choices``, ...) go to ``add_argument``: the one
+    field that carries ``help`` defines the option, and any other config
+    reading the same option declares it bare, ``flag("--shards", default=2)``.
+    """
+    return field(default=default, metadata={"flag": option, **argparse_kwargs})
+
+
+def emit_json(payload, target: Optional[str]) -> None:
+    """Write ``payload`` to ``target``: the CLI's one JSON emitter.
+
+    A dict is one indented, key-sorted document; a list is JSON lines, one
+    canonical line per record (records already serialized pass through).
+    No target writes nothing; ``"-"`` puts the JSON and nothing else on
+    stdout; a path writes the file and one ``wrote PATH`` line to stderr.
+    """
+    if not target:
+        return
+    if isinstance(payload, list):
+        text = "".join(
+            (record if isinstance(record, str) else json_line(record)) + "\n"
+            for record in payload
+        )
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if target == "-":
+        sys.stdout.write(text)
+        return
+    with open(target, "w") as fh:
+        fh.write(text)
+    print(f"wrote {target}", file=sys.stderr)

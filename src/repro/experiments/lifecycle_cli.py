@@ -1,9 +1,9 @@
 """CLI ``lifecycle``: drift-detect → re-prune → canary a drifting fleet.
 
 The experiments CLI's window into :mod:`repro.lifecycle`: replay a named
-class-drift scenario through the virtually-clocked lifecycle harness, in
-one arm (``--static`` disables the control loop) or both
-(``--lifecycle-compare``), and print what the state machine did.
+class-drift scenario through the virtually-clocked lifecycle harness, as
+the static-vs-managed compare (the default) or the managed arm alone
+(``--managed-only``), and print what the state machine did.
 
 Everything the command emits is deterministic: the replay is a pure
 function of (scenario, tenants, requests, seed, policy), so ``--json``
@@ -14,15 +14,13 @@ two runs to enforce it.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..lifecycle import run_lifecycle_compare, run_lifecycle_replay
 from ..loadgen import SCENARIOS, build_scenario
 from ..loadgen.popularity import ClassDriftPopularity
-from ..records import write_jsonl
+from .common import emit_json, flag
 
 __all__ = ["LifecycleCliConfig", "run_lifecycle_cli", "print_lifecycle"]
 
@@ -30,34 +28,41 @@ __all__ = ["LifecycleCliConfig", "run_lifecycle_cli", "print_lifecycle"]
 SMOKE_REQUESTS = 128
 
 
-def _drift_scenarios() -> list:
-    names = []
-    for name in sorted(SCENARIOS):
-        if isinstance(SCENARIOS[name]().popularity, ClassDriftPopularity):
-            names.append(name)
-    return names
+def _drifts(scenario: str) -> bool:
+    return isinstance(SCENARIOS[scenario]().popularity, ClassDriftPopularity)
 
 
 @dataclass
 class LifecycleCliConfig:
-    """Knobs of one CLI lifecycle run."""
+    """Knobs of one CLI lifecycle run; each flagged field is its CLI option."""
 
-    scenario: str = "drift-step"
-    tenants: int = 4
-    requests: Optional[int] = None  #: None -> the harness default (192)
-    seed: int = 0
-    compare: bool = True  #: run both arms; False replays the managed arm only
-    smoke: bool = False
+    scenario: str = flag("--scenario", default="drift-step")
+    tenants: int = flag("--loadgen-tenants", default=4)
+    requests: Optional[int] = flag("--loadgen-requests")  #: None -> the harness default (192)
+    seed: int = flag("--seed", default=0)
+    compare: bool = flag(
+        "--managed-only", default=True,
+        help="lifecycle: replay only the managed arm instead of the "
+        "static-vs-managed compare",
+    )  #: run both arms; False replays the managed arm only
+    smoke: bool = flag("--smoke", default=False)
+    json: Optional[str] = flag("--json")
+    audit_jsonl: Optional[str] = flag(
+        "--audit-jsonl", metavar="PATH",
+        help="lifecycle: write the managed arm's state-machine audit log to "
+        "PATH, one JSON transition per line (byte-stable per seed)",
+    )
+    decisions_jsonl: Optional[str] = flag("--decisions-jsonl")
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; available: {sorted(SCENARIOS)}"
             )
-        if not isinstance(SCENARIOS[self.scenario]().popularity, ClassDriftPopularity):
+        if not _drifts(self.scenario):
             raise ValueError(
                 f"scenario {self.scenario!r} has no class-drift schedule; "
-                f"drift scenarios: {_drift_scenarios()}"
+                f"drift scenarios: {[n for n in sorted(SCENARIOS) if _drifts(n)]}"
             )
         if self.tenants < 1:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
@@ -85,34 +90,19 @@ def _managed_arm(payload: Dict[str, object]) -> Dict[str, object]:
     return payload["managed"] if "managed" in payload else payload
 
 
-def print_lifecycle(
-    config: LifecycleCliConfig,
-    json_target: Optional[str] = None,
-    audit_jsonl: Optional[str] = None,
-    decisions_jsonl: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run + report one lifecycle replay; optionally dump the artifacts.
+def print_lifecycle(config: LifecycleCliConfig) -> Dict[str, object]:
+    """Run + report one lifecycle replay and emit the artifacts it names.
 
-    ``json_target`` of ``"-"`` streams the full payload to stdout (no
-    banner — the output stays a clean, diffable JSON document).
+    ``config.json`` of ``"-"`` replaces the report with the full payload on
+    stdout (a clean, diffable JSON document).
     """
     payload = run_lifecycle_cli(config)
     managed = _managed_arm(payload)
-
-    for path, key in ((audit_jsonl, "audit_jsonl"), (decisions_jsonl, "decisions_jsonl")):
-        if path:
-            write_jsonl(path, managed[key].splitlines())
-            print(f"wrote {path}", file=sys.stderr)
-
-    if json_target == "-":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    emit_json(managed["audit_jsonl"].splitlines(), config.audit_jsonl)
+    emit_json(managed["decisions_jsonl"].splitlines(), config.decisions_jsonl)
+    emit_json(payload, config.json)
+    if config.json == "-":
         return payload
-    if json_target:
-        with open(json_target, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {json_target}", file=sys.stderr)
 
     scenario = build_scenario(config.scenario)
     print(f"scenario: {config.scenario} ({scenario.description})")

@@ -20,13 +20,10 @@ JSON output is split along the determinism line:
 
 from __future__ import annotations
 
-import json
-import sys
-from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..cluster import ClusterConfig, ClusterService
+from ..cluster import WORKER_KINDS, ClusterConfig, ClusterService
 from ..gateway import (
     ClusterBackend,
     Gateway,
@@ -43,6 +40,7 @@ from ..loadgen import (
     synthetic_fleet,
 )
 from ..metrics import (
+    Event,
     EventLog,
     MetricsRegistry,
     SLOMonitor,
@@ -50,7 +48,7 @@ from ..metrics import (
     default_rules,
     set_event_log,
 )
-from ..records import json_line, write_jsonl
+from .common import emit_json, flag
 
 __all__ = ["LoadgenConfig", "run_loadgen", "print_loadgen", "TRANSPORTS"]
 
@@ -61,36 +59,121 @@ SMOKE_REQUESTS = 16
 #: * ``local`` — Serving API v2 in process (ClusterBackend; async futures);
 #: * ``loopback`` — GatewayClient through the full JSON wire, in process;
 #: * ``http`` — GatewayClient over a real socket (ephemeral
-#:   ThreadingHTTPServer booted for the run);
-#: * ``direct`` — deprecated alias: the raw ClusterService is handed to the
-#:   driver, which auto-adapts it onto the same ClusterBackend ``local``
-#:   builds explicitly (the old entry point, one shim away from the new).
-TRANSPORTS = ("local", "loopback", "http", "direct")
+#:   ThreadingHTTPServer booted for the run).
+TRANSPORTS = ("local", "loopback", "http")
 
 
 @dataclass
 class LoadgenConfig:
-    """Knobs of one CLI loadgen run."""
+    """Knobs of one CLI loadgen run; each flagged field is its CLI option."""
 
-    scenario: str = "steady-uniform"
-    shards: int = 1
-    workers: str = "threaded"  #: cluster worker kind (see repro.cluster.WORKER_KINDS)
-    tenants: int = 8
-    requests: Optional[int] = None  #: None -> the preset's default
-    seed: int = 0
-    cache_capacity: int = 2
-    time_scale: float = 1.0
-    backend: str = "fast"  #: compute backend the tenant engines pin
-    transport: str = "local"  #: see TRANSPORTS
-    smoke: bool = False
-    trace: bool = False  #: record per-request hop spans into the SLO report
-    monitor: bool = False  #: attach TelemetryPoller + EventLog + SLOMonitor
-    autoscale: bool = False  #: close the loop: Autoscaler on the poller (implies monitor)
-    max_shards: Optional[int] = None  #: autoscale ceiling (default: shards * 4)
-    poll_interval_s: float = 0.05  #: metrics sampling interval (monitor runs)
-    alert_p99_ms: float = 250.0  #: p99-over-threshold rule (monitor runs)
-    alert_burn_rate: float = 0.05  #: rejection-burn-rate rule (monitor runs)
-    alert_queue_depth: float = 64.0  #: queue-depth-sustained rule (monitor runs)
+    scenario: str = flag(
+        "--scenario", default="steady-uniform",
+        help="named traffic scenario preset (see `loadgen --list-scenarios`; "
+        "default: steady-uniform, for lifecycle drift-step)",
+    )
+    shards: int = flag("--shards", default=1)
+    workers: str = flag("--workers", default="threaded")
+    tenants: int = flag(
+        "--loadgen-tenants", default=8, metavar="N",
+        help="synthetic tenant fleet size (default: 8, for lifecycle 4)",
+    )
+    requests: Optional[int] = flag(
+        "--loadgen-requests", metavar="N",
+        help="override the scenario's request count (fault schedules rescale)",
+    )  #: None -> the preset's default
+    seed: int = flag(
+        "--seed", default=0,
+        help="workload seed: same (scenario, tenants, seed) -> same plan, "
+        "bit for bit (default: 0)",
+    )
+    cache_capacity: int = flag("--serve-capacity", default=2)
+    time_scale: float = flag(
+        "--time-scale", default=1.0,
+        help="virtual->wall pacing multiplier; 0 replays as fast as possible "
+        "(default: 1.0)",
+    )
+    backend: str = flag(
+        "--backend", default="fast", choices=("reference", "fast"),
+        help="EngineSpec.backend of the tenant engines loadgen / monitor build "
+        "(default: fast).  Figure commands accept and ignore it: training and "
+        "pruning have one implementation",
+    )
+    transport: str = flag(
+        "--transport", default="local", choices=TRANSPORTS,
+        help="how the replay reaches the runtime: Serving API v2 in process "
+        "(local), GatewayClient over the JSON loopback wire, or GatewayClient "
+        "over a real HTTP socket on an ephemeral port; default: local",
+    )
+    smoke: bool = flag(
+        "--smoke", default=False,
+        help=f"shrink the scenario to {SMOKE_REQUESTS} requests "
+        "(fast CI sanity run; 'pipeline' also honours it)",
+    )
+    trace: bool = flag(
+        "--trace", default=False,
+        help="record per-request hop spans (gateway/middleware/frontend/"
+        "shard/engine) into the SLO report; forces a gateway transport",
+    )
+    monitor: bool = flag(
+        "--monitor", default=False,
+        help="attach the metrics plane (TelemetryPoller + EventLog + "
+        "SLOMonitor) to the loadgen run; the report gains a metrics line "
+        "and --measure JSON a slo.metrics block",
+    )
+    autoscale: bool = flag(
+        "--autoscale", default=False,
+        help="close the control loop: attach an Autoscaler to the telemetry "
+        "poller (implies --monitor); --shards is the floor, --max-shards "
+        "the ceiling; the report gains an autoscale line and --measure "
+        "JSON a slo.autoscale block",
+    )
+    max_shards: Optional[int] = flag(
+        "--max-shards", metavar="N",
+        help="autoscale shard ceiling (default: shards * 4)",
+    )
+    poll_interval_s: float = flag(
+        "--poll-interval", default=0.05, metavar="SECONDS",
+        help="metrics sampling interval (default: 0.05)",
+    )
+    alert_p99_ms: float = flag(
+        "--alert-p99-ms", default=250.0, metavar="MS",
+        help="p99-over-threshold alert rule threshold (default: 250)",
+    )
+    alert_burn_rate: float = flag(
+        "--alert-burn-rate", default=0.05, metavar="RATIO",
+        help="rejection/failure burn-rate alert threshold (default: 0.05)",
+    )
+    alert_queue_depth: float = flag(
+        "--alert-queue-depth", default=64.0, metavar="N",
+        help="queue-depth-sustained alert threshold (default: 64)",
+    )
+    json: Optional[str] = flag(
+        "--json", nargs="?", const="-", metavar="PATH",
+        help="emit the report as JSON to PATH (or stdout when no PATH); "
+        "without --measure the payload is deterministic and byte-stable "
+        "across runs of the same scenario/seed",
+    )
+    measure: bool = flag(
+        "--measure", default=False,
+        help="include the wall-clock SLO block (latency percentiles, goodput, "
+        "cluster merged p99) in the JSON payload",
+    )
+    metrics_json: Optional[str] = flag(
+        "--metrics-json", metavar="PATH",
+        help="write the monitored run's full time-series + alert dump to "
+        "PATH (implies --monitor for loadgen; also honoured by 'monitor')",
+    )
+    events_jsonl: Optional[str] = flag(
+        "--events-jsonl", metavar="PATH",
+        help="write the monitored run's structured event log to PATH, one "
+        "JSON object per line (implies --monitor)",
+    )
+    decisions_jsonl: Optional[str] = flag(
+        "--decisions-jsonl", metavar="PATH",
+        help="write the autoscaled run's decision log to PATH, one JSON "
+        "object per line (implies --autoscale)",
+    )
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -101,8 +184,6 @@ class LoadgenConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r}; available: {TRANSPORTS}"
             )
-        from ..cluster import WORKER_KINDS
-
         if self.workers not in WORKER_KINDS:
             raise ValueError(
                 f"unknown worker kind {self.workers!r}; available: {WORKER_KINDS}"
@@ -120,6 +201,12 @@ class LoadgenConfig:
             )
         if self.smoke and self.requests is None:
             self.requests = SMOKE_REQUESTS
+        # A dump only makes sense on a run that produces it, so each implies
+        # its plane rather than silently writing nothing.
+        if self.metrics_json or self.events_jsonl:
+            self.monitor = True
+        if self.decisions_jsonl:
+            self.autoscale = True
         if self.autoscale:
             # The control loop rides the telemetry plane: no poller, no loop.
             self.monitor = True
@@ -143,7 +230,7 @@ class LoadgenConfig:
         if faults and self.transport in ("loopback", "http"):
             raise ValueError(
                 f"chaos scenario {self.scenario!r} needs an async cluster "
-                "target; use --transport local (or direct)"
+                "target; use --transport local"
             )
         if self.trace:
             if faults:
@@ -153,14 +240,27 @@ class LoadgenConfig:
                     f"--trace cannot run chaos scenario {self.scenario!r}; "
                     "trace a fault-free scenario instead"
                 )
-            if self.transport in ("local", "direct"):
+            if self.transport == "local":
                 # Hop decomposition covers gateway → middleware → frontend →
                 # shard → engine, so a traced run must cross the gateway.
                 self.transport = "loopback"
 
+    def alert_rules(self) -> list:
+        """The stock SLO alert rules at this run's thresholds."""
+        return default_rules(
+            p99_ms=self.alert_p99_ms,
+            burn_ratio=self.alert_burn_rate,
+            queue_depth=self.alert_queue_depth,
+        )
 
-def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
+
+def run_loadgen(
+    config: LoadgenConfig, on_event: Optional[Callable[[Event], None]] = None
+) -> Tuple[SLOReport, Dict[str, object]]:
     """Run one scenario; returns (report, deterministic JSON payload).
+
+    ``on_event`` subscribes to a monitored run's event log: it sees each
+    lifecycle event and alert transition as it is appended.
 
     The cluster's queue bound is sized to the whole workload so fault-free
     scenarios never shed load for capacity reasons — that is what keeps
@@ -169,11 +269,10 @@ def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
     and genuinely reject under backlog, by design.
 
     The replay reaches the cluster through ``config.transport``: the
-    Serving API v2 backend in process (``local``), a ``GatewayClient`` over
-    the loopback wire or a real HTTP socket, or the deprecated raw-facade
-    path (``direct``).  Outcome counts and the predictions digest are
-    transport-invariant by construction; the plan's ``per_shard`` view is
-    not — a wire client sees one opaque endpoint, so it reports the whole
+    Serving API v2 backend in process (``local``) or a ``GatewayClient`` over
+    the loopback wire or a real HTTP socket.  Outcome counts and the
+    predictions digest are transport-invariant by construction; the plan's
+    ``per_shard`` view is not — a wire client sees one opaque endpoint, so it reports the whole
     plan under shard "0" while in-process targets report true placement.
     Byte-compare artifacts per transport (as CI does for loopback vs HTTP),
     or compare digests across transports.
@@ -200,7 +299,7 @@ def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
     if config.trace:
         # Fresh per-hop aggregator for this run's stats/SLO surfaces.
         _trace.reset_aggregator()
-    with _trace.tracing(config.trace) if config.trace else _nullcontext():
+    with _trace.tracing(config.trace):
         with ClusterService(cluster_config, registry=registry) as cluster:
             poller = previous_log = scaler = None
             if config.monitor:
@@ -211,14 +310,12 @@ def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
                 # poller watches the *cluster* regardless of transport — the
                 # common denominator every front door serves from.
                 events = EventLog()
+                if on_event is not None:
+                    events.subscribe(on_event)
                 previous_log = set_event_log(events)
                 monitor = SLOMonitor(
                     MetricsRegistry(),
-                    default_rules(
-                        p99_ms=config.alert_p99_ms,
-                        burn_ratio=config.alert_burn_rate,
-                        queue_depth=config.alert_queue_depth,
-                    ),
+                    config.alert_rules(),
                     event_log=events,
                 )
                 poller = TelemetryPoller(
@@ -245,9 +342,7 @@ def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
                     scaler.wire(monitor)
                 poller.start()
             try:
-                if config.transport == "direct":
-                    report = LoadDriver(cluster, driver_config).run(workload)
-                elif config.transport == "local":
+                if config.transport == "local":
                     report = LoadDriver(ClusterBackend(cluster), driver_config).run(workload)
                 else:
                     gateway = Gateway(ClusterBackend(cluster))
@@ -293,53 +388,26 @@ def run_loadgen(config: LoadgenConfig) -> Tuple[SLOReport, Dict[str, object]]:
     return report, report.to_dict(timing=False)
 
 
-def print_loadgen(
-    config: LoadgenConfig,
-    json_target: Optional[str] = None,
-    measure: bool = False,
-    metrics_json: Optional[str] = None,
-    events_jsonl: Optional[str] = None,
-    decisions_jsonl: Optional[str] = None,
-) -> SLOReport:
-    """Run, print the human report, and optionally emit/persist JSON.
+def print_loadgen(config: LoadgenConfig) -> SLOReport:
+    """Run, print the human report, and emit the JSON targets the config names.
 
-    ``json_target``: ``None`` (no JSON), ``"-"`` (stdout), or a path.
-    With ``measure`` the JSON gains the wall-clock ``slo`` block.
-    ``metrics_json`` / ``events_jsonl`` persist a monitored run's full
-    time-series dump and event log (they imply ``--monitor`` upstream);
-    ``decisions_jsonl`` persists an autoscaled run's decision log, one
-    sorted-keys JSON line per verdict.
+    ``config.json`` of ``"-"`` replaces the report with the JSON on stdout;
+    with ``measure`` the JSON gains the wall-clock ``slo`` block.  The
+    monitored and autoscaled runs' dumps go to their own paths.
     """
     report, payload = run_loadgen(config)
-    if measure:
+    if config.measure:
         payload = report.to_dict(timing=True)
-    serialized = json.dumps(payload, indent=2, sort_keys=True)
-    if json_target == "-":
-        # JSON-only stdout so the output can be diffed/piped byte-for-byte.
-        sys.stdout.write(serialized + "\n")
-    else:
+    if config.json != "-":
         print(report.render())
-        if json_target is not None:
-            with open(json_target, "w") as fh:
-                fh.write(serialized + "\n")
-            print(f"wrote {json_target}")
+    emit_json(payload, config.json)
     artifacts = getattr(report, "monitor_artifacts", None)
-    if metrics_json is not None and artifacts is not None:
-        dump = {
-            "metrics": artifacts["metrics"],
-            "monitor": artifacts["monitor"],
-        }
-        with open(metrics_json, "w") as fh:
-            fh.write(json.dumps(dump, indent=2, sort_keys=True) + "\n")
-        if json_target != "-":
-            print(f"wrote {metrics_json}")
-    if events_jsonl is not None and artifacts is not None:
-        write_jsonl(events_jsonl, map(json_line, artifacts["events"]))
-        if json_target != "-":
-            print(f"wrote {events_jsonl}")
-    summary = getattr(report, "autoscale_summary", None)
-    if decisions_jsonl is not None and summary is not None:
-        write_jsonl(decisions_jsonl, map(json_line, summary["decisions"]))
-        if json_target != "-":
-            print(f"wrote {decisions_jsonl}")
+    if artifacts is not None:
+        emit_json(
+            {"metrics": artifacts["metrics"], "monitor": artifacts["monitor"]},
+            config.metrics_json,
+        )
+        emit_json(artifacts["events"], config.events_jsonl)
+    if report.autoscale_summary is not None:
+        emit_json(report.autoscale_summary["decisions"], config.decisions_jsonl)
     return report

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-import threading
 import time
 import urllib.request
 from dataclasses import dataclass
@@ -33,10 +32,9 @@ from typing import Dict, List, Optional
 from ..metrics import (
     MetricsRegistry,
     SLOMonitor,
-    default_rules,
-    get_event_log,
     record_sample,
 )
+from .common import emit_json, flag
 from .loadgen_cli import LoadgenConfig, run_loadgen
 
 __all__ = ["MonitorConfig", "run_monitor", "print_monitor", "render_dashboard"]
@@ -50,10 +48,28 @@ class MonitorConfig(LoadgenConfig):
     """Knobs of one ``monitor`` invocation: the (always monitored) loadgen
     run to observe in process, plus the remote-scrape mode's own three."""
 
-    shards: int = 2
-    url: Optional[str] = None  #: gateway base URL; switches to scrape mode
-    ticks: int = 5  #: statsz scrapes per remote-scrape run
-    watch: bool = False  #: stream events / redraw per tick
+    shards: int = flag("--shards", default=2)
+    url: Optional[str] = flag(
+        "--url", metavar="BASE_URL",
+        help="monitor: scrape a live gateway's GET /statsz instead of "
+        "running a scenario in process (e.g. http://127.0.0.1:8080)",
+    )  #: switches to scrape mode
+    ticks: int = flag(
+        "--ticks", default=5, metavar="N",
+        help="monitor --url: number of /statsz scrapes (default: 5)",
+    )
+    watch: bool = flag(
+        "--watch", default=False,
+        help="monitor: stream lifecycle events live (in-process mode) or "
+        "redraw the dashboard per scrape (--url mode)",
+    )
+    # Loadgen options a monitor run does not read: plain fields, no flag.
+    trace: bool = False
+    autoscale: bool = False
+    max_shards: Optional[int] = None
+    measure: bool = False
+    events_jsonl: Optional[str] = None
+    decisions_jsonl: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.monitor = True
@@ -125,14 +141,7 @@ def _run_scrape(config: MonitorConfig, stream) -> Dict[str, object]:
     """Remote mode: sample a live gateway's /statsz into a local registry."""
     base = config.url.rstrip("/")
     registry = MetricsRegistry()
-    monitor = SLOMonitor(
-        registry,
-        default_rules(
-            p99_ms=config.alert_p99_ms,
-            burn_ratio=config.alert_burn_rate,
-            queue_depth=config.alert_queue_depth,
-        ),
-    )
+    monitor = SLOMonitor(registry, config.alert_rules())
     scrapes = 0
     for tick in range(config.ticks):
         with urllib.request.urlopen(base + "/statsz", timeout=30.0) as response:
@@ -160,38 +169,14 @@ def _run_scrape(config: MonitorConfig, stream) -> Dict[str, object]:
 
 
 def _run_scenario(config: MonitorConfig, stream) -> Dict[str, object]:
-    """In-process mode: a monitored loadgen run (optionally streamed live)."""
-    if not config.watch or stream is None:
-        report, _ = run_loadgen(config)
-    else:
-        # Live tail: run the scenario on a worker thread and stream the
-        # process-wide event log (installed by run_loadgen) as it grows.
-        results: List = []
-        errors: List[BaseException] = []
+    """In-process mode: a monitored loadgen run; with ``watch``, each event
+    of the run's log is printed as it is appended (alerts included)."""
 
-        def _target() -> None:
-            try:
-                results.append(run_loadgen(config))
-            except BaseException as exc:  # surfaced after the join
-                errors.append(exc)
+    def on_event(event) -> None:
+        print(_format_event(event.to_dict()), file=stream)
 
-        thread = threading.Thread(target=_target, name="repro-monitor-run")
-        thread.start()
-        seen = 0
-        while thread.is_alive():
-            log = get_event_log()
-            if log is not None:
-                events = [event.to_dict() for event in log.events()]
-                for event in events[seen:]:
-                    print(_format_event(event), file=stream)
-                seen = len(events)
-            time.sleep(config.poll_interval_s)
-        thread.join()
-        if errors:
-            raise errors[0]
-        report = results[0][0]
-        for event in report.monitor_artifacts["events"][seen:]:
-            print(_format_event(event), file=stream)
+    watching = config.watch and stream is not None
+    report, _ = run_loadgen(config, on_event=on_event if watching else None)
     summary = report.metrics_summary or {}
     return {
         "source": (
@@ -214,24 +199,16 @@ def run_monitor(config: MonitorConfig, stream=None) -> Dict[str, object]:
     return _run_scenario(config, stream)
 
 
-def print_monitor(
-    config: MonitorConfig, json_target: Optional[str] = None
-) -> Dict[str, object]:
-    """Run, print the dashboard, optionally dump the plane as JSON.
+def print_monitor(config: MonitorConfig) -> Dict[str, object]:
+    """Run, print the dashboard, and emit the plane as JSON.
 
-    ``json_target``: ``None`` (no JSON), ``"-"`` (JSON-only stdout), or a
-    path.  Mirrors ``print_loadgen``'s contract so the two subcommands
-    compose identically in scripts.
+    The target is ``--metrics-json`` or else ``--json``; ``"-"`` replaces
+    the live stream and the dashboard with the JSON on stdout, like
+    ``print_loadgen``.
     """
-    stream = None if json_target == "-" else sys.stdout
-    payload = run_monitor(config, stream=stream)
-    serialized = json.dumps(payload, indent=2, sort_keys=True)
-    if json_target == "-":
-        sys.stdout.write(serialized + "\n")
-        return payload
-    print(render_dashboard(payload))
-    if json_target is not None:
-        with open(json_target, "w") as fh:
-            fh.write(serialized + "\n")
-        print(f"wrote {json_target}")
+    target = config.metrics_json or config.json
+    payload = run_monitor(config, stream=None if target == "-" else sys.stdout)
+    if target != "-":
+        print(render_dashboard(payload))
+    emit_json(payload, target)
     return payload

@@ -17,46 +17,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..pipeline import Pipeline, PipelineStore, RunSummary, build_pipeline, pipeline_names
+from ..pipeline import PipelineStore, RunSummary, build_pipeline, pipeline_names
 from ..records import json_line
+from .common import flag
 
-__all__ = ["PipelineCliConfig", "build_cli_pipeline", "print_pipeline"]
-
-#: Default on-disk store root (relative to the working directory).
-DEFAULT_STORE = ".repro-pipeline"
+__all__ = ["PipelineCliConfig", "print_pipeline"]
 
 
 @dataclass
 class PipelineCliConfig:
-    """Knobs of one CLI pipeline invocation."""
+    """Knobs of one CLI pipeline invocation; each flagged field is its CLI option."""
 
-    pipeline: str = "standard"
-    store: str = DEFAULT_STORE
-    smoke: bool = False
-    force: Tuple[str, ...] = ()
-    status_only: bool = False
+    pipeline: str = flag(
+        "--pipeline", default="standard", metavar="NAME",
+        help="named pipeline to run (see --list-steps; default: standard)",
+    )
+    store: str = flag(
+        "--store", default=".repro-pipeline", metavar="PATH",
+        help="content-addressed store directory (default: .repro-pipeline)",
+    )
+    smoke: bool = flag("--smoke", default=False)
+    force: Tuple[str, ...] = flag(
+        "--force", default=(), action="append", metavar="STEP",
+        help="re-run STEP even when cached (repeatable)",
+    )
+    status_only: bool = flag(
+        "--status", default=False,
+        help="report per-step cache residency without executing anything",
+    )
+    list_steps: bool = flag(
+        "--list-steps", default=False,
+        help="list the pipeline's steps (execution order, deps, params) and exit",
+    )
 
     def __post_init__(self) -> None:
         if self.pipeline not in pipeline_names():
             raise ValueError(
                 f"unknown pipeline {self.pipeline!r}; available: {pipeline_names()}"
             )
-
-
-def build_cli_pipeline(config: PipelineCliConfig) -> Pipeline:
-    return build_pipeline(
-        config.pipeline, PipelineStore(config.store), smoke=config.smoke
-    )
+        self.force = tuple(self.force)
 
 
 def list_pipeline_steps(config: PipelineCliConfig) -> None:
-    """``--list-steps``: the DAG in execution order, with deps and params."""
-    import tempfile
+    """``--list-steps``: the DAG in execution order, with deps and params.
 
-    # Listing never touches the store; a throwaway root avoids creating the
-    # real store directory as a side effect of an inspection command.
-    with tempfile.TemporaryDirectory() as tmp:
-        pipeline = build_pipeline(config.pipeline, PipelineStore(tmp), smoke=config.smoke)
+    Listing never touches a store, so none is opened (or created).
+    """
+    pipeline = build_pipeline(config.pipeline, None, smoke=config.smoke)
     print(f"pipeline {config.pipeline} ({len(pipeline.order)} steps):")
     for name in pipeline.order:
         step = pipeline.steps[name]
@@ -67,7 +74,7 @@ def list_pipeline_steps(config: PipelineCliConfig) -> None:
 
 def print_pipeline_status(config: PipelineCliConfig) -> None:
     """``--status``: per-step cache residency, no execution."""
-    pipeline = build_cli_pipeline(config)
+    pipeline = build_pipeline(config.pipeline, PipelineStore(config.store), smoke=config.smoke)
     rows = pipeline.status()
     cached = sum(1 for row in rows if row["cached"])
     print(f"pipeline {config.pipeline} @ {config.store}: {cached}/{len(rows)} cached")
@@ -80,7 +87,7 @@ def run_pipeline(config: PipelineCliConfig) -> RunSummary:
     """``pipeline`` (run): execute the DAG, streaming per-step progress."""
     from ..serve import set_universal_model_store
 
-    pipeline = build_cli_pipeline(config)
+    pipeline = build_pipeline(config.pipeline, PipelineStore(config.store), smoke=config.smoke)
 
     def progress(result) -> None:
         print(
@@ -103,7 +110,10 @@ def run_pipeline(config: PipelineCliConfig) -> RunSummary:
 
 
 def print_pipeline(config: PipelineCliConfig) -> Optional[RunSummary]:
-    """Dispatch one CLI pipeline invocation (status or run)."""
+    """Dispatch one CLI pipeline invocation (list, status or run)."""
+    if config.list_steps:
+        list_pipeline_steps(config)
+        return None
     if config.status_only:
         print_pipeline_status(config)
         return None

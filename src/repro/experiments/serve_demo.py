@@ -32,9 +32,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..cluster import WORKER_KINDS
 from ..gateway import Gateway, GatewayClient, LocalBackend, LoopbackTransport
 from ..serve import EngineSpec, PersonalizeRequest, PredictRequest
-from .common import ExperimentScale, TINY_SCALE, format_table, make_service
+from .common import ExperimentScale, TINY_SCALE, emit_json, flag, format_table, make_service
 
 __all__ = ["ServeDemoConfig", "run_serve_demo", "print_serve_demo"]
 
@@ -43,17 +44,35 @@ __all__ = ["ServeDemoConfig", "run_serve_demo", "print_serve_demo"]
 class ServeDemoConfig:
     """Knobs of the request-replay demo."""
 
-    users: int = 2
+    users: int = flag("--serve-users", default=2, help="tenants to personalize (default: 2)")
     num_user_classes: int = 3
-    requests: int = 12
+    requests: int = flag(
+        "--serve-requests", default=12, help="requests to replay (default: 12)"
+    )
     request_batch: int = 1  #: images per request (real traffic is single-image)
-    cache_capacity: int = 2
-    shards: int = 1  #: > 1 replays the stream through a ClusterService too
-    workers: str = "threaded"
+    cache_capacity: int = flag(
+        "--serve-capacity", default=2,
+        help="engine cache capacity, per process or per shard (default: 2)",
+    )
+    shards: int = flag(
+        "--shards", default=1,
+        help="serving shards; > 1 also replays the stream through the "
+        "repro.cluster sharded runtime (default: 1)",
+    )
+    workers: str = flag(
+        "--workers", default="threaded", choices=WORKER_KINDS,
+        help="cluster worker execution model: GIL-sharing shard threads, or "
+        "shard processes serving zero-copy from shared-memory weights "
+        "(default: threaded)",
+    )
     target_sparsity: float = 0.8
     scale: ExperimentScale = TINY_SCALE
     engine: EngineSpec = field(default_factory=lambda: EngineSpec(block_size=8))
     seed: int = 0
+    stats_json: Optional[str] = flag(
+        "--stats-json", metavar="PATH",
+        help="write the serve replay's service/cluster telemetry to PATH as JSON",
+    )
 
     def __post_init__(self) -> None:
         for name in (
@@ -61,8 +80,6 @@ class ServeDemoConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        from ..cluster import WORKER_KINDS
-
         if self.workers not in WORKER_KINDS:
             raise ValueError(f"workers must be one of {WORKER_KINDS}, got {self.workers!r}")
 
@@ -199,8 +216,11 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
 def print_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
     """CLI printer: replay table, counters and the throughput comparison.
 
-    Returns the full report dict so the CLI can persist it (``--stats-json``).
+    With ``stats_json`` it also writes the machine-readable telemetry:
+    timings, the single-process service counters, and — when the replay ran
+    sharded — the full cluster stats.
     """
+    config = config or ServeDemoConfig()
     report = run_serve_demo(config)
     print(f"tenants: {', '.join(report['model_ids'])}")
     print(format_table(report["rows"]))
@@ -240,4 +260,8 @@ def print_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
                 f"mean batch {telemetry['batch_size']['mean']:.1f}, "
                 f"max queue {telemetry['queue_depth']['max']}"
             )
+    emit_json(
+        {key: report[key] for key in ("timings", "stats", "gateway", "cluster")},
+        config.stats_json,
+    )
     return report

@@ -1,6 +1,6 @@
 """Named pipelines: the experiment sweeps ported onto the content-addressed DAG.
 
-Three presets ship with the CLI (``repro pipeline --list-steps``):
+Five presets ship with the CLI (``repro pipeline --list-steps``):
 
 * ``standard`` — the tiny five-step prune → encode → register → replay →
   score chain from :mod:`repro.pipeline.steps` (the CI smoke pipeline);
@@ -26,14 +26,16 @@ Every preset accepts ``smoke=True``, which shrinks it to seconds for CI.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..records import round6
 from .step import Pipeline, Step, StepContext
 from .steps import standard_chain
 from .store import PipelineStore
 
-__all__ = ["PIPELINES", "build_pipeline", "pipeline_names"]
+__all__ = ["PIPELINES", "build_pipeline", "compare_preset", "pipeline_names"]
+
+StepFn = Callable[[StepContext], Dict[str, object]]
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +194,13 @@ def _fig1_steps(smoke: bool = False) -> List[Step]:
                     deps=(f"setup-{model_name}",),
                 )
             )
-    steps.append(
-        Step(
-            "collect",
-            fig1_collect,
-            params={"models": models, "nm_ratios": nm_ratios},
-            deps=tuple(
-                [f"setup-{model_name}" for model_name in models]
-                + [
-                    f"nm-{model_name}-{n}of{m}"
-                    for model_name in models
-                    for n, m in nm_ratios
-                ]
-            ),
-        )
+    collect = Step(
+        "collect",
+        fig1_collect,
+        params={"models": models, "nm_ratios": nm_ratios},
+        deps=tuple(step.name for step in steps),
     )
-    return steps
+    return [*steps, collect]
 
 
 # ---------------------------------------------------------------------------
@@ -246,34 +239,34 @@ def loadgen_collect(ctx: StepContext) -> Dict[str, object]:
 
 
 def _loadgen_sweep_steps(smoke: bool = False) -> List[Step]:
-    scenarios = ["steady-uniform"] if smoke else [
-        "steady-uniform",
-        "poisson-zipf",
-        "zipf-burst",
-    ]
-    requests = 8 if smoke else 24
+    scenarios = ["steady-uniform"] if smoke else ["steady-uniform", "poisson-zipf", "zipf-burst"]
+    params = {"shards": 2, "tenants": 4, "requests": 8 if smoke else 24, "seed": 0}
     steps = [
-        Step(
-            f"scenario-{name}",
-            loadgen_point,
-            params={
-                "scenario": name,
-                "shards": 2,
-                "tenants": 4,
-                "requests": requests,
-                "seed": 0,
-            },
-        )
+        Step(f"scenario-{name}", loadgen_point, params={"scenario": name, **params})
         for name in scenarios
     ]
-    steps.append(
-        Step(
-            "collect",
-            loadgen_collect,
-            deps=tuple(step.name for step in steps),
-        )
-    )
-    return steps
+    return [*steps, Step("collect", loadgen_collect, deps=tuple(step.name for step in steps))]
+
+
+# ---------------------------------------------------------------------------
+# the *-compare presets: pin a scenario, replay it under two arms, score them
+# ---------------------------------------------------------------------------
+
+def compare_preset(
+    pin: StepFn,
+    pin_params: Dict[str, object],
+    replay: StepFn,
+    arms: Dict[str, Dict[str, object]],
+    score: StepFn,
+) -> List[Step]:
+    """The DAG every ``*-compare`` preset is: a ``scenario`` step pinning the
+    plan, one ``replay`` step per arm (``arms`` maps step name -> params), and
+    a ``compare`` step scoring the arms in ``arms`` order."""
+    return [
+        Step("scenario", pin, params=pin_params),
+        *(Step(name, replay, params=params, deps=("scenario",)) for name, params in arms.items()),
+        Step("compare", score, deps=tuple(arms)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +316,10 @@ def autoscale_replay(ctx: StepContext) -> Dict[str, object]:
     )
 
 
+#: What the scorecard keeps of each arm (the autoscaled arm adds its actions).
+_ARM_KEYS = ("shard_seconds", "peak_shards", "peak_p99_ms", "drained")
+
+
 def autoscale_compare(ctx: StepContext) -> Dict[str, object]:
     """Score the two arms: shard-seconds saved at (proxy) equal SLO."""
     auto = ctx.inputs["autoscaled"]
@@ -331,19 +328,8 @@ def autoscale_compare(ctx: StepContext) -> Dict[str, object]:
     ratio = saved / static["shard_seconds"] if static["shard_seconds"] else 0.0
     return {
         "scenario": auto["scenario"],
-        "autoscaled": {
-            "shard_seconds": auto["shard_seconds"],
-            "peak_shards": auto["peak_shards"],
-            "peak_p99_ms": auto["peak_p99_ms"],
-            "actions": auto["actions"],
-            "drained": auto["drained"],
-        },
-        "static": {
-            "shard_seconds": static["shard_seconds"],
-            "peak_shards": static["peak_shards"],
-            "peak_p99_ms": static["peak_p99_ms"],
-            "drained": static["drained"],
-        },
+        "autoscaled": {key: auto[key] for key in (*_ARM_KEYS, "actions")},
+        "static": {key: static[key] for key in _ARM_KEYS},
         "shard_seconds_saved": round6(saved),
         "savings_ratio": round6(ratio),
         "autoscaler_wins": bool(
@@ -355,44 +341,23 @@ def autoscale_compare(ctx: StepContext) -> Dict[str, object]:
 
 
 def _autoscale_compare_steps(smoke: bool = False) -> List[Step]:
-    requests = 160 if smoke else 512
-    tick_s = 0.02 if smoke else 0.01
-    min_shards, max_shards = 2, 6
-    scenario_step = Step(
-        "scenario",
+    max_shards = 6
+    return compare_preset(
         autoscale_scenario,
-        params={
+        {
             "scenario": "diurnal-ramp",
-            "requests": requests,
+            "requests": 160 if smoke else 512,
             "seed": 0,
-            "tick_s": tick_s,
+            "tick_s": 0.02 if smoke else 0.01,
             "service_rate": 400.0,
         },
+        autoscale_replay,
+        {
+            "autoscaled": {"policy": "autoscaled", "min_shards": 2, "max_shards": max_shards},
+            "static": {"policy": "static", "max_shards": max_shards},
+        },
+        autoscale_compare,
     )
-    return [
-        scenario_step,
-        Step(
-            "autoscaled",
-            autoscale_replay,
-            params={
-                "policy": "autoscaled",
-                "min_shards": min_shards,
-                "max_shards": max_shards,
-            },
-            deps=("scenario",),
-        ),
-        Step(
-            "static",
-            autoscale_replay,
-            params={"policy": "static", "max_shards": max_shards},
-            deps=("scenario",),
-        ),
-        Step(
-            "compare",
-            autoscale_compare,
-            deps=("autoscaled", "static"),
-        ),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,37 +415,13 @@ def lifecycle_compare_step(ctx: StepContext) -> Dict[str, object]:
 
 
 def _lifecycle_compare_steps(smoke: bool = False) -> List[Step]:
-    requests = 128 if smoke else 192
-    scenario_step = Step(
-        "scenario",
+    return compare_preset(
         lifecycle_scenario,
-        params={
-            "scenario": "drift-step",
-            "requests": requests,
-            "tenants": 4,
-            "seed": 0,
-        },
+        {"scenario": "drift-step", "requests": 128 if smoke else 192, "tenants": 4, "seed": 0},
+        lifecycle_replay,
+        {"static": {"lifecycle": False}, "managed": {"lifecycle": True}},
+        lifecycle_compare_step,
     )
-    return [
-        scenario_step,
-        Step(
-            "static",
-            lifecycle_replay,
-            params={"lifecycle": False},
-            deps=("scenario",),
-        ),
-        Step(
-            "managed",
-            lifecycle_replay,
-            params={"lifecycle": True},
-            deps=("scenario",),
-        ),
-        Step(
-            "compare",
-            lifecycle_compare_step,
-            deps=("static", "managed"),
-        ),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +448,10 @@ def pipeline_names() -> List[str]:
     return sorted(PIPELINES)
 
 
-def build_pipeline(name: str, store: PipelineStore, smoke: bool = False) -> Pipeline:
-    """Materialize a named preset over ``store``."""
+def build_pipeline(
+    name: str, store: Optional[PipelineStore], smoke: bool = False
+) -> Pipeline:
+    """Materialize a named preset over ``store`` (``None``: inspect only)."""
     if name not in PIPELINES:
         raise KeyError(f"unknown pipeline {name!r}; available: {pipeline_names()}")
     return Pipeline(PIPELINES[name](smoke=smoke), store)

@@ -123,47 +123,21 @@ class RunSummary:
     def all_hits(self) -> bool:
         return bool(self.results) and self.hits == len(self.results)
 
-    def outputs(self) -> Dict[str, Dict[str, object]]:
-        return {r.name: r.output for r in self.results}
-
     def __getitem__(self, name: str) -> StepResult:
         for result in self.results:
             if result.name == name:
                 return result
         raise KeyError(name)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "steps": [
-                {
-                    "name": r.name,
-                    "key": r.key,
-                    "status": r.status,
-                    "output_sha256": r.output_sha256,
-                    "elapsed_s": r.elapsed_s,
-                }
-                for r in self.results
-            ],
-            "hits": self.hits,
-            "ran": self.ran,
-        }
-
-    def render(self) -> str:
-        """Human summary, one line per step."""
-        lines = []
-        for r in self.results:
-            lines.append(
-                f"  {r.status:>4}  {r.name:<28} key={r.key[:12]}  "
-                f"out={r.output_sha256[:12]}  {r.elapsed_s * 1e3:8.1f}ms"
-            )
-        lines.append(f"  {self.hits} hit(s), {self.ran} ran")
-        return "\n".join(lines)
-
 
 class Pipeline:
-    """A DAG of steps over one content-addressed store."""
+    """A DAG of steps over one content-addressed store.
 
-    def __init__(self, steps: Sequence[Step], store: PipelineStore) -> None:
+    A pipeline built with ``store=None`` can be inspected (order, keys) but
+    not run.
+    """
+
+    def __init__(self, steps: Sequence[Step], store: Optional[PipelineStore]) -> None:
         self.store = store
         names = [step.name for step in steps]
         if len(set(names)) != len(names):

@@ -60,7 +60,6 @@ __all__ = [
     "disable",
     "enabled",
     "tracing",
-    "new_trace",
     "hops_of",
     "aggregate",
     "hop_summaries",
@@ -233,20 +232,6 @@ def trace_step(hop: str) -> Callable:
         return wrapper
 
     return decorate
-
-
-def new_trace(message) -> Optional[Trace]:
-    """Attach a fresh :class:`Trace` to ``message`` if tracing is enabled.
-
-    The attachment point is a plain ``trace`` attribute — outside the
-    message's wire dict, so deterministic JSON faces are unaffected.
-    Returns the trace (or ``None`` when tracing is off).
-    """
-    if not _ENABLED:
-        return None
-    trace = Trace()
-    message.trace = trace
-    return trace
 
 
 def hops_of(message) -> Optional[Dict[str, float]]:

@@ -106,3 +106,65 @@ class TestCLI:
         assert "0 hit(s), 5 ran" in capsys.readouterr().out
         assert main(argv) == 0
         assert "5 hit(s), 0 ran" in capsys.readouterr().out
+
+
+#: Every option string ``--help`` listed before the CLI became one command
+#: table, with a value it accepts (``--transport direct`` is the one value
+#: dropped since).
+OPTIONS = [
+    ["--backend", "reference"], ["--serve-users", "2"], ["--serve-requests", "4"],
+    ["--serve-capacity", "2"], ["--shards", "2"], ["--workers", "process"],
+    ["--stats-json", "s.json"], ["--scenario", "zipf-burst"], ["--list-scenarios"],
+    ["--seed", "1"], ["--loadgen-tenants", "3"], ["--loadgen-requests", "8"],
+    ["--transport", "local"], ["--transport", "loopback"], ["--transport", "http"],
+    ["--time-scale", "0.5"], ["--json"], ["--json", "out.json"], ["--measure"],
+    ["--smoke"], ["--trace"], ["--autoscale"], ["--max-shards", "4"],
+    ["--decisions-jsonl", "d.jsonl"], ["--monitor"], ["--metrics-json", "m.json"],
+    ["--events-jsonl", "e.jsonl"], ["--poll-interval", "0.1"], ["--alert-p99-ms", "100"],
+    ["--alert-burn-rate", "0.1"], ["--alert-queue-depth", "8"],
+    ["--url", "http://127.0.0.1:8080"], ["--ticks", "2"], ["--watch"], ["--managed-only"],
+    ["--audit-jsonl", "a.jsonl"], ["--pipeline", "fig1"], ["--store", "store"],
+    ["--status"], ["--list-steps"], ["--force", "prune"],
+]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("option", OPTIONS, ids=" ".join)
+    def test_every_option_still_parses(self, option, capsys):
+        assert main(["--list", *option]) == 0
+        assert "pipeline" in capsys.readouterr().out
+
+    def test_direct_transport_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["--list", "--transport", "direct"])
+
+    def test_serve_stats_json(self, tmp_path, capsys):
+        from repro.experiments.common import clear_model_cache
+
+        path = tmp_path / "stats.json"
+        try:
+            assert main(["serve", "--serve-requests", "4", "--stats-json", str(path)]) == 0
+        finally:
+            clear_model_cache()
+        assert set(json.loads(path.read_text())) == {"timings", "stats", "gateway", "cluster"}
+        assert capsys.readouterr().err == f"wrote {path}\n"
+
+    def test_pipeline_list_steps_opens_no_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["pipeline", "--smoke", "--list-steps", "--store", str(store)]) == 0
+        assert "pipeline standard (5 steps):" in capsys.readouterr().out
+        assert not store.exists()
+
+    def test_pipeline_status_executes_nothing(self, tmp_path, capsys, monkeypatch):
+        from repro.pipeline import Pipeline
+
+        argv = ["pipeline", "--smoke", "--store", str(tmp_path / "store")]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--status executed a step")
+
+        monkeypatch.setattr(Pipeline, "_execute", refuse)
+        assert main([*argv, "--status"]) == 0
+        assert "5/5 cached" in capsys.readouterr().out

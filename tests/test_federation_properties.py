@@ -265,6 +265,56 @@ class TestSpilloverDiscipline:
         assert fed2.spillovers == 1
 
 
+class TestRehomeAcrossSeparateRegistries:
+    def test_predict_and_engine_move_the_home_to_the_member_that_has_it(
+        self, monkeypatch
+    ):
+        """Members with their own registries: each tenant lives only on the
+        member the ring does *not* pick.  Both entry points reach the one
+        re-home path, move the home there for good, and count it once."""
+
+        class RegistryMember(FakeMember):
+            def engine(self, model_id: str):
+                if model_id not in self.known:
+                    raise NotFoundError(model_id)
+                return (self.member_name, model_id)
+
+        names = ("east", "west")
+        probe = FederatedBackend({name: FakeMember(name) for name in names})
+        holder = {
+            tenant: next(name for name in names if name != probe._home_for(tenant))
+            for tenant in ("tenant-a", "tenant-b")
+        }
+        fed = FederatedBackend({
+            name: RegistryMember(
+                name, [f"only-{name}"] + [t for t, h in holder.items() if h == name]
+            )
+            for name in names
+        })
+        reached: List[str] = []
+        rehome = fed._rehome
+        monkeypatch.setattr(
+            fed, "_rehome",
+            lambda model_id, *rest: reached.append(model_id) or rehome(model_id, *rest),
+        )
+
+        assert fed.predict(_request("tenant-a")).served_by == holder["tenant-a"]
+        assert fed.engine("tenant-b") == (holder["tenant-b"], "tenant-b")
+        assert reached == ["tenant-a", "tenant-b"]
+        assert fed.homes() == holder
+        assert fed.rehomes == 2 and fed.stats()["federation"]["rehomes"] == 2
+
+        # Settled: the next calls go straight to the new home.
+        assert fed.predict(_request("tenant-a", 1)).served_by == holder["tenant-a"]
+        assert fed.engine("tenant-b") == (holder["tenant-b"], "tenant-b")
+        assert reached == ["tenant-a", "tenant-b"] and fed.rehomes == 2
+
+        # No member has the tenant: the home's NotFoundError propagates.
+        with pytest.raises(NotFoundError):
+            fed.predict(_request("ghost"))
+        assert fed.rehomes == 2
+
+
 class TestMembershipAndMergedStats:
     def test_membership_validation(self):
         fed, _ = _federation(2)
