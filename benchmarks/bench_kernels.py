@@ -9,11 +9,13 @@ Run under pytest-benchmark for the tracked numbers::
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py --benchmark-only
 
 or as a script for a quick reference-vs-fast speedup report, the
-``crisp_encode`` row (loop oracle vs ``CRISPFormat.from_dense``) and one
+``crisp_encode`` row (loop oracle vs ``CRISPFormat.from_dense``), one
 whole-model row — a pruned ``resnet_tiny`` forward through the module itself
 (``eval()``, batch-norm unfolded) and on a ``dense`` and a ``crisp`` engine
-(the compiled plan), beside the accelerator model's predicted speedup (the CI
-smoke run)::
+(the compiled plan), beside the accelerator model's predicted speedup — and
+two tenant rows, ``cold_build`` (a registry cache miss, then the first
+forward) and ``tenant_bytes`` (record, ``state.npz``, shared-memory segment)
+(the CI smoke run)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke --json BENCH_kernels.json
 """
@@ -170,6 +172,63 @@ def test_engine_predict_kernel(benchmark, rng):
 # Script mode: the CI smoke run (reference vs fast speedup report)
 # ---------------------------------------------------------------------------
 
+def _pruned_resnet_tiny(num_classes, input_size):
+    """``resnet_tiny`` at 2:4 in 16x16 blocks, 80 % sparse (crispbench's pattern)."""
+    model = build_model("resnet_tiny", num_classes=num_classes, input_size=input_size, seed=0)
+    config = HybridSparsityConfig(BENCH_N, BENCH_M, BENCH_BLOCK)
+    for layer in prunable_layers(model).values():
+        mask, _ = hybrid_mask(np.abs(layer.reshaped_weight()), config, target_sparsity=0.8)
+        layer.set_reshaped_mask(mask)
+    return model
+
+
+def _tenant_rows(rng, repeat):
+    """What a crispbench-shaped tenant (3 classes, 12x12 inputs) costs to bring
+    back and to keep: ``registry.build_engine`` on a cache miss and the first
+    forward after it (which decodes the kernels' GEMM operands), medians; and
+    the KiB of the registry record's arrays, its ``state.npz`` and its
+    published shared-memory segment."""
+    import os
+    import tempfile
+    import time
+
+    from repro.serve import EngineSpec, ModelRegistry
+    from repro.shm import SharedWeightStore, attach_segment
+
+    registry = ModelRegistry()
+    spec = EngineSpec("fast", "crisp", BENCH_N, BENCH_M, BENCH_BLOCK)
+    model_id = registry.register(_pruned_resnet_tiny(3, 12), spec=spec, model_id="tenant")
+    image = rng.normal(size=(1, 3, 12, 12))
+    build_s, forward_s = [], []
+    for _ in range(20 * repeat):
+        started = time.perf_counter()
+        engine = registry.build_engine(model_id)
+        built = time.perf_counter()
+        engine.predict(image)
+        build_s.append(built - started)
+        forward_s.append(time.perf_counter() - built)
+    build, forward = float(np.median(build_s)), float(np.median(forward_s))
+    print(f"{'cold build':>16} | {build * 1e3:9.2f}ms | {forward * 1e3:9.2f}ms |"
+          "  (registry.build_engine, then the first forward)")
+
+    record = registry.get(model_id)
+    stored = [*record.state.values(), *(a for f in record.formats.values() for a in f.arrays().values())]
+    kib = {"record": sum(a.nbytes for a in stored) / 1024}
+    with tempfile.TemporaryDirectory() as root:
+        registry.save(root)
+        kib["state_npz"] = os.path.getsize(os.path.join(root, model_id, "state.npz")) / 1024
+    with SharedWeightStore(registry) as store:
+        segment = attach_segment(store.ensure(model_id)[0]["segment"])
+        kib["segment"] = segment.size / 1024
+        segment.close()
+    print(f"{'tenant bytes':>16} | " + " | ".join(f"{k} {v:.1f} KiB" for k, v in kib.items()))
+    return [
+        {"name": "cold_build", "unit": "s", "build": build, "first_forward": forward,
+         "value": build, "backend": "fast"},
+        {"name": "tenant_bytes", "unit": "KiB", **kib, "value": kib["record"], "backend": "fast"},
+    ]
+
+
 def _resnet_tiny_forward_row(rng, repeat):
     """Model vs measured, in one line: the same pruned ``resnet_tiny`` and the
     same single image through ``module.eval()``'s own forward, on a ``dense``
@@ -177,11 +236,7 @@ def _resnet_tiny_forward_row(rng, repeat):
     sparsity is worth on CRISP-STC."""
     from benchlib import best_of
 
-    model = build_model("resnet_tiny", num_classes=8, input_size=16, seed=0)
-    config = HybridSparsityConfig(BENCH_N, BENCH_M, BENCH_BLOCK)
-    for layer in prunable_layers(model).values():
-        mask, _ = hybrid_mask(np.abs(layer.reshaped_weight()), config, target_sparsity=0.8)
-        layer.set_reshaped_mask(mask)
+    model = _pruned_resnet_tiny(8, 16)
     image = rng.normal(size=(1, 3, 16, 16))
     pattern = {"backend": "fast", "n": BENCH_N, "m": BENCH_M, "block_size": BENCH_BLOCK}
     model.eval()
@@ -310,6 +365,7 @@ def main(argv=None) -> int:
             f"crisp engine forward {forward['crisp'] * 1e3:.2f}ms > module.eval() forward "
             f"{forward['module'] * 1e3:.2f}ms"
         )
+    records.extend(_tenant_rows(rng, repeat))  # tracked, not gated by --check
 
     if args.json:
         write_records(

@@ -6,8 +6,9 @@ consume for inference.  Building one *compiles* the model
 depthwise / linear / add / pool / flatten — with every ``BatchNorm`` folded
 into the conv or linear before it and every ReLU fused onto the op it
 follows, and ``predict`` runs that list.  No ``Module`` is called, and
-nothing on the module is written: the engine never touches the model it was
-built from, and any number of threads may predict on one engine.
+nothing on the module is written — except that an engine handed encodings
+(``formats=``) decodes them into its module when :attr:`Engine.module` is
+first read — and any number of threads may predict on one engine.
 
 Typical use::
 
@@ -23,16 +24,19 @@ Two contracts follow from compiling:
   statistics* the module had when it was built.  Training or re-pruning the
   module afterwards changes nothing an engine serves until
   :meth:`Engine.refresh_formats`, which recompiles.
-* **Folded encodings.**  What is encoded — and what :attr:`Engine.formats`,
-  :meth:`Engine.format_summaries`, :meth:`Engine.total_weight_bits` and a
-  shared-memory segment report — is each layer's mask-applied weight with its
-  batch-norm scale multiplied into the output channels, i.e. into columns of
-  the ``(reduction, out)`` matrix.  A zero stays a zero, so ``nnz``, the bit
-  counts and ``is_lossless`` are those of the unfolded weight (a channel
-  whose ``gamma`` is exactly 0 can only lose non-zeros).  Folding reorders
-  float operations: an engine agrees with ``module.eval()``'s forward to
-  round-off (<= 1e-9), and engines built from one model agree with each
-  other bit for bit, whichever process built them.
+* **Encode, then fold.**  Each prunable layer's mask-applied, *unfolded*
+  weight is encoded (:func:`encode_weights`) — or handed in already encoded,
+  which is what a registry record stores — and its batch-norm scale is then
+  multiplied into the stored values of a copy (``fmt.scale_columns``): into
+  columns of the ``(reduction, out)`` matrix, one ``w * scale`` per value,
+  the product encoding the folded matrix would have stored.  Those *folded*
+  encodings are what :attr:`Engine.formats`, :meth:`Engine.format_summaries`
+  and :meth:`Engine.total_weight_bits` report.  A zero stays a zero, so
+  ``nnz``, the bit counts and ``is_lossless`` are those of the unfolded
+  weight (a channel whose ``gamma`` is exactly 0 can only lose non-zeros).
+  Folding reorders float operations: an engine agrees with
+  ``module.eval()``'s forward to round-off (<= 1e-9), and engines built from
+  one model agree with each other bit for bit, whichever process built them.
 
 ``Engine.detach()`` and the ``attach=`` keyword are left from the time an
 engine patched ``forward`` closures onto the module.  Both do nothing; they
@@ -54,11 +58,36 @@ from ..sparsity.formats import FormatSummary, WeightFormat, encode
 from .base import Backend, resolve_backend, weight_formats
 from .plan import compile_plan, run_plan
 
-__all__ = ["Engine", "WEIGHT_FORMATS"]
+__all__ = ["Engine", "WEIGHT_FORMATS", "encode_weights", "load_weights"]
 
 #: Weight-format names accepted by :class:`Engine`: every entry of
 #: ``sparsity.formats.FORMATS`` that the backends have a kernel for.
 WEIGHT_FORMATS = weight_formats()
+
+
+def encode_weights(module: Module, spec) -> Dict[str, WeightFormat]:
+    """Each prunable layer's effective (mask-applied, unfolded) weight, encoded.
+
+    ``spec`` is anything with ``weight_format`` / ``n`` / ``m`` /
+    ``block_size``; each layer encodes its ``(reduction, out_channels)``
+    matrix, in layer order.
+    """
+    weights = {name: layer.weight.effective() for name, layer in prunable_layers(module).items()}
+    return {name: encode(spec.weight_format, w.reshape(len(w), -1).T, spec.n, spec.m, spec.block_size)
+            for name, w in weights.items()}
+
+
+def load_weights(module: Module, formats: Mapping[str, WeightFormat]) -> Module:
+    """Write each encoding's decoded weight into its layer; the inverse of :func:`encode_weights`.
+
+    The mask is the weight's non-zeros: the encodings keep no mask, so a kept
+    weight that is exactly 0.0 reads as pruned here, and a lossy encoding's
+    dropped values read as pruned too.
+    """
+    for name, layer in prunable_layers(module).items():
+        layer.weight.data = np.ascontiguousarray(formats[name].to_dense().T).reshape(layer.weight.shape)
+        layer.weight.set_mask(layer.weight.data != 0)
+    return module
 
 
 class Engine:
@@ -75,7 +104,9 @@ class Engine:
         attach: bool = True,  # ignored; the next benchmark PR removes crispbench's callers
         formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> None:
-        self.module = module
+        self._module = module
+        #: Installed encodings not yet decoded into ``module`` (see :attr:`module`).
+        self._undecoded: Optional[Mapping[str, WeightFormat]] = None
         self.backend = resolve_backend(backend)
         if weight_format not in weight_formats(self.backend):
             raise ValueError(
@@ -120,59 +151,57 @@ class Engine:
 
     # -- compilation ----------------------------------------------------------
     def _compile(self, formats: Optional[Mapping[str, WeightFormat]]) -> None:
-        """Walk the module, encode (or adopt) the folded weights, swap the plan in.
+        """Walk the module, encode (or adopt) the unfolded weights, fold, swap the plan in.
 
-        The folded matrix is the only thing encoded.  Plan and formats are
-        replaced by assignment, so a predict running on another thread
-        finishes on the plan it started with.
+        Plan and formats are replaced by assignment, so a predict running on
+        another thread finishes on the plan it started with.
         """
-        plan, folded = compile_plan(self.module, self.backend)
-        encoded: Dict[str, WeightFormat] = {}
-        for name, layer in prunable_layers(self.module).items():
-            if formats is not None:
-                encoded[name] = formats[name]
-                continue
-            # A prunable layer the forward never calls is still stored and reported.
-            weight = folded[name] if name in folded else layer.weight.effective()
-            weight2d = weight.reshape(weight.shape[0], -1).T  # (reduction, out)
-            encoded[name] = encode(self.weight_format, weight2d, self.n, self.m, self.block_size)
+        plan, scales = compile_plan(self._module, self.backend)
+        if formats is None:
+            formats = encode_weights(self.module, self)
+        # A prunable layer the forward never calls (no scale) is still stored and reported.
+        folded = {name: formats[name].scale_columns(scales[name]) if name in scales else formats[name]
+                  for name in prunable_layers(self._module)}
+        for array in (array for fmt in folded.values() for array in fmt.arrays().values()):
+            array.flags.writeable = False  # the kernels memoize what they derive from it
         for op in plan:
-            if op.name in encoded:
-                op.fmt = encoded[op.name]
-        self._formats, self._plan = encoded, plan
+            if op.name in folded:
+                op.fmt = folded[op.name]
+        self._formats, self._plan = folded, plan
 
     def refresh_formats(self) -> None:
-        """Recompile: re-read the module, fold, re-encode every prunable layer.
+        """Recompile: re-read the module, re-encode every prunable layer, fold.
 
         Call after weights, pruning masks or batch-norm statistics change
         while an engine is alive; until then the engine serves the snapshot
-        it was built from.  The *effective* (mask-applied) weight is folded
-        and encoded, so STE-style dense shadow weights never leak into
-        inference.  A layer the plan cannot express raises ``ValueError``
-        naming it — from here and from the constructor, never from a predict.
+        it was built from.  The *effective* (mask-applied) weight is encoded,
+        so STE-style dense shadow weights never leak into inference.  A layer
+        the plan cannot express raises ``ValueError`` naming it — from here
+        and from the constructor, never from a predict.
         """
         self._compile(None)
 
     def install_formats(self, formats: Dict[str, WeightFormat]) -> None:
-        """Install precomputed encodings instead of re-encoding the module.
+        """Serve precomputed encodings instead of encoding the module's weights.
 
-        The seam for shared-memory serving: a worker process maps another
-        process's encoded arrays and hands them in here, so the encoded
-        bytes exist once per host and the worker skips the per-layer encode
-        (2.5-3 ms for a CRISP ``resnet_tiny``'s 14 layers).  That is true of
-        storage only: the ``fast`` kernels decode each format into a private
-        GEMM operand on first use (``fmt.derived``, ~250 KiB for that
-        ``resnet_tiny``), one copy per process per resident engine.
+        ``formats`` are *unfolded* encodings — what :func:`encode_weights`
+        returns and a registry record stores — and the plan folds this
+        module's batch-norm into copies of them, so an install encodes
+        nothing.  The module supplies the architecture and the non-prunable
+        state; from here on its prunable weights are these encodings', decoded
+        into it on the first read of :attr:`module`.  A registry record's or a
+        shared-memory segment's arrays are adopted as they are (read-only
+        views stay views) except each folded value array, which is this
+        engine's own; the ``fast`` kernels also decode each format into a
+        private GEMM operand on first use (``fmt.derived``, ~250 KiB for a
+        CRISP ``resnet_tiny``), one copy per process per resident engine.
 
-        ``formats`` must be *folded* encodings — another engine's
-        :attr:`formats` over the same model state — because the plan is
-        recompiled around them with the folded biases this module's
-        batch-norm statistics give.  They must cover exactly this module's
-        prunable layers, each encoding the ``(reduction, out_channels)``
-        matrix of its layer — a mismatch fails here, not inside a kernel at
-        the first predict; entries are kept in layer order.
+        They must cover exactly this module's prunable layers, each encoding
+        the ``(reduction, out_channels)`` matrix of its layer — a mismatch
+        fails here, naming the layer, not inside a kernel at the first
+        predict; entries are kept in layer order.
         """
-        layers = prunable_layers(self.module)
+        layers = prunable_layers(self._module)
         if sorted(formats) != sorted(layers):
             raise ValueError(
                 f"formats must cover exactly the prunable layers {sorted(layers)}; "
@@ -187,10 +216,26 @@ class Engine:
                     f"matrix; the layer's weight is {expected}"
                 )
         self._compile(formats)
+        self._undecoded = formats
+
+    @property
+    def module(self) -> Module:
+        """The module this engine compiles; after :meth:`install_formats`, decoded on first read.
+
+        Serving never reads it, so an engine built from stored encodings pays
+        for the decode (:func:`load_weights`) only when something asks for
+        the weights — the hardware workload model, :meth:`refresh_formats`.
+        Two threads reading it first at once may both decode; they write the
+        same arrays, and neither returns before its own decode is complete.
+        """
+        if self._undecoded is not None:
+            load_weights(self._module, self._undecoded)
+            self._undecoded = None
+        return self._module
 
     @property
     def formats(self) -> Mapping[str, WeightFormat]:
-        """Read-only view of the installed encodings, by layer name, in layer order."""
+        """Read-only view of the folded encodings, by layer name, in layer order."""
         return MappingProxyType(self._formats)
 
     @property

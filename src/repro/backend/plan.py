@@ -14,8 +14,9 @@ only when nothing else has read it:
 * a ``BatchNorm`` (its running statistics — inference semantics) into the
   conv / depthwise / linear before it: ``gamma / sqrt(var + eps)`` scales the
   output channels of the weight, ``beta - mean * scale`` joins the bias.  The
-  caller encodes the *folded* weight (:func:`compile_plan` hands it back, per
-  layer name); scaling output channels scales columns of the
+  walk never reads a conv / linear weight: :func:`compile_plan` hands back
+  the scale per layer name, and the caller folds it into the layer's
+  *encoded* weight — scaling output channels scales columns of the
   ``(reduction, out)`` matrix, so every pruned zero stays a zero;
 * a ``ReLU`` / ``ReLU6`` as a flag, applied in place on the op's output;
 * a residual ``a + b`` in place on whichever operand is an op's own buffer.
@@ -162,8 +163,9 @@ class _Tracer:
         self.backend = backend
         self.names = {id(sub): name or "<root>" for name, sub in module.named_modules()}
         self.ops: List[_Op] = []
-        #: layer name -> its effective weight with every following BN folded in.
-        self.weights: Dict[str, np.ndarray] = {}
+        #: conv / linear layer name -> the product of the output-channel scales
+        #: of the BNs folded into it (ones when there is none).
+        self.scales: Dict[str, np.ndarray] = {}
 
     # -- plumbing -------------------------------------------------------------
     def call(self, module: Module, value: _Value) -> _Value:
@@ -210,14 +212,16 @@ class _Tracer:
 
     # -- leaf layers ----------------------------------------------------------
     def conv(self, name: str, layer, value: _Value) -> _Value:
-        if name in self.weights:
+        if name in self.scales:
             raise ValueError(f"cannot compile layer {name!r}: it is called twice in one forward")
         op = (_Depthwise if type(layer) is L.DepthwiseConv2d else _Conv)(
             self.read(value, repr(name)), name, backend=self.backend,
             kernel=getattr(layer, "kernel_size", 1), stride=getattr(layer, "stride", 1),
             padding=getattr(layer, "padding", 0),
         )
-        self.weights[name] = layer.weight.effective()
+        if type(op) is _Depthwise:  # its own weight, folded by compile_plan
+            op.fmt = layer.weight.effective()
+        self.scales[name] = np.ones(layer.weight.data.shape[0])
         if layer.bias is not None:
             op.bias = layer.bias.data[:, None].copy()
         return self.emit(op)
@@ -225,8 +229,7 @@ class _Tracer:
     def batchnorm(self, name: str, layer, value: _Value) -> _Value:
         value = self.fused(value, f"batch-norm {name!r}", _Conv)
         scale = layer.gamma.data / np.sqrt(layer.running_var + layer.eps)
-        weight = self.weights[value.op.name]
-        self.weights[value.op.name] = weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1))
+        self.scales[value.op.name] = self.scales[value.op.name] * scale
         shift = (layer.beta.data - layer.running_mean * scale)[:, None]
         bias = value.op.bias
         value.op.bias = shift if bias is None else bias * scale[:, None] + shift
@@ -276,20 +279,21 @@ _LEAVES = {
 
 
 def compile_plan(module: Module, backend) -> Tuple[List[_Op], Dict[str, np.ndarray]]:
-    """Walk ``module`` once; return ``(ops, folded weights by layer name)``.
+    """Walk ``module`` once; return ``(ops, output-channel scales by layer name)``.
 
     A depthwise op already holds its folded weight.  Every other conv /
-    linear op comes back with ``fmt`` unset: the caller encodes (or was
-    handed) the folded weights and binds them by ``op.name``.  Raises
-    ``ValueError`` naming the layer for anything the plan cannot express.
+    linear op comes back with ``fmt`` unset and its weight unread: the caller
+    folds the scale into that layer's encoding (``fmt.scale_columns``) and
+    binds it by ``op.name``.  Raises ``ValueError`` naming the layer for
+    anything the plan cannot express.
     """
     tracer = _Tracer(module, backend)
     tracer.call(module, _Value(tracer, 0))
     for op in tracer.ops:
         if type(op) is _Depthwise:
-            weight = tracer.weights.pop(op.name)
+            weight = op.fmt * tracer.scales.pop(op.name).reshape((-1,) + (1,) * (op.fmt.ndim - 1))
             op.fmt = weight.reshape(weight.shape[0], -1)
-    return tracer.ops, tracer.weights
+    return tracer.ops, tracer.scales
 
 
 def run_plan(plan: List[_Op], batch: np.ndarray) -> np.ndarray:

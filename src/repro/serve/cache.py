@@ -1,11 +1,14 @@
 """Multi-tenant engine cache: LRU over lazily materialized engines.
 
 Materializing an :class:`~repro.backend.engine.Engine` is the per-tenant
-fixed cost of serving — the module is rebuilt from the registry and every
-prunable layer's batch-norm-folded weight re-encoded into its compressed
-format: about 4 ms for a CRISP-encoded ``resnet_tiny`` (1 ms module rebuild
-+ 2.5-3 ms for the 14 layer encodes; compiling the plan is ~0.1 ms), five
-single-image forwards (~0.75 ms each).
+fixed cost of serving.  The registry record already holds every prunable
+layer's encoding, so a build encodes and decodes nothing: it rebuilds the zoo
+skeleton, loads the non-prunable state, compiles the plan and folds
+batch-norm into a copy of each stored value array — about 1.4 ms for a
+CRISP-encoded ``resnet_tiny`` on a 2-core x86-64 VM (it was ~4 ms while
+every build re-encoded 14 layers).  The first forward after it adds ~1.3 ms
+(the ``fast`` kernels decode each format into GEMM operands once), so a miss
+costs about four warm single-image forwards (~0.75 ms each).
 The cache amortises that cost across requests: the first request for a
 model id pays the build, subsequent requests reuse the compiled engine, and
 a bounded capacity keeps memory proportional to the number of *hot* tenants

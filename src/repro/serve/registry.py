@@ -1,9 +1,13 @@
 """Model registry: pruned models stored under stable, addressable ids.
 
-The registry is the serving system's source of truth.  Each entry couples a
-model's weights (including pruning masks and batch-norm buffers) with the
-:class:`~repro.serve.types.EngineSpec` needed to serve it and enough
-architecture metadata to rebuild the module from the model zoo.
+The registry is the serving system's source of truth.  Each entry is a
+model as it ships: every prunable layer's weight encoded once, at
+:meth:`ModelRegistry.register`, in the :class:`~repro.serve.types.EngineSpec`'s
+format (*unfolded*: batch-norm is folded in by each engine build), plus the
+non-prunable state (batch-norm parameters and statistics, biases, depthwise
+weights) and enough architecture metadata to rebuild the module from the
+model zoo.  Dense prunable weights and masks are not stored;
+:meth:`ModelRegistry.materialize` decodes them.
 
 Ids are *stable*: registering the same user profile with the same
 architecture and spec always produces the same id, so a request stream
@@ -15,8 +19,14 @@ On-disk layout (one directory per model)::
       versions.json   # tenant -> {versions: [...], active: id}; only
                       # written when any tenant has lifecycle versions
       <model_id>/
-        record.json   # arch, num classes, spec, profile, metadata
-        state.npz     # parameter data, masks, buffers (Module.state_dict)
+        record.json   # arch, num classes, spec, profile, metadata, and per
+                      # prunable layer its format's kind and params
+        state.npz     # the non-prunable state (Module.state_dict keys) and
+                      # each format's arrays as "<layer>.weight::<array>"
+
+A directory written before records held encodings (``state.npz`` holding
+every weight and mask, no ``formats`` in ``record.json``) still loads: each
+such record is encoded once, on load.
 
 Versioning (the lifecycle plane, :mod:`repro.lifecycle`): a tenant's base
 id is version 1; :meth:`ModelRegistry.register_version` stacks further
@@ -30,16 +40,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..backend.engine import Engine, encode_weights, load_weights
 from ..data.loader import UserProfile
 from ..nn.models import build_model
 from ..nn.module import Module
 from ..records import json_line
+from ..sparsity.formats import FORMATS, WeightFormat
 from .types import EngineSpec
 
 __all__ = ["ModelRecord", "ModelRegistry"]
@@ -47,33 +59,52 @@ __all__ = ["ModelRecord", "ModelRegistry"]
 
 @dataclass
 class ModelRecord:
-    """One registered model: weights + serving spec + provenance."""
+    """One registered model: encoded weights + non-prunable state + serving spec + provenance."""
 
     model_id: str
     arch: str
     num_classes: int
     input_size: int
     spec: EngineSpec
+    #: ``Module.state_dict`` entries of everything but the prunable weights.
     state: Dict[str, np.ndarray]
+    #: Each prunable layer's unfolded encoding, by layer name.
+    formats: Dict[str, WeightFormat]
     profile: Optional[UserProfile] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    def build_module(self) -> Module:
-        """Rebuild the module from the zoo and load the stored weights."""
-        module = build_model(
-            self.arch, num_classes=self.num_classes, input_size=self.input_size, seed=0
-        )
+    def _skeleton(self) -> Module:
+        """The zoo module with the non-prunable state loaded (prunable weights: the zoo's init)."""
+        module = build_model(self.arch, num_classes=self.num_classes,
+                             input_size=self.input_size, seed=0)
         module.load_state_dict(self.state)
         return module
 
+    def build_module(self) -> Module:
+        """The module with the stored encodings decoded into it (:func:`load_weights`)."""
+        return load_weights(self._skeleton(), self.formats)
+
+    def build_engine(self) -> Engine:
+        """Compile an engine from the stored arrays, encoding and decoding nothing.
+
+        The one engine build of the serving system: the registry's (over
+        ``ndarray``s) and a shard child's (over read-only shared-memory
+        views).  It builds the zoo skeleton, loads the non-prunable state,
+        compiles the plan and folds batch-norm into copies of the stored
+        value arrays.  ``engine.module`` is decoded on its first read.  A
+        format that does not fit its layer raises ``ValueError`` naming it.
+        """
+        return Engine.from_spec(self._skeleton(), self.spec, formats=self.formats)
+
     def record_dict(self) -> Dict:
-        """JSON-serializable half of the record (weights live in ``state.npz``)."""
+        """JSON-serializable half of the record (arrays live in ``state.npz``)."""
         return {
             "model_id": self.model_id,
             "arch": self.arch,
             "num_classes": self.num_classes,
             "input_size": self.input_size,
             "spec": self.spec.to_dict(),
+            "formats": {n: {"kind": f.name, "params": f.params()} for n, f in self.formats.items()},
             "profile": None
             if self.profile is None
             else {
@@ -82,6 +113,14 @@ class ModelRecord:
             },
             "metadata": self.metadata,
         }
+
+
+def _encoded(module: Module, spec: EngineSpec) -> Dict[str, Dict]:
+    """What a record stores of ``module``: the unfolded ``formats`` and the other ``state``."""
+    formats = encode_weights(module, spec)
+    prunable = {f"{name}.weight{suffix}" for name in formats for suffix in ("", "::mask")}
+    state = {key: value for key, value in module.state_dict().items() if key not in prunable}
+    return {"state": state, "formats": formats}
 
 
 def _stable_model_id(arch: str, spec: EngineSpec, profile: Optional[UserProfile]) -> str:
@@ -118,8 +157,11 @@ class ModelRegistry:
         profile: Optional[UserProfile] = None,
         metadata: Optional[Dict[str, object]] = None,
     ) -> str:
-        """Store a (pruned) module under a stable id and return the id.
+        """Encode a (pruned) module's weights under a stable id and return the id.
 
+        Each prunable layer's effective weight is encoded here, once, in the
+        spec's format; a model not pruned to the spec's pattern is stored as
+        CRISP's lossy encoding of it, which is what its engines served anyway.
         The id is the *tenant address*, derived from (architecture, spec,
         profile) only — deliberately not from pruning hyper-parameters.
         Re-registering the same address overwrites the stored weights, which
@@ -139,7 +181,7 @@ class ModelRegistry:
             num_classes=int(getattr(module, "num_classes", 0)),
             input_size=int(getattr(module, "input_size", 0)),
             spec=spec,
-            state=module.state_dict(),
+            **_encoded(module, spec),
             profile=profile,
             metadata=dict(metadata or {}),
         )
@@ -250,16 +292,20 @@ class ModelRegistry:
 
     # -- materialization ------------------------------------------------------
     def materialize(self, model_id: str) -> Module:
-        """Rebuild the stored module (a fresh instance on every call)."""
+        """Rebuild the stored module (a fresh instance on every call).
+
+        Its prunable weights are the stored encodings decoded, masks their
+        non-zeros: a lossy encoding comes back as served, and a kept weight
+        that is exactly 0.0 comes back pruned.
+        """
         return self.get(model_id).build_module()
 
     def build_engine(self, model_id: str, attach: bool = True):
-        """Materialize the module and compile it into an engine per its spec.
+        """Compile the stored encodings into an engine (:meth:`ModelRecord.build_engine`).
 
         ``attach`` is ignored; the next ``benchmark`` PR removes crispbench's callers.
         """
-        record = self.get(model_id)
-        return record.spec.build(record.build_module())
+        return self.get(model_id).build_engine()
 
     # -- persistence ----------------------------------------------------------
     def save(self, root) -> Path:
@@ -272,7 +318,8 @@ class ModelRegistry:
             (model_dir / "record.json").write_text(
                 json.dumps(record.record_dict(), indent=2, sort_keys=True)
             )
-            np.savez(model_dir / "state.npz", **record.state)
+            encoded = {f"{n}.weight::{k}": a for n, f in record.formats.items() for k, a in f.arrays().items()}
+            np.savez(model_dir / "state.npz", **record.state, **encoded)
         if self._versions:
             payload = {
                 tenant: {
@@ -296,7 +343,7 @@ class ModelRegistry:
         for record_path in sorted(root.glob("*/record.json")):
             payload = json.loads(record_path.read_text())
             with np.load(record_path.parent / "state.npz") as npz:
-                state = {key: npz[key].copy() for key in npz.files}
+                state = {key: npz[key] for key in npz.files}  # fresh arrays, memory order kept
             profile = None
             if payload.get("profile") is not None:
                 profile = UserProfile(
@@ -310,9 +357,16 @@ class ModelRegistry:
                 input_size=int(payload["input_size"]),
                 spec=EngineSpec.from_dict(payload["spec"]),
                 state=state,
+                formats={},
                 profile=profile,
                 metadata=payload.get("metadata", {}),
             )
+            if "formats" not in payload:  # dense weights and masks: encode them once, here
+                record = replace(record, **_encoded(record._skeleton(), record.spec))
+            for name, block in payload.get("formats", {}).items():
+                kind = FORMATS[block["kind"]]
+                arrays = {key: state.pop(f"{name}.weight::{key}") for key in kind.array_names}
+                record.formats[name] = kind.from_parts(block["params"], arrays)
             registry._records[record.model_id] = record
         versions_path = root / "versions.json"
         if versions_path.is_file():

@@ -2,23 +2,20 @@
 
 One :class:`SharedWeightStore` lives in the serving frontend's process and
 owns a named :mod:`multiprocessing.shared_memory` segment per published
-model.  A segment packs, 64-byte aligned, every array a worker needs to
-serve that model:
+model.  A segment is a copy of the registry record's arrays
+(:class:`~repro.serve.registry.ModelRecord`), packed 64-byte aligned; no
+engine is built to publish one:
 
-* the module state dict (parameter data, pruning masks, batch-norm
-  buffers) — small, dense, copied into the rebuilt module once per worker;
-* the *encoded* weight of every prunable layer, whatever its format: the
+* the non-prunable state (batch-norm parameters and statistics, biases,
+  depthwise weights) — copied into the rebuilt module once per engine build;
+* the *unfolded* encoding of every prunable layer, whatever its format: the
   store packs ``fmt.arrays()`` next to ``fmt.params()`` and rebuilds through
   ``FORMATS[kind].from_parts`` (the :class:`~repro.sparsity.formats.WeightFormat`
   contract), so it names no format and a format's stored fields are listed
-  in one place — the hot inference payload, consumed in place as read-only
-  ``np.ndarray`` views.  These are the publishing engine's ``formats``, i.e.
-  the *folded* encodings (:mod:`repro.backend.engine`): each layer's
-  mask-applied weight with its batch-norm scale already multiplied into the
-  output channels.  The folded biases are not stored: a worker's engine
-  derives them from the batch-norm parameters and buffers in the state dict
-  above, with the arithmetic the publisher used, so the layout of a segment
-  is what it was before engines folded anything.
+  in one place — consumed in place as read-only ``np.ndarray`` views.  A
+  worker's engine folds batch-norm into a private copy of each value array
+  (``fmt.scale_columns``) with the arithmetic every other build uses; index
+  and offset arrays stay the shared bytes.
 
 The manifest entry describing a segment is a plain JSON-compatible dict
 (segment name + per-array dtype/shape/offset), so it rides the gateway's
@@ -190,33 +187,27 @@ def _rebuild_format(block: Dict, segment: shared_memory.SharedMemory):
 def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
     """Materialize an engine from one installed manifest entry.
 
-    The module (biases, batch-norm parameters and buffers, non-prunable
-    layers) is rebuilt from the zoo and its state *copied* out of the shared
-    segment — it is tiny next to the encoded weights — and the engine
-    compiles its plan, folded biases included, from that copy.  The
-    compressed formats stay views: the arrays the backend's sparse matmuls
-    actually stream are the shared bytes.
+    The entry's views become a :class:`~repro.serve.registry.ModelRecord`
+    and it builds the engine the way the registry does
+    (:meth:`~repro.serve.registry.ModelRecord.build_engine`): only the
+    non-prunable state is copied, into the module; each folded value array
+    is the engine's own; every other format array stays a view.
     """
-    from ..backend.engine import Engine
     from ..serve.registry import ModelRecord
     from ..serve.types import EngineSpec
 
     fields = entry["record"]
-    record = ModelRecord(
-        model_id=entry["model_id"],
-        arch=fields["arch"],
-        num_classes=int(fields["num_classes"]),
-        input_size=int(fields["input_size"]),
-        spec=EngineSpec.from_dict(fields["spec"]),
-        state={key: _view(segment, desc) for key, desc in entry["state"].items()},
-    )
-    module = record.build_module()
     try:
-        formats = {
-            name: _rebuild_format(block, segment)
-            for name, block in entry["formats"].items()
-        }
-        return Engine.from_spec(module, record.spec, formats=formats)
+        record = ModelRecord(
+            model_id=entry["model_id"],
+            arch=fields["arch"],
+            num_classes=int(fields["num_classes"]),
+            input_size=int(fields["input_size"]),
+            spec=EngineSpec.from_dict(fields["spec"]),
+            state={key: _view(segment, desc) for key, desc in entry["state"].items()},
+            formats={name: _rebuild_format(b, segment) for name, b in entry["formats"].items()},
+        )
+        return record.build_engine()
     except ValueError as exc:
         # The manifest is this fleet's own: a block that does not match its
         # format, or its layer, is a server fault, not a bad request.
@@ -283,10 +274,9 @@ class SharedWeightStore(AbstractContextManager):
         return self.publish(model_id)
 
     def publish(self, model_id: str) -> Tuple[Dict, int]:
-        """Encode and publish one model into a fresh segment."""
+        """Copy one record's arrays into a fresh segment."""
         self._ensure_open()
         record = self.registry.get(model_id)
-        engine = record.spec.build(record.build_module())
 
         layout = SegmentLayout()
         state_desc = {
@@ -294,7 +284,7 @@ class SharedWeightStore(AbstractContextManager):
         }
         formats_desc = {
             name: _describe_format(fmt, layout)
-            for name, fmt in engine.formats.items()
+            for name, fmt in record.formats.items()
         }
 
         self._version += 1
@@ -337,9 +327,6 @@ class SharedWeightStore(AbstractContextManager):
         return self._local.build_engine(model_id)
 
     # -- introspection ---------------------------------------------------------
-    def model_ids(self) -> List[str]:
-        return sorted(self._published)
-
     def segment_names(self, live_only: bool = True) -> List[str]:
         """Segment-name bookkeeping: live names, or every name ever created."""
         if live_only:
@@ -391,10 +378,6 @@ class SharedWeightStore(AbstractContextManager):
         for published in self._published.values():
             self._unlink(published.segment)
         self._published.clear()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -12,8 +12,9 @@ format subclasses :class:`WeightFormat` and declares one contract: a ``name``
 of the matrix it encodes, ``array_names`` / ``param_names`` (the stored
 arrays and scalars that together *are* the encoding), ``from_dense`` /
 ``to_dense`` (a lossless round trip for matrices that satisfy the format's
-structural assumptions) and ``summary`` (``data_bits`` for the retained
-values, ``metadata_bits`` for indices / pointers / padding bookkeeping).
+structural assumptions), ``summary`` (``data_bits`` for the retained
+values, ``metadata_bits`` for indices / pointers / padding bookkeeping) and
+``scale_columns`` (how an engine folds batch-norm into a stored encoding).
 Everything else is generic over that contract — :func:`encode` by name,
 ``arrays()`` / ``params()`` / ``from_parts`` to ship an encoding between
 processes (:mod:`repro.shm`) — so changing what a format stores, or adding
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, Mapping, Tuple, Type
 
 import numpy as np
@@ -127,6 +128,18 @@ class WeightFormat(ABC):
     def summary(self) -> FormatSummary:
         """Bit cost of this encoding."""
 
+    def scale_columns(self, scale: np.ndarray) -> "WeightFormat":
+        """A copy whose column ``j`` is this encoding's column ``j`` times ``scale[j]``.
+
+        How an engine folds batch-norm into a stored ``(reduction, out)``
+        weight: every stored value gets the one product ``w * scale[j]`` that
+        encoding the scaled matrix would have stored.  This default decodes,
+        scales and re-encodes; a format that can scale its stored values in
+        place of that overrides it.
+        """
+        params = {key: self.params().get(key) for key in ("n", "m", "block_size", "value_bits")}
+        return encode(self.name, self.to_dense() * scale, **params)
+
     def arrays(self) -> Dict[str, np.ndarray]:
         """The stored arrays by name (the objects themselves, not copies)."""
         return {name: getattr(self, name) for name in self.array_names}
@@ -164,9 +177,9 @@ class WeightFormat(ABC):
 class DenseFormat(WeightFormat):
     """Baseline dense storage: every element stored, no metadata.
 
-    ``matrix`` keeps the memory order it is given in (an engine hands in an
+    ``matrix`` keeps the memory order it is given in (an engine encodes an
     F-contiguous transposed view; BLAS sums in a different order over a
-    repacked copy).
+    repacked copy); ``from_dense`` copies it in that order.
     """
 
     name = "dense"
@@ -185,10 +198,13 @@ class DenseFormat(WeightFormat):
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, value_bits: int = DEFAULT_VALUE_BITS) -> "DenseFormat":
-        return cls(matrix, value_bits)
+        return cls(np.array(matrix, dtype=np.float64, order="K"), value_bits)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.copy()
+
+    def scale_columns(self, scale: np.ndarray) -> "DenseFormat":
+        return replace(self, matrix=self.matrix * scale)  # keeps the memory order
 
     def summary(self) -> FormatSummary:
         return FormatSummary(
@@ -244,16 +260,19 @@ class CSRFormat(WeightFormat):
         dense[row_idx, self.col_indices] = self.values
         return dense
 
+    def scale_columns(self, scale: np.ndarray) -> "CSRFormat":
+        return replace(self, values=self.values * scale[self.col_indices])
+
     def summary(self) -> FormatSummary:
-        nnz = len(self.values)
+        stored = len(self.values)  # all non-zero, unless a zero scale was folded in
         col_bits = _ceil_log2(self.shape[1])
-        ptr_bits = _ceil_log2(nnz + 1)
-        metadata = nnz * col_bits + len(self.row_ptr) * ptr_bits
+        ptr_bits = _ceil_log2(stored + 1)
+        metadata = stored * col_bits + len(self.row_ptr) * ptr_bits
         return FormatSummary(
             format_name=self.name,
             shape=self.shape,
-            nnz=nnz,
-            data_bits=nnz * self.value_bits,
+            nnz=int(np.count_nonzero(self.values)),
+            data_bits=stored * self.value_bits,
             metadata_bits=metadata,
         )
 
@@ -335,6 +354,13 @@ def _retained_tile_slots(tiles: np.ndarray):
     return br_idx, bc_idx, slot_idx, blocks_per_row
 
 
+def _tile_column_scale(fmt, scale: np.ndarray) -> np.ndarray:
+    """``(block_rows, slots, B)``: the scale of every column of every tile ``fmt`` stores
+    (the edge block's padding columns, which hold zeros, get 0)."""
+    padded = np.concatenate([scale, np.zeros(-len(scale) % fmt.block_size)])
+    return padded.reshape(-1, fmt.block_size)[fmt.block_cols]
+
+
 @dataclass(eq=False, repr=False)
 class BlockedEllpackFormat(WeightFormat):
     """Blocked-Ellpack: dense ``B x B`` blocks indexed per block-row.
@@ -385,6 +411,9 @@ class BlockedEllpackFormat(WeightFormat):
         padded = tiles.transpose(0, 2, 1, 3).reshape(grid.padded_shape)
         return padded[: self.shape[0], : self.shape[1]]
 
+    def scale_columns(self, scale: np.ndarray) -> "BlockedEllpackFormat":
+        return replace(self, blocks=self.blocks * _tile_column_scale(self, scale)[:, :, None, :])
+
     def summary(self) -> FormatSummary:
         grid = BlockGrid(self.shape[0], self.shape[1], self.block_size)
         stored_blocks = int(self.blocks_per_row.sum())
@@ -425,7 +454,7 @@ class CRISPFormat(WeightFormat):
     ``slots = max(1, widest block-row)``, so an all-zero matrix still
     encodes; a group's kept values fill positions ``k = 0, 1, ...`` in row
     order, so stored offsets ascend; every unused slot and unfilled position
-    holds value 0 **and** offset 0.
+    holds value 0 **and** offset 0.  Offsets are ``uint8`` (``m <= 256``).
     """
 
     name = "crisp"
@@ -456,9 +485,10 @@ class CRISPFormat(WeightFormat):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"Expected a 2-D matrix, got shape {matrix.shape}")
-        if block_size % m != 0:
+        if block_size % m != 0 or m > 256:
             raise ValueError(
-                f"block_size ({block_size}) must be a multiple of M ({m}) so groups do not straddle blocks"
+                f"block_size ({block_size}) must be a multiple of M ({m}) so groups do not straddle "
+                f"blocks, and M at most 256 (offsets are stored as uint8)"
             )
         tiles, grid = partition_into_blocks(matrix, block_size)
         br_idx, bc_idx, slot_idx, blocks_per_row = _retained_tile_slots(tiles)
@@ -469,7 +499,7 @@ class CRISPFormat(WeightFormat):
         block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
         block_cols[br_idx, slot_idx] = bc_idx
         group_values = np.zeros(stored_shape)
-        group_offsets = np.zeros(stored_shape, dtype=np.int64)
+        group_offsets = np.zeros(stored_shape, dtype=np.uint8)
 
         # Every retained tile at once, as (tile, group, block col, row-in-group):
         # the last axis holds the M candidates one stored group chooses from.
@@ -518,6 +548,10 @@ class CRISPFormat(WeightFormat):
         cols = self.block_cols[br, slot] * self.block_size + col
         padded[rows, cols] = self.group_values[br, slot, g, col, k]
         return padded[: self.shape[0], : self.shape[1]]
+
+    def scale_columns(self, scale: np.ndarray) -> "CRISPFormat":
+        tile_scale = _tile_column_scale(self, scale)[:, :, None, :, None]  # (.., group, col, k)
+        return replace(self, group_values=self.group_values * tile_scale)
 
     def summary(self) -> FormatSummary:
         grid = BlockGrid(self.shape[0], self.shape[1], self.block_size)

@@ -44,7 +44,7 @@ def crisp_from_dense_loop(
     block_cols = np.zeros((grid.block_rows, slots), dtype=np.int64)
     group_values = np.zeros((grid.block_rows, slots, groups_per_block, block_size, n))
     group_offsets = np.zeros(
-        (grid.block_rows, slots, groups_per_block, block_size, n), dtype=np.int64
+        (grid.block_rows, slots, groups_per_block, block_size, n), dtype=np.uint8
     )
     lossless = True
 

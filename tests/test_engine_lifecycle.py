@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.backend import Engine
+from repro.backend.engine import encode_weights
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.sparsity import HybridSparsityConfig, hybrid_mask, nm_mask
@@ -152,9 +153,9 @@ class TestDerivedState:
         np.testing.assert_allclose(refreshed, served_directly(), atol=1e-8)
 
         head.weight.data *= -0.5
-        fresh = Engine(model, weight_format="crisp", block_size=8)
-        engine.install_formats(dict(fresh.formats))
-        assert all(engine.formats[name] is fmt for name, fmt in fresh.formats.items())
+        unfolded = encode_weights(model, engine)  # what a registry record stores
+        engine.install_formats(unfolded)
+        assert all(engine.formats[name] is not fmt for name, fmt in unfolded.items())
         assert not any(fmt.derived for fmt in engine.formats.values())
         installed = engine.predict(batch)
         assert not np.allclose(installed, refreshed)

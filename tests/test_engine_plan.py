@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import sys
 import threading
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.backend import Engine, get_backend
+from repro.backend.plan import compile_plan
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -39,6 +41,7 @@ from repro.nn.models.base import prunable_layers
 from repro.nn.models.vgg import VGG
 from repro.nn.module import Module, Sequential
 from repro.serve import EngineCache, EngineSpec, ModelRegistry
+from repro.shm import SharedModelSource, SharedWeightStore
 from repro.sparsity import HybridSparsityConfig, hybrid_mask
 from repro.sparsity.formats import encode
 
@@ -123,6 +126,68 @@ def test_a_zero_gamma_channel_folds_to_a_zero_column(weight_format, rng):
         assert folded.nnz <= plain.nnz and folded.total_bits <= plain.total_bits, name
         dropped += plain.nnz - folded.nnz
     assert dropped > 0
+
+
+def _folded_by_hand(model):
+    """``model`` with every BN's scale multiplied into the weight before it and
+    each BN left an exact identity plus shift: an engine over it encodes the
+    folded matrix itself, the order engines folded in before records held
+    encodings."""
+    model = copy.deepcopy(model)
+    _, scales = compile_plan(model, get_backend("fast"))
+    for name, layer in prunable_layers(model).items():
+        shape = (-1,) + (1,) * (layer.weight.data.ndim - 1)
+        layer.weight.data = layer.weight.effective() * scales[name].reshape(shape)
+    for bn in (m for _, m in model.named_modules() if isinstance(m, BatchNorm2d)):
+        bn.beta.data = bn.beta.data - bn.running_mean * bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        bn.gamma.data[:], bn.running_mean[:], bn.running_var[:], bn.eps = 1.0, 0.0, 1.0, 0.0
+    return model
+
+
+@pytest.mark.parametrize("weight_format", FORMATS)
+def test_a_zero_gamma_channel_served_from_a_record_matches_folding_before_encoding(
+    weight_format, rng
+):
+    """Encoding first keeps the values a zero scale then zeroes; folding first
+    never stored them.  The two serve the same logits to 1e-12."""
+    model = _pruned("resnet_tiny", rng, zero_gamma_channel=True)
+    spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
+    registry = ModelRegistry()
+    model_id = registry.register(model, spec=spec)
+    batch = rng.normal(size=(2, 3, 8, 8))
+    folded_first = Engine.from_spec(_folded_by_hand(model), spec).predict(batch)
+    np.testing.assert_allclose(
+        registry.build_engine(model_id).predict(batch), folded_first, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("weight_format", FORMATS)
+@pytest.mark.parametrize("arch", ARCHS)
+def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_format, rng):
+    """One tenant, three builds: from its module (the experiments), from its
+    registry record (a cache miss) and from a shared-memory segment attached
+    by name (a process shard's miss).  Folded arrays and logits are identical."""
+    model = _pruned(arch, rng)
+    spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
+    registry = ModelRegistry()
+    model_id = registry.register(model, spec=spec)
+    batch = rng.normal(size=(3, 3, 8, 8))
+    with SharedWeightStore(registry) as store:
+        entry, _ = store.ensure(model_id)
+        source = SharedModelSource()
+        try:
+            source.install(entry)
+            engines = [Engine.from_spec(model, spec), registry.build_engine(model_id),
+                       source.build_engine(model_id)]
+            served = [
+                (e.predict(batch).tobytes(),
+                 {name: {key: array.tobytes() for key, array in fmt.arrays().items()}
+                  for name, fmt in e.formats.items()})
+                for e in engines
+            ]
+        finally:
+            source.close()
+    assert served[1] == served[0] and served[2] == served[0]
 
 
 def test_layers_outside_the_zoo_blocks_compile_through_the_same_table(rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def _sparsified_model(seed=0, num_classes=6, input_size=12):
         w = layer.weight.data
         layer.weight.set_mask((np.abs(w) >= np.quantile(np.abs(w), 0.7)).astype(np.float64))
     return model
+
+
+def _write_dense_layout(model_dir, state, mask_dtype):
+    """Rewrite one saved record in the layout written before records held
+    encodings: ``state.npz`` holds every weight and mask (``mask_dtype``),
+    ``record.json`` no formats."""
+    record = json.loads((model_dir / "record.json").read_text())
+    del record["formats"]
+    (model_dir / "record.json").write_text(json.dumps(record))
+    np.savez(
+        model_dir / "state.npz",
+        **{k: v.astype(mask_dtype) if k.endswith("::mask") else v for k, v in state.items()},
+    )
 
 
 def _registry_with(*seeds):
@@ -142,20 +157,15 @@ class TestModelRegistry:
         assert masked, "pruning masks must survive the save/load round trip"
 
     def test_masks_are_one_byte_and_float64_masks_on_disk_still_load(self, tmp_path, batch):
-        """Masks travel as ``bool``; a registry written with ``float64`` masks still loads."""
+        """Masks decode as ``bool``; a registry written with ``float64`` masks still loads."""
         registry, (model_id,) = _registry_with(0)
-        state = registry.get(model_id).state
+        state = _sparsified_model(seed=0).state_dict()
         mask_keys = [key for key in state if key.endswith("::mask")]
         assert mask_keys and all(state[key].dtype == bool for key in mask_keys)
         expected = registry.build_engine(model_id).predict(batch)
 
         registry.save(tmp_path / "models")
-        state_path = tmp_path / "models" / model_id / "state.npz"
-        old_style = {
-            key: value.astype(np.float64) if key in mask_keys else value
-            for key, value in state.items()
-        }
-        np.savez(state_path, **old_style)
+        _write_dense_layout(tmp_path / "models" / model_id, state, np.float64)
 
         reloaded = ModelRegistry.load(tmp_path / "models")
         rebuilt = reloaded.materialize(model_id).state_dict()
@@ -163,6 +173,98 @@ class TestModelRegistry:
             assert rebuilt[key].dtype == bool
             np.testing.assert_array_equal(rebuilt[key], state[key])
         np.testing.assert_array_equal(reloaded.build_engine(model_id).predict(batch), expected)
+
+
+class TestRecordIsTheEncoding:
+    """A record stores each prunable layer's encoding and the non-prunable
+    state; a cache miss folds batch-norm into the stored arrays."""
+
+    CRISP = EngineSpec(backend="fast", weight_format="crisp", block_size=8)
+
+    def test_a_dense_layout_directory_with_bool_masks_serves_the_same_logits(self, tmp_path, batch):
+        model = _sparsified_model(seed=0)
+        registry = ModelRegistry()
+        model_id = registry.register(model, spec=self.CRISP)
+        expected = registry.build_engine(model_id).predict(batch)
+        registry.save(tmp_path / "models")
+        _write_dense_layout(tmp_path / "models" / model_id, model.state_dict(), bool)
+
+        record = ModelRegistry.load(tmp_path / "models").get(model_id)
+        assert list(record.formats) == list(prunable_layers(model))
+        assert not any(key.endswith("::mask") for key in record.state)
+        assert not any(f"{name}.weight" in record.state for name in record.formats)
+        np.testing.assert_array_equal(record.build_engine().predict(batch), expected)
+
+    def test_a_kept_weight_that_is_exactly_zero_reads_as_pruned(self):
+        """The record keeps no mask: ``materialize`` reads the mask off the
+        decoded weight's non-zeros."""
+        model = _sparsified_model(seed=0)
+        layer = next(iter(prunable_layers(model).values()))
+        kept = tuple(np.argwhere(layer.weight.mask)[0])
+        layer.weight.data[kept] = 0.0
+        registry = ModelRegistry()
+        model_id = registry.register(model, spec=SPEC)
+
+        rebuilt = next(iter(prunable_layers(registry.materialize(model_id)).values()))
+        assert not rebuilt.weight.mask[kept]
+        expected_mask = layer.weight.mask.copy()
+        expected_mask[kept] = False
+        np.testing.assert_array_equal(rebuilt.weight.mask, expected_mask)
+        np.testing.assert_array_equal(rebuilt.weight.effective(), layer.weight.effective())
+
+    @pytest.mark.parametrize("weight_format", ["dense", "csr", "blocked-ellpack", "crisp"])
+    def test_a_cache_miss_encodes_and_decodes_nothing(self, weight_format, monkeypatch):
+        from repro.sparsity.formats import FORMATS
+
+        registry = ModelRegistry()
+        model_id = registry.register(
+            _sparsified_model(), spec=EngineSpec(weight_format=weight_format, block_size=8)
+        )
+        calls = []
+
+        def counted(cls, name):
+            inner = cls.__dict__[name]
+            func = getattr(inner, "__func__", inner)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return classmethod(wrapper) if isinstance(inner, classmethod) else wrapper
+
+        for cls in FORMATS.values():
+            for name in ("from_dense", "to_dense"):
+                monkeypatch.setattr(cls, name, counted(cls, name))
+        engine = EngineCache(registry, capacity=1).get(model_id)
+        assert calls == []
+
+        layers = prunable_layers(engine.module)  # decoded now, once
+        assert calls == ["to_dense"] * len(layers)
+        assert engine.module is engine.module and len(calls) == len(layers)
+        for name, layer in prunable_layers(registry.materialize(model_id)).items():
+            np.testing.assert_array_equal(layers[name].weight.data, layer.weight.data)
+            np.testing.assert_array_equal(layers[name].weight.mask, layer.weight.mask)
+
+    def test_a_format_that_does_not_fit_its_layer_fails_at_build_naming_it(self):
+        from repro.errors import InternalError
+        from repro.shm import SharedModelSource, SharedWeightStore
+
+        registry = ModelRegistry()
+        model_id = registry.register(_sparsified_model(), spec=self.CRISP)
+        formats = registry.get(model_id).formats
+        first, last = list(formats)[0], list(formats)[-1]
+        formats[first], formats[last] = formats[last], formats[first]
+        with pytest.raises(ValueError, match=repr(first)):
+            registry.build_engine(model_id)
+        with SharedWeightStore(registry) as store:
+            entry, _ = store.ensure(model_id)
+            source = SharedModelSource()  # what a process shard builds with
+            try:
+                source.install(entry)
+                with pytest.raises(InternalError, match=repr(first)):
+                    source.build_engine(model_id)
+            finally:
+                source.close()
 
 
 class TestEngineCache:
@@ -512,11 +614,11 @@ class TestWritePathAgainstNCHWOracle:
         self._install_oracle(monkeypatch)
         old_record, old_logits = self._personalize_one()
 
-        prunable = prunable_layers(new_record.build_module())
-        for name in prunable:
-            key = f"{name}.weight::mask"
-            assert new_record.state[key].dtype == bool
-            np.testing.assert_array_equal(new_record.state[key], old_record.state[key])
+        new_layers = prunable_layers(new_record.build_module())
+        old_layers = prunable_layers(old_record.build_module())
+        for name, layer in new_layers.items():
+            assert layer.weight.mask.dtype == bool
+            np.testing.assert_array_equal(layer.weight.mask, old_layers[name].weight.mask)
         for key in ("achieved_sparsity", "accuracy", "universal_accuracy"):
             assert new_record.metadata[key] == old_record.metadata[key]
         np.testing.assert_allclose(new_logits, old_logits, rtol=0, atol=1e-9)
