@@ -14,8 +14,10 @@ whole-model row — a pruned ``resnet_tiny`` forward through the module itself
 (``eval()``, batch-norm unfolded) and on a ``dense`` and a ``crisp`` engine
 (the compiled plan), beside the accelerator model's predicted speedup — and
 two tenant rows, ``cold_build`` (a registry cache miss, then the first
-forward) and ``tenant_bytes`` (record, ``state.npz``, shared-memory segment)
-(the CI smoke run)::
+forward) and ``tenant_bytes`` (record, ``state.npz``, shared-memory segment),
+and two kernel rows, ``im2col_gather`` (the fast ``im2col`` vs ``F.im2col``
+per k x k conv and width, with the tap index's KiB) and ``operand_choice``
+(each layer's operand, dense or tiles, and both timings) (the CI smoke run)::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke --json BENCH_kernels.json
 """
@@ -229,6 +231,87 @@ def _tenant_rows(rng, repeat):
     ]
 
 
+def _im2col_gather_row(rng, repeat):
+    """The fast backend's ``im2col`` (one gather through a cached tap index)
+    against ``F.im2col`` on ``resnet_tiny``'s k x k convs at crispbench's 12x12
+    input, widths 1, 3 and 16, in microseconds, with the tap index's KiB.
+    Outputs are asserted byte-equal; nothing is gated."""
+    from benchlib import best_of
+
+    from repro.backend import FastBackend
+    from repro.nn.models.base import conv_input_sizes
+
+    model = build_model("resnet_tiny", num_classes=3, input_size=12, seed=0)
+    sizes = conv_input_sizes(model)
+    backend = FastBackend()
+    layers = {}
+    for name, layer in prunable_layers(model).items():
+        kernel = getattr(layer, "kernel_size", 1)
+        if kernel == 1:
+            continue
+        per_width = layers[name] = {}
+        for width in (1, 3, 16):
+            x = rng.normal(size=(width, layer.in_channels, *sizes[name]))
+            args = (x, kernel, kernel, layer.stride, layer.padding)
+            columns = backend.im2col(*args)
+            assert columns.tobytes() == F.im2col(*args).tobytes()
+            per_width[width] = {
+                "gather_us": best_of(backend.im2col, *args, repeat=50 * repeat) * 1e6,
+                "functional_us": best_of(F.im2col, *args, repeat=50 * repeat) * 1e6,
+                "index_kib": columns.shape[0] * kernel * kernel * np.intp(0).nbytes / 1024,
+            }
+        print(f"{'im2col gather':>16} | {name:<15} " + " | ".join(
+            f"w{w} {r['gather_us']:5.1f} vs {r['functional_us']:5.1f}us, index {r['index_kib']:.1f} KiB"
+            for w, r in per_width.items()
+        ))
+    total = {w: sum(layer[w]["gather_us"] for layer in layers.values()) for w in (1, 3, 16)}
+    return {"name": "im2col_gather", "unit": "us", "layers": layers, "value": total[1],
+            "per_width_total_us": total, "backend": "fast"}
+
+
+def _operand_choice_row(rng, repeat):
+    """Every layer of a crispbench-shaped CRISP tenant at batch 1: the operand
+    the fast kernel picks by size, and the microseconds of both candidates."""
+    from unittest import mock
+
+    from benchlib import best_of
+
+    from repro.backend import fast as fast_module
+    from repro.nn.models.base import conv_input_sizes
+
+    model = _pruned_resnet_tiny(3, 12)
+    sizes = conv_input_sizes(model)
+    engine = Engine(model, backend="fast", weight_format="crisp",
+                    n=BENCH_N, m=BENCH_M, block_size=BENCH_BLOCK)
+    kernel = get_backend("fast").kernels["crisp"]
+    chosen = fast_module.DENSE_OPERAND_MAX_ENTRIES
+    layers = {}
+    for name, layer in prunable_layers(model).items():
+        fmt = engine.formats[name]
+        rows, cols = fmt.shape
+        positions = 1
+        if name in sizes:
+            k, s, p = layer.kernel_size, layer.stride, layer.padding
+            positions = int(np.prod([F.conv_output_size(e, k, s, p) for e in sizes[name]]))
+        acts = rng.normal(size=(rows, positions))
+        timings = {}
+        # The rule is a module constant: patch it per candidate, on a fresh
+        # copy of the encoding, so each candidate decodes its own operand.
+        for operand, limit in (("dense_t", rows * cols), ("tile_gemm", 0)):
+            with mock.patch.object(fast_module, "DENSE_OPERAND_MAX_ENTRIES", limit):
+                fresh = type(fmt).from_parts(fmt.params(), fmt.arrays())
+                kernel(fresh, acts)
+                assert list(fresh.derived) == [operand]
+                timings[operand] = best_of(kernel, fresh, acts, repeat=50 * repeat) * 1e6
+        pick = "dense_t" if rows * cols <= chosen else "tile_gemm"
+        layers[name] = {"shape": [rows, cols], "positions": positions, "operand": pick,
+                        **{f"{k}_us": v for k, v in timings.items()}}
+        print(f"{'operand choice':>16} | {name:<21} {rows:>4}x{cols:<4} x{positions:<3} "
+              f"-> {pick:<9} | dense {timings['dense_t']:6.1f}us | tiles {timings['tile_gemm']:6.1f}us")
+    return {"name": "operand_choice", "unit": "us", "layers": layers,
+            "value": sum(l[f"{l['operand']}_us"] for l in layers.values()), "backend": "fast"}
+
+
 def _resnet_tiny_forward_row(rng, repeat):
     """Model vs measured, in one line: the same pruned ``resnet_tiny`` and the
     same single image through ``module.eval()``'s own forward, on a ``dense``
@@ -366,6 +449,8 @@ def main(argv=None) -> int:
             f"{forward['module'] * 1e3:.2f}ms"
         )
     records.extend(_tenant_rows(rng, repeat))  # tracked, not gated by --check
+    records.append(_im2col_gather_row(rng, repeat))  # tracked, not gated by --check
+    records.append(_operand_choice_row(rng, repeat))  # tracked, not gated by --check
 
     if args.json:
         write_records(

@@ -63,10 +63,10 @@ class Backend(ABC):
         stride: int = 1,
         padding: int = 0,
     ) -> np.ndarray:
-        """Unfold ``(N, C, H, W)`` into receptive-field columns, for inference.
+        """Unfold ``(N, C, H, W)`` into ``(N * oh * ow, C * kh * kw)`` columns, for inference.
 
-        The result may be a workspace buffer the calling thread's next
-        ``im2col`` overwrites: consume it before calling again.
+        The result may be a transposed view of a workspace buffer the calling
+        thread's next ``im2col`` overwrites: consume it before calling again.
         """
 
     # -- sparse matmul --------------------------------------------------------
@@ -84,8 +84,8 @@ class Backend(ABC):
         """Drop any cached workspace buffers (no-op for stateless backends)."""
 
     def workspace_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the workspace cache (zeros when stateless)."""
-        return {"hits": 0, "misses": 0, "buffers": 0}
+        """Hit/miss counters and held bytes of the workspace cache (zeros when stateless)."""
+        return {"hits": 0, "misses": 0, "buffers": 0, "bytes": 0}
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} name={self.name!r}>"

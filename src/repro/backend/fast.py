@@ -3,18 +3,21 @@
 Two things distinguish this backend from ``reference``:
 
 * a compressed weight is decoded **once**, on its first matmul, into a BLAS
-  operand memoized on the format (``fmt.derived``, never serialized): CSR
-  into a dense transposed matrix, Blocked-Ellpack and CRISP into the same
+  operand memoized on the format (``fmt.derived``, never serialized): CSR —
+  and a Blocked-Ellpack or CRISP weight of at most
+  :data:`DENSE_OPERAND_MAX_ENTRIES` entries — into a dense transposed
+  matrix; a larger Blocked-Ellpack or CRISP weight into the same
   per-block-row tile stack, which one shared function (:func:`_tile_matmul`)
   multiplies — a batched tile GEMM, then a GEMM with a 0/1 matrix that sums
   the tile contributions into their output block columns.  CRISP's N:M
   offsets are weight-side metadata, so resolving them is part of that
   decode, not of every call.  The per-row / per-value Python loops of
   :mod:`repro.sparsity.sparse_ops` stay the oracle;
-* ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s plan calls)
-  writes into shape-keyed, per-thread workspace buffers that are reused
-  across calls, so a steady-state convolution pays neither a fresh
-  column-matrix allocation nor an ``np.pad`` per layer per batch.
+* ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s plan calls) is
+  one ``np.take`` through a tap index cached per input shape, into a
+  per-thread workspace laid out ``(C * kh * kw, N * oh * ow)`` — the operand
+  the plan's GEMM reads — so a steady-state convolution pays no allocation,
+  no ``np.pad`` and no transposed copy.
 
 Nothing here is on a ``Module``'s path: training and ``eval()`` forwards run
 :mod:`repro.nn.functional`, whichever backend an engine was compiled for.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -55,23 +58,31 @@ __all__ = [
 
 
 class WorkspaceCache:
-    """Shape-keyed cache of reusable scratch buffers.
+    """Shape-keyed cache of reusable scratch buffers and read-only indices.
 
     ``get`` returns a buffer for ``key`` if one with a matching shape/dtype
-    is already cached, otherwise allocates a zero-filled one (evicting FIFO
-    beyond ``max_buffers``).  A buffer comes back as its last user left it:
-    callers overwrite what they read, and a caller that only ever writes the
-    interior keeps the zero border it was allocated with.
+    is already cached, otherwise allocates a zero-filled one.  A buffer comes
+    back as its last user left it: callers overwrite what they read, and a
+    caller that never writes some of it keeps the zeros it was allocated
+    with.  ``index`` returns the array ``build(*key)`` made for ``key``, built
+    on the first call.  Each table evicts FIFO beyond ``max_buffers``.
     """
 
     def __init__(self, max_buffers: int = 64) -> None:
         self.max_buffers = max_buffers
         self._buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        # Callers key buffers per thread, but the table itself is shared —
-        # concurrent serving shards insert/evict under one lock.
+        self._indices: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        # Callers key buffers per thread, but the tables themselves are
+        # shared — concurrent serving shards insert/evict under one lock.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def _insert(self, table: OrderedDict, key: tuple, value: np.ndarray) -> np.ndarray:
+        while len(table) >= self.max_buffers:
+            table.popitem(last=False)
+        table[key] = value
+        return value
 
     def get(self, key: tuple, shape: Tuple[int, ...], dtype) -> np.ndarray:
         with self._lock:
@@ -81,23 +92,46 @@ class WorkspaceCache:
                 self._buffers.move_to_end(key)
                 return buf
             self.misses += 1
-            while len(self._buffers) >= self.max_buffers:
-                self._buffers.popitem(last=False)
-            buf = np.zeros(shape, dtype=dtype)
-            self._buffers[key] = buf
-            return buf
+            return self._insert(self._buffers, key, np.zeros(shape, dtype=dtype))
+
+    def index(self, key: tuple, build: Callable[..., np.ndarray]) -> np.ndarray:
+        with self._lock:
+            index = self._indices.get(key)
+            if index is None:
+                return self._insert(self._indices, key, build(*key))
+            self._indices.move_to_end(key)
+            return index
 
     def clear(self) -> None:
         with self._lock:
             self._buffers.clear()
+            self._indices.clear()
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "buffers": len(self._buffers)}
+        with self._lock:
+            held = [*self._buffers.values(), *self._indices.values()]
+        return {"hits": self.hits, "misses": self.misses, "buffers": len(self._buffers),
+                "bytes": sum(array.nbytes for array in held)}
 
 
 # ---------------------------------------------------------------------------
 # Vectorized sparse kernels
 # ---------------------------------------------------------------------------
+
+#: A tile-format weight with at most this many entries (32 KiB decoded)
+#: multiplies as its dense transpose: below it, the tile GEMM pair's fixed
+#: cost is more than the dropped blocks save.  A constant of the shape alone,
+#: so every process and deployment sums a layer in the same order.
+DENSE_OPERAND_MAX_ENTRIES = 4096
+
+
+def _dense_t(fmt) -> np.ndarray:
+    """``fmt``'s dense transpose, C-contiguous, memoized as ``fmt.derived["dense_t"]``."""
+    dense_t = fmt.derived.get("dense_t")
+    if dense_t is None:
+        dense_t = fmt.derived["dense_t"] = np.ascontiguousarray(fmt.to_dense().T)
+    return dense_t
+
 
 def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
     """Vectorized CSR GEMM: one gather-scatter decode, then a BLAS GEMM.
@@ -109,13 +143,7 @@ def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
     weight pays the decode once, not per request.
     """
     check_activation_rows(fmt, activations)
-    activations = np.asarray(activations, dtype=np.float64)
-    cache = fmt.derived
-    dense_t = cache.get("dense_t")
-    if dense_t is None:
-        dense_t = np.ascontiguousarray(fmt.to_dense().T)
-        cache["dense_t"] = dense_t
-    return dense_t @ activations
+    return _dense_t(fmt) @ np.asarray(activations, dtype=np.float64)
 
 
 def _ellpack_row_tiles(fmt: BlockedEllpackFormat) -> np.ndarray:
@@ -147,8 +175,10 @@ def _crisp_row_tiles(fmt: CRISPFormat) -> np.ndarray:
 def _tile_matmul(fmt, activations: np.ndarray, build_row_tiles) -> np.ndarray:
     """``weight.T @ activations`` for a format that keeps ``(B, B)`` tiles per block-row.
 
-    Two GEMMs over operands derived from the weights alone and memoized as
-    ``fmt.derived["tile_gemm"]`` on first use:
+    A weight of at most :data:`DENSE_OPERAND_MAX_ENTRIES` entries is one GEMM
+    with its dense transpose (``fmt.derived["dense_t"]``, the CSR kernel's
+    operand).  A larger one is two GEMMs over operands derived from the
+    weights alone and memoized as ``fmt.derived["tile_gemm"]`` on first use:
 
     * ``row_tiles`` ``(block_rows, slots * B, B)`` — each block-row's retained
       tiles, transposed and stacked, so one batched matmul against the
@@ -162,12 +192,14 @@ def _tile_matmul(fmt, activations: np.ndarray, build_row_tiles) -> np.ndarray:
       ``out_block_cols / B`` of the first GEMM's multiplies and
       ``out_block_cols / B**2`` of its bytes.
 
-    Neither depends on the batch width, so what a served weight holds in
-    ``derived`` is fixed after its first call.
+    None of them depends on the batch width, so what a served weight holds
+    in ``derived`` is fixed after its first call.
     """
     rows, cols = fmt.shape
     check_activation_rows(fmt, activations)
     activations = np.asarray(activations, dtype=np.float64)
+    if rows * cols <= DENSE_OPERAND_MAX_ENTRIES:
+        return _dense_t(fmt) @ activations
     block = fmt.block_size
     batch = activations.shape[1]
     block_rows, slots = fmt.block_cols.shape
@@ -211,6 +243,20 @@ def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
     return _tile_matmul(fmt, activations, _crisp_row_tiles)
 
 
+def _tap_index(n: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int,
+               padding: int) -> np.ndarray:
+    """``(kh * kw, n * oh * ow)`` ``intp``: the flat ``(n, h, w)`` position each
+    tap of each output reads, ``n * h * w`` (the zero slot) where it is padding."""
+    out_h = F.conv_output_size(h, kernel_h, stride, padding)
+    out_w = F.conv_output_size(w, kernel_w, stride, padding)
+    # (kh, 1, 1, oh, 1) and (1, kw, 1, 1, ow): the input row / column each tap reads.
+    ys = (np.arange(kernel_h)[:, None] + np.arange(out_h) * stride - padding)[:, None, None, :, None]
+    xs = (np.arange(kernel_w)[:, None] + np.arange(out_w) * stride - padding)[None, :, None, None, :]
+    flat = (np.arange(n) * (h * w))[:, None, None] + ys * w + xs
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    return np.where(inside, flat, n * h * w).astype(np.intp).reshape(kernel_h * kernel_w, -1)
+
+
 # ---------------------------------------------------------------------------
 # Backend
 # ---------------------------------------------------------------------------
@@ -219,7 +265,7 @@ def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
 class FastBackend(ReferenceBackend):
     """Vectorized backend with workspace reuse.
 
-    Overrides ``im2col`` (workspace-cached) and the CSR, Blocked-Ellpack and
+    Overrides ``im2col`` (one gather into a workspace) and the CSR, Blocked-Ellpack and
     CRISP entries of the kernel table (vectorized); the dense kernel is the
     reference backend's.
     """
@@ -238,24 +284,28 @@ class FastBackend(ReferenceBackend):
         stride: int = 1,
         padding: int = 0,
     ) -> np.ndarray:
-        # The workspace is keyed by thread identity as well as shape: concurrent
+        """One ``np.take``: ``(N * oh * ow, C * kh * kw)``, the transpose of a workspace buffer.
+
+        The input is copied once into the rows of a ``(C, N * H * W + 1)``
+        matrix whose last column — the zero slot — is never written; a tap
+        index shared by all threads names the column every output reads,
+        the zero slot for a padding tap.
+        """
+        n, c, h, w = x.shape
+        taps = self._workspace.index((n, h, w, kernel_h, kernel_w, stride, padding), _tap_index)
+        # Buffers are keyed by thread identity as well as shape: concurrent
         # serving shards (repro.cluster) run same-shaped convolutions in
         # parallel, and a shared buffer would let one thread overwrite another's
         # columns between the copy and the GEMM that consumes them.
         thread = threading.get_ident()
-        if padding > 0:
-            # Same zero border np.pad builds, without its per-call overhead.
-            n, c, h, w = x.shape
-            padded = self._workspace.get(
-                ("pad", thread, x.shape, padding), (n, c, h + 2 * padding, w + 2 * padding), x.dtype
-            )
-            padded[:, :, padding:-padding, padding:-padding] = x
-            x = padded
-        windows, (n, c, out_h, out_w) = F.im2col_windows(x, kernel_h, kernel_w, stride, 0)
-        key = ("im2col", thread, x.shape, kernel_h, kernel_w, stride)
-        buf = self._workspace.get(key, (n, out_h, out_w, c, kernel_h, kernel_w), x.dtype)
-        np.copyto(buf, windows.transpose(0, 4, 5, 1, 2, 3))
-        return buf.reshape(n * out_h * out_w, c * kernel_h * kernel_w)
+        (kk, positions), size = taps.shape, n * h * w
+        rows = self._workspace.get(("rows", thread, c, size), (c, size + 1), x.dtype)
+        np.copyto(rows[:, :-1].reshape(c, n, h, w), x.transpose(1, 0, 2, 3))
+        cols = self._workspace.get(("cols", thread, c, kk, positions), (c * kk, positions), x.dtype)
+        # Every index is in range by construction; "clip" only spares the
+        # temporary copy that mode="raise" makes of ``out``.
+        np.take(rows, taps, axis=1, out=cols.reshape(c, kk, positions), mode="clip")
+        return cols.T
 
     # -- sparse kernels -------------------------------------------------------
     kernels = {

@@ -27,7 +27,10 @@ them: ``(channels, N, H, W)`` C-contiguous — ``weight.T @ activations`` is
 ``(N * oh * ow, out)`` matrix, over the same memory.  A 1x1 convolution feeds
 the previous GEMM's output to the next with a reshape (stride 2: one strided
 copy); a ``k x k`` one gathers through ``backend.im2col`` from an NCHW *view*
-of that buffer.  NCHW storage exists only at the input edge.
+of that buffer.  The ``fast`` backend gathers into ``(C * k * k, N * oh * ow)``
+memory and returns its transpose, so the ``.T`` here hands the kernel a
+C-contiguous operand (and a depthwise op's reshape is a view).  NCHW storage
+exists only at the input edge.
 
 Ops are instances of module-level classes holding arrays, formats and the
 backend — never the engine, the module or a closure — so a dropped engine is

@@ -88,9 +88,8 @@ def im2col_windows(
 
     Returns ``(windows, (n, c, out_h, out_w))`` where ``windows`` is a
     read-only view of shape ``(N, C, KH, KW, out_h, out_w)``.  This is the
-    zero-copy half of :func:`im2col`; callers that manage their own output
-    buffer (the fast backend's workspace cache) copy out of the view
-    themselves instead of paying a fresh allocation per call.
+    zero-copy half of :func:`im2col`; a caller that only reduces over the
+    windows (the engine plan's pooling) reads the view without copying it.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)

@@ -10,13 +10,20 @@ own forward/backward is ``nn.functional`` and has no backend to compare).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import Backend, Engine, FastBackend, available_backends, get_backend
-from repro.backend.fast import blocked_ellpack_matmul_fast, crisp_matmul_fast
+from repro.backend.fast import (
+    DENSE_OPERAND_MAX_ENTRIES,
+    blocked_ellpack_matmul_fast,
+    crisp_matmul_fast,
+)
 from repro.hw import workloads_from_engine, workloads_from_model
 from repro.nn import functional as F
 from repro.nn.models import build_model
@@ -30,6 +37,7 @@ from repro.sparsity import (
     masked_matmul,
     sparse_matmul,
 )
+from repro.sparsity.formats import encode
 from repro.sparsity.sparse_ops import crisp_matmul_reference
 
 BACKENDS = ["reference", "fast"]
@@ -168,8 +176,8 @@ class TestTileGemmDecode:
     @given(
         nm=st.sampled_from([(1, 4), (2, 4), (3, 4), (2, 8)]),
         block_size=st.sampled_from([8, 16]),
-        rows=st.integers(1, 40),
-        cols=st.integers(1, 40),
+        rows=st.integers(65, 100),  # rows * cols > DENSE_OPERAND_MAX_ENTRIES: tiles
+        cols=st.integers(65, 100),
         density=st.sampled_from([0.08, 0.4, 0.95]),
         seed=st.integers(0, 2**16),
     )
@@ -197,21 +205,21 @@ class TestTileGemmDecode:
         np.testing.assert_allclose(out, dense.T @ acts, atol=1e-8)
 
     def test_offset_zero_weight_survives_the_padding_beside_it(self):
-        weight = np.zeros((8, 8))
+        weight = np.zeros((64, 72))  # large enough to multiply as tiles
         weight[0, 3], weight[4, 3], weight[6, 3] = 5.0, -2.0, 7.0
         fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
         # Group 0 of column 3 keeps one weight, at offset 0; its second
         # position is padding, which also says offset 0.
         assert fmt.group_values[0, 0, 0, 3].tolist() == [5.0, 0.0]
         assert fmt.group_offsets[0, 0, 0, 3].tolist() == [0, 0]
-        np.testing.assert_array_equal(crisp_matmul_fast(fmt, np.eye(8)), weight.T)
+        np.testing.assert_array_equal(crisp_matmul_fast(fmt, np.eye(64)), weight.T)
         assert reassembled(fmt).tobytes() == weight.tobytes()
 
     def test_lossy_encode_decodes_to_what_was_kept(self, rng):
-        weight = rng.normal(size=(20, 12))  # fully dense: violates 2:4 everywhere
+        weight = rng.normal(size=(80, 60))  # fully dense: violates 2:4 everywhere
         fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
         assert not fmt.is_lossless
-        acts = rng.normal(size=(20, 3))
+        acts = rng.normal(size=(80, 3))
         out = crisp_matmul_fast(fmt, acts)
         assert reassembled(fmt).tobytes() == fmt.to_dense().tobytes()
         np.testing.assert_allclose(out, crisp_matmul_reference(fmt, acts), atol=1e-8)
@@ -219,7 +227,7 @@ class TestTileGemmDecode:
     def test_one_format_object_serves_every_fused_width(self, rng):
         """Fast vs reference at widths 1..16, and what the first call memoized
         is what every later call uses: nothing is added per width."""
-        weight = random_sparse(rng, 40, 23)
+        weight = random_sparse(rng, 72, 60)
         kernels = [
             (crisp_matmul_fast, CRISPFormat.from_dense(weight, 2, 4, 8)),
             (blocked_ellpack_matmul_fast, BlockedEllpackFormat.from_dense(weight, 8)),
@@ -229,7 +237,7 @@ class TestTileGemmDecode:
             assert get_backend("fast").kernels[fmt.name] is kernel
             operands = None
             for width in range(1, 17):
-                acts = rng.normal(size=(40, width))
+                acts = rng.normal(size=(72, width))
                 np.testing.assert_allclose(
                     kernel(fmt, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
                 )
@@ -237,8 +245,106 @@ class TestTileGemmDecode:
                 assert list(fmt.derived) == ["tile_gemm"]
                 assert fmt.derived["tile_gemm"] is operands
             row_tiles, scatter = operands
-            assert row_tiles.shape == (5, fmt.block_cols.shape[1] * 8, 8)
-            assert scatter.shape == (3, fmt.block_cols.size)
+            assert row_tiles.shape == (9, fmt.block_cols.shape[1] * 8, 8)
+            assert scatter.shape == (8, fmt.block_cols.size)
+
+
+class TestOperandChoice:
+    """A tile-format weight of at most ``DENSE_OPERAND_MAX_ENTRIES`` entries
+    multiplies as its dense transpose, a larger one as tiles — by shape alone."""
+
+    @pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack"])
+    def test_the_operand_is_chosen_by_size_and_held_for_every_width(self, weight_format, rng):
+        assert DENSE_OPERAND_MAX_ENTRIES == 64 * 64
+        reference, fast = get_backend("reference"), get_backend("fast")
+        for shape, operand in (((64, 64), "dense_t"), ((64, 65), "tile_gemm")):
+            weight, _ = hybrid_weight(rng, *shape, 2, 4, 16)
+            fmt = encode(weight_format, weight, 2, 4, 16)
+            for width in range(1, 17):
+                acts = rng.normal(size=(shape[0], width))
+                np.testing.assert_allclose(
+                    fast.sparse_matmul(fmt, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
+                )
+                held = fmt.derived[operand] if width == 1 else held
+                assert list(fmt.derived) == [operand]
+                assert fmt.derived[operand] is held
+            if operand == "dense_t":
+                assert held.flags.c_contiguous and held.tobytes() == fmt.to_dense().T.tobytes()
+
+
+class TestGatherIm2col:
+    """``FastBackend.im2col`` is one ``np.take`` through a cached tap index;
+    its columns are ``F.im2col``'s byte for byte."""
+
+    backend = FastBackend()
+
+    @staticmethod
+    def layouts(x):
+        """Plain NCHW, the plan's ``(C, N, H, W)`` memory, a non-contiguous slice."""
+        n, c, h, w = x.shape
+        plan = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        wide = np.zeros((n, c + 1, 2 * h, w + 1))
+        wide[:, 1:, ::2, :w] = x
+        return x, plan, wide[:, 1:, ::2, :w]
+
+    @given(
+        n=st.integers(1, 5), c=st.integers(1, 6), h=st.integers(1, 9), w=st.integers(1, 9),
+        kernel=st.sampled_from([1, 2, 3, 5]), stride=st.integers(1, 3),
+        padding=st.integers(0, 2), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gather_equals_functional_im2col_byte_for_byte(
+        self, n, c, h, w, kernel, stride, padding, seed
+    ):
+        assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+        x = np.random.default_rng(seed).normal(size=(n, c, h, w))
+        expected = F.im2col(x, kernel, kernel, stride, padding)
+        for view in self.layouts(x):
+            columns = self.backend.im2col(view, kernel, kernel, stride, padding)
+            assert columns.shape == expected.shape
+            assert columns.tobytes() == expected.tobytes()
+
+    def test_the_zero_slot_stays_zero_across_shapes(self, rng):
+        # (1, 2, 4, 6), (1, 2, 6, 4) and (2, 2, 3, 4) share one row buffer.
+        for shape in [(1, 2, 4, 6), (1, 2, 6, 4), (2, 2, 3, 4), (1, 3, 5, 5), (1, 2, 4, 6)]:
+            x = rng.normal(size=shape) + 10.0
+            for stride, padding in ((1, 1), (2, 2), (1, 0)):
+                np.testing.assert_array_equal(
+                    self.backend.im2col(x, 3, 3, stride, padding), F.im2col(x, 3, 3, stride, padding)
+                )
+        rows = [buf for key, buf in self.backend._workspace._buffers.items() if key[0] == "rows"]
+        assert rows and all(not buf[:, -1].any() for buf in rows)
+
+    def test_threads_gather_into_their_own_buffers(self, rng):
+        """Four threads (two per input shape) share the two tap indices and
+        never see each other's columns."""
+        backend = FastBackend()
+        inputs = [rng.normal(size=shape) for shape in [(2, 4, 8, 8), (1, 4, 8, 8)] * 2]
+        expected = [F.im2col(x, 3, 3, 1, 1).tobytes() for x in inputs]
+        mismatches = []
+        started = threading.Barrier(len(inputs))  # all alive at once: four thread ids
+
+        def worker(slot):
+            started.wait(timeout=60)
+            for _ in range(300):
+                if backend.im2col(inputs[slot], 3, 3, 1, 1).tobytes() != expected[slot]:
+                    mismatches.append(slot)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        # One tap index per shape, shared; a row and a column buffer per thread.
+        assert len(backend._workspace._indices) == 2
+        assert backend.workspace_stats()["buffers"] == 8
 
 
 class TestBackendInterface:
@@ -260,8 +366,13 @@ class TestBackendInterface:
         second = backend.im2col(x, 3, 3, 1, 1)
         assert first.base is second.base  # same underlying workspace buffer
         np.testing.assert_array_equal(second, F.im2col(x, 3, 3, 1, 1))
-        # Two buffers per padded call: the zero-bordered image and the columns.
-        assert backend.workspace_stats() == {"hits": 2, "misses": 2, "buffers": 2}
+        # Two buffers per call — the input rows with their zero slot, and the
+        # columns — plus one tap index, all counted in ``bytes``.
+        rows, columns, taps = (3, 2 * 8 * 8 + 1), (27, 2 * 8 * 8), (9, 2 * 8 * 8)
+        assert backend.workspace_stats() == {
+            "hits": 2, "misses": 2, "buffers": 2,
+            "bytes": 8 * (np.prod(rows) + np.prod(columns)) + np.intp(0).nbytes * np.prod(taps),
+        }
         backend.clear_workspace()
         assert backend.workspace_stats()["buffers"] == 0
 

@@ -166,7 +166,8 @@ def test_a_zero_gamma_channel_served_from_a_record_matches_folding_before_encodi
 def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_format, rng):
     """One tenant, three builds: from its module (the experiments), from its
     registry record (a cache miss) and from a shared-memory segment attached
-    by name (a process shard's miss).  Folded arrays and logits are identical."""
+    by name (a process shard's miss).  Folded arrays, the GEMM operand each
+    layer decoded to and logits are identical."""
     model = _pruned(arch, rng)
     spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
     registry = ModelRegistry()
@@ -182,7 +183,8 @@ def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_
             served = [
                 (e.predict(batch).tobytes(),
                  {name: {key: array.tobytes() for key, array in fmt.arrays().items()}
-                  for name, fmt in e.formats.items()})
+                  for name, fmt in e.formats.items()},
+                 {name: list(fmt.derived) for name, fmt in e.formats.items()})
                 for e in engines
             ]
         finally:
