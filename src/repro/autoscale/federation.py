@@ -25,7 +25,7 @@ HTTP, the ``TelemetryPoller`` samples its merged stats (schema-validated by
 :class:`~repro.autoscale.Autoscaler` can watch the merged signals.
 
 :class:`CapacityGate` is the deterministic capacity harness: it wraps any
-backend and converts programmed or in-flight-limit overload into
+``ServingAPI`` and converts programmed or in-flight-limit overload into
 ``RESOURCE_EXHAUSTED``, which is how the spillover tests (and demos) push a
 member to its quota without racing real queues.
 """
@@ -40,7 +40,7 @@ from ..cluster.telemetry import LatencyHistogram, assert_stats_schema
 from ..errors import ApiError, NotFoundError, ResourceExhaustedError
 from ..metrics.events import emit
 from ..serve.types import PersonalizeRequest, PredictRequest, PredictResponse
-from ..gateway.api import BatchResult, ServingAPI, as_serving_api
+from ..gateway.api import BatchResult, ServingAPI
 
 __all__ = ["FederatedBackend", "CapacityGate"]
 
@@ -64,8 +64,8 @@ class FederatedBackend(ServingAPI):
                 self.add_member(member_name, backend)
 
     # -- membership ------------------------------------------------------------
-    def add_member(self, member_name: str, backend) -> ServingAPI:
-        """Join ``backend`` (anything ``as_serving_api`` accepts) as a member.
+    def add_member(self, member_name: str, backend: ServingAPI) -> ServingAPI:
+        """Join ``backend`` as a member.
 
         Joining moves ring territory but not tenants: existing homes are
         sticky, so only tenants first seen after the join can land on the
@@ -74,7 +74,6 @@ class FederatedBackend(ServingAPI):
         """
         if not member_name or not isinstance(member_name, str):
             raise ValueError(f"member name must be a non-empty str, got {member_name!r}")
-        backend = as_serving_api(backend)
         with self._lock:
             self._ring.add_shard(member_name)  # ValueError on duplicate
             self._members[member_name] = backend
@@ -377,10 +376,10 @@ class CapacityGate(ServingAPI):
 
     name = "capacity-gate"
 
-    def __init__(self, backend, limit: Optional[int] = None) -> None:
+    def __init__(self, backend: ServingAPI, limit: Optional[int] = None) -> None:
         if limit is not None and limit < 1:
             raise ValueError(f"limit must be >= 1, got {limit}")
-        self.backend = as_serving_api(backend)
+        self.backend = backend
         self.limit = limit
         self.exhausted = 0  #: predicts answered RESOURCE_EXHAUSTED by the gate
         self._tripped = 0

@@ -127,7 +127,6 @@ class Engine:
         cls,
         module: Module,
         spec,
-        attach: bool = True,  # ignored; the next benchmark PR removes crispbench's callers
         formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> "Engine":
         """Build an engine from an :class:`~repro.serve.types.EngineSpec`.

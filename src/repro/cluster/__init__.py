@@ -20,7 +20,10 @@ production model serving:
   separate cores (``ClusterConfig(workers="process")``).
 * :mod:`repro.cluster.frontend` — :class:`ClusterService`: the facade with
   the ``personalize`` / ``predict`` / ``predict_batch`` API, futures for
-  async completion, 503-style admission control and graceful drain/shutdown.
+  async completion, admission control and graceful drain/shutdown.  It
+  speaks the :class:`~repro.gateway.ServingAPI` outcomes: a response, or an
+  :class:`~repro.errors.ApiError` raised or failed into the future — a
+  refusal is a :class:`ShardOverloadError` (``UNAVAILABLE``, 503).
 * :mod:`repro.cluster.telemetry` — per-shard counters, latency percentiles
   (p50/p95/p99), queue-depth and batch-size distributions, merged into
   cluster totals by :meth:`ClusterService.stats`.
@@ -35,7 +38,7 @@ Quickstart::
         print(cluster.stats()["totals"]["latency"])         # p50/p95/p99
 """
 
-from .frontend import WORKER_KINDS, ClusterConfig, ClusterService, RejectedResponse
+from .frontend import WORKER_KINDS, ClusterConfig, ClusterService
 from .procworker import ProcessShardWorker
 from .router import ConsistentHashRouter
 from .shard import ShardKilledError, ShardOverloadError, ShardWorker
@@ -44,7 +47,6 @@ from .telemetry import LatencyHistogram, ShardTelemetry, merge_snapshots
 __all__ = [
     "ClusterConfig",
     "ClusterService",
-    "RejectedResponse",
     "WORKER_KINDS",
     "ConsistentHashRouter",
     "ShardWorker",

@@ -15,9 +15,11 @@ process — :data:`WORKER_KINDS`):
   thrashing; unregistered keys fall back to plain ring routing;
 * every submission returns a :class:`~concurrent.futures.Future`
   (:meth:`submit`); the synchronous API is a thin wait on top;
-* admission control rejects work when a shard's queue crosses the
-  high-water mark — the caller gets a :class:`RejectedResponse` with
-  ``status == 503`` instead of unbounded queueing;
+* admission control refuses work when a shard's pending count reaches the
+  high-water mark (or its queue bound): the request's future fails with a
+  :class:`~repro.cluster.shard.ShardOverloadError` (``UNAVAILABLE``, 503)
+  naming the bound, instead of queueing unboundedly — the same typed error
+  every other failure is, so a caller handles one kind of "no";
 * :meth:`drain` / :meth:`shutdown` finish in-flight work before stopping,
   and the service is a context manager that shuts down on exit.
 
@@ -37,7 +39,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, NotFoundError, UnavailableError
+from ..errors import (
+    ApiError,
+    InvalidArgumentError,
+    NotFoundError,
+    UnavailableError,
+    error_from_exception,
+)
 from ..metrics.events import emit
 from ..serve.registry import ModelRegistry
 from ..serve.service import PersonalizationService, ServiceConfig
@@ -47,42 +55,15 @@ from .procworker import ProcessShardWorker
 from .router import ConsistentHashRouter
 from .shard import ShardOverloadError, ShardWorker
 from .telemetry import LatencyHistogram, assert_stats_schema, merge_snapshots
-from ..trace import trace_block
+from ..trace import HOP_FRONTEND, trace_block
 
-__all__ = ["ClusterConfig", "ClusterService", "RejectedResponse", "WORKER_KINDS"]
+__all__ = ["ClusterConfig", "ClusterService", "WORKER_KINDS"]
 
 #: The two transports of the shard loop.  ``threaded``: in-process
 #: :class:`~repro.cluster.shard.ShardWorker` threads; ``process``:
 #: :class:`~repro.cluster.procworker.ProcessShardWorker` children serving
 #: from zero-copy shared-memory weights — same loop, real multi-core isolation.
 WORKER_KINDS = ("threaded", "process")
-
-
-@dataclass
-class RejectedResponse:
-    """A 503-style admission rejection (the response-shaped kind of 'no').
-
-    Shares ``request_id`` / ``model_id`` / ``status`` with
-    :class:`~repro.serve.types.PredictResponse` so mixed result lists report
-    uniformly; ``ok`` distinguishes the two without isinstance checks.
-    """
-
-    request_id: Optional[str]
-    model_id: str
-    status: int = 503
-    reason: str = "shard queue above high-water mark"
-
-    @property
-    def ok(self) -> bool:
-        return False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "request_id": self.request_id,
-            "model_id": self.model_id,
-            "status": self.status,
-            "reason": self.reason,
-        }
 
 
 @dataclass
@@ -188,16 +169,6 @@ class ClusterService:
             self._add_worker()
         if start:
             self.start()
-
-    @classmethod
-    def from_service(
-        cls,
-        service: PersonalizationService,
-        cluster: Optional[ClusterConfig] = None,
-        start: bool = True,
-    ) -> "ClusterService":
-        """Wrap an existing single-process service (shared registry + config)."""
-        return cls(cluster=cluster, service=service, start=start)
 
     # -- shard membership -------------------------------------------------------
     def _add_worker(self) -> int:
@@ -389,9 +360,10 @@ class ClusterService:
     def submit(self, request: PredictRequest) -> Future:
         """Route one request to its shard; returns the response future.
 
-        Admission control: when the owning shard's queue sits at or above
-        the high-water mark (or is outright full), the future resolves
-        immediately to a :class:`RejectedResponse` with ``status == 503``
+        Admission control: when the owning shard's pending count sits at
+        or above the high-water mark (or its queue is outright full), the
+        future fails at once with a
+        :class:`~repro.cluster.shard.ShardOverloadError` naming that bound,
         instead of queueing unboundedly.  Unknown model ids fail the future
         with :class:`~repro.errors.NotFoundError` (a ``KeyError``) without
         poisoning a shard batch.
@@ -409,33 +381,31 @@ class ClusterService:
         worker = self.worker_for(request.model_id)
         if worker.pending() >= self.cluster.high_water:
             worker.telemetry.record_reject()
-            return self._rejected(worker, request, "high_water")
-        try:
-            return worker.submit(request)
-        except ShardOverloadError:
-            # Lost the race between the depth check and the shard's own
-            # bound, which has already counted the refusal.
-            return self._rejected(worker, request, "queue_full")
-        except RuntimeError as exc:
-            # The owning shard is down (killed or shut down mid-flight).
-            # Fail the future cleanly instead of raising into the caller —
-            # the contract is that submit() always returns a future and a
-            # dead shard never hangs one.
-            with self._frontend_failed_lock:
-                self._frontend_failed += 1
-            emit("shard_down", shard=worker.shard_id,
-                 model_id=request.model_id, error=type(exc).__name__)
-            future.set_exception(exc)
-            return future
-
-    @staticmethod
-    def _rejected(worker, request: PredictRequest, reason: str) -> Future:
+            reason, error = "high_water", ShardOverloadError.refusing(
+                request, f"shard {worker.shard_id!r} at high-water mark "
+                f"({self.cluster.high_water} pending)",
+            )
+        else:
+            try:
+                return worker.submit(request)
+            except ShardOverloadError as exc:
+                # Lost the race between the depth check and the shard's own
+                # bound, which has already counted the refusal.
+                reason, error = "queue_full", exc
+            except RuntimeError as exc:
+                # The owning shard is down (killed or shut down mid-flight).
+                # Fail the future cleanly instead of raising into the caller —
+                # the contract is that submit() always returns a future and a
+                # dead shard never hangs one.
+                with self._frontend_failed_lock:
+                    self._frontend_failed += 1
+                emit("shard_down", shard=worker.shard_id,
+                     model_id=request.model_id, error=type(exc).__name__)
+                future.set_exception(exc)
+                return future
         emit("admission_reject", source="cluster", shard=worker.shard_id,
              model_id=request.model_id, reason=reason)
-        future: Future = Future()
-        future.set_result(
-            RejectedResponse(request_id=request.request_id, model_id=request.model_id)
-        )
+        future.set_exception(error)
         return future
 
     def predict(
@@ -444,8 +414,9 @@ class ClusterService:
         batch: np.ndarray,
         request_id: Optional[str] = None,
         timeout: Optional[float] = None,
-    ) -> Union[PredictResponse, RejectedResponse]:
-        """Answer one request synchronously (submit + wait)."""
+    ) -> PredictResponse:
+        """Answer one request synchronously (submit + wait), or raise the
+        error its future failed with."""
         return self.submit(PredictRequest(model_id, batch, request_id)).result(timeout)
 
     @contextmanager
@@ -471,19 +442,31 @@ class ClusterService:
 
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
-    ) -> List[Union[PredictResponse, RejectedResponse]]:
-        """Answer a mixed-tenant burst; responses come back in request order.
+    ) -> List[Union[PredictResponse, ApiError]]:
+        """Answer a mixed-tenant burst under one deadline: per request, in
+        request order, its response or the :class:`~repro.errors.ApiError`
+        it hit — the :class:`~repro.gateway.ServingAPI` batch shape.
 
         The burst is submitted inside one :meth:`window` before any wait, so
-        each shard answers its share with a single fused dispatch.
+        each shard answers its share with a single fused dispatch; one bad
+        request (unknown id, dead shard, refusal) costs exactly its own slot.
+        A traced request records the ``frontend`` hop: batch start to its
+        own completion, submit staging plus the wait.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        start = time.perf_counter()
         with self.window():
             futures = [self.submit(request) for request in requests]
-        results = []
-        for future in futures:
+        results: List[Union[PredictResponse, ApiError]] = []
+        for request, future in zip(requests, futures):
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            results.append(future.result(remaining))
+            try:
+                results.append(future.result(remaining))
+            except Exception as exc:
+                results.append(error_from_exception(exc))
+                continue
+            if request.trace is not None:
+                request.trace.add(HOP_FRONTEND, time.perf_counter() - start)
         return results
 
     def engine(self, model_id: str):

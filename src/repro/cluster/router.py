@@ -89,9 +89,6 @@ class ConsistentHashRouter:
         """Current shard membership, sorted by repr for determinism."""
         return sorted(self._shards, key=repr)
 
-    def __len__(self) -> int:
-        return len(self._shards)
-
     def __contains__(self, shard_id: Hashable) -> bool:
         return shard_id in self._shards
 

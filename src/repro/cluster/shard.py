@@ -35,11 +35,20 @@ class ShardOverloadError(UnavailableError):
     """A shard's bound on pending requests is reached — the 503 of the runtime.
 
     An :class:`~repro.errors.UnavailableError` (code ``UNAVAILABLE``, still a
-    ``RuntimeError`` for pre-gateway callers): overload is transient, so the
-    gateway's retry middleware may re-attempt it.
+    ``RuntimeError``): overload is transient, so the gateway's retry
+    middleware may re-attempt it.  The one form an admission refusal takes,
+    whichever bound refused: the frontend's high-water mark or the shard's
+    own queue.
     """
 
-    status = 503
+    @classmethod
+    def refusing(cls, request: PredictRequest, bound: str) -> "ShardOverloadError":
+        """The refusal of ``request``; ``bound`` says which limit refused it."""
+        return cls(bound, details={
+            "model_id": request.model_id,
+            "request_id": request.request_id,
+            "status": cls.http_status,
+        })
 
 
 class ShardKilledError(UnavailableError):
@@ -50,8 +59,6 @@ class ShardKilledError(UnavailableError):
     immediate error instead of a hang.  Surfaces as code ``UNAVAILABLE``
     through the gateway (and stays a ``RuntimeError``).
     """
-
-    status = 500
 
 
 class ShardFront:
@@ -98,8 +105,8 @@ class ShardFront:
         Admission bounds the shard's *pending predicts* — admitted and not yet
         answered, wherever they are: queued, held in a window or being
         computed.  At the bound this raises :class:`ShardOverloadError` (the
-        frontend turns it into a 503 rejection) and counts the refusal, here
-        and nowhere else.  A killed / shut-down shard raises
+        frontend fails the request's future with it) and counts the refusal,
+        here and nowhere else.  A killed / shut-down shard raises
         :class:`ShardKilledError` / ``UnavailableError``.
 
         The same count, read as this request joins it, is the request's
@@ -117,8 +124,8 @@ class ShardFront:
             admitted = self._pending
         if full:
             self.telemetry.record_reject()
-            raise ShardOverloadError(
-                f"shard {self.shard_id!r} queue full ({self.max_pending} pending)"
+            raise ShardOverloadError.refusing(
+                request, f"shard {self.shard_id!r} queue full ({self.max_pending} pending)"
             )
         future: Future = Future()
         answer = partial(self._settle, future.set_result)
@@ -233,10 +240,6 @@ class ShardFront:
             "telemetry": dict(body["telemetry"], rejected=self.telemetry.rejected),
         }
         return stats, latency
-
-    def stats(self) -> Dict:
-        """This shard's full report: queue, cache, scheduler, telemetry."""
-        return self.report()[0]
 
 
 class ShardWorker(ShardFront, threading.Thread):

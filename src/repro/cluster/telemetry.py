@@ -118,10 +118,6 @@ class LatencyHistogram:
         if seconds > self.max:
             self.max = seconds
 
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` (0-100) over the reservoir."""
-        return self._percentile(sorted(self._samples), q)
-
     @staticmethod
     def _percentile(ordered: List[float], q: float) -> float:
         if not ordered:

@@ -1,11 +1,11 @@
 """The serving error taxonomy: stable codes shared by every front door.
 
-Before the gateway, each serving layer signalled failure its own way —
-``RuntimeError`` strings from shards, ``ValueError`` from the scheduler,
-``KeyError`` from the registry, 503-status dataclasses from the cluster
-frontend.  This module is the one vocabulary they all map onto: a small,
-gRPC-style set of :class:`ApiError` subclasses with stable machine-readable
-codes, an HTTP projection, and a JSON wire face.
+Every serving layer — shards, scheduler, registry, cluster frontend,
+gateway — signals failure in this one vocabulary, and only by raising (or
+failing a future with) one of its errors; an admission refusal is an
+``UNAVAILABLE`` error like any other, never a response-shaped value.  It is
+a small, gRPC-style set of :class:`ApiError` subclasses with stable
+machine-readable codes, an HTTP projection, and a JSON wire face.
 
 Compatibility is built into the class hierarchy rather than bolted on: each
 subclass *also* derives from the builtin exception the pre-gateway code
@@ -66,16 +66,6 @@ class ApiError(Exception):
 
     def __str__(self) -> str:  # KeyError would repr() the message otherwise
         return self.message
-
-    # Response-shaped duck typing: mixed result lists (PredictResponse |
-    # RejectedResponse | ApiError) report uniformly via `ok` / `status`.
-    @property
-    def ok(self) -> bool:
-        return False
-
-    @property
-    def status(self) -> int:
-        return self.http_status
 
     def to_dict(self) -> Dict:
         """The wire face carried inside :class:`repro.gateway.ApiResponse`."""

@@ -167,13 +167,13 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
     if config.shards > 1:
         from ..cluster import ClusterConfig, ClusterService
 
-        with ClusterService.from_service(
-            service,
+        with ClusterService(
             ClusterConfig(
                 shards=config.shards,
                 workers=config.workers,
                 cache_capacity=config.cache_capacity,
             ),
+            service=service,
         ) as cluster:
             cluster.predict_batch(requests)  # warm per-shard engines
             start = time.perf_counter()

@@ -8,8 +8,8 @@ heterogeneous engine pools.
 
 * :mod:`repro.gateway.api` — the :class:`ServingAPI` protocol
   (personalize / predict / predict_batch / stats / health / drain) with
-  :class:`LocalBackend` and :class:`ClusterBackend` adapters, plus the
-  :func:`as_serving_api` shim for pre-gateway facades.
+  :class:`LocalBackend` and :class:`ClusterBackend` adapters; a caller
+  holding a raw service wraps it in one of them itself.
 * :mod:`repro.gateway.wire` — versioned :class:`ApiRequest` /
   :class:`ApiResponse` envelopes (byte-stable JSON) carrying the existing
   :mod:`repro.serve.types` payloads and the :mod:`repro.errors` taxonomy.
@@ -49,7 +49,7 @@ from ..errors import (
     error_from_dict,
     error_from_exception,
 )
-from .api import ClusterBackend, LocalBackend, ServingAPI, as_serving_api
+from .api import ClusterBackend, LocalBackend, ServingAPI
 from .client import GatewayClient
 from .gateway import Gateway, GatewayConfig
 from .middleware import (
@@ -75,7 +75,6 @@ __all__ = [
     "ServingAPI",
     "LocalBackend",
     "ClusterBackend",
-    "as_serving_api",
     # wire
     "API_VERSION",
     "METHODS",

@@ -9,14 +9,13 @@ it:
 * :class:`LocalBackend` — wraps the single-process
   :class:`~repro.serve.PersonalizationService`;
 * :class:`ClusterBackend` — wraps the sharded
-  :class:`~repro.cluster.ClusterService`, translating its native signalling
-  (``RejectedResponse`` admission 503s, future exceptions) into ``ApiError``
-  codes while re-exporting the async ``submit`` surface and shard topology
-  the load driver exploits.
+  :class:`~repro.cluster.ClusterService`, which already speaks these outcomes
+  (a refusal is a ``ShardOverloadError``, ``UNAVAILABLE``); the adapter maps
+  what is left — a wait that times out — and re-exports the async
+  ``submit`` surface and shard topology the load driver exploits.
 
-:func:`as_serving_api` is the deprecation shim for the old entry points: it
-accepts any pre-gateway facade and hands back the equivalent adapter, so
-code written against raw services keeps working one wrapper away.
+Whoever holds a raw service builds its adapter (``Gateway(ClusterBackend(
+cluster))``); nothing downstream adapts a facade on the caller's behalf.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..errors import ApiError, UnavailableError, error_from_exception
+from ..errors import ApiError, error_from_exception
 from ..serve.service import PersonalizationService
 from ..serve.types import PersonalizeRequest, PredictRequest, PredictResponse
 from ..trace import HOP_FRONTEND
 from .wire import API_VERSION
 
-__all__ = ["ServingAPI", "LocalBackend", "ClusterBackend", "as_serving_api"]
+__all__ = ["ServingAPI", "LocalBackend", "ClusterBackend"]
 
 #: One batch item outcome: the response, or the typed error that request hit.
 BatchResult = Union[PredictResponse, ApiError]
@@ -165,12 +164,11 @@ class LocalBackend(ServingAPI):
 class ClusterBackend(ServingAPI):
     """Serving API v2 over the sharded :class:`ClusterService`.
 
-    Translates the cluster's native signalling into the taxonomy: admission
-    503s (``RejectedResponse``) become :class:`UnavailableError`, future
-    timeouts become ``DEADLINE_EXCEEDED``, and dead-shard / unknown-model
-    exceptions already *are* taxonomy errors after the signalling cleanup.
-    The raw async ``submit`` surface and shard topology accessors are
-    re-exported for callers that schedule their own waits (the load driver).
+    The cluster's refusals, dead-shard and unknown-model errors already *are*
+    taxonomy errors; the adapter maps what is left (a future timeout becomes
+    ``DEADLINE_EXCEEDED``).  The raw async ``submit`` surface and shard
+    topology accessors are re-exported for callers that schedule their own
+    waits (the load driver).
     """
 
     name = "cluster"
@@ -188,46 +186,21 @@ class ClusterBackend(ServingAPI):
     ) -> PredictResponse:
         with _translated():
             if request.trace is None:
-                result = self.cluster.submit(request).result(timeout)
-            else:
-                # The frontend hop must be recorded *here*, synchronously
-                # around the wait: shard-side spans land before set_result
-                # wakes us, and a done-callback could run after the caller
-                # has already serialized the trace.
-                start = time.perf_counter()
-                result = self.cluster.submit(request).result(timeout)
-                request.trace.add(HOP_FRONTEND, time.perf_counter() - start)
-        if not result.ok:  # admission-control RejectedResponse
-            raise self._rejection_error(result)
-        return result
+                return self.cluster.submit(request).result(timeout)
+            # The frontend hop must be recorded *here*, synchronously
+            # around the wait: shard-side spans land before set_result
+            # wakes us, and a done-callback could run after the caller
+            # has already serialized the trace.
+            start = time.perf_counter()
+            result = self.cluster.submit(request).result(timeout)
+            request.trace.add(HOP_FRONTEND, time.perf_counter() - start)
+            return result
 
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
     ) -> List[BatchResult]:
-        # Submit everything inside one window before waiting (each shard
-        # fuses its share into a single dispatch), then gather per item so
-        # one bad request — unknown id, dead shard — costs exactly its own
-        # slot, not the batch.
-        deadline = None if timeout is None else time.monotonic() + timeout
-        start = time.perf_counter()
-        with _translated(), self.cluster.window():
-            futures = [self.cluster.submit(request) for request in requests]
-        results: List[BatchResult] = []
-        for request, future in zip(requests, futures):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            try:
-                result = future.result(remaining)
-            except Exception as exc:
-                results.append(error_from_exception(exc))
-                continue
-            if request.trace is not None:
-                # Batch-start to this item's completion: submit staging plus
-                # the wait, the whole cluster-frontend residence time.
-                request.trace.add(HOP_FRONTEND, time.perf_counter() - start)
-            results.append(result if result.ok else self._rejection_error(result))
-        return results
+        with _translated():
+            return self.cluster.predict_batch(requests, timeout)
 
     def stats(self) -> Dict[str, object]:
         return self.cluster.stats()
@@ -265,35 +238,3 @@ class ClusterBackend(ServingAPI):
     @property
     def shards(self) -> int:
         return self.cluster.shards
-
-    @staticmethod
-    def _rejection_error(rejection) -> UnavailableError:
-        return UnavailableError(
-            getattr(rejection, "reason", "request rejected by admission control"),
-            details={
-                "model_id": rejection.model_id,
-                "request_id": rejection.request_id,
-                "status": rejection.status,
-            },
-        )
-
-
-def as_serving_api(service) -> ServingAPI:
-    """Adapt any serving facade to :class:`ServingAPI` (the old-entry shim).
-
-    * a :class:`ServingAPI` passes through;
-    * a cluster-shaped facade (async ``submit`` + ``shard_ids``) becomes a
-      :class:`ClusterBackend`;
-    * a :class:`PersonalizationService`-shaped facade becomes a
-      :class:`LocalBackend`.
-    """
-    if isinstance(service, ServingAPI):
-        return service
-    if hasattr(service, "submit") and hasattr(service, "shard_ids"):
-        return ClusterBackend(service)
-    if hasattr(service, "predict_batch"):
-        return LocalBackend(service)
-    raise TypeError(
-        f"cannot adapt {type(service).__name__} to ServingAPI; expected a "
-        "ServingAPI, ClusterService or PersonalizationService"
-    )

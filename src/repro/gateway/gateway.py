@@ -21,7 +21,7 @@ from ..errors import ApiError, error_from_exception
 from ..serve.types import PersonalizeRequest, PredictRequest
 from ..trace import HOP_GATEWAY, HOP_MIDDLEWARE, Trace, trace_block
 from .. import trace as _trace
-from .api import ServingAPI, as_serving_api
+from .api import ServingAPI
 from .middleware import (
     DeadlineMiddleware,
     MetricsMiddleware,
@@ -73,7 +73,7 @@ class Gateway:
         config: Optional[GatewayConfig] = None,
         middlewares: Optional[Sequence[Middleware]] = None,
     ) -> None:
-        self.backend = as_serving_api(backend)
+        self.backend = backend
         self.config = config or GatewayConfig()
         self.metrics = MetricsMiddleware()
         self.rate_limiter: Optional[RateLimitMiddleware] = None
@@ -113,7 +113,7 @@ class Gateway:
         """Answer one envelope; never raises.
 
         Tracing rides per request: the process-wide switch
-        (:func:`repro.trace.enable`) or the envelope's own ``trace`` flag
+        (:class:`repro.trace.tracing`) or the envelope's own ``trace`` flag
         turns it on; otherwise the only added cost is this one boolean
         check, and response bytes are exactly the pre-trace ones.
         """

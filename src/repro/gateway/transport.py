@@ -330,10 +330,6 @@ class GatewayHTTPServer(ThreadingHTTPServer):
     def port(self) -> int:
         return self.server_address[1]
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}{WIRE_PATH}"
-
     def start(self) -> "GatewayHTTPServer":
         """Serve from a daemon thread (idempotent); returns self."""
         if self._thread is None:

@@ -1,8 +1,9 @@
 """The load driver: replay a synthesized workload against a serving target.
 
-:class:`LoadDriver` drives the Serving API v2 surface
-(:class:`~repro.gateway.ServingAPI`): anything exposing the async
-``submit(request) -> Future`` surface (a
+:class:`LoadDriver` drives a :class:`~repro.gateway.ServingAPI` or a
+:class:`~repro.gateway.GatewayClient`; a raw service is wrapped by its
+caller (``LoadDriver(ClusterBackend(cluster))``).  A target exposing the
+async ``submit(request) -> Future`` surface (a
 :class:`~repro.gateway.ClusterBackend`) is driven asynchronously with
 open-loop pacing or closed-loop windowing, and synchronous targets — a
 :class:`~repro.gateway.LocalBackend` or a
@@ -11,13 +12,12 @@ transport — are driven call-by-call.  Both paths record identical
 :class:`~repro.loadgen.report.RequestOutcome` streams into an
 :class:`~repro.loadgen.report.SLOReport`.
 
-Pre-gateway facades (:class:`~repro.cluster.ClusterService`,
-:class:`~repro.serve.PersonalizationService`) are still accepted and are
-adapted through :func:`~repro.gateway.as_serving_api` on construction — the
-deprecation shim that keeps the old entry point alive.  Taxonomy errors
-(:class:`~repro.errors.ApiError`) map onto outcome statuses by code:
-``RESOURCE_EXHAUSTED`` / ``UNAVAILABLE`` count as *rejected* (load shed, by
-design), everything else as *failed*.
+Outcome statuses: on the async path a future that fails with the cluster's
+admission refusal (:class:`~repro.cluster.ShardOverloadError`) counts as
+*rejected* (load shed, by design) and any other exception — a dead shard
+included — as *failed*.  On the sync path the error arrives by code:
+``RESOURCE_EXHAUSTED`` / ``UNAVAILABLE`` are *rejected*, everything else
+*failed*.
 
 Pacing: open-loop workloads sleep until each request's virtual arrival
 offset times ``time_scale``.  ``time_scale=1`` replays the scenario's
@@ -43,6 +43,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..cluster.shard import ShardOverloadError
 from ..errors import ApiError
 from .. import trace as _trace
 from ..trace import Trace, hops_of
@@ -78,18 +79,18 @@ class DriverConfig:
 class LoadDriver:
     """Replays workloads against one Serving API v2 target and scores the run."""
 
-    def __init__(self, service, config: Optional[DriverConfig] = None) -> None:
+    def __init__(self, target, config: Optional[DriverConfig] = None) -> None:
         # Deferred import: repro.gateway layers on repro.loadgen's siblings.
-        from ..gateway.api import ServingAPI, as_serving_api
+        from ..gateway.api import ServingAPI
         from ..gateway.client import GatewayClient
 
-        self.service = service  # as handed in (back-compat surface)
-        if isinstance(service, (ServingAPI, GatewayClient)):
-            self.target = service
-        else:
-            # Deprecation shim: adapt pre-gateway facades onto Serving API v2.
-            self.target = as_serving_api(service)
-        self._wire_client = isinstance(service, GatewayClient)
+        if not isinstance(target, (ServingAPI, GatewayClient)):
+            raise TypeError(
+                f"LoadDriver drives a ServingAPI or a GatewayClient, not "
+                f"{type(target).__name__}; wrap a raw service in its backend"
+            )
+        self.target = target
+        self._wire_client = isinstance(target, GatewayClient)
         self.config = config or DriverConfig()
 
     # -- report scaffolding ------------------------------------------------------
@@ -164,10 +165,8 @@ class LoadDriver:
             report.fault_log.append(entry)
 
     def _run_async(self, workload: Workload, report: SLOReport) -> None:
-        # Fault injection drives the raw cluster's chaos seams, so unwrap
-        # the ClusterBackend adapter (a raw ClusterService passes through).
-        cluster = getattr(self.target, "cluster", self.target)
-        injector = FaultInjector(cluster) if workload.faults else None
+        # Fault injection drives the raw cluster's chaos seams.
+        injector = FaultInjector(self.target.cluster) if workload.faults else None
         faults: Dict[int, List] = {}
         for event in workload.faults:
             faults.setdefault(event.at_request, []).append(event)
@@ -244,29 +243,23 @@ class LoadDriver:
                 )
                 continue
             except Exception as exc:
-                done = marks.get("done", time.perf_counter())
-                last_done = max(last_done, done)
-                report.record(
-                    RequestOutcome(
-                        request_id,
-                        model_id,
-                        STATUS_FAILED,
-                        latency_s=done - submitted,
-                        error=type(exc).__name__,
-                    )
-                )
-                continue
+                result = exc
             done = marks.get("done", time.perf_counter())
             last_done = max(last_done, done)
             latency = done - submitted
-            hops = hops_of(result)
-            if getattr(result, "ok", False):
+            if isinstance(result, ShardOverloadError):
+                report.record(RequestOutcome(request_id, model_id, STATUS_REJECTED, latency))
+            elif isinstance(result, Exception):
                 report.record(
-                    RequestOutcome(request_id, model_id, STATUS_OK, latency, hops=hops)
+                    RequestOutcome(
+                        request_id, model_id, STATUS_FAILED, latency, error=type(result).__name__
+                    )
+                )
+            else:
+                report.record(
+                    RequestOutcome(request_id, model_id, STATUS_OK, latency, hops=hops_of(result))
                 )
                 report.record_prediction(request_id, result.logits)
-            else:
-                report.record(RequestOutcome(request_id, model_id, STATUS_REJECTED, latency))
         report.elapsed_s = max(last_done - start, 1e-12)
         if injector is not None:
             injector.restore_all()

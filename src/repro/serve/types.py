@@ -85,15 +85,6 @@ class EngineSpec(_JsonMessage):
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
 
-    def build(self, module, attach: bool = True):
-        """Materialize an engine for ``module`` according to this spec.
-
-        ``attach`` is ignored; the next ``benchmark`` PR removes crispbench's callers.
-        """
-        from ..backend.engine import Engine
-
-        return Engine.from_spec(module, self)
-
     def to_dict(self) -> Dict:
         return {
             "backend": self.backend,

@@ -56,7 +56,6 @@ __all__ = [
     "Trace",
     "Span",
     "trace_step",
-    "enable",
     "disable",
     "enabled",
     "tracing",
@@ -84,12 +83,6 @@ HOPS = (HOP_GATEWAY, HOP_MIDDLEWARE, HOP_FRONTEND, HOP_SHARD, HOP_ENGINE, HOP_SE
 _ENABLED = False
 
 
-def enable() -> None:
-    """Turn request tracing on process-wide."""
-    global _ENABLED
-    _ENABLED = True
-
-
 def disable() -> None:
     """Turn request tracing off (the default)."""
     global _ENABLED
@@ -102,7 +95,7 @@ def enabled() -> bool:
 
 
 class tracing:
-    """Context manager scoping :func:`enable` to a block (tests, CLI runs)."""
+    """The process-wide tracing switch, scoped to a block (tests, CLI runs)."""
 
     def __init__(self, on: bool = True) -> None:
         self.on = on
@@ -165,9 +158,6 @@ class Trace:
     @classmethod
     def from_wire(cls, spans: Sequence[Sequence[object]]) -> "Trace":
         return cls().extend_wire(spans)
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{hop}={seconds * 1e3:.2f}ms" for hop, seconds in self.spans)

@@ -14,7 +14,6 @@ from repro.cluster import (
     ConsistentHashRouter,
     LatencyHistogram,
     ProcessShardWorker,
-    RejectedResponse,
     ShardKilledError,
     ShardOverloadError,
     ShardTelemetry,
@@ -282,9 +281,11 @@ class TestBothWorkerKinds:
             staged = [cluster.submit(r) for r in requests[:2]]
             assert worker.pending() == 2
             worker.pending = lambda: 0  # the depth check loses the race
-            refused = cluster.submit(requests[2]).result(timeout=1)
+            refused = cluster.submit(requests[2])
             del worker.pending
-            assert isinstance(refused, RejectedResponse) and refused.status == 503
+            with pytest.raises(ShardOverloadError, match="queue full") as excinfo:
+                refused.result(timeout=1)
+            assert excinfo.value.http_status == 503
             worker.end_window()
             assert all(f.result(timeout=30).status == 200 for f in staged)
             stats = cluster.stats()
@@ -380,11 +381,12 @@ class TestClusterService:
         )
         requests = _stream(model_ids, requests=2)
         accepted = cluster.submit(requests[0])
-        rejected = cluster.submit(requests[1]).result(timeout=1)
-        assert isinstance(rejected, RejectedResponse)
-        assert rejected.status == 503 and not rejected.ok
-        assert rejected.request_id == requests[1].request_id
-        assert rejected.to_dict()["status"] == 503
+        with pytest.raises(ShardOverloadError, match="high-water") as excinfo:
+            cluster.submit(requests[1]).result(timeout=1)
+        rejected = excinfo.value
+        assert rejected.http_status == 503 and rejected.retryable
+        assert rejected.details["request_id"] == requests[1].request_id
+        assert rejected.to_dict()["details"]["status"] == 503
 
         cluster.start()  # drain the accepted request, then stop
         assert accepted.result(timeout=10).status == 200

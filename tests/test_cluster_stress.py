@@ -25,7 +25,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService, RejectedResponse
+from repro.cluster import ClusterConfig, ClusterService, ShardOverloadError
 from repro.loadgen import synthetic_fleet
 from repro.serve import PredictRequest
 
@@ -98,12 +98,11 @@ def test_concurrent_submit_personalize_evict_cycles_reconcile():
         for tenant, future in per_thread:
             try:
                 result = future.result(timeout=30)
+            except ShardOverloadError as exc:
+                assert exc.http_status == 503
+                rejected += 1
             except Exception:
                 failed += 1
-                continue
-            if isinstance(result, RejectedResponse):
-                assert result.status == 503
-                rejected += 1
             else:
                 assert result.status == 200
                 assert result.model_id == tenant
@@ -171,10 +170,12 @@ def test_concurrent_scale_out_in_under_load_never_drops_a_future():
         # shutdown error; what is forbidden is a future that never resolves.
         try:
             result = future.result(timeout=30)
+        except ShardOverloadError as exc:
+            assert exc.http_status == 503
         except RuntimeError:
             clean_errors += 1
         else:
-            assert result.status in (200, 503)
+            assert result.status == 200
         resolved += 1
     assert resolved == len(futures)
     assert clean_errors <= 3  # at most one straggler per removal race

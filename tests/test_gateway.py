@@ -41,7 +41,6 @@ from repro.gateway import (
     LoopbackTransport,
     RetryMiddleware,
     ServingAPI,
-    as_serving_api,
     serve_http,
 )
 from repro.loadgen import (
@@ -79,16 +78,6 @@ def cluster(fleet):
 
 
 class TestBackendAdapters:
-    def test_as_serving_api_adapts_both_facades(self, fleet, cluster):
-        registry, _ = fleet
-        single = PersonalizationService(ServiceConfig(), registry=registry)
-        assert isinstance(as_serving_api(single), LocalBackend)
-        assert isinstance(as_serving_api(cluster), ClusterBackend)
-        backend = LocalBackend(single)
-        assert as_serving_api(backend) is backend
-        with pytest.raises(TypeError):
-            as_serving_api(object())
-
     def test_local_backend_predicts_and_reports(self, fleet, batch):
         registry, model_ids = fleet
         backend = LocalBackend(PersonalizationService(ServiceConfig(), registry=registry))

@@ -18,13 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
-    ApiError,
     DeadlineExceededError,
     ERROR_CODES,
     InternalError,
     InvalidArgumentError,
     NotFoundError,
-    ResourceExhaustedError,
     UnavailableError,
     error_from_dict,
     error_from_exception,
@@ -216,11 +214,6 @@ class TestErrorTaxonomy:
         rebuilt = error_from_dict({"code": "SOMETHING_NEW", "message": "hi"})
         assert isinstance(rebuilt, InternalError)
         assert rebuilt.details["original_code"] == "SOMETHING_NEW"
-
-    def test_response_shaped_duck_typing(self):
-        error = ResourceExhaustedError("slow down")
-        assert error.ok is False and error.status == 429
-        assert isinstance(error, ApiError)
 
 
 # ---------------------------------------------------------------------------

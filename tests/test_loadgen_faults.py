@@ -22,7 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService, RejectedResponse, ShardKilledError
+from repro.cluster import ClusterConfig, ClusterService, ShardKilledError, ShardOverloadError
+from repro.gateway import ClusterBackend
 from repro.loadgen import (
     DriverConfig,
     FaultInjector,
@@ -151,11 +152,11 @@ class TestSlowShard:
             injector = FaultInjector(cluster)
             injector.slow_shard(0, delay_s=0.05)
             futures = [cluster.submit(r) for r in _stream(model_ids, requests=12)]
-            results = [f.result(timeout=30) for f in futures]
-            rejected = [r for r in results if isinstance(r, RejectedResponse)]
-            served = [r for r in results if not isinstance(r, RejectedResponse)]
+            results = [f.exception(timeout=30) or f.result() for f in futures]
+            rejected = [r for r in results if isinstance(r, ShardOverloadError)]
+            served = [r for r in results if not isinstance(r, ShardOverloadError)]
             assert rejected, "backlog above high_water must shed load with 503s"
-            assert all(r.status == 503 for r in rejected)
+            assert all(r.http_status == 503 for r in rejected)
             assert all(r.status == 200 for r in served)
             injector.restore_shard(0)
             cluster.drain()
@@ -194,7 +195,7 @@ class TestChaosScenarios:
         with ClusterService(
             ClusterConfig(shards=3, cache_capacity=2, max_pending=256), registry=registry
         ) as cluster:
-            report = LoadDriver(cluster, DriverConfig(time_scale=1.0)).run(workload)
+            report = LoadDriver(ClusterBackend(cluster), DriverConfig(time_scale=1.0)).run(workload)
         assert report.hung == 0, "a shard kill must never strand a future"
         assert report.completed + report.failed + report.rejected == len(workload)
         assert report.completed > 0
@@ -211,7 +212,7 @@ class TestChaosScenarios:
             ClusterConfig(shards=2, cache_capacity=2, max_pending=256, high_water=4),
             registry=registry,
         ) as cluster:
-            report = LoadDriver(cluster).run(workload)
+            report = LoadDriver(ClusterBackend(cluster)).run(workload)
             # End-of-run hygiene: the injected slowdown was cleared.
             assert all(w.chaos_delay_s == 0.0 for w in cluster._workers.values())
         assert report.hung == 0
@@ -247,7 +248,7 @@ class TestChaosScenarios:
         registry, model_ids = synthetic_fleet(tenants=4, seed=0)
         workload = scenario.synthesize(model_ids, seed=0)
         with ClusterService(ClusterConfig(shards=3), registry=registry) as cluster:
-            report = LoadDriver(cluster).run(workload)
+            report = LoadDriver(ClusterBackend(cluster)).run(workload)
             assert cluster.shards == 2  # the late heal removed the corpse
         assert [e["action"] for e in report.fault_log] == ["kill_shard", "heal_shard"]
         assert report.hung == 0
@@ -258,7 +259,7 @@ class TestChaosScenarios:
         with ClusterService(
             ClusterConfig(shards=2, cache_capacity=2, max_pending=256), registry=registry
         ) as cluster:
-            report = LoadDriver(cluster).run(workload)
+            report = LoadDriver(ClusterBackend(cluster)).run(workload)
         assert report.hung == 0
         assert report.completed + report.failed + report.rejected == 24
         assert report.completed > 0

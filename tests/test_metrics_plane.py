@@ -527,7 +527,7 @@ class TestClusterEventSeams:
                     for _ in range(4)
                 ]
                 for future in futures:
-                    future.result(30.0)
+                    future.exception(30.0)  # a refused one fails with ShardOverloadError
                 cluster.worker(shard_id).chaos_delay_s = 0.0
         events = log.events("admission_reject")
         assert events, "no admission_reject event under backlog"

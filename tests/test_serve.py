@@ -103,8 +103,6 @@ class TestTypes:
 
     def test_engine_spec_build_and_engine_spec_agree(self, batch):
         model = _sparsified_model()
-        engine = SPEC.build(model)
-        assert engine.spec == SPEC
         assert Engine.from_spec(model, SPEC).spec == SPEC
 
 
@@ -113,7 +111,7 @@ class TestModelRegistry:
         model = _sparsified_model()
         registry = ModelRegistry()
         model_id = registry.register(model, spec=SPEC)
-        expected = SPEC.build(model).predict(batch)
+        expected = Engine.from_spec(model, SPEC).predict(batch)
         rebuilt = registry.build_engine(model_id)
         np.testing.assert_allclose(rebuilt.predict(batch), expected, atol=1e-10)
 
