@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -447,15 +447,16 @@ class ClusterService:
         request order, its response or the :class:`~repro.errors.ApiError`
         it hit — the :class:`~repro.gateway.ServingAPI` batch shape.
 
-        The burst is submitted inside one :meth:`window` before any wait, so
-        each shard answers its share with a single fused dispatch; one bad
-        request (unknown id, dead shard, refusal) costs exactly its own slot.
-        A traced request records the ``frontend`` hop: batch start to its
-        own completion, submit staging plus the wait.
+        A burst is submitted inside one :meth:`window` before any wait, so
+        each shard answers its share with a single fused dispatch; a lone
+        request has nothing to fuse and skips the window's per-shard ops.
+        One bad request (unknown id, dead shard, refusal) costs exactly its
+        own slot.  A traced request records the ``frontend`` hop: batch
+        start to its own completion, submit staging plus the wait.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         start = time.perf_counter()
-        with self.window():
+        with self.window() if len(requests) > 1 else nullcontext():
             futures = [self.submit(request) for request in requests]
         results: List[Union[PredictResponse, ApiError]] = []
         for request, future in zip(requests, futures):

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cluster import WORKER_KINDS
+from ..cluster import WORKER_KINDS, ClusterConfig, ClusterService
 from ..gateway import Gateway, GatewayClient, LocalBackend, LoopbackTransport
 from ..serve import EngineSpec, PersonalizeRequest, PredictRequest
 from .common import ExperimentScale, TINY_SCALE, emit_json, flag, format_table, make_service
@@ -147,9 +147,6 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
     batched = api.predict_batch(requests)
     batched_s = time.perf_counter() - start
 
-    for a, b in zip(solo, batched):
-        np.testing.assert_array_equal(a.classes, b.classes)
-
     # Gateway replay: the same stream through the full loopback wire
     # (JSON envelope -> middleware -> router -> backend), per request.
     gateway = Gateway(api)
@@ -160,13 +157,12 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
         for r in requests
     ]
     gateway_s = time.perf_counter() - start
-    for a, b in zip(batched, gatewayed):
+    for a, b, c in zip(solo, batched, gatewayed):
         np.testing.assert_array_equal(a.classes, b.classes)
+        np.testing.assert_array_equal(a.classes, c.classes)
 
     cluster_report = None
     if config.shards > 1:
-        from ..cluster import ClusterConfig, ClusterService
-
         with ClusterService(
             ClusterConfig(
                 shards=config.shards,
@@ -175,11 +171,13 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
             ),
             service=service,
         ) as cluster:
-            cluster.predict_batch(requests)  # warm per-shard engines
+            warm = cluster.predict_batch(requests)  # warm per-shard engines
             start = time.perf_counter()
             clustered = cluster.predict_batch(requests)
             cluster_s = time.perf_counter() - start
-            for a, b in zip(batched, clustered):
+            for a, b in zip(batched * 2, warm + clustered):
+                if isinstance(b, Exception):  # the ApiError that request hit
+                    raise b
                 np.testing.assert_array_equal(a.classes, b.classes)
             cluster_report = {
                 "shards": config.shards,

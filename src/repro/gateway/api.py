@@ -10,9 +10,9 @@ it:
   :class:`~repro.serve.PersonalizationService`;
 * :class:`ClusterBackend` — wraps the sharded
   :class:`~repro.cluster.ClusterService`, which already speaks these outcomes
-  (a refusal is a ``ShardOverloadError``, ``UNAVAILABLE``); the adapter maps
-  what is left — a wait that times out — and re-exports the async
-  ``submit`` surface and shard topology the load driver exploits.
+  (a refusal is a ``ShardOverloadError``, ``UNAVAILABLE``; a wait that times
+  out is ``DEADLINE_EXCEEDED``); the adapter re-exports the async ``submit``
+  surface and shard topology the load driver exploits.
 
 Whoever holds a raw service builds its adapter (``Gateway(ClusterBackend(
 cluster))``); nothing downstream adapts a facade on the caller's behalf.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import abc
 import threading
-import time
 from concurrent.futures import Future
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
@@ -30,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..errors import ApiError, error_from_exception
 from ..serve.service import PersonalizationService
 from ..serve.types import PersonalizeRequest, PredictRequest, PredictResponse
-from ..trace import HOP_FRONTEND
 from .wire import API_VERSION
 
 __all__ = ["ServingAPI", "LocalBackend", "ClusterBackend"]
@@ -165,8 +163,9 @@ class ClusterBackend(ServingAPI):
     """Serving API v2 over the sharded :class:`ClusterService`.
 
     The cluster's refusals, dead-shard and unknown-model errors already *are*
-    taxonomy errors; the adapter maps what is left (a future timeout becomes
-    ``DEADLINE_EXCEEDED``).  The raw async ``submit`` surface and shard
+    taxonomy errors, and :meth:`ClusterService.predict_batch` maps what is
+    left per item (a future timeout becomes ``DEADLINE_EXCEEDED``); both
+    predict paths go through it, so it alone records the ``frontend`` hop.  The raw async ``submit`` surface and shard
     topology accessors are re-exported for callers that schedule their own
     waits (the load driver).
     """
@@ -185,16 +184,10 @@ class ClusterBackend(ServingAPI):
         self, request: PredictRequest, timeout: Optional[float] = None
     ) -> PredictResponse:
         with _translated():
-            if request.trace is None:
-                return self.cluster.submit(request).result(timeout)
-            # The frontend hop must be recorded *here*, synchronously
-            # around the wait: shard-side spans land before set_result
-            # wakes us, and a done-callback could run after the caller
-            # has already serialized the trace.
-            start = time.perf_counter()
-            result = self.cluster.submit(request).result(timeout)
-            request.trace.add(HOP_FRONTEND, time.perf_counter() - start)
-            return result
+            (result,) = self.cluster.predict_batch([request], timeout)
+        if isinstance(result, ApiError):
+            raise result
+        return result
 
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None

@@ -30,6 +30,7 @@ from repro.serve import (
     ModelRegistry,
     PersonalizationService,
     PredictRequest,
+    PredictResponse,
     ServiceConfig,
 )
 from repro.shm import SharedWeightStore
@@ -71,6 +72,11 @@ def _stream(model_ids, requests=24, seed=0):
         )
         for i in range(requests)
     ]
+
+
+def _assert_served(results):
+    """Every batch item is a response; a failed one is an ApiError."""
+    assert all(isinstance(r, PredictResponse) for r in results), results
 
 
 class TestConsistentHashRouter:
@@ -246,7 +252,7 @@ class TestBothWorkerKinds:
     def test_stats_satisfy_the_unified_serving_schema(self, workers):
         registry, model_ids = _fleet(tenants=2)
         with self._cluster(registry, workers) as cluster:
-            cluster.predict_batch(_stream(model_ids, requests=8), timeout=60)
+            _assert_served(cluster.predict_batch(_stream(model_ids, requests=8), timeout=60))
             stats = cluster.stats()
         assert_stats_schema(stats)
         assert stats["workers"] == workers
@@ -436,7 +442,7 @@ class TestClusterService:
         requests = _stream(model_ids, requests=8)
         single.predict_batch(requests)
         with ClusterService(ClusterConfig(shards=2), registry=registry) as cluster:
-            cluster.predict_batch(requests, timeout=30)
+            _assert_served(cluster.predict_batch(requests, timeout=30))
             stats = cluster.stats()
 
         reference = single.stats()
@@ -597,7 +603,7 @@ class TestTelemetry:
         with ClusterService(
             ClusterConfig(shards=3, cache_capacity=2), registry=registry
         ) as cluster:
-            cluster.predict_batch(requests, timeout=30)
+            _assert_served(cluster.predict_batch(requests, timeout=30))
             stats = cluster.stats()
             shard_samples = [
                 cluster._workers[sid].telemetry.latency.samples()

@@ -16,7 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService
+from repro.cluster import ClusterConfig, ClusterService, ShardOverloadError
 from repro.cluster.telemetry import assert_stats_schema
 from repro.gateway import ClusterBackend, Gateway, serve_http
 from repro.gateway.api import LocalBackend
@@ -526,8 +526,12 @@ class TestClusterEventSeams:
                     cluster.submit(PredictRequest(model_ids[0], fleet_inputs(rng)))
                     for _ in range(4)
                 ]
-                for future in futures:
-                    future.exception(30.0)  # a refused one fails with ShardOverloadError
+                errors = [future.exception(30.0) for future in futures]
+                assert all(
+                    exc is None or isinstance(exc, ShardOverloadError)
+                    for exc in errors
+                ), errors
+                assert None in errors, "no admitted predict succeeded"
                 cluster.worker(shard_id).chaos_delay_s = 0.0
         events = log.events("admission_reject")
         assert events, "no admission_reject event under backlog"

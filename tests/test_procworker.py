@@ -26,7 +26,7 @@ from repro.gateway import ClusterBackend, Gateway, GatewayClient, LoopbackTransp
 from repro.serve import PersonalizationService, ServiceConfig
 from repro.shm import SharedWeightStore
 
-from test_cluster import _fleet, _stream
+from test_cluster import _assert_served, _fleet, _stream
 
 
 def _leaked(store):
@@ -108,7 +108,7 @@ class TestProcessClusterParity:
         registry, model_ids = _fleet(tenants=2)
         frames = []
         with _process_cluster(registry) as cluster:
-            cluster.predict_batch(_stream(model_ids, requests=8), timeout=60)
+            _assert_served(cluster.predict_batch(_stream(model_ids, requests=8), timeout=60))
             for shard_id in cluster.shard_ids():
                 worker = cluster.worker(shard_id)
 
@@ -171,7 +171,7 @@ class TestShmLifecycle:
         registry, model_ids = _fleet(tenants=3)
         cluster = _process_cluster(registry)
         store = cluster._store
-        cluster.predict_batch(_stream(model_ids, requests=6), timeout=60)
+        _assert_served(cluster.predict_batch(_stream(model_ids, requests=6), timeout=60))
         live = store.segment_names()
         assert live and all(os.path.exists(f"/dev/shm/{n}") for n in live)
         cluster.shutdown()
@@ -183,7 +183,7 @@ class TestShmLifecycle:
         registry, model_ids = _fleet(tenants=2)
         cluster = _process_cluster(registry)
         store = cluster._store
-        cluster.predict_batch(_stream(model_ids, requests=4), timeout=60)
+        _assert_served(cluster.predict_batch(_stream(model_ids, requests=4), timeout=60))
         for shard_id in list(cluster.shard_ids()):
             cluster.kill_shard(shard_id)
         cluster.shutdown()
