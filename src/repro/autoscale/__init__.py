@@ -7,7 +7,7 @@ The two halves of "the fleet manages itself":
   declarative :class:`ScalingPolicy` (rules with SLOMonitor-style debounce,
   cooldown hysteresis, min/max clamps), with every verdict — applied,
   suppressed, clamped — recorded as an immutable :class:`ScalingDecision`;
-* :class:`FederatedBackend` — one :class:`~repro.gateway.ServingAPI` over N
+* :class:`FederatedBackend` — one :class:`~repro.serve.api.ServingAPI` over N
   member clusters with sticky tenant affinity and per-request spillover on
   ``RESOURCE_EXHAUSTED``.
 
@@ -19,7 +19,7 @@ live :class:`~repro.cluster.ClusterService` under real traffic.
 """
 
 from .autoscaler import SIGNALS, Autoscaler
-from .federation import CapacityGate, FederatedBackend
+from .federation import FederatedBackend
 from .policy import (
     ACTIONS,
     VERDICTS,
@@ -44,5 +44,4 @@ __all__ = [
     "FleetModel",
     "simulate_autoscaler",
     "FederatedBackend",
-    "CapacityGate",
 ]

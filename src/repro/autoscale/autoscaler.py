@@ -86,8 +86,7 @@ class Autoscaler:
     """Declarative-policy control loop over anything with the scaling seams.
 
     ``target`` needs ``shards`` / ``shard_ids()`` / ``add_shard()`` /
-    ``remove_shard(id)`` — :class:`~repro.cluster.ClusterService` natively, a
-    :class:`~repro.gateway.ClusterBackend` via its ``.cluster``, or the
+    ``remove_shard(id)`` — a :class:`~repro.cluster.ClusterService`, or the
     thread-free :class:`~repro.autoscale.sim.FleetModel` in tests.
     """
 
@@ -97,11 +96,6 @@ class Autoscaler:
         policy: Optional[ScalingPolicy] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        # A ClusterBackend adapter exposes the scaling seams through its
-        # wrapped cluster; unwrap so decisions actuate the real fleet.
-        cluster = getattr(target, "cluster", None)
-        if cluster is not None and hasattr(cluster, "add_shard"):
-            target = cluster
         for attr in ("shards", "shard_ids", "add_shard", "remove_shard"):
             if not hasattr(target, attr):
                 raise TypeError(

@@ -2,7 +2,7 @@
 
 A :class:`FederatedBackend` is the multi-cluster analogue of the cluster's
 own shard router, one level up: member *clusters* (each any
-:class:`~repro.gateway.ServingAPI` — a :class:`~repro.gateway.ClusterBackend`
+:class:`~repro.serve.api.ServingAPI` — a :class:`~repro.cluster.ClusterService`
 in production, a fake in tests) sit on a consistent-hash ring keyed by member
 name, and every tenant gets a sticky **home** cluster.  The affinity contract
 is the whole point: a tenant's engine cache, its personalized weights, its
@@ -23,11 +23,6 @@ for one cluster unchanged: ``Gateway(FederatedBackend(...))`` serves it over
 HTTP, the ``TelemetryPoller`` samples its merged stats (schema-validated by
 :func:`~repro.cluster.telemetry.assert_stats_schema`), and an
 :class:`~repro.autoscale.Autoscaler` can watch the merged signals.
-
-:class:`CapacityGate` is the deterministic capacity harness: it wraps any
-``ServingAPI`` and converts programmed or in-flight-limit overload into
-``RESOURCE_EXHAUSTED``, which is how the spillover tests (and demos) push a
-member to its quota without racing real queues.
 """
 
 from __future__ import annotations
@@ -39,10 +34,10 @@ from ..cluster.router import ConsistentHashRouter
 from ..cluster.telemetry import LatencyHistogram, assert_stats_schema
 from ..errors import ApiError, NotFoundError, ResourceExhaustedError
 from ..metrics.events import emit
+from ..serve.api import BatchResult, ServingAPI
 from ..serve.types import PersonalizeRequest, PredictRequest, PredictResponse
-from ..gateway.api import BatchResult, ServingAPI
 
-__all__ = ["FederatedBackend", "CapacityGate"]
+__all__ = ["FederatedBackend"]
 
 
 class FederatedBackend(ServingAPI):
@@ -222,11 +217,11 @@ class FederatedBackend(ServingAPI):
     def stats(self) -> Dict[str, object]:
         """Merged unified-schema stats across the fleet, plus a per-member map.
 
-        Latency merges losslessly when members expose their reservoir
-        (:meth:`~repro.cluster.ClusterService.merged_latency` through the
-        adapter chain); members that only publish summaries contribute a
-        count-weighted approximation.  Either way the result passes
-        :func:`assert_stats_schema` — one dashboard, any topology.
+        Latency merges losslessly across members that expose their reservoir
+        (:meth:`~repro.serve.api.ServingAPI.merged_latency`); members that
+        only publish summaries contribute a count-weighted approximation.
+        Either way the result passes :func:`assert_stats_schema` — one
+        dashboard, any topology.
         """
         with self._lock:
             members = dict(self._members)
@@ -241,7 +236,7 @@ class FederatedBackend(ServingAPI):
         for member_name in sorted(members):
             stats = members[member_name].stats()
             per_member[member_name] = stats
-            histogram = _member_histogram(members[member_name])
+            histogram = members[member_name].merged_latency()
             if histogram is not None:
                 histograms.append(histogram)
             else:
@@ -320,22 +315,6 @@ class FederatedBackend(ServingAPI):
             backend.close()
 
 
-def _member_histogram(backend) -> Optional[LatencyHistogram]:
-    """Find a real latency reservoir behind a member adapter, if any.
-
-    Walks the adapter chain (``ClusterBackend.cluster``,
-    ``LocalBackend.service``) looking for ``merged_latency`` — the lossless
-    path.  Returns ``None`` for summary-only members (the weighted fallback).
-    """
-    for obj in (backend, getattr(backend, "cluster", None), getattr(backend, "service", None)):
-        if obj is not None and hasattr(obj, "merged_latency"):
-            try:
-                return obj.merged_latency()
-            except Exception:
-                return None
-    return None
-
-
 def _merge_latency(
     histograms: List[LatencyHistogram], summaries: List[Dict[str, float]]
 ) -> Dict[str, float]:
@@ -357,102 +336,3 @@ def _merge_latency(
         merged["max_ms"] = max(merged["max_ms"], float(part.get("max_ms", 0) or 0))
     merged["count"] = total
     return merged
-
-
-class CapacityGate(ServingAPI):
-    """Deterministic ``RESOURCE_EXHAUSTED`` harness around any backend.
-
-    Two triggers, both deterministic:
-
-    * ``limit`` — more than ``limit`` predicts in flight at once answer 429
-      immediately (a hard admission quota, not a queue);
-    * :meth:`trip` — program the next ``n`` predicts to answer 429 regardless,
-      which is how tests script "the home is out of capacity right now"
-      without racing real queues.
-
-    Everything else delegates untouched, so a gated member still reports its
-    real stats, model ids, and health.
-    """
-
-    name = "capacity-gate"
-
-    def __init__(self, backend: ServingAPI, limit: Optional[int] = None) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.backend = backend
-        self.limit = limit
-        self.exhausted = 0  #: predicts answered RESOURCE_EXHAUSTED by the gate
-        self._tripped = 0
-        self._inflight = 0
-        self._lock = threading.Lock()
-
-    def trip(self, n: int = 1) -> None:
-        """Force the next ``n`` predicts to answer ``RESOURCE_EXHAUSTED``."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        with self._lock:
-            self._tripped += n
-
-    def _admit(self, request: PredictRequest) -> None:
-        with self._lock:
-            if self._tripped > 0:
-                self._tripped -= 1
-                self.exhausted += 1
-                raise ResourceExhaustedError(
-                    f"capacity gate tripped for {request.model_id}",
-                    details={"request_id": request.request_id},
-                )
-            if self.limit is not None and self._inflight >= self.limit:
-                self.exhausted += 1
-                raise ResourceExhaustedError(
-                    f"capacity gate at limit {self.limit}",
-                    details={"request_id": request.request_id},
-                )
-            self._inflight += 1
-
-    def predict(
-        self, request: PredictRequest, timeout: Optional[float] = None
-    ) -> PredictResponse:
-        self._admit(request)
-        try:
-            return self.backend.predict(request, timeout)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-
-    def predict_batch(
-        self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
-    ) -> List[BatchResult]:
-        results: List[BatchResult] = []
-        for request in requests:
-            try:
-                results.append(self.predict(request, timeout))
-            except ApiError as exc:
-                results.append(exc)
-        return results
-
-    def personalize(self, request: PersonalizeRequest) -> str:
-        return self.backend.personalize(request)
-
-    def stats(self) -> Dict[str, object]:
-        return self.backend.stats()
-
-    def engine(self, model_id: str):
-        return self.backend.engine(model_id)
-
-    def model_ids(self) -> List[str]:
-        return self.backend.model_ids()
-
-    def health(self) -> Dict[str, object]:
-        report = self.backend.health()
-        report["capacity_gate"] = {
-            "limit": self.limit,
-            "exhausted": self.exhausted,
-        }
-        return report
-
-    def drain(self) -> None:
-        self.backend.drain()
-
-    def close(self) -> None:
-        self.backend.close()

@@ -15,7 +15,6 @@ Typical use::
     engine = Engine(pruned_model, backend="fast", weight_format="crisp",
                     n=2, m=4, block_size=16)
     logits = engine.predict(batch)            # (N, num_classes)
-    classes = engine.predict_classes(batch)
     all_logits = engine.predict_many([b0, b1, b2])   # one fused dispatch
 
 Two contracts follow from compiling:
@@ -255,10 +254,6 @@ class Engine:
         so any number of threads may predict on one engine at once.
         """
         return run_plan(self._plan, np.asarray(batch, dtype=np.float64))
-
-    def predict_classes(self, batch: np.ndarray) -> np.ndarray:
-        """Argmax class predictions for one batch."""
-        return self.predict(batch).argmax(axis=1)
 
     def predict_many(self, batches: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Batched multi-input dispatch: fuse several inputs into one forward.

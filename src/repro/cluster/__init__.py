@@ -18,10 +18,10 @@ production model serving:
   a ``multiprocessing`` child, fed over a pipe and serving zero-copy from
   :mod:`repro.shm` shared-memory weight segments — shards that truly run on
   separate cores (``ClusterConfig(workers="process")``).
-* :mod:`repro.cluster.frontend` — :class:`ClusterService`: the facade with
-  the ``personalize`` / ``predict`` / ``predict_batch`` API, futures for
-  async completion, admission control and graceful drain/shutdown.  It
-  speaks the :class:`~repro.gateway.ServingAPI` outcomes: a response, or an
+* :mod:`repro.cluster.frontend` — :class:`ClusterService`: a
+  :class:`~repro.serve.api.ServingAPI` (``Gateway(cluster)``,
+  ``LoadDriver(cluster)``) with futures for async completion, admission
+  control and graceful drain/shutdown.  Every outcome is a response or an
   :class:`~repro.errors.ApiError` raised or failed into the future — a
   refusal is a :class:`ShardOverloadError` (``UNAVAILABLE``, 503).
 * :mod:`repro.cluster.telemetry` — per-shard counters, latency percentiles

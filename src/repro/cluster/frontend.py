@@ -1,7 +1,7 @@
 """Cluster frontend: the sharded, concurrent `PersonalizationService`.
 
-:class:`ClusterService` exposes the same ``personalize`` / ``predict`` /
-``predict_batch`` surface as the single-process
+:class:`ClusterService` is a :class:`~repro.serve.api.ServingAPI`
+(``name = "cluster"``) like the single-process
 :class:`~repro.serve.service.PersonalizationService`, but answers inference
 traffic through a fleet of shard workers (one
 :class:`~repro.cluster.loop.ShardLoop` each, on a thread or in a child
@@ -14,7 +14,8 @@ process — :data:`WORKER_KINDS`):
   the pigeonhole minimum, which is what keeps a capacity-bounded cache from
   thrashing; unregistered keys fall back to plain ring routing;
 * every submission returns a :class:`~concurrent.futures.Future`
-  (:meth:`submit`); the synchronous API is a thin wait on top;
+  (:meth:`submit`, what ``LoadDriver`` paces); the synchronous API is a
+  thin wait on top;
 * admission control refuses work when a shard's pending count reaches the
   high-water mark (or its queue bound): the request's future fails with a
   :class:`~repro.cluster.shard.ShardOverloadError` (``UNAVAILABLE``, 503)
@@ -37,19 +38,17 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-import numpy as np
-
 from ..errors import (
-    ApiError,
     InvalidArgumentError,
     NotFoundError,
     UnavailableError,
     error_from_exception,
 )
 from ..metrics.events import emit
+from ..serve.api import BatchResult, ServingAPI, _translated
 from ..serve.registry import ModelRegistry
 from ..serve.service import PersonalizationService, ServiceConfig
-from ..serve.types import PredictRequest, PredictResponse
+from ..serve.types import PersonalizeRequest, PredictRequest
 from ..shm import SharedWeightStore
 from .procworker import ProcessShardWorker
 from .router import ConsistentHashRouter
@@ -107,18 +106,20 @@ class ClusterConfig:
             )
 
 
-class ClusterService:
-    """Sharded concurrent serving runtime with the facade API.
+class ClusterService(ServingAPI):
+    """Sharded concurrent serving runtime behind the Serving API.
 
     Example
     -------
     >>> cluster = ClusterService(ClusterConfig(shards=4))
     >>> model_id = cluster.personalize(PersonalizeRequest(user_id=0, num_classes=3))
-    >>> future = cluster.submit(PredictRequest(model_id, batch))   # async
-    >>> response = cluster.predict(model_id, batch)                # sync
+    >>> future = cluster.submit(PredictRequest(model_id, batch))     # async
+    >>> response = cluster.predict(PredictRequest(model_id, batch))  # sync
     >>> responses = cluster.predict_batch(mixed_tenant_requests)
-    >>> cluster.shutdown()                                         # graceful drain
+    >>> cluster.close()                                              # graceful drain
     """
+
+    name = "cluster"
 
     def __init__(
         self,
@@ -327,18 +328,18 @@ class ClusterService:
         if self._store is not None:
             self._store.close()
 
+    def close(self) -> None:
+        self.shutdown()
+
     def __enter__(self) -> "ClusterService":
         return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise UnavailableError("ClusterService is shut down")
 
     # -- personalization ----------------------------------------------------------
-    def personalize(self, request, **overrides) -> str:
+    def personalize(self, request: PersonalizeRequest) -> str:
         """Personalize one tenant (delegated to the inner service).
 
         Every shard's cached engine for the id is evicted afterwards — not
@@ -347,13 +348,14 @@ class ClusterService:
         serve the pre-refresh weights if the tenant moves back.
         """
         self._ensure_open()
-        model_id = self.service.personalize(request, **overrides)
-        if self._store is not None:
-            # Republish eagerly so the fresh weights are already encoded in
-            # shared memory when the next request window opens.
-            self._store.ensure(model_id)
-        for worker in self._workers.values():
-            worker.evict(model_id)
+        model_id = self.service.personalize(request)
+        with _translated():
+            if self._store is not None:
+                # Republish eagerly so the fresh weights are already encoded
+                # in shared memory when the next request window opens.
+                self._store.ensure(model_id)
+            for worker in self._workers.values():
+                worker.evict(model_id)
         return model_id
 
     # -- inference ------------------------------------------------------------
@@ -408,17 +410,6 @@ class ClusterService:
         future.set_exception(error)
         return future
 
-    def predict(
-        self,
-        model_id: str,
-        batch: np.ndarray,
-        request_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> PredictResponse:
-        """Answer one request synchronously (submit + wait), or raise the
-        error its future failed with."""
-        return self.submit(PredictRequest(model_id, batch, request_id)).result(timeout)
-
     @contextmanager
     def window(self) -> Iterator[None]:
         """Bracket a burst: every shard holds the predicts submitted inside
@@ -442,10 +433,10 @@ class ClusterService:
 
     def predict_batch(
         self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
-    ) -> List[Union[PredictResponse, ApiError]]:
+    ) -> List[BatchResult]:
         """Answer a mixed-tenant burst under one deadline: per request, in
         request order, its response or the :class:`~repro.errors.ApiError`
-        it hit — the :class:`~repro.gateway.ServingAPI` batch shape.
+        it hit — the :class:`~repro.serve.api.ServingAPI` batch shape.
 
         A burst is submitted inside one :meth:`window` before any wait, so
         each shard answers its share with a single fused dispatch; a lone
@@ -456,9 +447,9 @@ class ClusterService:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         start = time.perf_counter()
-        with self.window() if len(requests) > 1 else nullcontext():
+        with _translated(), self.window() if len(requests) > 1 else nullcontext():
             futures = [self.submit(request) for request in requests]
-        results: List[Union[PredictResponse, ApiError]] = []
+        results: List[BatchResult] = []
         for request, future in zip(requests, futures):
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
@@ -478,11 +469,17 @@ class ClusterService:
         sharded deployment would actually serve this tenant with.
         """
         self._ensure_open()
-        return self.worker_for(model_id).engine(model_id)
+        with _translated():
+            return self.worker_for(model_id).engine(model_id)
 
     # -- introspection / persistence -------------------------------------------
     def model_ids(self) -> List[str]:
         return self.registry.ids()
+
+    def health(self) -> Dict[str, object]:
+        report = super().health()
+        report["shards"] = self.shards
+        return report
 
     def _look(self):
         """``(per-shard stats in shard-id order, merged latency histogram)``

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from ..cluster import WORKER_KINDS, ClusterConfig, ClusterService
-from ..gateway import (
-    ClusterBackend,
-    Gateway,
-    GatewayClient,
-    LoopbackTransport,
-    serve_http,
-)
+from ..gateway import Gateway, GatewayClient, LoopbackTransport, serve_http
 from ..loadgen import (
     SCENARIOS,
     DriverConfig,
@@ -56,7 +50,7 @@ __all__ = ["LoadgenConfig", "run_loadgen", "print_loadgen", "TRANSPORTS"]
 SMOKE_REQUESTS = 16
 
 #: How the driver reaches the serving runtime:
-#: * ``local`` — Serving API v2 in process (ClusterBackend; async futures);
+#: * ``local`` — Serving API v2 in process (the ClusterService; async futures);
 #: * ``loopback`` — GatewayClient through the full JSON wire, in process;
 #: * ``http`` — GatewayClient over a real socket (ephemeral
 #:   ThreadingHTTPServer booted for the run).
@@ -343,9 +337,9 @@ def run_loadgen(
                 poller.start()
             try:
                 if config.transport == "local":
-                    report = LoadDriver(ClusterBackend(cluster), driver_config).run(workload)
+                    report = LoadDriver(cluster, driver_config).run(workload)
                 else:
-                    gateway = Gateway(ClusterBackend(cluster))
+                    gateway = Gateway(cluster)
                     if config.transport == "loopback":
                         client = GatewayClient(LoopbackTransport(gateway))
                         report = LoadDriver(client, driver_config).run(workload)

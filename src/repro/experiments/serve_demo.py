@@ -10,8 +10,8 @@ stream over their validation data, and replays it twice:
   :class:`~repro.serve.BatchScheduler` fuses each tenant's requests into a
   single dispatch.
 
-Both replays go through the Serving API v2 surface
-(:class:`~repro.gateway.LocalBackend`), and the stream is additionally
+Both replays go through the service's Serving API v2 surface
+(:class:`~repro.serve.api.ServingAPI`), and the stream is additionally
 replayed through a full :class:`~repro.gateway.Gateway` loopback wire
 round-trip (envelope → middleware → router → backend and back) to show the
 gateway's overhead next to the raw facade.  With ``shards > 1`` the
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster import WORKER_KINDS, ClusterConfig, ClusterService
-from ..gateway import Gateway, GatewayClient, LocalBackend, LoopbackTransport
+from ..gateway import Gateway, GatewayClient, LoopbackTransport
 from ..serve import EngineSpec, PersonalizeRequest, PredictRequest
 from .common import ExperimentScale, TINY_SCALE, emit_json, flag, format_table, make_service
 
@@ -128,28 +128,24 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
 
     requests = _request_stream(service, config, model_ids)
 
-    # Every replay goes through the Serving API v2 surface; the raw service
-    # keeps working underneath it (LocalBackend is a thin adapter).
-    api = LocalBackend(service)
-
     # Warm both dispatch shapes (engine build + im2col workspaces) so the
     # timed replays compare steady-state serving, not first-call allocation.
-    api.predict_batch(list(requests))
-    api.predict(requests[0])
+    service.predict_batch(list(requests))
+    service.predict(requests[0])
 
     # Per-request replay: one flush per request (no micro-batching possible).
     start = time.perf_counter()
-    solo = [api.predict(r) for r in requests]
+    solo = [service.predict(r) for r in requests]
     per_request_s = time.perf_counter() - start
 
     # Micro-batched replay of the identical stream.
     start = time.perf_counter()
-    batched = api.predict_batch(requests)
+    batched = service.predict_batch(requests)
     batched_s = time.perf_counter() - start
 
     # Gateway replay: the same stream through the full loopback wire
     # (JSON envelope -> middleware -> router -> backend), per request.
-    gateway = Gateway(api)
+    gateway = Gateway(service)
     client = GatewayClient(LoopbackTransport(gateway))
     start = time.perf_counter()
     gatewayed = [
@@ -205,7 +201,7 @@ def run_serve_demo(config: Optional[ServeDemoConfig] = None) -> Dict:
             "speedup": per_request_s / max(batched_s, 1e-12),
             "gateway_s": gateway_s,
         },
-        "stats": api.stats(),
+        "stats": service.stats(),
         "gateway": gateway.stats()["gateway"],
         "cluster": cluster_report,
     }

@@ -1,4 +1,4 @@
-"""Serving API v2: one versioned gateway over every serving backend.
+"""Serving API v2: one versioned gateway over every serving deployment.
 
 After :mod:`repro.serve` (single-process) and :mod:`repro.cluster`
 (sharded) grew their own front doors, this package is the unification: a
@@ -6,10 +6,11 @@ transport-agnostic, versioned API with structured errors and middleware,
 mirroring how production serving stacks put a gateway in front of
 heterogeneous engine pools.
 
-* :mod:`repro.gateway.api` — the :class:`ServingAPI` protocol
-  (personalize / predict / predict_batch / stats / health / drain) with
-  :class:`LocalBackend` and :class:`ClusterBackend` adapters; a caller
-  holding a raw service wraps it in one of them itself.
+* :class:`ServingAPI` (defined in :mod:`repro.serve.api`, re-exported here)
+  — personalize / predict / predict_batch / stats / health / drain.  Both
+  services implement it, so a gateway takes either one as it is;
+  :mod:`repro.gateway.api` keeps :class:`ClusterBackend`, a pass-through
+  over a cluster that the crispbench harness times as its cluster layer.
 * :mod:`repro.gateway.wire` — versioned :class:`ApiRequest` /
   :class:`ApiResponse` envelopes (byte-stable JSON) carrying the existing
   :mod:`repro.serve.types` payloads and the :mod:`repro.errors` taxonomy.
@@ -19,7 +20,7 @@ heterogeneous engine pools.
 * :mod:`repro.gateway.gateway` — the :class:`Gateway` router; errors become
   failure envelopes, never exceptions into a transport.
 * :mod:`repro.gateway.client` — :class:`GatewayClient`, the typed sync
-  facade speaking the same calling convention as the in-process service.
+  facade over a transport (``predict(model_id, batch)``).
 * :mod:`repro.gateway.transport` — the in-process :class:`LoopbackTransport`
   and the stdlib :class:`GatewayHTTPServer` / :class:`HttpTransport` pair,
   wire-identical by construction.
@@ -27,10 +28,10 @@ heterogeneous engine pools.
 Quickstart::
 
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.gateway import ClusterBackend, Gateway, GatewayClient, serve_http
+    from repro.gateway import Gateway, GatewayClient, serve_http
 
     cluster = ClusterService(ClusterConfig(shards=4), registry=registry)
-    gateway = Gateway(ClusterBackend(cluster))
+    gateway = Gateway(cluster)
     with serve_http(gateway) as server:                  # ephemeral port
         client = GatewayClient(server.transport())
         response = client.predict(model_id, batch)       # over the socket
@@ -49,7 +50,8 @@ from ..errors import (
     error_from_dict,
     error_from_exception,
 )
-from .api import ClusterBackend, LocalBackend, ServingAPI
+from ..serve.api import ServingAPI
+from .api import ClusterBackend
 from .client import GatewayClient
 from .gateway import Gateway, GatewayConfig
 from .middleware import (
@@ -73,7 +75,6 @@ from .wire import API_VERSION, METHODS, ApiRequest, ApiResponse
 __all__ = [
     # protocol + backends
     "ServingAPI",
-    "LocalBackend",
     "ClusterBackend",
     # wire
     "API_VERSION",

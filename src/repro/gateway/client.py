@@ -5,10 +5,9 @@ dataclasses callers already know: ``predict`` returns a
 :class:`~repro.serve.types.PredictResponse` or raises the taxonomy error the
 gateway answered with; ``predict_batch`` returns the mixed per-item list
 (responses and :class:`~repro.errors.ApiError` instances) so partial
-results survive.  Because the facade matches the single-process service's
-calling convention (``predict(model_id, batch, request_id=...)``), anything
-driving a :class:`~repro.serve.PersonalizationService` — the load driver
-included — can drive a remote gateway unchanged.
+results survive.  ``predict(model_id, batch, request_id=...)`` builds the
+:class:`~repro.serve.types.PredictRequest` a service's own ``predict``
+takes.
 """
 
 from __future__ import annotations
@@ -85,12 +84,7 @@ class GatewayClient:
         request_id: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> PredictResponse:
-        """Answer one request, or raise the taxonomy error the gateway hit.
-
-        Same calling convention as ``PersonalizationService.predict`` — the
-        deprecation-shim contract that lets pre-gateway callers point at a
-        socket instead of an in-process service.
-        """
+        """Answer one request, or raise the taxonomy error the gateway hit."""
         request = PredictRequest(model_id, batch, request_id)
         response = self.call(
             "predict", request.to_dict(), request_id=request.request_id,

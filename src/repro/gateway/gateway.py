@@ -21,7 +21,7 @@ from ..errors import ApiError, error_from_exception
 from ..serve.types import PersonalizeRequest, PredictRequest
 from ..trace import HOP_GATEWAY, HOP_MIDDLEWARE, Trace, trace_block
 from .. import trace as _trace
-from .api import ServingAPI
+from ..serve.api import ServingAPI
 from .middleware import (
     DeadlineMiddleware,
     MetricsMiddleware,
@@ -62,7 +62,7 @@ class Gateway:
 
     Example
     -------
-    >>> gateway = Gateway(ClusterBackend(cluster))
+    >>> gateway = Gateway(cluster)
     >>> response = gateway.handle(ApiRequest("predict", request.to_dict()))
     >>> response.ok, PredictResponse.from_dict(response.payload["response"]).classes
     """

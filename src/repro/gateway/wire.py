@@ -26,11 +26,9 @@ from typing import Dict, Optional
 
 from ..errors import ApiError, InvalidArgumentError, error_from_dict
 from ..records import canonical_json as dumps  #: the one encoder for every envelope
+from ..serve.api import API_VERSION
 
 __all__ = ["API_VERSION", "METHODS", "ApiRequest", "ApiResponse", "dumps"]
-
-#: The one wire version this gateway speaks.
-API_VERSION = "v2"
 
 #: Every routable API v2 method.
 METHODS = ("personalize", "predict", "predict_batch", "stats", "health", "drain")

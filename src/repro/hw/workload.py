@@ -269,13 +269,10 @@ def workloads_from_service(
     batch: int = 1,
     activation_density: float = 0.6,
 ) -> List[LayerWorkload]:
-    """Extract workloads for one registered tenant of a serving facade.
+    """Extract workloads for one registered tenant of a serving deployment.
 
-    Accepts anything with the facade's ``engine(model_id)`` contract —
-    including the Serving API v2 backends
-    (:class:`~repro.gateway.LocalBackend`,
-    :class:`~repro.gateway.ClusterBackend`), which is the canonical way in;
-    the raw facades below keep working as deprecation shims:
+    Accepts anything with the :class:`~repro.serve.api.ServingAPI`
+    ``engine(model_id)`` contract:
 
     * a :class:`~repro.serve.PersonalizationService` — the engine comes from
       the single-process cache;

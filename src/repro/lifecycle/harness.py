@@ -1,7 +1,7 @@
 """Deterministic lifecycle replay: the whole control loop, virtually clocked.
 
 Drives a drift workload synchronously through the full production stack —
-``Gateway(LocalBackend(PersonalizationService))`` with the
+``Gateway(PersonalizationService)`` with the
 :class:`~repro.lifecycle.rollout.RolloutMiddleware` installed, telemetry
 sampled by a real :class:`~repro.metrics.TelemetryPoller` into a real
 :class:`~repro.metrics.SLOMonitor` carrying the stock ``accuracy_drop``
@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from ..gateway.api import LocalBackend
 from ..gateway.gateway import Gateway, GatewayConfig
 from ..gateway.wire import ApiRequest
 from ..loadgen.popularity import ClassDriftPopularity
@@ -107,7 +106,7 @@ def run_lifecycle_replay(
         ServiceConfig(cache_capacity=cache_capacity), registry=registry
     )
     gateway = Gateway(
-        LocalBackend(service),
+        service,
         GatewayConfig(),
         middlewares=[RolloutMiddleware(table, resolve=registry.resolve)],
     )

@@ -14,8 +14,8 @@ the runtime's behaviour under it:
   the two, plus scheduled :class:`FaultEvent` chaos, synthesized into
   replayable :class:`Workload` plans;
 * :mod:`repro.loadgen.driver` — :class:`LoadDriver`: paces a workload into
-  any :class:`~repro.gateway.ServingAPI` or gateway client (async against a
-  :class:`~repro.gateway.ClusterBackend`, sync against the rest) and records
+  any :class:`~repro.serve.api.ServingAPI` or gateway client (async against a
+  :class:`~repro.cluster.ClusterService`, sync against the rest) and records
   every outcome;
 * :mod:`repro.loadgen.report` — :class:`SLOReport`: p50/p95/p99 latency,
   goodput, rejection rate, per-shard imbalance, cluster merged percentiles;
@@ -33,14 +33,13 @@ measurements vary; the report keeps them in a separate ``slo`` block.
 Quickstart::
 
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.gateway import ClusterBackend
     from repro.loadgen import LoadDriver, build_scenario, synthetic_fleet
 
     registry, model_ids = synthetic_fleet(tenants=8, seed=0)
     scenario = build_scenario("zipf-burst")
     workload = scenario.synthesize(model_ids, seed=0)
     with ClusterService(ClusterConfig(shards=4), registry=registry) as cluster:
-        report = LoadDriver(ClusterBackend(cluster)).run(workload)
+        report = LoadDriver(cluster).run(workload)
     print(report.render())            # p50/p95/p99, goodput, 503s, imbalance
     payload = report.to_dict()        # JSON-ready; timing=False -> byte-stable
 """

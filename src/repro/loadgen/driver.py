@@ -1,12 +1,11 @@
 """The load driver: replay a synthesized workload against a serving target.
 
-:class:`LoadDriver` drives a :class:`~repro.gateway.ServingAPI` or a
-:class:`~repro.gateway.GatewayClient`; a raw service is wrapped by its
-caller (``LoadDriver(ClusterBackend(cluster))``).  A target exposing the
-async ``submit(request) -> Future`` surface (a
-:class:`~repro.gateway.ClusterBackend`) is driven asynchronously with
-open-loop pacing or closed-loop windowing, and synchronous targets — a
-:class:`~repro.gateway.LocalBackend` or a
+:class:`LoadDriver` drives a :class:`~repro.serve.api.ServingAPI` or a
+:class:`~repro.gateway.GatewayClient`.  A target exposing the async
+``submit(request) -> Future`` surface (a
+:class:`~repro.cluster.ClusterService`, ``LoadDriver(cluster)``) is driven
+asynchronously with open-loop pacing or closed-loop windowing, and
+synchronous targets — a :class:`~repro.serve.PersonalizationService` or a
 :class:`~repro.gateway.GatewayClient` pointed at a loopback or HTTP
 transport — are driven call-by-call.  Both paths record identical
 :class:`~repro.loadgen.report.RequestOutcome` streams into an
@@ -45,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cluster.shard import ShardOverloadError
 from ..errors import ApiError
+from ..serve.api import ServingAPI
 from .. import trace as _trace
 from ..trace import Trace, hops_of
 from .faults import FaultInjector
@@ -81,13 +81,12 @@ class LoadDriver:
 
     def __init__(self, target, config: Optional[DriverConfig] = None) -> None:
         # Deferred import: repro.gateway layers on repro.loadgen's siblings.
-        from ..gateway.api import ServingAPI
         from ..gateway.client import GatewayClient
 
         if not isinstance(target, (ServingAPI, GatewayClient)):
             raise TypeError(
                 f"LoadDriver drives a ServingAPI or a GatewayClient, not "
-                f"{type(target).__name__}; wrap a raw service in its backend"
+                f"{type(target).__name__}"
             )
         self.target = target
         self._wire_client = isinstance(target, GatewayClient)
@@ -165,8 +164,7 @@ class LoadDriver:
             report.fault_log.append(entry)
 
     def _run_async(self, workload: Workload, report: SLOReport) -> None:
-        # Fault injection drives the raw cluster's chaos seams.
-        injector = FaultInjector(self.target.cluster) if workload.faults else None
+        injector = FaultInjector(self.target) if workload.faults else None
         faults: Dict[int, List] = {}
         for event in workload.faults:
             faults.setdefault(event.at_request, []).append(event)

@@ -4,7 +4,7 @@ Each function here is a :class:`~repro.pipeline.step.Step` body over the
 real subsystems — magnitude-masked fleets (the loadgen construction),
 :func:`repro.sparsity.compare_formats` encodings, the
 :class:`~repro.serve.registry.ModelRegistry` persistence layout, serving
-through the :class:`~repro.gateway.api.ServingAPI`, and dense-oracle
+through the :class:`~repro.serve.api.ServingAPI`, and dense-oracle
 scoring (precision@k over served classes + per-tenant accuracy curves).
 Everything is seeded, so a step's JSON output is byte-stable across re-runs
 — which is what makes the content-addressed cache *verifiable* rather than
@@ -186,7 +186,6 @@ def replay_requests(ctx: StepContext) -> Dict[str, object]:
     so micro-batching and the compressed formats are on the measured path.
     Inputs and served logits are saved per tenant for the scoring step.
     """
-    from ..gateway.api import LocalBackend
     from ..serve.registry import ModelRegistry
     from ..serve.service import PersonalizationService, ServiceConfig
     from ..serve.types import PredictRequest
@@ -215,8 +214,7 @@ def replay_requests(ctx: StepContext) -> Dict[str, object]:
     service = PersonalizationService(
         ServiceConfig(cache_capacity=max(2, len(model_ids))), registry=registry
     )
-    with LocalBackend(service) as api:
-        responses = api.predict_batch(requests)
+    responses = service.predict_batch(requests)
 
     logits = {mid: [] for mid in model_ids}
     batched_with = []

@@ -13,17 +13,22 @@ addressable, cacheable, batch-servable tenants:
   lazily materialized per-tenant engines.
 * :mod:`repro.serve.scheduler` — :class:`BatchScheduler`: micro-batches
   mixed-tenant request streams into one fused dispatch per tenant.
+* :mod:`repro.serve.api` — :class:`~repro.serve.api.ServingAPI`, the
+  contract every deployment implements (this service, the sharded
+  :class:`~repro.cluster.ClusterService`, a federation).
 * :mod:`repro.serve.service` — :class:`PersonalizationService`: the facade
   wiring CRISP pruning → registry → cache → scheduler end to end.
 
 Quickstart::
 
-    from repro.serve import PersonalizationService, PersonalizeRequest, ServiceConfig
+    from repro.serve import (
+        PersonalizationService, PersonalizeRequest, PredictRequest, ServiceConfig,
+    )
 
     service = PersonalizationService(ServiceConfig(cache_capacity=2))
     model_id = service.personalize(PersonalizeRequest(user_id=0, num_classes=3))
-    response = service.predict(model_id, batch)        # one tenant
-    responses = service.predict_batch(mixed_requests)  # micro-batched
+    response = service.predict(PredictRequest(model_id, batch))  # one tenant
+    responses = service.predict_batch(mixed_requests)            # micro-batched
 """
 
 from .cache import EngineCache

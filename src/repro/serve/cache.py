@@ -96,11 +96,6 @@ class EngineCache:
         emit("cache_evict", model_id=model_id, reason=reason)
         return True
 
-    def clear(self) -> None:
-        """Drop every cached engine (counted as evictions)."""
-        for model_id in list(self._engines):
-            self.evict(model_id)
-
     def cached_ids(self) -> List[str]:
         """Model ids currently resident, least-recently-used first."""
         return list(self._engines)

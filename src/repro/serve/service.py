@@ -6,7 +6,9 @@ reproduction.  One call personalizes a model for a user profile
 call answers inference traffic against any registered id
 (:meth:`~PersonalizationService.predict` /
 :meth:`~PersonalizationService.predict_batch`), with engines cached per
-tenant and mixed-tenant batches micro-batched by the scheduler.
+tenant and mixed-tenant batches micro-batched by the scheduler.  The service
+is a :class:`~repro.serve.api.ServingAPI` (``name = "local"``): a ``Gateway``
+or a ``LoadDriver`` takes it as it is.
 
 The module also owns the *universal model provider* — pre-training and
 caching of the shared backbone each personalization starts from — which the
@@ -16,9 +18,10 @@ same functions.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,10 +37,11 @@ from ..nn.models import build_model
 from ..nn.models.base import ClassifierModel, prunable_layers
 from ..nn.trainer import TrainConfig, Trainer, evaluate
 from ..pruning import CRISPConfig, crisp_prune
+from .api import BatchResult, ServingAPI, _translated
 from .cache import EngineCache
 from .registry import ModelRegistry
 from .scheduler import BatchScheduler
-from .types import EngineSpec, PersonalizeRequest, PredictRequest, PredictResponse
+from .types import EngineSpec, PersonalizeRequest, PredictRequest
 
 __all__ = [
     "ServiceConfig",
@@ -247,16 +251,23 @@ class ServiceConfig:
     seed: int = 0
 
 
-class PersonalizationService:
+class PersonalizationService(ServingAPI):
     """End-to-end multi-tenant serving: personalize, register, cache, batch.
+
+    The scheduler, cache and counters are not thread-safe, and the HTTP
+    transport runs gateway handlers on one thread per connection, so every
+    public call takes the service lock once.  A single process serves one
+    dispatch at a time anyway; concurrency is the cluster's job.
 
     Example
     -------
     >>> service = PersonalizationService(ServiceConfig(cache_capacity=2))
     >>> model_id = service.personalize(PersonalizeRequest(user_id=0, num_classes=3))
-    >>> response = service.predict(model_id, batch)
+    >>> response = service.predict(PredictRequest(model_id, batch))
     >>> responses = service.predict_batch(mixed_tenant_requests)
     """
+
+    name = "local"
 
     def __init__(
         self,
@@ -274,6 +285,7 @@ class PersonalizationService:
         self.latency = LatencyHistogram()
         self.failed = 0
         self._datasets: Dict[int, SyntheticImageDataset] = {}
+        self._lock = threading.Lock()
 
     # -- data -----------------------------------------------------------------
     def dataset(self, seed: Optional[int] = None) -> SyntheticImageDataset:
@@ -298,17 +310,12 @@ class PersonalizationService:
         )
 
     # -- personalization ------------------------------------------------------
-    def personalize(
-        self, request: Union[PersonalizeRequest, UserProfile], **overrides
-    ) -> str:
+    def personalize(self, request: PersonalizeRequest) -> str:
         """Build, prune and register a model for one user; return its model id.
 
-        Accepts either a full :class:`PersonalizeRequest` or a bare
-        :class:`~repro.data.UserProfile` (keyword overrides then feed the
-        request, e.g. ``target_sparsity=0.9``).  The pipeline is the paper's:
-        pre-trained universal model → head restricted to the user's classes →
-        CRISP pruning on the user's data → registry entry with the engine
-        spec the weights were pruned for.
+        The pipeline is the paper's: pre-trained universal model → head
+        restricted to the user's classes → CRISP pruning on the user's data →
+        registry entry with the engine spec the weights were pruned for.
 
         Model ids are stable per (architecture, engine spec, profile):
         personalizing the same profile again — even with different pruning
@@ -317,110 +324,105 @@ class PersonalizationService:
         served).  The registry metadata records the settings behind the
         current weights.
         """
-        if isinstance(request, UserProfile):
-            request = PersonalizeRequest(
-                user_id=request.user_id,
-                preferred_classes=list(request.preferred_classes),
-                **overrides,
-            )
-        elif overrides:
-            raise TypeError("keyword overrides are only valid with a UserProfile")
+        with _translated(), self._lock:
+            config = self.config
+            dataset = self.dataset(request.seed)
+            profile = self._resolve_profile(request)
 
-        config = self.config
-        dataset = self.dataset(request.seed)
-        profile = self._resolve_profile(request)
-
-        model, universal_accuracy = universal_model(
-            config.model_name,
-            config.dataset_preset,
-            config.pretrain_epochs,
-            num_classes=dataset.num_classes,
-            input_size=dataset.image_size,
-            batch_size=config.batch_size,
-            seed=request.seed,
-            dataset=dataset,
-        )
-        restrict_head_to_classes(model, profile.preferred_classes, dataset.num_classes)
-
-        train_loader, val_loader = build_user_loaders(
-            dataset,
-            profile,
-            batch_size=config.batch_size,
-            samples_per_class=config.samples_per_class,
-            seed=request.seed,
-        )
-
-        spec = request.engine or config.engine
-        # No val_loader: the per-iteration accuracies it would buy are never
-        # read here; the one evaluate below is the accuracy that is registered.
-        result = crisp_prune(
-            model,
-            train_loader,
-            val_loader=None,
-            config=CRISPConfig(
-                n=spec.n,
-                m=spec.m,
-                block_size=spec.block_size,
-                target_sparsity=request.target_sparsity,
-                iterations=request.iterations or config.prune_iterations,
-                finetune_epochs=(
-                    request.finetune_epochs
-                    if request.finetune_epochs is not None
-                    else config.finetune_epochs
-                ),
+            model, universal_accuracy = universal_model(
+                config.model_name,
+                config.dataset_preset,
+                config.pretrain_epochs,
+                num_classes=dataset.num_classes,
+                input_size=dataset.image_size,
+                batch_size=config.batch_size,
                 seed=request.seed,
-            ),
-        )
+                dataset=dataset,
+            )
+            restrict_head_to_classes(model, profile.preferred_classes, dataset.num_classes)
 
-        model_id = self.registry.register(
-            model,
-            spec=spec,
-            profile=profile,
-            metadata={
-                "target_sparsity": request.target_sparsity,
-                "achieved_sparsity": result.final_sparsity,
-                "accuracy": evaluate(model, iter(val_loader)),
-                "universal_accuracy": universal_accuracy,
-            },
-        )
-        # A re-personalized tenant must not be served stale weights.
-        self.cache.evict(model_id)
-        return model_id
+            train_loader, val_loader = build_user_loaders(
+                dataset,
+                profile,
+                batch_size=config.batch_size,
+                samples_per_class=config.samples_per_class,
+                seed=request.seed,
+            )
+
+            spec = request.engine or config.engine
+            # No val_loader: the per-iteration accuracies it would buy are never
+            # read here; the one evaluate below is the accuracy that is registered.
+            result = crisp_prune(
+                model,
+                train_loader,
+                val_loader=None,
+                config=CRISPConfig(
+                    n=spec.n,
+                    m=spec.m,
+                    block_size=spec.block_size,
+                    target_sparsity=request.target_sparsity,
+                    iterations=request.iterations or config.prune_iterations,
+                    finetune_epochs=(
+                        request.finetune_epochs
+                        if request.finetune_epochs is not None
+                        else config.finetune_epochs
+                    ),
+                    seed=request.seed,
+                ),
+            )
+
+            model_id = self.registry.register(
+                model,
+                spec=spec,
+                profile=profile,
+                metadata={
+                    "target_sparsity": request.target_sparsity,
+                    "achieved_sparsity": result.final_sparsity,
+                    "accuracy": evaluate(model, iter(val_loader)),
+                    "universal_accuracy": universal_accuracy,
+                },
+            )
+            # A re-personalized tenant must not be served stale weights.
+            self.cache.evict(model_id)
+            return model_id
 
     # -- inference ------------------------------------------------------------
     def engine(self, model_id: str):
         """The (cached) inference engine serving ``model_id``."""
-        return self.cache.get(model_id)
+        with _translated(), self._lock:
+            return self.cache.get(model_id)
 
-    def predict(
-        self, model_id: str, batch: np.ndarray, request_id: Optional[str] = None
-    ) -> PredictResponse:
-        """Answer a single request (one tenant, one batch)."""
-        return self.predict_batch([PredictRequest(model_id, batch, request_id)])[0]
-
-    def predict_batch(self, requests: Sequence[PredictRequest]) -> List[PredictResponse]:
+    def predict_batch(
+        self, requests: Sequence[PredictRequest], timeout: Optional[float] = None
+    ) -> List[BatchResult]:
         """Answer a mixed-tenant request batch through the micro-batching scheduler.
 
-        Each answered request records the dispatch's wall-clock time into the
-        service latency histogram (that *is* the latency a synchronous caller
-        observed); failed dispatches count into the ``errors`` stats block.
+        The dispatch is all-or-nothing (the scheduler rolls back on a
+        rejection), so a failure raises for the whole batch instead of
+        riding in the list, and it is synchronous, so ``timeout`` has nothing
+        to bound (deadline middleware enforces budgets above this layer).
+        :meth:`predict` is a batch of one.  Each answered request records the
+        dispatch's wall-clock time into the service latency histogram (that
+        *is* the latency a synchronous caller observed); failed dispatches
+        count into the ``errors`` stats block.
         """
-        start = time.perf_counter()
-        try:
-            responses = self.scheduler.dispatch(requests)
-        except Exception:
-            self.failed += len(requests)
-            raise
-        elapsed = time.perf_counter() - start
-        for _ in responses:
-            self.latency.record(elapsed)
-        for request in requests:
-            # Traced requests attribute the whole dispatch to the `service`
-            # hop (scheduler + cache + engine, as a synchronous caller sees
-            # it); the `engine` sub-span is recorded by the scheduler.
-            if request.trace is not None:
-                request.trace.add("service", elapsed)
-        return responses
+        with _translated(), self._lock:
+            start = time.perf_counter()
+            try:
+                responses = self.scheduler.dispatch(requests)
+            except Exception:
+                self.failed += len(requests)
+                raise
+            elapsed = time.perf_counter() - start
+            for _ in responses:
+                self.latency.record(elapsed)
+            for request in requests:
+                # Traced requests attribute the whole dispatch to the `service`
+                # hop (scheduler + cache + engine, as a synchronous caller sees
+                # it); the `engine` sub-span is recorded by the scheduler.
+                if request.trace is not None:
+                    request.trace.add("service", elapsed)
+            return responses
 
     # -- introspection / persistence ------------------------------------------
     def model_ids(self) -> List[str]:
@@ -438,22 +440,28 @@ class PersonalizationService:
         from ..cluster.telemetry import assert_stats_schema
         from ..trace import trace_block
 
-        scheduler = self.scheduler.stats()
-        payload = {
-            "models": len(self.registry),
-            "latency": self.latency.summary(),
-            "cache": self.cache.stats(),
-            "queue": {
-                "pending": scheduler["pending"],
-                "max_depth": scheduler["depth_max"],
-            },
-            "errors": {"failed": self.failed, "rejected": 0},
-            "scheduler": scheduler,
-        }
+        with self._lock:
+            scheduler = self.scheduler.stats()
+            payload = {
+                "models": len(self.registry),
+                "latency": self.latency.summary(),
+                "cache": self.cache.stats(),
+                "queue": {
+                    "pending": scheduler["pending"],
+                    "max_depth": scheduler["depth_max"],
+                },
+                "errors": {"failed": self.failed, "rejected": 0},
+                "scheduler": scheduler,
+            }
         block = trace_block()
         if block is not None:
             payload["trace"] = block
         return assert_stats_schema(payload)
+
+    def merged_latency(self):
+        """A copy of the latency histogram behind ``stats()["latency"]``."""
+        with self._lock:
+            return self.latency.merged([self.latency])
 
     def save(self, root) -> None:
         """Persist every registered model under ``root`` (registry layout)."""

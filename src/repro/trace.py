@@ -68,8 +68,8 @@ __all__ = [
 
 #: Canonical hop names, outermost first.  ``gateway`` is the end-to-end
 #: envelope time (the other hops nest inside it); ``service`` is the
-#: single-process dispatch hop a :class:`LocalBackend` records where a
-#: cluster records ``frontend`` + ``shard``.
+#: single-process dispatch hop a :class:`~repro.serve.PersonalizationService`
+#: records where a cluster records ``frontend`` + ``shard``.
 HOP_GATEWAY = "gateway"
 HOP_MIDDLEWARE = "middleware"
 HOP_FRONTEND = "frontend"

@@ -22,7 +22,7 @@ from repro.cluster import (
 )
 from repro.cluster.telemetry import assert_stats_schema
 from repro.errors import UnavailableError
-from repro.gateway import ClusterBackend, Gateway, GatewayClient, LoopbackTransport
+from repro.gateway import Gateway, GatewayClient, LoopbackTransport
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.serve import (
@@ -306,11 +306,14 @@ class TestBothWorkerKinds:
         registry, model_ids = _fleet(tenants=1)
         model_id, batch = model_ids[0], _stream(model_ids, requests=1)[0].inputs
         with self._cluster(registry, workers, shards=1, flush_interval_s=LONG_FLUSH_S) as cluster:
-            client = GatewayClient(LoopbackTransport(Gateway(ClusterBackend(cluster))))
-            for predict in (cluster.predict, client.predict):
-                predict(model_id, batch)  # warm: engine built, weights installed
+            client = GatewayClient(LoopbackTransport(Gateway(cluster)))
+            for predict in (
+                lambda: cluster.predict(PredictRequest(model_id, batch)),
+                lambda: client.predict(model_id, batch),
+            ):
+                predict()  # warm: engine built, weights installed
                 start = time.monotonic()
-                assert predict(model_id, batch).status == 200
+                assert predict().status == 200
                 assert time.monotonic() - start < 0.1, predict
             assert cluster.stats()["totals"]["batch_size"]["max"] == 1
 
@@ -460,7 +463,7 @@ class TestClusterService:
         registry, model_ids = _fleet(tenants=2)
         with ClusterService(ClusterConfig(shards=2), registry=registry) as cluster:
             batch = rng.normal(size=(2, 3, 12, 12))
-            response = cluster.predict(model_ids[0], batch, timeout=30)
+            response = cluster.predict(PredictRequest(model_ids[0], batch), timeout=30)
             assert response.model_id == model_ids[0]
             assert response.logits.shape == (2, 6)
             # The engine accessor resolves through the owning shard's cache.
@@ -496,12 +499,12 @@ class TestClusterService:
         registry, model_ids = _fleet(tenants=2)
         batch = rng.normal(size=(1, 3, 12, 12))
         with ClusterService(ClusterConfig(shards=2), registry=registry) as cluster:
-            expected = cluster.predict(model_ids[0], batch, timeout=30).logits
+            expected = cluster.predict(PredictRequest(model_ids[0], batch), timeout=30).logits
             cluster.save(tmp_path / "fleet")
         with ClusterService.load(tmp_path / "fleet", ClusterConfig(shards=2)) as reloaded:
             assert reloaded.model_ids() == sorted(model_ids)
             np.testing.assert_allclose(
-                reloaded.predict(model_ids[0], batch, timeout=30).logits,
+                reloaded.predict(PredictRequest(model_ids[0], batch), timeout=30).logits,
                 expected,
                 atol=1e-10,
             )

@@ -201,7 +201,8 @@ def test_closed_loop_callers_on_one_shard_still_fuse():
         try:
             while not stop.is_set():
                 tenant = model_ids[int(rng.integers(0, len(model_ids)))]
-                assert cluster.predict(tenant, batch, timeout=30).status == 200
+                request = PredictRequest(tenant, batch)
+                assert cluster.predict(request, timeout=30).status == 200
                 answered[thread_id] += 1
         except Exception as exc:  # pragma: no cover - the failure being hunted
             errors.append(exc)

@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import pytest
 
-from repro.autoscale import CapacityGate, FederatedBackend
+from repro.autoscale import FederatedBackend
 from repro.errors import (
+    ApiError,
     NotFoundError,
     ResourceExhaustedError,
     UnavailableError,
@@ -99,6 +100,60 @@ class FakeMember(ServingAPI):
 
     def model_ids(self) -> List[str]:
         return sorted(self.known)
+
+
+class CapacityGate(ServingAPI):
+    """Deterministic ``RESOURCE_EXHAUSTED`` harness around any member.
+
+    :meth:`trip` programs the next ``n`` predicts to answer 429 regardless,
+    which is how these trials script "the home is out of capacity right now"
+    without racing real queues.  Everything else delegates untouched.
+    """
+
+    name = "capacity-gate"
+
+    def __init__(self, backend: ServingAPI) -> None:
+        self.backend = backend
+        self.exhausted = 0  #: predicts answered RESOURCE_EXHAUSTED by the gate
+        self._tripped = 0
+        self._lock = threading.Lock()
+
+    def trip(self, n: int = 1) -> None:
+        """Force the next ``n`` predicts to answer ``RESOURCE_EXHAUSTED``."""
+        with self._lock:
+            self._tripped += n
+
+    def predict(self, request: PredictRequest, timeout=None):
+        with self._lock:
+            if self._tripped > 0:
+                self._tripped -= 1
+                self.exhausted += 1
+                raise ResourceExhaustedError(
+                    f"capacity gate tripped for {request.model_id}",
+                    details={"request_id": request.request_id},
+                )
+        return self.backend.predict(request, timeout)
+
+    def predict_batch(self, requests, timeout=None):
+        results = []
+        for request in requests:
+            try:
+                results.append(self.predict(request, timeout))
+            except ApiError as exc:
+                results.append(exc)
+        return results
+
+    def personalize(self, request) -> str:
+        return self.backend.personalize(request)
+
+    def stats(self) -> Dict[str, object]:
+        return self.backend.stats()
+
+    def engine(self, model_id: str):
+        return self.backend.engine(model_id)
+
+    def model_ids(self) -> List[str]:
+        return self.backend.model_ids()
 
 
 def _request(model_id: str, i: int = 0) -> PredictRequest:
@@ -340,8 +395,9 @@ class TestMembershipAndMergedStats:
 
     def test_federation_through_a_real_gateway_over_real_clusters(self):
         """Two live ClusterServices federated and fronted by the gateway:
-        merged stats stay schema-clean and every prediction routes."""
-        from repro.cluster import ClusterConfig, ClusterService
+        merged stats stay schema-clean, every prediction routes, and the
+        latency merge is lossless for a service and for its pass-through."""
+        from repro.cluster import ClusterConfig, ClusterService, LatencyHistogram
         from repro.cluster.telemetry import assert_stats_schema
         from repro.gateway import ClusterBackend, Gateway
         from repro.loadgen import synthetic_fleet
@@ -351,7 +407,7 @@ class TestMembershipAndMergedStats:
         with ClusterService(config, registry=registry) as east:
             with ClusterService(config, registry=registry) as west:
                 fed = FederatedBackend(
-                    {"east": ClusterBackend(east), "west": ClusterBackend(west)}
+                    {"east": east, "west": ClusterBackend(west)}
                 )
                 gateway = Gateway(fed)
                 rng = np.random.default_rng(0)
@@ -365,6 +421,8 @@ class TestMembershipAndMergedStats:
                 stats = gateway.stats()
                 assert_stats_schema(stats)
                 assert stats["latency"]["count"] >= 12
+                merged = LatencyHistogram.merged([east.merged_latency(), west.merged_latency()])
+                assert stats["latency"] == merged.summary()
                 assert stats["shards"] == 4
                 # Shared-registry members both know every id; the union dedups.
                 assert fed.model_ids() == sorted(model_ids)

@@ -2,8 +2,9 @@
 
 The headline invariants:
 
-* predictions through the loopback transport, the HTTP transport and the
-  direct facades are **bit-exact** on a seeded workload;
+* predictions through every serving surface — each service, the cluster
+  pass-through, a federation and the gateway's wire — are **bit-exact** on a
+  seeded workload;
 * a rate-limited tenant receives ``RESOURCE_EXHAUSTED`` — never a hang and
   never a bare exception — under a bursty replay;
 * every facade (service, cluster, gateway) emits the unified
@@ -20,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.autoscale import FederatedBackend
 from repro.cluster import ClusterConfig, ClusterService
 from repro.cluster.telemetry import assert_stats_schema
 from repro.errors import (
@@ -37,7 +39,6 @@ from repro.gateway import (
     Gateway,
     GatewayClient,
     GatewayConfig,
-    LocalBackend,
     LoopbackTransport,
     RetryMiddleware,
     ServingAPI,
@@ -77,27 +78,43 @@ def cluster(fleet):
         yield service
 
 
-class TestBackendAdapters:
-    def test_local_backend_predicts_and_reports(self, fleet, batch):
+def _cluster(registry, workers="threaded"):
+    return ClusterService(ClusterConfig(shards=2, workers=workers), registry=registry)
+
+
+#: surface -> (build it over a registry, the ``health()["backend"]`` it reports)
+PARITY_SURFACES = {
+    "service": (lambda registry: PersonalizationService(registry=registry), "local"),
+    "cluster-threaded": (_cluster, "cluster"),
+    "cluster-process": (lambda registry: _cluster(registry, "process"), "cluster"),
+    "cluster-backend": (lambda registry: ClusterBackend(_cluster(registry)), "cluster"),
+    "federated": (lambda registry: FederatedBackend({"solo": _cluster(registry)}), "federated"),
+    "gateway-loopback": (lambda registry: Gateway(_cluster(registry)), "cluster"),
+    "gateway-http": (lambda registry: Gateway(_cluster(registry)), "cluster"),
+}
+
+
+def _ask(client, requests):
+    """Every request through a gateway client, then its health reply."""
+    return [client.predict(r.model_id, r.inputs) for r in requests], client.health()
+
+
+class TestServices:
+    def test_local_service_predicts_and_reports(self, fleet, batch):
         registry, model_ids = fleet
-        backend = LocalBackend(PersonalizationService(ServiceConfig(), registry=registry))
-        response = backend.predict(PredictRequest(model_ids[0], batch))
+        service = PersonalizationService(ServiceConfig(), registry=registry)
+        assert isinstance(service, ServingAPI)
+        response = service.predict(PredictRequest(model_ids[0], batch))
         assert response.ok and response.model_id == model_ids[0]
-        assert backend.health()["status"] == "ok"
-        assert backend.model_ids() == model_ids
-        assert_stats_schema(backend.stats())
+        assert service.health()["status"] == "ok"
+        assert service.model_ids() == model_ids
+        assert_stats_schema(service.stats())
+        assert service.merged_latency().count == 1
 
-    def test_local_backend_maps_unknown_model(self, fleet, batch):
-        registry, _ = fleet
-        backend = LocalBackend(PersonalizationService(ServiceConfig(), registry=registry))
-        with pytest.raises(NotFoundError) as excinfo:
-            backend.predict(PredictRequest("ghost", batch))
-        assert excinfo.value.code == "NOT_FOUND"
-
-    def test_cluster_backend_partial_batch(self, fleet, cluster, batch):
+    def test_cluster_partial_batch(self, fleet, cluster, batch):
         _, model_ids = fleet
-        backend = ClusterBackend(cluster)
-        results = backend.predict_batch(
+        assert isinstance(cluster, ServingAPI)
+        results = cluster.predict_batch(
             [PredictRequest(model_ids[0], batch), PredictRequest("ghost", batch)]
         )
         assert results[0].ok and np.array_equal(
@@ -105,48 +122,47 @@ class TestBackendAdapters:
         )
         assert isinstance(results[1], NotFoundError)
 
-    def test_cluster_backend_shutdown_is_unavailable(self, fleet, batch):
+    def test_cluster_close_is_unavailable(self, fleet, batch):
         registry, model_ids = fleet
-        service = ClusterService(ClusterConfig(shards=2), registry=registry)
-        backend = ClusterBackend(service)
-        backend.close()
+        cluster = ClusterService(ClusterConfig(shards=2), registry=registry)
+        cluster.close()
         with pytest.raises(UnavailableError) as excinfo:
-            backend.predict(PredictRequest(model_ids[0], batch))
+            cluster.predict(PredictRequest(model_ids[0], batch))
         assert excinfo.value.code == "UNAVAILABLE"
 
 
 class TestTransportParity:
-    def test_loopback_http_and_direct_are_bit_exact(self, fleet, cluster):
-        """The acceptance invariant: one workload, three paths, same bits."""
-        _, model_ids = fleet
+    @pytest.mark.parametrize("surface", sorted(PARITY_SURFACES))
+    def test_every_surface_is_bit_exact(self, fleet, surface):
+        """The acceptance invariant: one workload, every surface, same bits
+        (and each surface keeps its ``health()["backend"]`` name)."""
+        registry, model_ids = fleet
         rng = np.random.default_rng(11)
-        batches = [
-            (model_ids[i % TENANTS], rng.standard_normal((1, *FLEET_INPUT_SHAPE)))
+        requests = [
+            PredictRequest(model_ids[i % TENANTS], rng.standard_normal((1, *FLEET_INPUT_SHAPE)))
             for i in range(6)
         ]
-        direct = [cluster.predict(m, b) for m, b in batches]
+        oracle = PersonalizationService(ServiceConfig(), registry=registry)
+        expected = [oracle.predict(request) for request in requests]
 
-        gateway = Gateway(ClusterBackend(cluster))
-        loopback = GatewayClient(LoopbackTransport(gateway))
-        via_loopback = [loopback.predict(m, b) for m, b in batches]
+        build, name = PARITY_SURFACES[surface]
+        with build(registry) as api:  # closing a gateway closes its backend
+            if surface == "gateway-http":
+                with serve_http(api) as server, GatewayClient(server.transport()) as client:
+                    answers, health = _ask(client, requests)
+            elif isinstance(api, Gateway):
+                answers, health = _ask(GatewayClient(LoopbackTransport(api)), requests)
+            else:
+                answers = [api.predict(request) for request in requests]
+                health = api.health()
 
-        with serve_http(gateway) as server:
-            with GatewayClient(server.transport()) as http_client:
-                via_http = [http_client.predict(m, b) for m, b in batches]
-
-        single = PersonalizationService(ServiceConfig(), registry=fleet[0])
-        via_local = [
-            LocalBackend(single).predict(PredictRequest(m, b)) for m, b in batches
-        ]
-
-        for d, lb, ht, lc in zip(direct, via_loopback, via_http, via_local):
-            assert np.array_equal(d.logits, lb.logits)
-            assert np.array_equal(d.logits, ht.logits)
-            assert np.array_equal(d.logits, lc.logits)
-            assert d.logits.dtype == ht.logits.dtype == np.float64
+        assert health["backend"] == name
+        for want, got in zip(expected, answers):
+            assert np.array_equal(want.logits, got.logits)
+            assert got.logits.dtype == np.float64
 
     def test_http_server_surface(self, fleet, cluster):
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         with serve_http(gateway) as server:
             assert server.port > 0
             client = GatewayClient(server.transport())
@@ -175,7 +191,7 @@ class TestTransportParity:
             conn.close()
 
     def test_http_transport_unreachable_is_unavailable(self, fleet, cluster):
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         server = serve_http(gateway)
         port = server.port
         server.stop()
@@ -304,7 +320,7 @@ class TestNoStallOnReplies:
         """One envelope, both transports, byte for byte — and the old
         nested-list array form decodes to the logits the packed form does."""
         registry, model_ids = fleet
-        gateway = Gateway(LocalBackend(PersonalizationService(ServiceConfig(), registry=registry)))
+        gateway = Gateway(PersonalizationService(ServiceConfig(), registry=registry))
         requests = [PredictRequest(m, batch, request_id=f"r{i}") for i, m in enumerate(model_ids)]
         packed = [r.to_dict() for r in requests]
         nested = [dict(p, inputs=batch.tolist()) for p in packed]
@@ -383,7 +399,7 @@ class TestMiddleware:
     def test_rate_limited_tenant_gets_resource_exhausted(self, fleet, cluster, batch):
         _, model_ids = fleet
         gateway = Gateway(
-            ClusterBackend(cluster), GatewayConfig(rate_per_s=1.0, burst=2)
+            cluster, GatewayConfig(rate_per_s=1.0, burst=2)
         )
         hot = GatewayClient(LoopbackTransport(gateway), tenant="hot")
         cold = GatewayClient(LoopbackTransport(gateway), tenant="cold")
@@ -416,7 +432,7 @@ class TestMiddleware:
 
     def test_quota_exhaustion(self, fleet, cluster, batch):
         _, model_ids = fleet
-        gateway = Gateway(ClusterBackend(cluster), GatewayConfig(quota=3))
+        gateway = Gateway(cluster, GatewayConfig(quota=3))
         client = GatewayClient(LoopbackTransport(gateway))
         for _ in range(3):
             client.predict(model_ids[0], batch)
@@ -426,7 +442,7 @@ class TestMiddleware:
 
     def test_deadline_spent_never_dispatches(self, fleet, cluster, batch):
         _, model_ids = fleet
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         client = GatewayClient(LoopbackTransport(gateway))
         with pytest.raises(DeadlineExceededError):
             client.predict(model_ids[0], batch, deadline_ms=0)
@@ -436,9 +452,9 @@ class TestMiddleware:
     def test_retry_recovers_from_transient_unavailability(self, fleet, batch):
         registry, model_ids = fleet
 
-        class Flaky(LocalBackend):
-            def __init__(self, service, failures):
-                super().__init__(service)
+        class Flaky(PersonalizationService):
+            def __init__(self, registry, failures):
+                super().__init__(registry=registry)
                 self.remaining = failures
                 self.calls = 0
 
@@ -449,7 +465,7 @@ class TestMiddleware:
                     raise UnavailableError("transient blip")
                 return super().predict(request, timeout)
 
-        flaky = Flaky(PersonalizationService(ServiceConfig(), registry=registry), 2)
+        flaky = Flaky(registry, 2)
         gateway = Gateway(flaky, GatewayConfig(max_attempts=3, retry_base_delay_s=0.0))
         client = GatewayClient(LoopbackTransport(gateway))
         assert client.predict(model_ids[0], batch).ok
@@ -466,11 +482,11 @@ class TestMiddleware:
         DEADLINE_EXCEEDED promptly instead of retrying past its budget."""
         registry, model_ids = fleet
 
-        class AlwaysDown(LocalBackend):
+        class AlwaysDown(PersonalizationService):
             def predict(self, request, timeout=None):
                 raise UnavailableError("down")
 
-        backend = AlwaysDown(PersonalizationService(ServiceConfig(), registry=registry))
+        backend = AlwaysDown(registry=registry)
         gateway = Gateway(
             backend, GatewayConfig(max_attempts=5, retry_base_delay_s=0.2)
         )
@@ -484,7 +500,7 @@ class TestMiddleware:
 
     def test_metrics_record_the_code_the_caller_sees(self, fleet, cluster):
         """Raw exceptions escaping the router count under their mapped code."""
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         bad = gateway.handle(
             ApiRequest("predict", {"model_id": "x", "inputs": [[1.0]]})
         )
@@ -505,7 +521,7 @@ class TestMiddleware:
         assert len(calls) == 1
 
     def test_validation_rejects_bad_envelopes(self, fleet, cluster):
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         wrong_version = gateway.handle(
             ApiRequest("health", version="v1")
         )
@@ -520,7 +536,7 @@ class TestMiddleware:
 
     def test_metrics_see_every_outcome(self, fleet, cluster, batch):
         _, model_ids = fleet
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         client = GatewayClient(LoopbackTransport(gateway))
         client.predict(model_ids[0], batch)
         with pytest.raises(NotFoundError):
@@ -537,10 +553,10 @@ class TestGatewayRoutes:
     def test_stats_schema_everywhere(self, fleet, cluster, batch):
         registry, model_ids = fleet
         single = PersonalizationService(ServiceConfig(), registry=registry)
-        single.predict(model_ids[0], batch)
+        single.predict(PredictRequest(model_ids[0], batch))
         assert_stats_schema(single.stats())
         assert_stats_schema(cluster.stats())
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         stats = gateway.stats()
         assert_stats_schema(stats)
         assert "per_route" in stats["gateway"]
@@ -559,7 +575,7 @@ class TestGatewayRoutes:
             )
 
     def test_stats_and_drain_routes(self, fleet, cluster):
-        gateway = Gateway(ClusterBackend(cluster))
+        gateway = Gateway(cluster)
         client = GatewayClient(LoopbackTransport(gateway))
         client.health()
         stats = client.stats()
@@ -571,8 +587,7 @@ class TestGatewayRoutes:
 
     def test_duplicate_ids_surface_invalid_argument(self, fleet, cluster, batch):
         _, model_ids = fleet
-        backend = ClusterBackend(cluster)
-        results = backend.predict_batch(
+        results = cluster.predict_batch(
             [
                 PredictRequest(model_ids[0], batch, request_id="dup"),
                 PredictRequest(model_ids[0], batch, request_id="dup"),
@@ -596,8 +611,8 @@ class TestLoadgenThroughGateway:
         workload = self._workload(model_ids)
         config = DriverConfig(time_scale=0.0)
 
-        local_report = LoadDriver(ClusterBackend(cluster), config).run(workload)
-        gateway = Gateway(ClusterBackend(cluster))
+        local_report = LoadDriver(cluster, config).run(workload)
+        gateway = Gateway(cluster)
         loopback_report = LoadDriver(
             GatewayClient(LoopbackTransport(gateway)), config
         ).run(self._workload(model_ids))
@@ -629,7 +644,7 @@ class TestLoadgenThroughGateway:
             model_ids, seed=0
         )
         gateway = Gateway(
-            ClusterBackend(cluster), GatewayConfig(rate_per_s=5.0, burst=4)
+            cluster, GatewayConfig(rate_per_s=5.0, burst=4)
         )
         client = GatewayClient(LoopbackTransport(gateway))
         report = LoadDriver(client, DriverConfig(time_scale=0.0)).run(workload)

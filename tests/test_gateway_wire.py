@@ -29,7 +29,7 @@ from repro.errors import (
 )
 from repro.cluster.shard import ShardKilledError, ShardOverloadError
 from repro.cluster.telemetry import LatencyHistogram
-from repro.gateway import API_VERSION, ApiRequest, ApiResponse, Gateway, LocalBackend
+from repro.gateway import API_VERSION, ApiRequest, ApiResponse, Gateway
 from repro.records import canonical_json, pack, unpack
 from repro.serve.types import PredictRequest, PredictResponse
 
@@ -336,7 +336,7 @@ class TestArrayCodec:
         with pytest.raises(InvalidArgumentError, match="packed array"):
             unpack(field, "<f8")
         # ...and from outside it is a 400 envelope, never a 500.
-        gateway = Gateway(LocalBackend(None))  # refused before any backend is reached
+        gateway = Gateway(None)  # refused before any backend is reached
         payload = {"model_id": "t", "inputs": field}
         for request in (
             ApiRequest("predict", payload),

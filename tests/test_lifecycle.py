@@ -31,7 +31,6 @@ from repro.lifecycle import (
     split_arm,
     synthetic_repersonalizer,
 )
-from repro.gateway.api import LocalBackend
 from repro.gateway.gateway import Gateway, GatewayConfig
 from repro.gateway.wire import ApiRequest
 from repro.loadgen import build_scenario
@@ -493,7 +492,7 @@ class TestGatewayRollback:
             ServiceConfig(cache_capacity=4), registry=registry
         )
         gateway = Gateway(
-            LocalBackend(service),
+            service,
             GatewayConfig(),
             middlewares=[RolloutMiddleware(table, resolve=registry.resolve)],
         )

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService
-from repro.gateway import ClusterBackend, LocalBackend
 from repro.loadgen import (
     ARRIVALS,
     POPULARITIES,
@@ -259,7 +258,7 @@ class TestLoadDriver:
             registry, ids = synthetic_fleet(tenants=4, seed=0)
             workload = build_scenario(scenario, requests=24).synthesize(ids, seed=0)
             with self._cluster(registry) as cluster:
-                report = LoadDriver(ClusterBackend(cluster)).run(workload)
+                report = LoadDriver(cluster).run(workload)
             assert report.hung == 0 and report.completed == 24
             payloads.append(
                 json.dumps(report.to_dict(timing=False), indent=2, sort_keys=True)
@@ -271,7 +270,7 @@ class TestLoadDriver:
         workload = build_scenario("closed-loop", requests=18).synthesize(ids, seed=0)
         assert workload.closed_loop and workload.concurrency == 8
         with self._cluster(registry) as cluster:
-            report = LoadDriver(ClusterBackend(cluster)).run(workload)
+            report = LoadDriver(cluster).run(workload)
         assert report.completed == 18 and report.hung == 0
 
     def test_sync_driver_matches_cluster_predictions(self):
@@ -279,12 +278,12 @@ class TestLoadDriver:
         registry, ids = synthetic_fleet(tenants=3, seed=0)
         workload = build_scenario("steady-uniform", requests=12).synthesize(ids, seed=0)
         single = PersonalizationService(ServiceConfig(cache_capacity=3), registry=registry)
-        sync_report = LoadDriver(LocalBackend(single), DriverConfig(time_scale=0.0)).run(workload)
+        sync_report = LoadDriver(single, DriverConfig(time_scale=0.0)).run(workload)
         registry2, ids2 = synthetic_fleet(tenants=3, seed=0)
         workload2 = build_scenario("steady-uniform", requests=12).synthesize(ids2, seed=0)
         with self._cluster(registry2) as cluster:
             async_report = LoadDriver(
-                ClusterBackend(cluster), DriverConfig(time_scale=0.0)
+                cluster, DriverConfig(time_scale=0.0)
             ).run(workload2)
         assert sync_report.completed == async_report.completed == 12
         assert sync_report.predictions_digest() == async_report.predictions_digest()
@@ -294,7 +293,7 @@ class TestLoadDriver:
         workload = build_scenario("diurnal-ramp", requests=10).synthesize(ids, seed=0)
         with self._cluster(registry) as cluster:
             report = LoadDriver(
-                ClusterBackend(cluster), DriverConfig(time_scale=0.0)
+                cluster, DriverConfig(time_scale=0.0)
             ).run(workload)
         # Unpaced replay finishes far inside the ~0.1s virtual duration.
         assert report.completed == 10
@@ -305,13 +304,13 @@ class TestLoadDriver:
         workload = build_scenario("shard-failure", requests=8).synthesize(ids, seed=0)
         single = PersonalizationService(ServiceConfig(), registry=registry)
         with pytest.raises(ValueError, match="ClusterService"):
-            LoadDriver(LocalBackend(single)).run(workload)
+            LoadDriver(single).run(workload)
 
     def test_per_shard_plan_covers_all_requests(self):
         registry, ids = synthetic_fleet(tenants=4, seed=0)
         workload = build_scenario("poisson-zipf", requests=20).synthesize(ids, seed=0)
         with self._cluster(registry, shards=3) as cluster:
-            report = LoadDriver(ClusterBackend(cluster)).run(workload)
+            report = LoadDriver(cluster).run(workload)
         assert sum(report.per_shard_planned.values()) == 20
         assert set(report.per_shard_planned) == {"0", "1", "2"}
         payload = report.to_dict()

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterService, ShardKilledError, ShardOverloadError
-from repro.gateway import ClusterBackend
 from repro.loadgen import (
     DriverConfig,
     FaultInjector,
@@ -161,7 +160,8 @@ class TestSlowShard:
             injector.restore_shard(0)
             cluster.drain()
             # Restored shard serves normally again.
-            response = cluster.predict(model_ids[0], _stream(model_ids)[0].inputs, timeout=10)
+            request = PredictRequest(model_ids[0], _stream(model_ids)[0].inputs)
+            response = cluster.predict(request, timeout=10)
             assert response.status == 200
 
 
@@ -170,18 +170,19 @@ class TestPoisonCache:
         registry, model_ids = synthetic_fleet(tenants=2, seed=0)
         request = _stream([model_ids[0]], requests=1)[0]
         single = PersonalizationService(ServiceConfig(cache_capacity=2), registry=registry)
-        expected = single.predict(model_ids[0], request.inputs)
+        expected = single.predict(PredictRequest(model_ids[0], request.inputs))
         with ClusterService(ClusterConfig(shards=2), registry=registry) as cluster:
             injector = FaultInjector(cluster)
             # Warm, then poison the live entry.
-            assert cluster.predict(model_ids[0], request.inputs, timeout=10).status == 200
+            response = cluster.predict(PredictRequest(model_ids[0], request.inputs), timeout=10)
+            assert response.status == 200
             injector.poison_cache(model_ids[0])
             future = cluster.submit(_stream([model_ids[0]], requests=1, seed=2)[0])
             with pytest.raises(PoisonedEngineError):
                 future.result(timeout=10)
             # Heal: evict the poisoned entry; the rebuild serves correct bits.
             injector.heal_cache(model_ids[0])
-            response = cluster.predict(model_ids[0], request.inputs, timeout=10)
+            response = cluster.predict(PredictRequest(model_ids[0], request.inputs), timeout=10)
             assert response.status == 200
             np.testing.assert_array_equal(response.logits, expected.logits)
 
@@ -195,7 +196,7 @@ class TestChaosScenarios:
         with ClusterService(
             ClusterConfig(shards=3, cache_capacity=2, max_pending=256), registry=registry
         ) as cluster:
-            report = LoadDriver(ClusterBackend(cluster), DriverConfig(time_scale=1.0)).run(workload)
+            report = LoadDriver(cluster, DriverConfig(time_scale=1.0)).run(workload)
         assert report.hung == 0, "a shard kill must never strand a future"
         assert report.completed + report.failed + report.rejected == len(workload)
         assert report.completed > 0
@@ -212,7 +213,7 @@ class TestChaosScenarios:
             ClusterConfig(shards=2, cache_capacity=2, max_pending=256, high_water=4),
             registry=registry,
         ) as cluster:
-            report = LoadDriver(ClusterBackend(cluster)).run(workload)
+            report = LoadDriver(cluster).run(workload)
             # End-of-run hygiene: the injected slowdown was cleared.
             assert all(w.chaos_delay_s == 0.0 for w in cluster._workers.values())
         assert report.hung == 0
@@ -248,7 +249,7 @@ class TestChaosScenarios:
         registry, model_ids = synthetic_fleet(tenants=4, seed=0)
         workload = scenario.synthesize(model_ids, seed=0)
         with ClusterService(ClusterConfig(shards=3), registry=registry) as cluster:
-            report = LoadDriver(ClusterBackend(cluster)).run(workload)
+            report = LoadDriver(cluster).run(workload)
             assert cluster.shards == 2  # the late heal removed the corpse
         assert [e["action"] for e in report.fault_log] == ["kill_shard", "heal_shard"]
         assert report.hung == 0
@@ -259,7 +260,7 @@ class TestChaosScenarios:
         with ClusterService(
             ClusterConfig(shards=2, cache_capacity=2, max_pending=256), registry=registry
         ) as cluster:
-            report = LoadDriver(ClusterBackend(cluster)).run(workload)
+            report = LoadDriver(cluster).run(workload)
         assert report.hung == 0
         assert report.completed + report.failed + report.rejected == 24
         assert report.completed > 0

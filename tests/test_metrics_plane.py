@@ -18,8 +18,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterService, ShardOverloadError
 from repro.cluster.telemetry import assert_stats_schema
-from repro.gateway import ClusterBackend, Gateway, serve_http
-from repro.gateway.api import LocalBackend
+from repro.gateway import Gateway, serve_http
 from repro.gateway.wire import ApiRequest
 from repro.loadgen import synthetic_fleet
 from repro.metrics import (
@@ -334,7 +333,7 @@ class TestStatsSchemaValueGuard:
 
     def test_facade_stats_satisfy_the_value_guard(self, rng):
         registry, model_ids = synthetic_fleet(tenants=2, seed=0)
-        facade = LocalBackend(PersonalizationService(registry=registry))
+        facade = PersonalizationService(registry=registry)
         facade.predict(PredictRequest(model_ids[0], fleet_inputs(rng)))
         assert_stats_schema(facade.stats())
 
@@ -418,28 +417,28 @@ class TestRecordSampleAndPoller:
 
 
 def _service_facade(registry):
-    return LocalBackend(PersonalizationService(registry=registry)), None
+    return PersonalizationService(registry=registry), None
 
 
 def _threaded_facade(registry):
     cluster = ClusterService(
         ClusterConfig(shards=2, workers="threaded"), registry=registry
     )
-    return ClusterBackend(cluster), cluster
+    return cluster, cluster
 
 
 def _process_facade(registry):
     cluster = ClusterService(
         ClusterConfig(shards=2, workers="process"), registry=registry
     )
-    return ClusterBackend(cluster), cluster
+    return cluster, cluster
 
 
 def _gateway_facade(registry):
     cluster = ClusterService(
         ClusterConfig(shards=2, workers="threaded"), registry=registry
     )
-    return Gateway(ClusterBackend(cluster)), cluster
+    return Gateway(cluster), cluster
 
 
 @pytest.mark.parametrize(
@@ -543,7 +542,7 @@ class TestGatewayRoutes:
     def test_metrics_and_statsz_over_http(self, rng):
         fleet, model_ids = synthetic_fleet(tenants=2, seed=0)
         with ClusterService(ClusterConfig(shards=2), registry=fleet) as cluster:
-            gateway = Gateway(ClusterBackend(cluster))
+            gateway = Gateway(cluster)
             request = PredictRequest(model_ids[0], fleet_inputs(rng))
             assert gateway.handle(
                 ApiRequest(method="predict", payload=request.to_dict())
@@ -569,7 +568,7 @@ class TestGatewayRoutes:
     def test_unknown_get_lists_routes(self, rng):
         fleet, _ = synthetic_fleet(tenants=2, seed=0)
         with ClusterService(ClusterConfig(shards=1), registry=fleet) as cluster:
-            gateway = Gateway(ClusterBackend(cluster))
+            gateway = Gateway(cluster)
             with serve_http(gateway) as server:
                 host, port = server.server_address[:2]
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -583,7 +582,7 @@ class TestGatewayRoutes:
         """The poller's exposition() is the socket-free /metrics equivalent."""
         fleet, model_ids = synthetic_fleet(tenants=2, seed=0)
         with ClusterService(ClusterConfig(shards=1), registry=fleet) as cluster:
-            gateway = Gateway(ClusterBackend(cluster))
+            gateway = Gateway(cluster)
             poller = TelemetryPoller(gateway)
             with serve_http(gateway, metrics=poller) as server:
                 host, port = server.server_address[:2]
@@ -666,7 +665,7 @@ class TestMonitorCli:
 
         fleet, model_ids = synthetic_fleet(tenants=2, seed=0)
         with ClusterService(ClusterConfig(shards=2), registry=fleet) as cluster:
-            gateway = Gateway(ClusterBackend(cluster))
+            gateway = Gateway(cluster)
             request = PredictRequest(model_ids[0], fleet_inputs(rng))
             assert gateway.handle(
                 ApiRequest(method="predict", payload=request.to_dict())

@@ -22,8 +22,8 @@ from repro.cluster import (
     ShardOverloadError,
 )
 from repro.errors import ApiError, InvalidArgumentError, UnavailableError
-from repro.gateway import ClusterBackend, Gateway, GatewayClient, LoopbackTransport
-from repro.serve import PersonalizationService, ServiceConfig
+from repro.gateway import Gateway, GatewayClient, LoopbackTransport
+from repro.serve import PersonalizationService, PredictRequest, ServiceConfig
 from repro.shm import SharedWeightStore
 
 from test_cluster import _assert_served, _fleet, _stream
@@ -83,7 +83,7 @@ class TestProcessClusterParity:
                 before = dispatches(stats)
                 direct = cluster.predict_batch(envelope, timeout=60)
                 between = dispatches(cluster.stats())
-                client = GatewayClient(LoopbackTransport(Gateway(ClusterBackend(cluster))))
+                client = GatewayClient(LoopbackTransport(Gateway(cluster)))
                 routed = client.predict_batch(envelope)
                 after = dispatches(cluster.stats())
             one_each = [int(shard_id in touched) for shard_id in sorted(cluster.shard_ids())]
@@ -151,7 +151,7 @@ class TestProcessClusterParity:
         registry, model_ids = _fleet(tenants=2)
         batch = rng.normal(size=(1, 3, 12, 12))
         with _process_cluster(registry) as cluster:
-            before = cluster.predict(model_ids[0], batch, timeout=60)
+            before = cluster.predict(PredictRequest(model_ids[0], batch), timeout=60)
             # Re-register the tenant with different weights (the
             # re-personalization path) through the cluster seam.
             cluster.service.personalize = lambda request, **kw: registry.register(
@@ -160,7 +160,7 @@ class TestProcessClusterParity:
                 model_id=model_ids[0],
             )
             assert cluster.personalize(None) == model_ids[0]
-            after = cluster.predict(model_ids[0], batch, timeout=60)
+            after = cluster.predict(PredictRequest(model_ids[0], batch), timeout=60)
             oracle = registry.build_engine(model_ids[0]).predict(batch)
         assert not np.array_equal(before.logits, after.logits)
         np.testing.assert_array_equal(after.logits, oracle)
@@ -215,13 +215,13 @@ class TestChaosSeams:
             injector = FaultInjector(cluster)
             injector.poison_cache(model_ids[0])
             with pytest.raises(ApiError):
-                response = cluster.predict(model_ids[0], batch, timeout=60)
+                response = cluster.predict(PredictRequest(model_ids[0], batch), timeout=60)
                 if not response.ok:  # pragma: no cover - defensive
                     raise UnavailableError(response.reason)
             injector.heal_cache(model_ids[0])
-            healed = cluster.predict(model_ids[0], batch, timeout=60)
+            healed = cluster.predict(PredictRequest(model_ids[0], batch), timeout=60)
             np.testing.assert_array_equal(
-                healed.logits, single.predict(model_ids[0], batch).logits
+                healed.logits, single.predict(PredictRequest(model_ids[0], batch)).logits
             )
 
     def test_chaos_delay_slows_dispatch(self):

@@ -17,7 +17,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.gateway.api import LocalBackend
 from repro.gateway.gateway import Gateway, GatewayConfig
 from repro.gateway.wire import ApiRequest
 from repro.lifecycle import RolloutMiddleware, RolloutTable, split_arm
@@ -102,7 +101,7 @@ class TestShadowIsolation:
             ServiceConfig(cache_capacity=4), registry=registry
         )
         gateway = Gateway(
-            LocalBackend(service),
+            service,
             GatewayConfig(),
             middlewares=[RolloutMiddleware(table, resolve=registry.resolve)],
         )

@@ -491,7 +491,7 @@ class TestPersonalizationService:
         assert 0.0 <= cache_stats["hit_rate"] <= 1.0
 
     def test_single_predict_round_trip(self, service, model_ids, rng):
-        response = service.predict(model_ids[0], rng.normal(size=(2, 3, 12, 12)))
+        response = service.predict(PredictRequest(model_ids[0], rng.normal(size=(2, 3, 12, 12))))
         assert response.model_id == model_ids[0]
         assert response.logits.shape == (2, 3)
         assert response.classes.shape == (2,)
@@ -540,26 +540,27 @@ class TestPersonalizationService:
         finally:
             service.registry.unregister(model_id)
 
-    def test_profile_personalize_shorthand(self, service, model_ids):
-        from repro.data import UserProfile
-
+    def test_repersonalizing_a_profile_keeps_its_id(self, service, model_ids):
         profile = service.registry.get(model_ids[0]).profile
         again = service.personalize(
-            UserProfile(profile.user_id, list(profile.preferred_classes)),
-            target_sparsity=0.7,
-            engine=EngineSpec(block_size=8),
+            PersonalizeRequest(
+                user_id=profile.user_id,
+                preferred_classes=list(profile.preferred_classes),
+                target_sparsity=0.7,
+                engine=EngineSpec(block_size=8),
+            )
         )
         assert again == model_ids[0]  # stable id: same profile + spec
         assert len(service.registry) == 2
 
     def test_service_save_load(self, service, model_ids, tmp_path, rng):
         batch = rng.normal(size=(2, 3, 12, 12))
-        expected = service.predict(model_ids[0], batch).logits
+        expected = service.predict(PredictRequest(model_ids[0], batch)).logits
         service.save(tmp_path / "fleet")
         reloaded = PersonalizationService.load(tmp_path / "fleet")
         assert reloaded.model_ids() == sorted(model_ids)
         np.testing.assert_allclose(
-            reloaded.predict(model_ids[0], batch).logits, expected, atol=1e-10
+            reloaded.predict(PredictRequest(model_ids[0], batch)).logits, expected, atol=1e-10
         )
 
     def test_workloads_from_service(self, service, model_ids):
@@ -602,7 +603,8 @@ class TestWritePathAgainstNCHWOracle:
                 PersonalizeRequest(user_id=0, preferred_classes=[1, 4, 6], target_sparsity=0.8)
             )
             batch = np.random.default_rng(3).normal(size=(4, 3, 12, 12))
-            return service.registry.get(model_id), service.predict(model_id, batch).logits
+            response = service.predict(PredictRequest(model_id, batch))
+            return service.registry.get(model_id), response.logits
         finally:
             # Never leave a model one side trained for the other, or a later test.
             clear_universal_model_cache()

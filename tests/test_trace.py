@@ -10,8 +10,7 @@ import pytest
 from repro import trace as rtrace
 from repro.cluster import ClusterConfig, ClusterService
 from repro.cluster.telemetry import assert_stats_schema
-from repro.gateway import ClusterBackend, Gateway, GatewayClient, LoopbackTransport
-from repro.gateway.api import LocalBackend
+from repro.gateway import Gateway, GatewayClient, LoopbackTransport
 from repro.gateway.wire import ApiRequest, ApiResponse
 from repro.loadgen import synthetic_fleet
 from repro.serve import PersonalizationService, PredictRequest
@@ -134,7 +133,7 @@ class TestEndToEnd:
         with ClusterService(
             ClusterConfig(shards=2, workers=workers), registry=registry
         ) as cluster:
-            gateway = Gateway(ClusterBackend(cluster))
+            gateway = Gateway(cluster)
             client = GatewayClient(LoopbackTransport(gateway))
             untraced = client.predict(model_ids[0], fleet_inputs(rng))
             assert untraced.trace is None
@@ -166,22 +165,22 @@ class TestEndToEnd:
 
 
 def _service_facade(registry, model_ids):
-    return LocalBackend(PersonalizationService(registry=registry)), None
+    return PersonalizationService(registry=registry), None
 
 
 def _threaded_facade(registry, model_ids):
     cluster = ClusterService(ClusterConfig(shards=2, workers="threaded"), registry=registry)
-    return ClusterBackend(cluster), cluster
+    return cluster, cluster
 
 
 def _process_facade(registry, model_ids):
     cluster = ClusterService(ClusterConfig(shards=2, workers="process"), registry=registry)
-    return ClusterBackend(cluster), cluster
+    return cluster, cluster
 
 
 def _gateway_facade(registry, model_ids):
     cluster = ClusterService(ClusterConfig(shards=2, workers="threaded"), registry=registry)
-    return Gateway(ClusterBackend(cluster)), cluster
+    return Gateway(cluster), cluster
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,12 @@ the file safe to share: threads (``threading.settrace``), forked shard
 children (they inherit the descriptor and leave through ``os._exit`` without
 running any exit hook) and later runs all add to it.  A Python started through
 ``subprocess`` is a new interpreter and is not traced.  ``report`` compiles
-every source file and walks the code objects for the denominator.
+every source file and walks the code objects for the denominator.  It lists
+the never-entered ``@abc.abstractmethod`` stubs (found with ``ast``) under
+their own heading: an interface declares them and nothing calls them, so the
+first list holds only code that can be deleted.
 """
+import ast
 import os
 import runpy
 import sys
@@ -72,18 +76,45 @@ def audit(code, entered: set, missed: list) -> int:
     return total
 
 
-def report(hits: str) -> None:
-    entered = set(Path(hits).read_text().split())
-    total, missed = 0, []
-    for path in sorted(Path(PREFIX).rglob("*.py")):
-        total += audit(compile(path.read_text(), str(path), "exec"), entered, missed)
+def abstract_stubs(path: Path, source: str) -> set:
+    """Keys of the ``@abstractmethod`` functions in one file.  A decorated
+    function's code starts at its first decorator, so that line is its key."""
+    stubs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            getattr(d, "attr", getattr(d, "id", None)) == "abstractmethod"
+            for d in node.decorator_list
+        ):
+            first = min(d.lineno for d in node.decorator_list)
+            stubs.add(f"{str(path)[len(PREFIX):]}:{first}:{node.name}")
+    return stubs
+
+
+def listing(codes: list) -> int:
+    """Print one line per code object; return the lines they span."""
     lines = 0
-    for code in missed:
+    for code in codes:
         span = max(line for _, _, line in code.co_lines() if line) - code.co_firstlineno + 1
         lines += span
         print(f"{key(code)}  ({span} lines)")
-    print(f"{len(missed)} of {total} named functions and class bodies "
+    return lines
+
+
+def report(hits: str) -> None:
+    entered = set(Path(hits).read_text().split())
+    total, missed, stubs = 0, [], set()
+    for path in sorted(Path(PREFIX).rglob("*.py")):
+        source = path.read_text()
+        total += audit(compile(source, str(path), "exec"), entered, missed)
+        stubs |= abstract_stubs(path, source)
+    dead = [code for code in missed if key(code) not in stubs]
+    lines = listing(dead)
+    print(f"{len(dead)} of {total} named functions and class bodies "
           f"({lines} lines) never entered")
+    print("\nabstract stubs, declared by an interface and never called:")
+    abstract = [code for code in missed if key(code) in stubs]
+    lines = listing(abstract)
+    print(f"{len(abstract)} abstract stubs ({lines} lines)")
 
 
 if __name__ == "__main__":
