@@ -13,9 +13,10 @@ The two halves of "the fleet manages itself":
 
 :func:`simulate_autoscaler` replays any open-loop loadgen scenario through a
 fluid queue model so control-loop behaviour is a byte-stable pure function
-of its inputs — the face CI diffs and the autoscaled-vs-static pipeline
-compares on — while :meth:`Autoscaler.attach` closes the same loop against a
-live :class:`~repro.cluster.ClusterService` under real traffic.
+of its inputs (``tests/test_autoscale.py::TestSimulator`` compares two runs
+byte for byte) and the autoscaled-vs-static pipeline compares on it, while
+:meth:`Autoscaler.attach` closes the same loop against a live
+:class:`~repro.cluster.ClusterService` under real traffic.
 """
 
 from .autoscaler import SIGNALS, Autoscaler

@@ -360,7 +360,8 @@ class ClusterService(ServingAPI):
 
     # -- inference ------------------------------------------------------------
     def submit(self, request: PredictRequest) -> Future:
-        """Route one request to its shard; returns the response future.
+        """Route one request to its shard; returns the response future at
+        once (the asynchronous override of :meth:`ServingAPI.submit`).
 
         Admission control: when the owning shard's pending count sits at
         or above the high-water mark (or its queue is outright full), the

@@ -8,8 +8,9 @@ the static-vs-managed compare (the default) or the managed arm alone
 Everything the command emits is deterministic: the replay is a pure
 function of (scenario, tenants, requests, seed, policy), so ``--json``
 payloads, ``--audit-jsonl`` transition logs and ``--decisions-jsonl``
-rollout decision logs are byte-identical across same-seed runs — CI diffs
-two runs to enforce it.
+rollout decision logs are byte-identical across same-seed runs
+(``tests/test_lifecycle.py::TestLifecycleHarness::test_same_seed_replays_are_byte_identical``
+compares two replays).
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ JSON output is split along the determinism line:
   scenario, plan digest, planned distribution and (for fault-free
   scenarios) outcome counts + predictions digest.  Two runs of
   ``loadgen --scenario zipf-burst --shards 4 --seed 0 --json`` produce
-  byte-identical output; CI diffs them to enforce it.
+  byte-identical output
+  (``tests/test_loadgen.py::TestLoadgenCLI::test_json_stdout_is_byte_stable``).
 * ``--measure`` adds the wall-clock ``slo`` block (latency percentiles,
   goodput, cluster merged p99) to the JSON — honest numbers that naturally
   differ between runs.  The human-readable report on stderr-free stdout
@@ -27,7 +28,6 @@ from ..cluster import WORKER_KINDS, ClusterConfig, ClusterService
 from ..gateway import Gateway, GatewayClient, LoopbackTransport, serve_http
 from ..loadgen import (
     SCENARIOS,
-    DriverConfig,
     LoadDriver,
     SLOReport,
     build_scenario,
@@ -219,12 +219,12 @@ class LoadgenConfig:
             raise ValueError(
                 f"scenario {self.scenario!r} kills a shard; run it with --shards >= 2"
             )
-        # The gateway client transports are synchronous; fault schedules need
-        # the async cluster target to race faults against in-flight futures.
+        # The fault injector kills, slows and poisons the cluster's shards
+        # through its handle, which a gateway client does not have.
         if faults and self.transport in ("loopback", "http"):
             raise ValueError(
-                f"chaos scenario {self.scenario!r} needs an async cluster "
-                "target; use --transport local"
+                f"chaos scenario {self.scenario!r} needs the cluster itself "
+                "as the target; use --transport local"
             )
         if self.trace:
             if faults:
@@ -268,8 +268,9 @@ def run_loadgen(
     predictions digest are transport-invariant by construction; the plan's
     ``per_shard`` view is not — a wire client sees one opaque endpoint, so it reports the whole
     plan under shard "0" while in-process targets report true placement.
-    Byte-compare artifacts per transport (as CI does for loopback vs HTTP),
-    or compare digests across transports.
+    Byte-compare artifacts per transport, or compare the ``outcomes`` block
+    across transports (``tests/test_cli_gates.py`` does, for every
+    fault-free scenario).
     """
     scenario = build_scenario(config.scenario, requests=config.requests)
     registry, model_ids = synthetic_fleet(
@@ -287,7 +288,6 @@ def run_loadgen(
         # deterministic scenarios never shed load for capacity reasons.
         high_water=min(scenario.high_water or max_pending, max_pending),
     )
-    driver_config = DriverConfig(time_scale=config.time_scale)
     from .. import trace as _trace
 
     if config.trace:
@@ -337,16 +337,16 @@ def run_loadgen(
                 poller.start()
             try:
                 if config.transport == "local":
-                    report = LoadDriver(cluster, driver_config).run(workload)
+                    report = LoadDriver(cluster, config.time_scale).run(workload)
                 else:
                     gateway = Gateway(cluster)
                     if config.transport == "loopback":
                         client = GatewayClient(LoopbackTransport(gateway))
-                        report = LoadDriver(client, driver_config).run(workload)
+                        report = LoadDriver(client, config.time_scale).run(workload)
                     else:  # http: a real socket on an ephemeral port
                         with serve_http(gateway) as server:
                             with GatewayClient(server.transport()) as client:
-                                report = LoadDriver(client, driver_config).run(workload)
+                                report = LoadDriver(client, config.time_scale).run(workload)
             finally:
                 if poller is not None:
                     # The final sample folds the run's tail window in, so a

@@ -7,16 +7,19 @@ gateway answered with; ``predict_batch`` returns the mixed per-item list
 (responses and :class:`~repro.errors.ApiError` instances) so partial
 results survive.  ``predict(model_id, batch, request_id=...)`` builds the
 :class:`~repro.serve.types.PredictRequest` a service's own ``predict``
-takes.
+takes; ``submit(request)`` is that call as an already-resolved future, the
+one surface a :class:`~repro.loadgen.LoadDriver` drives.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import ApiError, error_from_dict
+from ..serve.api import resolved
 from ..serve.types import PersonalizeRequest, PredictRequest, PredictResponse
 from .. import trace as _trace
 from ..trace import Trace
@@ -96,6 +99,11 @@ class GatewayClient:
             # portable across the wire even though clock origins are not.
             result.trace = Trace.from_wire(response.trace)
         return result
+
+    def submit(self, request: PredictRequest) -> Future:
+        """:meth:`predict` of ``request`` as a future resolved before return."""
+        return resolved(lambda: self.predict(
+            request.model_id, request.inputs, request_id=request.request_id))
 
     def predict_batch(
         self,

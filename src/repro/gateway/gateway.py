@@ -114,36 +114,25 @@ class Gateway:
 
         Tracing rides per request: the process-wide switch
         (:class:`repro.trace.tracing`) or the envelope's own ``trace`` flag
-        turns it on; otherwise the only added cost is this one boolean
-        check, and response bytes are exactly the pre-trace ones.
+        turns it on; otherwise the only added cost is that check, and
+        response bytes are exactly the pre-trace ones.  A traced envelope
+        records the ``gateway`` hop as its whole time; :meth:`_route` records
+        ``middleware`` as the time spent reaching the router, and the deeper
+        hops land as the request crosses the backend.
         """
-        if not (_trace.enabled() or request.trace):
-            try:
-                return self._pipeline(request)
-            except ApiError as err:
-                return ApiResponse.failure(request, err)
-            except Exception as exc:  # defence in depth
-                return ApiResponse.failure(request, error_from_exception(exc))
-        return self._handle_traced(request)
-
-    def _handle_traced(self, request: ApiRequest) -> ApiResponse:
-        """The traced twin of :meth:`handle`: same outcomes, plus spans.
-
-        The ``gateway`` hop is the whole envelope time; ``middleware`` is
-        recorded by :meth:`_route` as the time spent reaching the router,
-        and the deeper hops land as the request crosses the backend.
-        """
-        trace_ctx = Trace()
-        request._trace = trace_ctx
-        request._trace_started = time.perf_counter()
+        trace_ctx = Trace() if _trace.enabled() or request.trace else None
+        if trace_ctx is not None:
+            request._trace = trace_ctx
+            request._trace_started = time.perf_counter()
         try:
             response = self._pipeline(request)
         except ApiError as err:
             response = ApiResponse.failure(request, err)
         except Exception as exc:  # defence in depth
             response = ApiResponse.failure(request, error_from_exception(exc))
-        trace_ctx.add(HOP_GATEWAY, time.perf_counter() - request._trace_started)
-        response.trace = trace_ctx.to_wire()
+        if trace_ctx is not None:
+            trace_ctx.add(HOP_GATEWAY, time.perf_counter() - request._trace_started)
+            response.trace = trace_ctx.to_wire()
         return response
 
     def handle_json(self, raw) -> str:
@@ -251,9 +240,6 @@ class Gateway:
         if block is not None:
             stats["trace"] = block
         return assert_stats_schema(stats)
-
-    def drain(self) -> None:
-        self.backend.drain()
 
     def close(self) -> None:
         self.backend.close()

@@ -20,6 +20,7 @@ the HTTP transport runs handlers on concurrent threads.
 
 from __future__ import annotations
 
+import abc
 import random
 import threading
 import time
@@ -54,15 +55,12 @@ Handler = Callable[[ApiRequest], ApiResponse]
 _SHED_CODES = ("RESOURCE_EXHAUSTED", "UNAVAILABLE")
 
 
-class Middleware:
+class Middleware(abc.ABC):
     """One pipeline stage: observe/transform the call around ``call_next``."""
 
+    @abc.abstractmethod
     def handle(self, request: ApiRequest, call_next: Handler) -> ApiResponse:
-        raise NotImplementedError
-
-    # Introspection hook: middlewares with counters report them here.
-    def snapshot(self) -> Dict[str, object]:
-        return {}
+        """Answer ``request``, calling ``call_next`` to reach the next stage."""
 
 
 def build_pipeline(middlewares: Sequence[Middleware], terminal: Handler) -> Handler:

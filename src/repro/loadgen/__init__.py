@@ -13,10 +13,11 @@ the runtime's behaviour under it:
 * :mod:`repro.loadgen.scenario` — named :class:`Scenario` presets composing
   the two, plus scheduled :class:`FaultEvent` chaos, synthesized into
   replayable :class:`Workload` plans;
-* :mod:`repro.loadgen.driver` — :class:`LoadDriver`: paces a workload into
-  any :class:`~repro.serve.api.ServingAPI` or gateway client (async against a
-  :class:`~repro.cluster.ClusterService`, sync against the rest) and records
-  every outcome;
+* :mod:`repro.loadgen.driver` — :class:`LoadDriver`: one loop that paces
+  (or windows) a workload into any :class:`~repro.serve.api.ServingAPI` or
+  gateway client through its ``submit`` futures, fires the scheduled faults
+  between submissions and scores every outcome by one rule (a refusal or a
+  quota is *rejected*, any other error *failed*);
 * :mod:`repro.loadgen.report` — :class:`SLOReport`: p50/p95/p99 latency,
   goodput, rejection rate, per-shard imbalance, cluster merged percentiles;
 * :mod:`repro.loadgen.faults` — :class:`FaultInjector`: kill/slow a shard,
@@ -52,9 +53,8 @@ from .arrivals import (
     ConstantRate,
     DiurnalRamp,
     PoissonArrivals,
-    make_arrivals,
 )
-from .driver import DriverConfig, LoadDriver
+from .driver import LoadDriver
 from .faults import FaultInjector, PoisonedEngine, PoisonedEngineError
 from .fleet import FLEET_INPUT_SHAPE, synthetic_fleet
 from .popularity import (
@@ -64,7 +64,6 @@ from .popularity import (
     PopularityModel,
     UniformPopularity,
     ZipfPopularity,
-    make_popularity,
 )
 from .report import RequestOutcome, SLOReport
 from .scenario import (
@@ -85,14 +84,12 @@ __all__ = [
     "DiurnalRamp",
     "ClosedLoop",
     "ARRIVALS",
-    "make_arrivals",
     "PopularityModel",
     "UniformPopularity",
     "ZipfPopularity",
     "HotSetChurn",
     "ClassDriftPopularity",
     "POPULARITIES",
-    "make_popularity",
     "Scenario",
     "ScheduledRequest",
     "Workload",
@@ -101,7 +98,6 @@ __all__ = [
     "SCENARIOS",
     "build_scenario",
     "LoadDriver",
-    "DriverConfig",
     "SLOReport",
     "RequestOutcome",
     "FaultInjector",

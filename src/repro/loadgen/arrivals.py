@@ -27,6 +27,7 @@ The shapes cover the serving-paper canon:
 from __future__ import annotations
 
 import math
+import abc
 from dataclasses import dataclass
 from typing import Dict, List, Type
 
@@ -40,11 +41,10 @@ __all__ = [
     "DiurnalRamp",
     "ClosedLoop",
     "ARRIVALS",
-    "make_arrivals",
 ]
 
 
-class ArrivalProcess:
+class ArrivalProcess(abc.ABC):
     """Base class: a named generator of arrival offsets."""
 
     #: Registry key; subclasses override.
@@ -52,9 +52,9 @@ class ArrivalProcess:
     #: Closed-loop processes have no timestamps; the driver windows instead.
     closed_loop = False
 
+    @abc.abstractmethod
     def times(self, n: int, rng: np.random.Generator) -> List[float]:
         """``n`` non-decreasing arrival offsets in virtual seconds."""
-        raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
         """JSON description (stable keys, stable order via sort_keys)."""
@@ -189,10 +189,3 @@ ARRIVALS: Dict[str, Type[ArrivalProcess]] = {
     cls.kind: cls
     for cls in (ConstantRate, PoissonArrivals, BurstyOnOff, DiurnalRamp, ClosedLoop)
 }
-
-
-def make_arrivals(kind: str, **params) -> ArrivalProcess:
-    """Instantiate an arrival process by registry name."""
-    if kind not in ARRIVALS:
-        raise KeyError(f"Unknown arrival process {kind!r}; available: {sorted(ARRIVALS)}")
-    return ARRIVALS[kind](**params)

@@ -27,6 +27,7 @@ the same tenant sequence, bit for bit.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Type
 
@@ -39,18 +40,17 @@ __all__ = [
     "HotSetChurn",
     "ClassDriftPopularity",
     "POPULARITIES",
-    "make_popularity",
 ]
 
 
-class PopularityModel:
+class PopularityModel(abc.ABC):
     """Base class: a named generator of per-request tenant indices."""
 
     kind = "abstract"
 
+    @abc.abstractmethod
     def sequence(self, n: int, tenants: int, rng: np.random.Generator) -> List[int]:
         """``n`` tenant indices in ``[0, tenants)``."""
-        raise NotImplementedError
 
     def to_dict(self) -> Dict[str, object]:
         payload = {"kind": self.kind}
@@ -220,10 +220,3 @@ POPULARITIES: Dict[str, Type[PopularityModel]] = {
     cls.kind: cls
     for cls in (UniformPopularity, ZipfPopularity, HotSetChurn, ClassDriftPopularity)
 }
-
-
-def make_popularity(kind: str, **params) -> PopularityModel:
-    """Instantiate a popularity model by registry name."""
-    if kind not in POPULARITIES:
-        raise KeyError(f"Unknown popularity model {kind!r}; available: {sorted(POPULARITIES)}")
-    return POPULARITIES[kind](**params)

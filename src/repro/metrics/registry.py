@@ -12,7 +12,9 @@ format.
 Determinism is a first-class contract here, exactly as elsewhere in the
 repo: the clock is injectable, samples recorded with explicit timestamps
 produce byte-identical :meth:`MetricsRegistry.render` /
-:meth:`MetricsRegistry.to_dict` output across runs, and CI diffs them.
+:meth:`MetricsRegistry.to_dict` output across runs
+(``tests/test_metrics_plane.py``: ``TestExposition`` and
+``test_deterministic_exposition_is_byte_stable`` hold it).
 
 Counters deserve one note: the raw counters in a stats payload are *not*
 monotonic cluster-wide — removing a dead shard drops its counts from the

@@ -1,7 +1,7 @@
 """The Serving API v2 contract: what every deployment of a tenant model is.
 
-:class:`ServingAPI` is ``personalize`` / ``predict`` / ``predict_batch`` /
-``stats`` / ``health`` / ``drain`` over :mod:`repro.serve.types` messages,
+:class:`ServingAPI` is ``personalize`` / ``predict`` / ``submit`` /
+``predict_batch`` / ``stats`` / ``health`` / ``drain`` over :mod:`repro.serve.types` messages,
 failing only through the :mod:`repro.errors` taxonomy.  The single-process
 :class:`~repro.serve.PersonalizationService`, the sharded
 :class:`~repro.cluster.ClusterService` and the multi-cluster
@@ -14,8 +14,9 @@ because :mod:`repro.cluster` layers on this package.
 from __future__ import annotations
 
 import abc
+from concurrent.futures import Future
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ApiError, error_from_exception
 from .types import PersonalizeRequest, PredictRequest, PredictResponse
@@ -38,6 +39,16 @@ def _translated():
         raise
     except Exception as exc:
         raise error_from_exception(exc) from exc
+
+
+def resolved(call: Callable[[], PredictResponse]) -> Future:
+    """A future already holding ``call()``'s response or the error it raised."""
+    future: Future = Future()
+    try:
+        future.set_result(call())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 class ServingAPI(abc.ABC):
@@ -65,6 +76,11 @@ class ServingAPI(abc.ABC):
         if isinstance(result, ApiError):
             raise result
         return result
+
+    def submit(self, request: PredictRequest) -> Future:
+        """:meth:`predict` as a future; this default answers before returning
+        (the cluster's override queues and returns at once)."""
+        return resolved(lambda: self.predict(request))
 
     @abc.abstractmethod
     def predict_batch(

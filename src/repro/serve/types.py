@@ -42,13 +42,6 @@ __all__ = [
 class _JsonMessage:
     """Shared JSON round-trip plumbing for the serve dataclasses."""
 
-    def to_dict(self) -> Dict:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, payload: Dict):  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def to_json(self) -> str:
         """Serialize to a JSON string (arrays in their packed form)."""
         return json.dumps(self.to_dict())
@@ -188,10 +181,6 @@ class PredictRequest(_JsonMessage):
             raise ValueError(
                 f"inputs must be (N, C, H, W) images, got shape {self.inputs.shape}"
             )
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.inputs.shape[0])
 
     def to_dict(self) -> Dict:
         return {

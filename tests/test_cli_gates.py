@@ -4,8 +4,9 @@ re-implement in shell ``cmp``s and inline Python.
 Each row drives ``repro.experiments.cli.main`` exactly as a user would, with
 its artifacts written into a scratch directory, then checks what the run left
 behind.  Only claims no tier-1 test holds are here (the byte-identity ``cmp``s,
-the transport and deployment parities and the hop decomposition all are
-tier-1); everything is stress tier, runnable with::
+the deployment parities, the two-scenario transport parity and the hop
+decomposition all are tier-1; the transport parity of every fault-free
+scenario is the last test here); everything is stress tier, runnable with::
 
     PYTHONPATH=src python -m pytest -q -m stress tests/test_cli_gates.py
 """
@@ -19,7 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import main
+from repro.experiments.loadgen_cli import TRANSPORTS
 from repro.lifecycle import TRANSITIONS
+from repro.loadgen import SCENARIOS
 from repro.records import json_line
 
 
@@ -148,3 +151,22 @@ def test_cli_gate(argv, check, tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     check(capsys.readouterr().out)
     assert _shm_segments() <= before, "a run left a shared-memory segment behind"
+
+
+#: Every scenario without a fault schedule (chaos runs only over ``local``).
+FAULT_FREE = sorted(name for name, build in SCENARIOS.items() if not build().faults)
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("scenario", FAULT_FREE)
+def test_outcomes_are_transport_invariant(scenario, capsys):
+    """The same replay answers the same way in process, over the loopback
+    wire and over HTTP: the ``outcomes`` block is equal on all three."""
+    outcomes = {}
+    for transport in TRANSPORTS:
+        argv = ["loadgen", "--scenario", scenario, "--shards", "2", "--time-scale", "0",
+                "--smoke", "--transport", transport, "--json", "-"]
+        assert main(argv) == 0
+        outcomes[transport] = json.loads(capsys.readouterr().out)["outcomes"]
+    assert outcomes["local"]["completed"] == outcomes["local"]["requests"]
+    assert outcomes["loopback"] == outcomes["local"] == outcomes["http"]

@@ -21,8 +21,9 @@ message naming the bound, ``errors.rejected`` up by exactly one and one
 
 The next fault source is a request naming no registered tenant.  It is one
 :class:`~repro.errors.NotFoundError` on every surface: code ``NOT_FOUND``,
-HTTP 404, not retryable.  The cluster refuses it at the frontend before any
-shard sees it, so its worker axis has one value.
+HTTP 404, not retryable, and the future of every ``submit`` holds it.  The
+cluster refuses it at the frontend before any shard sees it, so its worker
+axis has one value.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.gateway import (
     ApiRequest,
     ClusterBackend,
     Gateway,
+    GatewayClient,
     GatewayConfig,
     LoopbackTransport,
 )
@@ -143,6 +145,12 @@ UNKNOWN_ID_SURFACES = {
         lambda: FederatedBackend({"solo": cluster}).predict(request, timeout=30)),
     "gateway_loopback": lambda service, cluster, request: _over_the_wire(
         cluster, request, status=404),
+    "service_submit": lambda service, cluster, request: (
+        service.submit(request).exception(timeout=30)),
+    "federated_submit": lambda service, cluster, request: (
+        FederatedBackend({"solo": cluster}).submit(request).exception(timeout=30)),
+    "client_submit": lambda service, cluster, request: GatewayClient(
+        LoopbackTransport(Gateway(cluster))).submit(request).exception(timeout=30),
 }
 
 

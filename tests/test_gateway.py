@@ -45,7 +45,6 @@ from repro.gateway import (
     serve_http,
 )
 from repro.loadgen import (
-    DriverConfig,
     LoadDriver,
     build_scenario,
     synthetic_fleet,
@@ -585,6 +584,15 @@ class TestGatewayRoutes:
         assert set(stats["gateway"]["per_route"]) >= {"health"}
         client.drain()  # must not raise
 
+    def test_drain_route_over_a_local_service(self, fleet, batch):
+        registry, model_ids = fleet
+        service = PersonalizationService(registry=registry)
+        client = GatewayClient(LoopbackTransport(Gateway(service)))
+        client.predict(model_ids[0], batch)
+        client.drain()  # the synchronous service has nothing left to answer
+        drain = client.stats()["gateway"]["per_route"]["drain"]
+        assert drain["requests"] == 1 and drain["errors"] == {}
+
     def test_duplicate_ids_surface_invalid_argument(self, fleet, cluster, batch):
         _, model_ids = fleet
         results = cluster.predict_batch(
@@ -601,25 +609,24 @@ class TestGatewayRoutes:
 
 
 class TestLoadgenThroughGateway:
-    def _workload(self, model_ids, requests=10):
-        return build_scenario("steady-uniform", requests=requests).synthesize(
-            model_ids, seed=0
-        )
-
-    def test_driver_digest_is_transport_invariant(self, fleet, cluster):
+    @pytest.mark.parametrize("scenario", ["steady-uniform", "closed-loop"])
+    def test_driver_digest_is_transport_invariant(self, fleet, cluster, scenario):
+        """Paced and windowed replays alike: a closed-loop replay over a
+        wire client goes through the same window as over the cluster."""
         _, model_ids = fleet
-        workload = self._workload(model_ids)
-        config = DriverConfig(time_scale=0.0)
 
-        local_report = LoadDriver(cluster, config).run(workload)
+        def workload():
+            return build_scenario(scenario, requests=10).synthesize(model_ids, seed=0)
+
+        local_report = LoadDriver(cluster, time_scale=0.0).run(workload())
         gateway = Gateway(cluster)
         loopback_report = LoadDriver(
-            GatewayClient(LoopbackTransport(gateway)), config
-        ).run(self._workload(model_ids))
+            GatewayClient(LoopbackTransport(gateway)), time_scale=0.0
+        ).run(workload())
         with serve_http(gateway) as server:
             http_report = LoadDriver(
-                GatewayClient(server.transport()), config
-            ).run(self._workload(model_ids))
+                GatewayClient(server.transport()), time_scale=0.0
+            ).run(workload())
 
         assert local_report.completed == loopback_report.completed == 10
         assert http_report.completed == 10
@@ -647,7 +654,7 @@ class TestLoadgenThroughGateway:
             cluster, GatewayConfig(rate_per_s=5.0, burst=4)
         )
         client = GatewayClient(LoopbackTransport(gateway))
-        report = LoadDriver(client, DriverConfig(time_scale=0.0)).run(workload)
+        report = LoadDriver(client, time_scale=0.0).run(workload)
         assert report.requests == 24
         assert report.hung == 0 and report.failed == 0
         assert report.rejected >= 1  # the burst tripped the bucket

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterService
+from repro.cluster import ClusterConfig, ClusterService, ShardOverloadError
+from repro.errors import UnavailableError
+from repro.gateway import Gateway, GatewayClient, GatewayConfig, LoopbackTransport
 from repro.loadgen import (
     ARRIVALS,
     POPULARITIES,
@@ -16,7 +19,7 @@ from repro.loadgen import (
     ClosedLoop,
     ConstantRate,
     DiurnalRamp,
-    DriverConfig,
+    FLEET_INPUT_SHAPE,
     FaultEvent,
     HotSetChurn,
     LoadDriver,
@@ -29,7 +32,7 @@ from repro.loadgen import (
     synthetic_fleet,
 )
 from repro.loadgen.report import STATUS_FAILED, STATUS_HUNG, STATUS_OK, STATUS_REJECTED
-from repro.serve import PersonalizationService, ServiceConfig
+from repro.serve import PersonalizationService, PredictRequest, ServiceConfig
 
 
 def _rng(seed=0):
@@ -278,13 +281,11 @@ class TestLoadDriver:
         registry, ids = synthetic_fleet(tenants=3, seed=0)
         workload = build_scenario("steady-uniform", requests=12).synthesize(ids, seed=0)
         single = PersonalizationService(ServiceConfig(cache_capacity=3), registry=registry)
-        sync_report = LoadDriver(single, DriverConfig(time_scale=0.0)).run(workload)
+        sync_report = LoadDriver(single, time_scale=0.0).run(workload)
         registry2, ids2 = synthetic_fleet(tenants=3, seed=0)
         workload2 = build_scenario("steady-uniform", requests=12).synthesize(ids2, seed=0)
         with self._cluster(registry2) as cluster:
-            async_report = LoadDriver(
-                cluster, DriverConfig(time_scale=0.0)
-            ).run(workload2)
+            async_report = LoadDriver(cluster, time_scale=0.0).run(workload2)
         assert sync_report.completed == async_report.completed == 12
         assert sync_report.predictions_digest() == async_report.predictions_digest()
 
@@ -292,9 +293,7 @@ class TestLoadDriver:
         registry, ids = synthetic_fleet(tenants=2, seed=0)
         workload = build_scenario("diurnal-ramp", requests=10).synthesize(ids, seed=0)
         with self._cluster(registry) as cluster:
-            report = LoadDriver(
-                cluster, DriverConfig(time_scale=0.0)
-            ).run(workload)
+            report = LoadDriver(cluster, time_scale=0.0).run(workload)
         # Unpaced replay finishes far inside the ~0.1s virtual duration.
         assert report.completed == 10
         assert report.elapsed_s < workload.virtual_duration_s + 1.0
@@ -318,11 +317,94 @@ class TestLoadDriver:
         # Observed completions agree with the plan when nothing fails.
         assert report.observed_per_shard() == report.per_shard_planned
 
-    def test_driver_config_validation(self):
-        with pytest.raises(ValueError):
-            DriverConfig(time_scale=-1.0)
-        with pytest.raises(ValueError):
-            DriverConfig(timeout_s=0.0)
+    def test_time_scale_validation(self):
+        registry, _ = synthetic_fleet(tenants=1, seed=0)
+        single = PersonalizationService(registry=registry)
+        with pytest.raises(ValueError, match="time_scale"):
+            LoadDriver(single, time_scale=-1.0)
+        assert LoadDriver(single, time_scale=0.0).time_scale == 0.0
+
+
+class _Refusing(PersonalizationService):
+    """A local service that refuses every request, as a full shard does."""
+
+    def predict(self, request, timeout=None):
+        raise ShardOverloadError.refusing(request, "queue full")
+
+
+class _Down(PersonalizationService):
+    """A local service in an outage: every request is ``UNAVAILABLE``."""
+
+    def predict(self, request, timeout=None):
+        raise UnavailableError("down")
+
+
+@contextmanager
+def _local_target(registry, source):
+    kind = {"refusal": _Refusing, "outage": _Down}.get(source, PersonalizationService)
+    yield kind(registry=registry)
+
+
+@contextmanager
+def _one_shard_cluster(registry, source):
+    """A one-shard cluster; a refusal holds one predict in a full shard, an
+    outage kills the shard."""
+    config = ClusterConfig(shards=1, max_pending=1)
+    with ClusterService(config, registry=registry) as cluster:
+        shard_id = cluster.shard_ids()[0]
+        if source == "outage":
+            cluster.kill_shard(shard_id)
+        if source != "refusal":
+            yield cluster
+            return
+        worker = cluster.worker(shard_id)
+        worker.begin_window()
+        model_id = registry.ids()[0]
+        held = cluster.submit(PredictRequest(model_id, np.zeros((1, *FLEET_INPUT_SHAPE))))
+        try:
+            yield cluster
+        finally:
+            worker.end_window()
+            assert held.result(timeout=30).ok
+
+
+@contextmanager
+def _loopback_client(registry, source):
+    """A loopback gateway client over a one-shard cluster; a refusal is the
+    rate limiter's spent quota."""
+    with _one_shard_cluster(registry, "outage" if source == "outage" else None) as cluster:
+        config = GatewayConfig(quota=1) if source == "refusal" else GatewayConfig()
+        client = GatewayClient(LoopbackTransport(Gateway(cluster, config)))
+        if source == "refusal":
+            client.predict(registry.ids()[0], np.zeros((1, *FLEET_INPUT_SHAPE)))
+        yield client
+
+
+#: target -> context manager building it over (registry, error source)
+OUTCOME_TARGETS = {
+    "local-service": _local_target,
+    "threaded-cluster": _one_shard_cluster,
+    "loopback-client": _loopback_client,
+}
+
+#: error source -> the status every request that hits it counts as
+OUTCOME_SOURCES = {"refusal": STATUS_REJECTED, "outage": STATUS_FAILED, "unknown-id": STATUS_FAILED}
+
+
+@pytest.mark.parametrize("source", sorted(OUTCOME_SOURCES))
+@pytest.mark.parametrize("target", sorted(OUTCOME_TARGETS))
+def test_one_outcome_rule_on_every_target(target, source):
+    """*Rejected* iff the error is a refusal or a quota, *failed* otherwise —
+    the same on every target the driver takes."""
+    registry, ids = synthetic_fleet(tenants=2, seed=0)
+    if source == "unknown-id":
+        ids = ["ghost"]  # a tenant the registry does not hold
+    workload = build_scenario("steady-uniform", requests=4).synthesize(ids, seed=0)
+    with OUTCOME_TARGETS[target](registry, source) as serving:
+        report = LoadDriver(serving, time_scale=0.0).run(workload)
+    statuses = {outcome.status for outcome in report.outcomes}
+    assert statuses == {OUTCOME_SOURCES[source]}
+    assert report.requests == 4 and report.hung == 0
 
 
 class TestLoadgenCLI:

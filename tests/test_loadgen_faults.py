@@ -24,7 +24,6 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterService, ShardKilledError, ShardOverloadError
 from repro.loadgen import (
-    DriverConfig,
     FaultInjector,
     LoadDriver,
     PoisonedEngineError,
@@ -196,7 +195,7 @@ class TestChaosScenarios:
         with ClusterService(
             ClusterConfig(shards=3, cache_capacity=2, max_pending=256), registry=registry
         ) as cluster:
-            report = LoadDriver(cluster, DriverConfig(time_scale=1.0)).run(workload)
+            report = LoadDriver(cluster, time_scale=1.0).run(workload)
         assert report.hung == 0, "a shard kill must never strand a future"
         assert report.completed + report.failed + report.rejected == len(workload)
         assert report.completed > 0
