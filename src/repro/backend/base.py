@@ -80,15 +80,9 @@ class Backend(ABC):
         return kernel(fmt, activations)
 
     # -- workspace management -------------------------------------------------
-    def clear_workspace(self) -> None:
-        """Drop any cached workspace buffers (no-op for stateless backends)."""
-
     def workspace_stats(self) -> Dict[str, int]:
         """Hit/miss counters and held bytes of the workspace cache (zeros when stateless)."""
         return {"hits": 0, "misses": 0, "buffers": 0, "bytes": 0}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<{type(self).__name__} name={self.name!r}>"
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ consume for inference.  Building one *compiles* the model
 (:mod:`repro.backend.plan`): a single walk emits a flat list of ops — conv /
 depthwise / linear / add / pool / flatten — with every ``BatchNorm`` folded
 into the conv or linear before it and every ReLU fused onto the op it
-follows, and ``predict`` runs that list.  No ``Module`` is called, and
-nothing on the module is written — except that an engine handed encodings
-(``formats=``) decodes them into its module when :attr:`Engine.module` is
-first read — and any number of threads may predict on one engine.
+follows, and ``predict`` runs that list.  The walk reads no weight, so a
+serving process walks each architecture once and builds every tenant's
+engine from the same plan (:meth:`Engine.bound`, with no module at all).
+No ``Module`` is called, and nothing on the module is written — except that
+an engine handed encodings (``formats=``) decodes them into its module when
+:attr:`Engine.module` is first read — and any number of threads may predict
+on one engine.
 
 Typical use::
 
@@ -46,7 +49,7 @@ still spells them, and the next ``benchmark`` PR removes those callers.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,7 +58,7 @@ from ..nn.models.base import prunable_layers
 from ..nn.module import Module
 from ..sparsity.formats import FormatSummary, WeightFormat, encode
 from .base import Backend, resolve_backend, weight_formats
-from .plan import compile_plan, run_plan
+from .plan import Plan, bind, compile_plan, run_plan
 
 __all__ = ["Engine", "WEIGHT_FORMATS", "encode_weights", "load_weights"]
 
@@ -103,9 +106,14 @@ class Engine:
         attach: bool = True,  # ignored; the next benchmark PR removes crispbench's callers
         formats: Optional[Dict[str, WeightFormat]] = None,
     ) -> None:
-        self._module = module
-        #: Installed encodings not yet decoded into ``module`` (see :attr:`module`).
-        self._undecoded: Optional[Mapping[str, WeightFormat]] = None
+        self._configure(backend, weight_format, n, m, block_size)
+        self._module, self._undecoded = module, None
+        if formats is None:
+            self.refresh_formats()
+        else:
+            self.install_formats(formats)
+
+    def _configure(self, backend, weight_format: str, n: int, m: int, block_size: int) -> None:
         self.backend = resolve_backend(backend)
         if weight_format not in weight_formats(self.backend):
             raise ValueError(
@@ -116,29 +124,25 @@ class Engine:
         self.n = n
         self.m = m
         self.block_size = block_size
-        if formats is None:
-            self.refresh_formats()
-        else:
-            self.install_formats(formats)
 
     @classmethod
-    def from_spec(
-        cls,
-        module: Module,
-        spec,
-        formats: Optional[Dict[str, WeightFormat]] = None,
-    ) -> "Engine":
-        """Build an engine from an :class:`~repro.serve.types.EngineSpec`.
+    def bound(cls, plan: Plan, state: Mapping[str, np.ndarray], formats: Mapping[str, WeightFormat],
+              spec, build_module: Callable[[], Module]) -> "Engine":
+        """An engine over an already compiled ``plan``, from stored arrays alone.
 
-        Accepts any object with ``backend`` / ``weight_format`` / ``n`` /
-        ``m`` / ``block_size`` attributes, so the serving layer's specs (and
-        their deserialized copies) materialize engines without this module
-        importing :mod:`repro.serve`.
+        ``state`` is the non-prunable ``state_dict`` and ``formats`` the
+        unfolded encodings (what a registry record stores): :func:`bind`
+        folds batch-norm into copies of the value arrays and checks every
+        format and state shape.  ``spec`` is anything with ``backend`` /
+        ``weight_format`` / ``n`` / ``m`` / ``block_size`` attributes, so the
+        serving layer's specs build engines without this module importing
+        :mod:`repro.serve`.  No module is built; ``build_module()`` makes one
+        on the first read of :attr:`module`.
         """
-        return cls(
-            module, spec.backend, spec.weight_format, spec.n, spec.m, spec.block_size,
-            formats=formats,
-        )
+        engine = cls.__new__(cls)
+        engine._configure(spec.backend, spec.weight_format, spec.n, spec.m, spec.block_size)
+        engine._bind(plan, state, formats, build_module)
+        return engine
 
     @property
     def spec(self):
@@ -148,24 +152,17 @@ class Engine:
         return EngineSpec(self.backend.name, self.weight_format, self.n, self.m, self.block_size)
 
     # -- compilation ----------------------------------------------------------
-    def _compile(self, formats: Optional[Mapping[str, WeightFormat]]) -> None:
-        """Walk the module, encode (or adopt) the unfolded weights, fold, swap the plan in.
+    def _bind(self, plan: Plan, state, formats, undecoded: Optional[Callable[[], Module]]) -> None:
+        """Bind ``plan`` to ``state`` and unfolded ``formats``; swap ops and folded formats in.
 
-        Plan and formats are replaced by assignment, so a predict running on
-        another thread finishes on the plan it started with.
+        Both are replaced by assignment, so a predict running on another
+        thread finishes on the ops it started with.  ``undecoded`` builds the
+        module on the next read of :attr:`module` (``None``: it is current).
         """
-        plan, scales = compile_plan(self._module, self.backend)
-        if formats is None:
-            formats = encode_weights(self.module, self)
-        # A prunable layer the forward never calls (no scale) is still stored and reported.
-        folded = {name: formats[name].scale_columns(scales[name]) if name in scales else formats[name]
-                  for name in prunable_layers(self._module)}
+        ops, folded = bind(plan, state, formats)
         for array in (array for fmt in folded.values() for array in fmt.arrays().values()):
             array.flags.writeable = False  # the kernels memoize what they derive from it
-        for op in plan:
-            if op.name in folded:
-                op.fmt = folded[op.name]
-        self._formats, self._plan = folded, plan
+        self._formats, self._plan, self._undecoded = folded, ops, undecoded
 
     def refresh_formats(self) -> None:
         """Recompile: re-read the module, re-encode every prunable layer, fold.
@@ -177,58 +174,48 @@ class Engine:
         the plan cannot express raises ``ValueError`` naming it — from here
         and from the constructor, never from a predict.
         """
-        self._compile(None)
+        module = self.module
+        self._bind(compile_plan(module, self.backend), module.state_dict(),
+                   encode_weights(module, self), None)
 
     def install_formats(self, formats: Dict[str, WeightFormat]) -> None:
         """Serve precomputed encodings instead of encoding the module's weights.
 
         ``formats`` are *unfolded* encodings — what :func:`encode_weights`
-        returns and a registry record stores — and the plan folds this
+        returns and a registry record stores — and :func:`bind` folds this
         module's batch-norm into copies of them, so an install encodes
         nothing.  The module supplies the architecture and the non-prunable
         state; from here on its prunable weights are these encodings', decoded
-        into it on the first read of :attr:`module`.  A registry record's or a
-        shared-memory segment's arrays are adopted as they are (read-only
-        views stay views) except each folded value array, which is this
-        engine's own; the ``fast`` kernels also decode each format into a
-        private GEMM operand on first use (``fmt.derived``, ~250 KiB for a
-        CRISP ``resnet_tiny``), one copy per process per resident engine.
+        into it on the first read of :attr:`module`.  Each folded value array
+        is this engine's own; every other array is adopted as it is (a
+        registry record's or a shared-memory segment's read-only views stay
+        views).  The ``fast`` kernels decode each format into a private GEMM
+        operand on first use (``fmt.derived``, ~250 KiB for a CRISP
+        ``resnet_tiny``), one copy per process per resident engine.
 
         They must cover exactly this module's prunable layers, each encoding
         the ``(reduction, out_channels)`` matrix of its layer — a mismatch
         fails here, naming the layer, not inside a kernel at the first
         predict; entries are kept in layer order.
         """
-        layers = prunable_layers(self._module)
-        if sorted(formats) != sorted(layers):
-            raise ValueError(
-                f"formats must cover exactly the prunable layers {sorted(layers)}; "
-                f"got {sorted(formats)}"
-            )
-        for name, layer in layers.items():
-            out_channels = layer.weight.data.shape[0]
-            expected = (layer.weight.data.size // out_channels, out_channels)
-            if formats[name].shape != expected:
-                raise ValueError(
-                    f"format for layer {name!r} encodes a {formats[name].shape} "
-                    f"matrix; the layer's weight is {expected}"
-                )
-        self._compile(formats)
-        self._undecoded = formats
+        module = self.module
+        self._bind(compile_plan(module, self.backend), module.state_dict(), formats,
+                   lambda: load_weights(module, formats))
 
     @property
     def module(self) -> Module:
-        """The module this engine compiles; after :meth:`install_formats`, decoded on first read.
+        """The module this engine compiles, built or decoded on first read when it is not current.
 
-        Serving never reads it, so an engine built from stored encodings pays
-        for the decode (:func:`load_weights`) only when something asks for
-        the weights — the hardware workload model, :meth:`refresh_formats`.
-        Two threads reading it first at once may both decode; they write the
-        same arrays, and neither returns before its own decode is complete.
+        Serving never reads it, so an engine built from stored arrays
+        (:meth:`bound`, :meth:`install_formats`) pays for the module (and the
+        decode, :func:`load_weights`) only when something asks for the
+        weights — the hardware workload model, :meth:`refresh_formats`.
+        Two threads reading it first at once may both build it; each gets a
+        complete module.
         """
-        if self._undecoded is not None:
-            load_weights(self._module, self._undecoded)
-            self._undecoded = None
+        undecoded = self._undecoded
+        if undecoded is not None:
+            self._module, self._undecoded = undecoded(), None
         return self._module
 
     @property
@@ -297,9 +284,3 @@ class Engine:
     def detach(self) -> "Engine":
         """Does nothing (see the module docstring); kept for crispbench's ``check.py``."""
         return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"Engine(backend={self.backend.name!r}, format={self.weight_format!r}, "
-            f"layers={len(self._formats)}, ops={len(self._plan)})"
-        )

@@ -44,7 +44,7 @@ import numpy as np
 from ..nn import functional as F
 from ..sparsity.formats import BlockedEllpackFormat, CRISPFormat, CSRFormat
 from ..sparsity.sparse_ops import check_activation_rows
-from .base import register_backend
+from .base import get_backend, register_backend
 from .reference import ReferenceBackend
 
 
@@ -129,7 +129,8 @@ def _dense_t(fmt) -> np.ndarray:
     """``fmt``'s dense transpose, C-contiguous, memoized as ``fmt.derived["dense_t"]``."""
     dense_t = fmt.derived.get("dense_t")
     if dense_t is None:
-        dense_t = fmt.derived["dense_t"] = np.ascontiguousarray(fmt.to_dense().T)
+        dense = _crisp_operand(fmt, "dense_t") if isinstance(fmt, CRISPFormat) else fmt.to_dense().T
+        dense_t = fmt.derived["dense_t"] = np.ascontiguousarray(dense)
     return dense_t
 
 
@@ -155,21 +156,42 @@ def _ellpack_row_tiles(fmt: BlockedEllpackFormat) -> np.ndarray:
     )
 
 
-def _crisp_row_tiles(fmt: CRISPFormat) -> np.ndarray:
-    """Resolve the N:M MUX: every stored value goes to the row its offset names.
+def _crisp_base(layout: str, block_rows: int, slots: int, groups: int, b: int, m: int,
+                rows: int) -> np.ndarray:
+    """Where each stored CRISP value with offset 0 lands in ``layout``'s flat memory (``b``: B).
 
-    Only non-zero stored values are placed (the rule :meth:`CRISPFormat.to_dense`
-    follows), so a padding entry — value 0 **and** offset 0 — never lands on
-    the real weight a group keeps at offset 0.
+    ``"tiles"``: ``(block_rows, slots, groups, B, 1)``, into the row-tile
+    stack laid out ``(block_rows, slots, column, group, m)``.  ``"dense_t"``:
+    ``(block_rows, 1, groups, B, 1)``, into the ``(cols, rows)`` transpose of
+    a ``rows``-row weight, for block column 0.
     """
-    block_rows, slots = fmt.block_cols.shape
-    block, m = fmt.block_size, fmt.m
-    tiles = np.zeros((block_rows, slots, block, block // m, m))
-    br, slot, g, col, k = np.nonzero(fmt.group_values)
-    tiles[br, slot, col, g, fmt.group_offsets[br, slot, g, col, k]] = fmt.group_values[
-        br, slot, g, col, k
-    ]
-    return tiles.reshape(block_rows, slots * block, block)
+    br, slot, g, col = np.ix_(range(block_rows), range(slots), range(groups), range(b))
+    base = ((br * slots + slot) * b + col) * b if layout == "tiles" else col * rows + br * b
+    return (base + g * m).astype(np.intp)[..., None]
+
+
+def _crisp_operand(fmt: CRISPFormat, layout: str = "tiles") -> np.ndarray:
+    """Resolve the N:M MUX: every stored value goes to the row its offset names, in one assignment.
+
+    ``layout`` is ``"tiles"`` (:func:`_tile_matmul`'s ``row_tiles``) or
+    ``"dense_t"`` (the dense transpose).  A value's flat index is a base that
+    depends on the stored shape alone (:func:`_crisp_base`, cached in the
+    fast backend's index table) plus its offset, plus its block column's
+    start for ``"dense_t"``.  Only non-zero stored values are placed (the
+    rule :meth:`CRISPFormat.to_dense` follows): a zero goes to a dump slot
+    past the end, so a padding entry — value 0 **and** offset 0 — never
+    lands on the real weight a group keeps at offset 0.
+    """
+    values, (rows, cols) = fmt.group_values, fmt.shape
+    block_rows, slots, groups, block, _ = values.shape
+    key = (layout, block_rows, slots, groups, block, fmt.m, rows)
+    index = get_backend("fast")._workspace.index(key, _crisp_base) + fmt.group_offsets
+    shape = (block_rows, slots * block, block) if layout == "tiles" else (cols, rows)
+    if layout == "dense_t":
+        index += (fmt.block_cols * (block * rows))[:, :, None, None, None]
+    placed = np.zeros(np.prod(shape) + 1)
+    placed[np.where(values != 0, index, placed.size - 1)] = values
+    return placed[:-1].reshape(shape)
 
 
 def _tile_matmul(fmt, activations: np.ndarray, build_row_tiles) -> np.ndarray:
@@ -236,11 +258,11 @@ def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
     """Vectorized CRISP GEMM: decode the N:M offsets once, then :func:`_tile_matmul`.
 
     The offsets are weight-side metadata, so the MUX of Fig. 6 is resolved
-    on the first call (:func:`_crisp_row_tiles`) into the operand the
+    on the first call (:func:`_crisp_operand`) into the operand the
     Blocked-Ellpack kernel uses; every later call is the same two GEMMs.
     What is stored and shipped stays the CRISP encoding.
     """
-    return _tile_matmul(fmt, activations, _crisp_row_tiles)
+    return _tile_matmul(fmt, activations, _crisp_operand)
 
 
 def _tap_index(n: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int,

@@ -12,14 +12,19 @@ What the walk fuses, always into the op that *produced* the activation and
 only when nothing else has read it:
 
 * a ``BatchNorm`` (its running statistics — inference semantics) into the
-  conv / depthwise / linear before it: ``gamma / sqrt(var + eps)`` scales the
-  output channels of the weight, ``beta - mean * scale`` joins the bias.  The
-  walk never reads a conv / linear weight: :func:`compile_plan` hands back
-  the scale per layer name, and the caller folds it into the layer's
-  *encoded* weight — scaling output channels scales columns of the
-  ``(reduction, out)`` matrix, so every pruned zero stays a zero;
+  conv / depthwise / linear before it, recorded by the batch-norm's name and
+  ``eps``;
 * a ``ReLU`` / ``ReLU6`` as a flag, applied in place on the op's output;
 * a residual ``a + b`` in place on whichever operand is an op's own buffer.
+
+The walk reads no array and does no arithmetic, so its :class:`Plan` is the
+same for every model of one architecture: a serving process compiles one per
+architecture and :func:`bind` makes each tenant's ops from it.  The fold is
+done there, from ``state_dict`` keys: ``gamma / sqrt(var + eps)`` scales the
+output channels, ``beta - mean * scale`` joins the bias, and the scale goes
+into the layer's *encoded* weight (``fmt.scale_columns``) — scaling output
+channels scales columns of the ``(reduction, out)`` matrix, so every pruned
+zero stays a zero.
 
 Activations between ops are laid out the way the kernels produce and consume
 them: ``(channels, N, H, W)`` C-contiguous — ``weight.T @ activations`` is
@@ -34,23 +39,27 @@ exists only at the input edge.
 
 Ops are instances of module-level classes holding arrays, formats and the
 backend — never the engine, the module or a closure — so a dropped engine is
-freed by reference counting alone.  ``backend.im2col`` and
-``backend.sparse_matmul`` are looked up by attribute on every call: a profiler
-that wraps them on the backend instance after a plan was compiled still sees
-every kernel.
+freed by reference counting alone.  A plan's own ops hold no array: a bound
+conv op is a copy, and the ops that carry no weight are shared by every
+binding.  ``backend.im2col`` and ``backend.sparse_matmul`` are looked up by
+attribute on every call: a profiler that wraps them on the backend instance
+after a plan was compiled still sees every kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import copy
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn import layers as L
+from ..nn.models.base import prunable_layers
 from ..nn.module import Module
+from ..sparsity.formats import WeightFormat
 
-__all__ = ["compile_plan", "run_plan"]
+__all__ = ["Plan", "compile_plan", "bind", "run_plan"]
 
 
 class _Op:
@@ -75,9 +84,14 @@ class _Op:
 
 
 class _Conv(_Op):
-    """A convolution — or a linear layer, which is a 1x1 one over ``(features, N, 1, 1)``."""
+    """A convolution — or a linear layer, which is a 1x1 one over ``(features, N, 1, 1)``.
 
-    __slots__ = ("backend", "fmt", "kernel", "stride", "padding")
+    ``channels`` (its outputs), ``biased`` and ``folds`` (the ``(name, eps)``
+    of each batch-norm folded into it, in order) are what :func:`bind` reads;
+    ``fmt`` and ``bias`` are set on a tenant's copy.
+    """
+
+    __slots__ = ("backend", "fmt", "kernel", "stride", "padding", "channels", "biased", "folds")
 
     def operand(self, x: np.ndarray):
         """``(reduction, N * oh * ow)`` for the GEMM, and ``(oh, ow)``."""
@@ -166,9 +180,6 @@ class _Tracer:
         self.backend = backend
         self.names = {id(sub): name or "<root>" for name, sub in module.named_modules()}
         self.ops: List[_Op] = []
-        #: conv / linear layer name -> the product of the output-channel scales
-        #: of the BNs folded into it (ones when there is none).
-        self.scales: Dict[str, np.ndarray] = {}
 
     # -- plumbing -------------------------------------------------------------
     def call(self, module: Module, value: _Value) -> _Value:
@@ -215,27 +226,18 @@ class _Tracer:
 
     # -- leaf layers ----------------------------------------------------------
     def conv(self, name: str, layer, value: _Value) -> _Value:
-        if name in self.scales:
+        if any(op.name == name for op in self.ops):
             raise ValueError(f"cannot compile layer {name!r}: it is called twice in one forward")
-        op = (_Depthwise if type(layer) is L.DepthwiseConv2d else _Conv)(
-            self.read(value, repr(name)), name, backend=self.backend,
+        return self.emit((_Depthwise if type(layer) is L.DepthwiseConv2d else _Conv)(
+            self.read(value, repr(name)), name, backend=self.backend, fmt=None,
             kernel=getattr(layer, "kernel_size", 1), stride=getattr(layer, "stride", 1),
-            padding=getattr(layer, "padding", 0),
-        )
-        if type(op) is _Depthwise:  # its own weight, folded by compile_plan
-            op.fmt = layer.weight.effective()
-        self.scales[name] = np.ones(layer.weight.data.shape[0])
-        if layer.bias is not None:
-            op.bias = layer.bias.data[:, None].copy()
-        return self.emit(op)
+            padding=getattr(layer, "padding", 0), channels=layer.weight.data.shape[0],
+            biased=layer.bias is not None, folds=[],
+        ))
 
     def batchnorm(self, name: str, layer, value: _Value) -> _Value:
         value = self.fused(value, f"batch-norm {name!r}", _Conv)
-        scale = layer.gamma.data / np.sqrt(layer.running_var + layer.eps)
-        self.scales[value.op.name] = self.scales[value.op.name] * scale
-        shift = (layer.beta.data - layer.running_mean * scale)[:, None]
-        bias = value.op.bias
-        value.op.bias = shift if bias is None else bias * scale[:, None] + shift
+        value.op.folds.append((name, layer.eps))
         return value
 
     def activation(self, name: str, layer, value: _Value) -> _Value:
@@ -281,22 +283,79 @@ _LEAVES = {
 }
 
 
-def compile_plan(module: Module, backend) -> Tuple[List[_Op], Dict[str, np.ndarray]]:
-    """Walk ``module`` once; return ``(ops, output-channel scales by layer name)``.
+class Plan(NamedTuple):
+    """What one walk compiles: the same for every model of one architecture.
 
-    A depthwise op already holds its folded weight.  Every other conv /
-    linear op comes back with ``fmt`` unset and its weight unread: the caller
-    folds the scale into that layer's encoding (``fmt.scale_columns``) and
-    binds it by ``op.name``.  Raises ``ValueError`` naming the layer for
-    anything the plan cannot express.
+    ``ops`` never hold a tenant's arrays (:func:`bind` copies the conv ops it
+    fills in); ``layers`` is every prunable layer's ``(reduction, out)``
+    shape, in layer order; ``shapes`` the shape of every other
+    ``state_dict`` key (everything but the prunable weights).
     """
+
+    ops: List[_Op]
+    layers: Dict[str, Tuple[int, int]]
+    shapes: Dict[str, Tuple[int, ...]]
+
+
+def compile_plan(module: Module, backend) -> Plan:
+    """Walk ``module`` once, reading no weight; raises ``ValueError`` naming the
+    layer for anything the plan cannot express."""
     tracer = _Tracer(module, backend)
     tracer.call(module, _Value(tracer, 0))
-    for op in tracer.ops:
-        if type(op) is _Depthwise:
-            weight = op.fmt * tracer.scales.pop(op.name).reshape((-1,) + (1,) * (op.fmt.ndim - 1))
-            op.fmt = weight.reshape(weight.shape[0], -1)
-    return tracer.ops, tracer.scales
+    layers = {name: (layer.weight.data.size // len(layer.weight.data), len(layer.weight.data))
+              for name, layer in prunable_layers(module).items()}
+    shapes = {key: param.data.shape for key, param in module.named_parameters()
+              if key.removesuffix(".weight") not in layers}
+    shapes.update((f"{key}::buffer", buffer.shape) for key, buffer in module.named_buffers())
+    return Plan(tracer.ops, layers, shapes)
+
+
+def bind(
+    plan: Plan, state: Mapping[str, np.ndarray], formats: Mapping[str, WeightFormat]
+) -> Tuple[List[_Op], Dict[str, WeightFormat]]:
+    """One model's ops over ``plan``, and its folded encodings by layer, in layer order.
+
+    ``state`` holds the non-prunable arrays by ``state_dict`` key and
+    ``formats`` each prunable layer's *unfolded* encoding.  Per batch-norm
+    folded into an op, ``scale = gamma / sqrt(var + eps)`` multiplies the
+    output channels and ``beta - mean * scale`` joins the bias; a depthwise
+    op's weight is scaled here, every other op's encoding by
+    ``fmt.scale_columns``.  A prunable layer the forward never calls is kept
+    unscaled.  Raises ``ValueError`` naming a layer whose encoding is missing
+    or does not encode its ``(reduction, out)`` matrix, or a state key that is
+    missing or mis-shaped.
+    """
+    if sorted(formats) != sorted(plan.layers):
+        raise ValueError(
+            f"formats must cover exactly the prunable layers {sorted(plan.layers)}; "
+            f"got {sorted(formats)}"
+        )
+    for name, shape in plan.layers.items():
+        if formats[name].shape != shape:
+            raise ValueError(f"format for layer {name!r} encodes a {formats[name].shape} "
+                             f"matrix; the layer's weight is {shape}")
+    for key, shape in plan.shapes.items():
+        got = np.shape(state[key]) if key in state else "nothing"
+        if got != shape:
+            raise ValueError(f"state {key!r} must be a {shape} array; got {got}")
+    folded = {name: formats[name] for name in plan.layers}
+    ops = [copy.copy(op) if isinstance(op, _Conv) else op for op in plan.ops]
+    for op in (op for op in ops if isinstance(op, _Conv)):
+        scale = np.ones(op.channels)
+        op.bias = state[f"{op.name}.bias"][:, None].copy() if op.biased else None
+        for name, eps in op.folds:
+            gamma, beta, mean, var = (state[f"{name}.{key}"] for key in (
+                "gamma", "beta", "running_mean::buffer", "running_var::buffer"))
+            bn_scale = gamma / np.sqrt(var + eps)
+            scale = scale * bn_scale
+            shift = (beta - mean * bn_scale)[:, None]
+            op.bias = shift if op.bias is None else op.bias * bn_scale[:, None] + shift
+        if type(op) is _Depthwise:  # (channels, 1, k, k)
+            weight = state[f"{op.name}.weight"]
+            op.fmt = (weight * scale[:, None, None, None]).reshape(len(weight), -1)
+        else:
+            op.fmt = folded[op.name] = folded[op.name].scale_columns(scale)
+    return ops, folded
 
 
 def run_plan(plan: List[_Op], batch: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Materializing an :class:`~repro.backend.engine.Engine` is the per-tenant
 fixed cost of serving.  The registry record already holds every prunable
-layer's encoding, so a build encodes and decodes nothing: it rebuilds the zoo
-skeleton, loads the non-prunable state, compiles the plan and folds
-batch-norm into a copy of each stored value array — about 1.4 ms for a
-CRISP-encoded ``resnet_tiny`` on a 2-core x86-64 VM (it was ~4 ms while
-every build re-encoded 14 layers).  The first forward after it adds ~1.3 ms
-(the ``fast`` kernels decode each format into GEMM operands once), so a miss
-costs about four warm single-image forwards (~0.75 ms each).
+layer's encoding and the process holds one compiled plan per architecture,
+so a build encodes, decodes and walks nothing and constructs no module: it
+binds the record's arrays to the plan, folding batch-norm into a copy of each
+stored value array — about 1.1 ms for a CRISP-encoded ``resnet_tiny`` on a
+2-core x86-64 VM.  The first forward after it adds about 1 ms (the ``fast``
+kernels place each format's stored values into GEMM operands once), so a
+miss costs about three warm single-image forwards (~0.9 ms each on that
+host).
 The cache amortises that cost across requests: the first request for a
 model id pays the build, subsequent requests reuse the compiled engine, and
 a bounded capacity keeps memory proportional to the number of *hot* tenants

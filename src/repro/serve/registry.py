@@ -42,11 +42,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..backend.engine import Engine, encode_weights, load_weights
+from ..backend.plan import Plan, compile_plan
 from ..data.loader import UserProfile
 from ..nn.models import build_model
 from ..nn.module import Module
@@ -55,6 +57,11 @@ from ..sparsity.formats import FORMATS, WeightFormat
 from .types import EngineSpec
 
 __all__ = ["ModelRecord", "ModelRegistry"]
+
+#: The compiled plan of each ``(arch, num_classes, input_size, backend)`` this
+#: process has built an engine for: one walk per architecture, not per tenant
+#: (two threads missing one key at once may both walk; either plan serves).
+_PLANS: Dict[Tuple[str, int, int, str], Plan] = {}
 
 
 @dataclass
@@ -85,16 +92,23 @@ class ModelRecord:
         return load_weights(self._skeleton(), self.formats)
 
     def build_engine(self) -> Engine:
-        """Compile an engine from the stored arrays, encoding and decoding nothing.
+        """Bind the stored arrays to their architecture's plan, encoding and decoding nothing.
 
         The one engine build of the serving system: the registry's (over
         ``ndarray``s) and a shard child's (over read-only shared-memory
-        views).  It builds the zoo skeleton, loads the non-prunable state,
-        compiles the plan and folds batch-norm into copies of the stored
-        value arrays.  ``engine.module`` is decoded on its first read.  A
-        format that does not fit its layer raises ``ValueError`` naming it.
+        views).  The plan is compiled once per architecture key in the
+        process, from a zoo module; a build after that constructs no module
+        — it folds batch-norm from ``state`` into copies of the stored value
+        arrays (:func:`~repro.backend.plan.bind`).  ``engine.module`` is
+        built from this record on its first read.  A format that does not
+        fit its layer, or a state array that is missing or mis-shaped,
+        raises ``ValueError`` naming it.
         """
-        return Engine.from_spec(self._skeleton(), self.spec, formats=self.formats)
+        key = (self.arch, self.num_classes, self.input_size, self.spec.backend)
+        if key not in _PLANS:
+            skeleton = build_model(self.arch, self.num_classes, self.input_size, seed=0)
+            _PLANS[key] = compile_plan(skeleton, get_backend(self.spec.backend))
+        return Engine.bound(_PLANS[key], self.state, self.formats, self.spec, self.build_module)
 
     def record_dict(self) -> Dict:
         """JSON-serializable half of the record (arrays live in ``state.npz``)."""

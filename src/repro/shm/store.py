@@ -7,7 +7,8 @@ model.  A segment is a copy of the registry record's arrays
 engine is built to publish one:
 
 * the non-prunable state (batch-norm parameters and statistics, biases,
-  depthwise weights) — copied into the rebuilt module once per engine build;
+  depthwise weights) — read in place by each engine build, which folds it
+  into the engine's own bias and depthwise arrays;
 * the *unfolded* encoding of every prunable layer, whatever its format: the
   store packs ``fmt.arrays()`` next to ``fmt.params()`` and rebuilds through
   ``FORMATS[kind].from_parts`` (the :class:`~repro.sparsity.formats.WeightFormat`
@@ -189,9 +190,11 @@ def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
 
     The entry's views become a :class:`~repro.serve.registry.ModelRecord`
     and it builds the engine the way the registry does
-    (:meth:`~repro.serve.registry.ModelRecord.build_engine`): only the
-    non-prunable state is copied, into the module; each folded value array
-    is the engine's own; every other format array stays a view.
+    (:meth:`~repro.serve.registry.ModelRecord.build_engine`), from the
+    process's plan for the architecture: each folded value array, bias and
+    depthwise weight is the engine's own; every other format array stays a
+    view.  A missing or mis-shaped state or format array is
+    ``InternalError`` (malformed).
     """
     from ..serve.registry import ModelRecord
     from ..serve.types import EngineSpec

@@ -80,10 +80,6 @@ class FormatSummary:
     def total_bits(self) -> int:
         return self.data_bits + self.metadata_bits
 
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8.0
-
     def metadata_overhead_vs(self, other: "FormatSummary") -> float:
         """Ratio of this format's metadata bits to another's (Fig. 4 comparison)."""
         if other.metadata_bits == 0:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.backend import Backend, Engine, FastBackend, available_backends, get_backend
 from repro.backend.fast import (
     DENSE_OPERAND_MAX_ENTRIES,
+    _crisp_operand,
     blocked_ellpack_matmul_fast,
     crisp_matmul_fast,
 )
@@ -169,6 +170,19 @@ def reassembled(fmt):
     return padded[: fmt.shape[0], : fmt.shape[1]]
 
 
+def _nonzero_row_tiles(fmt):
+    """CRISP's row tiles as the fast backend once built them: a 5-D ``np.nonzero``
+    gather of the non-zero stored values (the oracle of the flat index)."""
+    block_rows, slots = fmt.block_cols.shape
+    block, m = fmt.block_size, fmt.m
+    tiles = np.zeros((block_rows, slots, block, block // m, m))
+    br, slot, g, col, k = np.nonzero(fmt.group_values)
+    tiles[br, slot, col, g, fmt.group_offsets[br, slot, g, col, k]] = fmt.group_values[
+        br, slot, g, col, k
+    ]
+    return tiles.reshape(block_rows, slots * block, block)
+
+
 class TestTileGemmDecode:
     """CRISP's N:M offsets are resolved once, into the operand Blocked-Ellpack
     uses; what that operand holds must be exactly what the encoding holds."""
@@ -214,6 +228,39 @@ class TestTileGemmDecode:
         assert fmt.group_offsets[0, 0, 0, 3].tolist() == [0, 0]
         np.testing.assert_array_equal(crisp_matmul_fast(fmt, np.eye(64)), weight.T)
         assert reassembled(fmt).tobytes() == weight.tobytes()
+        assert _crisp_operand(fmt, "dense_t").tobytes() == weight.T.tobytes()
+
+    @given(
+        nm=st.sampled_from([(1, 4), (2, 4), (3, 4), (2, 8)]),
+        block_size=st.sampled_from([8, 16]),
+        rows=st.integers(1, 40),  # any multiple of B or none
+        cols=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.08, 0.4, 0.95]),  # all-zero ... lossy
+        scaled=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_indexed_operands_equal_the_decode_and_the_nonzero_gather(
+        self, nm, block_size, rows, cols, density, scaled, seed
+    ):
+        """Both layouts the fast backend places stored values into through
+        one flat index: the dense transpose is ``to_dense().T`` byte for
+        byte, and the row tiles are what the 5-D ``np.nonzero`` gather made.
+        A folded encoding (``scaled``) holds zeros, of either sign, at real
+        offsets; an all-zero matrix stores one slot of padding."""
+        n, m = nm
+        rng = np.random.default_rng(seed)
+        weight = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+        fmt = CRISPFormat.from_dense(weight, n, m, block_size)
+        if scaled:
+            fmt = fmt.scale_columns(rng.choice([0.0, -1.5, 2.0], size=cols))
+        if density == 0.0:
+            assert fmt.block_cols.shape[1] == 1 and not fmt.group_values.any()
+        dense_t = _crisp_operand(fmt, "dense_t")
+        assert dense_t.flags.c_contiguous
+        assert dense_t.tobytes() == np.ascontiguousarray(fmt.to_dense().T).tobytes()
+        tiles, gathered = _crisp_operand(fmt), _nonzero_row_tiles(fmt)
+        assert tiles.shape == gathered.shape and tiles.tobytes() == gathered.tobytes()
 
     def test_lossy_encode_decodes_to_what_was_kept(self, rng):
         weight = rng.normal(size=(80, 60))  # fully dense: violates 2:4 everywhere
@@ -458,6 +505,9 @@ class TestEngine:
         assert all(s.metadata_bits == 0 for s in summaries.values())
         elements = sum(l.weight.data.size for l in prunable_layers(model).values())
         assert dense.total_weight_bits() == dense.stats()["total_weight_bits"] == elements * 8
+        # A stateless backend reports an empty workspace.
+        reference = Engine(model, backend="reference", weight_format="dense")
+        assert reference.stats()["workspace"] == {"hits": 0, "misses": 0, "buffers": 0, "bytes": 0}
 
     def test_refresh_formats_tracks_weight_updates(self, rng):
         model = _pruned_model(rng)

@@ -6,7 +6,8 @@ its artifacts written into a scratch directory, then checks what the run left
 behind.  Only claims no tier-1 test holds are here (the byte-identity ``cmp``s,
 the deployment parities, the two-scenario transport parity and the hop
 decomposition all are tier-1; the transport parity of every fault-free
-scenario is the last test here); everything is stress tier, runnable with::
+scenario and a run of each ``examples/*.py`` are the last tests here);
+everything is stress tier, runnable with::
 
     PYTHONPATH=src python -m pytest -q -m stress tests/test_cli_gates.py
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +173,17 @@ def test_outcomes_are_transport_invariant(scenario, capsys):
         outcomes[transport] = json.loads(capsys.readouterr().out)["outcomes"]
     assert outcomes["local"]["completed"] == outcomes["local"]["requests"]
     assert outcomes["loopback"] == outcomes["local"] == outcomes["http"]
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("example", EXAMPLES, ids=lambda path: path.stem)
+def test_example_runs_standalone(example, tmp_path):
+    """Each ``examples/*.py`` runs as a user runs it: its own process, ``src`` on the path."""
+    path = [str(example.parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, str(example)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -41,6 +41,7 @@ from repro.nn.models.base import prunable_layers
 from repro.nn.models.vgg import VGG
 from repro.nn.module import Module, Sequential
 from repro.serve import EngineCache, EngineSpec, ModelRegistry
+from repro.serve import registry as registry_module
 from repro.shm import SharedModelSource, SharedWeightStore
 from repro.sparsity import HybridSparsityConfig, hybrid_mask
 from repro.sparsity.formats import encode
@@ -134,10 +135,15 @@ def _folded_by_hand(model):
     folded matrix itself, the order engines folded in before records held
     encodings."""
     model = copy.deepcopy(model)
-    _, scales = compile_plan(model, get_backend("fast"))
+    modules = dict(model.named_modules())
+    plan = compile_plan(model, get_backend("fast"))
+    folds = {op.name: getattr(op, "folds", ()) for op in plan.ops}
     for name, layer in prunable_layers(model).items():
+        scale = np.ones(len(layer.weight.data))
+        for bn, eps in folds[name]:
+            scale = scale * modules[bn].gamma.data / np.sqrt(modules[bn].running_var + eps)
         shape = (-1,) + (1,) * (layer.weight.data.ndim - 1)
-        layer.weight.data = layer.weight.effective() * scales[name].reshape(shape)
+        layer.weight.data = layer.weight.effective() * scale.reshape(shape)
     for bn in (m for _, m in model.named_modules() if isinstance(m, BatchNorm2d)):
         bn.beta.data = bn.beta.data - bn.running_mean * bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
         bn.gamma.data[:], bn.running_mean[:], bn.running_var[:], bn.eps = 1.0, 0.0, 1.0, 0.0
@@ -155,7 +161,7 @@ def test_a_zero_gamma_channel_served_from_a_record_matches_folding_before_encodi
     registry = ModelRegistry()
     model_id = registry.register(model, spec=spec)
     batch = rng.normal(size=(2, 3, 8, 8))
-    folded_first = Engine.from_spec(_folded_by_hand(model), spec).predict(batch)
+    folded_first = Engine(_folded_by_hand(model), **spec.to_dict()).predict(batch)
     np.testing.assert_allclose(
         registry.build_engine(model_id).predict(batch), folded_first, rtol=0, atol=1e-12
     )
@@ -164,32 +170,79 @@ def test_a_zero_gamma_channel_served_from_a_record_matches_folding_before_encodi
 @pytest.mark.parametrize("weight_format", FORMATS)
 @pytest.mark.parametrize("arch", ARCHS)
 def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_format, rng):
-    """One tenant, three builds: from its module (the experiments), from its
-    registry record (a cache miss) and from a shared-memory segment attached
-    by name (a process shard's miss).  Folded arrays, the GEMM operand each
-    layer decoded to and logits are identical."""
+    """One tenant, four builds: from its module (the experiments), from its
+    registry record (a cache miss) twice — the second from the plan the first
+    compiled — and from a shared-memory segment attached by name (a process
+    shard's miss).  Folded arrays, the bytes of the GEMM operands each layer
+    decoded to, the ops' folded biases and logits are identical."""
     model = _pruned(arch, rng)
     spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
     registry = ModelRegistry()
     model_id = registry.register(model, spec=spec)
     batch = rng.normal(size=(3, 3, 8, 8))
+
+    def operand_bytes(value):
+        return [part.tobytes() for part in (value if isinstance(value, tuple) else (value,))]
+
     with SharedWeightStore(registry) as store:
         entry, _ = store.ensure(model_id)
         source = SharedModelSource()
         try:
             source.install(entry)
-            engines = [Engine.from_spec(model, spec), registry.build_engine(model_id),
-                       source.build_engine(model_id)]
+            engines = [Engine(model, **spec.to_dict()), registry.build_engine(model_id),
+                       registry.build_engine(model_id), source.build_engine(model_id)]
             served = [
                 (e.predict(batch).tobytes(),
                  {name: {key: array.tobytes() for key, array in fmt.arrays().items()}
                   for name, fmt in e.formats.items()},
-                 {name: list(fmt.derived) for name, fmt in e.formats.items()})
+                 {name: {key: operand_bytes(value) for key, value in fmt.derived.items()}
+                  for name, fmt in e.formats.items()},
+                 [None if op.bias is None else op.bias.tobytes() for op in e._plan])
                 for e in engines
             ]
         finally:
             source.close()
-    assert served[1] == served[0] and served[2] == served[0]
+    assert all(formats for _, _, formats, _ in served)
+    assert served[1] == served[0] and served[2] == served[0] and served[3] == served[0]
+    assert engines[1]._plan[0] is not engines[2]._plan[0]  # one plan, two bindings
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan cache, and the list of walks made through it."""
+    walks = []
+
+    def counted(module, backend):
+        walks.append(type(module).__name__)
+        return compile_plan(module, backend)
+
+    monkeypatch.setattr(registry_module, "_PLANS", {})
+    monkeypatch.setattr(registry_module, "compile_plan", counted)
+    return walks
+
+
+def test_record_builds_of_one_architecture_walk_once_and_construct_no_module(
+    fresh_plans, monkeypatch, rng
+):
+    spec = EngineSpec(backend="fast", weight_format="crisp", **PATTERN)
+    registry = ModelRegistry()
+    ids = [registry.register(_pruned("resnet_tiny", rng), spec=spec, model_id=f"tenant-{i}")
+           for i in range(3)]
+    first = registry.build_engine(ids[0])
+    constructed, init = [], Module.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Module, "__init__", counted)
+    batch = rng.normal(size=(1, 3, 8, 8))
+    for model_id in ids * 2:
+        registry.build_engine(model_id).predict(batch)
+    assert fresh_plans == ["ResNet"] and constructed == []
+    assert list(registry_module._PLANS) == [("resnet_tiny", 5, 8, "fast")]
+    first.module  # built from the record on its first read, and only then
+    assert "ResNet" in constructed
 
 
 def test_layers_outside_the_zoo_blocks_compile_through_the_same_table(rng):
@@ -387,16 +440,26 @@ def test_a_dropped_engine_is_freed_without_the_cycle_collector(no_gc, rng):
     assert [ref() for ref in refs] == [None, None, None]
 
 
-def test_an_evicted_engine_is_freed_without_the_cycle_collector(no_gc, rng):
-    registry = ModelRegistry()
+def test_an_evicted_engine_is_freed_without_the_cycle_collector(fresh_plans, no_gc, rng):
+    """The plan cache outlives every engine, so it must pin none of a tenant's
+    arrays: its ops' biases, formats and (mobilenet) depthwise weights."""
     spec = EngineSpec(backend="fast", weight_format="crisp", **PATTERN)
-    ids = [
-        registry.register(_pruned("resnet_tiny", rng), spec=spec, model_id=f"tenant-{i}")
-        for i in range(2)
-    ]
-    cache = EngineCache(registry, capacity=1)
-    cache.get(ids[0]).predict(rng.normal(size=(1, 3, 8, 8)))
-    refs = [weakref.ref(cache.get(ids[0])), weakref.ref(cache.get(ids[0]).formats["stem_conv"])]
-    cache.get(ids[1])  # capacity 1: evicts tenant-0
-    assert cache.cached_ids() == [ids[1]]
-    assert [ref() for ref in refs] == [None, None]
+    for arch in ("resnet_tiny", "mobilenet_tiny"):
+        registry = ModelRegistry()
+        ids = [
+            registry.register(_pruned(arch, rng), spec=spec, model_id=f"tenant-{i}")
+            for i in range(2)
+        ]
+        cache = EngineCache(registry, capacity=1)
+        cache.get(ids[0]).predict(rng.normal(size=(1, 3, 8, 8)))
+        bound = [x for op in cache.get(ids[0])._plan for x in (op.bias, getattr(op, "fmt", None))
+                 if x is not None]
+        depthwise = [x for x in bound if isinstance(x, np.ndarray) and x.shape[1:] == (3 * 3,)]
+        assert bool(depthwise) == (arch == "mobilenet_tiny")
+        refs = [weakref.ref(cache.get(ids[0]))] + [weakref.ref(x) for x in bound]
+        del bound, depthwise
+        cache.get(ids[1])  # capacity 1: evicts tenant-0
+        assert cache.cached_ids() == [ids[1]]
+        assert all(ref() is None for ref in refs), arch
+        plan = registry_module._PLANS[(arch, 5, 8, "fast")]
+        assert all(op.bias is None and getattr(op, "fmt", None) is None for op in plan.ops)

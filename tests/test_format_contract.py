@@ -175,6 +175,9 @@ class TestInstallFormats:
             ("swap-layers", "malformed"),
             ("rename-array", "malformed"),
             ("unknown-kind", "unknown shared format kind 'coo'"),
+            # Regression: a missing state array used to leave the zoo's seeded init in its place.
+            ("drop-state-key", "malformed.*'stem_bn.gamma'.*got nothing"),
+            ("truncate-state", r"malformed.*'stem_bn.running_var::buffer'.*got \(11,\)"),
         ],
     )
     def test_tampered_manifest_fails_typed_at_build(self, tamper, message):
@@ -184,23 +187,40 @@ class TestInstallFormats:
         )
         with SharedWeightStore(registry) as store:
             entry, _ = store.ensure(model_id)
-            blocks = dict(entry["formats"])
+            blocks, state = dict(entry["formats"]), dict(entry["state"])
             first, last = list(blocks)[0], list(blocks)[-1]
             if tamper == "swap-layers":
                 blocks[first], blocks[last] = blocks[last], blocks[first]
             elif tamper == "unknown-kind":
                 blocks[first] = {**blocks[first], "kind": "coo"}
+            elif tamper == "drop-state-key":
+                del state["stem_bn.gamma"]
+            elif tamper == "truncate-state":
+                desc = state["stem_bn.running_var::buffer"]
+                state["stem_bn.running_var::buffer"] = {**desc, "shape": [desc["shape"][0] - 1]}
             else:
                 arrays = dict(blocks[first]["arrays"])
                 arrays["group_vals"] = arrays.pop("group_values")
                 blocks[first] = {**blocks[first], "arrays": arrays}
             source = SharedModelSource()
             try:
-                source.install({**entry, "formats": blocks})
+                source.install({**entry, "formats": blocks, "state": state})
                 with pytest.raises(InternalError, match=message):
                     source.build_engine(model_id)
             finally:
                 source.close()
+
+    @pytest.mark.parametrize("tamper", ["drop-state-key", "truncate-state"])
+    def test_a_record_with_bad_state_fails_at_build_naming_the_key(self, tamper):
+        registry = ModelRegistry()
+        model_id = registry.register(sparsified_model(), spec=EngineSpec(weight_format="csr"))
+        state = registry.get(model_id).state
+        if tamper == "drop-state-key":
+            del state["stem_bn.gamma"]
+        else:
+            state["stem_bn.gamma"] = state["stem_bn.gamma"][:-1]
+        with pytest.raises(ValueError, match="'stem_bn.gamma'"):
+            registry.build_engine(model_id)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ class TestPrunedModelInference:
 
 
 class TestServedEncoding:
-    """The cold path of serving: ``registry.build_engine`` re-encodes all layers."""
+    """The cold path of serving: ``registry.build_engine`` binds the stored encodings
+    to the architecture's cached plan, folding batch-norm into copies of them."""
 
     def test_cold_build_matches_loop_oracle_and_rebuilds_to_the_same_bytes(
         self, personalization_run

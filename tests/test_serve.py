@@ -103,7 +103,7 @@ class TestTypes:
 
     def test_engine_spec_build_and_engine_spec_agree(self, batch):
         model = _sparsified_model()
-        assert Engine.from_spec(model, SPEC).spec == SPEC
+        assert Engine(model, **SPEC.to_dict()).spec == SPEC
 
 
 class TestModelRegistry:
@@ -111,7 +111,7 @@ class TestModelRegistry:
         model = _sparsified_model()
         registry = ModelRegistry()
         model_id = registry.register(model, spec=SPEC)
-        expected = Engine.from_spec(model, SPEC).predict(batch)
+        expected = Engine(model, **SPEC.to_dict()).predict(batch)
         rebuilt = registry.build_engine(model_id)
         np.testing.assert_allclose(rebuilt.predict(batch), expected, atol=1e-10)
 
