@@ -15,7 +15,7 @@ Package layout
 * :mod:`repro.gateway` — Serving API v2: one versioned gateway (middleware,
   typed clients, loopback/HTTP transports) over every serving backend.
 * :mod:`repro.autoscale` — closed-loop autoscaling over the cluster's scaling
-  seams, plus federated multi-cluster serving with tenant affinity.
+  seams.
 * :mod:`repro.experiments` — one runner per paper figure/table.
 * :mod:`repro.blas` — one BLAS thread per process, set here before anything
   else is imported.

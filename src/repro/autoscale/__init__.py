@@ -1,15 +1,10 @@
-"""Closed-loop autoscaling and multi-cluster federation.
+"""Closed-loop autoscaling: the fleet manages itself.
 
-The two halves of "the fleet manages itself":
-
-* :class:`Autoscaler` — a deterministic control loop over the cluster's
-  scaling seams, driven by the telemetry plane's samples and governed by a
-  declarative :class:`ScalingPolicy` (rules with SLOMonitor-style debounce,
-  cooldown hysteresis, min/max clamps), with every verdict — applied,
-  suppressed, clamped — recorded as an immutable :class:`ScalingDecision`;
-* :class:`FederatedBackend` — one :class:`~repro.serve.api.ServingAPI` over N
-  member clusters with sticky tenant affinity and per-request spillover on
-  ``RESOURCE_EXHAUSTED``.
+:class:`Autoscaler` is a deterministic control loop over the cluster's
+scaling seams, driven by the telemetry plane's samples and governed by a
+declarative :class:`ScalingPolicy` (rules with SLOMonitor-style debounce,
+cooldown hysteresis, min/max clamps), with every verdict — applied,
+suppressed, clamped — recorded as an immutable :class:`ScalingDecision`.
 
 :func:`simulate_autoscaler` replays any open-loop loadgen scenario through a
 fluid queue model so control-loop behaviour is a byte-stable pure function
@@ -20,7 +15,6 @@ byte for byte) and the autoscaled-vs-static pipeline compares on it, while
 """
 
 from .autoscaler import SIGNALS, Autoscaler
-from .federation import FederatedBackend
 from .policy import (
     ACTIONS,
     VERDICTS,
@@ -44,5 +38,4 @@ __all__ = [
     "static_policy",
     "FleetModel",
     "simulate_autoscaler",
-    "FederatedBackend",
 ]

@@ -56,7 +56,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn import layers as L
 from ..nn.models.base import prunable_layers
-from ..nn.module import Module
+from ..nn.module import Module, check_state
 from ..sparsity.formats import WeightFormat
 
 __all__ = ["Plan", "compile_plan", "bind", "run_plan"]
@@ -334,10 +334,7 @@ def bind(
         if formats[name].shape != shape:
             raise ValueError(f"format for layer {name!r} encodes a {formats[name].shape} "
                              f"matrix; the layer's weight is {shape}")
-    for key, shape in plan.shapes.items():
-        got = np.shape(state[key]) if key in state else "nothing"
-        if got != shape:
-            raise ValueError(f"state {key!r} must be a {shape} array; got {got}")
+    check_state(plan.shapes, state)
     folded = {name: formats[name] for name in plan.layers}
     ops = [copy.copy(op) if isinstance(op, _Conv) else op for op in plan.ops]
     for op in (op for op in ops if isinstance(op, _Conv)):

@@ -47,9 +47,6 @@ class ClusterBackend(ServingAPI):
     def model_ids(self) -> List[str]:
         return self.cluster.model_ids()
 
-    def merged_latency(self):
-        return self.cluster.merged_latency()
-
     def health(self) -> Dict[str, object]:
         return self.cluster.health()
 

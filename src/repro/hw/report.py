@@ -64,13 +64,6 @@ class ComparisonReport:
     def layer_speedups(self, accelerator: str, baseline: str = "dense") -> Dict[str, float]:
         return {layer.layer: layer.speedup(accelerator, baseline) for layer in self.layers}
 
-    def layer_energy_efficiencies(
-        self, accelerator: str, baseline: str = "dense"
-    ) -> Dict[str, float]:
-        return {
-            layer.layer: layer.energy_efficiency(accelerator, baseline) for layer in self.layers
-        }
-
     def rows(self, baseline: str = "dense") -> List[Dict[str, float]]:
         """Flat rows (one per layer x accelerator) suitable for tabular printing."""
         table: List[Dict[str, float]] = []

@@ -16,7 +16,7 @@ the canary warms and gets scored without a single user-visible byte changing.
 :class:`RolloutMiddleware` is a stock gateway :class:`~repro.gateway.Middleware`
 (pass it via ``Gateway(middlewares=[...])``); it rewrites
 ``payload["model_id"]`` before the router dispatches, so every backend —
-local, cluster, federated — gets versioned rollout for free.  All table
+local or cluster — gets versioned rollout for free.  All table
 mutations and decisions share one lock: once :meth:`RolloutTable.clear`
 (rollback) returns, no later decision can route to the abandoned canary.
 """

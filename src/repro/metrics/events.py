@@ -52,7 +52,6 @@ EVENT_KINDS = (
     "fault",
     "alert",
     "autoscale",   # one Autoscaler decision (scale_out/scale_in/suppress/clamp)
-    "spillover",   # a federated request served off its home cluster
     "lifecycle",   # one LifecycleManager state transition (SERVING/DRIFTING/...)
     "rollout",     # rollout table change: split started / promoted / rolled back
 )

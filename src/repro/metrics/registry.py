@@ -247,10 +247,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def metric_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def series(self, name: str, **labels: str) -> Optional[TimeSeries]:
         metric = self.get(name)
         return metric.series(**labels) if metric is not None else None

@@ -36,7 +36,6 @@ __all__ = [
     "Flatten",
     "Dropout",
     "Identity",
-    "Add",
     "PRUNABLE_LAYER_TYPES",
 ]
 
@@ -440,26 +439,6 @@ class Identity(Module):
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out
-
-
-class Add(Module):
-    """Element-wise addition of two pre-computed branches.
-
-    This is a helper used inside residual blocks rather than a standalone
-    sequential layer: the block calls :meth:`forward_pair` / splits the
-    gradient itself.
-    """
-
-    prunable = False
-
-    def forward_pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
-
-    def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - not used directly
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:  # pragma: no cover
         return grad_out
 
 

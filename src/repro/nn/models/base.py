@@ -43,9 +43,6 @@ class ClassifierModel(Module):
         logits = self.forward(x)
         return logits.argmax(axis=1)
 
-    def logits_shape(self) -> Tuple[int, ...]:
-        return (self.num_classes,)
-
 
 def prunable_layers(model: Module) -> "OrderedDict[str, Module]":
     """Return the prunable (Conv2d / Linear) layers of ``model`` by qualified name.

@@ -17,11 +17,11 @@ gradient with respect to the layer input.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module", "Sequential", "check_state"]
 
 
 class Parameter:
@@ -251,6 +251,16 @@ class Module:
         # An inference engine compiling its plan passes a recording placeholder.
         record = getattr(x, "record_module", None)
         return self.forward(x) if record is None else record(self)
+
+
+def check_state(shapes: Mapping[str, Tuple[int, ...]], state: Mapping[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the first key of ``shapes`` that ``state``
+    misses or holds at another shape (:meth:`Module.load_state_dict` skips
+    a missing key)."""
+    for key, shape in shapes.items():
+        got = np.shape(state[key]) if key in state else "nothing"
+        if got != shape:
+            raise ValueError(f"state {key!r} must be a {shape} array; got {got}")
 
 
 class Sequential(Module):

@@ -153,13 +153,6 @@ class CRISPPruner:
         self._keep_blocks: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ utils
-    def _layer_mask2d(self, name: str) -> Optional[np.ndarray]:
-        layer = self._layers[name]
-        if layer.weight.mask is None:
-            return None
-        c_out = layer.reshaped_weight().shape[1]
-        return layer.weight.mask.reshape(c_out, -1).T
-
     def _saliency(self, batches_factory) -> Dict[str, np.ndarray]:
         return class_aware_saliency(
             self.model,

@@ -14,8 +14,8 @@ addressable, cacheable, batch-servable tenants:
 * :mod:`repro.serve.scheduler` — :class:`BatchScheduler`: micro-batches
   mixed-tenant request streams into one fused dispatch per tenant.
 * :mod:`repro.serve.api` — :class:`~repro.serve.api.ServingAPI`, the
-  contract every deployment implements (this service, the sharded
-  :class:`~repro.cluster.ClusterService`, a federation).
+  contract every deployment implements (this service and the sharded
+  :class:`~repro.cluster.ClusterService`).
 * :mod:`repro.serve.service` — :class:`PersonalizationService`: the facade
   wiring CRISP pruning → registry → cache → scheduler end to end.
 

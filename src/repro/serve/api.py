@@ -3,11 +3,10 @@
 :class:`ServingAPI` is ``personalize`` / ``predict`` / ``submit`` /
 ``predict_batch`` / ``stats`` / ``health`` / ``drain`` over :mod:`repro.serve.types` messages,
 failing only through the :mod:`repro.errors` taxonomy.  The single-process
-:class:`~repro.serve.PersonalizationService`, the sharded
-:class:`~repro.cluster.ClusterService` and the multi-cluster
-:class:`~repro.autoscale.FederatedBackend` implement it, so a
-:class:`~repro.gateway.Gateway`, a :class:`~repro.loadgen.LoadDriver` or a
-federation takes any of them as it is.  It sits here, below both services,
+:class:`~repro.serve.PersonalizationService` and the sharded
+:class:`~repro.cluster.ClusterService` implement it, so a
+:class:`~repro.gateway.Gateway` or a :class:`~repro.loadgen.LoadDriver` takes
+either as it is.  It sits here, below both services,
 because :mod:`repro.cluster` layers on this package.
 """
 
@@ -99,15 +98,6 @@ class ServingAPI(abc.ABC):
     @abc.abstractmethod
     def model_ids(self) -> List[str]:
         """Every registered tenant id."""
-
-    def merged_latency(self):
-        """A copy of the latency reservoir behind ``stats()["latency"]``.
-
-        A :class:`~repro.cluster.LatencyHistogram` that merges losslessly
-        with other deployments' (the federation's stats do), or ``None`` for
-        a backend that publishes only the summary.
-        """
-        return None
 
     def health(self) -> Dict[str, object]:
         """Cheap liveness + identity probe (never raises on a live backend)."""

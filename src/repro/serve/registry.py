@@ -50,8 +50,8 @@ from ..backend import get_backend
 from ..backend.engine import Engine, encode_weights, load_weights
 from ..backend.plan import Plan, compile_plan
 from ..data.loader import UserProfile
-from ..nn.models import build_model
-from ..nn.module import Module
+from ..nn.models import build_model, prunable_layers
+from ..nn.module import Module, check_state
 from ..records import json_line
 from ..sparsity.formats import FORMATS, WeightFormat
 from .types import EngineSpec
@@ -81,9 +81,16 @@ class ModelRecord:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def _skeleton(self) -> Module:
-        """The zoo module with the non-prunable state loaded (prunable weights: the zoo's init)."""
+        """The zoo module with the non-prunable state loaded (prunable weights: the zoo's init).
+
+        Raises ``ValueError`` naming a non-prunable state key that is missing
+        or mis-shaped, as :meth:`build_engine` does.
+        """
         module = build_model(self.arch, num_classes=self.num_classes,
                              input_size=self.input_size, seed=0)
+        prunable = {f"{name}.weight" for name in prunable_layers(module)}  # a zoo init has no masks
+        check_state({key: value.shape for key, value in module.state_dict().items()
+                     if key not in prunable}, self.state)
         module.load_state_dict(self.state)
         return module
 

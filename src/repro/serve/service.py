@@ -458,11 +458,6 @@ class PersonalizationService(ServingAPI):
             payload["trace"] = block
         return assert_stats_schema(payload)
 
-    def merged_latency(self):
-        """A copy of the latency histogram behind ``stats()["latency"]``."""
-        with self._lock:
-            return self.latency.merged([self.latency])
-
     def save(self, root) -> None:
         """Persist every registered model under ``root`` (registry layout)."""
         self.registry.save(root)

@@ -23,7 +23,6 @@ __all__ = [
     "block_mask_from_keep",
     "uniform_block_mask",
     "topk_block_mask",
-    "blocks_to_elementwise_mask",
     "SUPPORTED_BLOCK_SIZES",
 ]
 
@@ -116,11 +115,6 @@ def block_mask_from_keep(keep: np.ndarray, grid: BlockGrid) -> np.ndarray:
         )
     expanded = np.kron(keep, np.ones((grid.block_size, grid.block_size)))
     return expanded[: grid.rows, : grid.cols]
-
-
-def blocks_to_elementwise_mask(keep: np.ndarray, grid: BlockGrid) -> np.ndarray:
-    """Alias of :func:`block_mask_from_keep` (kept for API symmetry)."""
-    return block_mask_from_keep(keep, grid)
 
 
 def topk_block_mask(score_matrix: np.ndarray, block_size: int, keep_ratio: float) -> np.ndarray:

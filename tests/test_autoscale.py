@@ -493,3 +493,29 @@ class TestLiveCluster:
             # the shard map exactly.
             assert cluster.shards == 3
             assert cluster.shard_ids() == sorted(cluster.router.shard_ids())
+
+
+@pytest.mark.stress
+class TestAutoscaledChaosStress:
+    def test_shard_killed_mid_flight_under_autoscaling_zero_hangs(self):
+        """The satellite stress gate: the shard-failure chaos scenario runs
+        against a live cluster while the autoscaler actuates it through the
+        telemetry poller — every request resolves, nothing hangs."""
+        from repro.experiments.loadgen_cli import LoadgenConfig, run_loadgen
+
+        report, _ = run_loadgen(
+            LoadgenConfig(
+                scenario="shard-failure",
+                shards=2,
+                seed=0,
+                time_scale=1.0,
+                autoscale=True,
+                max_shards=4,
+                poll_interval_s=0.02,
+            )
+        )
+        assert report.hung == 0
+        resolved = report.completed + report.rejected + report.failed
+        assert resolved == report.requests
+        assert report.autoscale_summary is not None
+        assert report.autoscale_summary["ticks"] >= 1

@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autoscale import FederatedBackend
 from repro.cluster import WORKER_KINDS, ClusterConfig, ClusterService, ShardOverloadError
 from repro.errors import ApiError, NotFoundError, UnavailableError
 from repro.gateway import (
@@ -141,14 +140,10 @@ UNKNOWN_ID_SURFACES = {
         lambda: cluster.engine(request.model_id)),
     "backend_predict": lambda service, cluster, request: _raised(
         lambda: ClusterBackend(cluster).predict(request, timeout=30)),
-    "federated_predict": lambda service, cluster, request: _raised(
-        lambda: FederatedBackend({"solo": cluster}).predict(request, timeout=30)),
     "gateway_loopback": lambda service, cluster, request: _over_the_wire(
         cluster, request, status=404),
     "service_submit": lambda service, cluster, request: (
         service.submit(request).exception(timeout=30)),
-    "federated_submit": lambda service, cluster, request: (
-        FederatedBackend({"solo": cluster}).submit(request).exception(timeout=30)),
     "client_submit": lambda service, cluster, request: GatewayClient(
         LoopbackTransport(Gateway(cluster))).submit(request).exception(timeout=30),
 }

@@ -222,6 +222,15 @@ class TestInstallFormats:
         with pytest.raises(ValueError, match="'stem_bn.gamma'"):
             registry.build_engine(model_id)
 
+    def test_a_record_missing_a_state_key_fails_every_decode(self):
+        # Regression: materialize used to load the zoo's init in place of the missing array.
+        registry = ModelRegistry()
+        model_id = registry.register(sparsified_model(), spec=EngineSpec(weight_format="csr"))
+        del registry.get(model_id).state["stem_bn.gamma"]
+        for build in (registry.build_engine, registry.materialize):
+            with pytest.raises(ValueError, match="state 'stem_bn.gamma' must be a .* got nothing"):
+                build(model_id)
+
 
 # ---------------------------------------------------------------------------
 # "One module knows": a format src/ has never heard of, served end to end

@@ -7,6 +7,11 @@ runs into the same hits file, then report what none of them reached::
     python tools/fn_hits.py run HITS benchmarks/crispbench/run.py --workload edge-hot --smoke
     python tools/fn_hits.py report HITS
 
+``test-only TIER1_HITS PRODUCT_HITS`` lists what the first file's runs entered
+and the second's did not: record the test suite into one file and the runs a
+user makes (CLI commands, benchmarks, pipelines) into the other, and the
+listing is the code only tests reach.
+
 ``run`` installs a trace function that returns ``None`` from every ``call``
 event, so the interpreter reports function entries only and no line events
 (tier-1 slows by about half).  The first entry of each code object under
@@ -100,11 +105,16 @@ def listing(codes: list) -> int:
     return lines
 
 
+def sources():
+    """``(path, source)`` of every file under ``src/repro``, in path order."""
+    for path in sorted(Path(PREFIX).rglob("*.py")):
+        yield path, path.read_text()
+
+
 def report(hits: str) -> None:
     entered = set(Path(hits).read_text().split())
     total, missed, stubs = 0, [], set()
-    for path in sorted(Path(PREFIX).rglob("*.py")):
-        source = path.read_text()
+    for path, source in sources():
         total += audit(compile(source, str(path), "exec"), entered, missed)
         stubs |= abstract_stubs(path, source)
     dead = [code for code in missed if key(code) not in stubs]
@@ -117,10 +127,25 @@ def report(hits: str) -> None:
     print(f"{len(abstract)} abstract stubs ({lines} lines)")
 
 
+def test_only(tests: str, product: str) -> None:
+    """The outermost functions ``tests`` entered and ``product`` did not."""
+    tested = set(Path(tests).read_text().split())
+    used = set(Path(product).read_text().split())
+    missed = []
+    for path, source in sources():
+        audit(compile(source, str(path), "exec"), used, missed)
+    only = [code for code in missed if key(code) in tested]
+    lines = listing(only)
+    print(f"{len(only)} named functions and class bodies ({lines} lines) "
+          f"entered by {tests} and not by {product}")
+
+
 if __name__ == "__main__":
     if len(sys.argv) >= 4 and sys.argv[1] == "run":
         run(sys.argv[2], sys.argv[3:])
     elif len(sys.argv) == 3 and sys.argv[1] == "report":
         report(sys.argv[2])
+    elif len(sys.argv) == 4 and sys.argv[1] == "test-only":
+        test_only(sys.argv[2], sys.argv[3])
     else:
         sys.exit(__doc__)
