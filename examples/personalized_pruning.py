@@ -14,12 +14,9 @@ Mirrors the workflow behind Fig. 7 of the paper:
 Run with:  python examples/personalized_pruning.py
 """
 
-from repro.experiments import (
-    ExperimentScale,
-    clone_model,
-    format_table,
-    make_personalization_setup,
-)
+from copy import deepcopy
+
+from repro.experiments import ExperimentScale, format_table, make_personalization_setup
 from repro.pruning import CRISPConfig, CRISPPruner, flops_ratio
 from repro.pruning.baselines import channel_prune, dense_finetune
 
@@ -45,7 +42,7 @@ def personalise_for_user(user_id: int):
     )
     rows = []
 
-    dense_model = clone_model(setup.model)
+    dense_model = deepcopy(setup.model)
     dense = dense_finetune(dense_model, setup.train_loader, setup.val_loader,
                            epochs=SCALE.finetune_epochs)
     rows.append({
@@ -53,7 +50,7 @@ def personalise_for_user(user_id: int):
         "sparsity": 0.0, "flops_ratio": 1.0,
     })
 
-    crisp_model = clone_model(setup.model)
+    crisp_model = deepcopy(setup.model)
     crisp = CRISPPruner(
         crisp_model,
         CRISPConfig(n=2, m=4, block_size=8, target_sparsity=TARGET_SPARSITY,
@@ -65,7 +62,7 @@ def personalise_for_user(user_id: int):
         "flops_ratio": flops_ratio(crisp_model, setup.dataset.image_size),
     })
 
-    channel_model = clone_model(setup.model)
+    channel_model = deepcopy(setup.model)
     channel = channel_prune(
         channel_model, target_sparsity=0.6,
         train_loader=setup.train_loader, val_loader=setup.val_loader,

@@ -16,7 +16,10 @@ Package layout
   typed clients, loopback/HTTP transports) over every serving backend.
 * :mod:`repro.autoscale` — closed-loop autoscaling over the cluster's scaling
   seams.
-* :mod:`repro.experiments` — one runner per paper figure/table.
+* :mod:`repro.pipeline` — content-addressed experiment DAGs; every paper
+  figure is a preset (:mod:`repro.pipeline.figures`).
+* :mod:`repro.experiments` — the ``python -m repro.experiments`` CLI (not
+  imported here: ``import repro`` stays free of the command layer).
 * :mod:`repro.blas` — one BLAS thread per process, set here before anything
   else is imported.
 """
@@ -37,7 +40,6 @@ from . import errors
 from . import serve
 from . import gateway
 from . import autoscale
-from . import experiments
 
 __all__ = [
     "blas",
@@ -51,6 +53,5 @@ __all__ = [
     "serve",
     "gateway",
     "autoscale",
-    "experiments",
     "__version__",
 ]

@@ -1,10 +1,13 @@
-"""Command-line entry point: figure regeneration and the serving demo.
+"""Command-line entry point: the paper's figures, the serving demo and the runners.
 
 Installed as the ``repro-experiments`` console script; also runnable as
 ``python -m repro.experiments``.  Usage::
 
     python -m repro.experiments fig1          # accuracy vs N:M ratio
     python -m repro.experiments fig4 fig8     # several figures in one go
+    python -m repro.experiments fig3 headline --store figs
+                                              # one store: headline re-uses fig3's points
+    python -m repro.experiments fig1 --smoke  # one 2:4 point per architecture
     python -m repro.experiments all           # every figure
     python -m repro.experiments --list        # available experiment names
     python -m repro.experiments serve         # multi-tenant serving replay
@@ -29,7 +32,9 @@ Installed as the ``repro-experiments`` console script; also runnable as
     python -m repro.experiments monitor --url http://127.0.0.1:8080 \
         --ticks 10 --json -                   # scrape a live gateway's /statsz
 
-Each experiment prints the same rows/series the corresponding paper figure
+Each figure command runs the pipeline preset of its name
+(:mod:`repro.pipeline.figures`) into ``--store`` (default: a fresh temporary
+directory), reports its steps on stderr and prints the rows the paper figure
 reports (at the reduced scale documented in EXPERIMENTS.md).  ``serve``
 personalizes several users through :mod:`repro.serve` and replays a mixed
 request stream per-request vs micro-batched; with ``--shards N`` the same
@@ -41,8 +46,7 @@ popularity × optional fault schedule) against the sharded runtime and
 reports the SLO scorecard; see the EXPERIMENTS.md scenario cookbook.
 
 The CLI is one table, :data:`COMMANDS`: a command name maps to its config
-dataclass (``None`` for the figures, which take no options) and the function
-that runs it.  Every option is a field of the config that reads it (see
+dataclass and the function that runs it.  Every option is a field of the config that reads it (see
 :func:`~repro.experiments.common.flag`), so adding a command is one row here
 plus one dataclass.  An option left off the command line leaves each
 command's own default in effect.
@@ -51,55 +55,24 @@ command's own default in effect.
 from __future__ import annotations
 
 import argparse
+import functools
 import typing
 from dataclasses import fields
-from typing import Callable, Dict, Sequence
+from typing import Dict, Sequence
 
-from .common import format_table
-from .fig1_nm_ratios import run_fig1
-from .fig2_layerwise import run_fig2
-from .fig3_crisp_vs_block import run_fig3
-from .fig4_metadata import aggregate_overheads, run_fig4
-from .fig7_class_sweep import run_fig7
-from .fig8_hardware import aggregate_fig8, run_fig8
-from .headline import run_headline
+from ..pipeline.figures import FIGURES
 from .lifecycle_cli import LifecycleCliConfig, print_lifecycle
 from .loadgen_cli import LoadgenConfig, print_loadgen
 from .monitor_cli import MonitorConfig, print_monitor
-from .pipeline_cli import PipelineCliConfig, print_pipeline
+from .pipeline_cli import FigureConfig, PipelineCliConfig, print_figure, print_pipeline
 from .serve_demo import ServeDemoConfig, print_serve_demo
 
-__all__ = ["COMMANDS", "EXPERIMENTS", "run_experiment", "main"]
+__all__ = ["COMMANDS", "FIGURES", "main"]
 
-
-def _print_fig4() -> None:
-    rows = run_fig4()
-    print(format_table(rows))
-    print("\naverage metadata overhead vs CRISP:")
-    for fmt, ratio in sorted(aggregate_overheads(rows).items()):
-        print(f"  {fmt:>16}: {ratio:5.2f}x")
-
-
-def _print_headline() -> None:
-    for key, value in run_headline().items():
-        print(f"{key:>24}: {value:.3f}")
-
-
-#: Experiment name -> zero-argument callable that runs it and prints its table.
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "fig1": lambda: print(format_table(run_fig1())),
-    "fig2": lambda: print(format_table(run_fig2())),
-    "fig3": lambda: print(format_table(run_fig3())),
-    "fig4": _print_fig4,
-    "fig7": lambda: print(format_table(run_fig7())),
-    "fig8": lambda: print(format_table(aggregate_fig8(run_fig8()))),
-    "headline": _print_headline,
-}
-
-#: Command name -> (config dataclass or None, runner).  The runner takes the
-#: config built from the command line, or nothing when there is none.
+#: Command name -> (config dataclass, runner taking the config built from
+#: the command line).  Each paper figure runs the pipeline preset of its name.
 COMMANDS: Dict[str, tuple] = {
-    **{name: (None, printer) for name, printer in EXPERIMENTS.items()},
+    **{name: (FigureConfig, functools.partial(print_figure, name)) for name in FIGURES},
     "serve": (ServeDemoConfig, print_serve_demo),
     "loadgen": (LoadgenConfig, print_loadgen),
     "monitor": (MonitorConfig, print_monitor),
@@ -108,14 +81,6 @@ COMMANDS: Dict[str, tuple] = {
 }
 
 ALL_COMMANDS = sorted(COMMANDS)
-
-
-def run_experiment(name: str) -> None:
-    """Run one named experiment and print its reproduced table."""
-    if name not in EXPERIMENTS:
-        raise KeyError(f"Unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
-    print(f"\n===== {name} =====")
-    EXPERIMENTS[name]()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     registered = set()
     for name, (config, _) in COMMANDS.items():
-        if config is None:
-            continue
         group = parser.add_argument_group(f"{name} options")
         hints = typing.get_type_hints(config)
         for f in fields(config):
@@ -172,6 +135,29 @@ def _config_from(config, args: argparse.Namespace):
     return config(**{name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)})
 
 
+def _configs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, object]:
+    """Command name -> its config, built (and validated) from ``args``.
+
+    ``parser.error`` (``SystemExit``) on an unknown command or a rejected
+    option value; nothing runs here.
+    """
+    requested = list(args.experiments)
+    if requested == ["all"]:
+        # 'pipeline' is excluded: it persists an on-disk store, which should
+        # only happen when explicitly requested.
+        requested = [name for name in ALL_COMMANDS if name != "pipeline"]
+    unknown = [name for name in requested if name not in COMMANDS]
+    if unknown:
+        parser.error(f"unknown experiment(s): {unknown}; available: {ALL_COMMANDS}")
+    configs = {}
+    for name in requested:
+        try:
+            configs[name] = _config_from(COMMANDS[name][0], args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    return configs
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
@@ -188,40 +174,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{name:>16}: {SCENARIOS[name]().description}")
         return 0
 
-    requested = list(args.experiments)
-    if not requested:
+    if not args.experiments:
         parser.print_help()
         return 1
-    if requested == ["all"]:
-        # 'pipeline' is excluded: it persists an on-disk store, which should
-        # only happen when explicitly requested.
-        requested = [name for name in ALL_COMMANDS if name != "pipeline"]
-
-    unknown = [name for name in requested if name not in COMMANDS]
-    if unknown:
-        parser.error(f"unknown experiment(s): {unknown}; available: {ALL_COMMANDS}")
-
     # Every config is built (and validated) before anything runs.
-    configs = {}
-    for name in requested:
-        config = COMMANDS[name][0]
-        if config is not None:
-            try:
-                configs[name] = _config_from(config, args)
-            except ValueError as exc:
-                parser.error(str(exc))
-
-    for name in requested:
-        run = COMMANDS[name][1]
-        config = configs.get(name)
+    for name, config in _configs(parser, args).items():
         # No banner in JSON-to-stdout mode: the output must stay a clean,
         # diffable JSON document.
         if getattr(config, "json", None) != "-":
             print(f"\n===== {name} =====")
-        if config is None:
-            run()
-        else:
-            run(config)
+        COMMANDS[name][1](config)
     return 0
 
 

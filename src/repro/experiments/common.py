@@ -1,6 +1,6 @@
 """Shared experiment plumbing: pre-training, personalisation setups and tables.
 
-Every figure-reproduction experiment follows the paper's protocol:
+Every personalisation experiment follows the paper's protocol:
 
 1. train (or reuse) a *universal* model over the full class set of the
    dataset — the stand-in for the pre-trained ImageNet checkpoints the paper
@@ -10,13 +10,13 @@ Every figure-reproduction experiment follows the paper's protocol:
 3. personalise the model with CRISP or a baseline pruner and measure
    accuracy / FLOPs / sparsity.
 
-Pre-trained universal models are cached per configuration so sweeps that
-reuse the same backbone do not retrain it for every point.
+The figures run these steps as pipeline presets (:mod:`repro.pipeline.figures`,
+which also owns :class:`ExperimentScale`); this module is what the ``serve``
+demo, the examples and the CLI's option table share.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import sys
 from dataclasses import dataclass, field
@@ -24,6 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..data import DataLoader, SyntheticImageDataset, UserProfile, build_user_loaders, make_dataset, sample_user_profile
 from ..nn.models.base import ClassifierModel
+from ..pipeline.figures import TINY_SCALE, ExperimentScale
 from ..records import json_line
 from ..serve import (
     EngineSpec,
@@ -38,55 +39,14 @@ __all__ = [
     "PersonalizationSetup",
     "ExperimentScale",
     "TINY_SCALE",
-    "SMALL_SCALE",
     "pretrained_universal_model",
     "make_personalization_setup",
     "make_service",
-    "clone_model",
     "format_table",
     "clear_model_cache",
     "flag",
     "emit_json",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentScale:
-    """Knobs controlling how heavy an experiment run is.
-
-    The ``tiny`` scale keeps every sweep point in the sub-second range so the
-    test-suite and pytest-benchmark harness stay fast; ``small`` is the
-    default for producing the EXPERIMENTS.md numbers.
-    """
-
-    name: str
-    dataset_preset: str
-    model_name: str
-    pretrain_epochs: int
-    finetune_epochs: int
-    prune_iterations: int
-    batch_size: int = 16
-    samples_per_class: Optional[int] = None
-
-
-TINY_SCALE = ExperimentScale(
-    name="tiny",
-    dataset_preset="synthetic-tiny",
-    model_name="resnet_tiny",
-    pretrain_epochs=2,
-    finetune_epochs=1,
-    prune_iterations=2,
-)
-
-SMALL_SCALE = ExperimentScale(
-    name="small",
-    dataset_preset="synthetic-cifar100",
-    model_name="resnet_tiny",
-    pretrain_epochs=4,
-    finetune_epochs=1,
-    prune_iterations=3,
-    batch_size=16,
-)
 
 
 @dataclass
@@ -104,11 +64,6 @@ class PersonalizationSetup:
 def clear_model_cache() -> None:
     """Drop cached pre-trained universal models (used by tests)."""
     clear_universal_model_cache()
-
-
-def clone_model(model: ClassifierModel) -> ClassifierModel:
-    """Deep-copy a model so pruning one sweep point does not affect the next."""
-    return copy.deepcopy(model)
 
 
 def pretrained_universal_model(

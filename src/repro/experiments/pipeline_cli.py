@@ -9,19 +9,23 @@ residency without executing anything (``--status``).
 Resumability is the point: interrupt a run, re-invoke the same command, and
 every step that already completed is a cache hit — only the remainder (and
 anything whose params/code/inputs changed) executes.  ``--smoke`` selects
-each pipeline's shrunken variant for CI.
+each pipeline's shrunken variant for CI.  The figure commands (``fig1`` ...
+``headline``) run the preset of their name the same way, into a fresh
+temporary store unless ``--store`` names one, and print its rows.
 """
 
 from __future__ import annotations
 
+import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..pipeline import PipelineStore, RunSummary, build_pipeline, pipeline_names
 from ..records import json_line
-from .common import flag
+from .common import flag, format_table
 
-__all__ = ["PipelineCliConfig", "print_pipeline"]
+__all__ = ["FigureConfig", "PipelineCliConfig", "print_figure", "print_pipeline"]
 
 
 @dataclass
@@ -34,7 +38,8 @@ class PipelineCliConfig:
     )
     store: str = flag(
         "--store", default=".repro-pipeline", metavar="PATH",
-        help="content-addressed store directory (default: .repro-pipeline)",
+        help="content-addressed store directory (default: .repro-pipeline; "
+        "a figure's: a fresh temporary directory)",
     )
     smoke: bool = flag("--smoke", default=False)
     force: Tuple[str, ...] = flag(
@@ -83,8 +88,9 @@ def print_pipeline_status(config: PipelineCliConfig) -> None:
         print(f"  {state:>6}  {row['name']:<28} key={row['key'][:16]}")
 
 
-def run_pipeline(config: PipelineCliConfig) -> RunSummary:
-    """``pipeline`` (run): execute the DAG, streaming per-step progress."""
+def run_pipeline(config: PipelineCliConfig, out=None) -> RunSummary:
+    """``pipeline`` (run): execute the DAG, streaming per-step progress to
+    ``out`` (default: stdout)."""
     from ..serve import set_universal_model_store
 
     pipeline = build_pipeline(config.pipeline, PipelineStore(config.store), smoke=config.smoke)
@@ -93,10 +99,11 @@ def run_pipeline(config: PipelineCliConfig) -> RunSummary:
         print(
             f"  {result.status:>4}  {result.name:<28} "
             f"{result.elapsed_s * 1e3:8.1f}ms",
+            file=out,
             flush=True,
         )
 
-    print(f"pipeline {config.pipeline} @ {config.store}:")
+    print(f"pipeline {config.pipeline} @ {config.store}:", file=out)
     # Steps that pre-train universal backbones share the pipeline store as
     # their disk tier, so a backbone is trained once per content key across
     # runs (and across pipelines pointed at the same store).
@@ -105,7 +112,33 @@ def run_pipeline(config: PipelineCliConfig) -> RunSummary:
         summary = pipeline.run(force=config.force, progress=progress)
     finally:
         set_universal_model_store(None)
-    print(f"  {summary.hits} hit(s), {summary.ran} ran")
+    print(f"  {summary.hits} hit(s), {summary.ran} ran", file=out)
+    return summary
+
+
+@dataclass
+class FigureConfig:
+    """A figure command's knobs: the store its preset runs into, and its size."""
+
+    store: Optional[str] = flag("--store", default=None)
+    smoke: bool = flag("--smoke", default=False)
+
+
+def print_figure(name: str, config: FigureConfig) -> RunSummary:
+    """Run figure preset ``name`` as ``pipeline`` does, with its progress on
+    stderr, then print its last step's rows and summary on stdout."""
+    with tempfile.TemporaryDirectory(prefix="repro-figure-") as scratch:
+        summary = run_pipeline(
+            PipelineCliConfig(pipeline=name, store=config.store or scratch, smoke=config.smoke),
+            out=sys.stderr,
+        )
+    output = summary.results[-1].output
+    if output.get("rows"):
+        print(format_table(output["rows"], output["columns"]))
+    scalars = output.get("summary", {})
+    width = max(map(len, scalars), default=0)
+    for key, value in scalars.items():
+        print(f"{key:>{width}}: {value:.3f}")
     return summary
 
 

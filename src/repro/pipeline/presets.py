@@ -1,14 +1,13 @@
-"""Named pipelines: the experiment sweeps ported onto the content-addressed DAG.
+"""Named pipelines: every experiment of the repository as a content-addressed DAG.
 
-Five presets ship with the CLI (``repro pipeline --list-steps``):
+Twelve presets ship with the CLI (``repro pipeline --list-steps``):
 
 * ``standard`` — the tiny five-step prune → encode → register → replay →
   score chain from :mod:`repro.pipeline.steps` (the CI smoke pipeline);
-* ``fig1`` — the Fig. 1 N:M-ratio sweep as a DAG: one pre-train/setup step
-  per model, one step per (model, N:M) point, one collect step.  Editing a
-  ratio re-runs exactly that point; the pre-trained setup stays cached —
-  this replaces the in-process universal-model cache as the sweep's
-  memoization layer;
+* ``fig1`` ``fig2`` ``fig3`` ``fig4`` ``fig7`` ``fig8`` ``headline`` — the
+  paper's figures (:mod:`repro.pipeline.figures`): one setup step per
+  pre-trained model, one step per sweep point, one collect step.  Editing a
+  point re-runs exactly that point; the pre-trained setup stays cached;
 * ``loadgen-sweep`` — one deterministic loadgen scenario per step plus a
   collect step pinning each scenario's outcome counts and predictions
   digest;
@@ -29,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..records import round6
+from .figures import FIGURES
 from .step import Pipeline, Step, StepContext
 from .steps import standard_chain
 from .store import PipelineStore
@@ -36,171 +36,6 @@ from .store import PipelineStore
 __all__ = ["PIPELINES", "build_pipeline", "compare_preset", "pipeline_names"]
 
 StepFn = Callable[[StepContext], Dict[str, object]]
-
-
-# ---------------------------------------------------------------------------
-# fig1: the N:M ratio sweep as a DAG
-# ---------------------------------------------------------------------------
-
-def fig1_setup(ctx: StepContext) -> Dict[str, object]:
-    """Pre-train the universal model and fine-tune the dense baseline.
-
-    The restricted-head model (the state every sweep point starts from) is
-    saved to artifacts; the dense fine-tuned accuracy — Fig. 1's upper bound
-    — rides in the output.
-    """
-    from ..experiments.common import (
-        ExperimentScale,
-        clone_model,
-        make_personalization_setup,
-    )
-    from ..pruning.baselines import dense_finetune
-
-    p = ctx.params
-    scale = ExperimentScale(
-        name=f"pipeline-{p['model_name']}",
-        dataset_preset=p["dataset_preset"],
-        model_name=p["model_name"],
-        pretrain_epochs=int(p["pretrain_epochs"]),
-        finetune_epochs=int(p["finetune_epochs"]),
-        prune_iterations=int(p["prune_iterations"]),
-        batch_size=int(p["batch_size"]),
-        samples_per_class=p["samples_per_class"],
-    )
-    setup = make_personalization_setup(
-        scale, int(p["num_user_classes"]), seed=int(p["seed"])
-    )
-    dense_result = dense_finetune(
-        clone_model(setup.model),
-        setup.train_loader,
-        setup.val_loader,
-        epochs=int(p["finetune_epochs"]),
-    )
-    ctx.save_arrays("model", **setup.model.state_dict())
-    return {
-        "model_name": p["model_name"],
-        "dataset_preset": p["dataset_preset"],
-        "num_user_classes": int(p["num_user_classes"]),
-        "head_classes": len(setup.profile.preferred_classes),
-        "input_size": setup.dataset.image_size,
-        "batch_size": int(p["batch_size"]),
-        "samples_per_class": p["samples_per_class"],
-        "seed": int(p["seed"]),
-        "finetune_epochs": int(p["finetune_epochs"]),
-        "universal_accuracy": round6(setup.universal_accuracy),
-        "dense_accuracy": round6(dense_result.final_accuracy or 0.0),
-    }
-
-
-def fig1_nm_point(ctx: StepContext) -> Dict[str, object]:
-    """Prune one (model, N:M) sweep point from the cached setup state."""
-    from ..data import build_user_loaders, make_dataset, sample_user_profile
-    from ..nn.models import build_model
-    from ..pruning.baselines import nm_prune
-
-    p = ctx.params
-    dep = ctx.step.deps[0]
-    setup = ctx.inputs[dep]
-    dataset = make_dataset(setup["dataset_preset"], seed=setup["seed"])
-    profile = sample_user_profile(
-        dataset, setup["num_user_classes"], user_id=0, seed=setup["seed"]
-    )
-    train_loader, val_loader = build_user_loaders(
-        dataset,
-        profile,
-        batch_size=setup["batch_size"],
-        samples_per_class=setup["samples_per_class"],
-        seed=setup["seed"],
-    )
-    model = build_model(
-        setup["model_name"],
-        num_classes=setup["head_classes"],
-        input_size=setup["input_size"],
-        seed=0,
-    )
-    model.load_state_dict(ctx.load_arrays(dep, "model"))
-    result = nm_prune(
-        model,
-        int(p["n"]),
-        int(p["m"]),
-        train_loader=train_loader,
-        val_loader=val_loader,
-        finetune_epochs=setup["finetune_epochs"],
-    )
-    return {
-        "model": setup["model_name"],
-        "pattern": f"{int(p['n'])}:{int(p['m'])}",
-        "sparsity": round6(result.achieved_sparsity),
-        "accuracy": round6(result.final_accuracy or 0.0),
-        "dense_accuracy": setup["dense_accuracy"],
-        "accuracy_drop": round6(
-            (setup["dense_accuracy"] or 0.0) - (result.final_accuracy or 0.0)
-        ),
-    }
-
-
-def fig1_collect(ctx: StepContext) -> Dict[str, object]:
-    """Assemble the Fig. 1 table in the same row order ``run_fig1`` emits."""
-    rows: List[Dict[str, object]] = []
-    for model_name in ctx.params["models"]:
-        setup = ctx.inputs[f"setup-{model_name}"]
-        rows.append(
-            {
-                "model": model_name,
-                "pattern": "dense",
-                "sparsity": 0.0,
-                "accuracy": setup["dense_accuracy"],
-                "dense_accuracy": setup["dense_accuracy"],
-                "accuracy_drop": 0.0,
-            }
-        )
-        for n, m in ctx.params["nm_ratios"]:
-            rows.append(dict(ctx.inputs[f"nm-{model_name}-{n}of{m}"]))
-    return {"rows": rows}
-
-
-def _fig1_steps(smoke: bool = False) -> List[Step]:
-    from ..experiments.fig1_nm_ratios import DEFAULT_MODELS
-    from ..experiments.common import TINY_SCALE
-
-    models = list(DEFAULT_MODELS[:1] if smoke else DEFAULT_MODELS)
-    nm_ratios = [[2, 4]] if smoke else [[3, 4], [2, 4], [1, 4]]
-    scale = TINY_SCALE
-    steps: List[Step] = []
-    for model_name in models:
-        steps.append(
-            Step(
-                f"setup-{model_name}",
-                fig1_setup,
-                params={
-                    "model_name": model_name,
-                    "dataset_preset": scale.dataset_preset,
-                    "pretrain_epochs": scale.pretrain_epochs,
-                    "finetune_epochs": scale.finetune_epochs,
-                    "prune_iterations": scale.prune_iterations,
-                    "batch_size": scale.batch_size,
-                    "samples_per_class": scale.samples_per_class,
-                    "num_user_classes": 4,
-                    "seed": 0,
-                },
-            )
-        )
-        for n, m in nm_ratios:
-            steps.append(
-                Step(
-                    f"nm-{model_name}-{n}of{m}",
-                    fig1_nm_point,
-                    params={"n": n, "m": m},
-                    deps=(f"setup-{model_name}",),
-                )
-            )
-    collect = Step(
-        "collect",
-        fig1_collect,
-        params={"models": models, "nm_ratios": nm_ratios},
-        deps=tuple(step.name for step in steps),
-    )
-    return [*steps, collect]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +272,7 @@ def _standard_steps(smoke: bool = False) -> List[Step]:
 #: Preset name -> step-list builder (``smoke`` shrinks it for CI).
 PIPELINES: Dict[str, Callable[..., List[Step]]] = {
     "standard": _standard_steps,
-    "fig1": _fig1_steps,
+    **FIGURES,
     "loadgen-sweep": _loadgen_sweep_steps,
     "autoscale-compare": _autoscale_compare_steps,
     "lifecycle-compare": _lifecycle_compare_steps,

@@ -22,6 +22,7 @@ renaming it into place atomically.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 from dataclasses import dataclass
@@ -98,8 +99,6 @@ class PipelineStore:
         output_path = entry_dir / _OUTPUT
         if not meta_path.exists() or not output_path.exists():
             return None
-        import json
-
         try:
             meta = json.loads(meta_path.read_text())
             output_bytes = output_path.read_bytes()
@@ -182,7 +181,7 @@ class PipelineStore:
         return StoreEntry(
             step=step,
             key=key,
-            output=dict(output),
+            output=json.loads(output_bytes),  # what a later hit reads back
             output_sha256=meta["output_sha256"],
             path=entry_dir,
         )

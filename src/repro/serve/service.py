@@ -12,8 +12,8 @@ or a ``LoadDriver`` takes it as it is.
 
 The module also owns the *universal model provider* — pre-training and
 caching of the shared backbone each personalization starts from — which the
-experiment harness (:mod:`repro.experiments.common`) consumes through the
-same functions.
+figure presets' setup steps (:mod:`repro.pipeline.figures`) consume through
+the same functions.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class ServiceConfig:
     """Deployment-level knobs of a :class:`PersonalizationService`.
 
     The training-protocol fields mirror
-    :class:`~repro.experiments.common.ExperimentScale` so an experiment scale
+    :class:`~repro.pipeline.figures.ExperimentScale` so an experiment scale
     converts directly into a service (see
     :func:`repro.experiments.common.make_service`).
     """

@@ -4,17 +4,27 @@ import json
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, main, run_experiment
+from repro.experiments.cli import FIGURES, main
+from repro.experiments.common import clear_model_cache
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _shared_universal_models():
+    """The commands that train here share one universal-model cache (an entry
+    is a pure function of its key); it is cleared around the module."""
+    clear_model_cache()
+    yield
+    clear_model_cache()
 
 
 class TestCLI:
     def test_all_figures_registered(self):
-        assert set(EXPERIMENTS) == {"fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "headline"}
+        assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "headline"}
 
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in [*EXPERIMENTS, "serve", "loadgen"]:
+        for name in [*FIGURES, "serve", "loadgen"]:
             assert name in out
 
     def test_no_arguments_shows_help(self, capsys):
@@ -24,10 +34,6 @@ class TestCLI:
     def test_unknown_experiment_errors(self):
         with pytest.raises(SystemExit):
             main(["fig99"])
-
-    def test_run_experiment_unknown_name(self):
-        with pytest.raises(KeyError):
-            run_experiment("table3")
 
     def test_run_fig4_via_cli(self, capsys):
         """fig4 is pure format accounting (no training), so it is cheap enough
@@ -43,30 +49,42 @@ class TestCLI:
         assert "crisp-stc-b64" in out
         assert "speedup_vs_dense" in out
 
+    def test_headline_second_run_is_all_verified_hits(self, tmp_path, capsys):
+        """``headline`` collects over fig3's points and fig8's step in its
+        store: a second run executes nothing and prints the same summary."""
+        from repro.pipeline import build_pipeline
+
+        argv = ["headline", "--smoke", "--store", str(tmp_path / "store")]
+        steps = len(build_pipeline("headline", None, smoke=True).order)
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert f"0 hit(s), {steps} ran" in first.err
+        assert f"{steps} hit(s), 0 ran" in second.err
+        assert second.out == first.out
+        summary = dict(line.split(":") for line in first.out.split("=====")[-1].strip().splitlines())
+        assert {key.strip() for key in summary} == {
+            "crisp_accuracy", "block_accuracy", "dense_accuracy", "crisp_sparsity",
+            "max_speedup", "max_energy_efficiency", "nvidia_max_speedup", "dstc_max_speedup",
+        }
+
     def test_backend_flag_is_accepted_and_ignored_by_figures(self, capsys):
         """``--backend`` names the backend of loadgen/monitor tenant engines.
         A figure trains and prunes ``Module``s, which have one implementation:
         same output, and the same cached backbone (one pre-train for the pair).
         ``--backend fast fig2`` raised ``TypeError`` from PR 3 to PR 21."""
-        from repro.experiments.common import clear_model_cache
         from repro.serve import service
 
-        clear_model_cache()
-        try:
-            assert main(["fig2"]) == 0
-            plain = capsys.readouterr().out
-            assert main(["--backend", "fast", "fig2"]) == 0
-            assert capsys.readouterr().out == plain
-            assert "layer" in plain
-            assert len(service._UNIVERSAL_CACHE) == 1
-        finally:
-            clear_model_cache()
+        assert main(["fig2"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["--backend", "fast", "fig2"]) == 0
+        assert capsys.readouterr().out == plain
+        assert "layer" in plain
+        assert len(service._UNIVERSAL_CACHE) == 1
 
     def test_run_serve_via_cli(self, capsys):
-        from repro.experiments.common import clear_model_cache
-
         assert main(["serve", "--serve-requests", "4"]) == 0
-        clear_model_cache()
         out = capsys.readouterr().out
         assert "tenants:" in out
         assert "micro-batched" in out
@@ -139,13 +157,8 @@ class TestCommandTable:
             main(["--list", "--transport", "direct"])
 
     def test_serve_stats_json(self, tmp_path, capsys):
-        from repro.experiments.common import clear_model_cache
-
         path = tmp_path / "stats.json"
-        try:
-            assert main(["serve", "--serve-requests", "4", "--stats-json", str(path)]) == 0
-        finally:
-            clear_model_cache()
+        assert main(["serve", "--serve-requests", "4", "--stats-json", str(path)]) == 0
         assert set(json.loads(path.read_text())) == {"timings", "stats", "gateway", "cluster"}
         assert capsys.readouterr().err == f"wrote {path}\n"
 

@@ -1,4 +1,4 @@
-"""Tests for the figure-reproduction experiment runners (tiny configurations)."""
+"""Tests for the figure presets (tiny configurations)."""
 
 from dataclasses import replace
 
@@ -7,27 +7,23 @@ import pytest
 
 from repro.experiments import (
     ExperimentScale,
-    Fig1Config,
-    Fig2Config,
-    Fig3Config,
-    Fig4Config,
-    Fig7Config,
-    Fig8Config,
-    HeadlineConfig,
-    TINY_SCALE,
-    aggregate_fig8,
-    aggregate_overheads,
     clear_model_cache,
     format_table,
     make_personalization_setup,
     pretrained_universal_model,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig7,
-    run_fig8,
-    run_headline,
+)
+from repro.pipeline import Pipeline, PipelineStore
+from repro.serve import set_universal_model_store
+from repro.pipeline.figures import (
+    aggregate_fig8,
+    aggregate_overheads,
+    fig1_preset,
+    fig2_preset,
+    fig3_preset,
+    fig4_preset,
+    fig7_preset,
+    fig8_preset,
+    headline_preset,
     sparsity_for_class_count,
 )
 
@@ -47,11 +43,28 @@ MICRO_SCALE = ExperimentScale(
 SHAPE_SCALE = replace(MICRO_SCALE, name="shape", pretrain_epochs=2, prune_iterations=2)
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture(autouse=True, scope="module")
 def _fresh_cache():
     clear_model_cache()
     yield
     clear_model_cache()
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    """One store for the module: a point's output depends only on its own
+    parameters, so tests that share a setup or a point share its entry."""
+    return PipelineStore(tmp_path_factory.mktemp("figures"))
+
+
+def figure(steps, store):
+    """The last step's output of a figure preset run into ``store``, which is
+    also the universal models' disk tier, as in the CLI."""
+    set_universal_model_store(store)
+    try:
+        return Pipeline(steps, store).run().results[-1].output
+    finally:
+        set_universal_model_store(None)
 
 
 class TestCommonInfrastructure:
@@ -83,26 +96,26 @@ class TestCommonInfrastructure:
 
 
 class TestFig1:
-    def test_rows_and_shape(self):
-        config = Fig1Config(
+    def test_rows_and_shape(self, store):
+        config = dict(
             models=("resnet_tiny",), nm_ratios=((2, 4),), num_user_classes=3, scale=MICRO_SCALE
         )
-        rows = run_fig1(config)
+        rows = figure(fig1_preset(**config), store)["rows"]
         assert len(rows) == 2  # dense + 2:4
         assert {"model", "pattern", "sparsity", "accuracy", "accuracy_drop"} <= set(rows[0])
         nm_row = [r for r in rows if r["pattern"] == "2:4"][0]
         assert nm_row["sparsity"] == pytest.approx(0.5, abs=0.03)
 
     @pytest.mark.stress
-    def test_paper_shape_tighter_ratio_is_sparser_and_no_more_accurate(self):
-        config = Fig1Config(
+    def test_paper_shape_tighter_ratio_is_sparser_and_no_more_accurate(self, store):
+        config = dict(
             models=("resnet_tiny", "mobilenet_tiny"),
             nm_ratios=((3, 4), (2, 4), (1, 4)),
             num_user_classes=4,
             scale=SHAPE_SCALE,
         )
-        rows = run_fig1(config)
-        for model in config.models:
+        rows = figure(fig1_preset(**config), store)["rows"]
+        for model in config["models"]:
             by_pattern = {r["pattern"]: r for r in rows if r["model"] == model}
             assert (by_pattern["1:4"]["sparsity"] > by_pattern["2:4"]["sparsity"]
                     > by_pattern["3:4"]["sparsity"])
@@ -112,13 +125,13 @@ class TestFig1:
 
 
 class TestFig2:
-    def test_distribution_reported_and_non_uniform(self):
+    def test_distribution_reported_and_non_uniform(self, store):
         """Class-aware global pruning spreads the budget unevenly: a visible
         gap between the most- and least-pruned layers."""
-        config = Fig2Config(
+        config = dict(
             num_user_classes=4, target_sparsity=0.85, block_size=8, scale=SHAPE_SCALE
         )
-        rows = run_fig2(config)
+        rows = figure(fig2_preset(**config), store)["rows"]
         summary = rows[-1]
         assert summary["layer"] == "<global>"
         assert summary["global_sparsity"] == pytest.approx(0.85, abs=0.06)
@@ -128,11 +141,11 @@ class TestFig2:
 
 
 class TestFig3:
-    def test_methods_present_and_crisp_competitive(self):
-        config = Fig3Config(
+    def test_methods_present_and_crisp_competitive(self, store):
+        config = dict(
             sparsity_levels=(0.75,), block_sizes=(8,), num_user_classes=3, scale=MICRO_SCALE
         )
-        rows = run_fig3(config)
+        rows = figure(fig3_preset(**config), store)["rows"]
         methods = {r["method"] for r in rows}
         assert methods == {"block", "crisp"}
         crisp = [r for r in rows if r["method"] == "crisp"][0]
@@ -141,12 +154,12 @@ class TestFig3:
         assert block["achieved_sparsity"] == pytest.approx(0.75, abs=0.06)
 
     @pytest.mark.stress
-    def test_paper_shape_crisp_holds_accuracy_across_the_sweep(self):
-        config = Fig3Config(
+    def test_paper_shape_crisp_holds_accuracy_across_the_sweep(self, store):
+        config = dict(
             sparsity_levels=(0.5, 0.75, 0.875), block_sizes=(8,), nm_ratios=((2, 4),),
             num_user_classes=4, scale=SHAPE_SCALE,
         )
-        rows = run_fig3(config)
+        rows = figure(fig3_preset(**config), store)["rows"]
         crisp = {r["target_sparsity"]: r for r in rows if r["method"] == "crisp"}
         block = {r["target_sparsity"]: r for r in rows if r["method"] == "block"}
         for target, row in crisp.items():
@@ -156,26 +169,26 @@ class TestFig3:
         block_mean = sum(r["accuracy"] for r in block.values()) / len(block)
         assert crisp_mean >= block_mean - 0.05
 
-    def test_skips_targets_below_nm_floor(self):
-        config = Fig3Config(
+    def test_skips_targets_below_nm_floor(self, store):
+        config = dict(
             sparsity_levels=(0.3,), block_sizes=(8,), nm_ratios=((2, 4),),
             num_user_classes=3, scale=MICRO_SCALE,
         )
-        rows = run_fig3(config)
+        rows = figure(fig3_preset(**config), store)["rows"]
         assert all(r["method"] == "block" for r in rows)
 
 
 class TestFig4:
-    def test_overhead_ordering(self):
-        rows = run_fig4(Fig4Config())
+    def test_overhead_ordering(self, store):
+        rows = figure(fig4_preset(), store)["rows"]
         overheads = aggregate_overheads(rows)
         # The Fig. 4 claim: CSR and ELLPACK need several times more metadata.
         assert overheads["csr"] > 2.0
         assert overheads["ellpack"] > overheads["csr"]
         assert overheads["crisp"] == pytest.approx(1.0)
 
-    def test_paper_shape_at_high_sparsity(self):
-        rows = run_fig4(Fig4Config(target_sparsity=0.875, block_size=16))
+    def test_paper_shape_at_high_sparsity(self, store):
+        rows = figure(fig4_preset(target_sparsity=0.875, block_size=16), store)["rows"]
         overheads = aggregate_overheads(rows)
         assert overheads["csr"] > 2.5
         assert overheads["ellpack"] > overheads["csr"]
@@ -184,8 +197,8 @@ class TestFig4:
             by_format = {r["format"]: r for r in rows if r["layer"] == layer}
             assert by_format["crisp"]["total_bits"] < by_format["dense"]["total_bits"]
 
-    def test_row_keys(self):
-        rows = run_fig4(Fig4Config(layer_shapes=(("l", 32, 32),)))
+    def test_row_keys(self, store):
+        rows = figure(fig4_preset(layer_shapes=(("l", 32, 32),)), store)["rows"]
         assert {"layer", "format", "metadata_bits", "total_bits", "metadata_vs_crisp"} <= set(rows[0])
         assert len(rows) == 5  # five formats for the single layer
 
@@ -200,9 +213,9 @@ class TestFig7:
         with pytest.raises(ValueError):
             sparsity_for_class_count(0, 10)
 
-    def test_rows_structure(self):
-        config = Fig7Config(class_counts=(2,), scale=MICRO_SCALE, max_sparsity=0.75)
-        rows = run_fig7(config)
+    def test_rows_structure(self, store):
+        config = dict(class_counts=(2,), scale=MICRO_SCALE, max_sparsity=0.75)
+        rows = figure(fig7_preset(**config), store)["rows"]
         methods = {r["method"] for r in rows}
         assert methods == {"dense", "crisp", "channel"}
         crisp = [r for r in rows if r["method"] == "crisp"][0]
@@ -210,13 +223,13 @@ class TestFig7:
         assert crisp["flops_ratio"] < dense["flops_ratio"]
 
     @pytest.mark.stress
-    def test_paper_shape_budget_shrinks_as_classes_grow(self):
-        config = Fig7Config(
+    def test_paper_shape_budget_shrinks_as_classes_grow(self, store):
+        config = dict(
             class_counts=(2, 4, 6), datasets=("synthetic-tiny",), models=("resnet_tiny",),
             scale=SHAPE_SCALE, max_sparsity=0.875, min_sparsity=0.5,
         )
-        rows = run_fig7(config)
-        for count in config.class_counts:
+        rows = figure(fig7_preset(**config), store)["rows"]
+        for count in config["class_counts"]:
             point = {r["method"]: r for r in rows if r["num_classes"] == count}
             assert point["crisp"]["flops_ratio"] < 0.7
             assert point["crisp"]["sparsity"] > 0.4
@@ -228,9 +241,9 @@ class TestFig7:
 
 
 class TestFig8:
-    def test_rows_and_aggregation(self):
-        config = Fig8Config(nm_ratios=((2, 4),), block_sizes=(64,), global_sparsities=(0.9,))
-        rows = run_fig8(config)
+    def test_rows_and_aggregation(self, store):
+        config = dict(nm_ratios=((2, 4),), block_sizes=(64,), global_sparsities=(0.9,))
+        rows = figure(fig8_preset(**config)[:-1], store)["rows"]  # per layer: no collect
         assert len(rows) == 9 * 4  # 9 layers x (dense, nvidia, dstc, crisp-b64)
         agg = aggregate_fig8(rows)
         by_acc = {r["accelerator"]: r for r in agg}
@@ -238,13 +251,13 @@ class TestFig8:
         assert by_acc["crisp-stc-b64"]["speedup_vs_dense"] > by_acc["nvidia-stc"]["speedup_vs_dense"]
         assert by_acc["nvidia-stc"]["speedup_vs_dense"] <= 2.0 + 1e-9
 
-    def test_paper_shape_across_patterns_blocks_and_baselines(self):
-        config = Fig8Config(
+    def test_paper_shape_across_patterns_blocks_and_baselines(self, store):
+        config = dict(
             nm_ratios=((1, 4), (2, 4), (3, 4)),
             block_sizes=(16, 32, 64),
             global_sparsities=(0.80, 0.85, 0.90),
         )
-        aggregated = aggregate_fig8(run_fig8(config))
+        aggregated = aggregate_fig8(figure(fig8_preset(**config)[:-1], store)["rows"])
 
         def agg(pattern, sparsity, accelerator):
             return next(
@@ -273,12 +286,13 @@ class TestFig8:
                     for b in (16, 32, 64)}
         assert by_block[64] >= by_block[32] >= by_block[16]
 
-    def test_paper_shape_dstc_fades_on_late_layers(self):
+    def test_paper_shape_dstc_fades_on_late_layers(self, store):
         """DSTC is strong on early large-spatial layers, weak on late ones
         where data movement dominates."""
-        config = Fig8Config(nm_ratios=((2, 4),), block_sizes=(64,), global_sparsities=(0.85,))
+        config = dict(nm_ratios=((2, 4),), block_sizes=(64,), global_sparsities=(0.85,))
         dstc = {r["layer"]: r["speedup_vs_dense"]
-                for r in run_fig8(config) if r["accelerator"] == "dstc"}
+                for r in figure(fig8_preset(**config)[:-1], store)["rows"]
+                if r["accelerator"] == "dstc"}
         early, late = dstc["layer1.0.conv2"], dstc["layer4.2.conv3"]
         assert early > late
         assert early > 3.0
@@ -286,14 +300,14 @@ class TestFig8:
 
 
 class TestHeadline:
-    def test_summary_keys_and_claims(self):
-        config = HeadlineConfig(
-            fig3=Fig3Config(sparsity_levels=(0.875,), block_sizes=(8,),
-                            num_user_classes=4, scale=SHAPE_SCALE),
-            fig8=Fig8Config(nm_ratios=((1, 4), (2, 4)), block_sizes=(64,),
-                            global_sparsities=(0.90,)),
+    def test_summary_keys_and_claims(self, store):
+        config = dict(
+            fig3=dict(sparsity_levels=(0.875,), block_sizes=(8,),
+                      num_user_classes=4, scale=SHAPE_SCALE),
+            fig8=dict(nm_ratios=((1, 4), (2, 4)), block_sizes=(64,),
+                      global_sparsities=(0.90,)),
         )
-        summary = run_headline(config)
+        summary = figure(headline_preset(**config), store)["summary"]
         assert {"crisp_accuracy", "block_accuracy", "dense_accuracy", "crisp_sparsity",
                 "max_speedup", "max_energy_efficiency"} <= set(summary)
         # High sparsity, at least block pruning's accuracy at the same target.

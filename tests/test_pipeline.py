@@ -245,3 +245,34 @@ class TestUniversalModelStore:
         finally:
             set_universal_model_store(None)
             serve_service.clear_universal_model_cache()
+
+
+class TestFigurePoints:
+    @pytest.mark.parametrize("preset, point", [
+        # 2:4 runs after 3:4 in its sweep; the in-process runner this replaced
+        # read 0.5417 alone and 0.5000 after 3:4 at tiny scale.
+        ("fig1", ".2of4"),
+        # Fig. 3's CRISP arm runs after the block arm at its sparsity.
+        ("fig3", ".2of4+B8@0.75"),
+    ])
+    def test_a_point_depends_only_on_its_own_parameters(self, tmp_path, preset, point):
+        """One sweep point run alone and inside its sweep, in two stores:
+        byte-equal outputs, because each point builds its own loaders."""
+        from repro.experiments import ExperimentScale
+        from repro.pipeline.figures import fig1_preset, fig3_preset
+
+        scale = ExperimentScale("micro", "synthetic-tiny", "resnet_tiny", 1, 1, 1)
+        sweep = {
+            "fig1": lambda: fig1_preset(models=("resnet_tiny",), nm_ratios=((3, 4), (2, 4)),
+                                        num_user_classes=3, scale=scale),
+            "fig3": lambda: fig3_preset(sparsity_levels=(0.75,), block_sizes=(8,),
+                                        num_user_classes=3, scale=scale),
+        }[preset]()
+        (target,) = [step for step in sweep if step.name.endswith(point)]
+        alone = [step for step in sweep if step.name in (*target.deps, target.name)]
+        assert len(alone) == 2 and len(sweep) > 3
+        whole = Pipeline(sweep, PipelineStore(tmp_path / "sweep")).run()
+        lone = Pipeline(alone, PipelineStore(tmp_path / "alone")).run()
+        assert whole.results[-2].name == target.name  # last, after every other point
+        assert lone[target.name].output_sha256 == whole[target.name].output_sha256
+        assert lone[target.name].output == whole[target.name].output
