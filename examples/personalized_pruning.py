@@ -16,6 +16,7 @@ Run with:  python examples/personalized_pruning.py
 
 from copy import deepcopy
 
+from repro.data import build_user_loaders
 from repro.experiments import ExperimentScale, format_table, make_personalization_setup
 from repro.pruning import CRISPConfig, CRISPPruner, flops_ratio
 from repro.pruning.baselines import channel_prune, dense_finetune
@@ -42,9 +43,15 @@ def personalise_for_user(user_id: int):
     )
     rows = []
 
+    def loaders():
+        # Fresh per arm: a loader's shuffle advances with every epoch it
+        # serves, so a shared one would hand each arm the batch order the
+        # arms before it left behind.
+        return build_user_loaders(setup.dataset, setup.profile, batch_size=SCALE.batch_size,
+                                  samples_per_class=SCALE.samples_per_class, seed=0)
+
     dense_model = deepcopy(setup.model)
-    dense = dense_finetune(dense_model, setup.train_loader, setup.val_loader,
-                           epochs=SCALE.finetune_epochs)
+    dense = dense_finetune(dense_model, *loaders(), epochs=SCALE.finetune_epochs)
     rows.append({
         "user": user_id, "method": "dense", "accuracy": dense.final_accuracy,
         "sparsity": 0.0, "flops_ratio": 1.0,
@@ -55,7 +62,7 @@ def personalise_for_user(user_id: int):
         crisp_model,
         CRISPConfig(n=2, m=4, block_size=8, target_sparsity=TARGET_SPARSITY,
                     iterations=SCALE.prune_iterations, finetune_epochs=SCALE.finetune_epochs),
-    ).prune(setup.train_loader, setup.val_loader)
+    ).prune(*loaders())
     rows.append({
         "user": user_id, "method": "crisp", "accuracy": crisp.final_accuracy,
         "sparsity": crisp.final_sparsity,
@@ -63,9 +70,10 @@ def personalise_for_user(user_id: int):
     })
 
     channel_model = deepcopy(setup.model)
+    train_loader, val_loader = loaders()
     channel = channel_prune(
         channel_model, target_sparsity=0.6,
-        train_loader=setup.train_loader, val_loader=setup.val_loader,
+        train_loader=train_loader, val_loader=val_loader,
         finetune_epochs=SCALE.finetune_epochs,
     )
     rows.append({

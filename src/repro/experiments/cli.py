@@ -10,10 +10,10 @@ Installed as the ``repro-experiments`` console script; also runnable as
     python -m repro.experiments fig1 --smoke  # one 2:4 point per architecture
     python -m repro.experiments all           # every figure
     python -m repro.experiments --list        # available experiment names
-    python -m repro.experiments serve         # multi-tenant serving replay
+    python -m repro.experiments serve         # one workload, local + loopback
     python -m repro.experiments serve --serve-users 3 --serve-requests 24
-    python -m repro.experiments serve --shards 4 --workers threaded \
-        --stats-json serve_stats.json         # sharded cluster replay
+    python -m repro.experiments serve --shards 4 --workers process \
+        --stats-json serve_stats.json         # + a sharded cluster, SLO reports
     python -m repro.experiments loadgen --scenario zipf-burst --shards 4 \
         --seed 0 --json                       # deterministic scenario replay
     python -m repro.experiments --backend reference loadgen --smoke
@@ -36,11 +36,12 @@ Each figure command runs the pipeline preset of its name
 (:mod:`repro.pipeline.figures`) into ``--store`` (default: a fresh temporary
 directory), reports its steps on stderr and prints the rows the paper figure
 reports (at the reduced scale documented in EXPERIMENTS.md).  ``serve``
-personalizes several users through :mod:`repro.serve` and replays a mixed
-request stream per-request vs micro-batched; with ``--shards N`` the same
-stream also replays through the :mod:`repro.cluster` sharded runtime and the
-per-shard telemetry (latency percentiles, queue depth, batch sizes) is
-printed and optionally persisted with ``--stats-json``.  ``loadgen`` drives
+personalizes several users through :mod:`repro.serve` and replays one
+synthesized workload with :class:`~repro.loadgen.LoadDriver` on the service,
+through a loopback gateway and, with ``--shards N``, through the
+:mod:`repro.cluster` sharded runtime; it prints each surface's SLO report
+(persisted with ``--stats-json``) and exits non-zero unless every surface
+completes every request with one predictions digest.  ``loadgen`` drives
 a named :mod:`repro.loadgen` traffic scenario (arrival process × tenant
 popularity × optional fault schedule) against the sharded runtime and
 reports the SLO scorecard; see the EXPERIMENTS.md scenario cookbook.

@@ -103,10 +103,10 @@ def make_service(
 ) -> PersonalizationService:
     """Build a :class:`~repro.serve.PersonalizationService` from an experiment scale.
 
-    This is the bridge the CLI's ``serve`` demo and the serving benchmarks
-    use: the scale's training protocol becomes the service's
-    personalization protocol, and the serving-specific knobs (engine spec,
-    cache capacity, micro-batch limit) ride on top.
+    This is the bridge the CLI's ``serve`` demo uses: the scale's training
+    protocol becomes the service's personalization protocol, and the
+    serving-specific knobs (engine spec, cache capacity, micro-batch limit)
+    ride on top.
     """
     return PersonalizationService(
         ServiceConfig(

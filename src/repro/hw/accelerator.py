@@ -169,6 +169,3 @@ class Accelerator:
 
     def total_cycles(self, workloads: List[LayerWorkload]) -> float:
         return sum(perf.cycles for perf in self.estimate_network(workloads))
-
-    def total_energy_uj(self, workloads: List[LayerWorkload]) -> float:
-        return sum(perf.energy_uj for perf in self.estimate_network(workloads))

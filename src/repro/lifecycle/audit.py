@@ -127,10 +127,6 @@ class AuditLog:
         """The whole log as newline-separated JSONL (byte-stable per seed)."""
         return self._log.jsonl()
 
-    def dump_jsonl(self, path) -> int:
-        """Write the JSONL log to ``path``; returns the transition count."""
-        return self._log.dump(path)
-
     @classmethod
     def replay(cls, lines: Iterable[str]) -> "AuditLog":
         """Rebuild a typed log from JSONL lines; ``ValueError`` naming the

@@ -289,9 +289,3 @@ class TelemetryPoller:
         if sample:
             self.sample()
         return self.registry.render()
-
-    def __enter__(self) -> "TelemetryPoller":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

@@ -235,7 +235,8 @@ class ServiceConfig:
     The training-protocol fields mirror
     :class:`~repro.pipeline.figures.ExperimentScale` so an experiment scale
     converts directly into a service (see
-    :func:`repro.experiments.common.make_service`).
+    :func:`repro.experiments.common.make_service`, which builds the ``serve``
+    command's service).
     """
 
     model_name: str = "resnet_tiny"

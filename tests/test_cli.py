@@ -1,9 +1,11 @@
 """Tests for the experiment command-line interface."""
 
 import json
+import re
 
 import pytest
 
+from repro.cluster import WORKER_KINDS
 from repro.experiments.cli import FIGURES, main
 from repro.experiments.common import clear_model_cache
 
@@ -86,9 +88,35 @@ class TestCLI:
     def test_run_serve_via_cli(self, capsys):
         assert main(["serve", "--serve-requests", "4"]) == 0
         out = capsys.readouterr().out
-        assert "tenants:" in out
-        assert "micro-batched" in out
-        assert "identical predictions" in out
+        assert out.count("outcomes: 4 ok / 0 rejected (503) / 0 failed / 0 hung") == 2
+        assert len(re.findall(r"predictions digest [0-9a-f]{64}: equal on 2 surfaces "
+                              r"\(local, loopback\)", out)) == 1
+
+    @pytest.mark.parametrize("kind", WORKER_KINDS)
+    def test_serve_digest_is_equal_on_every_surface(self, kind, capsys):
+        """The in-process service, the loopback gateway and a two-shard
+        cluster of either worker kind replay one workload to one digest."""
+        assert main(["serve", "--serve-requests", "4", "--shards", "2", "--workers", kind]) == 0
+        out = capsys.readouterr().out
+        assert out.count("outcomes: 4 ok / 0 rejected (503) / 0 failed / 0 hung") == 3
+        assert len(re.findall(r"predictions digest [0-9a-f]{64}: equal on 3 surfaces "
+                              r"\(local, loopback, cluster\)", out)) == 1
+
+    def test_serve_exits_non_zero_when_a_surface_disagrees(self, monkeypatch, capsys):
+        """Logits off by 1e-3 on the loopback surface alone break the command."""
+        from repro.gateway import GatewayClient
+
+        predict = GatewayClient.predict
+
+        def perturbed(self, *args, **kwargs):
+            response = predict(self, *args, **kwargs)
+            response.logits = response.logits + 1e-3
+            return response
+
+        monkeypatch.setattr(GatewayClient, "predict", perturbed)
+        with pytest.raises(SystemExit, match=r"local 4/4 ok, digest [0-9a-f]{64}, loopback 4/4 ok"):
+            main(["serve", "--serve-requests", "4"])
+        assert "predictions digest" not in capsys.readouterr().out
 
     def test_lifecycle_honours_an_explicit_tenant_count(self, capsys):
         """``--loadgen-tenants 8`` is loadgen's default; lifecycle compared the
@@ -159,7 +187,7 @@ class TestCommandTable:
     def test_serve_stats_json(self, tmp_path, capsys):
         path = tmp_path / "stats.json"
         assert main(["serve", "--serve-requests", "4", "--stats-json", str(path)]) == 0
-        assert set(json.loads(path.read_text())) == {"timings", "stats", "gateway", "cluster"}
+        assert set(json.loads(path.read_text())) == {"local", "loopback"}
         assert capsys.readouterr().err == f"wrote {path}\n"
 
     def test_pipeline_list_steps_opens_no_store(self, tmp_path, capsys):

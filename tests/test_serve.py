@@ -665,11 +665,11 @@ class TestServeDemo:
             finetune_epochs=1,
             prune_iterations=1,
         )
-        report = run_serve_demo(
+        reports = run_serve_demo(
             ServeDemoConfig(users=2, requests=6, scale=scale, target_sparsity=0.7)
         )
         clear_model_cache()
-        assert len(report["model_ids"]) == 2
-        assert len(report["rows"]) == 6
-        assert report["timings"]["per_request_s"] > 0
-        assert report["stats"]["scheduler"]["largest_group"] >= 2
+        assert list(reports) == ["local", "loopback"]
+        for report in reports.values():
+            assert (report.requests, report.completed, report.plan["tenants"]) == (6, 6, 2)
+        assert len({report.predictions_digest() for report in reports.values()}) == 1
