@@ -14,7 +14,7 @@ whole-model row — a pruned ``resnet_tiny`` forward through the module itself
 (``eval()``, batch-norm unfolded) and on a ``dense`` and a ``crisp`` engine
 (the compiled plan), beside the accelerator model's predicted speedup — and
 two tenant rows, ``cold_build`` (a registry cache miss, then the first
-forward) and ``tenant_bytes`` (record, ``state.npz``, shared-memory segment),
+forward) and ``tenant_bytes`` (record, saved ``.img`` image, shared-memory segment),
 and two kernel rows, ``im2col_gather`` (the fast ``im2col`` vs ``F.im2col``
 per k x k conv and width, with the tap index's KiB) and ``operand_choice``
 (each layer's operand, dense or tiles, and both timings) (the CI smoke run)::
@@ -188,8 +188,8 @@ def _tenant_rows(rng, repeat):
     """What a crispbench-shaped tenant (3 classes, 12x12 inputs) costs to bring
     back and to keep: ``registry.build_engine`` on a cache miss and the first
     forward after it (which decodes the kernels' GEMM operands), medians; and
-    the KiB of the registry record's arrays, its ``state.npz`` and its
-    published shared-memory segment."""
+    the KiB of the registry record's arrays, its saved tenant image
+    (``<model_id>.img``) and its published shared-memory segment."""
     import os
     import tempfile
     import time
@@ -218,7 +218,7 @@ def _tenant_rows(rng, repeat):
     kib = {"record": sum(a.nbytes for a in stored) / 1024}
     with tempfile.TemporaryDirectory() as root:
         registry.save(root)
-        kib["state_npz"] = os.path.getsize(os.path.join(root, model_id, "state.npz")) / 1024
+        kib["image"] = os.path.getsize(os.path.join(root, f"{model_id}.img")) / 1024
     with SharedWeightStore(registry) as store:
         segment = attach_segment(store.ensure(model_id)[0]["segment"])
         kib["segment"] = segment.size / 1024

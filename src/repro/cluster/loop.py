@@ -31,7 +31,7 @@ un-counts after the child answered, a caller may die between admission and
 post — and then costs one ``flush_interval_s``, never a wrong answer; a
 predict without a stamp is of unknown company and waits out the deadline.
 An ``install`` arriving mid-collection is applied without cutting the batch
-(it only adds a manifest the following predicts need); any other control op
+(it only adds a tenant image the following predicts need); any other control op
 is a barrier: the batch in hand is dispatched first, then the op is served —
 ops never overtake the predicts sent before them.
 
@@ -137,7 +137,7 @@ class ShardLoop:
             self.cache.put(model_id, engine)
 
     def install(self, entry: Dict) -> Dict:
-        """Add a published-weights manifest to a shared-memory model source."""
+        """Add a published tenant image to a shared-memory model source."""
         with self.lock:
             replaced = self.cache.registry.install(entry)
             if replaced:
@@ -202,7 +202,7 @@ class ShardLoop:
         """Run one control op and answer it (or fail it with what it raised)."""
         try:
             result = self._control(op, inbox)
-        except Exception as exc:  # e.g. a manifest naming a missing segment
+        except Exception as exc:  # e.g. an install naming a missing segment
             op.fail(exc)
         else:
             op.answer(result)

@@ -7,11 +7,12 @@ parallel instead of interleaving under one interpreter lock.  This module is
 only what crosses the process boundary, and how:
 
 * **Weights never do.**  The parent's
-  :class:`~repro.shm.SharedWeightStore` publishes each model's encoded
-  formats into named shared-memory segments; the child maps them zero-copy
-  through a :class:`~repro.shm.SharedModelSource` plugged in where the
-  thread worker's loop holds the registry.  The control channel carries
-  only manifest entries (names + array layouts).
+  :class:`~repro.shm.SharedWeightStore` copies each model's tenant image
+  (the bytes ``ModelRegistry.save`` writes) into a named shared-memory
+  segment; the child maps it zero-copy through a
+  :class:`~repro.shm.SharedModelSource` plugged in where the thread worker's
+  loop holds the registry.  The control channel carries only install
+  entries (``model_id``, segment name, version).
 * **Ops ride the gateway's wire envelopes.**  Every parent→child frame is an
   :class:`~repro.gateway.wire.ApiRequest` the child turns into an
   :class:`~repro.cluster.loop.Op`, and every answer an
@@ -203,7 +204,7 @@ class ProcessShardWorker(ShardFront):
     frontend's point of view; constructed against a
     :class:`~repro.shm.SharedWeightStore` instead of the registry (the
     registry stays authoritative in the parent — the child only ever sees
-    published manifests).  Unlike the thread worker it cannot stage work
+    published tenant images).  Unlike the thread worker it cannot stage work
     before :meth:`start`: there is no child to send it to.
     """
 

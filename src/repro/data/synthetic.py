@@ -145,10 +145,6 @@ class SyntheticImageDataset:
     def image_size(self) -> int:
         return self.config.image_size
 
-    @property
-    def channels(self) -> int:
-        return self.config.channels
-
     def class_template(self, class_id: int) -> np.ndarray:
         """Noise-free template image for ``class_id`` (shape ``(C, H, W)``)."""
         self._check_class(class_id)

@@ -146,10 +146,6 @@ class RolloutTable:
         with self._lock:
             return self._entries.get(tenant)
 
-    def active(self) -> List[RolloutEntry]:
-        with self._lock:
-            return [self._entries[t] for t in sorted(self._entries)]
-
     @property
     def seq(self) -> int:
         """Decisions made so far (the next decision's sequence number)."""
@@ -220,10 +216,6 @@ class RolloutMiddleware(Middleware):
     ) -> None:
         self.table = table
         self.resolve = resolve
-        self.routed = 0  #: requests whose model_id was rewritten
-        self.shadowed = 0  #: shadow duplicates dispatched
-        self.shadow_failures = 0  #: shadow duplicates that errored (ignored)
-        self._lock = threading.Lock()
 
     def _serve_id(self, tenant: str, request_id) -> tuple:
         decision = self.table.decide(tenant, request_id)
@@ -240,21 +232,13 @@ class RolloutMiddleware(Middleware):
         if not isinstance(tenant, str):
             return call_next(request)
         serve_id, shadow_id = self._serve_id(tenant, request.request_id)
-        routed_request = request
-        if serve_id != tenant:
-            routed_request = self._rewrite(request, serve_id)
-            with self._lock:
-                self.routed += 1
+        routed_request = request if serve_id == tenant else self._rewrite(request, serve_id)
         response = call_next(routed_request)
         if shadow_id is not None:
-            with self._lock:
-                self.shadowed += 1
             try:
                 call_next(self._rewrite(request, shadow_id))
             except Exception:
-                # A failing canary must never take down stable traffic.
-                with self._lock:
-                    self.shadow_failures += 1
+                pass  # A failing canary must never take down stable traffic.
         return response
 
     @staticmethod
@@ -271,13 +255,3 @@ class RolloutMiddleware(Middleware):
             version=request.version,
             trace=request.trace,
         )
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "active_rollouts": len(self.table.active()),
-                "decisions": self.table.seq,
-                "routed": self.routed,
-                "shadowed": self.shadowed,
-                "shadow_failures": self.shadow_failures,
-            }

@@ -138,9 +138,9 @@ def encode_formats(ctx: StepContext) -> Dict[str, object]:
 def register_fleet(ctx: StepContext) -> Dict[str, object]:
     """Rebuild the pruned modules and persist them as a ModelRegistry.
 
-    The registry directory layout (``record.json`` + ``state.npz`` per
-    model) lands in this step's artifacts, so any later step — or a human —
-    can ``ModelRegistry.load`` it straight out of the store.
+    The registry directory (one ``<model_id>.img`` tenant image per model)
+    lands in this step's artifacts, so any later step — or a human — can
+    ``ModelRegistry.load`` it straight out of the store.
     """
     from ..nn.models import build_model
     from ..serve.registry import ModelRegistry

@@ -13,20 +13,19 @@ Ids are *stable*: registering the same user profile with the same
 architecture and spec always produces the same id, so a request stream
 recorded against one registry replays against a reloaded copy.
 
-On-disk layout (one directory per model)::
+On-disk layout (one file per model)::
 
     <root>/
-      versions.json   # tenant -> {versions: [...], active: id}; only
-                      # written when any tenant has lifecycle versions
-      <model_id>/
-        record.json   # arch, num classes, spec, profile, metadata, and per
-                      # prunable layer its format's kind and params
-        state.npz     # the non-prunable state (Module.state_dict keys) and
-                      # each format's arrays as "<layer>.weight::<array>"
+      versions.json     # tenant -> {versions: [...], active: id}; only
+                        # written when any tenant has lifecycle versions
+      <model_id>.img    # the record's tenant image (ModelRecord.to_image)
 
-A directory written before records held encodings (``state.npz`` holding
-every weight and mask, no ``formats`` in ``record.json``) still loads: each
-such record is encoded once, on load.
+A *tenant image* is the one byte layout of a record, on disk and in a
+shared-memory segment (:mod:`repro.shm`) alike: a magic, the header's byte
+length, one JSON header (the record's fields and, per ``state`` key and per
+format array, its dtype, shape, memory order and 64-byte-aligned offset) and
+the array bytes, each in its own memory order.  :meth:`ModelRecord.to_image`
+is its one writer and :meth:`ModelRecord.from_image` its one reader.
 
 Versioning (the lifecycle plane, :mod:`repro.lifecycle`): a tenant's base
 id is version 1; :meth:`ModelRegistry.register_version` stacks further
@@ -40,7 +39,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -52,7 +52,7 @@ from ..backend.plan import Plan, compile_plan
 from ..data.loader import UserProfile
 from ..nn.models import build_model, prunable_layers
 from ..nn.module import Module, check_state
-from ..records import json_line
+from ..records import canonical_json, json_line
 from ..sparsity.formats import FORMATS, WeightFormat
 from .types import EngineSpec
 
@@ -62,6 +62,14 @@ __all__ = ["ModelRecord", "ModelRegistry"]
 #: process has built an engine for: one walk per architecture, not per tenant
 #: (two threads missing one key at once may both walk; either plan serves).
 _PLANS: Dict[Tuple[str, int, int, str], Plan] = {}
+
+#: A tenant image's first bytes; the header's byte length follows as ``<u8``.
+_MAGIC = b"CRISPIMG"
+_PREFIX = len(_MAGIC) + 8
+#: Alignment of every array within an image (the header is padded to it too).
+_ALIGN = 64
+#: The record's JSON-valued fields, stored in the image header as they are.
+_PLAIN = ("model_id", "arch", "num_classes", "input_size", "metadata")
 
 
 @dataclass
@@ -117,23 +125,86 @@ class ModelRecord:
             _PLANS[key] = compile_plan(skeleton, get_backend(self.spec.backend))
         return Engine.bound(_PLANS[key], self.state, self.formats, self.spec, self.build_module)
 
-    def record_dict(self) -> Dict:
-        """JSON-serializable half of the record (arrays live in ``state.npz``)."""
-        return {
-            "model_id": self.model_id,
-            "arch": self.arch,
-            "num_classes": self.num_classes,
-            "input_size": self.input_size,
+    def to_image(self) -> bytearray:
+        """The record as one tenant image (see the module docstring).
+
+        Each array keeps its memory order: the ``dense`` format's matrix is
+        an F-contiguous transposed view, and repacking it C-contiguous would
+        change BLAS summation order, a 1-ulp drift between deployments.
+        """
+        placed: List[Tuple[Dict, np.ndarray]] = []
+        size = 0
+
+        def place(array: np.ndarray) -> Dict:
+            nonlocal size
+            order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
+            desc = {"dtype": array.dtype.str, "shape": list(array.shape), "order": order,
+                    "offset": -(-size // _ALIGN) * _ALIGN}
+            size = desc["offset"] + array.nbytes
+            placed.append((desc, array))
+            return desc
+
+        header = canonical_json({
+            **{key: getattr(self, key) for key in _PLAIN},
             "spec": self.spec.to_dict(),
-            "formats": {n: {"kind": f.name, "params": f.params()} for n, f in self.formats.items()},
-            "profile": None
-            if self.profile is None
-            else {
-                "user_id": self.profile.user_id,
-                "preferred_classes": list(self.profile.preferred_classes),
-            },
-            "metadata": self.metadata,
-        }
+            "profile": None if self.profile is None else asdict(self.profile),
+            "state": {key: place(array) for key, array in sorted(self.state.items())},
+            "formats": {name: {"kind": fmt.name, "params": fmt.params(),
+                               "arrays": {key: place(a) for key, a in fmt.arrays().items()}}
+                        for name, fmt in self.formats.items()},
+        }).encode()
+        header += b" " * (-(_PREFIX + len(header)) % _ALIGN)
+        body = _PREFIX + len(header)
+        image = bytearray(body + size)
+        image[:body] = _MAGIC + len(header).to_bytes(8, "little") + header
+        for desc, array in placed:
+            np.ndarray(array.shape, array.dtype, buffer=image, offset=body + desc["offset"],
+                       order=desc["order"])[...] = array
+        return image
+
+    @classmethod
+    def from_image(cls, buffer, source: str) -> "ModelRecord":
+        """The record a tenant image holds; its arrays are views over ``buffer``.
+
+        The views are read-only iff ``buffer`` is.  A truncated image, a bad
+        magic, a header that does not parse or that names a missing key or
+        an unknown format kind raises ``ValueError`` naming ``source``.
+        """
+        image = np.frombuffer(buffer, dtype=np.uint8)
+        try:
+            if bytes(image[:len(_MAGIC)]) != _MAGIC:
+                raise ValueError(f"bad magic, not {_MAGIC!r}")
+            body = _PREFIX + int.from_bytes(bytes(image[len(_MAGIC):_PREFIX]), "little")
+            if body > image.size:
+                raise ValueError(f"truncated: the header ends at byte {body} of {image.size}")
+            try:
+                header = json.loads(bytes(image[_PREFIX:body]))
+            except ValueError as exc:
+                raise ValueError(f"header is not JSON: {exc}") from None
+
+            def view(name: str, desc: Dict) -> np.ndarray:
+                dtype, shape, start = np.dtype(desc["dtype"]), desc["shape"], body + desc["offset"]
+                end = start + dtype.itemsize * math.prod(shape)
+                if end > image.size:
+                    raise ValueError(f"truncated: {name!r} ends at byte {end} of {image.size}")
+                return np.ndarray(shape, dtype, buffer=image, offset=start, order=desc["order"])
+
+            formats = {}
+            for layer, block in header["formats"].items():
+                if block["kind"] not in FORMATS:
+                    raise ValueError(f"unknown format kind {block['kind']!r} of {layer!r}")
+                arrays = {key: view(f"{layer}::{key}", d) for key, d in block["arrays"].items()}
+                formats[layer] = FORMATS[block["kind"]].from_parts(block["params"], arrays)
+            profile = header["profile"]
+            return cls(**{key: header[key] for key in _PLAIN},
+                       spec=EngineSpec.from_dict(header["spec"]),
+                       state={key: view(key, desc) for key, desc in header["state"].items()},
+                       formats=formats,
+                       profile=None if profile is None else UserProfile(**profile))
+        except KeyError as exc:
+            raise ValueError(f"tenant image {source} is malformed: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tenant image {source} is malformed: {exc}") from exc
 
 
 def _encoded(module: Module, spec: EngineSpec) -> Dict[str, Dict]:
@@ -330,17 +401,11 @@ class ModelRegistry:
 
     # -- persistence ----------------------------------------------------------
     def save(self, root) -> Path:
-        """Write every record under ``root`` (one subdirectory per model)."""
+        """Write every record under ``root`` as ``<model_id>.img`` (its tenant image)."""
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         for model_id, record in self._records.items():
-            model_dir = root / model_id
-            model_dir.mkdir(parents=True, exist_ok=True)
-            (model_dir / "record.json").write_text(
-                json.dumps(record.record_dict(), indent=2, sort_keys=True)
-            )
-            encoded = {f"{n}.weight::{k}": a for n, f in record.formats.items() for k, a in f.arrays().items()}
-            np.savez(model_dir / "state.npz", **record.state, **encoded)
+            (root / f"{model_id}.img").write_bytes(record.to_image())
         if self._versions:
             payload = {
                 tenant: {
@@ -356,38 +421,27 @@ class ModelRegistry:
 
     @classmethod
     def load(cls, root) -> "ModelRegistry":
-        """Load a registry from the directory layout written by :meth:`save`."""
+        """Load a registry from the layout written by :meth:`save`.
+
+        Each image is read in one read and bound to its architecture's plan
+        once, so a record that would not build fails here: ``ValueError``
+        naming the file.  A root in the layout before tenant images (a
+        directory of JSON and arrays per model) is refused rather than read
+        as an empty registry.
+        """
         root = Path(root)
         if not root.is_dir():
             raise FileNotFoundError(f"Registry directory {root} does not exist")
+        if any(root.glob("*/*.json")):
+            raise ValueError(f"{root} holds per-model directories, the layout before tenant "
+                             "images, which no longer loads; save it again as <model_id>.img")
         registry = cls()
-        for record_path in sorted(root.glob("*/record.json")):
-            payload = json.loads(record_path.read_text())
-            with np.load(record_path.parent / "state.npz") as npz:
-                state = {key: npz[key] for key in npz.files}  # fresh arrays, memory order kept
-            profile = None
-            if payload.get("profile") is not None:
-                profile = UserProfile(
-                    user_id=int(payload["profile"]["user_id"]),
-                    preferred_classes=[int(c) for c in payload["profile"]["preferred_classes"]],
-                )
-            record = ModelRecord(
-                model_id=payload["model_id"],
-                arch=payload["arch"],
-                num_classes=int(payload["num_classes"]),
-                input_size=int(payload["input_size"]),
-                spec=EngineSpec.from_dict(payload["spec"]),
-                state=state,
-                formats={},
-                profile=profile,
-                metadata=payload.get("metadata", {}),
-            )
-            if "formats" not in payload:  # dense weights and masks: encode them once, here
-                record = replace(record, **_encoded(record._skeleton(), record.spec))
-            for name, block in payload.get("formats", {}).items():
-                kind = FORMATS[block["kind"]]
-                arrays = {key: state.pop(f"{name}.weight::{key}") for key in kind.array_names}
-                record.formats[name] = kind.from_parts(block["params"], arrays)
+        for path in sorted(root.glob("*.img")):
+            record = ModelRecord.from_image(np.fromfile(path, dtype=np.uint8), str(path))
+            try:
+                record.build_engine()
+            except ValueError as exc:
+                raise ValueError(f"tenant image {path} is malformed: {exc}") from exc
             registry._records[record.model_id] = record
         versions_path = root / "versions.json"
         if versions_path.is_file():

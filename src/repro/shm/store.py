@@ -2,26 +2,20 @@
 
 One :class:`SharedWeightStore` lives in the serving frontend's process and
 owns a named :mod:`multiprocessing.shared_memory` segment per published
-model.  A segment is a copy of the registry record's arrays
-(:class:`~repro.serve.registry.ModelRecord`), packed 64-byte aligned; no
-engine is built to publish one:
+model.  A segment holds the registry record's tenant image
+(:meth:`~repro.serve.registry.ModelRecord.to_image`), the same bytes
+``ModelRegistry.save`` writes to disk; no engine is built to publish one.
+A worker parses it once, with :meth:`~repro.serve.registry.ModelRecord.from_image`
+over the read-only mapping, and keeps the record: its non-prunable state and
+every layer's *unfolded* encoding, whatever its format, are read-only
+``np.ndarray`` views over the shared bytes.  A worker's engine folds
+batch-norm into a private copy of each value array (``fmt.scale_columns``)
+with the arithmetic every other build uses; index and offset arrays stay the
+shared bytes.
 
-* the non-prunable state (batch-norm parameters and statistics, biases,
-  depthwise weights) — read in place by each engine build, which folds it
-  into the engine's own bias and depthwise arrays;
-* the *unfolded* encoding of every prunable layer, whatever its format: the
-  store packs ``fmt.arrays()`` next to ``fmt.params()`` and rebuilds through
-  ``FORMATS[kind].from_parts`` (the :class:`~repro.sparsity.formats.WeightFormat`
-  contract), so it names no format and a format's stored fields are listed
-  in one place — consumed in place as read-only ``np.ndarray`` views.  A
-  worker's engine folds batch-norm into a private copy of each value array
-  (``fmt.scale_columns``) with the arithmetic every other build uses; index
-  and offset arrays stay the shared bytes.
-
-The manifest entry describing a segment is a plain JSON-compatible dict
-(segment name + per-array dtype/shape/offset), so it rides the gateway's
-wire envelopes between parent and worker; the weights themselves never
-touch a pipe or a pickle.
+The install entry that names a segment is ``{"model_id", "segment",
+"version"}``, so it rides the gateway's wire envelopes between parent and
+worker; the weights themselves never touch a pipe or a pickle.
 
 Lifetime: the parent is the single owner.  Workers attach by name (and are
 immediately unregistered from the ``resource_tracker`` so a crashing worker
@@ -36,24 +30,13 @@ from __future__ import annotations
 import os
 import secrets
 from contextlib import AbstractContextManager
-from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import InternalError, NotFoundError
-from ..sparsity.formats import FORMATS
+from ..serve.registry import ModelRecord
 
-__all__ = ["SegmentLayout", "SharedWeightStore", "SharedModelSource", "attach_segment"]
-
-#: Alignment of every packed array within a segment.  64 bytes keeps any
-#: dtype naturally aligned and arrays cache-line separated.
-_ALIGN = 64
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+__all__ = ["SharedWeightStore", "SharedModelSource", "attach_segment"]
 
 
 def attach_segment(name: str, untrack: bool = False) -> shared_memory.SharedMemory:
@@ -85,138 +68,18 @@ def attach_segment(name: str, untrack: bool = False) -> shared_memory.SharedMemo
 
 
 def _close_segment(segment: shared_memory.SharedMemory) -> None:
-    """Close a mapping, tolerating still-exported views.
+    """Close a mapping; one that ndarray views still read is unmapped with the last of them.
 
-    ``mmap.close`` refuses while ndarray views are alive (``BufferError``).
-    Views die with the process anyway, and closing the mapping is not what
-    frees the segment — unlinking is — so a refused close is non-fatal.
+    ``mmap.close`` refuses while views are alive (``BufferError``), and
+    ``SharedMemory.__del__`` would retry it.  Dropping the segment's own
+    reference leaves the views' export holding the mmap, which unmaps when it
+    is freed.  Closing is not what frees the segment — unlinking is.
     """
     try:
         segment.close()
     except BufferError:
-        pass
-
-
-def _view(segment: shared_memory.SharedMemory, desc: Dict) -> np.ndarray:
-    """A read-only ndarray view over one packed array (zero-copy)."""
-    arr = np.ndarray(
-        tuple(desc["shape"]),
-        dtype=np.dtype(str(desc["dtype"])),
-        buffer=segment.buf,
-        offset=int(desc["offset"]),
-        order=str(desc.get("order", "C")),
-    )
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass
-class SegmentLayout:
-    """Accumulates arrays into one contiguous, aligned segment image."""
-
-    arrays: List[Tuple[Dict, np.ndarray]] = field(default_factory=list)
-    size: int = 0
-
-    def add(self, array: np.ndarray) -> Dict:
-        """Reserve space for ``array``; returns its manifest descriptor.
-
-        Memory order is preserved: the engine's dense fallback is an
-        F-contiguous transposed view, and repacking it C-contiguous would
-        change BLAS summation order — a 1-ulp drift that breaks the
-        bit-exact parity contract between process and threaded serving.
-        """
-        if array.flags.f_contiguous and not array.flags.c_contiguous:
-            order = "F"
-            array = np.asfortranarray(array)
-        else:
-            order = "C"
-            array = np.ascontiguousarray(array)
-        offset = _align(self.size)
-        self.size = offset + array.nbytes
-        desc = {
-            "offset": offset,
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
-            "order": order,
-        }
-        self.arrays.append((desc, array))
-        return desc
-
-    def write_into(self, segment: shared_memory.SharedMemory) -> None:
-        """Copy every reserved array to its offset in ``segment``."""
-        for desc, array in self.arrays:
-            if array.nbytes == 0:
-                continue
-            target = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=segment.buf,
-                offset=desc["offset"],
-                order=desc["order"],
-            )
-            target[...] = array
-
-
-# ---------------------------------------------------------------------------
-# Compressed-format (de)serialization
-# ---------------------------------------------------------------------------
-
-def _describe_format(fmt, layout: SegmentLayout) -> Dict:
-    """Manifest block for one encoded layer: kind + params + array descriptors."""
-    if getattr(fmt, "name", None) not in FORMATS:  # a worker could not rebuild it
-        raise InternalError(f"cannot share unknown weight format {type(fmt).__name__}")
-    return {
-        "kind": fmt.name,
-        "params": fmt.params(),
-        "arrays": {name: layout.add(array) for name, array in fmt.arrays().items()},
-    }
-
-
-def _rebuild_format(block: Dict, segment: shared_memory.SharedMemory):
-    """Reconstruct one encoded layer over shared-buffer views (no copies).
-
-    ``ValueError`` when the block's param / array names are not the ones its
-    format declares.
-    """
-    cls = FORMATS.get(block["kind"])
-    if cls is None:
-        raise InternalError(f"unknown shared format kind {block['kind']!r}")
-    arrays = {name: _view(segment, desc) for name, desc in block["arrays"].items()}
-    return cls.from_parts(block["params"], arrays)
-
-
-def _build_engine_from_entry(entry: Dict, segment: shared_memory.SharedMemory):
-    """Materialize an engine from one installed manifest entry.
-
-    The entry's views become a :class:`~repro.serve.registry.ModelRecord`
-    and it builds the engine the way the registry does
-    (:meth:`~repro.serve.registry.ModelRecord.build_engine`), from the
-    process's plan for the architecture: each folded value array, bias and
-    depthwise weight is the engine's own; every other format array stays a
-    view.  A missing or mis-shaped state or format array is
-    ``InternalError`` (malformed).
-    """
-    from ..serve.registry import ModelRecord
-    from ..serve.types import EngineSpec
-
-    fields = entry["record"]
-    try:
-        record = ModelRecord(
-            model_id=entry["model_id"],
-            arch=fields["arch"],
-            num_classes=int(fields["num_classes"]),
-            input_size=int(fields["input_size"]),
-            spec=EngineSpec.from_dict(fields["spec"]),
-            state={key: _view(segment, desc) for key, desc in entry["state"].items()},
-            formats={name: _rebuild_format(b, segment) for name, b in entry["formats"].items()},
-        )
-        return record.build_engine()
-    except ValueError as exc:
-        # The manifest is this fleet's own: a block that does not match its
-        # format, or its layer, is a server fault, not a bad request.
-        raise InternalError(
-            f"shared manifest of {entry['model_id']!r} is malformed: {exc}"
-        ) from exc
+        segment._mmap = None  # type: ignore[attr-defined]
+        segment.close()
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +140,28 @@ class SharedWeightStore(AbstractContextManager):
         return self.publish(model_id)
 
     def publish(self, model_id: str) -> Tuple[Dict, int]:
-        """Copy one record's arrays into a fresh segment."""
+        """Copy one record's tenant image into a fresh segment."""
         self._ensure_open()
         record = self.registry.get(model_id)
 
-        layout = SegmentLayout()
-        state_desc = {
-            key: layout.add(array) for key, array in sorted(record.state.items())
-        }
-        formats_desc = {
-            name: _describe_format(fmt, layout)
-            for name, fmt in record.formats.items()
-        }
-
+        image = record.to_image()
         self._version += 1
         name = f"{self.prefix}-{self._version}"
-        segment = shared_memory.SharedMemory(
-            create=True, name=name, size=max(1, layout.size)
-        )
-        layout.write_into(segment)
+        segment = shared_memory.SharedMemory(create=True, name=name, size=len(image))
+        segment.buf[:len(image)] = image
         self._segments[name] = False
-
-        entry = {
-            "model_id": model_id,
-            "segment": name,
-            "version": self._version,
-            "record": {
-                "arch": record.arch,
-                "num_classes": record.num_classes,
-                "input_size": record.input_size,
-                "spec": record.spec.to_dict(),
-            },
-            "state": state_desc,
-            "formats": formats_desc,
-        }
+        entry = {"model_id": model_id, "segment": name, "version": self._version}
 
         previous = self._published.get(model_id)
         self._published[model_id] = _Published(entry, self._version, record, segment)
-        # The parent consumes its own mapping directly — re-attaching by name
-        # would double-register the segment with the resource tracker.
-        self._local.install(entry, segment=segment)
         if previous is not None:
             # Retire the replaced segment immediately: POSIX keeps existing
             # mappings valid after unlink, so workers mid-batch on the old
             # version finish safely while /dev/shm stays clean.
             self._unlink(previous.segment)
+        # The parent consumes its own mapping directly — re-attaching by name
+        # would double-register the segment with the resource tracker.
+        self._local.install(entry, segment=segment)
         return entry, self._version
 
     def build_engine(self, model_id: str):
@@ -395,20 +235,22 @@ class SharedWeightStore(AbstractContextManager):
 # ---------------------------------------------------------------------------
 
 class _AttachedModel:
-    __slots__ = ("entry", "segment")
+    __slots__ = ("version", "record", "segment")
 
-    def __init__(self, entry: Dict, segment: shared_memory.SharedMemory) -> None:
-        self.entry = entry
+    def __init__(self, version: int, record: ModelRecord,
+                 segment: shared_memory.SharedMemory) -> None:
+        self.version = version
+        self.record = record
         self.segment = segment
 
 
 class SharedModelSource:
-    """Worker-side engine source over installed shared-memory manifests.
+    """Worker-side engine source over installed shared-memory tenant images.
 
     Satisfies the engine-source protocol of
     :class:`~repro.serve.cache.EngineCache` (``build_engine(model_id)``), so
     a process shard wires it in where the threaded shard wires the registry.
-    Models arrive as manifest entries over the control channel
+    Models arrive as install entries over the control channel
     (:meth:`install`); their weight bytes are mapped, never copied.
     """
 
@@ -420,34 +262,47 @@ class SharedModelSource:
         self.untrack = untrack
 
     def install(self, entry: Dict, segment: Optional[shared_memory.SharedMemory] = None) -> bool:
-        """Install (or version-replace) one model's manifest entry.
+        """Install (or version-replace) one model's install entry.
 
         Returns whether an older version was replaced.  ``segment`` lets a
         caller that already holds the mapping hand it over; otherwise the
         segment is attached by name (honouring ``untrack``, see
-        :func:`attach_segment`).
+        :func:`attach_segment`).  The image is parsed here, once; one that
+        does not parse is ``InternalError``.
         """
         model_id = entry["model_id"]
         previous = self._models.get(model_id)
-        if previous is not None and previous.entry["version"] == entry["version"]:
+        if previous is not None and previous.version == entry["version"]:
             return False
         if segment is None:
             segment = attach_segment(entry["segment"], untrack=self.untrack)
-        self._models[model_id] = _AttachedModel(entry, segment)
+        try:
+            record = ModelRecord.from_image(segment.buf.toreadonly(), f"segment {entry['segment']}")
+        except ValueError as exc:
+            raise InternalError(str(exc)) from exc
+        self._models[model_id] = _AttachedModel(entry["version"], record, segment)
         if previous is not None:
             _close_segment(previous.segment)
             return True
         return False
 
     def build_engine(self, model_id: str):
-        """Materialize an engine for one installed model."""
+        """Build an engine for one installed model (:meth:`ModelRecord.build_engine`).
+
+        A state or format array that is missing or does not fit its layer is
+        ``InternalError`` (malformed): the image is this fleet's own, so it
+        is a server fault, not a bad request.
+        """
         attached = self._models.get(model_id)
         if attached is None:
             raise NotFoundError(
-                f"model {model_id!r} has no installed shared-weight manifest; "
+                f"model {model_id!r} has no installed shared-memory image; "
                 f"installed: {sorted(self._models)}"
             )
-        return _build_engine_from_entry(attached.entry, attached.segment)
+        try:
+            return attached.record.build_engine()
+        except ValueError as exc:
+            raise InternalError(f"shared image of {model_id!r} is malformed: {exc}") from exc
 
     def model_ids(self) -> List[str]:
         return sorted(self._models)

@@ -169,16 +169,18 @@ def test_a_zero_gamma_channel_served_from_a_record_matches_folding_before_encodi
 
 @pytest.mark.parametrize("weight_format", FORMATS)
 @pytest.mark.parametrize("arch", ARCHS)
-def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_format, rng):
-    """One tenant, four builds: from its module (the experiments), from its
+def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_format, rng, tmp_path):
+    """One tenant, five builds: from its module (the experiments), from its
     registry record (a cache miss) twice — the second from the plan the first
-    compiled — and from a shared-memory segment attached by name (a process
-    shard's miss).  Folded arrays, the bytes of the GEMM operands each layer
-    decoded to, the ops' folded biases and logits are identical."""
+    compiled — from a shared-memory segment attached by name (a process
+    shard's miss) and from the registry saved and loaded back (one tenant
+    image, two readers).  Folded arrays, the bytes of the GEMM operands each
+    layer decoded to, the ops' folded biases and logits are identical."""
     model = _pruned(arch, rng)
     spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
     registry = ModelRegistry()
     model_id = registry.register(model, spec=spec)
+    reloaded = ModelRegistry.load(registry.save(tmp_path))
     batch = rng.normal(size=(3, 3, 8, 8))
 
     def operand_bytes(value):
@@ -190,7 +192,8 @@ def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_
         try:
             source.install(entry)
             engines = [Engine(model, **spec.to_dict()), registry.build_engine(model_id),
-                       registry.build_engine(model_id), source.build_engine(model_id)]
+                       registry.build_engine(model_id), source.build_engine(model_id),
+                       reloaded.build_engine(model_id)]
             served = [
                 (e.predict(batch).tobytes(),
                  {name: {key: array.tobytes() for key, array in fmt.arrays().items()}
@@ -203,7 +206,7 @@ def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_
         finally:
             source.close()
     assert all(formats for _, _, formats, _ in served)
-    assert served[1] == served[0] and served[2] == served[0] and served[3] == served[0]
+    assert all(build == served[0] for build in served[1:])
     assert engines[1]._plan[0] is not engines[2]._plan[0]  # one plan, two bindings
 
 

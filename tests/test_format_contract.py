@@ -12,8 +12,9 @@ without ``src/`` ever having heard of it.
 from __future__ import annotations
 
 import json
+import os
+import re
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
@@ -23,8 +24,8 @@ from repro.backend import Engine, get_backend, weight_formats
 from repro.errors import InternalError
 from repro.nn.models.base import prunable_layers
 from repro.serve import EngineSpec, ModelRegistry
-from repro.shm import SegmentLayout, SharedModelSource, SharedWeightStore
-from repro.shm.store import _describe_format
+from repro.serve.registry import _ALIGN, _MAGIC, _PREFIX, ModelRecord
+from repro.shm import SharedModelSource, SharedWeightStore
 from repro.sparsity import HybridSparsityConfig, hybrid_mask
 from repro.sparsity.formats import (
     DEFAULT_VALUE_BITS,
@@ -48,6 +49,51 @@ def hybrid_matrix(rng, rows=40, cols=24):
     return weight * mask
 
 
+#: How each tampered image fails: at load (``ValueError`` naming the file), at
+#: the install that parses a segment, or at the build that binds it.
+TAMPERED = {
+    "swap-layers": "malformed",
+    "rename-array": "malformed",
+    "unknown-kind": "malformed: unknown format kind 'coo'",
+    # Regression: a missing state array used to leave the zoo's seeded init in its place.
+    "drop-state-key": "malformed.*'stem_bn.gamma'.*got nothing",
+    "truncate-state": r"malformed.*'stem_bn.running_var::buffer'.*got \(11,\)",
+    "truncate-file": "malformed: truncated",
+    "bad-magic": "malformed: bad magic",
+    "header-not-json": "malformed: header is not JSON",
+}
+
+
+def tampered_image(image: bytes, tamper: str) -> bytes:
+    """``image`` truncated, with a bad magic or an unparsable header, or with
+    its JSON header edited (the array bytes stay where they were)."""
+    if tamper == "truncate-file":
+        return image[:-100]
+    if tamper == "bad-magic":
+        return b"NOTANIMG" + image[len(_MAGIC):]
+    if tamper == "header-not-json":
+        return image[:_PREFIX] + b"x" + image[_PREFIX + 1:]
+    end = _PREFIX + int.from_bytes(image[len(_MAGIC):_PREFIX], "little")
+    header = json.loads(image[_PREFIX:end])
+    blocks, state = header["formats"], header["state"]
+    first, last = list(blocks)[0], list(blocks)[-1]
+    if tamper == "swap-layers":
+        blocks[first], blocks[last] = blocks[last], blocks[first]
+    elif tamper == "unknown-kind":
+        blocks[first]["kind"] = "coo"
+    elif tamper == "drop-state-key":
+        del state["stem_bn.gamma"]
+    elif tamper == "truncate-state":
+        state["stem_bn.running_var::buffer"]["shape"][0] -= 1
+    else:
+        assert tamper == "rename-array"
+        arrays = blocks[first]["arrays"]
+        arrays["group_vals"] = arrays.pop("group_values")
+    text = json.dumps(header).encode()
+    text += b" " * (-(_PREFIX + len(text)) % _ALIGN)
+    return image[:len(_MAGIC)] + len(text).to_bytes(8, "little") + text + image[end:]
+
+
 def read_only(arrays):
     frozen = {name: array.copy() for name, array in arrays.items()}
     for array in frozen.values():
@@ -57,16 +103,10 @@ def read_only(arrays):
 
 def shipped(fmt):
     """Everything of an encoding that leaves the process, as comparable bytes."""
-    layout = SegmentLayout()
-    manifest = _describe_format(fmt, layout)
-    image = SimpleNamespace(buf=bytearray(layout.size))
-    layout.write_into(image)
     return (
         json.dumps(fmt.params(), sort_keys=True),
         {key: (array.dtype.str, array.shape, array.tobytes()) for key, array in fmt.arrays().items()},
         fmt.summary(),
-        json.dumps(manifest, sort_keys=True),
-        bytes(image.buf),
     )
 
 
@@ -93,7 +133,7 @@ class TestEveryFormat:
 
         params, arrays = fmt.params(), fmt.arrays()
         assert list(arrays) == list(fmt.array_names)
-        assert json.loads(json.dumps(params)) == params  # rides the manifest as is
+        assert json.loads(json.dumps(params)) == params  # rides the image header as is
         fmt.derived["memo"] = object()
         rebuilt = FORMATS[name].from_parts(json.loads(json.dumps(params)), read_only(arrays))
         assert rebuilt.derived == {}  # derived state is never shipped
@@ -103,8 +143,8 @@ class TestEveryFormat:
             assert array.dtype == arrays[key].dtype and not array.flags.writeable
 
     def test_a_matmul_changes_nothing_that_ships(self, name, rng):
-        """Kernels memoize decoded operands in ``derived``; the arrays, params,
-        bit cost and shared-memory image stay the encoding's own."""
+        """Kernels memoize decoded operands in ``derived``; the arrays, params
+        and bit cost a tenant image stores stay the encoding's own."""
         if name not in weight_formats("fast"):
             return  # no kernel, so nothing is ever derived
         matrix = hybrid_matrix(rng)
@@ -169,46 +209,41 @@ class TestInstallFormats:
         with pytest.raises(TypeError):
             engine.formats["stem"] = None
 
-    @pytest.mark.parametrize(
-        "tamper, message",
-        [
-            ("swap-layers", "malformed"),
-            ("rename-array", "malformed"),
-            ("unknown-kind", "unknown shared format kind 'coo'"),
-            # Regression: a missing state array used to leave the zoo's seeded init in its place.
-            ("drop-state-key", "malformed.*'stem_bn.gamma'.*got nothing"),
-            ("truncate-state", r"malformed.*'stem_bn.running_var::buffer'.*got \(11,\)"),
-        ],
-    )
-    def test_tampered_manifest_fails_typed_at_build(self, tamper, message):
+    @pytest.mark.parametrize("tamper", list(TAMPERED))
+    def test_a_tampered_image_fails_typed_at_load_install_or_build(self, tamper, tmp_path, monkeypatch):
+        message = TAMPERED[tamper]
         registry = ModelRegistry()
         model_id = registry.register(
             sparsified_model(), spec=EngineSpec(weight_format="crisp", block_size=8), model_id="t"
         )
-        with SharedWeightStore(registry) as store:
-            entry, _ = store.ensure(model_id)
-            blocks, state = dict(entry["formats"]), dict(entry["state"])
-            first, last = list(blocks)[0], list(blocks)[-1]
-            if tamper == "swap-layers":
-                blocks[first], blocks[last] = blocks[last], blocks[first]
-            elif tamper == "unknown-kind":
-                blocks[first] = {**blocks[first], "kind": "coo"}
-            elif tamper == "drop-state-key":
-                del state["stem_bn.gamma"]
-            elif tamper == "truncate-state":
-                desc = state["stem_bn.running_var::buffer"]
-                state["stem_bn.running_var::buffer"] = {**desc, "shape": [desc["shape"][0] - 1]}
-            else:
-                arrays = dict(blocks[first]["arrays"])
-                arrays["group_vals"] = arrays.pop("group_values")
-                blocks[first] = {**blocks[first], "arrays": arrays}
-            source = SharedModelSource()
-            try:
-                source.install({**entry, "formats": blocks, "state": state})
-                with pytest.raises(InternalError, match=message):
-                    source.build_engine(model_id)
-            finally:
-                source.close()
+        image = tampered_image(bytes(registry.get(model_id).to_image()), tamper)
+
+        path = registry.save(tmp_path) / f"{model_id}.img"
+        path.write_bytes(image)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{message}"):
+            ModelRegistry.load(tmp_path)
+
+        monkeypatch.setattr(ModelRecord, "to_image", lambda record: image)
+        store = SharedWeightStore(registry)
+        source = SharedModelSource()  # what a process shard installs into
+        try:
+            with pytest.raises(InternalError, match=message):
+                entry, _ = store.ensure(model_id)  # the parent parses its own segment too
+                source.install(entry)
+                source.build_engine(model_id)
+        finally:
+            source.close()
+            store.close()
+        assert store.segment_names(live_only=False)
+        assert not [name for name in store.segment_names(live_only=False)
+                    if os.path.exists(f"/dev/shm/{name}")]
+
+    def test_a_root_in_the_record_json_layout_is_refused_not_read_as_empty(self, tmp_path):
+        old = tmp_path / "resnet_tiny-u0-0123abcd"
+        old.mkdir()
+        (old / "record.json").write_text("{}")
+        with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path))} holds per-model directories"):
+            ModelRegistry.load(tmp_path)
 
     @pytest.mark.parametrize("tamper", ["drop-state-key", "truncate-state"])
     def test_a_record_with_bad_state_fails_at_build_naming_the_key(self, tamper):
@@ -303,10 +338,11 @@ def test_a_format_defined_outside_src_is_served_end_to_end(transposed_format, rn
     with SharedWeightStore(registry) as store:
         entry, _ = store.ensure(model_id)
         entry = json.loads(json.dumps(entry))  # as it crosses the control pipe
-        assert {block["kind"] for block in entry["formats"].values()} == {"transposed"}
         source = SharedModelSource()
         try:
             source.install(entry)
+            installed = source._models[model_id].record
+            assert {fmt.name for fmt in installed.formats.values()} == {"transposed"}
             attached = source.build_engine(model_id)
             for fmt in attached.formats.values():
                 assert isinstance(fmt, TransposedFormat) and not fmt.rows_t.flags.writeable

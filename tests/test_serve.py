@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -33,19 +31,6 @@ def _sparsified_model(seed=0, num_classes=6, input_size=12):
         w = layer.weight.data
         layer.weight.set_mask((np.abs(w) >= np.quantile(np.abs(w), 0.7)).astype(np.float64))
     return model
-
-
-def _write_dense_layout(model_dir, state, mask_dtype):
-    """Rewrite one saved record in the layout written before records held
-    encodings: ``state.npz`` holds every weight and mask (``mask_dtype``),
-    ``record.json`` no formats."""
-    record = json.loads((model_dir / "record.json").read_text())
-    del record["formats"]
-    (model_dir / "record.json").write_text(json.dumps(record))
-    np.savez(
-        model_dir / "state.npz",
-        **{k: v.astype(mask_dtype) if k.endswith("::mask") else v for k, v in state.items()},
-    )
 
 
 def _registry_with(*seeds):
@@ -142,9 +127,7 @@ class TestModelRegistry:
         record = reloaded.get(model_id)
         assert record.spec == SPEC
         assert record.metadata["accuracy"] == 0.75
-        np.testing.assert_allclose(
-            reloaded.build_engine(model_id).predict(batch), expected, atol=1e-10
-        )
+        np.testing.assert_array_equal(reloaded.build_engine(model_id).predict(batch), expected)
 
     def test_save_preserves_masks(self, tmp_path):
         registry, (model_id,) = _registry_with(0)
@@ -154,8 +137,8 @@ class TestModelRegistry:
         masked = [l for l in prunable_layers(module).values() if l.weight.mask is not None]
         assert masked, "pruning masks must survive the save/load round trip"
 
-    def test_masks_are_one_byte_and_float64_masks_on_disk_still_load(self, tmp_path, batch):
-        """Masks decode as ``bool``; a registry written with ``float64`` masks still loads."""
+    def test_masks_are_one_byte(self, tmp_path, batch):
+        """Masks decode as ``bool``, from the registry and from a reloaded one."""
         registry, (model_id,) = _registry_with(0)
         state = _sparsified_model(seed=0).state_dict()
         mask_keys = [key for key in state if key.endswith("::mask")]
@@ -163,8 +146,6 @@ class TestModelRegistry:
         expected = registry.build_engine(model_id).predict(batch)
 
         registry.save(tmp_path / "models")
-        _write_dense_layout(tmp_path / "models" / model_id, state, np.float64)
-
         reloaded = ModelRegistry.load(tmp_path / "models")
         rebuilt = reloaded.materialize(model_id).state_dict()
         for key in mask_keys:
@@ -178,20 +159,6 @@ class TestRecordIsTheEncoding:
     state; a cache miss folds batch-norm into the stored arrays."""
 
     CRISP = EngineSpec(backend="fast", weight_format="crisp", block_size=8)
-
-    def test_a_dense_layout_directory_with_bool_masks_serves_the_same_logits(self, tmp_path, batch):
-        model = _sparsified_model(seed=0)
-        registry = ModelRegistry()
-        model_id = registry.register(model, spec=self.CRISP)
-        expected = registry.build_engine(model_id).predict(batch)
-        registry.save(tmp_path / "models")
-        _write_dense_layout(tmp_path / "models" / model_id, model.state_dict(), bool)
-
-        record = ModelRegistry.load(tmp_path / "models").get(model_id)
-        assert list(record.formats) == list(prunable_layers(model))
-        assert not any(key.endswith("::mask") for key in record.state)
-        assert not any(f"{name}.weight" in record.state for name in record.formats)
-        np.testing.assert_array_equal(record.build_engine().predict(batch), expected)
 
     def test_a_kept_weight_that_is_exactly_zero_reads_as_pruned(self):
         """The record keeps no mask: ``materialize`` reads the mask off the

@@ -11,8 +11,7 @@ from repro.errors import InternalError, NotFoundError
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.serve import EngineSpec, ModelRegistry
-from repro.shm import SegmentLayout, SharedModelSource, SharedWeightStore, attach_segment
-from repro.shm.store import _view
+from repro.shm import SharedModelSource, SharedWeightStore, attach_segment
 
 
 def _sparsified_model(seed=0, num_classes=5, input_size=12):
@@ -36,33 +35,32 @@ def _shm_exists(name):
     return os.path.exists(f"/dev/shm/{name}")
 
 
-class TestSegmentLayout:
-    def test_preserves_memory_order(self):
-        """F-order arrays must round-trip F-order: repacking a transposed
-        dense weight C-contiguously changes BLAS summation order (a 1-ulp
-        drift that breaks the bit-exact serving contract)."""
-        from multiprocessing import shared_memory
-
-        c_arr = np.arange(12.0).reshape(3, 4)
-        f_arr = np.asfortranarray(np.arange(12.0).reshape(3, 4) + 100)
-        layout = SegmentLayout()
-        c_desc = layout.add(c_arr)
-        f_desc = layout.add(f_arr)
-        assert c_desc["order"] == "C" and f_desc["order"] == "F"
-
-        segment = shared_memory.SharedMemory(create=True, size=max(1, layout.size))
-        try:
-            layout.write_into(segment)
-            c_back = _view(segment, c_desc)
-            f_back = _view(segment, f_desc)
-            np.testing.assert_array_equal(c_back, c_arr)
-            np.testing.assert_array_equal(f_back, f_arr)
-            assert c_back.flags.c_contiguous
-            assert f_back.flags.f_contiguous
-            assert not f_back.flags.writeable  # zero-copy views are read-only
-        finally:
-            segment.close()
-            segment.unlink()
+class TestTenantImage:
+    def test_preserves_memory_order(self, tmp_path):
+        """An F-ordered ``dense`` matrix comes back F-contiguous from a saved
+        image and from a segment: repacking it C-contiguously changes BLAS
+        summation order (a 1-ulp drift that breaks the bit-exact serving
+        contract)."""
+        registry, (model_id,) = _registry(EngineSpec(backend="fast", weight_format="dense"))
+        stored = registry.get(model_id).formats
+        assert all(f.matrix.flags.f_contiguous and not f.matrix.flags.c_contiguous
+                   for f in stored.values())
+        reloaded = ModelRegistry.load(registry.save(tmp_path)).get(model_id)
+        with SharedWeightStore(registry) as store:
+            source = SharedModelSource()
+            try:
+                source.install(store.ensure(model_id)[0])
+                shared = source._models[model_id].record
+                for record, writeable in ((reloaded, True), (shared, False)):
+                    for name, fmt in record.formats.items():
+                        np.testing.assert_array_equal(fmt.matrix, stored[name].matrix)
+                        assert fmt.matrix.flags.f_contiguous
+                        assert fmt.matrix.flags.writeable is writeable
+                    for key, array in record.state.items():
+                        np.testing.assert_array_equal(array, registry.get(model_id).state[key])
+                        assert array.flags.writeable is writeable  # segment views are read-only
+            finally:
+                source.close()
 
 
 class TestSharedWeightStore:
