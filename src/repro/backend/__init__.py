@@ -23,13 +23,7 @@ from .base import (
     weight_formats,
 )
 from .reference import ReferenceBackend
-from .fast import (
-    FastBackend,
-    WorkspaceCache,
-    blocked_ellpack_matmul_fast,
-    crisp_matmul_fast,
-    csr_matmul_fast,
-)
+from .fast import FastBackend, WorkspaceCache
 from .engine import WEIGHT_FORMATS, Engine
 
 __all__ = [
@@ -42,9 +36,6 @@ __all__ = [
     "ReferenceBackend",
     "FastBackend",
     "WorkspaceCache",
-    "csr_matmul_fast",
-    "blocked_ellpack_matmul_fast",
-    "crisp_matmul_fast",
     "Engine",
     "WEIGHT_FORMATS",
 ]

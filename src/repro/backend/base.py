@@ -79,6 +79,14 @@ class Backend(ABC):
             )
         return kernel(fmt, activations)
 
+    def bind_weights(self, weights: List[Tuple[object, np.ndarray]]) -> List[object]:
+        """What an engine's ops hand ``sparse_matmul`` for each ``(unfolded format, column scale)``.
+
+        Called once per engine build, for every layer at once.  Here: the
+        folded encoding, ``fmt.scale_columns(scale)``.
+        """
+        return [fmt.scale_columns(scale) for fmt, scale in weights]
+
     # -- workspace management -------------------------------------------------
     def workspace_stats(self) -> Dict[str, int]:
         """Hit/miss counters and held bytes of the workspace cache (zeros when stateless)."""

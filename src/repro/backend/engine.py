@@ -29,13 +29,18 @@ Two contracts follow from compiling:
 * **Encode, then fold.**  Each prunable layer's mask-applied, *unfolded*
   weight is encoded (:func:`encode_weights`) — or handed in already encoded,
   which is what a registry record stores — and its batch-norm scale is then
-  multiplied into the stored values of a copy (``fmt.scale_columns``): into
-  columns of the ``(reduction, out)`` matrix, one ``w * scale`` per value,
-  the product encoding the folded matrix would have stored.  Those *folded*
-  encodings are what :attr:`Engine.formats`, :meth:`Engine.format_summaries`
-  and :meth:`Engine.total_weight_bits` report.  A zero stays a zero, so
-  ``nnz``, the bit counts and ``is_lossless`` are those of the unfolded
-  weight (a channel whose ``gamma`` is exactly 0 can only lose non-zeros).
+  multiplied into its stored values: into columns of the ``(reduction,
+  out)`` matrix, one ``w * scale`` per value, the product encoding the
+  folded matrix would have stored.  Where that product goes is the
+  backend's (``Backend.bind_weights``): ``fast`` places it straight into
+  the layer's GEMM operand at build, ``reference`` into a folded copy of the
+  encoding (``fmt.scale_columns``).  :attr:`Engine.formats` and
+  :meth:`Engine.format_summaries` report *folded* encodings, folded on the
+  first read; :meth:`Engine.total_weight_bits` and :attr:`Engine.is_lossless`
+  read the unfolded ones.  A zero stays a zero, so ``nnz``, the bit counts
+  and ``is_lossless`` are those of the unfolded weight (a channel whose
+  ``gamma`` is exactly 0 can only lose non-zeros), and a bit count does not
+  depend on the values at all.
   Folding reorders float operations: an engine agrees with
   ``module.eval()``'s forward to round-off (<= 1e-9), and engines built from
   one model agree with each other bit for bit, whichever process built them.
@@ -132,7 +137,7 @@ class Engine:
 
         ``state`` is the non-prunable ``state_dict`` and ``formats`` the
         unfolded encodings (what a registry record stores): :func:`bind`
-        folds batch-norm into copies of the value arrays and checks every
+        folds batch-norm into what the backend multiplies and checks every
         format and state shape.  ``spec`` is anything with ``backend`` /
         ``weight_format`` / ``n`` / ``m`` / ``block_size`` attributes, so the
         serving layer's specs build engines without this module importing
@@ -153,16 +158,14 @@ class Engine:
 
     # -- compilation ----------------------------------------------------------
     def _bind(self, plan: Plan, state, formats, undecoded: Optional[Callable[[], Module]]) -> None:
-        """Bind ``plan`` to ``state`` and unfolded ``formats``; swap ops and folded formats in.
+        """Bind ``plan`` to ``state`` and unfolded ``formats``; swap ops and layers in.
 
         Both are replaced by assignment, so a predict running on another
         thread finishes on the ops it started with.  ``undecoded`` builds the
         module on the next read of :attr:`module` (``None``: it is current).
         """
-        ops, folded = bind(plan, state, formats)
-        for array in (array for fmt in folded.values() for array in fmt.arrays().values()):
-            array.flags.writeable = False  # the kernels memoize what they derive from it
-        self._formats, self._plan, self._undecoded = folded, ops, undecoded
+        ops, layers = bind(plan, state, formats)
+        self._layers, self._folded, self._plan, self._undecoded = layers, None, ops, undecoded
 
     def refresh_formats(self) -> None:
         """Recompile: re-read the module, re-encode every prunable layer, fold.
@@ -183,15 +186,15 @@ class Engine:
 
         ``formats`` are *unfolded* encodings — what :func:`encode_weights`
         returns and a registry record stores — and :func:`bind` folds this
-        module's batch-norm into copies of them, so an install encodes
-        nothing.  The module supplies the architecture and the non-prunable
-        state; from here on its prunable weights are these encodings', decoded
-        into it on the first read of :attr:`module`.  Each folded value array
-        is this engine's own; every other array is adopted as it is (a
-        registry record's or a shared-memory segment's read-only views stay
-        views).  The ``fast`` kernels decode each format into a private GEMM
-        operand on first use (``fmt.derived``, ~250 KiB for a CRISP
-        ``resnet_tiny``), one copy per process per resident engine.
+        module's batch-norm into what the backend multiplies, so an install
+        encodes nothing.  The module supplies the architecture and the
+        non-prunable state; from here on its prunable weights are these
+        encodings', decoded into it on the first read of :attr:`module`.  The
+        encodings' arrays are adopted as they are (a registry record's or a
+        shared-memory segment's read-only views stay views).  The ``fast``
+        backend places every layer into a private GEMM operand here (~250 KiB
+        for a CRISP ``resnet_tiny``), one copy per process per resident
+        engine; ``reference`` folds a copy of each value array.
 
         They must cover exactly this module's prunable layers, each encoding
         the ``(reduction, out_channels)`` matrix of its layer — a mismatch
@@ -220,8 +223,21 @@ class Engine:
 
     @property
     def formats(self) -> Mapping[str, WeightFormat]:
-        """Read-only view of the folded encodings, by layer name, in layer order."""
-        return MappingProxyType(self._formats)
+        """Read-only view of the folded encodings, by layer name, in layer order.
+
+        Folded (``fmt.scale_columns``) on the first read, into read-only
+        arrays; serving never reads them, so a ``fast`` engine's build makes
+        none.  Two threads reading first at once may both fold; each gets a
+        complete mapping.
+        """
+        folded = self._folded
+        if folded is None:
+            folded = {name: fmt if scale is None else fmt.scale_columns(scale)
+                      for name, (fmt, scale) in self._layers.items()}
+            for array in (array for fmt in folded.values() for array in fmt.arrays().values()):
+                array.flags.writeable = False
+            self._folded = folded
+        return MappingProxyType(folded)
 
     @property
     def is_lossless(self) -> bool:
@@ -231,7 +247,7 @@ class Engine:
         weights violate the hybrid N:M + block pattern the engine was
         configured with (i.e. the model was pruned with another one).
         """
-        return all(fmt.is_lossless for fmt in self._formats.values())
+        return all(fmt.is_lossless for fmt, _ in self._layers.values())
 
     # -- inference ------------------------------------------------------------
     def predict(self, batch: np.ndarray) -> np.ndarray:
@@ -261,12 +277,16 @@ class Engine:
 
     # -- reporting ------------------------------------------------------------
     def format_summaries(self) -> Dict[str, FormatSummary]:
-        """Per-layer storage summaries of the encoded weights."""
-        return {name: fmt.summary() for name, fmt in self._formats.items()}
+        """Per-layer storage summaries of the folded encodings."""
+        return {name: fmt.summary() for name, fmt in self.formats.items()}
 
     def total_weight_bits(self) -> int:
-        """Total bits (data + metadata) of all compressed prunable weights."""
-        return sum(s.total_bits for s in self.format_summaries().values())
+        """Total bits (data + metadata) of all compressed prunable weights.
+
+        Read off the unfolded encodings: a bit count does not depend on the
+        stored values, so folding cannot change it.
+        """
+        return sum(fmt.summary().total_bits for fmt, _ in self._layers.values())
 
     def stats(self) -> Dict[str, object]:
         """Engine-level report: backend, format, storage, workspace counters and
@@ -274,7 +294,7 @@ class Engine:
         return {
             "backend": self.backend.name,
             "weight_format": self.weight_format,
-            "layers": len(self._formats),
+            "layers": len(self._layers),
             "lossless": self.is_lossless,
             "total_weight_bits": self.total_weight_bits(),
             "workspace": self.backend.workspace_stats(),

@@ -1,17 +1,20 @@
-"""The ``fast`` backend: decode-once sparse kernels + inference workspace reuse.
+"""The ``fast`` backend: GEMM operands placed at bind + inference workspace reuse.
 
 Two things distinguish this backend from ``reference``:
 
-* a compressed weight is decoded **once**, on its first matmul, into a BLAS
-  operand memoized on the format (``fmt.derived``, never serialized): CSR —
-  and a Blocked-Ellpack or CRISP weight of at most
-  :data:`DENSE_OPERAND_MAX_ENTRIES` entries — into a dense transposed
-  matrix; a larger Blocked-Ellpack or CRISP weight into the same
-  per-block-row tile stack, which one shared function (:func:`_tile_matmul`)
-  multiplies — a batched tile GEMM, then a GEMM with a 0/1 matrix that sums
-  the tile contributions into their output block columns.  CRISP's N:M
-  offsets are weight-side metadata, so resolving them is part of that
-  decode, not of every call.  The per-row / per-value Python loops of
+* an engine's CSR, Blocked-Ellpack and CRISP weights are **placed** when it
+  is built (:func:`place`, this backend's ``bind_weights``): every layer's
+  stored values, each multiplied by its column's batch-norm scale on the
+  way, are written into BLAS operands — views of one array the engine owns,
+  filled by one scatter per tile shape — so no folded copy of an encoding is
+  made and the first predict decodes nothing.  CSR, and a Blocked-Ellpack
+  or CRISP weight of at most :data:`DENSE_OPERAND_MAX_ENTRIES` entries, get
+  a dense transposed matrix; a larger Blocked-Ellpack or CRISP weight the
+  per-block-row tile stack that :func:`operand_matmul` multiplies — a
+  batched tile GEMM, then a GEMM with a 0/1 matrix that sums the tile
+  contributions into their output block columns.  CRISP's N:M offsets are
+  weight-side metadata, so resolving them is part of placing, not of every
+  call.  The per-row / per-value Python loops of
   :mod:`repro.sparsity.sparse_ops` stay the oracle;
 * ``im2col`` (what an :class:`~repro.backend.engine.Engine`'s plan calls) is
   one ``np.take`` through a tap index cached per input shape, into a
@@ -22,11 +25,11 @@ Two things distinguish this backend from ``reference``:
 Nothing here is on a ``Module``'s path: training and ``eval()`` forwards run
 :mod:`repro.nn.functional`, whichever backend an engine was compiled for.
 
-What is decoded is private to the process and lives as long as the format
-object (for a served tenant: until its engine leaves the cache).  It is a
-function of the stored arrays alone — its size does not depend on the batch
-widths a weight has been multiplied with.  Storage, ``arrays()`` and the
-shared-memory segments are untouched by it.
+An operand is private to its engine and freed with it.  It is a function of
+the stored arrays and the scale alone — its size does not depend on the
+batch widths served — and storage, ``arrays()`` and the shared-memory
+segments are untouched by it.  A raw format handed to ``sparse_matmul`` is
+placed unscaled on each call (:func:`encoded_matmul`) and keeps nothing.
 
 All kernels produce outputs within floating-point round-off of the reference
 backend (the parity suite pins this to 1e-8); they are *not* guaranteed to
@@ -37,24 +40,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
-from ..sparsity.formats import BlockedEllpackFormat, CRISPFormat, CSRFormat
+from ..sparsity.formats import BlockedEllpackFormat, CRISPFormat, CSRFormat, WeightFormat
 from ..sparsity.sparse_ops import check_activation_rows
-from .base import get_backend, register_backend
+from .base import register_backend
 from .reference import ReferenceBackend
 
 
-__all__ = [
-    "FastBackend",
-    "WorkspaceCache",
-    "csr_matmul_fast",
-    "blocked_ellpack_matmul_fast",
-    "crisp_matmul_fast",
-]
+__all__ = ["FastBackend", "WorkspaceCache", "Operand", "place", "operand_matmul", "encoded_matmul"]
 
 
 class WorkspaceCache:
@@ -115,154 +112,165 @@ class WorkspaceCache:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sparse kernels
+# GEMM operands, placed at bind
 # ---------------------------------------------------------------------------
 
-#: A tile-format weight with at most this many entries (32 KiB decoded)
+#: A tile-format weight with at most this many entries (32 KiB placed)
 #: multiplies as its dense transpose: below it, the tile GEMM pair's fixed
 #: cost is more than the dropped blocks save.  A constant of the shape alone,
 #: so every process and deployment sums a layer in the same order.
 DENSE_OPERAND_MAX_ENTRIES = 4096
 
 
-def _dense_t(fmt) -> np.ndarray:
-    """``fmt``'s dense transpose, C-contiguous, memoized as ``fmt.derived["dense_t"]``."""
-    dense_t = fmt.derived.get("dense_t")
-    if dense_t is None:
-        dense = _crisp_operand(fmt, "dense_t") if isinstance(fmt, CRISPFormat) else fmt.to_dense().T
-        dense_t = fmt.derived["dense_t"] = np.ascontiguousarray(dense)
-    return dense_t
+class Operand:
+    """One layer's GEMM operand: ``dense_t`` ``(cols, rows)``, or ``row_tiles`` + ``scatter``.
 
-
-def csr_matmul_fast(fmt: CSRFormat, activations: np.ndarray) -> np.ndarray:
-    """Vectorized CSR GEMM: one gather-scatter decode, then a BLAS GEMM.
-
-    :meth:`CSRFormat.to_dense` (vectorized) scatters the stored values into a
-    dense operand in a single fancy-indexing pass; the matmul itself then
-    runs as one BLAS call instead of O(nnz) Python-level accumulations.  The
-    decoded (transposed) operand is memoized on the format, so a served
-    weight pays the decode once, not per request.
+    ``row_tiles`` ``(block_rows, slots * B, B)`` holds each block-row's
+    stored tiles, transposed and stacked, so one batched matmul against the
+    block-row's ``(B, batch)`` activation tile yields every tile's
+    contribution (an unused slot is an all-zero tile); ``scatter``
+    ``(out_block_cols, block_rows * slots)`` is 0/1, row ``c`` selecting the
+    tiles stored at block column ``c``, so summing them into their output
+    blocks is one more GEMM, of ``out_block_cols / B`` of the first one's
+    multiplies.  Neither depends on the batch width.
     """
-    check_activation_rows(fmt, activations)
-    return _dense_t(fmt) @ np.asarray(activations, dtype=np.float64)
+
+    name = "operand"  # its key in the fast backend's kernel table
+
+    def __init__(self, shape, block: int, region: np.ndarray, tiles: int = 0) -> None:
+        """Views of ``region``: ``tiles`` tiles then their selection matrix, or (0) the transpose."""
+        (rows, cols), split = shape, tiles * block * block
+        self.shape, self.block = shape, block
+        self.dense_t = None if tiles else region.reshape(cols, rows)
+        self.row_tiles = region[:split].reshape(-(-rows // block), -1, block) if tiles else None
+        self.scatter = region[split:].reshape(-1, tiles) if tiles else None
 
 
-def _ellpack_row_tiles(fmt: BlockedEllpackFormat) -> np.ndarray:
-    """The stored ``(B, B)`` tiles, transposed and stacked per block-row."""
-    block_rows, slots = fmt.block_cols.shape
-    block = fmt.block_size
-    return np.ascontiguousarray(
-        fmt.blocks.transpose(0, 1, 3, 2).reshape(block_rows, slots * block, block)
-    )
+def _tiles(fmt):
+    """A CSR, Blocked-Ellpack or CRISP format's stored values as tiles (``None``: another format).
 
-
-def _crisp_base(layout: str, block_rows: int, slots: int, groups: int, b: int, m: int,
-                rows: int) -> np.ndarray:
-    """Where each stored CRISP value with offset 0 lands in ``layout``'s flat memory (``b``: B).
-
-    ``"tiles"``: ``(block_rows, slots, groups, B, 1)``, into the row-tile
-    stack laid out ``(block_rows, slots, column, group, m)``.  ``"dense_t"``:
-    ``(block_rows, 1, groups, B, 1)``, into the ``(cols, rows)`` transpose of
-    a ``rows``-row weight, for block column 0.
+    Returns ``((a, B, c, row_step), values, offsets, tile_cols, tile_rows,
+    stored)``: every tile holds ``a * B * c`` values, a value at ``(i, j, k)``
+    in column ``j`` and row ``row_step * i`` of its ``B``-wide tile, plus its
+    CRISP N:M offset (``offsets``, ``None`` for the others); ``tile_cols``
+    is each tile's block column, ``tile_rows`` its block row (``None``:
+    slot over slots per block-row), ``stored`` whether it is a stored tile
+    rather than slot padding (``None``: all are).  CSR is one ``1 x 1`` tile
+    per value.
     """
-    br, slot, g, col = np.ix_(range(block_rows), range(slots), range(groups), range(b))
-    base = ((br * slots + slot) * b + col) * b if layout == "tiles" else col * rows + br * b
-    return (base + g * m).astype(np.intp)[..., None]
+    if isinstance(fmt, CRISPFormat):
+        block = fmt.block_size
+        return ((block // fmt.m, block, fmt.n, fmt.m), fmt.group_values, fmt.group_offsets,
+                fmt.block_cols, None, None)
+    if isinstance(fmt, BlockedEllpackFormat):
+        block, slots = fmt.block_size, fmt.block_cols.shape[1]
+        return ((block, block, 1, 1), fmt.blocks, None, fmt.block_cols, None,
+                np.arange(slots) < fmt.blocks_per_row[:, None])
+    if isinstance(fmt, CSRFormat):
+        rows = np.arange(fmt.shape[0]).repeat(np.diff(fmt.row_ptr))
+        return (1, 1, 1, 0), fmt.values, None, fmt.col_indices, rows, None
+    return None
 
 
-def _crisp_operand(fmt: CRISPFormat, layout: str = "tiles") -> np.ndarray:
-    """Resolve the N:M MUX: every stored value goes to the row its offset names, in one assignment.
+def place(weights: Sequence[Tuple[WeightFormat, np.ndarray]]) -> list:
+    """What each ``(unfolded format, column scale)`` multiplies as: one arena, one scatter.
 
-    ``layout`` is ``"tiles"`` (:func:`_tile_matmul`'s ``row_tiles``) or
-    ``"dense_t"`` (the dense transpose).  A value's flat index is a base that
-    depends on the stored shape alone (:func:`_crisp_base`, cached in the
-    fast backend's index table) plus its offset, plus its block column's
-    start for ``"dense_t"``.  Only non-zero stored values are placed (the
-    rule :meth:`CRISPFormat.to_dense` follows): a zero goes to a dump slot
-    past the end, so a padding entry — value 0 **and** offset 0 — never
-    lands on the real weight a group keeps at offset 0.
+    Every stored value ``w`` of a CSR, Blocked-Ellpack or CRISP format lands,
+    as ``w * scale[col]``, in its layer's :class:`Operand`; any other format
+    is folded by ``fmt.scale_columns``.  CSR, and a tile format of at most
+    :data:`DENSE_OPERAND_MAX_ENTRIES` entries, get the dense transpose, a
+    larger tile format the tile stack and its selection matrix — views of
+    one array, written by one fancy assignment per tile shape.  A value's
+    flat index is its tile's base (the layer's offset plus a term in its
+    slot, or in its block row and column), plus its column times the
+    layout's column step, plus its row in the tile (and a CRISP offset): the
+    shapes and the tenant's own arrays, nothing cached per slot count.
+
+    Each operand is byte-equal to what the kernels made of
+    ``fmt.scale_columns(scale)`` before: CRISP places only non-zero products
+    (its padding is value 0 *at offset 0*, beside a real weight), a dense
+    transpose only the stored tiles' in-bounds entries (as ``to_dense``
+    does), a tile stack every entry.
     """
-    values, (rows, cols) = fmt.group_values, fmt.shape
-    block_rows, slots, groups, block, _ = values.shape
-    key = (layout, block_rows, slots, groups, block, fmt.m, rows)
-    index = get_backend("fast")._workspace.index(key, _crisp_base) + fmt.group_offsets
-    shape = (block_rows, slots * block, block) if layout == "tiles" else (cols, rows)
-    if layout == "dense_t":
-        index += (fmt.block_cols * (block * rows))[:, :, None, None, None]
-    placed = np.zeros(np.prod(shape) + 1)
-    placed[np.where(values != 0, index, placed.size - 1)] = values
-    return placed[:-1].reshape(shape)
+    placed, groups, size = [None] * len(weights), {}, 0
+    for i, (fmt, scale) in enumerate(weights):
+        tiles = _tiles(fmt)
+        if tiles is None:
+            placed[i] = fmt.scale_columns(scale)
+            continue
+        (rows, cols), block, count = fmt.shape, tiles[0][1], tiles[3].size
+        blocks = -(-cols // block)
+        tiled = block > 1 and rows * cols > DENSE_OPERAND_MAX_ENTRIES
+        group = groups.setdefault(tiles[0], [[], [], [], 0, 0])
+        layers, scales, arrays, first, start = group
+        layers.append((i, size, tiled, rows, cols, count, tiles[3].shape[-1], first, start, blocks))
+        # The edge block's padding columns get scale 0, as scale_columns gave them.
+        scales += (scale, np.zeros(blocks * block - cols))
+        arrays.append(tiles[1:])
+        group[3:] = first + count, start + blocks * block
+        size += count * (block * block + blocks) if tiled else rows * cols
+    arena = np.zeros(size + 1)  # the last entry takes every value not placed
+    for (a, block, c, row_step), (layers, scales, tiles, _, _) in groups.items():
+        counts = [layer[5] for layer in layers]
+        _, offset, tiled, rows, cols, count, slots, first, start, _ = (
+            np.array(layers).repeat(counts, axis=0).T[:, :, None])
+        tiled, slot = tiled.astype(bool), np.arange(len(offset))[:, None] - first
+        values, offsets, tile_cols, tile_rows, stored = (
+            None if column[0] is None else np.concatenate(column, axis=None)
+            for column in zip(*tiles)
+        )
+        tile_cols = tile_cols[:, None]
+        tile_rows = slot // slots if tile_rows is None else tile_rows[:, None]
+        col, row = np.arange(block), row_step * np.arange(a)[:, None]
+        # (tiles, B) column terms, repeated c times: the last axis of (tiles, a, B * c)
+        scale = np.concatenate(scales)[start + tile_cols * block + col].repeat(c, axis=1)[:, None]
+        products = values.reshape(len(offset), a, block * c) * scale
+        index = np.where(tiled, offset + slot * (block * block) + col * block,
+                         offset + (tile_cols * block + col) * rows + tile_rows * block)
+        index = index.repeat(c, axis=1)[:, None] + row
+        if offsets is not None:
+            index += offsets.reshape(index.shape)
+            np.putmask(index, products == 0, size)
+        else:
+            keep = ((tile_rows[:, :, None] * block + row < rows[:, :, None])
+                    & (tile_cols * block + col < cols)[:, None])
+            if stored is not None:
+                keep &= stored[:, None, None]
+            keep |= tiled[:, :, None]
+            np.putmask(index, ~keep, size)
+        arena[index] = products
+        arena[(offset + count * (block * block) + tile_cols * count + slot)[tiled]] = 1.0
+        for i, at, by_tiles, height, width, held, _, _, _, blocks in layers:
+            end = at + (held * (block * block + blocks) if by_tiles else height * width)
+            placed[i] = Operand((height, width), block, arena[at:end], held if by_tiles else 0)
+    return placed
 
 
-def _tile_matmul(fmt, activations: np.ndarray, build_row_tiles) -> np.ndarray:
-    """``weight.T @ activations`` for a format that keeps ``(B, B)`` tiles per block-row.
-
-    A weight of at most :data:`DENSE_OPERAND_MAX_ENTRIES` entries is one GEMM
-    with its dense transpose (``fmt.derived["dense_t"]``, the CSR kernel's
-    operand).  A larger one is two GEMMs over operands derived from the
-    weights alone and memoized as ``fmt.derived["tile_gemm"]`` on first use:
-
-    * ``row_tiles`` ``(block_rows, slots * B, B)`` — each block-row's retained
-      tiles, transposed and stacked, so one batched matmul against the
-      block-row's ``(B, batch)`` activation tile yields every tile's
-      contribution.  ``build_row_tiles(fmt)`` is the only thing that differs
-      between formats.  Unused slots hold all-zero tiles and contribute
-      nothing, so there is no validity mask.
-    * ``scatter`` ``(out_block_cols, block_rows * slots)`` — 0/1, row ``c``
-      selecting the tiles stored at block column ``c`` — so summing the
-      contributions into their output blocks is one more GEMM.  It costs
-      ``out_block_cols / B`` of the first GEMM's multiplies and
-      ``out_block_cols / B**2`` of its bytes.
-
-    None of them depends on the batch width, so what a served weight holds
-    in ``derived`` is fixed after its first call.
-    """
-    rows, cols = fmt.shape
-    check_activation_rows(fmt, activations)
+def operand_matmul(operand: Operand, activations: np.ndarray) -> np.ndarray:
+    """``weight.T @ activations`` over a placed :class:`Operand`: one GEMM, or the tile pair."""
+    check_activation_rows(operand, activations)
     activations = np.asarray(activations, dtype=np.float64)
-    if rows * cols <= DENSE_OPERAND_MAX_ENTRIES:
-        return _dense_t(fmt) @ activations
-    block = fmt.block_size
-    batch = activations.shape[1]
-    block_rows, slots = fmt.block_cols.shape
-
-    operands = fmt.derived.get("tile_gemm")
-    if operands is None:
-        scatter = np.zeros((-(-cols // block), block_rows * slots))
-        scatter[fmt.block_cols.reshape(-1), np.arange(block_rows * slots)] = 1.0
-        # One assignment, so a concurrent first call never sees half of it.
-        operands = fmt.derived["tile_gemm"] = (build_row_tiles(fmt), scatter)
-    row_tiles, scatter = operands
-
+    if operand.scatter is None:
+        return operand.dense_t @ activations
+    (rows, cols), block = operand.shape, operand.block
+    row_tiles, scatter = operand.row_tiles, operand.scatter
+    block_rows, batch = len(row_tiles), activations.shape[1]
     if rows != block_rows * block:
         # Rows short of a block multiple meet zero weights; np.pad costs
         # more than the GEMM on serving-sized layers.
         padded = np.zeros((block_rows * block, batch))
         padded[:rows] = activations
         activations = padded
-
     # contrib[r, s * B + c, b] = sum_i tile[r, s][i, c] * activations[r * B + i, b]
     contrib = np.matmul(row_tiles, activations.reshape(block_rows, block, batch))
-    out = scatter @ contrib.reshape(block_rows * slots, block * batch)
+    out = scatter @ contrib.reshape(scatter.shape[1], block * batch)
     return out.reshape(scatter.shape[0] * block, batch)[:cols]
 
 
-def blocked_ellpack_matmul_fast(
-    fmt: BlockedEllpackFormat, activations: np.ndarray
-) -> np.ndarray:
-    """Vectorized Blocked-Ellpack GEMM: :func:`_tile_matmul` over the stored tiles."""
-    return _tile_matmul(fmt, activations, _ellpack_row_tiles)
-
-
-def crisp_matmul_fast(fmt: CRISPFormat, activations: np.ndarray) -> np.ndarray:
-    """Vectorized CRISP GEMM: decode the N:M offsets once, then :func:`_tile_matmul`.
-
-    The offsets are weight-side metadata, so the MUX of Fig. 6 is resolved
-    on the first call (:func:`_crisp_operand`) into the operand the
-    Blocked-Ellpack kernel uses; every later call is the same two GEMMs.
-    What is stored and shipped stays the CRISP encoding.
-    """
-    return _tile_matmul(fmt, activations, _crisp_operand)
+def encoded_matmul(fmt, activations: np.ndarray) -> np.ndarray:
+    """A CSR, Blocked-Ellpack or CRISP format multiplied as it is stored: placed
+    unscaled on every call, and kept nowhere (an engine places once, at bind)."""
+    return operand_matmul(place([(fmt, np.ones(fmt.shape[1]))])[0], activations)
 
 
 def _tap_index(n: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int,
@@ -287,9 +295,10 @@ def _tap_index(n: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int
 class FastBackend(ReferenceBackend):
     """Vectorized backend with workspace reuse.
 
-    Overrides ``im2col`` (one gather into a workspace) and the CSR, Blocked-Ellpack and
-    CRISP entries of the kernel table (vectorized); the dense kernel is the
-    reference backend's.
+    Overrides ``im2col`` (one gather into a workspace), ``bind_weights``
+    (:func:`place`) and the CSR, Blocked-Ellpack and CRISP entries of the
+    kernel table, plus one for a placed :class:`Operand`; the dense kernel is
+    the reference backend's.
     """
 
     name = "fast"
@@ -332,10 +341,12 @@ class FastBackend(ReferenceBackend):
     # -- sparse kernels -------------------------------------------------------
     kernels = {
         **ReferenceBackend.kernels,
-        "csr": csr_matmul_fast,
-        "blocked-ellpack": blocked_ellpack_matmul_fast,
-        "crisp": crisp_matmul_fast,
+        **dict.fromkeys(("csr", "blocked-ellpack", "crisp"), encoded_matmul),
+        Operand.name: operand_matmul,
     }
+
+    def bind_weights(self, weights):
+        return place(weights)
 
     # -- workspace management -------------------------------------------------
     def clear_workspace(self) -> None:

@@ -20,11 +20,13 @@ only when nothing else has read it:
 The walk reads no array and does no arithmetic, so its :class:`Plan` is the
 same for every model of one architecture: a serving process compiles one per
 architecture and :func:`bind` makes each tenant's ops from it.  The fold is
-done there, from ``state_dict`` keys: ``gamma / sqrt(var + eps)`` scales the
-output channels, ``beta - mean * scale`` joins the bias, and the scale goes
-into the layer's *encoded* weight (``fmt.scale_columns``) — scaling output
-channels scales columns of the ``(reduction, out)`` matrix, so every pruned
-zero stays a zero.
+done there, from ``state_dict`` keys, for every batch-norm of the plan at
+once: ``gamma / sqrt(var + eps)`` scales the output channels, ``beta - mean *
+scale`` joins the bias, and the scale goes with the layer's *encoded* weight
+to the backend, which multiplies it into what its kernels read — the
+``fast`` backend into GEMM operands it places then, ``reference`` into a
+folded copy (``fmt.scale_columns``).  Scaling output channels scales columns
+of the ``(reduction, out)`` matrix, so every pruned zero stays a zero.
 
 Activations between ops are laid out the way the kernels produce and consume
 them: ``(channels, N, H, W)`` C-contiguous — ``weight.T @ activations`` is
@@ -37,18 +39,18 @@ memory and returns its transpose, so the ``.T`` here hands the kernel a
 C-contiguous operand (and a depthwise op's reshape is a view).  NCHW storage
 exists only at the input edge.
 
-Ops are instances of module-level classes holding arrays, formats and the
-backend — never the engine, the module or a closure — so a dropped engine is
-freed by reference counting alone.  A plan's own ops hold no array: a bound
-conv op is a copy, and the ops that carry no weight are shared by every
-binding.  ``backend.im2col`` and ``backend.sparse_matmul`` are looked up by
-attribute on every call: a profiler that wraps them on the backend instance
-after a plan was compiled still sees every kernel.
+Ops are instances of module-level classes holding arrays, operands or
+formats and the backend — never the engine, the module or a closure — so a
+dropped engine is freed by reference counting alone.  A plan's own ops hold
+no array: a bound conv op is a copy (:meth:`_Conv.bound`, slot by slot), and
+the ops that carry no weight are shared by every binding.
+``backend.im2col`` and ``backend.sparse_matmul`` are looked up by attribute
+on every call: a profiler that wraps them on the backend instance after a
+plan was compiled still sees every kernel.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -88,7 +90,8 @@ class _Conv(_Op):
 
     ``channels`` (its outputs), ``biased`` and ``folds`` (the ``(name, eps)``
     of each batch-norm folded into it, in order) are what :func:`bind` reads;
-    ``fmt`` and ``bias`` are set on a tenant's copy.
+    ``fmt`` (what the backend's ``sparse_matmul`` multiplies) and ``bias``
+    are set on a tenant's copy.
     """
 
     __slots__ = ("backend", "fmt", "kernel", "stride", "padding", "channels", "biased", "folds")
@@ -108,6 +111,17 @@ class _Conv(_Op):
         operand, size = self.operand(values[self.src])
         out = self.finish(self.backend.sparse_matmul(self.fmt, operand))
         return out.reshape(out.shape[0], -1, *size)
+
+    def bound(self, bias: Optional[np.ndarray]) -> "_Conv":
+        """A tenant's copy of this plan op, with its folded ``bias`` (``fmt`` set after)."""
+        op = object.__new__(type(self))
+        for key in _CONV_FIELDS:
+            setattr(op, key, getattr(self, key))
+        op.bias = bias
+        return op
+
+
+_CONV_FIELDS = _Op.__slots__ + _Conv.__slots__
 
 
 class _Depthwise(_Conv):
@@ -289,12 +303,17 @@ class Plan(NamedTuple):
     ``ops`` never hold a tenant's arrays (:func:`bind` copies the conv ops it
     fills in); ``layers`` is every prunable layer's ``(reduction, out)``
     shape, in layer order; ``shapes`` the shape of every other
-    ``state_dict`` key (everything but the prunable weights).
+    ``state_dict`` key (everything but the prunable weights); ``norms`` the
+    name of every folded batch-norm, in op order, and ``eps`` each one's
+    ``eps`` per channel; ``backend`` what the ops run on.
     """
 
     ops: List[_Op]
     layers: Dict[str, Tuple[int, int]]
     shapes: Dict[str, Tuple[int, ...]]
+    norms: Tuple[str, ...]
+    eps: np.ndarray
+    backend: object
 
 
 def compile_plan(module: Module, backend) -> Plan:
@@ -307,23 +326,30 @@ def compile_plan(module: Module, backend) -> Plan:
     shapes = {key: param.data.shape for key, param in module.named_parameters()
               if key.removesuffix(".weight") not in layers}
     shapes.update((f"{key}::buffer", buffer.shape) for key, buffer in module.named_buffers())
-    return Plan(tracer.ops, layers, shapes)
+    folds = [(name, eps, op.channels) for op in tracer.ops if isinstance(op, _Conv)
+             for name, eps in op.folds]
+    names, eps, channels = zip(*folds) if folds else ((), (), ())
+    eps = np.repeat(np.array(eps, dtype=float), channels)
+    return Plan(tracer.ops, layers, shapes, names, eps, backend)
 
 
 def bind(
     plan: Plan, state: Mapping[str, np.ndarray], formats: Mapping[str, WeightFormat]
-) -> Tuple[List[_Op], Dict[str, WeightFormat]]:
-    """One model's ops over ``plan``, and its folded encodings by layer, in layer order.
+) -> Tuple[List[_Op], Dict[str, Tuple[WeightFormat, Optional[np.ndarray]]]]:
+    """One model's ops over ``plan``, and each layer's ``(unfolded encoding, column scale)``.
 
     ``state`` holds the non-prunable arrays by ``state_dict`` key and
     ``formats`` each prunable layer's *unfolded* encoding.  Per batch-norm
     folded into an op, ``scale = gamma / sqrt(var + eps)`` multiplies the
-    output channels and ``beta - mean * scale`` joins the bias; a depthwise
-    op's weight is scaled here, every other op's encoding by
-    ``fmt.scale_columns``.  A prunable layer the forward never calls is kept
-    unscaled.  Raises ``ValueError`` naming a layer whose encoding is missing
-    or does not encode its ``(reduction, out)`` matrix, or a state key that is
-    missing or mis-shaped.
+    output channels and ``beta - mean * scale`` joins the bias — computed
+    for every batch-norm of the plan at once.  A depthwise op's weight is
+    scaled here; what every other op multiplies, the backend makes from the
+    encodings and scales of all layers in one call
+    (:meth:`~repro.backend.base.Backend.bind_weights`).  A layer's scale is
+    ``None`` when the forward never calls it, or when the backend returned a
+    folded copy, which then replaces the unfolded encoding.  Raises ``ValueError`` naming a
+    layer whose encoding is missing or does not encode its ``(reduction,
+    out)`` matrix, or a state key that is missing or mis-shaped.
     """
     if sorted(formats) != sorted(plan.layers):
         raise ValueError(
@@ -335,24 +361,37 @@ def bind(
             raise ValueError(f"format for layer {name!r} encodes a {formats[name].shape} "
                              f"matrix; the layer's weight is {shape}")
     check_state(plan.shapes, state)
-    folded = {name: formats[name] for name in plan.layers}
-    ops = [copy.copy(op) if isinstance(op, _Conv) else op for op in plan.ops]
-    for op in (op for op in ops if isinstance(op, _Conv)):
-        scale = np.ones(op.channels)
-        op.bias = state[f"{op.name}.bias"][:, None].copy() if op.biased else None
-        for name, eps in op.folds:
-            gamma, beta, mean, var = (state[f"{name}.{key}"] for key in (
-                "gamma", "beta", "running_mean::buffer", "running_var::buffer"))
-            bn_scale = gamma / np.sqrt(var + eps)
-            scale = scale * bn_scale
-            shift = (beta - mean * bn_scale)[:, None]
-            op.bias = shift if op.bias is None else op.bias * bn_scale[:, None] + shift
+    layers = {name: (formats[name], None) for name in plan.layers}
+    gamma, beta, mean, var = (
+        np.concatenate([state[f"{name}.{key}"] for name in plan.norms] or [[]])
+        for key in ("gamma", "beta", "running_mean::buffer", "running_var::buffer")
+    )
+    bn_scale = gamma / np.sqrt(var + plan.eps)
+    shift = (beta - mean * bn_scale)[:, None]
+    ops, weighted, at = [], [], 0
+    for op in plan.ops:
+        if not isinstance(op, _Conv):
+            ops.append(op)
+            continue
+        scale = None
+        bias = state[f"{op.name}.bias"][:, None].copy() if op.biased else None
+        for _ in op.folds:
+            folded, at = slice(at, at + op.channels), at + op.channels
+            scale = bn_scale[folded] if scale is None else scale * bn_scale[folded]
+            bias = shift[folded] if bias is None else bias * bn_scale[folded, None] + shift[folded]
+        scale = np.ones(op.channels) if scale is None else scale
+        ops.append(op.bound(bias))
         if type(op) is _Depthwise:  # (channels, 1, k, k)
             weight = state[f"{op.name}.weight"]
-            op.fmt = (weight * scale[:, None, None, None]).reshape(len(weight), -1)
+            ops[-1].fmt = (weight * scale[:, None, None, None]).reshape(len(weight), -1)
         else:
-            op.fmt = folded[op.name] = folded[op.name].scale_columns(scale)
-    return ops, folded
+            weighted.append(ops[-1])
+            layers[op.name] = (formats[op.name], scale)
+    for op, fmt in zip(weighted, plan.backend.bind_weights([layers[op.name] for op in weighted])):
+        op.fmt = fmt
+        if isinstance(fmt, WeightFormat):  # a folded copy: what the engine reports, and all it keeps
+            layers[op.name] = (fmt, None)
+    return ops, layers
 
 
 def run_plan(plan: List[_Op], batch: np.ndarray) -> np.ndarray:

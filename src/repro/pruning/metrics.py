@@ -47,10 +47,6 @@ class LayerStats:
     def sparsity(self) -> float:
         return 1.0 - self.nonzero_weights / max(1, self.total_weights)
 
-    @property
-    def flops_ratio(self) -> float:
-        return self.sparse_flops / max(1, self.dense_flops)
-
 
 @dataclass
 class ModelStats:
@@ -61,14 +57,6 @@ class ModelStats:
     @property
     def total_weights(self) -> int:
         return sum(layer.total_weights for layer in self.layers)
-
-    @property
-    def nonzero_weights(self) -> int:
-        return sum(layer.nonzero_weights for layer in self.layers)
-
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.nonzero_weights / max(1, self.total_weights)
 
     @property
     def dense_flops(self) -> int:

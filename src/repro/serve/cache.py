@@ -4,12 +4,11 @@ Materializing an :class:`~repro.backend.engine.Engine` is the per-tenant
 fixed cost of serving.  The registry record already holds every prunable
 layer's encoding and the process holds one compiled plan per architecture,
 so a build encodes, decodes and walks nothing and constructs no module: it
-binds the record's arrays to the plan, folding batch-norm into a copy of each
-stored value array — about 1.1 ms for a CRISP-encoded ``resnet_tiny`` on a
-2-core x86-64 VM.  The first forward after it adds about 1 ms (the ``fast``
-kernels place each format's stored values into GEMM operands once), so a
-miss costs about three warm single-image forwards (~0.9 ms each on that
-host).
+binds the record's arrays to the plan, and the ``fast`` backend writes every
+stored value, batch-norm scale multiplied in, into the engine's GEMM
+operands in the same pass.  The first forward after it is a warm one; on a
+2-core x86-64 VM a CRISP-encoded ``resnet_tiny`` miss (build + first
+single-image forward) costs about 2.5 warm forwards.
 The cache amortises that cost across requests: the first request for a
 model id pays the build, subsequent requests reuse the compiled engine, and
 a bounded capacity keeps memory proportional to the number of *hot* tenants

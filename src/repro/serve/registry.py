@@ -113,8 +113,9 @@ class ModelRecord:
         ``ndarray``s) and a shard child's (over read-only shared-memory
         views).  The plan is compiled once per architecture key in the
         process, from a zoo module; a build after that constructs no module
-        — it folds batch-norm from ``state`` into copies of the stored value
-        arrays (:func:`~repro.backend.plan.bind`).  ``engine.module`` is
+        — it folds batch-norm from ``state`` into what the backend multiplies
+        (:func:`~repro.backend.plan.bind`; on ``fast``, GEMM operands placed
+        from the stored arrays, which are not copied).  ``engine.module`` is
         built from this record on its first read.  A format that does not
         fit its layer, or a state array that is missing or mis-shaped,
         raises ``ValueError`` naming it.

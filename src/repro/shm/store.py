@@ -8,10 +8,10 @@ model.  A segment holds the registry record's tenant image
 A worker parses it once, with :meth:`~repro.serve.registry.ModelRecord.from_image`
 over the read-only mapping, and keeps the record: its non-prunable state and
 every layer's *unfolded* encoding, whatever its format, are read-only
-``np.ndarray`` views over the shared bytes.  A worker's engine folds
-batch-norm into a private copy of each value array (``fmt.scale_columns``)
-with the arithmetic every other build uses; index and offset arrays stay the
-shared bytes.
+``np.ndarray`` views over the shared bytes.  A worker's engine multiplies
+batch-norm into the operands its backend makes of the shared values
+(``Backend.bind_weights``), with the arithmetic every other build uses; the
+record's arrays stay the shared bytes.
 
 The install entry that names a segment is ``{"model_id", "segment",
 "version"}``, so it rides the gateway's wire envelopes between parent and
@@ -159,14 +159,18 @@ class SharedWeightStore(AbstractContextManager):
             # mappings valid after unlink, so workers mid-batch on the old
             # version finish safely while /dev/shm stays clean.
             self._unlink(previous.segment)
-        # The parent consumes its own mapping directly — re-attaching by name
-        # would double-register the segment with the resource tracker.
-        self._local.install(entry, segment=segment)
         return entry, self._version
 
     def build_engine(self, model_id: str):
-        """A parent-process engine over this store's own shared segments."""
-        self.ensure(model_id)
+        """A parent-process engine over this store's own shared segments.
+
+        The current publication is parsed here, on its first build, not at
+        :meth:`publish`: only this introspection path reads it.  The parent
+        installs its own mapping — re-attaching by name would double-register
+        the segment with the resource tracker.
+        """
+        entry, _ = self.ensure(model_id)
+        self._local.install(entry, segment=self._published[model_id].segment)
         return self._local.build_engine(model_id)
 
     # -- introspection ---------------------------------------------------------

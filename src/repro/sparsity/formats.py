@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar, Dict, Mapping, Tuple, Type
 
 import numpy as np
@@ -105,11 +105,6 @@ class WeightFormat(ABC):
     #: Whether ``to_dense`` returns exactly the matrix that was encoded.  A
     #: format that can drop values stores this per encoding instead.
     is_lossless = True
-
-    #: Memo of what a kernel derives from the stored arrays alone (the fast
-    #: backend's decoded GEMM operands).  Never serialized, so a rebuilt
-    #: encoding starts empty; stale if arrays are mutated in place — re-encode.
-    derived: dict = field(default_factory=dict, init=False)
 
     @classmethod
     @abstractmethod

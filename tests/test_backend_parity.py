@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +21,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import Backend, Engine, FastBackend, available_backends, get_backend
-from repro.backend.fast import (
-    DENSE_OPERAND_MAX_ENTRIES,
-    _crisp_operand,
-    blocked_ellpack_matmul_fast,
-    crisp_matmul_fast,
-)
+from repro.backend import fast
+from repro.backend.fast import DENSE_OPERAND_MAX_ENTRIES, operand_matmul, place
 from repro.hw import workloads_from_engine, workloads_from_model
 from repro.nn import functional as F
 from repro.nn.models import build_model
@@ -153,9 +151,18 @@ class TestSparseKernelParity:
                 )
 
 
-def reassembled(fmt):
-    """The matrix the fast kernel's decoded ``row_tiles`` operand stands for."""
-    row_tiles, _ = fmt.derived["tile_gemm"]
+def placed(fmt, scale=None, layout=None):
+    """``fmt``'s operand as the fast backend places it at bind, scaled by ``scale``
+    (default: unscaled); ``layout`` ``"dense_t"`` / ``"tiles"`` overrides the size rule."""
+    limit = {None: DENSE_OPERAND_MAX_ENTRIES, "dense_t": sys.maxsize, "tiles": 0}[layout]
+    with mock.patch.object(fast, "DENSE_OPERAND_MAX_ENTRIES", limit):
+        (operand,) = place([(fmt, np.ones(fmt.shape[1]) if scale is None else scale)])
+    return operand
+
+
+def reassembled(fmt, operand):
+    """The matrix a placed ``row_tiles`` operand stands for."""
+    row_tiles = operand.row_tiles
     block = fmt.block_size
     block_rows, slots = fmt.block_cols.shape
     tiles = row_tiles.reshape(block_rows, slots, block, block)  # [r, s, col, row]
@@ -211,10 +218,11 @@ class TestTileGemmDecode:
         fmt = CRISPFormat.from_dense(weight, n, m, block_size)
         acts = rng.normal(size=(rows, 1))
 
-        out = crisp_matmul_fast(fmt, acts)  # batch width 1; builds the operand
+        operand = placed(fmt)
+        out = operand_matmul(operand, acts)
         dense = fmt.to_dense()
         assert fmt.is_lossless == np.array_equal(dense, weight)
-        assert reassembled(fmt).tobytes() == dense.tobytes()
+        assert reassembled(fmt, operand).tobytes() == dense.tobytes()
         np.testing.assert_allclose(out, crisp_matmul_reference(fmt, acts), atol=1e-8)
         np.testing.assert_allclose(out, dense.T @ acts, atol=1e-8)
 
@@ -226,9 +234,9 @@ class TestTileGemmDecode:
         # position is padding, which also says offset 0.
         assert fmt.group_values[0, 0, 0, 3].tolist() == [5.0, 0.0]
         assert fmt.group_offsets[0, 0, 0, 3].tolist() == [0, 0]
-        np.testing.assert_array_equal(crisp_matmul_fast(fmt, np.eye(64)), weight.T)
-        assert reassembled(fmt).tobytes() == weight.tobytes()
-        assert _crisp_operand(fmt, "dense_t").tobytes() == weight.T.tobytes()
+        np.testing.assert_array_equal(get_backend("fast").sparse_matmul(fmt, np.eye(64)), weight.T)
+        assert reassembled(fmt, placed(fmt)).tobytes() == weight.tobytes()
+        assert placed(fmt, layout="dense_t").dense_t.tobytes() == weight.T.tobytes()
 
     @given(
         nm=st.sampled_from([(1, 4), (2, 4), (3, 4), (2, 8)]),
@@ -244,22 +252,23 @@ class TestTileGemmDecode:
         self, nm, block_size, rows, cols, density, scaled, seed
     ):
         """Both layouts the fast backend places stored values into through
-        one flat index: the dense transpose is ``to_dense().T`` byte for
-        byte, and the row tiles are what the 5-D ``np.nonzero`` gather made.
-        A folded encoding (``scaled``) holds zeros, of either sign, at real
+        one flat index, with the scale multiplied in: the dense transpose is
+        ``scale_columns(scale).to_dense().T`` byte for byte, and the row
+        tiles are what the 5-D ``np.nonzero`` gather makes of the folded
+        encoding.  A scale (``scaled``) makes zeros, of either sign, at real
         offsets; an all-zero matrix stores one slot of padding."""
         n, m = nm
         rng = np.random.default_rng(seed)
         weight = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
         fmt = CRISPFormat.from_dense(weight, n, m, block_size)
-        if scaled:
-            fmt = fmt.scale_columns(rng.choice([0.0, -1.5, 2.0], size=cols))
+        scale = rng.choice([0.0, -1.5, 2.0], size=cols) if scaled else np.ones(cols)
+        folded = fmt.scale_columns(scale)
         if density == 0.0:
             assert fmt.block_cols.shape[1] == 1 and not fmt.group_values.any()
-        dense_t = _crisp_operand(fmt, "dense_t")
+        dense_t = placed(fmt, scale, "dense_t").dense_t
         assert dense_t.flags.c_contiguous
-        assert dense_t.tobytes() == np.ascontiguousarray(fmt.to_dense().T).tobytes()
-        tiles, gathered = _crisp_operand(fmt), _nonzero_row_tiles(fmt)
+        assert dense_t.tobytes() == np.ascontiguousarray(folded.to_dense().T).tobytes()
+        tiles, gathered = placed(fmt, scale, "tiles").row_tiles, _nonzero_row_tiles(folded)
         assert tiles.shape == gathered.shape and tiles.tobytes() == gathered.tobytes()
 
     def test_lossy_encode_decodes_to_what_was_kept(self, rng):
@@ -267,33 +276,31 @@ class TestTileGemmDecode:
         fmt = CRISPFormat.from_dense(weight, 2, 4, 8)
         assert not fmt.is_lossless
         acts = rng.normal(size=(80, 3))
-        out = crisp_matmul_fast(fmt, acts)
-        assert reassembled(fmt).tobytes() == fmt.to_dense().tobytes()
+        operand = placed(fmt)
+        out = operand_matmul(operand, acts)
+        assert reassembled(fmt, operand).tobytes() == fmt.to_dense().tobytes()
         np.testing.assert_allclose(out, crisp_matmul_reference(fmt, acts), atol=1e-8)
 
-    def test_one_format_object_serves_every_fused_width(self, rng):
-        """Fast vs reference at widths 1..16, and what the first call memoized
-        is what every later call uses: nothing is added per width."""
+    def test_one_placed_operand_serves_every_fused_width(self, rng):
+        """Fast vs reference at widths 1..16 over one operand placed once: it
+        is the same arrays after every width, and a standalone multiply of
+        the raw format keeps nothing on it."""
         weight = random_sparse(rng, 72, 60)
-        kernels = [
-            (crisp_matmul_fast, CRISPFormat.from_dense(weight, 2, 4, 8)),
-            (blocked_ellpack_matmul_fast, BlockedEllpackFormat.from_dense(weight, 8)),
-        ]
-        reference = get_backend("reference")
-        for kernel, fmt in kernels:
-            assert get_backend("fast").kernels[fmt.name] is kernel
-            operands = None
+        reference, backend = get_backend("reference"), get_backend("fast")
+        for fmt in (CRISPFormat.from_dense(weight, 2, 4, 8), BlockedEllpackFormat.from_dense(weight, 8)):
+            operand = placed(fmt)
+            row_tiles, scatter = operand.row_tiles, operand.scatter
+            before = (row_tiles.tobytes(), scatter.tobytes())
             for width in range(1, 17):
                 acts = rng.normal(size=(72, width))
-                np.testing.assert_allclose(
-                    kernel(fmt, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
-                )
-                operands = operands or fmt.derived["tile_gemm"]
-                assert list(fmt.derived) == ["tile_gemm"]
-                assert fmt.derived["tile_gemm"] is operands
-            row_tiles, scatter = operands
+                expected = reference.sparse_matmul(fmt, acts)
+                np.testing.assert_allclose(backend.sparse_matmul(operand, acts), expected, atol=1e-8)
+                np.testing.assert_allclose(backend.sparse_matmul(fmt, acts), expected, atol=1e-8)
+            assert (operand.row_tiles, operand.scatter) == (row_tiles, scatter)
+            assert (row_tiles.tobytes(), scatter.tobytes()) == before
             assert row_tiles.shape == (9, fmt.block_cols.shape[1] * 8, 8)
             assert scatter.shape == (8, fmt.block_cols.size)
+            assert set(vars(fmt)) == {f.name for f in fields(fmt)}  # no memo on the format
 
 
 class TestOperandChoice:
@@ -303,19 +310,20 @@ class TestOperandChoice:
     @pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack"])
     def test_the_operand_is_chosen_by_size_and_held_for_every_width(self, weight_format, rng):
         assert DENSE_OPERAND_MAX_ENTRIES == 64 * 64
-        reference, fast = get_backend("reference"), get_backend("fast")
-        for shape, operand in (((64, 64), "dense_t"), ((64, 65), "tile_gemm")):
+        reference, backend = get_backend("reference"), get_backend("fast")
+        for shape, tiled in (((64, 64), False), ((64, 65), True)):
             weight, _ = hybrid_weight(rng, *shape, 2, 4, 16)
             fmt = encode(weight_format, weight, 2, 4, 16)
+            operand = placed(fmt)
+            assert (operand.dense_t is None, operand.scatter is not None) == (tiled, tiled)
+            held = operand.row_tiles if tiled else operand.dense_t
             for width in range(1, 17):
                 acts = rng.normal(size=(shape[0], width))
                 np.testing.assert_allclose(
-                    fast.sparse_matmul(fmt, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
+                    backend.sparse_matmul(operand, acts), reference.sparse_matmul(fmt, acts), atol=1e-8
                 )
-                held = fmt.derived[operand] if width == 1 else held
-                assert list(fmt.derived) == [operand]
-                assert fmt.derived[operand] is held
-            if operand == "dense_t":
+                assert (operand.row_tiles if tiled else operand.dense_t) is held
+            if not tiled:
                 assert held.flags.c_contiguous and held.tobytes() == fmt.to_dense().T.tobytes()
 
 

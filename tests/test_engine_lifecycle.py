@@ -1,9 +1,9 @@
-"""Engine lifecycle tests: snapshot semantics and what the kernels memoize.
+"""Engine lifecycle tests: snapshot semantics and what an engine places at bind.
 
 An engine is a snapshot of the module it was compiled from: one that outlives
 a re-pruning serves the old weights until ``refresh_formats`` recompiles it,
 and then serves exactly what a fresh engine would.  The second property
-belongs to the fast kernels: what they memoize on an engine's formats is a
+belongs to the fast backend: the GEMM operands it places at bind are a
 function of the weights, not of the traffic the engine has seen.  (That the
 engine leaves the module untouched, and the plan's parity with the module,
 live in ``tests/test_engine_plan.py``.)
@@ -16,6 +16,7 @@ import pytest
 
 from repro.backend import Engine
 from repro.backend.engine import encode_weights
+from repro.backend.fast import Operand
 from repro.nn.models import build_model
 from repro.nn.models.base import prunable_layers
 from repro.sparsity import HybridSparsityConfig, hybrid_mask, nm_mask
@@ -43,16 +44,15 @@ def _hybrid_prune(model, block_size, target_sparsity=0.8):
     return model
 
 
-def _derived_nbytes(engine):
-    """Bytes of every array the kernels have memoized on the engine's formats."""
+def _operands(engine):
+    """Each layer's placed GEMM operand, by op name."""
+    return {op.name: op.fmt for op in engine._plan if isinstance(getattr(op, "fmt", None), Operand)}
 
-    def nbytes(value):
-        if isinstance(value, np.ndarray):
-            return value.nbytes
-        assert isinstance(value, tuple), f"unsized derived state {type(value)}"
-        return sum(nbytes(item) for item in value)
 
-    return sum(nbytes(v) for fmt in engine.formats.values() for v in fmt.derived.values())
+def _operand_nbytes(engine):
+    """Bytes of every array the engine's operands hold."""
+    return sum(part.nbytes for op in _operands(engine).values()
+               for part in (op.dense_t, op.row_tiles, op.scatter) if part is not None)
 
 
 class TestRefreshFormats:
@@ -110,30 +110,31 @@ class TestRefreshFormats:
         np.testing.assert_allclose(fresh.predict(batch), masked_pred, atol=1e-10)
 
 
-class TestDerivedState:
+class TestPlacedOperands:
     #: A ``resnet_tiny`` tenant (16x16 inputs, 2:4 in 16x16 blocks at 80 %
-    #: sparsity, the crispbench fleet's shape) decodes to ~240 KiB of tile
+    #: sparsity, the crispbench fleet's shape) places ~240 KiB of tile
     #: stacks plus ~5 KiB of scatter matrices.
     RESNET_TINY_CEILING = 260 * 1024
 
     @pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack"])
-    def test_derived_bytes_do_not_depend_on_the_widths_served(self, weight_format, rng):
+    def test_operand_bytes_do_not_depend_on_the_widths_served(self, weight_format, rng):
         """Regression: a per-batch-width scatter index grew a 20 KiB-stored
         tenant to 1 MiB after one predict and 144 MiB after widths 1..16."""
         model = _hybrid_prune(
             build_model("resnet_tiny", num_classes=8, input_size=16, seed=0), block_size=16
         )
         engine = Engine(model, backend="fast", weight_format=weight_format)
-        engine.predict(rng.normal(size=(1, 3, 16, 16)))
-        held = _derived_nbytes(engine)
+        held = _operand_nbytes(engine)
         assert 0 < held <= self.RESNET_TINY_CEILING
+        operands = _operands(engine)
         for width in range(1, 17):
             engine.predict(rng.normal(size=(width, 3, 16, 16)))
-        assert _derived_nbytes(engine) == held
+        assert _operand_nbytes(engine) == held
+        assert _operands(engine) == operands
 
-    def test_new_formats_on_a_live_engine_start_with_nothing_derived(self, model, batch):
-        """``refresh_formats`` / ``install_formats`` swap in fresh format
-        objects, so no operand decoded from the old weights is ever used."""
+    def test_new_formats_on_a_live_engine_are_placed_anew(self, model, batch):
+        """``refresh_formats`` / ``install_formats`` place fresh operands, so
+        none placed from the old weights is ever used."""
         _hybrid_prune(model, block_size=8)
         engine = Engine(model, backend="fast", weight_format="crisp", block_size=8)
         head = list(prunable_layers(model).values())[-1]
@@ -142,21 +143,22 @@ class TestDerivedState:
             model.eval()
             return model(batch)
 
-        before = engine.predict(batch)
-        assert all(fmt.derived for fmt in engine.formats.values())
+        before, placed = engine.predict(batch), _operands(engine)
+        assert sorted(placed) == sorted(prunable_layers(model))
 
         head.weight.data *= 2.0
         engine.refresh_formats()
-        assert not any(fmt.derived for fmt in engine.formats.values())
+        assert not set(map(id, _operands(engine).values())) & set(map(id, placed.values()))
         refreshed = engine.predict(batch)
         assert not np.allclose(refreshed, before)
         np.testing.assert_allclose(refreshed, served_directly(), atol=1e-8)
 
         head.weight.data *= -0.5
+        placed = _operands(engine)
         unfolded = encode_weights(model, engine)  # what a registry record stores
         engine.install_formats(unfolded)
         assert all(engine.formats[name] is not fmt for name, fmt in unfolded.items())
-        assert not any(fmt.derived for fmt in engine.formats.values())
+        assert not set(map(id, _operands(engine).values())) & set(map(id, placed.values()))
         installed = engine.predict(batch)
         assert not np.allclose(installed, refreshed)
         np.testing.assert_allclose(installed, served_directly(), atol=1e-8)

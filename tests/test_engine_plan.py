@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.backend import Engine, get_backend
+from repro.backend.fast import Operand
 from repro.backend.plan import compile_plan
 from repro.nn.layers import (
     AvgPool2d,
@@ -44,7 +45,8 @@ from repro.serve import EngineCache, EngineSpec, ModelRegistry
 from repro.serve import registry as registry_module
 from repro.shm import SharedModelSource, SharedWeightStore
 from repro.sparsity import HybridSparsityConfig, hybrid_mask
-from repro.sparsity.formats import encode
+from repro.sparsity.formats import FORMATS as FORMAT_CLASSES
+from repro.sparsity.formats import WeightFormat, encode
 
 ARCHS = ["resnet_tiny", "mobilenet_tiny", "vgg_tiny"]
 FORMATS = ["dense", "csr", "blocked-ellpack", "crisp"]
@@ -65,13 +67,18 @@ def _randomise_batchnorm(model, rng, zero_gamma_channel=False):
     return model
 
 
-def _pruned(arch, rng, **bn):
-    """A zoo model in the hybrid 2:4 x 8-block pattern with randomised BN."""
+def _pruned(arch, rng, block_size=8, padding_slot=False, **bn):
+    """A zoo model in the hybrid 2:4 x ``block_size`` pattern with randomised BN;
+    ``padding_slot``: block-row 0 of every layer keeps one block fewer."""
     model = build_model(arch, num_classes=5, input_size=8, seed=0)
     for layer in prunable_layers(model).values():
         mask, _ = hybrid_mask(
-            np.abs(layer.reshaped_weight()), HybridSparsityConfig(2, 4, 8), target_sparsity=0.7
+            np.abs(layer.reshaped_weight()), HybridSparsityConfig(2, 4, block_size),
+            target_sparsity=0.7,
         )
+        if padding_slot:  # drop block-row 0's first kept block
+            first = np.flatnonzero(mask[:block_size].any(axis=0))[0] // block_size * block_size
+            mask[:block_size, first:first + block_size] = False
         layer.set_reshaped_mask(mask)
     return _randomise_batchnorm(model, rng, **bn)
 
@@ -86,6 +93,29 @@ def _unfolded(engine):
         )
         for name, layer in prunable_layers(engine.module).items()
     }
+
+
+def operands(engine):
+    """A fast engine's placed GEMM operand of each layer, by layer name."""
+    return {op.name: op.fmt for op in engine._plan if isinstance(getattr(op, "fmt", None), Operand)}
+
+
+def operand_bytes(operand):
+    return [part.tobytes() for part in (operand.dense_t, operand.row_tiles, operand.scatter)
+            if part is not None]
+
+
+def _tile_stack(dense, fmt):
+    """The ``(block_rows, slots * B, B)`` tile stack of the matrix ``dense`` over
+    ``fmt``'s block map: each stored tile transposed in its slot, padding slots zero."""
+    block, (block_rows, slots) = fmt.block_size, fmt.block_cols.shape
+    padded = np.zeros((block_rows * block, -(-dense.shape[1] // block) * block))
+    padded[:dense.shape[0], :dense.shape[1]] = dense
+    stack = np.zeros((block_rows, slots, block, block))
+    for r, s in zip(*np.nonzero(np.arange(slots) < fmt.blocks_per_row[:, None])):
+        c = fmt.block_cols[r, s]
+        stack[r, s] = padded[r * block:(r + 1) * block, c * block:(c + 1) * block].T
+    return stack.reshape(block_rows, slots * block, block)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +157,60 @@ def test_a_zero_gamma_channel_folds_to_a_zero_column(weight_format, rng):
         assert folded.nnz <= plain.nnz and folded.total_bits <= plain.total_bits, name
         dropped += plain.nnz - folded.nnz
     assert dropped > 0
+
+
+@pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack", "csr"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_each_operand_placed_at_bind_is_the_folded_encodings_byte_for_byte(arch, weight_format, rng):
+    """The operand oracle: what the fast backend places at bind, straight from
+    the unfolded encoding, is the dense transpose of
+    ``fmt.scale_columns(scale).to_dense()``, or the tile stack and 0/1
+    selection matrix rebuilt from it — with a zero-gamma channel, rows short
+    of a block multiple, an edge block's padding columns and a padding slot.
+    A tile stack holds every stored entry of the folded tiles (a
+    Blocked-Ellpack zero keeps its sign), so its bytes are those tiles'."""
+    block = 16
+    model = _pruned(arch, rng, block_size=block, padding_slot=True, zero_gamma_channel=True)
+    engine = Engine(model, backend="fast", weight_format=weight_format, n=2, m=4, block_size=block)
+    seen = set()
+    for name, operand in operands(engine).items():
+        folded = engine.formats[name]  # fmt.scale_columns(scale), folded on this read
+        dense, (rows, cols) = folded.to_dense(), folded.shape
+        if operand.scatter is None:
+            assert operand_bytes(operand) == [np.ascontiguousarray(dense.T).tobytes()], name
+            seen.add("dense_t")
+            continue
+        stack = _tile_stack(dense, folded)
+        np.testing.assert_array_equal(operand.row_tiles, stack)
+        stored = stack if weight_format == "crisp" else folded.blocks.transpose(0, 1, 3, 2)
+        assert operand.row_tiles.tobytes() == stored.tobytes(), name
+        scatter = np.zeros((-(-cols // block), folded.block_cols.size))
+        scatter[folded.block_cols.reshape(-1), np.arange(folded.block_cols.size)] = 1.0
+        assert operand.scatter.tobytes() == scatter.tobytes(), name
+        features = {"tiles": True, "rows": rows % block, "cols": cols % block,
+                    "slot": (folded.blocks_per_row < folded.block_cols.shape[1]).any()}
+        seen |= {feature for feature, present in features.items() if present}
+    if arch == "resnet_tiny":  # CSR has no tiles; the rest meets every case
+        expected = {"dense_t"} if weight_format == "csr" else {"dense_t", "tiles", "rows", "cols", "slot"}
+        assert seen == expected
+
+
+@pytest.mark.parametrize("weight_format", ["crisp", "blocked-ellpack", "csr"])
+def test_a_fast_engine_is_built_and_serves_without_folding_an_encoding(weight_format, rng, monkeypatch):
+    spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
+    registry = ModelRegistry()
+    model_id = registry.register(_pruned("resnet_tiny", rng), spec=spec)
+    expected = registry.build_engine(model_id).predict(batch := rng.normal(size=(2, 3, 8, 8)))
+
+    def refuse(self, scale):
+        raise AssertionError(f"{type(self).__name__}.scale_columns called")
+
+    for cls in {WeightFormat, *FORMAT_CLASSES.values()}:
+        monkeypatch.setattr(cls, "scale_columns", refuse)
+    engine = registry.build_engine(model_id)
+    assert engine.predict(batch).tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match="scale_columns called"):
+        engine.formats  # folded only when something reads them
 
 
 def _folded_by_hand(model):
@@ -175,16 +259,13 @@ def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_
     compiled — from a shared-memory segment attached by name (a process
     shard's miss) and from the registry saved and loaded back (one tenant
     image, two readers).  Folded arrays, the bytes of the GEMM operands each
-    layer decoded to, the ops' folded biases and logits are identical."""
+    layer multiplies as, the ops' folded biases and logits are identical."""
     model = _pruned(arch, rng)
     spec = EngineSpec(backend="fast", weight_format=weight_format, **PATTERN)
     registry = ModelRegistry()
     model_id = registry.register(model, spec=spec)
     reloaded = ModelRegistry.load(registry.save(tmp_path))
     batch = rng.normal(size=(3, 3, 8, 8))
-
-    def operand_bytes(value):
-        return [part.tobytes() for part in (value if isinstance(value, tuple) else (value,))]
 
     with SharedWeightStore(registry) as store:
         entry, _ = store.ensure(model_id)
@@ -198,14 +279,13 @@ def test_record_module_and_segment_built_engines_agree_bit_for_bit(arch, weight_
                 (e.predict(batch).tobytes(),
                  {name: {key: array.tobytes() for key, array in fmt.arrays().items()}
                   for name, fmt in e.formats.items()},
-                 {name: {key: operand_bytes(value) for key, value in fmt.derived.items()}
-                  for name, fmt in e.formats.items()},
+                 {name: operand_bytes(operand) for name, operand in operands(e).items()},
                  [None if op.bias is None else op.bias.tobytes() for op in e._plan])
                 for e in engines
             ]
         finally:
             source.close()
-    assert all(formats for _, _, formats, _ in served)
+    assert weight_format == "dense" or all(placed for _, _, placed, _ in served)
     assert all(build == served[0] for build in served[1:])
     assert engines[1]._plan[0] is not engines[2]._plan[0]  # one plan, two bindings
 
@@ -436,11 +516,11 @@ def no_gc():
 def test_a_dropped_engine_is_freed_without_the_cycle_collector(no_gc, rng):
     engine = Engine(_pruned("resnet_tiny", rng), backend="fast", weight_format="crisp", **PATTERN)
     engine.predict(rng.normal(size=(1, 3, 8, 8)))
+    operand = operands(engine)["stages.0.conv2"]  # the GEMM operand: the bytes that must not linger
     fmt = engine.formats["stages.0.conv2"]
-    assert fmt.derived  # the decoded GEMM operand: the bytes that must not linger
-    refs = [weakref.ref(engine), weakref.ref(fmt), weakref.ref(engine.module)]
-    del engine, fmt
-    assert [ref() for ref in refs] == [None, None, None]
+    refs = [weakref.ref(engine), weakref.ref(operand), weakref.ref(fmt), weakref.ref(engine.module)]
+    del engine, operand, fmt
+    assert [ref() for ref in refs] == [None, None, None, None]
 
 
 def test_an_evicted_engine_is_freed_without_the_cycle_collector(fresh_plans, no_gc, rng):

@@ -119,7 +119,7 @@ class TestEveryFormat:
         assert cls.name == name and issubclass(cls, WeightFormat)
         declared = set(cls.array_names) | set(cls.param_names)
         assert len(declared) == len(cls.array_names) + len(cls.param_names)
-        assert declared == {f.name for f in fields(cls)} - {"derived"}
+        assert declared == {f.name for f in fields(cls)}
         # ``shape`` is a stored param or is read off the stored arrays.
         assert "shape" in declared or isinstance(cls.shape, property)
 
@@ -134,26 +134,24 @@ class TestEveryFormat:
         params, arrays = fmt.params(), fmt.arrays()
         assert list(arrays) == list(fmt.array_names)
         assert json.loads(json.dumps(params)) == params  # rides the image header as is
-        fmt.derived["memo"] = object()
         rebuilt = FORMATS[name].from_parts(json.loads(json.dumps(params)), read_only(arrays))
-        assert rebuilt.derived == {}  # derived state is never shipped
         assert rebuilt.params() == params and tuple(rebuilt.shape) == matrix.shape
         np.testing.assert_array_equal(rebuilt.to_dense(), matrix)
         for key, array in rebuilt.arrays().items():
             assert array.dtype == arrays[key].dtype and not array.flags.writeable
 
     def test_a_matmul_changes_nothing_that_ships(self, name, rng):
-        """Kernels memoize decoded operands in ``derived``; the arrays, params
-        and bit cost a tenant image stores stay the encoding's own."""
+        """A kernel keeps nothing on the encoding: the arrays, params, bit cost
+        and attributes a tenant image stores stay the encoding's own."""
         if name not in weight_formats("fast"):
-            return  # no kernel, so nothing is ever derived
+            return  # no kernel
         matrix = hybrid_matrix(rng)
         fmt = encode(name, matrix, N, M, BLOCK)
         before = shipped(fmt)
         for width in (1, 7):
             sparse_matmul(fmt, rng.normal(size=(matrix.shape[0], width)), backend="fast")
         assert shipped(fmt) == before
-        assert name == "dense" or fmt.derived  # the memo the kernel did keep
+        assert set(vars(fmt)) == {f.name for f in fields(fmt)}
 
     def test_from_parts_rejects_names_it_does_not_declare(self, name, rng):
         fmt = encode(name, hybrid_matrix(rng), N, M, BLOCK)
@@ -227,8 +225,8 @@ class TestInstallFormats:
         store = SharedWeightStore(registry)
         source = SharedModelSource()  # what a process shard installs into
         try:
+            entry, _ = store.ensure(model_id)  # the parent copies the image, parsing nothing
             with pytest.raises(InternalError, match=message):
-                entry, _ = store.ensure(model_id)  # the parent parses its own segment too
                 source.install(entry)
                 source.build_engine(model_id)
         finally:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crisp_loop_oracle import assert_same_encoding, crisp_from_dense_loop
-from repro.backend.fast import crisp_matmul_fast
+from repro.backend import get_backend
 from repro.sparsity.formats import (
     BlockedEllpackFormat,
     CRISPFormat,
@@ -274,7 +274,8 @@ class TestCRISPFormat:
 
         activations = np.random.default_rng(0).normal(size=(matrix.shape[0], 3))
         np.testing.assert_allclose(
-            crisp_matmul_fast(fmt, activations), fmt.to_dense().T @ activations, atol=1e-10
+            get_backend("fast").sparse_matmul(fmt, activations), fmt.to_dense().T @ activations,
+            atol=1e-10,
         )
 
 
