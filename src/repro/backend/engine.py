@@ -164,7 +164,7 @@ class Engine:
         thread finishes on the ops it started with.  ``undecoded`` builds the
         module on the next read of :attr:`module` (``None``: it is current).
         """
-        ops, layers = bind(plan, state, formats)
+        ops, layers = bind(plan, state, formats, self.backend)
         self._layers, self._folded, self._plan, self._undecoded = layers, None, ops, undecoded
 
     def refresh_formats(self) -> None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,38 +138,58 @@ class Operand:
     name = "operand"  # its key in the fast backend's kernel table
 
     def __init__(self, shape, block: int, region: np.ndarray, tiles: int = 0) -> None:
-        """Views of ``region``: ``tiles`` tiles then their selection matrix, or (0) the transpose."""
+        """Views of ``region``'s head: ``tiles`` tiles then their selection matrix, or (0) the transpose."""
         (rows, cols), split = shape, tiles * block * block
         self.shape, self.block = shape, block
-        self.dense_t = None if tiles else region.reshape(cols, rows)
+        self.dense_t = None if tiles else region[:rows * cols].reshape(cols, rows)
         self.row_tiles = region[:split].reshape(-(-rows // block), -1, block) if tiles else None
-        self.scatter = region[split:].reshape(-1, tiles) if tiles else None
+        self.scatter = region[split:split + -(-cols // block) * tiles].reshape(-1, tiles) if tiles else None
 
 
-def _tiles(fmt):
-    """A CSR, Blocked-Ellpack or CRISP format's stored values as tiles (``None``: another format).
+class _Tiles(NamedTuple):
+    """A CSR, Blocked-Ellpack or CRISP format's stored values, as tiles.
 
-    Returns ``((a, B, c, row_step), values, offsets, tile_cols, tile_rows,
-    stored)``: every tile holds ``a * B * c`` values, a value at ``(i, j, k)``
-    in column ``j`` and row ``row_step * i`` of its ``B``-wide tile, plus its
-    CRISP N:M offset (``offsets``, ``None`` for the others); ``tile_cols``
-    is each tile's block column, ``tile_rows`` its block row (``None``:
-    slot over slots per block-row), ``stored`` whether it is a stored tile
-    rather than slot padding (``None``: all are).  CSR is one ``1 x 1`` tile
-    per value.
+    ``layout`` is ``(a, B, c, row_step)``: every tile holds ``a * B * c``
+    values, the value at ``(i, j, k)`` in column ``j`` and row ``row_step *
+    i`` of its ``B``-wide tile, plus its CRISP N:M offset (``offsets``,
+    ``None`` for the others).  ``block_cols`` is each tile's block column
+    (``(block_rows, slots)`` for the tile formats), ``block_rows`` its block
+    row (``None``: slot over slots per block-row), ``stored`` whether it is a
+    stored tile rather than slot padding (``None``: all are).  CSR is one
+    ``1 x 1`` tile per value.
     """
+
+    layout: Tuple[int, int, int, int]
+    values: np.ndarray
+    offsets: Optional[np.ndarray]
+    block_cols: np.ndarray
+    block_rows: Optional[np.ndarray]
+    stored: Optional[np.ndarray]
+
+
+def _tiles(fmt) -> Optional[_Tiles]:
+    """``fmt``'s stored values as :class:`_Tiles` (``None``: another format)."""
     if isinstance(fmt, CRISPFormat):
         block = fmt.block_size
-        return ((block // fmt.m, block, fmt.n, fmt.m), fmt.group_values, fmt.group_offsets,
-                fmt.block_cols, None, None)
+        return _Tiles((block // fmt.m, block, fmt.n, fmt.m), fmt.group_values,
+                      fmt.group_offsets, fmt.block_cols, None, None)
     if isinstance(fmt, BlockedEllpackFormat):
         block, slots = fmt.block_size, fmt.block_cols.shape[1]
-        return ((block, block, 1, 1), fmt.blocks, None, fmt.block_cols, None,
-                np.arange(slots) < fmt.blocks_per_row[:, None])
+        return _Tiles((block, block, 1, 1), fmt.blocks, None, fmt.block_cols, None,
+                      np.arange(slots) < fmt.blocks_per_row[:, None])
     if isinstance(fmt, CSRFormat):
         rows = np.arange(fmt.shape[0]).repeat(np.diff(fmt.row_ptr))
-        return (1, 1, 1, 0), fmt.values, None, fmt.col_indices, rows, None
+        return _Tiles((1, 1, 1, 0), fmt.values, None, fmt.col_indices, rows, None)
     return None
+
+
+#: Where :func:`place` puts one layer, a record per layer of a group: its
+#: index in ``weights``, where its operand starts in the arena, the tiles in
+#: its tile stack (0: its operand is the dense transpose), its shape, its
+#: tiles, its tiles per block row, and its first tile and first scale column
+#: in the group.
+_LAYER = np.dtype([(field, np.intp) for field in (
+    "index", "at", "stacked", "rows", "cols", "count", "slots", "first", "start")])
 
 
 def place(weights: Sequence[Tuple[WeightFormat, np.ndarray]]) -> list:
@@ -180,7 +200,7 @@ def place(weights: Sequence[Tuple[WeightFormat, np.ndarray]]) -> list:
     is folded by ``fmt.scale_columns``.  CSR, and a tile format of at most
     :data:`DENSE_OPERAND_MAX_ENTRIES` entries, get the dense transpose, a
     larger tile format the tile stack and its selection matrix — views of
-    one array, written by one fancy assignment per tile shape.  A value's
+    one array, written by one fancy assignment per tile layout.  A value's
     flat index is its tile's base (the layer's offset plus a term in its
     slot, or in its block row and column), plus its column times the
     layout's column step, plus its row in the tile (and a CRISP offset): the
@@ -192,57 +212,56 @@ def place(weights: Sequence[Tuple[WeightFormat, np.ndarray]]) -> list:
     transpose only the stored tiles' in-bounds entries (as ``to_dense``
     does), a tile stack every entry.
     """
-    placed, groups, size = [None] * len(weights), {}, 0
+    placed, groups, totals, size = [None] * len(weights), {}, {}, 0
     for i, (fmt, scale) in enumerate(weights):
         tiles = _tiles(fmt)
         if tiles is None:
             placed[i] = fmt.scale_columns(scale)
             continue
-        (rows, cols), block, count = fmt.shape, tiles[0][1], tiles[3].size
-        blocks = -(-cols // block)
-        tiled = block > 1 and rows * cols > DENSE_OPERAND_MAX_ENTRIES
-        group = groups.setdefault(tiles[0], [[], [], [], 0, 0])
-        layers, scales, arrays, first, start = group
-        layers.append((i, size, tiled, rows, cols, count, tiles[3].shape[-1], first, start, blocks))
-        # The edge block's padding columns get scale 0, as scale_columns gave them.
-        scales += (scale, np.zeros(blocks * block - cols))
-        arrays.append(tiles[1:])
-        group[3:] = first + count, start + blocks * block
-        size += count * (block * block + blocks) if tiled else rows * cols
+        (rows, cols), block, count = fmt.shape, tiles.layout[1], tiles.block_cols.size
+        stacked = count if block > 1 and rows * cols > DENSE_OPERAND_MAX_ENTRIES else 0
+        width = -(-cols // block) * block
+        first, start = totals.get(tiles.layout, (0, 0))
+        totals[tiles.layout] = first + count, start + width
+        layers, scales, group_tiles = groups.setdefault(tiles.layout, ([], [], []))
+        layers.append((i, size, stacked, rows, cols, count, tiles.block_cols.shape[-1], first, start))
+        scales += (scale, np.zeros(width - cols))  # the edge block's padding columns get scale 0
+        group_tiles.append(tiles)
+        size += stacked * (block * block + width // block) or rows * cols
     arena = np.zeros(size + 1)  # the last entry takes every value not placed
-    for (a, block, c, row_step), (layers, scales, tiles, _, _) in groups.items():
-        counts = [layer[5] for layer in layers]
-        _, offset, tiled, rows, cols, count, slots, first, start, _ = (
-            np.array(layers).repeat(counts, axis=0).T[:, :, None])
-        tiled, slot = tiled.astype(bool), np.arange(len(offset))[:, None] - first
+    for (a, block, c, row_step), (layers, scales, group_tiles) in groups.items():
+        layers = np.array(layers, dtype=_LAYER)
+        # Every tile's copy of its layer's record, (tiles, 1), and its slot in that layer.
+        tile = layers.repeat(layers["count"])[:, None]
+        tiled, slot = tile["stacked"] > 0, np.arange(len(tile))[:, None] - tile["first"]
+        # Every layer's tiles, flat (None: the format has no such field).
         values, offsets, tile_cols, tile_rows, stored = (
-            None if column[0] is None else np.concatenate(column, axis=None)
-            for column in zip(*tiles)
-        )
+            None if getattr(group_tiles[0], field) is None
+            else np.concatenate([getattr(tiles, field) for tiles in group_tiles], axis=None)
+            for field in ("values", "offsets", "block_cols", "block_rows", "stored"))
         tile_cols = tile_cols[:, None]
-        tile_rows = slot // slots if tile_rows is None else tile_rows[:, None]
+        tile_rows = slot // tile["slots"] if tile_rows is None else tile_rows[:, None]
         col, row = np.arange(block), row_step * np.arange(a)[:, None]
         # (tiles, B) column terms, repeated c times: the last axis of (tiles, a, B * c)
-        scale = np.concatenate(scales)[start + tile_cols * block + col].repeat(c, axis=1)[:, None]
-        products = values.reshape(len(offset), a, block * c) * scale
-        index = np.where(tiled, offset + slot * (block * block) + col * block,
-                         offset + (tile_cols * block + col) * rows + tile_rows * block)
+        scale = np.concatenate(scales)[tile["start"] + tile_cols * block + col].repeat(c, axis=1)[:, None]
+        products = values.reshape(len(tile), a, block * c) * scale
+        index = np.where(tiled, tile["at"] + slot * (block * block) + col * block,
+                         tile["at"] + (tile_cols * block + col) * tile["rows"] + tile_rows * block)
         index = index.repeat(c, axis=1)[:, None] + row
         if offsets is not None:
             index += offsets.reshape(index.shape)
             np.putmask(index, products == 0, size)
         else:
-            keep = ((tile_rows[:, :, None] * block + row < rows[:, :, None])
-                    & (tile_cols * block + col < cols)[:, None])
+            keep = ((tile_rows[:, :, None] * block + row < tile["rows"][:, :, None])
+                    & (tile_cols * block + col < tile["cols"])[:, None])
             if stored is not None:
                 keep &= stored[:, None, None]
             keep |= tiled[:, :, None]
             np.putmask(index, ~keep, size)
         arena[index] = products
-        arena[(offset + count * (block * block) + tile_cols * count + slot)[tiled]] = 1.0
-        for i, at, by_tiles, height, width, held, _, _, _, blocks in layers:
-            end = at + (held * (block * block + blocks) if by_tiles else height * width)
-            placed[i] = Operand((height, width), block, arena[at:end], held if by_tiles else 0)
+        arena[(tile["at"] + tile["count"] * (block * block + tile_cols) + slot)[tiled]] = 1.0
+        for i, at, stacked, rows, cols in layers[["index", "at", "stacked", "rows", "cols"]].tolist():
+            placed[i] = Operand((rows, cols), block, arena[at:], stacked)
     return placed
 
 

@@ -42,15 +42,15 @@ exists only at the input edge.
 Ops are instances of module-level classes holding arrays, operands or
 formats and the backend — never the engine, the module or a closure — so a
 dropped engine is freed by reference counting alone.  A plan's own ops hold
-no array: a bound conv op is a copy (:meth:`_Conv.bound`, slot by slot), and
-the ops that carry no weight are shared by every binding.
-``backend.im2col`` and ``backend.sparse_matmul`` are looked up by attribute
-on every call: a profiler that wraps them on the backend instance after a
-plan was compiled still sees every kernel.
+no array: a bound conv op is a copy, and the ops that carry no weight are
+shared by every binding.  ``backend.im2col`` and ``backend.sparse_matmul``
+are looked up by attribute on every call: a profiler that wraps them on the
+backend instance after a plan was compiled still sees every kernel.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -111,17 +111,6 @@ class _Conv(_Op):
         operand, size = self.operand(values[self.src])
         out = self.finish(self.backend.sparse_matmul(self.fmt, operand))
         return out.reshape(out.shape[0], -1, *size)
-
-    def bound(self, bias: Optional[np.ndarray]) -> "_Conv":
-        """A tenant's copy of this plan op, with its folded ``bias`` (``fmt`` set after)."""
-        op = object.__new__(type(self))
-        for key in _CONV_FIELDS:
-            setattr(op, key, getattr(self, key))
-        op.bias = bias
-        return op
-
-
-_CONV_FIELDS = _Op.__slots__ + _Conv.__slots__
 
 
 class _Depthwise(_Conv):
@@ -305,7 +294,7 @@ class Plan(NamedTuple):
     shape, in layer order; ``shapes`` the shape of every other
     ``state_dict`` key (everything but the prunable weights); ``norms`` the
     name of every folded batch-norm, in op order, and ``eps`` each one's
-    ``eps`` per channel; ``backend`` what the ops run on.
+    ``eps`` per channel.
     """
 
     ops: List[_Op]
@@ -313,7 +302,6 @@ class Plan(NamedTuple):
     shapes: Dict[str, Tuple[int, ...]]
     norms: Tuple[str, ...]
     eps: np.ndarray
-    backend: object
 
 
 def compile_plan(module: Module, backend) -> Plan:
@@ -330,11 +318,11 @@ def compile_plan(module: Module, backend) -> Plan:
              for name, eps in op.folds]
     names, eps, channels = zip(*folds) if folds else ((), (), ())
     eps = np.repeat(np.array(eps, dtype=float), channels)
-    return Plan(tracer.ops, layers, shapes, names, eps, backend)
+    return Plan(tracer.ops, layers, shapes, names, eps)
 
 
 def bind(
-    plan: Plan, state: Mapping[str, np.ndarray], formats: Mapping[str, WeightFormat]
+    plan: Plan, state: Mapping[str, np.ndarray], formats: Mapping[str, WeightFormat], backend
 ) -> Tuple[List[_Op], Dict[str, Tuple[WeightFormat, Optional[np.ndarray]]]]:
     """One model's ops over ``plan``, and each layer's ``(unfolded encoding, column scale)``.
 
@@ -343,13 +331,14 @@ def bind(
     folded into an op, ``scale = gamma / sqrt(var + eps)`` multiplies the
     output channels and ``beta - mean * scale`` joins the bias — computed
     for every batch-norm of the plan at once.  A depthwise op's weight is
-    scaled here; what every other op multiplies, the backend makes from the
+    scaled here; what every other op multiplies, ``backend`` makes from the
     encodings and scales of all layers in one call
     (:meth:`~repro.backend.base.Backend.bind_weights`).  A layer's scale is
     ``None`` when the forward never calls it, or when the backend returned a
-    folded copy, which then replaces the unfolded encoding.  Raises ``ValueError`` naming a
-    layer whose encoding is missing or does not encode its ``(reduction,
-    out)`` matrix, or a state key that is missing or mis-shaped.
+    folded copy, which then replaces the unfolded encoding.  Raises
+    ``ValueError`` naming a layer whose encoding is missing or does not
+    encode its ``(reduction, out)`` matrix, or a state key that is missing
+    or mis-shaped.
     """
     if sorted(formats) != sorted(plan.layers):
         raise ValueError(
@@ -368,26 +357,23 @@ def bind(
     )
     bn_scale = gamma / np.sqrt(var + plan.eps)
     shift = (beta - mean * bn_scale)[:, None]
-    ops, weighted, at = [], [], 0
-    for op in plan.ops:
-        if not isinstance(op, _Conv):
-            ops.append(op)
-            continue
+    ops = [copy.copy(op) if isinstance(op, _Conv) else op for op in plan.ops]
+    weighted, at = [], 0
+    for op in (op for op in ops if isinstance(op, _Conv)):
         scale = None
-        bias = state[f"{op.name}.bias"][:, None].copy() if op.biased else None
+        op.bias = state[f"{op.name}.bias"][:, None].copy() if op.biased else None
         for _ in op.folds:
             folded, at = slice(at, at + op.channels), at + op.channels
             scale = bn_scale[folded] if scale is None else scale * bn_scale[folded]
-            bias = shift[folded] if bias is None else bias * bn_scale[folded, None] + shift[folded]
+            op.bias = shift[folded] if op.bias is None else op.bias * bn_scale[folded, None] + shift[folded]
         scale = np.ones(op.channels) if scale is None else scale
-        ops.append(op.bound(bias))
         if type(op) is _Depthwise:  # (channels, 1, k, k)
             weight = state[f"{op.name}.weight"]
-            ops[-1].fmt = (weight * scale[:, None, None, None]).reshape(len(weight), -1)
+            op.fmt = (weight * scale[:, None, None, None]).reshape(len(weight), -1)
         else:
-            weighted.append(ops[-1])
+            weighted.append(op)
             layers[op.name] = (formats[op.name], scale)
-    for op, fmt in zip(weighted, plan.backend.bind_weights([layers[op.name] for op in weighted])):
+    for op, fmt in zip(weighted, backend.bind_weights([layers[op.name] for op in weighted])):
         op.fmt = fmt
         if isinstance(fmt, WeightFormat):  # a folded copy: what the engine reports, and all it keeps
             layers[op.name] = (fmt, None)

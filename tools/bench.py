@@ -4,13 +4,16 @@ Each side is a fresh checkout at the same path length (the parent commit,
 and the candidate: a commit, or by default the working tree's tracked and
 untracked files), so neither gains from where it lives.  Pair ``i`` runs
 both sides on seed ``seeds[i % len(seeds)]``, parent first in even pairs and
-candidate first in odd ones.  Per metric it prints each side's median
+candidate first in odd ones; the default 10 pairs over seeds 1-5 run each
+seed twice, once in each order.  Per metric it prints each side's median
 [quartiles], the candidate's median over the parent's, in how many pairs the
 candidate was better, and the parent's own IQR; ``*`` marks a median
 difference larger than that IQR.  A pair in which both sides' ``setup_s`` or
-``cpu_ms_per_op`` stepped the same way by more than ``--step`` is a host
-phase, listed apart rather than read as a change.  Stdlib only; it edits
-nothing under ``benchmarks/crispbench/``.
+``cpu_ms_per_op`` moved the same way by more than :data:`STEP` since the
+last pair of the same seed is a host phase, listed apart rather than read as
+a change (comparing one seed with itself keeps the seed's own cost out of it).
+The checkouts live in a temporary directory removed at the end.  Stdlib
+only; it edits nothing under ``benchmarks/crispbench/``.
 """
 import argparse
 import io
@@ -25,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 WORKTREE = "WORKTREE"
+STEP = 0.15  # a relative move of both sides' reading that counts as a host phase
 
 
 def git(*args: str, cwd: Path) -> bytes:
@@ -46,12 +50,12 @@ def checkout(repo: Path, ref: str, dest: Path) -> Path:
     return dest
 
 
-def run(tree: Path, workload: str, seed: int, out: Path, trace: bool, smoke: bool) -> dict:
+def run(tree: Path, workload: str, seed: int, out: Path, trace: bool) -> dict:
     """One crispbench run in ``tree``; its ``metrics`` block, ``{}`` if it failed."""
     command = [sys.executable, "benchmarks/crispbench/run.py", "--workload", workload,
                "--seed", str(seed), "--out", str(out), "--trace", str(int(trace))]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    done = subprocess.run(command + ["--smoke"] * smoke, cwd=tree, env=env, capture_output=True)
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True)
     if done.returncode or not out.exists():
         print(f"  {tree.name} seed {seed}: exit {done.returncode}\n{done.stderr.decode()[-800:]}")
         return {}
@@ -65,11 +69,10 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def pair(args) -> int:
+def pair(args, work: Path) -> int:
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
     first, last = (int(x) for x in args.seeds.split("-"))
     seeds = list(range(first, last + 1))
-    work = Path(tempfile.mkdtemp(prefix="bench-pair-", dir=args.work))
     trees = {"parent": checkout(repo, args.parent, work / "side-p"),
              "change": checkout(repo, args.candidate, work / "side-c")}
     better = {m["name"]: m["better"] for key in ("end_to_end", "per_layer")
@@ -78,9 +81,9 @@ def pair(args) -> int:
     for i in range(args.pairs):
         seed, order = seeds[i % len(seeds)], ["parent", "change"][:: 1 if i % 2 == 0 else -1]
         got = {side: run(trees[side], args.workload, seed, work / f"{side}-{i}.json",
-                         args.trace, args.smoke) for side in order}
+                         args.trace) for side in order}
         if all(got.values()):
-            rows.append(got)
+            rows.append((seed, got))
         print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): " + "  ".join(
             f"{metric} {got['parent'].get(metric, float('nan')):.4g}/{got['change'].get(metric, float('nan')):.4g}"
             for metric in ("cpu_ms_per_op", "latency_p50_ms") if got["parent"] and got["change"]),
@@ -91,6 +94,7 @@ def pair(args) -> int:
     print(f"\n{args.workload}: {len(rows)} pairs, parent {args.parent} vs {args.candidate} "
           f"(median [q1, q3]; ratio = change / parent; * = |diff| > parent IQR)")
     print(f"{'metric':<28} {'parent':>30} {'change':>30} {'ratio':>7} {'better':>7} {'parent IQR':>11}")
+    ran, rows = [seed for seed, _ in rows], [got for _, got in rows]
     for metric in rows[0]["parent"]:
         side = {s: [r[s][metric] for r in rows if metric in r[s] and metric in r["change"]]
                 for s in ("parent", "change")}
@@ -103,15 +107,17 @@ def pair(args) -> int:
         flag = "*" if abs(c2 - p2) > p3 - p1 else " "
         print(f"{metric:<28} {p2:>12.4g} [{p1:.4g}, {p3:.4g}] {c2:>12.4g} [{c1:.4g}, {c3:.4g}] "
               f"{ratio:>6.3f}{flag} {wins:>3}/{len(side['parent']):<3} {p3 - p1:>11.4g}")
-    steps = []
-    for i in range(1, len(rows)):
-        for metric in ("setup_s", "cpu_ms_per_op"):
-            moves = [rows[i][s][metric] / rows[i - 1][s][metric] - 1 for s in ("parent", "change")]
-            if all(abs(m) > args.step for m in moves) and moves[0] * moves[1] > 0:
-                steps.append(f"pair {i + 1}: {metric} {moves[0]:+.0%} / {moves[1]:+.0%}")
-    print("host phase: " + ("; ".join(steps) if steps else "none flagged"))
-    if not args.keep:
-        shutil.rmtree(work)
+    steps, last = [], {}
+    watched = [metric for metric in ("setup_s", "cpu_ms_per_op") if metric in rows[0]["parent"]]
+    for seed, got in zip(ran, rows):
+        for metric in watched if seed in last else ():
+            moves = [got[s][metric] / last[seed][s][metric] - 1 for s in ("parent", "change")]
+            if all(abs(m) > STEP for m in moves) and moves[0] * moves[1] > 0:
+                steps.append(f"seed {seed}: {metric} {moves[0]:+.0%} / {moves[1]:+.0%}")
+        last[seed] = got
+    checked = watched and len(last) < len(rows)
+    print("host phase: " + (("; ".join(steps) or "none flagged") if checked
+                            else "not checked: needs untraced runs and a seed run twice"))
     return 0
 
 
@@ -123,15 +129,11 @@ def main(argv=None) -> int:
     paired.add_argument("--candidate", default=WORKTREE, help="a commit (default: the working tree)")
     paired.add_argument("--workload", required=True)
     paired.add_argument("--pairs", type=int, default=10)
-    paired.add_argument("--seeds", default="1-10", help="inclusive range a-b, cycled over the pairs")
+    paired.add_argument("--seeds", default="1-5", help="inclusive range a-b, cycled over the pairs")
     paired.add_argument("--trace", action="store_true", help="traced runs: the per-layer rows")
-    paired.add_argument("--smoke", action="store_true", help="crispbench --smoke runs")
-    paired.add_argument("--step", type=float, default=0.15,
-                        help="relative move of both sides that counts as a host step")
-    paired.add_argument("--work", default=None, help="where the checkouts go (default: a temp dir)")
-    paired.add_argument("--keep", action="store_true", help="keep the checkouts and records")
     args = parser.parse_args(argv)
-    return pair(args)
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as work:
+        return pair(args, Path(work))
 
 
 if __name__ == "__main__":
